@@ -15,7 +15,6 @@ from .attack import (
     build_phase_remapping_povm,
     build_suboptimal_povm,
     evaluate,
-    general_intercept_resend_qber,
     max_fiber_length_km,
 )
 from .errors import (
@@ -32,11 +31,7 @@ from .errors import (
 )
 from .mcoracle import (
     OracleEstimate,
-    TrialRecord,
     run_oracle,
-    run_trial,
-    sample_povm_outcome,
-    simulate_bob,
     simulate_intercept_resend,
 )
 from .optics import (
@@ -81,7 +76,6 @@ __all__ = [
     "PovmStrategy",
     "ProbeState",
     "SingularEpsilonError",
-    "TrialRecord",
     "UnsupportedProbeError",
     "attack_state_vector",
     "bb84_ensemble",
@@ -93,16 +87,12 @@ __all__ = [
     "ensemble_from_states",
     "evaluate",
     "fm_matrix",
-    "general_intercept_resend_qber",
     "ideal_fm_matrix",
     "max_fiber_length_km",
     "phase_modulator",
     "round_trip",
     "rotator_mirror_product",
     "run_oracle",
-    "run_trial",
-    "sample_povm_outcome",
-    "simulate_bob",
     "simulate_intercept_resend",
     "span_dimension",
     "verify_compensation",

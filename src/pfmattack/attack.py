@@ -213,8 +213,3 @@ def evaluate(ens: AttackEnsemble, strat: PovmStrategy) -> AttackReport:
         x=strat.x,
         max_fiber_km=max_fiber_length_km(p_succ),
     )
-
-
-def general_intercept_resend_qber() -> float:
-    """QBER of the plain intercept-and-resend attack on ideal BB84 (analytic constant)."""
-    return INTERCEPT_RESEND_QBER

@@ -6,11 +6,18 @@ conclusive outcome (blocks otherwise), the receiver measures in a uniformly
 random basis, and rounds are sifted on the sender/receiver basis match. The
 estimates converge on the trace formulas evaluated by `attack.evaluate`, which
 is the point: the two paths share no code beyond the POVM elements themselves.
+
+Rounds are drawn CHUNK_TRIALS at a time and only their counts are kept, so an
+oracle run holds the same few megabytes at any trial count. The per-round
+scalar reference that this vectorized law is checked against lives in the
+test suite (tests/oracle_reference.py).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,25 +28,19 @@ from .statespace import AttackEnsemble
 #: Below this many trials the binomial error bars are too wide to be useful.
 MIN_TRIALS = 10_000
 
+#: Rounds drawn per chunk; an oracle run's memory is proportional to this, not to n_trials.
+CHUNK_TRIALS = 1 << 16
+
 _PROB_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One simulated round. error can only be set on a sifted round, and a
-    sifted round requires a conclusive (non-vacuum) outcome."""
-
-    alice_k: int
-    eve_outcome: int | None
-    bob_basis: int
-    bob_bit: int | None
-    sifted: bool
-    error: bool
-
-
-@dataclass(frozen=True)
 class OracleEstimate:
-    """Aggregated estimates with binomial standard errors."""
+    """Aggregated estimates with binomial standard errors.
+
+    The *_by_state tuples split the counts by sender state k = 0..3 and sum to
+    the aggregates; errors <= sifted <= conclusive <= trials holds per state.
+    """
 
     n_trials: int
     qber_hat: float
@@ -50,6 +51,10 @@ class OracleEstimate:
     n_conclusive: int
     n_sifted: int
     n_errors: int
+    trials_by_state: tuple[int, ...]
+    conclusive_by_state: tuple[int, ...]
+    sifted_by_state: tuple[int, ...]
+    errors_by_state: tuple[int, ...]
 
 
 def outcome_probabilities(state: np.ndarray, strat: PovmStrategy) -> np.ndarray:
@@ -65,54 +70,56 @@ def outcome_probabilities(state: np.ndarray, strat: PovmStrategy) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
-def sample_povm_outcome(state: np.ndarray, strat: PovmStrategy, rng: np.random.Generator) -> int | None:
-    """Draw one outcome: 0, 3, or None for the vacuum (blocking) element."""
-    p_0, p_3, _ = outcome_probabilities(state, strat)
-    u = rng.random()
-    if u < p_0:
-        return 0
-    if u < p_0 + p_3:
-        return 3
-    return None
+def _check_trials(n_trials) -> int:
+    """n_trials as an int, rejected before any draw unless it is an integer >= MIN_TRIALS."""
+    if isinstance(n_trials, (bool, np.bool_)):
+        raise DomainError(f"n_trials must be an integer, got {n_trials!r}")
+    try:
+        n_trials = operator.index(n_trials)
+    except TypeError:
+        raise DomainError(f"n_trials must be an integer, got {n_trials!r}") from None
+    if n_trials < MIN_TRIALS:
+        raise DomainError(f"below minimum trial count: {n_trials} < {MIN_TRIALS}")
+    return n_trials
 
 
-def simulate_bob(
-    resend_k: int | None, bob_basis: int, rng: np.random.Generator
-) -> tuple[int | None, bool]:
-    """Receiver measurement of a resent standard BB84 state.
+def _receive(fair: np.ndarray, resend: np.ndarray, conclusive: np.ndarray) -> np.ndarray:
+    """The receiver's side of a chunk of rounds, as one code k + 4 * level per round.
 
-    bob_basis 0 holds states {0, 2}, basis 1 holds {1, 3}. When the resent
-    state lies in the measured basis the bit is deterministic; otherwise it is
-    uniform (and survives sifting only if the eavesdropper guessed the
-    sender's basis wrongly but the receiver matched the sender). Returns
-    (bit, basis_match); a blocked round (resend_k None) yields (None, False).
+    level is 0 for a blocked round, 1 conclusive, 2 also sifted, 3 also an
+    error. fair holds one random byte per round: bits 0-1 are the sender's
+    state k, bit 2 the receiver's basis, and bit 3 the receiver's outcome when
+    the resent state lies outside the measured basis. resend is the resent
+    state (0..3) and counts only where conclusive. Basis 0 holds states
+    {0, 2}, basis 1 holds {1, 3}. All arithmetic is on uint8 bit masks.
     """
-    if bob_basis not in (0, 1):
-        raise DomainError(f"bob_basis must be 0 or 1, got {bob_basis!r}")
-    if resend_k is None:
-        return None, False
-    if resend_k not in (0, 1, 2, 3):
-        raise DomainError(f"resend_k must be in 0..3 or None, got {resend_k!r}")
-    if resend_k % 2 == bob_basis:
-        return resend_k // 2, True
-    return int(rng.integers(0, 2)), False
+    alice = fair & 3
+    bob_basis = (fair >> 2) & 1
+    coin = (fair >> 3) & 1
+    on_basis = (resend & 1) == bob_basis
+    # the resent bit where on_basis, else the coin (np.where is an order of magnitude slower here)
+    bit = coin ^ (((resend >> 1) ^ coin) & on_basis)
+    sifted = conclusive & ((alice & 1) == bob_basis)
+    errors = sifted & (bit ^ (alice >> 1))
+    return alice + 4 * (conclusive.view(np.uint8) + sifted + errors)
 
 
-def run_trial(ens: AttackEnsemble, strat: PovmStrategy, rng: np.random.Generator) -> TrialRecord:
-    """Simulate a single protocol round."""
-    alice_k = int(rng.integers(0, 4))
-    eve_outcome = sample_povm_outcome(ens.states[alice_k], strat, rng)
-    bob_basis = int(rng.integers(0, 2))
-    if eve_outcome is None:
-        return TrialRecord(alice_k, None, bob_basis, None, sifted=False, error=False)
-    bit, _ = simulate_bob(eve_outcome, bob_basis, rng)
-    bob_index = bob_basis + 2 * bit
-    sifted = bob_basis == alice_k % 2
-    error = sifted and bob_index != alice_k
-    return TrialRecord(alice_k, eve_outcome, bob_basis, bit, sifted=sifted, error=error)
+def _stream(
+    n_trials: int, seed: int, rounds: Callable[[np.random.Generator, int], np.ndarray]
+) -> OracleEstimate:
+    """Run n_trials rounds CHUNK_TRIALS at a time and keep only their per-state counts.
 
+    rounds(rng, n) simulates n rounds and returns their codes (see `_receive`).
+    """
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(16, dtype=np.int64)
+    for start in range(0, n_trials, CHUNK_TRIALS):
+        counts += np.bincount(rounds(rng, min(CHUNK_TRIALS, n_trials - start)), minlength=16)
+    # at_least[level, k]: rounds of state k that reached at least this level
+    at_least = np.cumsum(counts.reshape(4, 4)[::-1], axis=0)[::-1]
+    trials, conclusive, sifted, errors = (tuple(int(c) for c in row) for row in at_least)
+    n_conclusive, n_sifted, n_errors = sum(conclusive), sum(sifted), sum(errors)
 
-def _estimate(n_trials, n_conclusive, n_sifted, n_errors, seed) -> OracleEstimate:
     p_hat = n_conclusive / n_trials
     if n_sifted > 0:
         e_hat = n_errors / n_sifted
@@ -128,38 +135,37 @@ def _estimate(n_trials, n_conclusive, n_sifted, n_errors, seed) -> OracleEstimat
         stderr_qber=stderr_e,
         stderr_p_succ=stderr_p,
         rng_seed=seed,
-        n_conclusive=int(n_conclusive),
-        n_sifted=int(n_sifted),
-        n_errors=int(n_errors),
+        n_conclusive=n_conclusive,
+        n_sifted=n_sifted,
+        n_errors=n_errors,
+        trials_by_state=trials,
+        conclusive_by_state=conclusive,
+        sifted_by_state=sifted,
+        errors_by_state=errors,
     )
 
 
 def run_oracle(ens: AttackEnsemble, strat: PovmStrategy, n_trials: int, seed: int) -> OracleEstimate:
     """Estimate QBER and success probability from n_trials simulated rounds.
 
-    Vectorized batch version of `run_trial` with identical per-round law;
-    reproducible for a fixed seed. QBER counts errors among sifted conclusive
-    rounds, the success probability counts conclusive rounds over all trials.
+    Reproducible for a fixed seed; memory does not grow with n_trials. QBER
+    counts errors among sifted conclusive rounds, the success probability
+    counts conclusive rounds over all trials.
     """
-    if n_trials < MIN_TRIALS:
-        raise DomainError(f"below minimum trial count: {n_trials} < {MIN_TRIALS}")
+    n_trials = _check_trials(n_trials)
     prob_table = np.stack([outcome_probabilities(v, strat) for v in ens.states])
-    rng = np.random.default_rng(seed)
-    alice = rng.integers(0, 4, n_trials)
-    u = rng.random(n_trials)
-    bob_basis = rng.integers(0, 2, n_trials).astype(np.int8)
-    uniform_bits = rng.integers(0, 2, n_trials).astype(np.int8)
+    p_0 = prob_table[:, 0]
+    p_conclusive = p_0 + prob_table[:, 1]
 
-    p_0 = prob_table[alice, 0]
-    conclusive = u < p_0 + prob_table[alice, 1]
-    resend = np.where(u < p_0, 0, 3).astype(np.int8)
+    def rounds(rng: np.random.Generator, n: int) -> np.ndarray:
+        fair = rng.integers(0, 256, n, dtype=np.uint8)
+        u = rng.random(n)  # float64, so that p_succ far below 1/n_trials stays resolved
+        k = (fair & 3).astype(np.intp)  # gathers index faster with intp than with uint8
+        # M_0 resends state 0, M_3 resends state 3
+        resend = (u >= p_0[k]).view(np.uint8) * np.uint8(3)
+        return _receive(fair, resend, u < p_conclusive[k])
 
-    deterministic = (resend % 2) == bob_basis
-    bit = np.where(deterministic, resend // 2, uniform_bits)
-    bob_index = bob_basis + 2 * bit
-    sifted = conclusive & ((alice % 2) == bob_basis)
-    errors = sifted & (bob_index != alice)
-    return _estimate(n_trials, conclusive.sum(), sifted.sum(), errors.sum(), seed)
+    return _stream(n_trials, seed, rounds)
 
 
 def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
@@ -169,20 +175,14 @@ def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
     resends her outcome state, so every round is conclusive and the sifted
     QBER converges on 1/4.
     """
-    if n_trials < MIN_TRIALS:
-        raise DomainError(f"below minimum trial count: {n_trials} < {MIN_TRIALS}")
-    rng = np.random.default_rng(seed)
-    alice = rng.integers(0, 4, n_trials)
-    eve_basis = rng.integers(0, 2, n_trials).astype(np.int8)
-    eve_bits = rng.integers(0, 2, n_trials).astype(np.int8)
-    bob_basis = rng.integers(0, 2, n_trials).astype(np.int8)
-    bob_bits = rng.integers(0, 2, n_trials).astype(np.int8)
+    n_trials = _check_trials(n_trials)
 
-    eve_match = (alice % 2) == eve_basis
-    resend = np.where(eve_match, alice, eve_basis + 2 * eve_bits)
-    deterministic = (resend % 2) == bob_basis
-    bit = np.where(deterministic, resend // 2, bob_bits)
-    bob_index = bob_basis + 2 * bit
-    sifted = (alice % 2) == bob_basis
-    errors = sifted & (bob_index != alice)
-    return _estimate(n_trials, n_trials, sifted.sum(), errors.sum(), seed)
+    def rounds(rng: np.random.Generator, n: int) -> np.ndarray:
+        fair = rng.integers(0, 256, n, dtype=np.uint8)
+        alice = fair & 3
+        # bits 4-5: the eavesdropper's basis, and her outcome when that basis is not the sender's
+        guess = (fair >> 4) & 3
+        resend = np.where((alice ^ guess) & 1, guess, alice)
+        return _receive(fair, resend, np.ones(n, dtype=bool))
+
+    return _stream(n_trials, seed, rounds)

@@ -10,7 +10,6 @@ from pfmattack.attack import (
     build_phase_remapping_povm,
     build_suboptimal_povm,
     evaluate,
-    general_intercept_resend_qber,
     max_fiber_length_km,
 )
 from pfmattack.errors import (
@@ -207,7 +206,6 @@ def test_fiber_length_mapping():
 
 
 def test_reference_constants():
-    assert general_intercept_resend_qber() == 0.25
     assert INTERCEPT_RESEND_QBER == 0.25
     assert COLLECTIVE_ATTACK_QBER_LIMIT == 0.11
     assert TWO_WAY_POSTPROCESSING_QBER_LIMIT == 0.20

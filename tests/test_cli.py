@@ -187,6 +187,8 @@ def test_verify_fail_exit_code(monkeypatch, capsys):
     skewed = OracleEstimate(
         n_trials=10**6, qber_hat=0.9, p_succ_hat=0.9, stderr_qber=1e-4, stderr_p_succ=1e-4,
         rng_seed=1, n_conclusive=10, n_sifted=10, n_errors=9,
+        trials_by_state=(250_000,) * 4, conclusive_by_state=(3, 3, 2, 2),
+        sifted_by_state=(3, 3, 2, 2), errors_by_state=(3, 2, 2, 2),
     )
     monkeypatch.setattr(cli, "run_oracle", lambda *args, **kwargs: skewed)
     code = run_cli("verify", "--epsilon-deg", "1", "--delta", "pi/2", "--trials", "100000")

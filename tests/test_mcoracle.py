@@ -1,17 +1,17 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracle_reference import run_trial, sample_povm_outcome, simulate_bob
 from pfmattack.attack import PovmStrategy, build_suboptimal_povm, evaluate
 from pfmattack.errors import DomainError, NegativeProbabilityError
 from pfmattack.mcoracle import (
+    CHUNK_TRIALS,
     MIN_TRIALS,
     outcome_probabilities,
     run_oracle,
-    run_trial,
-    sample_povm_outcome,
-    simulate_bob,
     simulate_intercept_resend,
 )
 from pfmattack.statespace import build_ensemble
@@ -175,7 +175,7 @@ def test_sift_rate_is_half_among_conclusive(anchor):
 
 
 def test_scalar_and_batch_paths_agree_statistically(anchor):
-    """The per-trial and vectorized implementations sample the same law."""
+    """The per-round reference in oracle_reference.py and the streamed oracle sample the same law."""
     ens, strat, _ = anchor
     rng = np.random.default_rng(77)
     n = 40_000
@@ -204,3 +204,66 @@ def test_estimates_are_frozen_records(anchor):
     estimate = run_oracle(ens, strat, 50_000, seed=55)
     with pytest.raises(dataclasses.FrozenInstanceError):
         estimate.qber_hat = 0.0
+
+
+def test_rejects_non_integral_trial_counts(anchor):
+    """Floats and bools are refused before any round is drawn, not on the last chunk."""
+    ens, strat, _ = anchor
+    for bad in (1e7, 1e5, np.float64(1e5), True, "100000", None):
+        with pytest.raises(DomainError, match="integer"):
+            run_oracle(ens, strat, bad, seed=1)
+        with pytest.raises(DomainError, match="integer"):
+            simulate_intercept_resend(bad, seed=1)
+    assert run_oracle(ens, strat, np.int64(MIN_TRIALS), seed=1).n_trials == MIN_TRIALS
+
+
+def _assert_consistent_counts(estimate, n_trials):
+    assert estimate.n_trials == n_trials
+    assert sum(estimate.trials_by_state) == n_trials
+    assert sum(estimate.conclusive_by_state) == estimate.n_conclusive
+    assert sum(estimate.sifted_by_state) == estimate.n_sifted
+    assert sum(estimate.errors_by_state) == estimate.n_errors
+    for k in range(4):
+        assert (
+            0 <= estimate.errors_by_state[k] <= estimate.sifted_by_state[k]
+            <= estimate.conclusive_by_state[k] <= estimate.trials_by_state[k]
+        )
+    for counts in (estimate.trials_by_state, estimate.conclusive_by_state,
+                   estimate.sifted_by_state, estimate.errors_by_state):
+        assert isinstance(counts, tuple) and len(counts) == 4
+        assert all(type(c) is int for c in counts)
+
+
+@pytest.mark.parametrize("n_trials", [MIN_TRIALS, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1])
+def test_chunk_boundaries_record_every_trial(anchor, n_trials):
+    ens, strat, _ = anchor
+    _assert_consistent_counts(run_oracle(ens, strat, n_trials, seed=n_trials), n_trials)
+    plain = simulate_intercept_resend(n_trials, seed=n_trials)
+    _assert_consistent_counts(plain, n_trials)
+    assert plain.conclusive_by_state == plain.trials_by_state
+
+
+def test_per_state_conclusive_counts_follow_the_povm(anchor):
+    """State k is conclusive with probability <k|M_0 + M_3|k>, state by state."""
+    ens, strat, _ = anchor
+    estimate = run_oracle(ens, strat, 10**6, seed=314)
+    for k in range(4):
+        p_0, p_3, _ = outcome_probabilities(ens.states[k], strat)
+        n_k = estimate.trials_by_state[k]
+        expected = n_k * (p_0 + p_3)
+        sigma = np.sqrt(n_k * (p_0 + p_3) * (1 - p_0 - p_3))
+        assert abs(estimate.conclusive_by_state[k] - expected) <= 4 * sigma
+
+
+def test_oracle_memory_does_not_grow_with_trials(anchor):
+    ens, strat, _ = anchor
+
+    def peak(n_trials):
+        tracemalloc.start()
+        try:
+            run_oracle(ens, strat, n_trials, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * 10**6) - peak(2 * 10**5) < 2 * 2**20
