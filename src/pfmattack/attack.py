@@ -1,10 +1,13 @@
 """Eavesdropper strategies: suboptimal discrimination POVM and its figures of merit.
 
 The strategy distinguishes state 0 from {1,2,3} and state 3 from {0,1,2} with
-two rank-1 POVM elements built from the inverse square root of the ensemble
-density operator, scaled by the largest factor x that keeps the vacuum element
-I - M_0 - M_3 positive. Conclusive outcomes are resent as standard BB84 states;
-everything else is blocked and hides in channel loss.
+two rank-1 POVM elements M_b = x |y_b><y_b|. y_b is the generalized
+eigenvector of the error operator L_b against the density operator rho for
+the minimal generalized eigenvalue lambda_b, and x the largest factor that
+keeps the vacuum element I - M_0 - M_3 positive. This is the square-root
+measurement rho^(-1/2)|c_b><c_b|rho^(-1/2), written without the square root.
+Conclusive outcomes are resent as standard BB84 states; everything else is
+blocked and hides in channel loss.
 """
 
 from __future__ import annotations
@@ -14,15 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, SingularEpsilonError
-from .numkernel import (
-    DEFAULT_RANK_TOL,
-    hermitian_eig,
-    hermitianize,
-    outer,
-    pinv_sqrt,
-    real_trace,
-)
-from .statespace import AttackEnsemble, bb84_ensemble, span_dimension
+from .numkernel import hermitian_eig, real_trace
+from .statespace import ERROR_WEIGHTS, AttackEnsemble, bb84_ensemble
 
 KIND_PFM = "pfm_suboptimal_3d"
 KIND_REMAP = "phase_remapping_2d"
@@ -40,6 +36,10 @@ TWO_WAY_POSTPROCESSING_QBER_LIMIT = 0.20
 _PSD_TOL = 1e-9
 _COMPLETENESS_TOL = 1e-10
 _VAC_BOUNDARY_MAX = 1e-6
+#: Largest accepted Tr(rho_eq^-1) of the equilibrated density operator (see _build_povm).
+CONDITION_MAX = 1e9
+#: Row b: weight of each prepared state k in the error operator L_b, ERROR_WEIGHTS[(k - b) % 4].
+_RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in range(4)])
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class PovmStrategy:
 
     m_0 and m_3 are the conclusive elements (the implicit M_1 = M_2 = 0 never
     fire); m_vac = I - m_0 - m_3 is the blocking element. lambda_0/lambda_3
-    are the minimal nonzero eigenvalues of the conjugated error operators the
+    are the minimal generalized eigenvalues of (L_0, rho) and (L_3, rho) the
     elements were built from, and x the positivity-boundary scale factor.
     """
 
@@ -83,11 +83,11 @@ class PovmStrategy:
         total = self.m_0 + self.m_3 + self.m_vac
         if np.linalg.norm(total - eye) > _COMPLETENESS_TOL:
             raise DomainError("POVM elements do not sum to the identity")
-        for label, op in self.operators.items():
-            min_eig = hermitian_eig(op).eigenvalues[0]
+        min_eigs = {label: hermitian_eig(op).eigenvalues[0] for label, op in self.operators.items()}
+        for label, min_eig in min_eigs.items():
             if min_eig < -_PSD_TOL:
                 raise DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
-        vac_min = hermitian_eig(self.m_vac).eigenvalues[0]
+        vac_min = min_eigs["M_vac"]
         if not -_PSD_TOL <= vac_min <= _VAC_BOUNDARY_MAX:
             raise DomainError(f"M_vac minimal eigenvalue {vac_min:.3e} is off the positivity boundary")
         if not self.x > 0:
@@ -115,30 +115,55 @@ def max_fiber_length_km(p_succ: float) -> float:
     return -10.0 * np.log10(p_succ) / FIBER_LOSS_DB_PER_KM
 
 
-def _minimal_nonzero_eigenpair(matrix: np.ndarray, rank_tol: float) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue above rank_tol * lambda_max and its eigenvector."""
-    dec = hermitian_eig(matrix)
-    cut = rank_tol * dec.eigenvalues[-1]
-    above = np.flatnonzero(dec.eigenvalues > cut)
-    if above.size == 0:
-        raise DegenerateSpanError("conjugated error operator has no nonzero eigenvalue")
-    idx = above[0]
-    return float(dec.eigenvalues[idx]), dec.eigenvectors[:, idx]
+def _build_povm(ens: AttackEnsemble, kind: str) -> PovmStrategy:
+    """Generalized-eigenvector construction shared by both attack kinds.
 
+    lambda_b is the minimal generalized eigenvalue of (L_b, rho), and y_b its
+    eigenvector normalised to y_b^H rho y_b = 1. Both are invariant under a
+    change of basis, so the state components are first equilibrated by their
+    norms (the e_0 component is O(sin 2e cos 2e)). With C C^H the Cholesky
+    factorisation of the equilibrated rho, the pencil becomes the ordinary
+    eigenproblem of G W_b G^H, where the columns of G = C^-1 S^T are the
+    whitened states and W_b their error weights, and y_b = C^-H z_b. Then
+    M_b = x |y_b><y_b| with x = 1 / lambda_max of the Gram matrix of
+    (y_0, y_3). No square root of rho is taken.
 
-def _build_povm(ens: AttackEnsemble, rank_tol: float, kind: str) -> PovmStrategy:
-    rho_inv_sqrt = pinv_sqrt(ens.rho, rank_tol)
+    Accuracy: rounding moves e_B (absolutely) and p_succ (relatively) by less
+    than ~1e-15 times kappa = Tr(rho_eq^-1) = ||C^-1||_F^2, which is within a
+    factor dim of the condition number of the equilibrated rho. kappa grows
+    as delta -> 0, and kappa > CONDITION_MAX (pfm below delta ~ 6.7e-3, remap
+    below ~ 4e-5) raises DegenerateSpanError, so every strategy returned
+    gives e_B and p_succ within 1e-6 of exact arithmetic; nothing is ever
+    approximated. A component that is zero in every state (delta = 0)
+    raises too.
+    """
+    scale = np.linalg.norm(ens.states, axis=0)
+    if not scale.all():
+        raise DegenerateSpanError(
+            f"a component of every attack state is zero: they span fewer than {ens.dim} dimensions"
+        )
+    states = ens.states / scale
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(states.T @ states.conj()))
+        kappa = np.linalg.norm(chol_inv) ** 2
+    except np.linalg.LinAlgError:
+        kappa = np.inf
+    if not kappa <= CONDITION_MAX:
+        raise DegenerateSpanError(
+            f"equilibrated density operator has condition ~{kappa:.2e} > {CONDITION_MAX:.0e}: "
+            f"the attack states are too close to spanning fewer than {ens.dim} dimensions"
+        )
+    whitened = chol_inv @ states.T
     lambdas: dict[int, float] = {}
-    scaled: dict[int, np.ndarray] = {}
+    vectors: dict[int, np.ndarray] = {}
     for b in (0, 3):
-        conjugated = hermitianize(rho_inv_sqrt @ ens.error_ops[b] @ rho_inv_sqrt)
-        lam, c_vec = _minimal_nonzero_eigenpair(conjugated, rank_tol)
-        lambdas[b] = lam
-        scaled[b] = hermitianize(rho_inv_sqrt @ outer(c_vec, c_vec) @ rho_inv_sqrt)
-    lam_max = hermitian_eig(scaled[0] + scaled[3]).eigenvalues[-1]
-    x = 1.0 / lam_max
-    m_0 = x * scaled[0]
-    m_3 = x * scaled[3]
+        dec = hermitian_eig((whitened * _RESEND_WEIGHTS[b]) @ whitened.conj().T)
+        lambdas[b] = float(dec.eigenvalues[0])
+        vectors[b] = chol_inv.conj().T @ dec.eigenvectors[:, 0] / scale
+    g00, g33 = (np.vdot(vectors[b], vectors[b]).real for b in (0, 3))
+    x = 1.0 / ((g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(np.vdot(vectors[0], vectors[3]))))
+    m_0 = x * np.outer(vectors[0], vectors[0].conj())
+    m_3 = x * np.outer(vectors[3], vectors[3].conj())
     m_vac = np.eye(ens.dim, dtype=complex) - m_0 - m_3
     strat = PovmStrategy(
         kind=kind, m_0=m_0, m_3=m_3, m_vac=m_vac, x=x,
@@ -148,38 +173,31 @@ def _build_povm(ens: AttackEnsemble, rank_tol: float, kind: str) -> PovmStrategy
     return strat
 
 
-def build_suboptimal_povm(ens: AttackEnsemble, rank_tol: float = DEFAULT_RANK_TOL) -> PovmStrategy:
+def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     """Suboptimal three-dimensional strategy against an imperfect-mirror ensemble.
 
-    For b in {0, 3} the element is x * rho^{-1/2} |C_b><C_b| rho^{-1/2} where
-    |C_b> is the eigenvector of rho^{-1/2} L_b rho^{-1/2} for the minimal
-    nonzero eigenvalue, and x = 1 / lambda_max of the unscaled element sum is
-    the largest scale keeping M_vac positive.
-
-    Rejects epsilon = 0, where the span collapses to two dimensions and this
+    e_B and p_succ of the result are within 1e-6 of exact arithmetic (e_B
+    absolutely, p_succ relatively); where they would not be, as delta -> 0,
+    DegenerateSpanError is raised instead (see _build_povm). Rejects
+    epsilon = 0, where the span collapses to two dimensions and this
     construction is undefined.
     """
     if ens.epsilon == 0.0:
         raise SingularEpsilonError(
             "epsilon = 0 is a singular point: the attack states span only two dimensions"
         )
-    if span_dimension(ens, rank_tol) < 3:
-        raise DegenerateSpanError(
-            f"attack states span {span_dimension(ens, rank_tol)} dimensions, need 3"
-        )
-    return _build_povm(ens, rank_tol, KIND_PFM)
+    return _build_povm(ens, KIND_PFM)
 
 
-def build_phase_remapping_povm(delta: float, rank_tol: float = DEFAULT_RANK_TOL) -> PovmStrategy:
+def build_phase_remapping_povm(delta: float) -> PovmStrategy:
     """Two-dimensional baseline strategy against the bare phase-encoded states.
 
-    Identical construction on the perfect-mirror ensemble, where the density
-    operator is full rank for delta in (0, pi/2] and rho^{-1/2} is its genuine
-    inverse square root.
+    The same construction on the perfect-mirror ensemble, with the same 1e-6
+    accuracy; small delta raises DegenerateSpanError instead.
     """
     if not 0.0 < delta <= np.pi / 2:
         raise DomainError(f"delta must lie in (0, pi/2], got {delta!r}")
-    return _build_povm(bb84_ensemble(delta), rank_tol, KIND_REMAP)
+    return _build_povm(bb84_ensemble(delta), KIND_REMAP)
 
 
 def evaluate(ens: AttackEnsemble, strat: PovmStrategy) -> AttackReport:

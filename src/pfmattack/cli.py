@@ -7,8 +7,8 @@ Subcommands:
   compensation  round-trip compensation residual for ideal and imperfect mirrors
 
 Angles: epsilon is given in degrees (--epsilon-deg), delta and channel angles
-accept 'pi', 'pi/N' or a plain radian value. Grids are comma lists; epsilon
-grids also accept 'start:stop:count' (inclusive linspace, degrees).
+accept 'pi', 'pi/N' or a plain radian value. Grids are comma lists or
+'start:stop:count' (inclusive linspace; degrees for epsilon, angle tokens for delta).
 
 Every subcommand accepts '--config PATH' pointing at a key=value file whose
 keys mirror the long flag names; explicit flags take precedence.
@@ -58,41 +58,34 @@ def parse_angle(token: str) -> float:
         raise argparse.ArgumentTypeError(f"cannot parse angle {token!r} (use radians or pi/N)") from None
 
 
+def _parse_grid(token: str, parse_value) -> list[float]:
+    """Comma list of values, or 'start:stop:count' for an inclusive linspace.
+
+    parse_value reads one value: float for degrees, parse_angle for angles.
+    """
+    text = token.strip()
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise argparse.ArgumentTypeError(f"range grid must be start:stop:count, got {token!r}")
+            start, stop, count = parse_value(parts[0]), parse_value(parts[1]), int(parts[2])
+            if count < 1:
+                raise argparse.ArgumentTypeError("grid count must be >= 1")
+            return list(np.linspace(start, stop, count))
+        return [parse_value(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse grid {token!r}") from None
+
+
 def parse_angle_grid(token: str) -> list[float]:
     """Comma list of angle tokens, or 'start:stop:count' with angle-token endpoints."""
-    text = token.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"range grid must be start:stop:count, got {token!r}")
-        try:
-            count = int(parts[2])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"grid count must be an integer, got {parts[2]!r}") from None
-        if count < 1:
-            raise argparse.ArgumentTypeError("grid count must be >= 1")
-        return list(np.linspace(parse_angle(parts[0]), parse_angle(parts[1]), count))
-    return [parse_angle(part) for part in text.split(",") if part.strip()]
+    return _parse_grid(token, parse_angle)
 
 
 def parse_degree_grid(token: str) -> list[float]:
     """Comma list of degrees, or 'start:stop:count' for an inclusive linspace."""
-    text = token.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"range grid must be start:stop:count, got {token!r}")
-        try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"cannot parse grid {token!r}") from None
-        if count < 1:
-            raise argparse.ArgumentTypeError("grid count must be >= 1")
-        return list(np.linspace(start, stop, count))
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse grid {token!r}") from None
+    return _parse_grid(token, float)
 
 
 @dataclass(frozen=True)
@@ -311,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="epsilon grid in degrees: comma list or start:stop:count",
     )
     p_sweep.add_argument(
-        "--delta", type=parse_angle_grid, required=True, help="delta grid: comma list of pi/N or radians"
+        "--delta", type=parse_angle_grid, required=True,
+        help="delta grid: comma list of pi/N or radians, or start:stop:count",
     )
     p_sweep.add_argument("--attack", choices=("pfm", "remap"), default="pfm")
     p_sweep.add_argument("--out", required=True, help="CSV output path")

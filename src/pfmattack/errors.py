@@ -34,7 +34,10 @@ class SingularEpsilonError(DomainError):
 
 
 class DegenerateSpanError(PfmAttackError):
-    """The attack states span fewer dimensions than the strategy requires."""
+    """The attack states span fewer dimensions than the strategy requires, or come too close to it.
+
+    Too close means the POVM could not be built to its stated accuracy.
+    """
 
 
 class NegativeProbabilityError(PfmAttackError):

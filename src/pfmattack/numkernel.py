@@ -2,9 +2,7 @@
 
 Everything downstream (Jones matrices, density operators, POVM elements) is a
 2x2 or 3x3 complex matrix, so this module wraps the few eigen-based primitives
-the attack construction needs behind deterministic conventions: eigenvalues
-sorted ascending and eigenvector phases fixed so results are reproducible
-enough for golden-value tests.
+the package needs behind one convention: eigenvalues sorted ascending.
 """
 
 from __future__ import annotations
@@ -24,10 +22,6 @@ from .errors import (
 HERMITIAN_ATOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
 MAX_DIM = 8
-
-# Components below this magnitude are treated as zero when fixing the phase
-# of an eigenvector (unit vectors always have a component >= 1/sqrt(MAX_DIM)).
-_PHASE_ATOL = 1e-12
 
 
 def require_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
@@ -51,11 +45,6 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
 def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rank-1 operator |u><v|."""
     u = np.asarray(u, dtype=complex)
@@ -65,34 +54,16 @@ def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.outer(u, v.conj())
 
 
-def matmul(*factors: np.ndarray) -> np.ndarray:
-    """Chain matrix product with explicit shape validation."""
-    if not factors:
-        raise DimensionMismatchError("matmul needs at least one factor")
-    result = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        f = np.asarray(f, dtype=complex)
-        if result.shape[-1] != f.shape[0]:
-            raise DimensionMismatchError(f"cannot multiply shapes {result.shape} and {f.shape}")
-        result = result @ f
-    return result
-
-
-def trace(a: np.ndarray) -> complex:
-    """Matrix trace as a Python complex."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"trace expects a square matrix, got shape {a.shape}")
-    return complex(np.trace(a))
-
-
 def real_trace(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> float:
     """Trace of a product of Hermitian factors: real up to numerical residue.
 
     Raises NonHermitianError when the imaginary residue exceeds ``atol``,
     which signals that an operand was not actually Hermitian.
     """
-    t = trace(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"trace expects a square matrix, got shape {a.shape}")
+    t = complex(np.trace(a))
     if abs(t.imag) > atol:
         raise NonHermitianError(f"trace has imaginary residue {t.imag:.3e} > {atol:.1e}")
     return t.real
@@ -104,7 +75,8 @@ class EigenDecomposition:
 
     eigenvalues: real, sorted ascending.
     eigenvectors: orthonormal columns, column i paired with eigenvalues[i],
-    each phased so its first non-negligible component is real positive.
+    with the arbitrary phase LAPACK returns (every consumer forms |v><v| or
+    V diag(w) V^H, which do not depend on it).
     """
 
     eigenvalues: np.ndarray
@@ -115,24 +87,10 @@ class EigenDecomposition:
         self.eigenvectors.setflags(write=False)
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component with |x| > _PHASE_ATOL is real positive."""
-    fixed = vectors.copy()
-    for j in range(fixed.shape[1]):
-        col = fixed[:, j]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_ATOL)
-        if idx.size:
-            lead = col[idx[0]]
-            fixed[:, j] = col * (lead.conjugate() / abs(lead))
-    return fixed
-
-
 def hermitian_eig(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> EigenDecomposition:
     """Eigen-decompose a Hermitian matrix of dimension <= 8.
 
-    Backed by LAPACK via numpy.linalg.eigh; eigenvalues come back ascending
-    and the phase convention above makes the eigenvectors deterministic for
-    non-degenerate spectra.
+    Backed by LAPACK via numpy.linalg.eigh; eigenvalues come back ascending.
     """
     a = require_hermitian(a, atol)
     if a.shape[0] > MAX_DIM:
@@ -141,13 +99,7 @@ def hermitian_eig(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> EigenDecomposi
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
-    return EigenDecomposition(np.asarray(w, dtype=float), _fix_phases(np.asarray(v, dtype=complex)))
-
-
-def is_psd(a: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff the minimal eigenvalue of Hermitian ``a`` is >= -tol."""
-    dec = hermitian_eig(a)
-    return bool(dec.eigenvalues[0] >= -tol)
+    return EigenDecomposition(np.asarray(w, dtype=float), np.asarray(v, dtype=complex))
 
 
 def pinv_sqrt(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

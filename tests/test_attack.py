@@ -18,8 +18,11 @@ from pfmattack.errors import (
     DomainError,
     SingularEpsilonError,
 )
+from pfmattack import attack
 from pfmattack.numkernel import hermitian_eig
 from pfmattack.statespace import bb84_ensemble, build_ensemble, ensemble_from_states
+
+from mp_reference import pfm_reference, remap_reference
 
 DEG = np.pi / 180
 
@@ -81,11 +84,9 @@ def test_povm_completeness_and_positivity():
 
 
 def test_vacuum_element_sits_on_positivity_boundary():
-    from pfmattack.numkernel import is_psd
-
     _, _, strat = _report(1.0, np.pi / 2)
     vac_min = hermitian_eig(strat.m_vac).eigenvalues[0]
-    assert is_psd(strat.m_vac, tol=1e-9)
+    assert np.linalg.eigvalsh(strat.m_vac).min() >= -1e-9
     assert -1e-9 <= vac_min <= 1e-6
     assert abs(vac_min) <= 1e-9
 
@@ -150,6 +151,85 @@ def test_singular_and_degenerate_rejections():
         build_suboptimal_povm(build_ensemble(0.0, np.pi / 2))
     with pytest.raises(DegenerateSpanError):
         build_suboptimal_povm(build_ensemble(1 * DEG, 0.0))
+
+
+def test_small_epsilon_scaling():
+    """As epsilon -> 0, e_B stays put and p_succ / epsilon^2 tends to a constant (8 at pi/2)."""
+    eps_deg = np.geomspace(1e-6, 0.01, 9)
+    for delta in (np.pi / 2, np.pi / 4, np.pi / 8):
+        reports = [_report(e, delta)[0] for e in eps_deg]
+        qber = np.array([r.qber for r in reports])
+        ratio = np.array([r.p_succ for r in reports]) / np.deg2rad(eps_deg) ** 2
+        assert np.ptp(qber) <= 1e-12
+        assert np.ptp(ratio) <= 1e-6 * ratio[0]
+        if delta == np.pi / 2:
+            assert abs(ratio[0] - 8.0) <= 1e-6 * 8.0
+
+
+# (epsilon_deg, delta): points where a rank-cut rho^(-1/2) construction
+# returns wrong figures, plus ordinary ones.
+MP_POINTS = ((1e-4, np.pi / 2), (0.05, 0.03), (1.0, 0.01), (1.0, np.pi / 2), (0.3, np.pi / 5), (-2.0, 0.1))
+#: The accuracy _build_povm promises: e_B absolute, p_succ relative.
+BUILD_TOL = 1e-6
+
+
+def _agrees(report, ref):
+    return abs(report.qber - ref["qber"]) <= BUILD_TOL and abs(report.p_succ / ref["p_succ"] - 1) <= BUILD_TOL
+
+
+def test_matches_extended_precision_reference():
+    for eps_deg, delta in MP_POINTS:
+        report = _report(eps_deg, delta)[0]
+        ref = pfm_reference(eps_deg, delta)
+        assert _agrees(report, ref), (eps_deg, delta, report, ref)
+        assert abs(report.lambda_0 - ref["lambda_0"]) <= BUILD_TOL
+        assert abs(report.x / ref["x"] - 1) <= BUILD_TOL
+    for delta in (np.pi / 4, 1e-4):
+        report = evaluate(bb84_ensemble(delta), build_phase_remapping_povm(delta))
+        assert _agrees(report, remap_reference(delta)), delta
+
+
+def test_every_accepted_point_is_accurate_or_refused():
+    """Down a log grid of delta, each point either matches the 50-digit
+    reference within BUILD_TOL or raises DegenerateSpanError."""
+    refused = 0
+    for delta in np.geomspace(1e-5, np.pi / 2, 16):
+        for eps_deg in (1e-5, 0.7):
+            ens = build_ensemble(eps_deg * DEG, delta)
+            try:
+                report = evaluate(ens, build_suboptimal_povm(ens))
+            except DegenerateSpanError:
+                refused += 1
+                continue
+            assert _agrees(report, pfm_reference(eps_deg, delta)), (eps_deg, delta)
+    for delta in np.geomspace(1e-8, np.pi / 2, 16):
+        try:
+            report = evaluate(bb84_ensemble(delta), build_phase_remapping_povm(delta))
+        except DegenerateSpanError:
+            refused += 1
+            continue
+        assert _agrees(report, remap_reference(delta)), delta
+    assert 0 < refused < 48
+
+
+def test_small_delta_is_refused():
+    with pytest.raises(DegenerateSpanError):
+        build_suboptimal_povm(build_ensemble(1 * DEG, 1e-4))
+    with pytest.raises(DegenerateSpanError):
+        build_phase_remapping_povm(1e-6)
+
+
+def test_validate_decomposes_each_element_once(monkeypatch):
+    _, _, strat = _report(1.0, np.pi / 2)
+    calls = []
+
+    def counting_eig(a):
+        calls.append(a)
+        return hermitian_eig(a)
+
+    monkeypatch.setattr(attack, "hermitian_eig", counting_eig)
+    strat.validate()
+    assert len(calls) == 3
 
 
 def test_remapping_anchor_quarter_pi():

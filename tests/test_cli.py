@@ -36,6 +36,10 @@ def test_parse_degree_grid():
         cli.parse_degree_grid("1:2")
     with pytest.raises(argparse.ArgumentTypeError):
         cli.parse_degree_grid("a,b")
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli.parse_degree_grid("0.1:1:0")
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli.parse_degree_grid("0.1:1:2.5")
 
 
 def test_parse_angle_grid():
@@ -48,12 +52,35 @@ def test_parse_angle_grid():
         cli.parse_angle_grid("0.1:pi/2:x")
 
 
+def test_parse_angle_grid_ranges_and_lists():
+    grid = cli.parse_angle_grid("0.1:pi/2:3")
+    assert len(grid) == 3 and grid[0] == 0.1 and grid[-1] == np.pi / 2
+    assert abs(grid[1] - (0.1 + np.pi / 2) / 2) <= 1e-15
+    assert cli.parse_angle_grid("0.25, pi/8 ,pi") == [0.25, np.pi / 8, np.pi]
+    for bad in ("0.1:pi/2:0", "0.1:pi/2:-2", "0.1:pi/2:1.5", "pi/8:x:3"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_angle_grid(bad)
+
+
 def test_eval_anchor(capsys):
     assert run_cli("eval", "--epsilon-deg", "1", "--delta", "pi/2") == 0
     values = parse_kv_output(capsys.readouterr().out)
     assert abs(float(values["e_B"]) - 0.146447) <= 1e-5
     assert abs(float(values["p_succ"]) - 2.43298e-3) <= 1e-7
     assert abs(float(values["max_fiber_km"]) - 124.47) <= 0.01
+
+
+def test_eval_small_epsilon(capsys):
+    """Far below the old rank cut the figures stay exact: e_B flat, p_succ ~ 8 epsilon^2."""
+    assert run_cli("eval", "--epsilon-deg", "0.0001", "--delta", "pi/2") == 0
+    values = parse_kv_output(capsys.readouterr().out)
+    assert values["e_B"] == "0.146447"
+    assert values["p_succ"] == "2.43694e-11"
+
+
+def test_eval_refuses_tiny_delta(capsys):
+    assert run_cli("eval", "--epsilon-deg", "1", "--delta", "0.0001") == 2
+    assert "condition" in capsys.readouterr().err
 
 
 def test_eval_065_anchor(capsys):

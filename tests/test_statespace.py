@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pfmattack.errors import DomainError
-from pfmattack.numkernel import hermitian_eig, trace
+from pfmattack.numkernel import hermitian_eig
 from pfmattack.statespace import (
     attack_state_vector,
     bb84_ensemble,
@@ -79,7 +79,7 @@ def test_basis_change_consistency():
 def test_operator_assembly():
     ens = build_ensemble(1 * DEG, np.pi / 2)
     assert np.abs(ens.rho_k.sum(axis=0) - ens.rho).max() <= 1e-15
-    assert abs(trace(ens.rho) - 4.0) <= 1e-10
+    assert abs(np.trace(ens.rho) - 4.0) <= 1e-10
     # error operators: half weight on neighbors, full weight on the opposite state
     for i in range(4):
         expected = 0.5 * ens.rho_k[(i + 1) % 4] + ens.rho_k[(i + 2) % 4] + 0.5 * ens.rho_k[(i + 3) % 4]
@@ -93,7 +93,7 @@ def test_rho_k_are_unit_trace_psd_projectors():
         for k in range(4):
             rho = ens.rho_k[k]
             assert np.abs(rho - rho.conj().T).max() <= 1e-12
-            assert abs(trace(rho) - 1.0) <= 1e-10
+            assert abs(np.trace(rho) - 1.0) <= 1e-10
             assert hermitian_eig(rho).eigenvalues[0] >= -1e-12
         assert hermitian_eig(ens.rho).eigenvalues[0] >= -1e-12
         for op in ens.error_ops:
@@ -142,7 +142,7 @@ def test_bb84_ensemble_structure():
     ens = bb84_ensemble(np.pi / 4)
     assert ens.dim == 2
     assert ens.epsilon == 0.0
-    assert abs(trace(ens.rho) - 4.0) <= 1e-10
+    assert abs(np.trace(ens.rho) - 4.0) <= 1e-10
     assert span_dimension(ens) == 2
     assert span_dimension(bb84_ensemble(0.0)) == 1
 
