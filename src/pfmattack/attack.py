@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, SingularEpsilonError
-from .numkernel import hermitian_eig, real_trace
-from .statespace import ERROR_WEIGHTS, AttackEnsemble, bb84_ensemble
+from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, NonHermitianError, SingularEpsilonError
+from .numkernel import HERMITIAN_ATOL, hermitian_eig
+from .statespace import ERROR_WEIGHTS, AttackEnsemble, bb84_states
 
 KIND_PFM = "pfm_suboptimal_3d"
 KIND_REMAP = "phase_remapping_2d"
@@ -38,8 +38,8 @@ _COMPLETENESS_TOL = 1e-10
 _VAC_BOUNDARY_MAX = 1e-6
 #: Largest accepted Tr(rho_eq^-1) of the equilibrated density operator (see _build_povm).
 CONDITION_MAX = 1e9
-#: Row b: weight of each prepared state k in the error operator L_b, ERROR_WEIGHTS[(k - b) % 4].
-_RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in range(4)])
+#: Rows b = 0, 3: weight of each prepared state k in the error operator L_b, ERROR_WEIGHTS[(k - b) % 4].
+_RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in (0, 3)])
 
 
 @dataclass(frozen=True)
@@ -78,18 +78,15 @@ class PovmStrategy:
         return {"M_0": 0, "M_3": 3, "M_vac": None}
 
     def validate(self) -> None:
-        """Check positivity, completeness and the vacuum boundary; raise on violation."""
-        eye = np.eye(self.dim)
-        total = self.m_0 + self.m_3 + self.m_vac
-        if np.linalg.norm(total - eye) > _COMPLETENESS_TOL:
+        """Check completeness, positivity and the vacuum boundary; raise on violation (NaN fails them all)."""
+        if not np.linalg.norm(self.m_0 + self.m_3 + self.m_vac - np.eye(self.dim)) <= _COMPLETENESS_TOL:
             raise DomainError("POVM elements do not sum to the identity")
-        min_eigs = {label: hermitian_eig(op).eigenvalues[0] for label, op in self.operators.items()}
-        for label, min_eig in min_eigs.items():
-            if min_eig < -_PSD_TOL:
+        min_eigs = hermitian_eig(np.array((self.m_0, self.m_3, self.m_vac))).eigenvalues[:, 0]
+        for label, min_eig in zip(self.operators, min_eigs):
+            if not min_eig >= -_PSD_TOL:
                 raise DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
-        vac_min = min_eigs["M_vac"]
-        if not -_PSD_TOL <= vac_min <= _VAC_BOUNDARY_MAX:
-            raise DomainError(f"M_vac minimal eigenvalue {vac_min:.3e} is off the positivity boundary")
+        if not -_PSD_TOL <= min_eigs[2] <= _VAC_BOUNDARY_MAX:
+            raise DomainError(f"M_vac minimal eigenvalue {min_eigs[2]:.3e} is off the positivity boundary")
         if not self.x > 0:
             raise DomainError(f"scale factor x must be positive, got {self.x!r}")
 
@@ -115,8 +112,8 @@ def max_fiber_length_km(p_succ: float) -> float:
     return -10.0 * np.log10(p_succ) / FIBER_LOSS_DB_PER_KM
 
 
-def _build_povm(ens: AttackEnsemble, kind: str) -> PovmStrategy:
-    """Generalized-eigenvector construction shared by both attack kinds.
+def _build_povm(states: np.ndarray, kind: str) -> PovmStrategy:
+    """Generalized-eigenvector construction shared by both attack kinds, from the (4, d) state rows.
 
     lambda_b is the minimal generalized eigenvalue of (L_b, rho), and y_b its
     eigenvector normalised to y_b^H rho y_b = 1. Both are invariant under a
@@ -135,14 +132,16 @@ def _build_povm(ens: AttackEnsemble, kind: str) -> PovmStrategy:
     below ~ 4e-5) raises DegenerateSpanError, so every strategy returned
     gives e_B and p_succ within 1e-6 of exact arithmetic; nothing is ever
     approximated. A component that is zero in every state (delta = 0)
-    raises too.
+    raises too, and so does |epsilon| below ~1e-154 rad, where |y_b|^2
+    overflows.
     """
-    scale = np.linalg.norm(ens.states, axis=0)
+    dim = states.shape[1]
+    scale = np.hypot.reduce(np.abs(states), axis=0)  # component norms, safe from underflow
     if not scale.all():
         raise DegenerateSpanError(
-            f"a component of every attack state is zero: they span fewer than {ens.dim} dimensions"
+            f"a component of every attack state is zero: they span fewer than {dim} dimensions"
         )
-    states = ens.states / scale
+    states = states / scale
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(states.T @ states.conj()))
         kappa = np.linalg.norm(chol_inv) ** 2
@@ -151,23 +150,21 @@ def _build_povm(ens: AttackEnsemble, kind: str) -> PovmStrategy:
     if not kappa <= CONDITION_MAX:
         raise DegenerateSpanError(
             f"equilibrated density operator has condition ~{kappa:.2e} > {CONDITION_MAX:.0e}: "
-            f"the attack states are too close to spanning fewer than {ens.dim} dimensions"
+            f"the attack states are too close to spanning fewer than {dim} dimensions"
         )
     whitened = chol_inv @ states.T
-    lambdas: dict[int, float] = {}
-    vectors: dict[int, np.ndarray] = {}
-    for b in (0, 3):
-        dec = hermitian_eig((whitened * _RESEND_WEIGHTS[b]) @ whitened.conj().T)
-        lambdas[b] = float(dec.eigenvalues[0])
-        vectors[b] = chol_inv.conj().T @ dec.eigenvectors[:, 0] / scale
-    g00, g33 = (np.vdot(vectors[b], vectors[b]).real for b in (0, 3))
-    x = 1.0 / ((g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(np.vdot(vectors[0], vectors[3]))))
-    m_0 = x * np.outer(vectors[0], vectors[0].conj())
-    m_3 = x * np.outer(vectors[3], vectors[3].conj())
-    m_vac = np.eye(ens.dim, dtype=complex) - m_0 - m_3
+    dec = hermitian_eig((whitened * _RESEND_WEIGHTS[:, None, :]) @ whitened.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = dec.eigenvectors[:, :, 0] @ chol_inv.conj() / scale  # rows y_0, y_3
+        gram = y.conj() @ y.T
+    if not np.isfinite(gram).all():
+        raise DegenerateSpanError("|y_b|^2 overflows: |epsilon| is below ~1e-154 rad, beyond double precision")
+    g00, g33 = gram.diagonal().real
+    x = 1.0 / ((g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(gram[0, 1])))
+    m_0, m_3 = x * (y[:, :, None] * y[:, None, :].conj())
     strat = PovmStrategy(
-        kind=kind, m_0=m_0, m_3=m_3, m_vac=m_vac, x=x,
-        lambda_0=lambdas[0], lambda_3=lambdas[3],
+        kind=kind, m_0=m_0, m_3=m_3, m_vac=np.eye(dim) - m_0 - m_3, x=x,
+        lambda_0=float(dec.eigenvalues[0, 0]), lambda_3=float(dec.eigenvalues[1, 0]),
     )
     strat.validate()
     return strat
@@ -186,7 +183,7 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
         raise SingularEpsilonError(
             "epsilon = 0 is a singular point: the attack states span only two dimensions"
         )
-    return _build_povm(ens, KIND_PFM)
+    return _build_povm(ens.states, KIND_PFM)
 
 
 def build_phase_remapping_povm(delta: float) -> PovmStrategy:
@@ -197,7 +194,7 @@ def build_phase_remapping_povm(delta: float) -> PovmStrategy:
     """
     if not 0.0 < delta <= np.pi / 2:
         raise DomainError(f"delta must lie in (0, pi/2], got {delta!r}")
-    return _build_povm(bb84_ensemble(delta), KIND_REMAP)
+    return _build_povm(bb84_states(delta), KIND_REMAP)
 
 
 def evaluate(ens: AttackEnsemble, strat: PovmStrategy) -> AttackReport:
@@ -212,8 +209,13 @@ def evaluate(ens: AttackEnsemble, strat: PovmStrategy) -> AttackReport:
         raise DimensionMismatchError(
             f"strategy dimension {strat.dim} does not match ensemble dimension {ens.dim}"
         )
-    err_weight = real_trace(strat.m_0 @ ens.error_ops[0]) + real_trace(strat.m_3 @ ens.error_ops[3])
-    conclusive = real_trace(strat.m_0 @ ens.rho) + real_trace(strat.m_3 @ ens.rho)
+    # p[b, k] = <v_k|M_b|v_k>; Tr(M_b L_b) = sum_k W[b, k] p[b, k] and Tr(M_b rho) = sum_k p[b, k]
+    p = np.einsum("ki,bij,kj->bk", ens.states.conj(), np.array((strat.m_0, strat.m_3)), ens.states)
+    traces = np.array([(_RESEND_WEIGHTS * p).sum(axis=1), p.sum(axis=1)])  # rows: Tr(M_b L_b), Tr(M_b rho)
+    residue = np.abs(traces.imag).max()
+    if residue > HERMITIAN_ATOL:
+        raise NonHermitianError(f"trace has imaginary residue {residue:.3e} > {HERMITIAN_ATOL:.1e}")
+    err_weight, conclusive = traces.real.sum(axis=1)
     qber = err_weight / conclusive
     p_succ = conclusive / 4.0
     for name, value in (("qber", qber), ("p_succ", p_succ)):

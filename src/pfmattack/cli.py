@@ -13,7 +13,8 @@ accept 'pi', 'pi/N' or a plain radian value. Grids are comma lists or
 Every subcommand accepts '--config PATH' pointing at a key=value file whose
 keys mirror the long flag names; explicit flags take precedence.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure or a sweep with rejected points,
+2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -121,11 +122,16 @@ def _csv_num(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _report_row(epsilon_deg: float, report: AttackReport, oracle: OracleEstimate | None = None) -> list[str]:
-    values = [
+def _report_values(epsilon_deg: float, report: AttackReport) -> list[float]:
+    """The values of BASE_COLUMNS, in order."""
+    return [
         epsilon_deg, report.delta, report.qber, report.p_succ,
         report.lambda_0, report.lambda_3, report.x, report.max_fiber_km,
     ]
+
+
+def _report_row(epsilon_deg: float, report: AttackReport, oracle: OracleEstimate | None = None) -> list[str]:
+    values = _report_values(epsilon_deg, report)
     if not all(np.isfinite(v) for v in values):
         raise PfmAttackError(f"non-finite value in row for epsilon_deg={epsilon_deg}, delta={report.delta}")
     cells = [_csv_num(v) for v in values]
@@ -155,7 +161,7 @@ def read_rows(path: str) -> tuple[list[str], list[list[str]]]:
 
 
 def run_sweep(config: SweepConfig) -> list[str]:
-    """Compute all sweep lines (comments, header, rows) in deterministic order."""
+    """Compute all sweep lines in deterministic order; a refused point becomes a '# rejected' comment."""
     lines = [f"# pfmattack {__version__}", f"# attack={config.attack_kind}"]
     if config.oracle_trials is not None:
         seed = config.seed if config.seed is not None else 0
@@ -170,7 +176,11 @@ def run_sweep(config: SweepConfig) -> list[str]:
             if config.attack_kind == "pfm" and epsilon_deg == 0.0:
                 lines.append(f"# skipped epsilon_deg=0 delta_rad={_csv_num(delta)}: singular point")
                 continue
-            report, ens, strat = _point_report(config.attack_kind, epsilon_deg, delta)
+            try:
+                report, ens, strat = _point_report(config.attack_kind, epsilon_deg, delta)
+            except PfmAttackError as exc:
+                lines.append(f"# rejected epsilon_deg={_csv_num(epsilon_deg)} delta_rad={_csv_num(delta)}: {exc}")
+                continue
             oracle = None
             if config.oracle_trials is not None:
                 seed = (config.seed if config.seed is not None else 0) + row_index
@@ -183,17 +193,7 @@ def run_sweep(config: SweepConfig) -> list[str]:
 def cmd_eval(args) -> int:
     report, _, _ = _point_report(args.attack, args.epsilon_deg, args.delta)
     epsilon_deg = args.epsilon_deg if args.attack == "pfm" else 0.0
-    pairs = [
-        ("epsilon_deg", epsilon_deg),
-        ("delta_rad", report.delta),
-        ("e_B", report.qber),
-        ("p_succ", report.p_succ),
-        ("lambda_0", report.lambda_0),
-        ("lambda_3", report.lambda_3),
-        ("x", report.x),
-        ("max_fiber_km", report.max_fiber_km),
-    ]
-    for key, value in pairs:
+    for key, value in zip(BASE_COLUMNS, _report_values(epsilon_deg, report)):
         print(f"{key:<13} {value:.6g}")
     if args.out:
         _write_csv(args.out, [",".join(BASE_COLUMNS), ",".join(_report_row(epsilon_deg, report))])
@@ -212,8 +212,9 @@ def cmd_sweep(args) -> int:
     )
     if not config.epsilon_grid_deg or not config.delta_grid:
         raise PfmAttackError("epsilon and delta grids must be non-empty")
-    _write_csv(config.output_path, run_sweep(config))
-    return 0
+    lines = run_sweep(config)
+    _write_csv(config.output_path, lines)
+    return 1 if any(line.startswith("# rejected") for line in lines) else 0
 
 
 def cmd_verify(args) -> int:

@@ -2,7 +2,9 @@
 
 Everything downstream (Jones matrices, density operators, POVM elements) is a
 2x2 or 3x3 complex matrix, so this module wraps the few eigen-based primitives
-the package needs behind one convention: eigenvalues sorted ascending.
+the package needs behind one convention: eigenvalues sorted ascending. The
+checks and the decomposition also take a stack (..., n, n) of such matrices
+and treat it in one LAPACK call.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ MAX_DIM = 8
 
 
 def require_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate that ``a`` is square and Hermitian within ``atol``.
+    """Validate that ``a`` is a square Hermitian matrix, or a stack (..., n, n) of them, within ``atol``.
 
     Returns the input as a complex128 array. Raises NonHermitianError if
-    max |a[i,j] - conj(a[j,i])| exceeds ``atol``.
+    max |a[..., i, j] - conj(a[..., j, i])| over the stack exceeds ``atol``.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    dev = np.abs(a - a.conj().T).max()
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    dev = np.abs(a - a.swapaxes(-1, -2).conj()).max(initial=0.0)
     if dev > atol:
         raise NonHermitianError(f"matrix deviates from Hermitian symmetry by {dev:.3e} > {atol:.1e}")
     return a
@@ -45,38 +47,14 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rank-1 operator |u><v|."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise DimensionMismatchError(f"outer expects two equal-length vectors, got {u.shape} and {v.shape}")
-    return np.outer(u, v.conj())
-
-
-def real_trace(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> float:
-    """Trace of a product of Hermitian factors: real up to numerical residue.
-
-    Raises NonHermitianError when the imaginary residue exceeds ``atol``,
-    which signals that an operand was not actually Hermitian.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"trace expects a square matrix, got shape {a.shape}")
-    t = complex(np.trace(a))
-    if abs(t.imag) > atol:
-        raise NonHermitianError(f"trace has imaginary residue {t.imag:.3e} > {atol:.1e}")
-    return t.real
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Full eigensystem of a Hermitian matrix.
+    """Full eigensystem of a Hermitian matrix, or of each matrix of a stack.
 
-    eigenvalues: real, sorted ascending.
-    eigenvectors: orthonormal columns, column i paired with eigenvalues[i],
-    with the arbitrary phase LAPACK returns (every consumer forms |v><v| or
-    V diag(w) V^H, which do not depend on it).
+    eigenvalues: real, shape (..., n), ascending along the last axis.
+    eigenvectors: shape (..., n, n), orthonormal columns, column i paired
+    with eigenvalues[..., i], with the arbitrary phase LAPACK returns (every
+    consumer forms |v><v| or V diag(w) V^H, which do not depend on it).
     """
 
     eigenvalues: np.ndarray
@@ -88,13 +66,14 @@ class EigenDecomposition:
 
 
 def hermitian_eig(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> EigenDecomposition:
-    """Eigen-decompose a Hermitian matrix of dimension <= 8.
+    """Eigen-decompose a Hermitian matrix of dimension <= 8, or a stack (..., n, n) of them.
 
-    Backed by LAPACK via numpy.linalg.eigh; eigenvalues come back ascending.
+    Backed by LAPACK via numpy.linalg.eigh, one call for the whole stack;
+    eigenvalues come back ascending.
     """
     a = require_hermitian(a, atol)
-    if a.shape[0] > MAX_DIM:
-        raise DimensionMismatchError(f"kernel is limited to dim <= {MAX_DIM}, got {a.shape[0]}")
+    if a.shape[-1] > MAX_DIM:
+        raise DimensionMismatchError(f"kernel is limited to dim <= {MAX_DIM}, got {a.shape[-1]}")
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

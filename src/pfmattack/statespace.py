@@ -3,22 +3,24 @@
 With an imperfect mirror the four returning states live in a 3-dimensional
 space spanned by e_0 = |cH'>, e_1 = |cV'>, e_2 = |dV'> (a basis the
 eavesdropper can reach with one unitary, because the |dH'> component vanishes
-identically). This module builds those states, the standard two-mode BB84
-states they degenerate to at epsilon = 0, and the density/error operators the
-attack construction consumes.
+identically). This module builds those states (one array formula per
+family), the standard two-mode BB84 states they degenerate to at epsilon = 0,
+and their density/error operators, computed on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .numkernel import DEFAULT_RANK_TOL, outer
+from .numkernel import DEFAULT_RANK_TOL
 from .optics import EPSILON_MAX
 
 _SQRT2 = np.sqrt(2.0)
+_K = np.arange(4)
 
 #: Relative error weight of Eve's resend i when the station prepared k:
 #: full error for the opposite state (k = i + 2), half for a basis-mismatched
@@ -28,28 +30,42 @@ ERROR_WEIGHTS = (0.0, 0.5, 1.0, 0.5)
 
 @dataclass(frozen=True)
 class AttackEnsemble:
-    """Four pure states with their density and error operators.
+    """Four pure states; their density and error operators are computed on first access.
 
     states[k] is the unit vector prepared for phase index k; rho_k[k] its
     projector, rho the (trace-4) sum, and error_ops[i] the weighted mixture
     w_1 rho_{i+1} + w_2 rho_{i+2} + w_3 rho_{i+3} with weights ERROR_WEIGHTS
-    that scores the sifted error caused by resending state i.
+    that scores the sifted error caused by resending state i. All four are
+    read-only arrays.
     """
 
     epsilon: float
     delta: float
     states: np.ndarray
-    rho_k: np.ndarray
-    rho: np.ndarray
-    error_ops: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.states, self.rho_k, self.rho, self.error_ops):
-            arr.setflags(write=False)
+        self.states.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.states.shape[1]
+
+    @cached_property
+    def rho_k(self) -> np.ndarray:
+        return _read_only(self.states[:, :, None] * self.states[:, None, :].conj())
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return _read_only(self.rho_k.sum(axis=0))
+
+    @cached_property
+    def error_ops(self) -> np.ndarray:
+        return _read_only(sum(ERROR_WEIGHTS[j] * np.roll(self.rho_k, -j, axis=0) for j in range(1, 4)))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -64,40 +80,43 @@ class Bb84State:
         self.vector.setflags(write=False)
 
 
+def bb84_states(delta: float) -> np.ndarray:
+    """The four phase-encoded states as rows: (e^{ik delta}, 1) / sqrt(2) for k = 0..3."""
+    return np.array([np.exp(1j * delta * _K), np.ones(4)]).T / _SQRT2
+
+
+def pfm_states(epsilon: float, delta: float) -> np.ndarray:
+    """The four attack states as rows, in the (e_0, e_1, e_2) basis.
+
+    (1/sqrt(2)) [ sin(2e)cos(2e)(z^2 - z),  sin^2(2e) z^2 + cos^2(2e) z,  1 ]
+    with z = e^{ik delta} for row k; unit norm for every (epsilon, delta, k).
+    """
+    s, c = np.sin(2 * epsilon), np.cos(2 * epsilon)
+    z = np.exp(1j * delta * _K)
+    z2 = z * z
+    return np.array([s * c * (z2 - z), s * s * z2 + c * c * z, np.ones(4)]).T / _SQRT2
+
+
 def bb84_state(k: int, delta: float = np.pi / 2) -> Bb84State:
     """Phase-encoded state with index k; delta = pi/2 gives the standard BB84 set."""
     if k not in (0, 1, 2, 3):
         raise DomainError(f"k must be in 0..3, got {k!r}")
-    vector = np.array([np.exp(1j * k * delta), 1.0], dtype=complex) / _SQRT2
-    return Bb84State(k=k, delta=delta, vector=vector)
+    return Bb84State(k=k, delta=delta, vector=bb84_states(delta)[k])
 
 
 def attack_state_vector(epsilon: float, delta: float, k: int) -> np.ndarray:
-    """Unit vector of attack state k in the (e_0, e_1, e_2) basis.
-
-    (1/sqrt(2)) [ sin(2e)cos(2e)(z^2 - z),  sin^2(2e) z^2 + cos^2(2e) z,  1 ]
-    with z = e^{ik delta}; unit norm for every (epsilon, delta, k).
-    """
+    """Unit vector of attack state k in the (e_0, e_1, e_2) basis (row k of pfm_states)."""
     if k not in (0, 1, 2, 3):
         raise DomainError(f"k must be in 0..3, got {k!r}")
-    s, c = np.sin(2 * epsilon), np.cos(2 * epsilon)
-    z = np.exp(1j * k * delta)
-    return np.array([s * c * (z * z - z), s * s * z * z + c * c * z, 1.0], dtype=complex) / _SQRT2
+    return pfm_states(epsilon, delta)[k]
 
 
 def ensemble_from_states(states: np.ndarray, epsilon: float, delta: float) -> AttackEnsemble:
-    """Assemble rho_k, rho and the error operators from four given state vectors."""
+    """Ensemble of four given state vectors (rows); its operators follow on first access."""
     states = np.asarray(states, dtype=complex)
     if states.shape[0] != 4:
         raise DomainError(f"expected four states, got {states.shape[0]}")
-    rho_k = np.stack([outer(v, v) for v in states])
-    rho = rho_k.sum(axis=0)
-    error_ops = np.stack(
-        [sum(ERROR_WEIGHTS[j] * rho_k[(i + j) % 4] for j in range(1, 4)) for i in range(4)]
-    )
-    return AttackEnsemble(
-        epsilon=epsilon, delta=delta, states=states, rho_k=rho_k, rho=rho, error_ops=error_ops
-    )
+    return AttackEnsemble(epsilon=epsilon, delta=delta, states=states)
 
 
 def build_ensemble(epsilon: float, delta: float) -> AttackEnsemble:
@@ -111,8 +130,7 @@ def build_ensemble(epsilon: float, delta: float) -> AttackEnsemble:
         raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {epsilon!r}")
     if not 0.0 <= delta <= np.pi / 2:
         raise DomainError(f"delta must lie in [0, pi/2], got {delta!r}")
-    states = np.stack([attack_state_vector(epsilon, delta, k) for k in range(4)])
-    return ensemble_from_states(states, epsilon, delta)
+    return AttackEnsemble(epsilon=epsilon, delta=delta, states=pfm_states(epsilon, delta))
 
 
 def bb84_ensemble(delta: float) -> AttackEnsemble:
@@ -123,8 +141,7 @@ def bb84_ensemble(delta: float) -> AttackEnsemble:
     """
     if not 0.0 <= delta <= np.pi / 2:
         raise DomainError(f"delta must lie in [0, pi/2], got {delta!r}")
-    states = np.stack([bb84_state(k, delta).vector for k in range(4)])
-    return ensemble_from_states(states, epsilon=0.0, delta=delta)
+    return AttackEnsemble(epsilon=0.0, delta=delta, states=bb84_states(delta))
 
 
 def span_dimension(ens: AttackEnsemble, tol: float = DEFAULT_RANK_TOL) -> int:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from pfmattack.attack import (
     KIND_PFM,
     KIND_REMAP,
     TWO_WAY_POSTPROCESSING_QBER_LIMIT,
+    PovmStrategy,
     build_phase_remapping_povm,
     build_suboptimal_povm,
     evaluate,
@@ -16,6 +19,7 @@ from pfmattack.errors import (
     DegenerateSpanError,
     DimensionMismatchError,
     DomainError,
+    NonHermitianError,
     SingularEpsilonError,
 )
 from pfmattack import attack
@@ -220,16 +224,91 @@ def test_small_delta_is_refused():
 
 
 def test_validate_decomposes_each_element_once(monkeypatch):
+    """validate() decomposes M_0, M_3 and M_vac in one stacked call of shape (3, d, d)."""
+    for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
+        calls = []
+
+        def counting_eig(a):
+            calls.append(np.shape(a))
+            return hermitian_eig(a)
+
+        monkeypatch.setattr(attack, "hermitian_eig", counting_eig)
+        strat.validate()
+        assert calls == [(3, strat.dim, strat.dim)]
+
+
+def _with(strat, **changes):
+    """A hand-built copy of strat with some fields replaced (no validation)."""
+    fields = dict(kind=strat.kind, m_0=strat.m_0, m_3=strat.m_3, m_vac=strat.m_vac,
+                  x=strat.x, lambda_0=strat.lambda_0, lambda_3=strat.lambda_3)
+    fields.update(changes)
+    return PovmStrategy(**fields)
+
+
+def test_validate_rejects_nan_before_any_eigensolve(monkeypatch):
     _, _, strat = _report(1.0, np.pi / 2)
-    calls = []
 
-    def counting_eig(a):
-        calls.append(a)
-        return hermitian_eig(a)
+    def no_eig(a):
+        raise AssertionError("eigensolve reached")
 
-    monkeypatch.setattr(attack, "hermitian_eig", counting_eig)
-    strat.validate()
-    assert len(calls) == 3
+    monkeypatch.setattr(attack, "hermitian_eig", no_eig)
+    for field in ("m_0", "m_vac"):
+        bad = getattr(strat, field).copy()
+        bad[1, 1] = np.nan
+        with pytest.raises(DomainError, match="sum to the identity"):
+            _with(strat, **{field: bad}).validate()
+
+
+def test_evaluate_guards_imaginary_residue():
+    """A non-Hermitian M_0 gives traces with an imaginary part, which evaluate refuses."""
+    ens = build_ensemble(1 * DEG, np.pi / 2)
+    strat = build_suboptimal_povm(ens)
+    with pytest.raises(NonHermitianError):
+        evaluate(ens, _with(strat, m_0=strat.m_0 + 1e-3j * np.eye(3)))
+
+
+def test_tiny_epsilon_overflow_is_refused():
+    """Below ~1e-154 rad |y_b|^2 overflows: a named refusal, with no floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (1e-160, 1e-165):
+            with pytest.raises(DegenerateSpanError, match="overflows"):
+                build_suboptimal_povm(build_ensemble(eps, np.pi / 2))
+        report = _report(np.rad2deg(1e-150), np.pi / 2)[0]
+    assert abs(report.p_succ / report.epsilon**2 - 8.0) <= 1e-12 * 8.0
+    assert abs(report.qber - LAMBDA_HALF_PI) <= 1e-12
+
+
+# (kind, epsilon_deg, delta, e_B, p_succ, x, lambda_0, lambda_3) from the per-matrix implementation
+# that preceded the stacked one. Every point has Tr(rho_eq^-1) <= ~160, so rounding stays far below
+# the 1e-12 these pins allow; worse-conditioned points are held to BUILD_TOL against mpmath below.
+PINS = (
+    ('pfm', 1.0, 1.5707963267948966, 0.1464466094067261, 0.0024329791965707216, 0.004865958393141442, 0.14644660940672619, 0.14644660940672638),
+    ('pfm', 0.65, 1.5707963267948966, 0.1464466094067263, 0.001028900073138472, 0.0020578001462769444, 0.14644660940672627, 0.14644660940672638),
+    ('pfm', 1.0, 0.7853981633974483, 0.047177158923850375, 0.0006341567055998005, 0.0012683134111996016, 0.047177158923850326, 0.04717715892385032),
+    ('pfm', 1.0, 0.39269908169872414, 0.035677132225719846, 5.813466957147484e-05, 0.00011626933914294991, 0.03567713222572178, 0.03567713222572169),
+    ('pfm', 0.3, 0.6283185307179586, 0.041206984796170104, 2.823690508128263e-05, 5.647381016256522e-05, 0.041206984796170285, 0.04120698479617043),
+    ('pfm', -2.0, 0.5, 0.03777172978017311, 0.0005563106525384616, 0.0011126213050769282, 0.03777172978017295, 0.03777172978017313),
+    ('pfm', 0.05, 1.2, 0.07893274985704997, 4.3667045122652e-06, 8.733409024530396e-06, 0.07893274985704994, 0.07893274985704994),
+    ('pfm', 0.0001, 1.5707963267948966, 0.14644660940672616, 2.436939358254075e-11, 4.873878716508152e-11, 0.14644660940672619, 0.1464466094067262),
+    ('pfm', 4.0, 1.0, 0.05984004854258942, 0.01857332721507083, 0.03714665443014167, 0.059840048542589265, 0.059840048542589376),
+    ('remap', 0.0, 1.5707963267948966, 0.25, 0.5857864376269049, 1.17157287525381, 0.25, 0.25),
+    ('remap', 0.0, 0.7853981633974483, 0.1770155295787886, 0.2342755042197024, 0.46855100843940484, 0.17701552957878852, 0.17701552957878863),
+    ('remap', 0.0, 0.1, 0.1553910995963605, 0.004427082545421161, 0.008854165090842286, 0.15539109959636432, 0.15539109959636432),
+)
+
+
+def test_pinned_values():
+    for kind, eps_deg, delta, qber, p_succ, x, lambda_0, lambda_3 in PINS:
+        if kind == "pfm":
+            report = _report(eps_deg, delta)[0]
+        else:
+            report = evaluate(bb84_ensemble(delta), build_phase_remapping_povm(delta))
+        assert abs(report.qber - qber) <= 1e-12, (kind, eps_deg, delta)
+        assert abs(report.p_succ / p_succ - 1) <= 1e-12, (kind, eps_deg, delta)
+        assert abs(report.x / x - 1) <= 1e-12, (kind, eps_deg, delta)
+        assert abs(report.lambda_0 - lambda_0) <= 1e-12, (kind, eps_deg, delta)
+        assert abs(report.lambda_3 - lambda_3) <= 1e-12, (kind, eps_deg, delta)
 
 
 def test_remapping_anchor_quarter_pi():

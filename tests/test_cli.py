@@ -185,6 +185,27 @@ def test_sweep_remap_kind(tmp_path):
     assert abs(qbers[2] - 0.25) <= 1e-9
 
 
+def test_sweep_rejected_point_does_not_abort(tmp_path):
+    """A refused point becomes a '# rejected' line with its reason; the sweep writes the rest and exits 1."""
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep", "--epsilon-deg", "1", "--delta", "0.001,0.1", "--out", str(out)) == 1
+    rejected = [line for line in out.read_text().splitlines() if line.startswith("# rejected")]
+    assert len(rejected) == 1
+    assert rejected[0].startswith("# rejected epsilon_deg=1 delta_rad=0.001: ")
+    assert "condition" in rejected[0]
+    _, rows = cli.read_rows(str(out))
+    assert [float(r[1]) for r in rows] == [0.1]
+
+
+def test_sweep_row_seeds_count_emitted_rows(tmp_path):
+    """Oracle row seeds skip rejected points, so the emitted rows match a sweep without them."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ("--epsilon-deg", "1", "--trials", "20000", "--seed", "3", "--reproducible")
+    assert run_cli("sweep", *args, "--delta", "0.001,0.5,pi/2", "--out", str(a)) == 1
+    assert run_cli("sweep", *args, "--delta", "0.5,pi/2", "--out", str(b)) == 0
+    assert cli.read_rows(str(a)) == cli.read_rows(str(b))
+
+
 def test_sweep_empty_grid_rejected(tmp_path):
     assert run_cli("sweep", "--epsilon-deg", " ", "--delta", "pi/2", "--out", str(tmp_path / "x.csv")) == 2
 

@@ -11,9 +11,7 @@ from pfmattack.errors import (
 from pfmattack.numkernel import (
     hermitian_eig,
     hermitianize,
-    outer,
     pinv_sqrt,
-    real_trace,
     require_hermitian,
 )
 
@@ -124,24 +122,33 @@ def test_pinv_sqrt_zero_matrix():
     assert np.allclose(pinv_sqrt(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
-def test_outer_trace_adjoint():
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    assert abs(np.trace(outer(v, v)) - 1.0) <= 1e-12
-    u = rng.normal(size=3) + 1j * rng.normal(size=3)
-    assert np.allclose(outer(u, v).conj().T, outer(v, u), rtol=0, atol=1e-15)
+def test_eig_stack_matches_per_matrix_calls():
+    """A (5, 4, 4) stack is decomposed in one call, matching each matrix decomposed alone."""
+    rng = np.random.default_rng(11)
+    stack = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+    dec = hermitian_eig(stack)
+    assert dec.eigenvalues.shape == (5, 4) and dec.eigenvectors.shape == (5, 4, 4)
+    for a, w, v in zip(stack, dec.eigenvalues, dec.eigenvectors):
+        single = hermitian_eig(a)
+        assert np.abs(w - single.eigenvalues).max() <= 1e-13
+        # eigenvectors are defined up to phase: compare the projectors
+        for i in range(4):
+            p_stack = np.outer(v[:, i], v[:, i].conj())
+            p_single = np.outer(single.eigenvectors[:, i], single.eigenvectors[:, i].conj())
+            assert np.abs(p_stack - p_single).max() <= 1e-10
+        assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-12
 
 
-def test_outer_requires_matching_vectors():
-    with pytest.raises(DimensionMismatchError):
-        outer(np.ones(2), np.ones(3))
-
-
-def test_real_trace_guards_imaginary_residue():
-    h1 = np.array([[1.0, 1j], [-1j, 0.5]])
-    h2 = np.array([[0.2, 0.1], [0.1, 0.9]])
-    value = real_trace(h1 @ h2)
-    assert abs(value - np.trace(h1 @ h2).real) == 0.0
+def test_eig_stack_guards():
+    """One non-Hermitian member fails the whole stack; MAX_DIM applies to the last axis."""
+    rng = np.random.default_rng(12)
+    stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    stack[2, 0, 1] += 1e-9
     with pytest.raises(NonHermitianError):
-        real_trace(np.array([[1j, 0], [0, 0]]))
+        hermitian_eig(stack)
+    with pytest.raises(NonHermitianError):
+        require_hermitian(stack)
+    with pytest.raises(DimensionMismatchError):
+        hermitian_eig(np.stack([np.eye(9), np.eye(9)]))
+    with pytest.raises(DimensionMismatchError):
+        hermitian_eig(np.zeros((2, 3, 4)))
