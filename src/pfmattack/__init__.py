@@ -53,7 +53,6 @@ from .statespace import (
     bb84_ensemble,
     bb84_state,
     build_ensemble,
-    ensemble_from_states,
     span_dimension,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "build_phase_remapping_povm",
     "build_suboptimal_povm",
     "channel_matrix",
-    "ensemble_from_states",
     "evaluate",
     "fm_matrix",
     "ideal_fm_matrix",

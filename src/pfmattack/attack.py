@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, NonHermitianError, SingularEpsilonError
-from .numkernel import HERMITIAN_ATOL, hermitian_eig
-from .statespace import ERROR_WEIGHTS, AttackEnsemble, bb84_states
+from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, SingularEpsilonError
+from .numkernel import hermitian_eig
+from .statespace import ERROR_WEIGHTS, AttackEnsemble, newton_step
 
 KIND_PFM = "pfm_suboptimal_3d"
 KIND_REMAP = "phase_remapping_2d"
@@ -36,8 +36,6 @@ TWO_WAY_POSTPROCESSING_QBER_LIMIT = 0.20
 _PSD_TOL = 1e-9
 _COMPLETENESS_TOL = 1e-10
 _VAC_BOUNDARY_MAX = 1e-6
-#: Largest accepted Tr(rho_eq^-1) of the equilibrated density operator (see _build_povm).
-CONDITION_MAX = 1e9
 #: Rows b = 0, 3: weight of each prepared state k in the error operator L_b, ERROR_WEIGHTS[(k - b) % 4].
 _RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in (0, 3)])
 
@@ -50,9 +48,13 @@ class PovmStrategy:
     fire); m_vac = I - m_0 - m_3 is the blocking element. lambda_0/lambda_3
     are the minimal generalized eigenvalues of (L_0, rho) and (L_3, rho) the
     elements were built from, and x the positivity-boundary scale factor.
+    epsilon and delta name the ensemble the strategy was built for
+    (epsilon = 0 for the remap kind).
     """
 
     kind: str
+    epsilon: float
+    delta: float
     m_0: np.ndarray
     m_3: np.ndarray
     m_vac: np.ndarray
@@ -112,58 +114,67 @@ def max_fiber_length_km(p_succ: float) -> float:
     return -10.0 * np.log10(p_succ) / FIBER_LOSS_DB_PER_KM
 
 
-def _build_povm(states: np.ndarray, kind: str) -> PovmStrategy:
-    """Generalized-eigenvector construction shared by both attack kinds, from the (4, d) state rows.
+def _build_povm(kind: str, epsilon: float, delta: float) -> PovmStrategy:
+    """Generalized-eigenvector construction shared by both attack kinds.
 
-    lambda_b is the minimal generalized eigenvalue of (L_b, rho), and y_b its
-    eigenvector normalised to y_b^H rho y_b = 1. Both are invariant under a
-    change of basis, so the state components are first equilibrated by their
-    norms (the e_0 component is O(sin 2e cos 2e)). With C C^H the Cholesky
-    factorisation of the equilibrated rho, the pencil becomes the ordinary
-    eigenproblem of G W_b G^H, where the columns of G = C^-1 S^T are the
-    whitened states and W_b their error weights, and y_b = C^-H z_b. Then
-    M_b = x |y_b><y_b| with x = 1 / lambda_max of the Gram matrix of
-    (y_0, y_3). No square root of rho is taken.
+    lambda_b is the minimal generalized eigenvalue of (L_b, rho) and y_b its
+    eigenvector with y_b^H rho y_b = 1. The states are v_k = A N w_k / sqrt(2),
+    where w_k = [1, (z_k - 1)/(i delta), (z_k - 1)(z_k - z_1)/(i delta)^2] is
+    the scaled Newton basis at z_k = e^{ik delta} (remap: its first two
+    entries), N maps it to the monomials [1, z_k, z_k^2] and A maps those to
+    the state components (pfm: A = diag(sc, 1, 1) A1 with s, c = sin 2e,
+    cos 2e and det A1 = -1; remap: A swaps the two). Generalized eigenvalues
+    do not change under a change of basis, so the pencil is solved in the
+    w basis, where it depends on delta alone and stays well conditioned as
+    delta -> 0: with C C^H = sum_k w_k w_k^H, (lambda_b, z_b) is the minimal
+    eigenpair of the whitened error operator and y_b = sqrt(2) (A N)^-H C^-H z_b.
+    Epsilon enters only in that map back. With t = sc delta^2 (pfm) or delta
+    (remap), every factor of t (A N)^-1 is O(1), and so is
+    y_hat_b = t y_b / sqrt(2): M_b = |y_hat_b><y_hat_b| / lmax and
+    x = t^2 / (2 lmax), with lmax the largest eigenvalue of the y_hat Gram matrix.
 
-    Accuracy: rounding moves e_B (absolutely) and p_succ (relatively) by less
-    than ~1e-15 times kappa = Tr(rho_eq^-1) = ||C^-1||_F^2, which is within a
-    factor dim of the condition number of the equilibrated rho. kappa grows
-    as delta -> 0, and kappa > CONDITION_MAX (pfm below delta ~ 6.7e-3, remap
-    below ~ 4e-5) raises DegenerateSpanError, so every strategy returned
-    gives e_B and p_succ within 1e-6 of exact arithmetic; nothing is ever
-    approximated. A component that is zero in every state (delta = 0)
-    raises too, and so does |epsilon| below ~1e-154 rad, where |y_b|^2
-    overflows.
+    e_B (absolutely) and p_succ (relatively) are within 1e-12 of exact
+    arithmetic for every 0 < delta <= pi/2. delta = 0, where the states
+    coincide, raises DegenerateSpanError, and so does an x below the smallest
+    normal double (|sc| delta^2, or delta for remap, below ~1e-154).
     """
-    dim = states.shape[1]
-    scale = np.hypot.reduce(np.abs(states), axis=0)  # component norms, safe from underflow
-    if not scale.all():
-        raise DegenerateSpanError(
-            f"a component of every attack state is zero: they span fewer than {dim} dimensions"
-        )
-    states = states / scale
-    try:
-        chol_inv = np.linalg.inv(np.linalg.cholesky(states.T @ states.conj()))
-        kappa = np.linalg.norm(chol_inv) ** 2
-    except np.linalg.LinAlgError:
-        kappa = np.inf
-    if not kappa <= CONDITION_MAX:
-        raise DegenerateSpanError(
-            f"equilibrated density operator has condition ~{kappa:.2e} > {CONDITION_MAX:.0e}: "
-            f"the attack states are too close to spanning fewer than {dim} dimensions"
-        )
-    whitened = chol_inv @ states.T
+    if delta == 0.0:
+        raise DegenerateSpanError("delta = 0: the four states coincide and span one dimension")
+    step = newton_step(delta, np.arange(-1, 4))  # (z_m - 1)/(i delta) for m = -1..3
+    if kind == KIND_PFM:
+        z_1 = np.exp(1j * delta)
+        s, c = np.sin(2 * epsilon), np.cos(2 * epsilon)
+        sc = s * c
+        newton = np.array([[1, 1, 1, 1], step[1:], z_1 * step[1:] * step[:-1]])
+        t = sc * delta**2
+        # the product (delta^2 N^-1) A1^-1 diag(1, sc, sc), with rows [delta^2, 0, 0], [i delta, -i delta, 0],
+        # [-z_1, 1 + z_1, -1] in delta^2 N^-1 and A1^-1 = [[0, 0, 1], [-s^2, 1, 0], [c^2, 1, 0]]
+        back = np.array([
+            [0, 0, delta**2 * sc],
+            [1j * delta * s * s, -1j * delta * sc, 1j * delta * sc],
+            [-1 - z_1 * s * s, z_1 * sc, -z_1 * sc],
+        ])
+    else:
+        newton = np.array([[1, 1, 1, 1], step[1:]])
+        t = delta
+        back = np.array([[0, delta], [-1j, 1j]])  # (delta N^-1) A^-1
+    # columns w_k; C C^H = sum_k w_k w_k^H is 2 rho in the w basis, hence the 2 in x
+    chol_inv = np.linalg.inv(np.linalg.cholesky(newton @ newton.conj().T))
+    whitened = chol_inv @ newton
     dec = hermitian_eig((whitened * _RESEND_WEIGHTS[:, None, :]) @ whitened.conj().T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = dec.eigenvectors[:, :, 0] @ chol_inv.conj() / scale  # rows y_0, y_3
-        gram = y.conj() @ y.T
-    if not np.isfinite(gram).all():
-        raise DegenerateSpanError("|y_b|^2 overflows: |epsilon| is below ~1e-154 rad, beyond double precision")
+    y = dec.eigenvectors[:, :, 0] @ (chol_inv @ back).conj()  # rows y_hat_0, y_hat_3
+    gram = y.conj() @ y.T
     g00, g33 = gram.diagonal().real
-    x = 1.0 / ((g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(gram[0, 1])))
-    m_0, m_3 = x * (y[:, :, None] * y[:, None, :].conj())
+    lmax = (g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(gram[0, 1]))
+    x = t * t / (2 * lmax)
+    if not x >= np.finfo(float).tiny:
+        raise DegenerateSpanError(
+            f"p_succ = x/2 underflows (x = {x:.3e}): |sin 2e cos 2e| delta^2 (pfm) or delta (remap) "
+            "is below ~1e-154, beyond double precision"
+        )
+    m_0, m_3 = (y[:, :, None] * y[:, None, :].conj()) / lmax
     strat = PovmStrategy(
-        kind=kind, m_0=m_0, m_3=m_3, m_vac=np.eye(dim) - m_0 - m_3, x=x,
+        kind=kind, epsilon=epsilon, delta=delta, m_0=m_0, m_3=m_3, m_vac=np.eye(len(back)) - m_0 - m_3, x=x,
         lambda_0=float(dec.eigenvalues[0, 0]), lambda_3=float(dec.eigenvalues[1, 0]),
     )
     strat.validate()
@@ -173,60 +184,54 @@ def _build_povm(states: np.ndarray, kind: str) -> PovmStrategy:
 def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     """Suboptimal three-dimensional strategy against an imperfect-mirror ensemble.
 
-    e_B and p_succ of the result are within 1e-6 of exact arithmetic (e_B
-    absolutely, p_succ relatively); where they would not be, as delta -> 0,
-    DegenerateSpanError is raised instead (see _build_povm). Rejects
-    epsilon = 0, where the span collapses to two dimensions and this
-    construction is undefined.
+    Built from ens.epsilon and ens.delta; e_B and p_succ of the result are
+    within 1e-12 of exact arithmetic (e_B absolutely, p_succ relatively; see
+    _build_povm). Rejects epsilon = 0, where the span collapses to two
+    dimensions and this construction is undefined, delta = 0, and points
+    where p_succ underflows.
     """
     if ens.epsilon == 0.0:
         raise SingularEpsilonError(
             "epsilon = 0 is a singular point: the attack states span only two dimensions"
         )
-    return _build_povm(ens.states, KIND_PFM)
+    return _build_povm(KIND_PFM, ens.epsilon, ens.delta)
 
 
 def build_phase_remapping_povm(delta: float) -> PovmStrategy:
     """Two-dimensional baseline strategy against the bare phase-encoded states.
 
-    The same construction on the perfect-mirror ensemble, with the same 1e-6
-    accuracy; small delta raises DegenerateSpanError instead.
+    The same construction on the perfect-mirror ensemble, with the same
+    1e-12 accuracy for every delta in (0, pi/2] where p_succ is a normal double.
     """
     if not 0.0 < delta <= np.pi / 2:
         raise DomainError(f"delta must lie in (0, pi/2], got {delta!r}")
-    return _build_povm(bb84_states(delta), KIND_REMAP)
+    return _build_povm(KIND_REMAP, 0.0, delta)
 
 
 def evaluate(ens: AttackEnsemble, strat: PovmStrategy) -> AttackReport:
-    """QBER and success probability of a strategy against an ensemble.
+    """QBER and success probability of a strategy against the ensemble it was built for.
 
-    qber  = sum_i Tr(M_i L_i) / sum_i Tr(M_i rho)   (sifted error fraction)
-    p_succ = (1/4) sum_i Tr(M_i rho)                (conclusive-outcome rate)
+    With y_b^H rho y_b = 1, Tr(M_b L_b) = x lambda_b and Tr(M_b rho) = x, so
 
-    Only M_0 and M_3 contribute because M_1 = M_2 = 0.
+    qber   = sum_b Tr(M_b L_b) / sum_b Tr(M_b rho) = (lambda_0 + lambda_3) / 2
+    p_succ = (1/4) sum_b Tr(M_b rho)               = x / 2
+
+    (only M_0 and M_3 contribute because M_1 = M_2 = 0). Raises DomainError
+    when the strategy was built for another (epsilon, delta).
     """
     if strat.dim != ens.dim:
         raise DimensionMismatchError(
             f"strategy dimension {strat.dim} does not match ensemble dimension {ens.dim}"
         )
-    # p[b, k] = <v_k|M_b|v_k>; Tr(M_b L_b) = sum_k W[b, k] p[b, k] and Tr(M_b rho) = sum_k p[b, k]
-    p = np.einsum("ki,bij,kj->bk", ens.states.conj(), np.array((strat.m_0, strat.m_3)), ens.states)
-    traces = np.array([(_RESEND_WEIGHTS * p).sum(axis=1), p.sum(axis=1)])  # rows: Tr(M_b L_b), Tr(M_b rho)
-    residue = np.abs(traces.imag).max()
-    if residue > HERMITIAN_ATOL:
-        raise NonHermitianError(f"trace has imaginary residue {residue:.3e} > {HERMITIAN_ATOL:.1e}")
-    err_weight, conclusive = traces.real.sum(axis=1)
-    qber = err_weight / conclusive
-    p_succ = conclusive / 4.0
-    for name, value in (("qber", qber), ("p_succ", p_succ)):
-        if not -1e-12 <= value <= 1.0 + 1e-12:
-            raise DomainError(f"{name} = {value!r} escaped [0, 1]")
-    qber = min(max(qber, 0.0), 1.0)
-    p_succ = min(max(p_succ, 0.0), 1.0)
+    if (strat.epsilon, strat.delta) != (ens.epsilon, ens.delta):
+        raise DomainError(
+            f"strategy built for (epsilon, delta) = {strat.epsilon, strat.delta}, ensemble is {ens.epsilon, ens.delta}"
+        )
+    p_succ = strat.x / 2
     return AttackReport(
         epsilon=ens.epsilon,
         delta=ens.delta,
-        qber=qber,
+        qber=(strat.lambda_0 + strat.lambda_3) / 2,
         p_succ=p_succ,
         lambda_0=strat.lambda_0,
         lambda_3=strat.lambda_3,

@@ -34,10 +34,7 @@ class SingularEpsilonError(DomainError):
 
 
 class DegenerateSpanError(PfmAttackError):
-    """The attack states span fewer dimensions than the strategy requires, or come too close to it.
-
-    Too close means the POVM could not be built to its stated accuracy.
-    """
+    """The attack states span fewer dimensions than the strategy requires (delta = 0), or p_succ underflows."""
 
 
 class NegativeProbabilityError(PfmAttackError):

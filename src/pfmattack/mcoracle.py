@@ -4,7 +4,7 @@ Simulates the sifted protocol end to end: the sender draws one of the four
 states, the eavesdropper samples her POVM, resends a standard BB84 state on a
 conclusive outcome (blocks otherwise), the receiver measures in a uniformly
 random basis, and rounds are sifted on the sender/receiver basis match. The
-estimates converge on the trace formulas evaluated by `attack.evaluate`, which
+estimates converge on the closed forms reported by `attack.evaluate`, which
 is the point: the two paths share no code beyond the POVM elements themselves.
 
 Rounds are drawn CHUNK_TRIALS at a time and only their counts are kept, so an

@@ -85,16 +85,22 @@ def bb84_states(delta: float) -> np.ndarray:
     return np.array([np.exp(1j * delta * _K), np.ones(4)]).T / _SQRT2
 
 
+def newton_step(delta: float, k) -> np.ndarray:
+    """(e^{ik delta} - 1) / (i delta) = sin(k delta/2) / (delta/2) e^{ik delta/2}: no cancellation, k at delta = 0."""
+    half = np.multiply(k, delta / 2)
+    return k * np.sinc(half / np.pi) * np.exp(1j * half)
+
+
 def pfm_states(epsilon: float, delta: float) -> np.ndarray:
     """The four attack states as rows, in the (e_0, e_1, e_2) basis.
 
-    (1/sqrt(2)) [ sin(2e)cos(2e)(z^2 - z),  sin^2(2e) z^2 + cos^2(2e) z,  1 ]
+    (1/sqrt(2)) [ sin(2e)cos(2e) z (z - 1),  sin^2(2e) z^2 + cos^2(2e) z,  1 ]
     with z = e^{ik delta} for row k; unit norm for every (epsilon, delta, k).
     """
     s, c = np.sin(2 * epsilon), np.cos(2 * epsilon)
     z = np.exp(1j * delta * _K)
-    z2 = z * z
-    return np.array([s * c * (z2 - z), s * s * z2 + c * c * z, np.ones(4)]).T / _SQRT2
+    z_minus_1 = 1j * delta * newton_step(delta, _K)
+    return np.array([s * c * z * z_minus_1, s * s * z * z + c * c * z, np.ones(4)]).T / _SQRT2
 
 
 def bb84_state(k: int, delta: float = np.pi / 2) -> Bb84State:
@@ -109,14 +115,6 @@ def attack_state_vector(epsilon: float, delta: float, k: int) -> np.ndarray:
     if k not in (0, 1, 2, 3):
         raise DomainError(f"k must be in 0..3, got {k!r}")
     return pfm_states(epsilon, delta)[k]
-
-
-def ensemble_from_states(states: np.ndarray, epsilon: float, delta: float) -> AttackEnsemble:
-    """Ensemble of four given state vectors (rows); its operators follow on first access."""
-    states = np.asarray(states, dtype=complex)
-    if states.shape[0] != 4:
-        raise DomainError(f"expected four states, got {states.shape[0]}")
-    return AttackEnsemble(epsilon=epsilon, delta=delta, states=states)
 
 
 def build_ensemble(epsilon: float, delta: float) -> AttackEnsemble:

@@ -19,12 +19,12 @@ from pfmattack.errors import (
     DegenerateSpanError,
     DimensionMismatchError,
     DomainError,
-    NonHermitianError,
     SingularEpsilonError,
 )
 from pfmattack import attack
+from pfmattack.mcoracle import outcome_probabilities
 from pfmattack.numkernel import hermitian_eig
-from pfmattack.statespace import bb84_ensemble, build_ensemble, ensemble_from_states
+from pfmattack.statespace import bb84_ensemble, build_ensemble
 
 from mp_reference import pfm_reference, remap_reference
 
@@ -114,15 +114,14 @@ def test_closed_form_identities():
 
 
 def test_global_phase_invariance():
-    """Multiplying each state by its own unit phase leaves the report unchanged."""
+    """Multiplying each state by its own unit phase leaves its outcome probabilities unchanged."""
     rng = np.random.default_rng(17)
     ens = build_ensemble(1 * DEG, np.pi / 3)
-    base = evaluate(ens, build_suboptimal_povm(ens))
+    strat = build_suboptimal_povm(ens)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-    rotated = ensemble_from_states(ens.states * phases[:, None], ens.epsilon, ens.delta)
-    report = evaluate(rotated, build_suboptimal_povm(rotated))
-    assert abs(report.qber - base.qber) <= 1e-12
-    assert abs(report.p_succ - base.p_succ) <= 1e-12
+    base = np.array([outcome_probabilities(v, strat) for v in ens.states])
+    rotated = np.array([outcome_probabilities(v, strat) for v in ens.states * phases[:, None]])
+    assert np.abs(rotated - base).max() <= 1e-12
 
 
 def test_p_succ_monotone_in_epsilon():
@@ -157,6 +156,14 @@ def test_singular_and_degenerate_rejections():
         build_suboptimal_povm(build_ensemble(1 * DEG, 0.0))
 
 
+def test_e_b_is_exactly_epsilon_independent():
+    """A = diag(sc, 1, 1) A1 is a change of basis, so lambda_b and e_B depend on delta alone, bit for bit."""
+    for delta in (np.pi / 2, np.pi / 5, 0.1, 1e-4):
+        reports = [_report(e, delta)[0] for e in (1e-6, 0.05, 1.0, -2.0, 4.0)]
+        for r in reports[1:]:
+            assert (r.lambda_0, r.lambda_3, r.qber) == (reports[0].lambda_0, reports[0].lambda_3, reports[0].qber)
+
+
 def test_small_epsilon_scaling():
     """As epsilon -> 0, e_B stays put and p_succ / epsilon^2 tends to a constant (8 at pi/2)."""
     eps_deg = np.geomspace(1e-6, 0.01, 9)
@@ -173,12 +180,16 @@ def test_small_epsilon_scaling():
 # (epsilon_deg, delta): points where a rank-cut rho^(-1/2) construction
 # returns wrong figures, plus ordinary ones.
 MP_POINTS = ((1e-4, np.pi / 2), (0.05, 0.03), (1.0, 0.01), (1.0, np.pi / 2), (0.3, np.pi / 5), (-2.0, 0.1))
-#: The accuracy _build_povm promises: e_B absolute, p_succ relative.
-BUILD_TOL = 1e-6
+#: The accuracy _build_povm promises: e_B absolute, p_succ and x relative.
+BUILD_TOL = 1e-12
 
 
 def _agrees(report, ref):
-    return abs(report.qber - ref["qber"]) <= BUILD_TOL and abs(report.p_succ / ref["p_succ"] - 1) <= BUILD_TOL
+    return (
+        abs(report.qber - ref["qber"]) <= BUILD_TOL
+        and abs(report.p_succ / ref["p_succ"] - 1) <= BUILD_TOL
+        and abs(report.x / ref["x"] - 1) <= BUILD_TOL
+    )
 
 
 def test_matches_extended_precision_reference():
@@ -187,15 +198,14 @@ def test_matches_extended_precision_reference():
         ref = pfm_reference(eps_deg, delta)
         assert _agrees(report, ref), (eps_deg, delta, report, ref)
         assert abs(report.lambda_0 - ref["lambda_0"]) <= BUILD_TOL
-        assert abs(report.x / ref["x"] - 1) <= BUILD_TOL
     for delta in (np.pi / 4, 1e-4):
         report = evaluate(bb84_ensemble(delta), build_phase_remapping_povm(delta))
         assert _agrees(report, remap_reference(delta)), delta
 
 
 def test_every_accepted_point_is_accurate_or_refused():
-    """Down a log grid of delta, each point either matches the 50-digit
-    reference within BUILD_TOL or raises DegenerateSpanError."""
+    """Down a log grid of delta, every point matches the 50-digit reference
+    within BUILD_TOL; none is refused."""
     refused = 0
     for delta in np.geomspace(1e-5, np.pi / 2, 16):
         for eps_deg in (1e-5, 0.7):
@@ -213,14 +223,18 @@ def test_every_accepted_point_is_accurate_or_refused():
             refused += 1
             continue
         assert _agrees(report, remap_reference(delta)), delta
-    assert 0 < refused < 48
+    assert refused == 0
 
 
-def test_small_delta_is_refused():
-    with pytest.raises(DegenerateSpanError):
-        build_suboptimal_povm(build_ensemble(1 * DEG, 1e-4))
-    with pytest.raises(DegenerateSpanError):
-        build_phase_remapping_povm(1e-6)
+def test_small_delta_is_accurate():
+    """Small delta is answered to BUILD_TOL, down to the delta -> 0 limit of e_B."""
+    for eps_deg, delta in ((1.0, 1e-2), (1.0, 3e-3), (1.0, 1e-4), (1.0, 1e-6), (0.3, 1e-8)):
+        assert _agrees(_report(eps_deg, delta)[0], pfm_reference(eps_deg, delta)), (eps_deg, delta)
+    for delta in (1e-6, 1e-8):
+        report = evaluate(bb84_ensemble(delta), build_phase_remapping_povm(delta))
+        assert _agrees(report, remap_reference(delta)), delta
+    assert abs(_report(1.0, 1e-8)[0].qber - 0.0325765385825) <= 1e-12
+    assert abs(report.qber - 0.1550510257217) <= 1e-12
 
 
 def test_validate_decomposes_each_element_once(monkeypatch):
@@ -239,8 +253,8 @@ def test_validate_decomposes_each_element_once(monkeypatch):
 
 def _with(strat, **changes):
     """A hand-built copy of strat with some fields replaced (no validation)."""
-    fields = dict(kind=strat.kind, m_0=strat.m_0, m_3=strat.m_3, m_vac=strat.m_vac,
-                  x=strat.x, lambda_0=strat.lambda_0, lambda_3=strat.lambda_3)
+    fields = dict(kind=strat.kind, epsilon=strat.epsilon, delta=strat.delta, m_0=strat.m_0, m_3=strat.m_3,
+                  m_vac=strat.m_vac, x=strat.x, lambda_0=strat.lambda_0, lambda_3=strat.lambda_3)
     fields.update(changes)
     return PovmStrategy(**fields)
 
@@ -259,29 +273,40 @@ def test_validate_rejects_nan_before_any_eigensolve(monkeypatch):
             _with(strat, **{field: bad}).validate()
 
 
-def test_evaluate_guards_imaginary_residue():
-    """A non-Hermitian M_0 gives traces with an imaginary part, which evaluate refuses."""
-    ens = build_ensemble(1 * DEG, np.pi / 2)
-    strat = build_suboptimal_povm(ens)
-    with pytest.raises(NonHermitianError):
-        evaluate(ens, _with(strat, m_0=strat.m_0 + 1e-3j * np.eye(3)))
+def test_evaluate_refuses_a_strategy_built_for_another_point():
+    strat = build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2))
+    with pytest.raises(DomainError, match="built for"):
+        evaluate(build_ensemble(0.5 * DEG, np.pi / 2), strat)
+    with pytest.raises(DomainError, match="built for"):
+        evaluate(build_ensemble(1 * DEG, np.pi / 3), strat)
 
 
-def test_tiny_epsilon_overflow_is_refused():
-    """Below ~1e-154 rad |y_b|^2 overflows: a named refusal, with no floating-point warning."""
+def test_tiny_epsilon_underflow_is_refused():
+    """Below ~1e-154 rad p_succ is not a normal double: a named refusal, with no floating-point warning,
+    down to subnormal epsilon."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for eps in (1e-160, 1e-165):
-            with pytest.raises(DegenerateSpanError, match="overflows"):
+        for eps in (1e-160, 1e-165, 1e-310, 1e-320):
+            with pytest.raises(DegenerateSpanError, match="underflow"):
                 build_suboptimal_povm(build_ensemble(eps, np.pi / 2))
         report = _report(np.rad2deg(1e-150), np.pi / 2)[0]
     assert abs(report.p_succ / report.epsilon**2 - 8.0) <= 1e-12 * 8.0
     assert abs(report.qber - LAMBDA_HALF_PI) <= 1e-12
 
 
-# (kind, epsilon_deg, delta, e_B, p_succ, x, lambda_0, lambda_3) from the per-matrix implementation
-# that preceded the stacked one. Every point has Tr(rho_eq^-1) <= ~160, so rounding stays far below
-# the 1e-12 these pins allow; worse-conditioned points are held to BUILD_TOL against mpmath below.
+def test_tiny_delta_underflow_is_refused():
+    """The same named refusal, with no warning, down to the smallest subnormal delta, for both kinds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta in (1e-160, 1e-310, 5e-324):
+            with pytest.raises(DegenerateSpanError, match="underflow"):
+                build_suboptimal_povm(build_ensemble(1 * DEG, delta))
+            with pytest.raises(DegenerateSpanError, match="underflow"):
+                build_phase_remapping_povm(delta)
+
+
+# (kind, epsilon_deg, delta, e_B, p_succ, x, lambda_0, lambda_3) from an earlier, independent
+# construction (an equilibrated-rho pencil), held to 1e-12.
 PINS = (
     ('pfm', 1.0, 1.5707963267948966, 0.1464466094067261, 0.0024329791965707216, 0.004865958393141442, 0.14644660940672619, 0.14644660940672638),
     ('pfm', 0.65, 1.5707963267948966, 0.1464466094067263, 0.001028900073138472, 0.0020578001462769444, 0.14644660940672627, 0.14644660940672638),

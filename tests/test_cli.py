@@ -3,6 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
+from mp_reference import pfm_reference
 from pfmattack import cli
 from pfmattack.mcoracle import OracleEstimate
 
@@ -78,9 +79,11 @@ def test_eval_small_epsilon(capsys):
     assert values["p_succ"] == "2.43694e-11"
 
 
-def test_eval_refuses_tiny_delta(capsys):
-    assert run_cli("eval", "--epsilon-deg", "1", "--delta", "0.0001") == 2
-    assert "condition" in capsys.readouterr().err
+def test_eval_tiny_delta(capsys):
+    """delta = 1e-4 is answered, with the 50-digit reference's e_B."""
+    assert run_cli("eval", "--epsilon-deg", "1", "--delta", "0.0001") == 0
+    values = parse_kv_output(capsys.readouterr().out)
+    assert values["e_B"] == f"{pfm_reference(1.0, 1e-4)['qber']:.6g}"
 
 
 def test_eval_065_anchor(capsys):
@@ -188,11 +191,11 @@ def test_sweep_remap_kind(tmp_path):
 def test_sweep_rejected_point_does_not_abort(tmp_path):
     """A refused point becomes a '# rejected' line with its reason; the sweep writes the rest and exits 1."""
     out = tmp_path / "x.csv"
-    assert run_cli("sweep", "--epsilon-deg", "1", "--delta", "0.001,0.1", "--out", str(out)) == 1
+    assert run_cli("sweep", "--epsilon-deg", "1", "--delta", "0,0.1", "--out", str(out)) == 1
     rejected = [line for line in out.read_text().splitlines() if line.startswith("# rejected")]
     assert len(rejected) == 1
-    assert rejected[0].startswith("# rejected epsilon_deg=1 delta_rad=0.001: ")
-    assert "condition" in rejected[0]
+    assert rejected[0].startswith("# rejected epsilon_deg=1 delta_rad=0: ")
+    assert "coincide" in rejected[0]
     _, rows = cli.read_rows(str(out))
     assert [float(r[1]) for r in rows] == [0.1]
 
@@ -201,7 +204,7 @@ def test_sweep_row_seeds_count_emitted_rows(tmp_path):
     """Oracle row seeds skip rejected points, so the emitted rows match a sweep without them."""
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("--epsilon-deg", "1", "--trials", "20000", "--seed", "3", "--reproducible")
-    assert run_cli("sweep", *args, "--delta", "0.001,0.5,pi/2", "--out", str(a)) == 1
+    assert run_cli("sweep", *args, "--delta", "0,0.5,pi/2", "--out", str(a)) == 1
     assert run_cli("sweep", *args, "--delta", "0.5,pi/2", "--out", str(b)) == 0
     assert cli.read_rows(str(a)) == cli.read_rows(str(b))
 

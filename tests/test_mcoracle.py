@@ -28,7 +28,7 @@ def anchor():
 
 def _fake_strategy(m_0, m_3, m_vac, dim=3):
     return PovmStrategy(
-        kind="test", m_0=np.asarray(m_0, complex), m_3=np.asarray(m_3, complex),
+        kind="test", epsilon=0.0, delta=0.0, m_0=np.asarray(m_0, complex), m_3=np.asarray(m_3, complex),
         m_vac=np.asarray(m_vac, complex), x=1.0, lambda_0=0.0, lambda_3=0.0,
     )
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,7 @@ from pfmattack.statespace import (
     bb84_ensemble,
     bb84_state,
     build_ensemble,
-    ensemble_from_states,
+    pfm_states,
     span_dimension,
 )
 
@@ -39,6 +40,18 @@ def test_state_one_degree_k1():
     assert np.abs(got - expected).max() <= 1e-15
     assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
     assert abs(got[0] - (-0.024662637808066178 - 0.024662637808066178j)) <= 1e-12
+
+
+def test_e0_component_free_of_cancellation():
+    """sin(2e)cos(2e) z (z - 1) / sqrt(2) keeps full relative accuracy at delta = 1e-8 (50-digit reference)."""
+    epsilon, delta = np.deg2rad(1.0), 1e-8
+    states = pfm_states(epsilon, delta)
+    with mpmath.workdps(50):
+        e, d = mpmath.mpf(epsilon), mpmath.mpf(delta)
+        for k in (1, 2, 3):
+            z = mpmath.expj(k * d)
+            ref = complex(mpmath.sin(2 * e) * mpmath.cos(2 * e) * (z * z - z) / mpmath.sqrt(2))
+            assert abs(states[k, 0] - ref) <= 1e-14 * abs(ref), k
 
 
 def test_unit_norm_on_dense_grid():
@@ -156,8 +169,6 @@ def test_domain_validation():
         build_ensemble(1 * DEG, np.pi / 2 + 0.1)
     with pytest.raises(DomainError):
         attack_state_vector(1 * DEG, np.pi / 2, 7)
-    with pytest.raises(DomainError):
-        ensemble_from_states(np.zeros((3, 3), dtype=complex), 0.0, 0.0)
 
 
 def test_ensembles_are_immutable():
