@@ -27,7 +27,6 @@ from .errors import (
     NonHermitianError,
     PfmAttackError,
     SingularEpsilonError,
-    UnsupportedProbeError,
 )
 from .mcoracle import (
     OracleEstimate,
@@ -37,7 +36,6 @@ from .mcoracle import (
 from .optics import (
     BirefringentChannel,
     FaradayMirror,
-    ProbeState,
     channel_matrix,
     fm_matrix,
     ideal_fm_matrix,
@@ -48,10 +46,7 @@ from .optics import (
 )
 from .statespace import (
     AttackEnsemble,
-    Bb84State,
-    attack_state_vector,
     bb84_ensemble,
-    bb84_state,
     build_ensemble,
     span_dimension,
 )
@@ -60,7 +55,6 @@ __all__ = [
     "__version__",
     "AttackEnsemble",
     "AttackReport",
-    "Bb84State",
     "BirefringentChannel",
     "DegenerateSpanError",
     "DimensionMismatchError",
@@ -73,12 +67,8 @@ __all__ = [
     "OracleEstimate",
     "PfmAttackError",
     "PovmStrategy",
-    "ProbeState",
     "SingularEpsilonError",
-    "UnsupportedProbeError",
-    "attack_state_vector",
     "bb84_ensemble",
-    "bb84_state",
     "build_ensemble",
     "build_phase_remapping_povm",
     "build_suboptimal_povm",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, SingularEpsilonError
 from .numkernel import hermitian_eig
-from .statespace import ERROR_WEIGHTS, AttackEnsemble, newton_step
+from .statespace import ERROR_WEIGHTS, AttackEnsemble, bb84_ensemble, newton_step
 
 KIND_PFM = "pfm_suboptimal_3d"
 KIND_REMAP = "phase_remapping_2d"
@@ -42,19 +42,16 @@ _RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in (0, 3)])
 
 @dataclass(frozen=True)
 class PovmStrategy:
-    """Three-outcome measurement {M_0, M_3, M_vac} plus its resend rule.
+    """Three-outcome measurement {M_0, M_3, M_vac} built for one point.
 
     m_0 and m_3 are the conclusive elements (the implicit M_1 = M_2 = 0 never
     fire); m_vac = I - m_0 - m_3 is the blocking element. lambda_0/lambda_3
     are the minimal generalized eigenvalues of (L_0, rho) and (L_3, rho) the
     elements were built from, and x the positivity-boundary scale factor.
-    epsilon and delta name the ensemble the strategy was built for
-    (epsilon = 0 for the remap kind).
+    ensemble is the point the strategy was built for; its dim fixes the kind.
     """
 
-    kind: str
-    epsilon: float
-    delta: float
+    ensemble: AttackEnsemble
     m_0: np.ndarray
     m_3: np.ndarray
     m_vac: np.ndarray
@@ -68,16 +65,15 @@ class PovmStrategy:
 
     @property
     def dim(self) -> int:
-        return self.m_0.shape[0]
+        return self.ensemble.dim
+
+    @property
+    def kind(self) -> str:
+        return KIND_PFM if self.dim == 3 else KIND_REMAP
 
     @property
     def operators(self) -> dict[str, np.ndarray]:
         return {"M_0": self.m_0, "M_3": self.m_3, "M_vac": self.m_vac}
-
-    @property
-    def resend(self) -> dict[str, int | None]:
-        """Outcome label -> BB84 index resent to the receiver (None = block)."""
-        return {"M_0": 0, "M_3": 3, "M_vac": None}
 
     def validate(self) -> None:
         """Check completeness, positivity and the vacuum boundary; raise on violation (NaN fails them all)."""
@@ -114,8 +110,8 @@ def max_fiber_length_km(p_succ: float) -> float:
     return -10.0 * np.log10(p_succ) / FIBER_LOSS_DB_PER_KM
 
 
-def _build_povm(kind: str, epsilon: float, delta: float) -> PovmStrategy:
-    """Generalized-eigenvector construction shared by both attack kinds.
+def _build_povm(ens: AttackEnsemble) -> PovmStrategy:
+    """Generalized-eigenvector construction shared by both attack kinds (pfm: dim 3, remap: dim 2).
 
     lambda_b is the minimal generalized eigenvalue of (L_b, rho) and y_b its
     eigenvector with y_b^H rho y_b = 1. The states are v_k = A N w_k / sqrt(2),
@@ -138,10 +134,11 @@ def _build_povm(kind: str, epsilon: float, delta: float) -> PovmStrategy:
     coincide, raises DegenerateSpanError, and so does an x below the smallest
     normal double (|sc| delta^2, or delta for remap, below ~1e-154).
     """
+    epsilon, delta = ens.epsilon, ens.delta
     if delta == 0.0:
         raise DegenerateSpanError("delta = 0: the four states coincide and span one dimension")
     step = newton_step(delta, np.arange(-1, 4))  # (z_m - 1)/(i delta) for m = -1..3
-    if kind == KIND_PFM:
+    if ens.dim == 3:
         z_1 = np.exp(1j * delta)
         s, c = np.sin(2 * epsilon), np.cos(2 * epsilon)
         sc = s * c
@@ -174,7 +171,7 @@ def _build_povm(kind: str, epsilon: float, delta: float) -> PovmStrategy:
         )
     m_0, m_3 = (y[:, :, None] * y[:, None, :].conj()) / lmax
     strat = PovmStrategy(
-        kind=kind, epsilon=epsilon, delta=delta, m_0=m_0, m_3=m_3, m_vac=np.eye(len(back)) - m_0 - m_3, x=x,
+        ensemble=ens, m_0=m_0, m_3=m_3, m_vac=np.eye(ens.dim) - m_0 - m_3, x=x,
         lambda_0=float(dec.eigenvalues[0, 0]), lambda_3=float(dec.eigenvalues[1, 0]),
     )
     strat.validate()
@@ -184,7 +181,7 @@ def _build_povm(kind: str, epsilon: float, delta: float) -> PovmStrategy:
 def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     """Suboptimal three-dimensional strategy against an imperfect-mirror ensemble.
 
-    Built from ens.epsilon and ens.delta; e_B and p_succ of the result are
+    Built for the point ens; e_B and p_succ of the result are
     within 1e-12 of exact arithmetic (e_B absolutely, p_succ relatively; see
     _build_povm). Rejects epsilon = 0, where the span collapses to two
     dimensions and this construction is undefined, delta = 0, and points
@@ -194,7 +191,7 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
         raise SingularEpsilonError(
             "epsilon = 0 is a singular point: the attack states span only two dimensions"
         )
-    return _build_povm(KIND_PFM, ens.epsilon, ens.delta)
+    return _build_povm(ens)
 
 
 def build_phase_remapping_povm(delta: float) -> PovmStrategy:
@@ -203,9 +200,22 @@ def build_phase_remapping_povm(delta: float) -> PovmStrategy:
     The same construction on the perfect-mirror ensemble, with the same
     1e-12 accuracy for every delta in (0, pi/2] where p_succ is a normal double.
     """
-    if not 0.0 < delta <= np.pi / 2:
-        raise DomainError(f"delta must lie in (0, pi/2], got {delta!r}")
-    return _build_povm(KIND_REMAP, 0.0, delta)
+    if delta == 0.0:
+        raise DomainError("delta must lie in (0, pi/2], got 0")
+    return _build_povm(bb84_ensemble(delta))
+
+
+def require_built_for(ens: AttackEnsemble, strat: PovmStrategy) -> None:
+    """Refuse a strategy built for another point: DimensionMismatchError on dim, DomainError on (epsilon, delta)."""
+    if strat.dim != ens.dim:
+        raise DimensionMismatchError(
+            f"strategy dimension {strat.dim} does not match ensemble dimension {ens.dim}"
+        )
+    if strat.ensemble != ens:
+        raise DomainError(
+            f"strategy built for (epsilon, delta) = {strat.ensemble.epsilon, strat.ensemble.delta}, "
+            f"ensemble is {ens.epsilon, ens.delta}"
+        )
 
 
 def evaluate(ens: AttackEnsemble, strat: PovmStrategy) -> AttackReport:
@@ -216,17 +226,10 @@ def evaluate(ens: AttackEnsemble, strat: PovmStrategy) -> AttackReport:
     qber   = sum_b Tr(M_b L_b) / sum_b Tr(M_b rho) = (lambda_0 + lambda_3) / 2
     p_succ = (1/4) sum_b Tr(M_b rho)               = x / 2
 
-    (only M_0 and M_3 contribute because M_1 = M_2 = 0). Raises DomainError
-    when the strategy was built for another (epsilon, delta).
+    (only M_0 and M_3 contribute because M_1 = M_2 = 0). A strategy built for
+    another point is refused (see require_built_for).
     """
-    if strat.dim != ens.dim:
-        raise DimensionMismatchError(
-            f"strategy dimension {strat.dim} does not match ensemble dimension {ens.dim}"
-        )
-    if (strat.epsilon, strat.delta) != (ens.epsilon, ens.delta):
-        raise DomainError(
-            f"strategy built for (epsilon, delta) = {strat.epsilon, strat.delta}, ensemble is {ens.epsilon, ens.delta}"
-        )
+    require_built_for(ens, strat)
     p_succ = strat.x / 2
     return AttackReport(
         epsilon=ens.epsilon,

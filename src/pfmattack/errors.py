@@ -25,10 +25,6 @@ class DomainError(PfmAttackError):
     """A parameter lies outside its admissible range."""
 
 
-class UnsupportedProbeError(DomainError):
-    """Probe polarizations other than (alpha, beta) = (1, 0) are not modeled."""
-
-
 class SingularEpsilonError(DomainError):
     """The mirror is ideal (epsilon = 0); the three-dimensional attack is undefined there."""
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NegativeProbabilityError
-from .attack import PovmStrategy
+from .attack import PovmStrategy, require_built_for
 from .statespace import AttackEnsemble
 
 #: Below this many trials the binomial error bars are too wide to be useful.
@@ -150,8 +150,10 @@ def run_oracle(ens: AttackEnsemble, strat: PovmStrategy, n_trials: int, seed: in
 
     Reproducible for a fixed seed; memory does not grow with n_trials. QBER
     counts errors among sifted conclusive rounds, the success probability
-    counts conclusive rounds over all trials.
+    counts conclusive rounds over all trials. A strategy built for another
+    point is refused before any round is drawn (see `attack.require_built_for`).
     """
+    require_built_for(ens, strat)
     n_trials = _check_trials(n_trials)
     prob_table = np.stack([outcome_probabilities(v, strat) for v in ens.states])
     p_0 = prob_table[:, 0]

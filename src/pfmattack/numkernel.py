@@ -26,18 +26,18 @@ DEFAULT_RANK_TOL = 1e-10
 MAX_DIM = 8
 
 
-def require_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate that ``a`` is a square Hermitian matrix, or a stack (..., n, n) of them, within ``atol``.
+def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate that ``a`` is a square Hermitian matrix, or a stack (..., n, n) of them, within HERMITIAN_ATOL.
 
     Returns the input as a complex128 array. Raises NonHermitianError if
-    max |a[..., i, j] - conj(a[..., j, i])| over the stack exceeds ``atol``.
+    max |a[..., i, j] - conj(a[..., j, i])| over the stack exceeds HERMITIAN_ATOL.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     dev = np.abs(a - a.swapaxes(-1, -2).conj()).max(initial=0.0)
-    if dev > atol:
-        raise NonHermitianError(f"matrix deviates from Hermitian symmetry by {dev:.3e} > {atol:.1e}")
+    if dev > HERMITIAN_ATOL:
+        raise NonHermitianError(f"matrix deviates from Hermitian symmetry by {dev:.3e} > {HERMITIAN_ATOL:.1e}")
     return a
 
 
@@ -65,13 +65,13 @@ class EigenDecomposition:
         self.eigenvectors.setflags(write=False)
 
 
-def hermitian_eig(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> EigenDecomposition:
+def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     """Eigen-decompose a Hermitian matrix of dimension <= 8, or a stack (..., n, n) of them.
 
     Backed by LAPACK via numpy.linalg.eigh, one call for the whole stack;
     eigenvalues come back ascending.
     """
-    a = require_hermitian(a, atol)
+    a = require_hermitian(a)
     if a.shape[-1] > MAX_DIM:
         raise DimensionMismatchError(f"kernel is limited to dim <= {MAX_DIM}, got {a.shape[-1]}")
     try:

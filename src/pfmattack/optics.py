@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedProbeError
+from .errors import DomainError
 
 #: Largest admissible rotator deviation (5 degrees; practical mirrors are <= 1 degree).
 EPSILON_MAX = np.pi / 36
-
-_NORM_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,23 +39,6 @@ class BirefringentChannel:
     theta_prime: float
     phi_o: float
     phi_e: float
-
-
-@dataclass(frozen=True)
-class ProbeState:
-    """Input polarization [alpha, beta]^T of the probe pulse pair."""
-
-    alpha: complex = 1.0 + 0.0j
-    beta: complex = 0.0j
-
-    def __post_init__(self):
-        norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
-            raise DomainError(f"|alpha|^2 + |beta|^2 = {norm_sq!r} must be 1")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta], dtype=complex)
 
 
 def rotator_mirror_product(theta: float) -> np.ndarray:
@@ -122,26 +103,19 @@ def verify_compensation(ch: BirefringentChannel, fm: FaradayMirror | None = None
     return float(np.linalg.norm(lhs - rhs))
 
 
-def round_trip(
-    fm: FaradayMirror, probe: ProbeState, k: int, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output Jones vectors (out_c, out_d) of the two time modes after the station.
+def round_trip(fm: FaradayMirror, k: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Output Jones vectors (out_c, out_d) of the two time modes after the station, for the probe (1, 0).
 
     Mode c passes the modulator twice (once per direction) around the mirror
     reflection, mode d is reflected unmodulated:
 
         out_c = -e^{ik delta} [sin(2e) e^{ik delta}, cos(2e)]^T
         out_d = -[sin(2e), cos(2e)]^T
-
-    Only the probe (alpha, beta) = (1, 0) is modeled; general probe
-    polarizations are rejected.
     """
     if k not in (0, 1, 2, 3):
         raise DomainError(f"k must be in 0..3, got {k!r}")
     if not 0.0 <= delta <= np.pi / 2:
         raise DomainError(f"delta must lie in [0, pi/2], got {delta!r}")
-    if probe.alpha != 1.0 + 0.0j or probe.beta != 0.0j:
-        raise UnsupportedProbeError(f"only the (1, 0) probe is supported, got {probe!r}")
     s, c = np.sin(2 * fm.epsilon), np.cos(2 * fm.epsilon)
     phase = np.exp(1j * k * delta)
     out_c = -phase * np.array([s * phase, c], dtype=complex)

@@ -30,25 +30,38 @@ ERROR_WEIGHTS = (0.0, 0.5, 1.0, 0.5)
 
 @dataclass(frozen=True)
 class AttackEnsemble:
-    """Four pure states; their density and error operators are computed on first access.
+    """One attack point: the key (epsilon, delta, dim) every strategy and report is checked against.
 
-    states[k] is the unit vector prepared for phase index k; rho_k[k] its
-    projector, rho the (trace-4) sum, and error_ops[i] the weighted mixture
+    dim 3 is the imperfect-mirror family (`pfm_states`), dim 2 the bare
+    phase-encoded states (`bb84_states`, epsilon = 0 only). The domain,
+    |epsilon| <= EPSILON_MAX and 0 <= delta <= pi/2, is checked on
+    construction; epsilon = 0 and delta = 0 are accepted (the states are well
+    defined there even though the span collapses), and the attack
+    construction rejects the collapsed cases.
+
+    Everything else is computed on first access and read-only: states[k] is
+    the unit vector prepared for phase index k, rho_k[k] its projector, rho
+    the (trace-4) sum, and error_ops[i] the weighted mixture
     w_1 rho_{i+1} + w_2 rho_{i+2} + w_3 rho_{i+3} with weights ERROR_WEIGHTS
-    that scores the sifted error caused by resending state i. All four are
-    read-only arrays.
+    that scores the sifted error caused by resending state i. The closed-form
+    path reads none of them.
     """
 
     epsilon: float
     delta: float
-    states: np.ndarray
+    dim: int
 
     def __post_init__(self):
-        self.states.setflags(write=False)
+        if not abs(self.epsilon) <= EPSILON_MAX:
+            raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {self.epsilon!r}")
+        if not 0.0 <= self.delta <= np.pi / 2:
+            raise DomainError(f"delta must lie in [0, pi/2], got {self.delta!r}")
+        if self.dim != 3 and (self.dim, self.epsilon) != (2, 0.0):
+            raise DomainError(f"dim must be 3, or 2 at epsilon = 0; got dim {self.dim!r}, epsilon {self.epsilon!r}")
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
+    @cached_property
+    def states(self) -> np.ndarray:
+        return _read_only(pfm_states(self.epsilon, self.delta) if self.dim == 3 else bb84_states(self.delta))
 
     @cached_property
     def rho_k(self) -> np.ndarray:
@@ -66,18 +79,6 @@ class AttackEnsemble:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class Bb84State:
-    """Standard two-mode phase-encoded state (e^{ik delta}|c> + |d>)/sqrt(2)."""
-
-    k: int
-    delta: float
-    vector: np.ndarray
-
-    def __post_init__(self):
-        self.vector.setflags(write=False)
 
 
 def bb84_states(delta: float) -> np.ndarray:
@@ -103,43 +104,18 @@ def pfm_states(epsilon: float, delta: float) -> np.ndarray:
     return np.array([s * c * z * z_minus_1, s * s * z * z + c * c * z, np.ones(4)]).T / _SQRT2
 
 
-def bb84_state(k: int, delta: float = np.pi / 2) -> Bb84State:
-    """Phase-encoded state with index k; delta = pi/2 gives the standard BB84 set."""
-    if k not in (0, 1, 2, 3):
-        raise DomainError(f"k must be in 0..3, got {k!r}")
-    return Bb84State(k=k, delta=delta, vector=bb84_states(delta)[k])
-
-
-def attack_state_vector(epsilon: float, delta: float, k: int) -> np.ndarray:
-    """Unit vector of attack state k in the (e_0, e_1, e_2) basis (row k of pfm_states)."""
-    if k not in (0, 1, 2, 3):
-        raise DomainError(f"k must be in 0..3, got {k!r}")
-    return pfm_states(epsilon, delta)[k]
-
-
 def build_ensemble(epsilon: float, delta: float) -> AttackEnsemble:
-    """Build the 3-dimensional attack ensemble for mirror deviation epsilon and phase step delta.
-
-    Accepts epsilon = 0 and delta = 0 (the states are well defined there even
-    though the span collapses); the attack construction itself rejects the
-    collapsed cases.
-    """
-    if not abs(epsilon) <= EPSILON_MAX:
-        raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {epsilon!r}")
-    if not 0.0 <= delta <= np.pi / 2:
-        raise DomainError(f"delta must lie in [0, pi/2], got {delta!r}")
-    return AttackEnsemble(epsilon=epsilon, delta=delta, states=pfm_states(epsilon, delta))
+    """The 3-dimensional attack ensemble for mirror deviation epsilon and phase step delta."""
+    return AttackEnsemble(epsilon, delta, 3)
 
 
 def bb84_ensemble(delta: float) -> AttackEnsemble:
-    """Two-dimensional ensemble of the bare phase-encoded states (epsilon = 0 limit).
+    """The 2-dimensional ensemble of the bare phase-encoded states (the epsilon = 0 limit).
 
     This is the ensemble an eavesdropper faces with a perfect mirror, used as
     the baseline for the phase-remapping strategy.
     """
-    if not 0.0 <= delta <= np.pi / 2:
-        raise DomainError(f"delta must lie in [0, pi/2], got {delta!r}")
-    return AttackEnsemble(epsilon=0.0, delta=delta, states=bb84_states(delta))
+    return AttackEnsemble(0.0, delta, 2)
 
 
 def span_dimension(ens: AttackEnsemble, tol: float = DEFAULT_RANK_TOL) -> int:

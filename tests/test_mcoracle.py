@@ -6,7 +6,8 @@ import pytest
 
 from oracle_reference import run_trial, sample_povm_outcome, simulate_bob
 from pfmattack.attack import PovmStrategy, build_suboptimal_povm, evaluate
-from pfmattack.errors import DomainError, NegativeProbabilityError
+from pfmattack import mcoracle
+from pfmattack.errors import DimensionMismatchError, DomainError, NegativeProbabilityError
 from pfmattack.mcoracle import (
     CHUNK_TRIALS,
     MIN_TRIALS,
@@ -14,7 +15,7 @@ from pfmattack.mcoracle import (
     run_oracle,
     simulate_intercept_resend,
 )
-from pfmattack.statespace import build_ensemble
+from pfmattack.statespace import AttackEnsemble, bb84_ensemble, build_ensemble
 
 DEG = np.pi / 180
 
@@ -26,9 +27,9 @@ def anchor():
     return ens, strat, evaluate(ens, strat)
 
 
-def _fake_strategy(m_0, m_3, m_vac, dim=3):
+def _fake_strategy(m_0, m_3, m_vac):
     return PovmStrategy(
-        kind="test", epsilon=0.0, delta=0.0, m_0=np.asarray(m_0, complex), m_3=np.asarray(m_3, complex),
+        ensemble=AttackEnsemble(0.0, 0.0, len(m_0)), m_0=np.asarray(m_0, complex), m_3=np.asarray(m_3, complex),
         m_vac=np.asarray(m_vac, complex), x=1.0, lambda_0=0.0, lambda_3=0.0,
     )
 
@@ -145,6 +146,20 @@ def test_run_oracle_minimum_trials(anchor):
         run_oracle(ens, strat, MIN_TRIALS - 1, seed=1)
 
 
+def test_run_oracle_refuses_a_strategy_built_for_another_point(anchor, monkeypatch):
+    """A strategy built at (1 deg, pi/2) is refused at another point, before any round is drawn."""
+    _, strat, _ = anchor
+
+    def no_draw(*args):
+        raise AssertionError("a round was drawn")
+
+    monkeypatch.setattr(mcoracle, "_stream", no_draw)
+    with pytest.raises(DomainError, match="built for"):
+        run_oracle(build_ensemble(0.5 * DEG, np.pi / 3), strat, 10**5, 1)
+    with pytest.raises(DimensionMismatchError):
+        run_oracle(bb84_ensemble(np.pi / 2), strat, 10**5, 1)
+
+
 def test_run_oracle_matches_closed_form(anchor):
     ens, strat, report = anchor
     estimate = run_oracle(ens, strat, 10**6, seed=2024)
@@ -156,7 +171,6 @@ def test_run_oracle_matches_closed_form(anchor):
 
 def test_remapping_oracle_matches_closed_form():
     from pfmattack.attack import build_phase_remapping_povm
-    from pfmattack.statespace import bb84_ensemble
 
     ens = bb84_ensemble(np.pi / 4)
     strat = build_phase_remapping_povm(np.pi / 4)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from pfmattack.errors import DomainError, UnsupportedProbeError
+from pfmattack.errors import DomainError
 from pfmattack.optics import (
     EPSILON_MAX,
     BirefringentChannel,
     FaradayMirror,
-    ProbeState,
     channel_matrix,
     fm_matrix,
     ideal_fm_matrix,
@@ -59,13 +58,6 @@ def test_mirror_construction_bound():
         FaradayMirror(np.pi / 4)
 
 
-def test_probe_state_normalization():
-    ProbeState()
-    ProbeState(alpha=0.0, beta=1.0)
-    with pytest.raises(DomainError):
-        ProbeState(alpha=0.5, beta=0.5)
-
-
 def test_channel_trivial_is_identity():
     t = channel_matrix(BirefringentChannel(0.0, 0.0, 0.0), "forward")
     assert np.allclose(t, np.eye(2), atol=1e-15)
@@ -115,47 +107,45 @@ def test_compensation_breaks_with_imperfect_mirror():
 
 def test_round_trip_k0_modes_coincide():
     for eps in (0.0, 0.3 * DEG, 1 * DEG):
-        out_c, out_d = round_trip(FaradayMirror(eps), ProbeState(), 0, np.pi / 2)
+        out_c, out_d = round_trip(FaradayMirror(eps), 0, np.pi / 2)
         assert np.allclose(out_c, out_d, atol=1e-15)
         s, c = np.sin(2 * eps), np.cos(2 * eps)
         assert np.allclose(out_d, [-s, -c], atol=1e-15)
 
 
 def test_round_trip_pure_phase_encoding_at_ideal_mirror():
-    out_c, out_d = round_trip(FaradayMirror(0.0), ProbeState(), 2, np.pi / 2)
+    out_c, out_d = round_trip(FaradayMirror(0.0), 2, np.pi / 2)
     assert np.allclose(out_c, [0.0, 1.0], atol=1e-12)
     assert np.allclose(out_d, [0.0, -1.0], atol=1e-15)
 
 
 def test_round_trip_one_degree_k1():
-    out_c, out_d = round_trip(FaradayMirror(1 * DEG), ProbeState(), 1, np.pi / 2)
+    out_c, out_d = round_trip(FaradayMirror(1 * DEG), 1, np.pi / 2)
     assert np.allclose(out_c, [SIN2E, -1j * COS2E], atol=1e-12)
     assert np.allclose(out_d, [-SIN2E, -COS2E], atol=1e-12)
 
 
 def test_round_trip_matches_matrix_product():
-    """Closed form equals PM(k delta) . FM . PM(k delta) applied to the probe."""
-    probe = ProbeState()
+    """Closed form equals PM(k delta) . FM . PM(k delta) applied to the probe (1, 0)."""
+    probe = np.array([1.0, 0.0])
     for eps in (-1 * DEG, 0.0, 0.4 * DEG, 1 * DEG):
         fm = FaradayMirror(eps)
         f = fm_matrix(fm)
         for k in range(4):
             for delta in np.linspace(0.0, np.pi / 2, 7):
                 pm = phase_modulator(k * delta)
-                out_c, out_d = round_trip(fm, probe, k, delta)
-                assert np.abs(out_c - pm @ f @ pm @ probe.vector).max() <= 1e-12
-                assert np.abs(out_d - f @ probe.vector).max() <= 1e-12
+                out_c, out_d = round_trip(fm, k, delta)
+                assert np.abs(out_c - pm @ f @ pm @ probe).max() <= 1e-12
+                assert np.abs(out_d - f @ probe).max() <= 1e-12
                 assert abs(np.linalg.norm(out_c) - 1.0) <= 1e-12
                 assert abs(np.linalg.norm(out_d) - 1.0) <= 1e-12
 
 
 def test_round_trip_rejects_bad_inputs():
     fm = FaradayMirror(1 * DEG)
-    with pytest.raises(UnsupportedProbeError):
-        round_trip(fm, ProbeState(alpha=0.0, beta=1.0), 0, np.pi / 2)
     with pytest.raises(DomainError):
-        round_trip(fm, ProbeState(), 4, np.pi / 2)
+        round_trip(fm, 4, np.pi / 2)
     with pytest.raises(DomainError):
-        round_trip(fm, ProbeState(), 1, -0.1)
+        round_trip(fm, 1, -0.1)
     with pytest.raises(DomainError):
-        round_trip(fm, ProbeState(), 1, np.pi / 2 + 0.1)
+        round_trip(fm, 1, np.pi / 2 + 0.1)

@@ -5,9 +5,8 @@ import pytest
 from pfmattack.errors import DomainError
 from pfmattack.numkernel import hermitian_eig
 from pfmattack.statespace import (
-    attack_state_vector,
+    AttackEnsemble,
     bb84_ensemble,
-    bb84_state,
     build_ensemble,
     pfm_states,
     span_dimension,
@@ -28,7 +27,7 @@ def test_states_at_zero_epsilon_are_bare_phase_states():
 
 def test_state_k0_is_epsilon_independent():
     for eps in (-1 * DEG, 0.37 * DEG, 1 * DEG):
-        v = attack_state_vector(eps, np.pi / 2, 0)
+        v = build_ensemble(eps, np.pi / 2).states[0]
         assert np.abs(v - np.array([0.0, 1.0, 1.0]) / SQRT2).max() <= 1e-15
 
 
@@ -36,7 +35,7 @@ def test_state_one_degree_k1():
     """Direct evaluation of the closed form at (1 deg, pi/2, k=1)."""
     s, c = np.sin(2 * DEG), np.cos(2 * DEG)
     expected = np.array([s * c * (-1 - 1j), -s * s + 1j * c * c, 1.0]) / SQRT2
-    got = attack_state_vector(1 * DEG, np.pi / 2, 1)
+    got = build_ensemble(1 * DEG, np.pi / 2).states[1]
     assert np.abs(got - expected).max() <= 1e-15
     assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
     assert abs(got[0] - (-0.024662637808066178 - 0.024662637808066178j)) <= 1e-12
@@ -86,7 +85,7 @@ def test_basis_change_consistency():
                 rotated = _rotate_to_primed(_raw_state_4d(eps, delta, k), eps)
                 assert abs(rotated[2]) <= 1e-12
                 embedded = np.array([rotated[0], rotated[1], rotated[3]])
-                assert np.abs(embedded - attack_state_vector(eps, delta, k)).max() <= 1e-12
+                assert np.abs(embedded - build_ensemble(eps, delta).states[k]).max() <= 1e-12
 
 
 def test_operator_assembly():
@@ -129,16 +128,15 @@ def test_rank_drop_pattern():
 
 
 def test_bb84_state_values():
-    assert np.allclose(bb84_state(0).vector, np.array([1.0, 1.0]) / SQRT2, atol=1e-15)
-    assert np.allclose(bb84_state(2, np.pi / 2).vector, np.array([-1.0, 1.0]) / SQRT2, atol=1e-12)
-    with pytest.raises(DomainError):
-        bb84_state(5)
+    states = bb84_ensemble(np.pi / 2).states
+    assert np.allclose(states[0], np.array([1.0, 1.0]) / SQRT2, atol=1e-15)
+    assert np.allclose(states[2], np.array([-1.0, 1.0]) / SQRT2, atol=1e-12)
 
 
 def test_bb84_overlap_table():
     """|<phi_j|phi_i>|^2 at delta = pi/2: 1 on the diagonal, 1/2 between bases,
     0 for opposite states (brute force over all 16 pairs)."""
-    vecs = [bb84_state(k, np.pi / 2).vector for k in range(4)]
+    vecs = bb84_ensemble(np.pi / 2).states
     for i in range(4):
         for j in range(4):
             overlap = abs(np.vdot(vecs[j], vecs[i])) ** 2
@@ -167,8 +165,12 @@ def test_domain_validation():
         build_ensemble(1 * DEG, -0.1)
     with pytest.raises(DomainError):
         build_ensemble(1 * DEG, np.pi / 2 + 0.1)
-    with pytest.raises(DomainError):
-        attack_state_vector(1 * DEG, np.pi / 2, 7)
+    # the check lives in the ensemble itself, so a hand-built point is held to it too
+    for epsilon, delta, dim in ((6 * DEG, np.pi / 2, 3), (np.nan, np.pi / 2, 3), (1 * DEG, np.nan, 3),
+                                (0.0, -0.1, 2), (0.0, np.pi / 2 + 0.1, 2), (1 * DEG, np.pi / 2, 2),
+                                (0.0, np.pi / 2, 4)):
+        with pytest.raises(DomainError):
+            AttackEnsemble(epsilon, delta, dim)
 
 
 def test_ensembles_are_immutable():
