@@ -38,7 +38,6 @@ from .optics import (
     FaradayMirror,
     channel_matrix,
     fm_matrix,
-    ideal_fm_matrix,
     phase_modulator,
     round_trip,
     rotator_mirror_product,
@@ -75,7 +74,6 @@ __all__ = [
     "channel_matrix",
     "evaluate",
     "fm_matrix",
-    "ideal_fm_matrix",
     "max_fiber_length_km",
     "phase_modulator",
     "round_trip",

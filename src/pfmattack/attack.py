@@ -7,7 +7,9 @@ the minimal generalized eigenvalue lambda_b, and x the largest factor that
 keeps the vacuum element I - M_0 - M_3 positive. This is the square-root
 measurement rho^(-1/2)|c_b><c_b|rho^(-1/2), written without the square root.
 Conclusive outcomes are resent as standard BB84 states; everything else is
-blocked and hides in channel loss.
+blocked and hides in channel loss. One builder, build_suboptimal_povm, serves
+both attacks: the ensemble's dim is the kind (3: the passive Faraday-mirror
+attack, 2: the phase-remapping baseline).
 """
 
 from __future__ import annotations
@@ -18,10 +20,7 @@ import numpy as np
 
 from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, SingularEpsilonError
 from .numkernel import hermitian_eig
-from .statespace import ERROR_WEIGHTS, AttackEnsemble, bb84_ensemble, newton_step
-
-KIND_PFM = "pfm_suboptimal_3d"
-KIND_REMAP = "phase_remapping_2d"
+from .statespace import AttackEnsemble, bb84_ensemble, newton_step
 
 #: Attenuation of standard telecom fiber used for the distance mapping.
 FIBER_LOSS_DB_PER_KM = 0.21
@@ -36,6 +35,11 @@ TWO_WAY_POSTPROCESSING_QBER_LIMIT = 0.20
 _PSD_TOL = 1e-9
 _COMPLETENESS_TOL = 1e-10
 _VAC_BOUNDARY_MAX = 1e-6
+
+#: Relative error weight of Eve's resend i when the station prepared k:
+#: full error for the opposite state (k = i + 2), half for a basis-mismatched
+#: neighbor (k = i +/- 1), none for a correct guess.
+ERROR_WEIGHTS = (0.0, 0.5, 1.0, 0.5)
 #: Rows b = 0, 3: weight of each prepared state k in the error operator L_b, ERROR_WEIGHTS[(k - b) % 4].
 _RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in (0, 3)])
 
@@ -66,10 +70,6 @@ class PovmStrategy:
     @property
     def dim(self) -> int:
         return self.ensemble.dim
-
-    @property
-    def kind(self) -> str:
-        return KIND_PFM if self.dim == 3 else KIND_REMAP
 
     @property
     def operators(self) -> dict[str, np.ndarray]:
@@ -110,31 +110,37 @@ def max_fiber_length_km(p_succ: float) -> float:
     return -10.0 * np.log10(p_succ) / FIBER_LOSS_DB_PER_KM
 
 
-def _build_povm(ens: AttackEnsemble) -> PovmStrategy:
-    """Generalized-eigenvector construction shared by both attack kinds (pfm: dim 3, remap: dim 2).
+def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
+    """The square-root strategy for the point ens: the 3-D attack at dim 3, the 2-D remap baseline at dim 2.
 
     lambda_b is the minimal generalized eigenvalue of (L_b, rho) and y_b its
     eigenvector with y_b^H rho y_b = 1. The states are v_k = A N w_k / sqrt(2),
     where w_k = [1, (z_k - 1)/(i delta), (z_k - 1)(z_k - z_1)/(i delta)^2] is
-    the scaled Newton basis at z_k = e^{ik delta} (remap: its first two
+    the scaled Newton basis at z_k = e^{ik delta} (dim 2: its first two
     entries), N maps it to the monomials [1, z_k, z_k^2] and A maps those to
-    the state components (pfm: A = diag(sc, 1, 1) A1 with s, c = sin 2e,
-    cos 2e and det A1 = -1; remap: A swaps the two). Generalized eigenvalues
+    the state components (dim 3: A = diag(sc, 1, 1) A1 with s, c = sin 2e,
+    cos 2e and det A1 = -1; dim 2: A swaps the two). Generalized eigenvalues
     do not change under a change of basis, so the pencil is solved in the
     w basis, where it depends on delta alone and stays well conditioned as
     delta -> 0: with C C^H = sum_k w_k w_k^H, (lambda_b, z_b) is the minimal
     eigenpair of the whitened error operator and y_b = sqrt(2) (A N)^-H C^-H z_b.
-    Epsilon enters only in that map back. With t = sc delta^2 (pfm) or delta
-    (remap), every factor of t (A N)^-1 is O(1), and so is
+    Epsilon enters only in that map back. With t = sc delta^2 (dim 3) or
+    delta (dim 2), every factor of t (A N)^-1 is O(1), and so is
     y_hat_b = t y_b / sqrt(2): M_b = |y_hat_b><y_hat_b| / lmax and
     x = t^2 / (2 lmax), with lmax the largest eigenvalue of the y_hat Gram matrix.
 
     e_B (absolutely) and p_succ (relatively) are within 1e-12 of exact
-    arithmetic for every 0 < delta <= pi/2. delta = 0, where the states
-    coincide, raises DegenerateSpanError, and so does an x below the smallest
-    normal double (|sc| delta^2, or delta for remap, below ~1e-154).
+    arithmetic for every 0 < delta <= pi/2. Three points are refused, in
+    this order: epsilon = 0 at dim 3, where the span collapses to two
+    dimensions (SingularEpsilonError); delta = 0, where the states coincide
+    (DegenerateSpanError); and an x below the smallest normal double, where
+    |sc| delta^2 (dim 3) or delta (dim 2) is below ~1e-154 (DegenerateSpanError).
     """
     epsilon, delta = ens.epsilon, ens.delta
+    if ens.dim == 3 and epsilon == 0.0:
+        raise SingularEpsilonError(
+            "epsilon = 0 is a singular point: the attack states span only two dimensions"
+        )
     if delta == 0.0:
         raise DegenerateSpanError("delta = 0: the four states coincide and span one dimension")
     step = newton_step(delta, np.arange(-1, 4))  # (z_m - 1)/(i delta) for m = -1..3
@@ -178,31 +184,9 @@ def _build_povm(ens: AttackEnsemble) -> PovmStrategy:
     return strat
 
 
-def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
-    """Suboptimal three-dimensional strategy against an imperfect-mirror ensemble.
-
-    Built for the point ens; e_B and p_succ of the result are
-    within 1e-12 of exact arithmetic (e_B absolutely, p_succ relatively; see
-    _build_povm). Rejects epsilon = 0, where the span collapses to two
-    dimensions and this construction is undefined, delta = 0, and points
-    where p_succ underflows.
-    """
-    if ens.epsilon == 0.0:
-        raise SingularEpsilonError(
-            "epsilon = 0 is a singular point: the attack states span only two dimensions"
-        )
-    return _build_povm(ens)
-
-
 def build_phase_remapping_povm(delta: float) -> PovmStrategy:
-    """Two-dimensional baseline strategy against the bare phase-encoded states.
-
-    The same construction on the perfect-mirror ensemble, with the same
-    1e-12 accuracy for every delta in (0, pi/2] where p_succ is a normal double.
-    """
-    if delta == 0.0:
-        raise DomainError("delta must lie in (0, pi/2], got 0")
-    return _build_povm(bb84_ensemble(delta))
+    """The 2-D baseline: build_suboptimal_povm on the perfect-mirror ensemble at delta."""
+    return build_suboptimal_povm(bb84_ensemble(delta))
 
 
 def require_built_for(ens: AttackEnsemble, strat: PovmStrategy) -> None:

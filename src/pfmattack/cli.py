@@ -29,12 +29,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .attack import (
-    AttackReport,
-    build_phase_remapping_povm,
-    build_suboptimal_povm,
-    evaluate,
-)
+from .attack import AttackReport, build_suboptimal_povm, evaluate
 from .errors import PfmAttackError
 from .mcoracle import OracleEstimate, run_oracle
 from .optics import BirefringentChannel, FaradayMirror, verify_compensation
@@ -90,12 +85,8 @@ def parse_degree_grid(token: str) -> list[float]:
 
 def _point_report(attack_kind: str, epsilon_deg: float, delta: float):
     """Closed-form report plus the (ensemble, strategy) pair behind it."""
-    if attack_kind == "remap":
-        ens = bb84_ensemble(delta)
-        strat = build_phase_remapping_povm(delta)
-    else:
-        ens = build_ensemble(np.deg2rad(epsilon_deg), delta)
-        strat = build_suboptimal_povm(ens)
+    ens = bb84_ensemble(delta) if attack_kind == "remap" else build_ensemble(np.deg2rad(epsilon_deg), delta)
+    strat = build_suboptimal_povm(ens)
     return evaluate(ens, strat), ens, strat
 
 
@@ -162,9 +153,6 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
     row_index = 0
     for epsilon_deg in args.epsilon_deg if args.attack == "pfm" else [0.0]:
         for delta in args.delta:
-            if args.attack == "pfm" and epsilon_deg == 0.0:
-                lines.append(f"# skipped epsilon_deg=0 delta_rad={_csv_num(delta)}: singular point")
-                continue
             try:
                 report, ens, strat = _point_report(args.attack, epsilon_deg, delta)
             except PfmAttackError as exc:

@@ -59,11 +59,6 @@ def fm_matrix(fm: FaradayMirror) -> np.ndarray:
     return -np.array([[s, c], [c, -s]], dtype=complex)
 
 
-def ideal_fm_matrix() -> np.ndarray:
-    """Jones matrix of the perfect 45-degree mirror, -[[0, 1], [1, 0]]."""
-    return -np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
 def phase_modulator(phase: float) -> np.ndarray:
     """Modulator Jones matrix diag(e^{i phase}, 1); the H component picks up the phase."""
     return np.diag([np.exp(1j * phase), 1.0 + 0.0j])
@@ -97,7 +92,7 @@ def verify_compensation(ch: BirefringentChannel, fm: FaradayMirror | None = None
     the residual is numerical noise (<= 1e-10). With an imperfect mirror the
     identity breaks and the residual is strictly positive.
     """
-    m = ideal_fm_matrix() if fm is None else fm_matrix(fm)
+    m = fm_matrix(FaradayMirror(0.0) if fm is None else fm)
     lhs = channel_matrix(ch, "backward") @ m @ channel_matrix(ch, "forward")
     rhs = np.exp(1j * (ch.phi_o + ch.phi_e)) * m
     return float(np.linalg.norm(lhs - rhs))

@@ -1,11 +1,11 @@
-"""Attack-state family sent back by the station and the operators derived from it.
+"""Attack-state family sent back by the station.
 
 With an imperfect mirror the four returning states live in a 3-dimensional
 space spanned by e_0 = |cH'>, e_1 = |cV'>, e_2 = |dV'> (a basis the
 eavesdropper can reach with one unitary, because the |dH'> component vanishes
 identically). This module builds those states (one array formula per
-family), the standard two-mode BB84 states they degenerate to at epsilon = 0,
-and their density/error operators, computed on first access.
+family) and the standard two-mode BB84 states they degenerate to at
+epsilon = 0, computed on first access.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ from .optics import EPSILON_MAX
 _SQRT2 = np.sqrt(2.0)
 _K = np.arange(4)
 
-#: Relative error weight of Eve's resend i when the station prepared k:
-#: full error for the opposite state (k = i + 2), half for a basis-mismatched
-#: neighbor (k = i +/- 1), none for a correct guess.
-ERROR_WEIGHTS = (0.0, 0.5, 1.0, 0.5)
-
 
 @dataclass(frozen=True)
 class AttackEnsemble:
@@ -39,12 +34,9 @@ class AttackEnsemble:
     defined there even though the span collapses), and the attack
     construction rejects the collapsed cases.
 
-    Everything else is computed on first access and read-only: states[k] is
-    the unit vector prepared for phase index k, rho_k[k] its projector, rho
-    the (trace-4) sum, and error_ops[i] the weighted mixture
-    w_1 rho_{i+1} + w_2 rho_{i+2} + w_3 rho_{i+3} with weights ERROR_WEIGHTS
-    that scores the sifted error caused by resending state i. The closed-form
-    path reads none of them.
+    states[k], the unit vector prepared for phase index k, is computed on
+    first access and read-only. The closed-form path never reads it; the
+    oracle and the span check do.
     """
 
     epsilon: float
@@ -61,24 +53,9 @@ class AttackEnsemble:
 
     @cached_property
     def states(self) -> np.ndarray:
-        return _read_only(pfm_states(self.epsilon, self.delta) if self.dim == 3 else bb84_states(self.delta))
-
-    @cached_property
-    def rho_k(self) -> np.ndarray:
-        return _read_only(self.states[:, :, None] * self.states[:, None, :].conj())
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        return _read_only(self.rho_k.sum(axis=0))
-
-    @cached_property
-    def error_ops(self) -> np.ndarray:
-        return _read_only(sum(ERROR_WEIGHTS[j] * np.roll(self.rho_k, -j, axis=0) for j in range(1, 4)))
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+        states = pfm_states(self.epsilon, self.delta) if self.dim == 3 else bb84_states(self.delta)
+        states.setflags(write=False)
+        return states
 
 
 def bb84_states(delta: float) -> np.ndarray:

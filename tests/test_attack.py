@@ -3,9 +3,8 @@ import pytest
 
 from pfmattack.attack import (
     COLLECTIVE_ATTACK_QBER_LIMIT,
+    ERROR_WEIGHTS,
     INTERCEPT_RESEND_QBER,
-    KIND_PFM,
-    KIND_REMAP,
     TWO_WAY_POSTPROCESSING_QBER_LIMIT,
     PovmStrategy,
     build_phase_remapping_povm,
@@ -47,12 +46,14 @@ def test_anchor_one_degree_half_pi():
     assert abs(report.lambda_0 - LAMBDA_HALF_PI) <= 1e-12
     assert abs(report.max_fiber_km - 124.4696002157729) <= 1e-9
     assert abs(report.max_fiber_km - 124.0) <= 2.0
-    assert strat.kind == KIND_PFM
+    assert strat.dim == 3
     # spectrum of the conjugated error operator: {(1 - sqrt2/2)/2, 1/2, (1 + sqrt2/2)/2}
     from pfmattack.numkernel import hermitianize, pinv_sqrt
 
-    ris = pinv_sqrt(ens.rho)
-    spectrum = hermitian_eig(hermitianize(ris @ ens.error_ops[0] @ ris)).eigenvalues
+    rho_k = ens.states[:, :, None] * ens.states[:, None, :].conj()
+    error_op_0 = sum(ERROR_WEIGHTS[k] * rho_k[k] for k in range(4))
+    ris = pinv_sqrt(rho_k.sum(axis=0))
+    spectrum = hermitian_eig(hermitianize(ris @ error_op_0 @ ris)).eigenvalues
     assert np.allclose(spectrum, [LAMBDA_HALF_PI, 0.5, (1 + np.sqrt(2) / 2) / 2], atol=1e-10)
 
 
@@ -150,8 +151,16 @@ def test_qber_flat_in_epsilon():
 def test_singular_and_degenerate_rejections():
     with pytest.raises(SingularEpsilonError):
         build_suboptimal_povm(build_ensemble(0.0, np.pi / 2))
-    with pytest.raises(DegenerateSpanError):
-        build_suboptimal_povm(build_ensemble(1 * DEG, 0.0))
+    # epsilon = 0 is named first, even at delta = 0
+    with pytest.raises(SingularEpsilonError):
+        build_suboptimal_povm(build_ensemble(0.0, 0.0))
+    # both dims refuse delta = 0 with one message
+    messages = set()
+    for ens in (build_ensemble(1 * DEG, 0.0), bb84_ensemble(0.0)):
+        with pytest.raises(DegenerateSpanError) as info:
+            build_suboptimal_povm(ens)
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_e_b_is_exactly_epsilon_independent():
@@ -178,7 +187,7 @@ def test_small_epsilon_scaling():
 # (epsilon_deg, delta): points where a rank-cut rho^(-1/2) construction
 # returns wrong figures, plus ordinary ones.
 MP_POINTS = ((1e-4, np.pi / 2), (0.05, 0.03), (1.0, 0.01), (1.0, np.pi / 2), (0.3, np.pi / 5), (-2.0, 0.1))
-#: The accuracy _build_povm promises: e_B absolute, p_succ and x relative.
+#: The accuracy build_suboptimal_povm promises: e_B absolute, p_succ and x relative.
 BUILD_TOL = 1e-12
 
 
@@ -340,7 +349,6 @@ def test_pinned_values():
 
 def test_remapping_anchor_quarter_pi():
     strat = build_phase_remapping_povm(np.pi / 4)
-    assert strat.kind == KIND_REMAP
     assert strat.dim == 2
     report = evaluate(bb84_ensemble(np.pi / 4), strat)
     assert abs(report.qber - 0.1770155295787885) <= 1e-12
@@ -359,7 +367,7 @@ def test_remapping_endpoint_half_pi():
 
 
 def test_remapping_rejects_zero_delta():
-    with pytest.raises(DomainError):
+    with pytest.raises(DegenerateSpanError, match="delta = 0"):
         build_phase_remapping_povm(0.0)
 
 

@@ -120,15 +120,24 @@ def test_sweep_degenerate_grid_single_row(tmp_path):
     assert len(rows) == 1
 
 
-def test_sweep_skips_zero_epsilon_with_notice(tmp_path):
-    out = tmp_path / "skip.csv"
+def test_sweep_rejects_zero_epsilon(tmp_path):
+    out = tmp_path / "reject.csv"
     assert run_cli(
         "sweep", "--epsilon-deg", "0,1", "--delta", "pi/2", "--out", str(out), "--reproducible"
-    ) == 0
+    ) == 1
     text = out.read_text()
-    assert "# skipped epsilon_deg=0" in text
+    assert "# rejected epsilon_deg=0 delta_rad=1.57079633: epsilon = 0 is a singular point" in text
     _, rows = cli.read_rows(str(out))
     assert len(rows) == 1  # only the epsilon = 1 row survives
+
+
+def test_sweep_on_default_epsilon_grid_is_not_an_empty_success(tmp_path):
+    """The default epsilon grid is [0]: a pfm sweep on it refuses every point and says so."""
+    out = tmp_path / "empty.csv"
+    assert run_cli("sweep", "--delta", "pi/2", "--out", str(out), "--reproducible") == 1
+    assert "# rejected epsilon_deg=0" in out.read_text()
+    _, rows = cli.read_rows(str(out))
+    assert rows == []
 
 
 def test_sweep_row_ordering_is_epsilon_major(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracle_reference import run_trial, sample_povm_outcome, simulate_bob
-from pfmattack.attack import PovmStrategy, build_suboptimal_povm, evaluate
+from pfmattack.attack import ERROR_WEIGHTS, PovmStrategy, build_suboptimal_povm, evaluate
 from pfmattack import mcoracle
 from pfmattack.errors import DimensionMismatchError, DomainError, NegativeProbabilityError
 from pfmattack.mcoracle import (
@@ -281,3 +281,23 @@ def test_oracle_memory_does_not_grow_with_trials(anchor):
             tracemalloc.stop()
 
     assert peak(4 * 10**6) - peak(2 * 10**5) < 2 * 2**20
+
+
+def test_outcome_table_is_absolutely_exact():
+    """The oracle's table <v_k|M_b|v_k> reproduces the closed form to 1e-15 absolute over epsilon and delta.
+
+    Near delta -> 0 the table cancels down to O((sc delta^2)^2), so the conclusive
+    rate it implies is off in relative terms (4% at 1 deg, delta 1e-4), but p_succ
+    is then ~1e-19: in absolute terms the table is exact to double precision, and
+    no trial count can resolve the difference.
+    """
+    weights = np.array([[ERROR_WEIGHTS[(k - b) % 4] for k in range(4)] for b in (0, 3)])
+    deltas = np.geomspace(1e-5, np.pi / 2, 25)
+    points = [build_ensemble(e * DEG, d) for e in (1e-3, 0.05, 1.0, 5.0) for d in deltas]
+    points += [bb84_ensemble(d) for d in deltas]
+    for ens in points:
+        strat = build_suboptimal_povm(ens)
+        report = evaluate(ens, strat)
+        table = np.array([outcome_probabilities(v, strat)[:2] for v in ens.states]).T  # rows b = 0, 3
+        assert abs(table.sum() / 4 - report.p_succ) <= 1e-15, (ens.epsilon, ens.delta)
+        assert abs((weights * table).sum() / 4 - report.qber * report.p_succ) <= 1e-15, (ens.epsilon, ens.delta)

@@ -8,7 +8,6 @@ from pfmattack.optics import (
     FaradayMirror,
     channel_matrix,
     fm_matrix,
-    ideal_fm_matrix,
     phase_modulator,
     round_trip,
     rotator_mirror_product,
@@ -25,7 +24,6 @@ COS2E = 0.9993908270190958
 def test_ideal_mirror_matrix():
     expected = -np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.array_equal(fm_matrix(FaradayMirror(0.0)), expected)
-    assert np.array_equal(ideal_fm_matrix(), expected)
 
 
 def test_mirror_at_90_degrees_via_raw_product():
