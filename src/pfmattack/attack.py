@@ -15,6 +15,7 @@ attack, 2: the phase-remapping baseline).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +43,8 @@ _VAC_BOUNDARY_MAX = 1e-6
 ERROR_WEIGHTS = (0.0, 0.5, 1.0, 0.5)
 #: Rows b = 0, 3: weight of each prepared state k in the error operator L_b, ERROR_WEIGHTS[(k - b) % 4].
 _RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in (0, 3)])
+#: (dim, delta) pencils the builder keeps: each entry holds ~1 kB of arrays, so the cache stays near 1 MB.
+_PENCIL_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,31 @@ def max_fiber_length_km(p_succ: float) -> float:
     return -10.0 * np.log10(p_succ) / FIBER_LOSS_DB_PER_KM
 
 
+@lru_cache(maxsize=_PENCIL_CACHE_SIZE)
+def _pencil(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """The epsilon-free half of build_suboptimal_povm: (chol_inv, z_min, (lambda_0, lambda_3)) for (dim, delta).
+
+    The columns w_k of the scaled Newton basis (dim 2: their first two
+    entries) give C C^H = sum_k w_k w_k^H, and chol_inv = C^-1. Rows
+    b = 0, 3 of z_min are the minimal eigenvectors of the whitened error
+    operators C^-1 (sum_k weight_bk w_k w_k^H) C^-H, lambda_b their
+    eigenvalues. Both arrays are read-only: every caller shares them.
+    """
+    step = newton_step(delta, np.arange(-1, 4))  # (z_m - 1)/(i delta) for m = -1..3
+    if dim == 3:
+        z_1 = np.exp(1j * delta)
+        newton = np.array([[1, 1, 1, 1], step[1:], z_1 * step[1:] * step[:-1]])
+    else:
+        newton = np.array([[1, 1, 1, 1], step[1:]])
+    chol_inv = np.linalg.inv(np.linalg.cholesky(newton @ newton.conj().T))
+    whitened = chol_inv @ newton
+    dec = hermitian_eig((whitened * _RESEND_WEIGHTS[:, None, :]) @ whitened.conj().T)
+    z_min = dec.eigenvectors[:, :, 0]
+    for arr in (chol_inv, z_min):
+        arr.setflags(write=False)
+    return chol_inv, z_min, (float(dec.eigenvalues[0, 0]), float(dec.eigenvalues[1, 0]))
+
+
 def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     """The square-root strategy for the point ens: the 3-D attack at dim 3, the 2-D remap baseline at dim 2.
 
@@ -129,6 +157,10 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     y_hat_b = t y_b / sqrt(2): M_b = |y_hat_b><y_hat_b| / lmax and
     x = t^2 / (2 lmax), with lmax the largest eigenvalue of the y_hat Gram matrix.
 
+    _pencil solves the pencil once per (dim, delta) and keeps the last
+    _PENCIL_CACHE_SIZE of them, so a point makes one eigensolve, in
+    validate(), plus one when its (dim, delta) is not in that cache.
+
     e_B (absolutely) and p_succ (relatively) are within 1e-12 of exact
     arithmetic for every 0 < delta <= pi/2. Three points are refused, in
     this order: epsilon = 0 at dim 3, where the span collapses to two
@@ -143,12 +175,11 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
         )
     if delta == 0.0:
         raise DegenerateSpanError("delta = 0: the four states coincide and span one dimension")
-    step = newton_step(delta, np.arange(-1, 4))  # (z_m - 1)/(i delta) for m = -1..3
+    chol_inv, z_min, (lambda_0, lambda_3) = _pencil(ens.dim, float(delta))
     if ens.dim == 3:
         z_1 = np.exp(1j * delta)
         s, c = np.sin(2 * epsilon), np.cos(2 * epsilon)
         sc = s * c
-        newton = np.array([[1, 1, 1, 1], step[1:], z_1 * step[1:] * step[:-1]])
         t = sc * delta**2
         # the product (delta^2 N^-1) A1^-1 diag(1, sc, sc), with rows [delta^2, 0, 0], [i delta, -i delta, 0],
         # [-z_1, 1 + z_1, -1] in delta^2 N^-1 and A1^-1 = [[0, 0, 1], [-s^2, 1, 0], [c^2, 1, 0]]
@@ -158,17 +189,13 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
             [-1 - z_1 * s * s, z_1 * sc, -z_1 * sc],
         ])
     else:
-        newton = np.array([[1, 1, 1, 1], step[1:]])
         t = delta
         back = np.array([[0, delta], [-1j, 1j]])  # (delta N^-1) A^-1
-    # columns w_k; C C^H = sum_k w_k w_k^H is 2 rho in the w basis, hence the 2 in x
-    chol_inv = np.linalg.inv(np.linalg.cholesky(newton @ newton.conj().T))
-    whitened = chol_inv @ newton
-    dec = hermitian_eig((whitened * _RESEND_WEIGHTS[:, None, :]) @ whitened.conj().T)
-    y = dec.eigenvectors[:, :, 0] @ (chol_inv @ back).conj()  # rows y_hat_0, y_hat_3
+    y = z_min @ (chol_inv @ back).conj()  # rows y_hat_0, y_hat_3
     gram = y.conj() @ y.T
     g00, g33 = gram.diagonal().real
     lmax = (g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(gram[0, 1]))
+    # C C^H = sum_k w_k w_k^H is 2 rho in the w basis, hence the 2 in x
     x = t * t / (2 * lmax)
     if not x >= np.finfo(float).tiny:
         raise DegenerateSpanError(
@@ -178,7 +205,7 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     m_0, m_3 = (y[:, :, None] * y[:, None, :].conj()) / lmax
     strat = PovmStrategy(
         ensemble=ens, m_0=m_0, m_3=m_3, m_vac=np.eye(ens.dim) - m_0 - m_3, x=x,
-        lambda_0=float(dec.eigenvalues[0, 0]), lambda_3=float(dec.eigenvalues[1, 0]),
+        lambda_0=lambda_0, lambda_3=lambda_3,
     )
     strat.validate()
     return strat

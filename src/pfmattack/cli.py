@@ -45,11 +45,11 @@ def parse_angle(token: str) -> float:
     """Parse 'pi', 'pi/N' or a plain radian float."""
     text = token.strip().lower().replace(" ", "")
     m = _PI_FRACTION.match(text)
-    if m:
-        return np.pi / float(m.group(1)) if m.group(1) else np.pi
     try:
+        if m:
+            return np.pi / float(m.group(1)) if m.group(1) else np.pi
         return float(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse angle {token!r} (use radians or pi/N)") from None
 
 

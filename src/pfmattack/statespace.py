@@ -45,11 +45,11 @@ class AttackEnsemble:
 
     def __post_init__(self):
         if not abs(self.epsilon) <= EPSILON_MAX:
-            raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {self.epsilon!r}")
+            raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {self.epsilon}")
         if not 0.0 <= self.delta <= np.pi / 2:
-            raise DomainError(f"delta must lie in [0, pi/2], got {self.delta!r}")
+            raise DomainError(f"delta must lie in [0, pi/2], got {self.delta}")
         if self.dim != 3 and (self.dim, self.epsilon) != (2, 0.0):
-            raise DomainError(f"dim must be 3, or 2 at epsilon = 0; got dim {self.dim!r}, epsilon {self.epsilon!r}")
+            raise DomainError(f"dim must be 3, or 2 at epsilon = 0; got dim {self.dim}, epsilon {self.epsilon}")
 
     @cached_property
     def states(self) -> np.ndarray:

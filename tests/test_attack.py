@@ -298,22 +298,87 @@ def test_closed_form_path_computes_no_states():
 
 
 def test_tiny_epsilon_underflow_is_refused():
-    """Below ~1e-154 rad p_succ is not a normal double: a named refusal, down to subnormal epsilon."""
+    """Below ~1e-154 rad p_succ is not a normal double: a named refusal, down to subnormal epsilon.
+
+    The first refusal solves the pi/2 pencil; the others find it cached.
+    """
+    attack._pencil.cache_clear()
     for eps in (1e-160, 1e-165, 1e-310, 1e-320):
         with pytest.raises(DegenerateSpanError, match="underflow"):
             build_suboptimal_povm(build_ensemble(eps, np.pi / 2))
+    assert attack._pencil.cache_info().hits == 3
     report = _report(np.rad2deg(1e-150), np.pi / 2)[0]
     assert abs(report.p_succ / report.epsilon**2 - 8.0) <= 1e-12 * 8.0
     assert abs(report.qber - LAMBDA_HALF_PI) <= 1e-12
 
 
 def test_tiny_delta_underflow_is_refused():
-    """The same named refusal down to the smallest subnormal delta, for both kinds."""
-    for delta in (1e-160, 1e-310, 5e-324):
-        with pytest.raises(DegenerateSpanError, match="underflow"):
-            build_suboptimal_povm(build_ensemble(1 * DEG, delta))
-        with pytest.raises(DegenerateSpanError, match="underflow"):
-            build_phase_remapping_povm(delta)
+    """The same named refusal down to the smallest subnormal delta, for both kinds, cold and cached."""
+    attack._pencil.cache_clear()
+    for _ in range(2):
+        for delta in (1e-160, 1e-310, 5e-324):
+            with pytest.raises(DegenerateSpanError, match="underflow"):
+                build_suboptimal_povm(build_ensemble(1 * DEG, delta))
+            with pytest.raises(DegenerateSpanError, match="underflow"):
+                build_phase_remapping_povm(delta)
+    assert attack._pencil.cache_info()[:2] == (6, 6)  # (hits, misses)
+
+
+def _grid_sweep_points():
+    """The benchmark's grid: 40 x 50 pfm points and the 50 remap points on its delta line."""
+    deltas = np.linspace(0.1, np.pi / 2, 50)
+    return [build_ensemble(e, d) for e in np.deg2rad(np.linspace(0.05, 1.0, 40)) for d in deltas] + [
+        bb84_ensemble(d) for d in deltas
+    ]
+
+
+def test_cached_pencil_gives_bit_identical_points():
+    """Each grid point built on a warm cache equals the same point built on a cleared one, bit for bit."""
+    points = _grid_sweep_points()
+    attack._pencil.cache_clear()
+    for ens in points:
+        build_suboptimal_povm(ens)
+    warm = [build_suboptimal_povm(ens) for ens in points]
+    assert attack._pencil.cache_info().currsize == 100
+    for ens, w in zip(points, warm):
+        attack._pencil.cache_clear()
+        cold = build_suboptimal_povm(ens)
+        assert evaluate(ens, cold) == evaluate(ens, w)
+        assert np.array_equal(cold.m_0, w.m_0) and np.array_equal(cold.m_3, w.m_3)
+
+
+def test_cached_pencil_is_read_only():
+    for dim in (2, 3):
+        chol_inv, z_min, lambdas = attack._pencil(dim, np.pi / 4)
+        assert isinstance(lambdas, tuple)
+        for arr in (chol_inv, z_min):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+
+def test_refused_points_do_not_reach_the_cache():
+    """epsilon = 0 and delta = 0 are refused, with their own types and messages, before any cache lookup."""
+    attack._pencil.cache_clear()
+    singular = "epsilon = 0 is a singular point: the attack states span only two dimensions"
+    coincide = "delta = 0: the four states coincide and span one dimension"
+    for ens, error, message in (
+        (build_ensemble(0.0, np.pi / 2), SingularEpsilonError, singular),
+        (build_ensemble(1 * DEG, 0.0), DegenerateSpanError, coincide),
+        (bb84_ensemble(0.0), DegenerateSpanError, coincide),
+    ):
+        with pytest.raises(error) as info:
+            build_suboptimal_povm(ens)
+        assert str(info.value) == message
+    info = attack._pencil.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_pencil_cache_is_bounded():
+    maxsize = attack._pencil.cache_info().maxsize
+    assert maxsize == attack._PENCIL_CACHE_SIZE
+    for delta in np.linspace(0.01, np.pi / 2, maxsize + 10):
+        build_phase_remapping_povm(delta)
+    assert attack._pencil.cache_info().currsize == maxsize
 
 
 # (kind, epsilon_deg, delta, e_B, p_succ, x, lambda_0, lambda_3) from an earlier, independent

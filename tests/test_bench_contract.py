@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import pfmattack
-from pfmattack import cli
+from pfmattack import attack, cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -38,10 +38,15 @@ def test_traced_layers_resolve():
 
 
 def test_tracer_counts_one_point():
-    """Installed, the tracer sees one point's calls (two eigensolves), and it restores every name on exit."""
+    """Installed, the tracer sees one point's calls, and it restores every name on exit.
+
+    A cold point makes two eigensolves: its delta pencil and validate(). A
+    second point at the same delta finds the pencil cached and makes one.
+    """
     tracing = _load("tracing")
     tracer = tracing.Tracer()
     before = pfmattack.build_ensemble
+    attack._pencil.cache_clear()
     with tracer.installed():
         ens = pfmattack.build_ensemble(np.deg2rad(1.0), np.pi / 2)
         pfmattack.evaluate(ens, pfmattack.build_suboptimal_povm(ens))
@@ -52,6 +57,13 @@ def test_tracer_counts_one_point():
     assert calls["attack.PovmStrategy.validate"] == 1
     assert calls["attack.evaluate"] == 1
     assert calls["numkernel.hermitian_eig"] == 2
+    assert sum(tracer.failed) == 0
+    with tracer.installed():
+        ens = pfmattack.build_ensemble(np.deg2rad(0.5), np.pi / 2)
+        pfmattack.evaluate(ens, pfmattack.build_suboptimal_povm(ens))
+    calls = {s["layer"]: s["calls"] for s in tracer.layer_stats()}
+    assert calls["attack.PovmStrategy.validate"] == 2
+    assert calls["numkernel.hermitian_eig"] == 3
     assert sum(tracer.failed) == 0
 
 

@@ -327,3 +327,14 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli("eval", "--delta", "not-an-angle", "--epsilon-deg", "1")
     assert exc.value.code == 2
+
+
+def test_pi_over_zero_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(argparse.ArgumentTypeError, match="cannot parse angle 'pi/0'"):
+        cli.parse_angle("pi/0")
+    out = str(tmp_path / "x.csv")
+    for argv in (("eval", "--delta", "pi/0"), ("sweep", "--epsilon-deg", "1", "--delta", "pi/0,pi/4", "--out", out)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "cannot parse angle 'pi/0'" in capsys.readouterr().err

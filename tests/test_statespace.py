@@ -141,6 +141,15 @@ def test_domain_validation():
                                 (0.0, np.pi / 2, 4)):
         with pytest.raises(DomainError):
             AttackEnsemble(epsilon, delta, dim)
+    # numpy scalars read as plain floats in the message
+    for args, message in (
+        ((np.float64(np.nan), np.float64(1.0), 3), "|epsilon| must be <= 0.087266 rad, got nan"),
+        ((np.float64(0.0), np.float64(2.0), 3), "delta must lie in [0, pi/2], got 2.0"),
+        ((np.float64(0.01), np.float64(1.0), np.int64(2)), "dim must be 3, or 2 at epsilon = 0; got dim 2, epsilon 0.01"),
+    ):
+        with pytest.raises(DomainError) as info:
+            AttackEnsemble(*args)
+        assert str(info.value) == message
 
 
 def test_ensembles_are_immutable():
