@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .attack import AttackReport, build_suboptimal_povm, evaluate
 from .errors import PfmAttackError
-from .mcoracle import OracleEstimate, run_oracle
+from .mcoracle import OracleEstimate, check_run, run_oracle
 from .optics import BirefringentChannel, FaradayMirror, verify_compensation
 from .statespace import bb84_ensemble, build_ensemble
 
@@ -141,10 +141,12 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
     """Compute all sweep lines of the parsed `sweep` arguments in deterministic order.
 
     A refused point becomes a '# rejected' comment. The remap attack ignores
-    epsilon, so it writes one row per delta, labelled epsilon_deg 0.
+    epsilon, so it writes one row per delta, labelled epsilon_deg 0. With
+    oracle columns, the trial count and the seed are checked before any point.
     """
     lines = [f"# pfmattack {__version__}", f"# attack={args.attack}"]
     if args.trials is not None:
+        check_run(args.trials, args.seed)
         lines.append(f"# oracle trials={args.trials} seed={args.seed} (row seeds: seed+index)")
     if not args.reproducible:
         lines.append(f"# generated={datetime.now(timezone.utc).isoformat(timespec='seconds')}")

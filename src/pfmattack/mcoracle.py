@@ -8,9 +8,13 @@ estimates converge on the closed forms reported by `attack.evaluate`, which
 is the point: the two paths share no code beyond the POVM elements themselves.
 
 Rounds are drawn CHUNK_TRIALS at a time and only their counts are kept, so an
-oracle run holds the same few megabytes at any trial count. The per-round
-scalar reference that this vectorized law is checked against lives in the
-test suite (tests/oracle_reference.py).
+oracle run holds the same few megabytes at any trial count. A round whose
+uniform draw u is at least max_k p_conclusive[k] is blocked whatever its
+state and is only counted for its state; the receiver's law runs on the other
+rounds alone. A run thus costs about the two draws per round plus work in
+proportion to the conclusive fraction. The per-round scalar reference that
+this vectorized law is checked against lives in the test suite
+(tests/oracle_reference.py).
 """
 
 from __future__ import annotations
@@ -70,17 +74,24 @@ def outcome_probabilities(state: np.ndarray, strat: PovmStrategy) -> np.ndarray:
     return np.clip(probs, 0.0, None)
 
 
-def _check_trials(n_trials) -> int:
-    """n_trials as an int, rejected before any draw unless it is an integer >= MIN_TRIALS."""
-    if isinstance(n_trials, (bool, np.bool_)):
-        raise DomainError(f"n_trials must be an integer, got {n_trials!r}")
+def _as_int(name: str, value) -> int:
+    """value as an int, or DomainError for a bool or a non-integer."""
+    if isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     try:
-        n_trials = operator.index(n_trials)
+        return operator.index(value)
     except TypeError:
-        raise DomainError(f"n_trials must be an integer, got {n_trials!r}") from None
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_run(n_trials, seed) -> tuple[int, int]:
+    """(n_trials, seed) as ints, refused before any draw unless n_trials >= MIN_TRIALS and seed >= 0 are integers."""
+    n_trials, seed = _as_int("n_trials", n_trials), _as_int("seed", seed)
     if n_trials < MIN_TRIALS:
         raise DomainError(f"below minimum trial count: {n_trials} < {MIN_TRIALS}")
-    return n_trials
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return n_trials, seed
 
 
 def _receive(fair: np.ndarray, resend: np.ndarray, conclusive: np.ndarray) -> np.ndarray:
@@ -105,19 +116,29 @@ def _receive(fair: np.ndarray, resend: np.ndarray, conclusive: np.ndarray) -> np
 
 
 def _stream(
-    n_trials: int, seed: int, rounds: Callable[[np.random.Generator, int], np.ndarray]
+    n_trials: int, seed: int, rounds: Callable[[np.random.Generator, np.ndarray], np.ndarray]
 ) -> OracleEstimate:
     """Run n_trials rounds CHUNK_TRIALS at a time and keep only their per-state counts.
 
-    rounds(rng, n) simulates n rounds and returns their codes (see `_receive`).
+    Each chunk draws one byte per round (fair, see `_receive`), whose low two
+    bits count the round for its sender state. rounds(rng, fair) draws
+    whatever else the round law needs and returns the codes of the candidate
+    rounds, those that can be conclusive (see `_receive`); every other round
+    is blocked.
     """
     rng = np.random.default_rng(seed)
+    odd = high = both = 0  # rounds whose state k has bit 0 set, bit 1 set, both (k = 3)
     counts = np.zeros(16, dtype=np.int64)
     for start in range(0, n_trials, CHUNK_TRIALS):
-        counts += np.bincount(rounds(rng, min(CHUNK_TRIALS, n_trials - start)), minlength=16)
-    # at_least[level, k]: rounds of state k that reached at least this level
-    at_least = np.cumsum(counts.reshape(4, 4)[::-1], axis=0)[::-1]
-    trials, conclusive, sifted, errors = (tuple(int(c) for c in row) for row in at_least)
+        fair = rng.integers(0, 256, min(CHUNK_TRIALS, n_trials - start), dtype=np.uint8)
+        odd += np.count_nonzero(fair & 1)
+        high += np.count_nonzero(fair & 2)
+        both += np.count_nonzero((fair & 3) == 3)
+        counts += np.bincount(rounds(rng, fair), minlength=16)
+    trials = tuple(int(c) for c in (n_trials - odd - high + both, odd - both, high - both, both))
+    # rows of at_least, by state: rounds that reached at least level 1, 2, 3; level 0 (every round) is trials
+    at_least = np.cumsum(counts.reshape(4, 4)[:0:-1], axis=0)[::-1]
+    conclusive, sifted, errors = (tuple(int(c) for c in row) for row in at_least)
     n_conclusive, n_sifted, n_errors = sum(conclusive), sum(sifted), sum(errors)
 
     p_hat = n_conclusive / n_trials
@@ -154,14 +175,17 @@ def run_oracle(ens: AttackEnsemble, strat: PovmStrategy, n_trials: int, seed: in
     point is refused before any round is drawn (see `attack.require_built_for`).
     """
     require_built_for(ens, strat)
-    n_trials = _check_trials(n_trials)
+    n_trials, seed = check_run(n_trials, seed)
     prob_table = np.stack([outcome_probabilities(v, strat) for v in ens.states])
     p_0 = prob_table[:, 0]
     p_conclusive = p_0 + prob_table[:, 1]
+    p_max = p_conclusive.max()
 
-    def rounds(rng: np.random.Generator, n: int) -> np.ndarray:
-        fair = rng.integers(0, 256, n, dtype=np.uint8)
-        u = rng.random(n)  # float64, so that p_succ far below 1/n_trials stays resolved
+    def rounds(rng: np.random.Generator, fair: np.ndarray) -> np.ndarray:
+        u = rng.random(fair.size)  # float64, so that p_succ far below 1/n_trials stays resolved
+        # u >= p_max blocks a round whatever its state, so only the others meet the receiver
+        candidates = np.flatnonzero(u < p_max)
+        fair, u = fair[candidates], u[candidates]
         k = (fair & 3).astype(np.intp)  # gathers index faster with intp than with uint8
         # M_0 resends state 0, M_3 resends state 3
         resend = (u >= p_0[k]).view(np.uint8) * np.uint8(3)
@@ -177,14 +201,13 @@ def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
     resends her outcome state, so every round is conclusive and the sifted
     QBER converges on 1/4.
     """
-    n_trials = _check_trials(n_trials)
+    n_trials, seed = check_run(n_trials, seed)
 
-    def rounds(rng: np.random.Generator, n: int) -> np.ndarray:
-        fair = rng.integers(0, 256, n, dtype=np.uint8)
+    def rounds(rng: np.random.Generator, fair: np.ndarray) -> np.ndarray:
         alice = fair & 3
         # bits 4-5: the eavesdropper's basis, and her outcome when that basis is not the sender's
         guess = (fair >> 4) & 3
         resend = np.where((alice ^ guess) & 1, guess, alice)
-        return _receive(fair, resend, np.ones(n, dtype=bool))
+        return _receive(fair, resend, np.ones(fair.size, dtype=bool))
 
     return _stream(n_trials, seed, rounds)

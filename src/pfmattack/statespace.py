@@ -10,6 +10,7 @@ epsilon = 0, computed on first access.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,8 @@ from .optics import EPSILON_MAX
 
 _SQRT2 = np.sqrt(2.0)
 _K = np.arange(4)
+#: float first: a float (numpy's float64 included) passes without the slower abstract-class check
+_REAL = (float, numbers.Real)
 
 
 @dataclass(frozen=True)
@@ -29,10 +32,11 @@ class AttackEnsemble:
 
     dim 3 is the imperfect-mirror family (`pfm_states`), dim 2 the bare
     phase-encoded states (`bb84_states`, epsilon = 0 only). The domain,
-    |epsilon| <= EPSILON_MAX and 0 <= delta <= pi/2, is checked on
-    construction; epsilon = 0 and delta = 0 are accepted (the states are well
-    defined there even though the span collapses), and the attack
-    construction rejects the collapsed cases.
+    real epsilon and delta with |epsilon| <= EPSILON_MAX and
+    0 <= delta <= pi/2, is checked on construction; epsilon = 0 and
+    delta = 0 are accepted (the states are well defined there even though
+    the span collapses), and the attack construction rejects the collapsed
+    cases.
 
     states[k], the unit vector prepared for phase index k, is computed on
     first access and read-only. The closed-form path never reads it; the
@@ -44,6 +48,10 @@ class AttackEnsemble:
     dim: int
 
     def __post_init__(self):
+        if not isinstance(self.epsilon, _REAL):
+            raise DomainError(f"epsilon must be a real number, got {self.epsilon!r}")
+        if not isinstance(self.delta, _REAL):
+            raise DomainError(f"delta must be a real number, got {self.delta!r}")
         if not abs(self.epsilon) <= EPSILON_MAX:
             raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {self.epsilon}")
         if not 0.0 <= self.delta <= np.pi / 2:

@@ -254,6 +254,28 @@ def test_verify_below_minimum_trials(capsys):
     assert "below minimum trial count" in capsys.readouterr().err
 
 
+def test_verify_negative_seed_is_a_domain_error(capsys):
+    assert run_cli("verify", "--epsilon-deg", "1", "--delta", "pi/2", "--trials", "10000", "--seed", "-1") == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--trials", "5"), "below minimum trial count: 5 < 10000"),
+    (("--trials", "10000", "--seed", "-1"), "seed must be >= 0, got -1"),
+])
+def test_sweep_checks_oracle_flags_before_any_point(tmp_path, monkeypatch, capsys, flags, message):
+    """A bad --trials or --seed is a usage error, reported before the first point is built."""
+
+    def no_point(*args):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(cli, "_point_report", no_point)
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep", "--delta", "pi/2", *flags, "--out", str(out)) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_fail_exit_code(monkeypatch, capsys):
     skewed = OracleEstimate(
         n_trials=10**6, qber_hat=0.9, p_succ_hat=0.9, stderr_qber=1e-4, stderr_p_succ=1e-4,

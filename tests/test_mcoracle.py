@@ -301,3 +301,113 @@ def test_outcome_table_is_absolutely_exact():
         table = np.array([outcome_probabilities(v, strat)[:2] for v in ens.states]).T  # rows b = 0, 3
         assert abs(table.sum() / 4 - report.p_succ) <= 1e-15, (ens.epsilon, ens.delta)
         assert abs((weights * table).sum() / 4 - report.qber * report.p_succ) <= 1e-15, (ens.epsilon, ens.delta)
+
+
+#: OracleEstimate fields, in order, of seeded runs at GOLDEN_TRIALS trials (not a multiple of CHUNK_TRIALS).
+GOLDEN_TRIALS = 10**6 + 17
+GOLDEN = {
+    ("pfm", 1.0, np.pi / 2, 11): (
+        1000017, 0.15511811023622046, 0.002475957908715552, 0.01015844872034647, 4.969693707659849e-05, 11,
+        2476, 1270, 197, (249250, 250345, 250341, 250081), (1071, 192, 183, 1030), (552, 89, 100, 529),
+        (42, 53, 64, 38),
+    ),
+    ("pfm", 0.1, np.pi / 8, 12): (
+        1000017, 0.0, 1.99996600057799e-06, 0.0, 1.414188106985048e-06, 12,
+        2, 2, 0, (250409, 250020, 249434, 250154), (1, 0, 0, 1), (1, 0, 0, 1), (0, 0, 0, 0),
+    ),
+    ("pfm", 5.0, np.pi / 2, 13): (
+        1000017, 0.14478068216947756, 0.058160011279808244, 0.0020622940093278407, 0.00023404378472276715, 13,
+        58161, 29113, 4215, (250288, 250227, 249896, 249606), (24749, 4348, 4197, 24867),
+        (12395, 2157, 2141, 12420), (864, 1200, 1222, 929),
+    ),
+    ("remap", 0.0, np.pi / 4, 14): (
+        1000017, 0.17637620551335667, 0.23445801421375836, 0.0011134641150157142, 0.00042365599553158235, 14,
+        234462, 117170, 20666, (249914, 249442, 250117, 250544), (89691, 27207, 27135, 90429),
+        (44778, 13719, 13543, 45130), (3397, 6905, 6911, 3453),
+    ),
+}
+GOLDEN_INTERCEPT_RESEND = (
+    1000017, 0.24957983529543581, 1.0, 0.0006121489810149661, 0.0, 15,
+    1000017, 499804, 124741, (249763, 249882, 250382, 249990), (249763, 249882, 250382, 249990),
+    (124669, 124862, 124781, 125492), (31358, 30939, 31369, 31075),
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: f"{case[0]}-{case[1]}deg-{case[2]:.4f}")
+def test_golden_counts(case):
+    """Seeded estimates are pinned field by field: a faster round law may not move a single count."""
+    kind, epsilon_deg, delta, seed = case
+    ens = bb84_ensemble(delta) if kind == "remap" else build_ensemble(epsilon_deg * DEG, delta)
+    estimate = run_oracle(ens, build_suboptimal_povm(ens), GOLDEN_TRIALS, seed)
+    assert dataclasses.astuple(estimate) == GOLDEN[case]
+
+
+def test_golden_counts_intercept_resend():
+    assert dataclasses.astuple(simulate_intercept_resend(GOLDEN_TRIALS, 15)) == GOLDEN_INTERCEPT_RESEND
+
+
+@pytest.mark.parametrize("bad", [-1, True, np.bool_(False), 1.5, np.float64(2.0), "3", None])
+def test_rejects_bad_seeds_before_any_draw(anchor, monkeypatch, bad):
+    ens, strat, _ = anchor
+
+    def no_draw(*args):
+        raise AssertionError("a round was drawn")
+
+    monkeypatch.setattr(mcoracle, "_stream", no_draw)
+    with pytest.raises(DomainError, match="seed"):
+        run_oracle(ens, strat, MIN_TRIALS, seed=bad)
+    with pytest.raises(DomainError, match="seed"):
+        simulate_intercept_resend(MIN_TRIALS, seed=bad)
+
+
+def test_numpy_integer_seed_is_recorded_as_int(anchor):
+    ens, strat, _ = anchor
+    estimate = run_oracle(ens, strat, MIN_TRIALS, seed=np.int64(7))
+    assert type(estimate.rng_seed) is int
+    assert estimate == run_oracle(ens, strat, MIN_TRIALS, seed=7)
+
+
+def _reference_counts(ens, strat, n, seed):
+    """Per-state (trials, conclusive, sifted, errors) of n rounds of the scalar reference."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((4, 4), dtype=np.int64)
+    for _ in range(n):
+        record = run_trial(ens, strat, rng)
+        counts[:, record.alice_k] += (1, record.eve_outcome is not None, record.sifted, record.error)
+    return counts
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0])
+def test_tied_and_certain_conclusive_rates_match_the_reference(scale):
+    """The candidate filter at its edges: max_k p_conclusive attained by two states, at 0.3 and at 1.
+
+    M_0 + M_3 is scale times the projector onto the span of states 0 and 1 of
+    a 3-dimensional ensemble, so those two states are conclusive with
+    probability scale and states 2 and 3 less often.
+    """
+    ens = build_ensemble(5 * DEG, np.pi / 2)
+    v = ens.states
+    q, _ = np.linalg.qr(v[:2].T)
+    span = q @ q.conj().T
+    first = np.outer(v[0], v[0].conj())
+    strat = dataclasses.replace(
+        _fake_strategy(scale * first, scale * (span - first), np.eye(3) - scale * span), ensemble=ens
+    )
+    p_conclusive = np.array([outcome_probabilities(s, strat)[:2].sum() for s in v])
+    assert np.allclose(p_conclusive[:2], scale, rtol=0, atol=1e-15) and p_conclusive[2:].max() < 0.95 * scale
+
+    n = 20_000
+    reference = _reference_counts(ens, strat, n, seed=8)
+    e = run_oracle(ens, strat, 10**6, seed=9)
+    oracle = np.array([e.trials_by_state, e.conclusive_by_state, e.sifted_by_state, e.errors_by_state])
+    # each level's rate given the one before it, state by state, as two independent binomial samples
+    for level in (1, 2, 3):
+        for k in range(4):
+            n_ref, n_orc = reference[level - 1, k], oracle[level - 1, k]
+            r_ref, r_orc = reference[level, k] / n_ref, oracle[level, k] / n_orc
+            pooled = (reference[level, k] + oracle[level, k]) / (n_ref + n_orc)
+            sigma = np.sqrt(pooled * (1 - pooled) * (1 / n_ref + 1 / n_orc))
+            assert abs(r_ref - r_orc) <= 4.5 * sigma, (level, k, r_ref, r_orc)
+    # states conclusive with certainty are conclusive on every round
+    if scale == 1.0:
+        assert tuple(oracle[1, :2]) == tuple(oracle[0, :2])

@@ -152,6 +152,21 @@ def test_domain_validation():
         assert str(info.value) == message
 
 
+def test_complex_epsilon_is_refused():
+    """abs() of a complex epsilon lies in range, so the type is checked first."""
+    for epsilon in (0.01j, 0.01 + 0j, np.complex128(0.01)):
+        with pytest.raises(DomainError, match="epsilon must be a real number"):
+            build_ensemble(epsilon, np.pi / 2)
+
+
+def test_complex_delta_is_refused():
+    for delta in (1j, np.pi / 4 + 0j, np.complex128(0.5)):
+        with pytest.raises(DomainError, match="delta must be a real number"):
+            build_ensemble(1 * DEG, delta)
+        with pytest.raises(DomainError, match="delta must be a real number"):
+            bb84_ensemble(delta)
+
+
 def test_ensembles_are_immutable():
     ens = build_ensemble(1 * DEG, np.pi / 2)
     with pytest.raises(ValueError):
