@@ -43,7 +43,7 @@ _VAC_BOUNDARY_MAX = 1e-6
 ERROR_WEIGHTS = (0.0, 0.5, 1.0, 0.5)
 #: Rows b = 0, 3: weight of each prepared state k in the error operator L_b, ERROR_WEIGHTS[(k - b) % 4].
 _RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in (0, 3)])
-#: (dim, delta) pencils the builder keeps: each entry holds ~1 kB of arrays, so the cache stays near 1 MB.
+#: (dim, delta) pencils the builder keeps: each entry holds ~0.5 kB, so the cache stays near 0.5 MB.
 _PENCIL_CACHE_SIZE = 1024
 
 
@@ -82,7 +82,8 @@ class PovmStrategy:
         """Check completeness, positivity and the vacuum boundary; raise on violation (NaN fails them all)."""
         if not np.linalg.norm(self.m_0 + self.m_3 + self.m_vac - np.eye(self.dim)) <= _COMPLETENESS_TOL:
             raise DomainError("POVM elements do not sum to the identity")
-        min_eigs = hermitian_eig(np.array((self.m_0, self.m_3, self.m_vac))).eigenvalues[:, 0]
+        eigs, _ = hermitian_eig(np.array((self.m_0, self.m_3, self.m_vac)))
+        min_eigs = eigs[:, 0]
         for label, min_eig in zip(self.operators, min_eigs):
             if not min_eig >= -_PSD_TOL:
                 raise DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
@@ -114,28 +115,24 @@ def max_fiber_length_km(p_succ: float) -> float:
 
 
 @lru_cache(maxsize=_PENCIL_CACHE_SIZE)
-def _pencil(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """The epsilon-free half of build_suboptimal_povm: (chol_inv, z_min, (lambda_0, lambda_3)) for (dim, delta).
+def _pencil(dim: int, delta: float) -> tuple[np.ndarray, tuple[float, float]]:
+    """The epsilon-free half of build_suboptimal_povm: (y_w, (lambda_0, lambda_3)) for (dim, delta).
 
     The columns w_k of the scaled Newton basis (dim 2: their first two
-    entries) give C C^H = sum_k w_k w_k^H, and chol_inv = C^-1. Rows
-    b = 0, 3 of z_min are the minimal eigenvectors of the whitened error
-    operators C^-1 (sum_k weight_bk w_k w_k^H) C^-H, lambda_b their
-    eigenvalues. Both arrays are read-only: every caller shares them.
+    entries) give C C^H = sum_k w_k w_k^H. lambda_b is the minimal eigenvalue
+    of the whitened error operator C^-1 (sum_k weight_bk w_k w_k^H) C^-H, and
+    row b = 0, 3 of y_w is C^-H times its eigenvector: the generalized
+    eigenvector of the pencil in the w basis, with y^H C C^H y = 1. y_w is
+    read-only: every caller shares it.
     """
     step = newton_step(delta, np.arange(-1, 4))  # (z_m - 1)/(i delta) for m = -1..3
-    if dim == 3:
-        z_1 = np.exp(1j * delta)
-        newton = np.array([[1, 1, 1, 1], step[1:], z_1 * step[1:] * step[:-1]])
-    else:
-        newton = np.array([[1, 1, 1, 1], step[1:]])
+    newton = np.array([np.ones(4), step[1:], np.exp(1j * delta) * step[1:] * step[:-1]])[:dim]
     chol_inv = np.linalg.inv(np.linalg.cholesky(newton @ newton.conj().T))
     whitened = chol_inv @ newton
-    dec = hermitian_eig((whitened * _RESEND_WEIGHTS[:, None, :]) @ whitened.conj().T)
-    z_min = dec.eigenvectors[:, :, 0]
-    for arr in (chol_inv, z_min):
-        arr.setflags(write=False)
-    return chol_inv, z_min, (float(dec.eigenvalues[0, 0]), float(dec.eigenvalues[1, 0]))
+    eigs, vecs = hermitian_eig((whitened * _RESEND_WEIGHTS[:, None, :]) @ whitened.conj().T)
+    y_w = vecs[:, :, 0] @ chol_inv.conj()
+    y_w.setflags(write=False)
+    return y_w, (float(eigs[0, 0]), float(eigs[1, 0]))
 
 
 def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
@@ -150,8 +147,8 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     cos 2e and det A1 = -1; dim 2: A swaps the two). Generalized eigenvalues
     do not change under a change of basis, so the pencil is solved in the
     w basis, where it depends on delta alone and stays well conditioned as
-    delta -> 0: with C C^H = sum_k w_k w_k^H, (lambda_b, z_b) is the minimal
-    eigenpair of the whitened error operator and y_b = sqrt(2) (A N)^-H C^-H z_b.
+    delta -> 0: there (lambda_b, y_w,b) is the minimal generalized eigenpair,
+    with y_w,b^H (sum_k w_k w_k^H) y_w,b = 1, and y_b = sqrt(2) (A N)^-H y_w,b.
     Epsilon enters only in that map back. With t = sc delta^2 (dim 3) or
     delta (dim 2), every factor of t (A N)^-1 is O(1), and so is
     y_hat_b = t y_b / sqrt(2): M_b = |y_hat_b><y_hat_b| / lmax and
@@ -175,7 +172,7 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
         )
     if delta == 0.0:
         raise DegenerateSpanError("delta = 0: the four states coincide and span one dimension")
-    chol_inv, z_min, (lambda_0, lambda_3) = _pencil(ens.dim, float(delta))
+    y_w, (lambda_0, lambda_3) = _pencil(ens.dim, float(delta))
     if ens.dim == 3:
         z_1 = np.exp(1j * delta)
         s, c = np.sin(2 * epsilon), np.cos(2 * epsilon)
@@ -191,7 +188,7 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     else:
         t = delta
         back = np.array([[0, delta], [-1j, 1j]])  # (delta N^-1) A^-1
-    y = z_min @ (chol_inv @ back).conj()  # rows y_hat_0, y_hat_3
+    y = y_w @ back.conj()  # rows y_hat_0, y_hat_3
     gram = y.conj() @ y.T
     g00, g33 = gram.diagonal().real
     lmax = (g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(gram[0, 1]))

@@ -7,8 +7,9 @@ Subcommands:
   compensation  round-trip compensation residual for ideal and imperfect mirrors
 
 Angles: epsilon is given in degrees (--epsilon-deg), delta and channel angles
-accept 'pi', 'pi/N' or a plain radian value. Grids are comma lists or
-'start:stop:count' (inclusive linspace; degrees for epsilon, angle tokens for delta).
+accept 'pi' or 'pi/N', each with an optional sign, or a finite radian value.
+Grids are comma lists or 'start:stop:count' (inclusive linspace; degrees for
+epsilon, angle tokens for delta).
 
 Every subcommand accepts '--config PATH' pointing at a key=value file whose
 keys mirror the long flag names; explicit flags take precedence.
@@ -35,22 +36,27 @@ from .mcoracle import OracleEstimate, check_run, run_oracle
 from .optics import BirefringentChannel, FaradayMirror, verify_compensation
 from .statespace import bb84_ensemble, build_ensemble
 
-_PI_FRACTION = re.compile(r"^pi(?:/(\d+(?:\.\d+)?))?$")
+_PI_FRACTION = re.compile(r"^([+-]?)pi(?:/(\d+(?:\.\d+)?))?$")
 
 BASE_COLUMNS = ("epsilon_deg", "delta_rad", "e_B", "p_succ", "lambda_0", "lambda_3", "x", "max_fiber_km")
 ORACLE_COLUMNS = ("oracle_e_B", "oracle_p")
 
 
 def parse_angle(token: str) -> float:
-    """Parse 'pi', 'pi/N' or a plain radian float."""
+    """Parse 'pi' or 'pi/N', each with an optional sign, or a plain radian float; refuse a non-finite value."""
     text = token.strip().lower().replace(" ", "")
     m = _PI_FRACTION.match(text)
     try:
         if m:
-            return np.pi / float(m.group(1)) if m.group(1) else np.pi
-        return float(text)
+            value = np.pi / float(m.group(2)) if m.group(2) else np.pi
+            value = -value if m.group(1) == "-" else value
+        else:
+            value = float(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse angle {token!r} (use radians or pi/N)") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle {token!r} is not a finite number")
+    return value
 
 
 def _parse_grid(token: str, parse_value) -> list[float]:

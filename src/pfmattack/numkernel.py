@@ -9,8 +9,6 @@ and treat it in one LAPACK call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -41,44 +39,23 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermitianize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (a + a^dagger) / 2."""
-    a = np.asarray(a, dtype=complex)
-    return (a + a.conj().T) / 2
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Full eigensystem of a Hermitian matrix, or of each matrix of a stack.
-
-    eigenvalues: real, shape (..., n), ascending along the last axis.
-    eigenvectors: shape (..., n, n), orthonormal columns, column i paired
-    with eigenvalues[..., i], with the arbitrary phase LAPACK returns (every
-    consumer forms |v><v| or V diag(w) V^H, which do not depend on it).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
-
-
-def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decompose a Hermitian matrix of dimension <= 8, or a stack (..., n, n) of them.
 
-    Backed by LAPACK via numpy.linalg.eigh, one call for the whole stack;
-    eigenvalues come back ascending.
+    Backed by LAPACK via numpy.linalg.eigh, one call for the whole stack.
+    Returns numpy's pair (w, v): real eigenvalues w of shape (..., n),
+    ascending along the last axis, and orthonormal eigenvector columns v of
+    shape (..., n, n), column i paired with w[..., i], with the arbitrary
+    phase LAPACK returns (every consumer forms |v><v| or V diag(w) V^H,
+    which do not depend on it).
     """
     a = require_hermitian(a)
     if a.shape[-1] > MAX_DIM:
         raise DimensionMismatchError(f"kernel is limited to dim <= {MAX_DIM}, got {a.shape[-1]}")
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
-    return EigenDecomposition(np.asarray(w, dtype=float), np.asarray(v, dtype=complex))
 
 
 def pinv_sqrt(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -93,8 +70,7 @@ def pinv_sqrt(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """
     if rank_tol <= 0:
         raise DomainError(f"rank_tol must be positive, got {rank_tol}")
-    dec = hermitian_eig(a)
-    w = dec.eigenvalues
+    w, v = hermitian_eig(a)
     lam_max = max(w[-1], 0.0)
     neg_floor = -1e-10 * (lam_max if lam_max > 0 else 1.0)
     if w[0] < neg_floor:
@@ -102,5 +78,5 @@ def pinv_sqrt(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     support = w > rank_tol * lam_max
     inv_sqrt = np.zeros_like(w)
     inv_sqrt[support] = 1.0 / np.sqrt(w[support])
-    v = dec.eigenvectors
-    return hermitianize((v * inv_sqrt) @ v.conj().T)
+    b = (v * inv_sqrt) @ v.conj().T
+    return (b + b.conj().T) / 2

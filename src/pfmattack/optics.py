@@ -28,7 +28,7 @@ class FaradayMirror:
     def __post_init__(self):
         if not abs(self.epsilon) <= EPSILON_MAX:
             raise DomainError(
-                f"|epsilon| must be <= {EPSILON_MAX:.6f} rad (5 deg), got {self.epsilon!r}"
+                f"|epsilon| must be <= {EPSILON_MAX:.6f} rad (5 deg), got {self.epsilon}"
             )
 
 

@@ -174,8 +174,8 @@ def test_criterion_8_povm_validity():
         delta = rng.uniform(0.1, np.pi / 2)
         strat = build_suboptimal_povm(build_ensemble(eps, delta))
         completeness = np.linalg.norm(strat.m_0 + strat.m_3 + strat.m_vac - np.eye(3))
-        vac_min = hermitian_eig(strat.m_vac).eigenvalues[0]
-        min_eig = min(hermitian_eig(op).eigenvalues[0] for op in strat.operators.values())
+        vac_min = hermitian_eig(strat.m_vac)[0][0]
+        min_eig = min(hermitian_eig(op)[0][0] for op in strat.operators.values())
         ok &= min_eig >= -1e-9 and completeness <= 1e-10 and vac_min <= 1e-6
         worst_eig = min(worst_eig, min_eig)
         worst_completeness = max(worst_completeness, completeness)

@@ -23,6 +23,7 @@ from pfmattack.mcoracle import outcome_probabilities, run_oracle
 from pfmattack.numkernel import hermitian_eig
 from pfmattack.statespace import bb84_ensemble, build_ensemble
 
+from closed_form_reference import newton_table, pfm_e_b, pfm_overlaps, remap_e_b
 from mp_reference import pfm_reference, remap_reference
 
 DEG = np.pi / 180
@@ -48,12 +49,13 @@ def test_anchor_one_degree_half_pi():
     assert abs(report.max_fiber_km - 124.0) <= 2.0
     assert strat.dim == 3
     # spectrum of the conjugated error operator: {(1 - sqrt2/2)/2, 1/2, (1 + sqrt2/2)/2}
-    from pfmattack.numkernel import hermitianize, pinv_sqrt
+    from pfmattack.numkernel import pinv_sqrt
 
     rho_k = ens.states[:, :, None] * ens.states[:, None, :].conj()
     error_op_0 = sum(ERROR_WEIGHTS[k] * rho_k[k] for k in range(4))
     ris = pinv_sqrt(rho_k.sum(axis=0))
-    spectrum = hermitian_eig(hermitianize(ris @ error_op_0 @ ris)).eigenvalues
+    conjugated = ris @ error_op_0 @ ris
+    spectrum, _ = hermitian_eig((conjugated + conjugated.conj().T) / 2)
     assert np.allclose(spectrum, [LAMBDA_HALF_PI, 0.5, (1 + np.sqrt(2) / 2) / 2], atol=1e-10)
 
 
@@ -82,13 +84,13 @@ def test_povm_completeness_and_positivity():
         total = strat.m_0 + strat.m_3 + strat.m_vac
         assert np.linalg.norm(total - np.eye(3)) <= 1e-10
         for op in strat.operators.values():
-            assert hermitian_eig(op).eigenvalues[0] >= -1e-9
+            assert hermitian_eig(op)[0][0] >= -1e-9
         assert strat.x > 0
 
 
 def test_vacuum_element_sits_on_positivity_boundary():
     _, _, strat = _report(1.0, np.pi / 2)
-    vac_min = hermitian_eig(strat.m_vac).eigenvalues[0]
+    vac_min = hermitian_eig(strat.m_vac)[0][0]
     assert np.linalg.eigvalsh(strat.m_vac).min() >= -1e-9
     assert -1e-9 <= vac_min <= 1e-6
     assert abs(vac_min) <= 1e-9
@@ -244,6 +246,26 @@ def test_small_delta_is_accurate():
     assert abs(report.qber - 0.1550510257217) <= 1e-12
 
 
+def _projector(c):
+    return np.outer(c, c.conj()) / np.vdot(c, c).real
+
+
+def test_delta_spectrum_matches_its_closed_form():
+    """e_B and lambda_b of both kinds match the tests-only quadratics to 1e-15 at every epsilon, and the
+    pencil's pfm eigenvectors, as overlaps W^H y_w with the states, match c_bk = u_k / (W_bk - e_B)."""
+    for delta in np.geomspace(1e-8, np.pi / 2, 201):
+        for eps_deg in (1e-5, 0.05, 1.0, -4.9):
+            report = _report(eps_deg, delta)[0]
+            assert max(abs(v - pfm_e_b(delta)) for v in (report.qber, report.lambda_0, report.lambda_3)) <= 1e-15
+        report = evaluate(bb84_ensemble(delta), build_phase_remapping_povm(delta))
+        assert max(abs(v - remap_e_b(delta)) for v in (report.qber, report.lambda_0, report.lambda_3)) <= 1e-15
+        y_w, _ = attack._pencil(3, float(delta))
+        for c, c_ref in zip(y_w @ newton_table(delta).conj(), pfm_overlaps(delta)):
+            assert np.abs(_projector(c) - _projector(c_ref)).max() <= 1e-14, delta
+    assert abs(pfm_e_b(np.pi / 2) - LAMBDA_HALF_PI) <= 1e-16
+    assert abs(pfm_e_b(1e-100) - (0.4 - 0.15 * np.sqrt(6))) <= 1e-16
+
+
 def test_validate_decomposes_each_element_once(monkeypatch):
     """validate() decomposes M_0, M_3 and M_vac in one stacked call of shape (3, d, d)."""
     for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
@@ -278,6 +300,19 @@ def test_validate_rejects_nan_before_any_eigensolve(monkeypatch):
         bad[1, 1] = np.nan
         with pytest.raises(DomainError, match="sum to the identity"):
             _with(strat, **{field: bad}).validate()
+
+
+def test_validate_refuses_each_broken_element():
+    """Each refusal after completeness, on a complete POVM: the boundary, a negative M_vac, and x."""
+    for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
+        eye = np.eye(strat.dim)
+        for scale, message in ((0.5, "M_vac minimal eigenvalue .* is off the positivity boundary"),
+                               (2.0, "M_vac has negative eigenvalue")):
+            m_0, m_3 = scale * strat.m_0, scale * strat.m_3
+            with pytest.raises(DomainError, match=message):
+                _with(strat, m_0=m_0, m_3=m_3, m_vac=eye - m_0 - m_3).validate()
+        with pytest.raises(DomainError, match="scale factor x must be positive, got 0.0"):
+            _with(strat, x=0.0).validate()
 
 
 def test_evaluate_refuses_a_strategy_built_for_another_point():
@@ -349,11 +384,10 @@ def test_cached_pencil_gives_bit_identical_points():
 
 def test_cached_pencil_is_read_only():
     for dim in (2, 3):
-        chol_inv, z_min, lambdas = attack._pencil(dim, np.pi / 4)
+        y_w, lambdas = attack._pencil(dim, np.pi / 4)
         assert isinstance(lambdas, tuple)
-        for arr in (chol_inv, z_min):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            y_w[0, 0] = 0.0
 
 
 def test_refused_points_do_not_reach_the_cache():

@@ -25,8 +25,37 @@ def test_parse_angle():
     assert cli.parse_angle("pi/2") == np.pi / 2
     assert cli.parse_angle("Pi/8") == np.pi / 8
     assert cli.parse_angle("0.75") == 0.75
+    assert cli.parse_angle("-pi/4") == -np.pi / 4
+    assert cli.parse_angle("+pi/4") == np.pi / 4
+    assert cli.parse_angle("-pi") == -np.pi
     with pytest.raises(argparse.ArgumentTypeError):
         cli.parse_angle("two*pi")
+    for bad in ("--pi/4", "-+pi", "pi/-4"):
+        with pytest.raises(argparse.ArgumentTypeError, match="cannot parse angle"):
+            cli.parse_angle(bad)
+
+
+def test_parse_angle_refuses_non_finite_values(capsys):
+    """A non-finite angle is a usage error, not a nan residual printed with exit 0."""
+    for bad in ("nan", "-nan", "inf", "-inf", "1e400", "pi/0." + "0" * 320 + "1"):
+        with pytest.raises(argparse.ArgumentTypeError, match="is not a finite number"):
+            cli.parse_angle(bad)
+    for argv in (("compensation", "--phi-o", "nan"), ("compensation", "--theta-prime", "1e400"),
+                 ("eval", "--delta", "inf")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "is not a finite number" in capsys.readouterr().err
+
+
+def test_signed_pi_fraction_is_a_channel_angle(capsys):
+    """--theta-prime=-pi/4 reads as the radian value -pi/4."""
+    outputs = []
+    for theta in ("-pi/4", repr(-np.pi / 4)):
+        assert run_cli("compensation", f"--theta-prime={theta}", "--phi-o", "1.1", "--epsilon-deg", "1") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert float(parse_kv_output(outputs[0])["residual_epsilon_fm"].split()[0]) > 1e-3
 
 
 def test_parse_degree_grid():
@@ -343,6 +372,25 @@ def test_config_reproducible_flag(tmp_path):
 def test_config_missing_file(capsys):
     assert run_cli("eval", "--config", "/nonexistent/path.cfg") == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_config_flag_without_a_path(capsys):
+    assert run_cli("eval", "--config") == 2
+    assert "--config requires a file path" in capsys.readouterr().err
+
+
+def test_config_flag_without_a_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta=pi/2\n")
+    assert run_cli("--config", str(cfg)) == 2
+    assert "--config requires a subcommand" in capsys.readouterr().err
+
+
+def test_config_line_without_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta=pi/2\nepsilon-deg 1\n")
+    assert run_cli("eval", "--config", str(cfg)) == 2
+    assert f"{cfg}: expected key=value, got 'epsilon-deg 1'" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -54,6 +54,9 @@ def test_mirror_construction_bound():
         FaradayMirror(EPSILON_MAX * 1.0001)
     with pytest.raises(DomainError):
         FaradayMirror(np.pi / 4)
+    # a numpy scalar is printed as a plain float, not as its repr
+    with pytest.raises(DomainError, match=r"got 0\.17453292519943295$"):
+        FaradayMirror(np.deg2rad(np.float64(10.0)))
 
 
 def test_channel_trivial_is_identity():
