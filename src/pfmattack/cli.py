@@ -6,8 +6,8 @@ Subcommands:
   verify        Monte Carlo oracle vs closed form, PASS/FAIL at 3 sigma
   compensation  round-trip compensation residual for ideal and imperfect mirrors
 
-Angles: epsilon is given in degrees (--epsilon-deg), delta and channel angles
-accept 'pi' or 'pi/N', each with an optional sign, or a finite radian value.
+Angles: epsilon is given in finite degrees (--epsilon-deg), delta and channel
+angles accept 'pi' or 'pi/N', each with an optional sign, or a finite radian value.
 Grids are comma lists or 'start:stop:count' (inclusive linspace; degrees for
 epsilon, angle tokens for delta).
 
@@ -42,6 +42,13 @@ BASE_COLUMNS = ("epsilon_deg", "delta_rad", "e_B", "p_succ", "lambda_0", "lambda
 ORACLE_COLUMNS = ("oracle_e_B", "oracle_p")
 
 
+def _finite(value: float, token: str) -> float:
+    """The value parsed from token; a non-finite one is a usage error."""
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{token!r} is not a finite number")
+    return value
+
+
 def parse_angle(token: str) -> float:
     """Parse 'pi' or 'pi/N', each with an optional sign, or a plain radian float; refuse a non-finite value."""
     text = token.strip().lower().replace(" ", "")
@@ -54,15 +61,21 @@ def parse_angle(token: str) -> float:
             value = float(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse angle {token!r} (use radians or pi/N)") from None
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"angle {token!r} is not a finite number")
-    return value
+    return _finite(value, token)
+
+
+def parse_degrees(token: str) -> float:
+    """Parse a plain float of degrees; refuse a non-finite value."""
+    try:
+        return _finite(float(token), token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse degrees {token!r}") from None
 
 
 def _parse_grid(token: str, parse_value) -> list[float]:
     """Comma list of values, or 'start:stop:count' for an inclusive linspace.
 
-    parse_value reads one value: float for degrees, parse_angle for angles.
+    parse_value reads one value: parse_degrees or parse_angle.
     """
     text = token.strip()
     try:
@@ -73,6 +86,7 @@ def _parse_grid(token: str, parse_value) -> list[float]:
             start, stop, count = parse_value(parts[0]), parse_value(parts[1]), int(parts[2])
             if count < 1:
                 raise argparse.ArgumentTypeError("grid count must be >= 1")
+            _finite(stop - start, token)  # a width that overflows would fill the grid with inf and nan
             return list(np.linspace(start, stop, count))
         return [parse_value(part) for part in text.split(",") if part.strip()]
     except ValueError:
@@ -86,7 +100,7 @@ def parse_angle_grid(token: str) -> list[float]:
 
 def parse_degree_grid(token: str) -> list[float]:
     """Comma list of degrees, or 'start:stop:count' for an inclusive linspace."""
-    return _parse_grid(token, float)
+    return _parse_grid(token, parse_degrees)
 
 
 def _point_report(attack_kind: str, epsilon_deg: float, delta: float):
@@ -221,7 +235,7 @@ def cmd_verify(args) -> int:
 
 def cmd_compensation(args) -> int:
     channel = BirefringentChannel(theta_prime=args.theta_prime, phi_o=args.phi_o, phi_e=args.phi_e)
-    ideal = verify_compensation(channel)
+    ideal = verify_compensation(channel, FaradayMirror(0.0))
     actual = verify_compensation(channel, FaradayMirror(np.deg2rad(args.epsilon_deg)))
     print(f"residual_ideal_fm     {ideal:.6g}")
     print(f"residual_epsilon_fm   {actual:.6g}  (epsilon_deg={args.epsilon_deg:.6g})")
@@ -272,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one (epsilon, delta) point")
-    p_eval.add_argument("--epsilon-deg", type=float, default=0.0, help="mirror deviation in degrees")
+    p_eval.add_argument("--epsilon-deg", type=parse_degrees, default=0.0, help="mirror deviation in degrees")
     p_eval.add_argument("--delta", type=parse_angle, required=True, help="phase step (pi/N or radians)")
     p_eval.add_argument("--attack", choices=("pfm", "remap"), default="pfm")
     p_eval.add_argument("--out", default=None, help="optional single-row CSV output path")
@@ -295,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="Monte Carlo oracle vs closed form")
-    p_verify.add_argument("--epsilon-deg", type=float, default=0.0)
+    p_verify.add_argument("--epsilon-deg", type=parse_degrees, default=0.0)
     p_verify.add_argument("--delta", type=parse_angle, required=True)
     p_verify.add_argument("--attack", choices=("pfm", "remap"), default="pfm")
     p_verify.add_argument("--trials", type=int, default=1_000_000)
@@ -303,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_comp = sub.add_parser("compensation", help="round-trip compensation residual")
-    p_comp.add_argument("--theta-prime", type=parse_angle, default=0.0, help="eigenmode rotation (radians or pi/N)")
-    p_comp.add_argument("--phi-o", type=parse_angle, default=0.0)
-    p_comp.add_argument("--phi-e", type=parse_angle, default=0.0)
-    p_comp.add_argument("--epsilon-deg", type=float, default=0.0)
+    for flag, what in (("theta-prime", "eigenmode rotation"), ("phi-o", "o-mode phase"), ("phi-e", "e-mode phase")):
+        help_text = f"{what}: radians or pi/N; a negative pi/N takes '=', as in --{flag}=-pi/4"
+        p_comp.add_argument(f"--{flag}", type=parse_angle, default=0.0, help=help_text)
+    p_comp.add_argument("--epsilon-deg", type=parse_degrees, default=0.0)
     p_comp.set_defaults(func=cmd_compensation)
 
     return parser
@@ -318,10 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _expand_config(argv)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except PfmAttackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PfmAttackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

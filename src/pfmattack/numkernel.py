@@ -1,10 +1,8 @@
-"""Dense complex linear-algebra kernel for small (dim <= 8) Hermitian operators.
+"""Dense complex linear-algebra kernel for the small Hermitian operators of the attack.
 
 Everything downstream (Jones matrices, density operators, POVM elements) is a
 2x2 or 3x3 complex matrix, so this module wraps the few eigen-based primitives
-the package needs behind one convention: eigenvalues sorted ascending. The
-checks and the decomposition also take a stack (..., n, n) of such matrices
-and treat it in one LAPACK call.
+the package needs behind one convention: eigenvalues sorted ascending.
 """
 
 from __future__ import annotations
@@ -21,14 +19,18 @@ from .errors import (
 
 HERMITIAN_ATOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
-MAX_DIM = 8
 
 
-def require_hermitian(a: np.ndarray) -> np.ndarray:
-    """Validate that ``a`` is a square Hermitian matrix, or a stack (..., n, n) of them, within HERMITIAN_ATOL.
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decompose a Hermitian matrix, or a stack (..., n, n) of them, in one LAPACK call.
 
-    Returns the input as a complex128 array. Raises NonHermitianError if
-    max |a[..., i, j] - conj(a[..., j, i])| over the stack exceeds HERMITIAN_ATOL.
+    Raises DimensionMismatchError unless the last two axes are square, and
+    NonHermitianError if max |a[..., i, j] - conj(a[..., j, i])| exceeds
+    HERMITIAN_ATOL. Returns numpy.linalg.eigh's pair (w, v): real eigenvalues
+    w of shape (..., n), ascending along the last axis, and orthonormal
+    eigenvector columns v of shape (..., n, n), column i paired with
+    w[..., i], with the arbitrary phase LAPACK returns (every consumer forms
+    |v><v| or V diag(w) V^H, which do not depend on it).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -36,22 +38,6 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     dev = np.abs(a - a.swapaxes(-1, -2).conj()).max(initial=0.0)
     if dev > HERMITIAN_ATOL:
         raise NonHermitianError(f"matrix deviates from Hermitian symmetry by {dev:.3e} > {HERMITIAN_ATOL:.1e}")
-    return a
-
-
-def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decompose a Hermitian matrix of dimension <= 8, or a stack (..., n, n) of them.
-
-    Backed by LAPACK via numpy.linalg.eigh, one call for the whole stack.
-    Returns numpy's pair (w, v): real eigenvalues w of shape (..., n),
-    ascending along the last axis, and orthonormal eigenvector columns v of
-    shape (..., n, n), column i paired with w[..., i], with the arbitrary
-    phase LAPACK returns (every consumer forms |v><v| or V diag(w) V^H,
-    which do not depend on it).
-    """
-    a = require_hermitian(a)
-    if a.shape[-1] > MAX_DIM:
-        raise DimensionMismatchError(f"kernel is limited to dim <= {MAX_DIM}, got {a.shape[-1]}")
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

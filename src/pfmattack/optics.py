@@ -9,6 +9,7 @@ phase modulator that encodes one of four phases k*delta on time mode c, and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +18,19 @@ from .errors import DomainError
 
 #: Largest admissible rotator deviation (5 degrees; practical mirrors are <= 1 degree).
 EPSILON_MAX = np.pi / 36
+#: float first: a float (numpy's float64 included) passes without the slower abstract-class check
+_REAL = (float, numbers.Real)
 
 
 @dataclass(frozen=True)
 class FaradayMirror:
-    """Faraday rotator at angle pi/4 + epsilon followed by an ordinary mirror."""
+    """Faraday rotator at angle pi/4 + epsilon followed by an ordinary mirror; epsilon is real."""
 
     epsilon: float
 
     def __post_init__(self):
+        if not isinstance(self.epsilon, _REAL):
+            raise DomainError(f"epsilon must be a real number, got {self.epsilon!r}")
         if not abs(self.epsilon) <= EPSILON_MAX:
             raise DomainError(
                 f"|epsilon| must be <= {EPSILON_MAX:.6f} rad (5 deg), got {self.epsilon}"
@@ -34,11 +39,16 @@ class FaradayMirror:
 
 @dataclass(frozen=True)
 class BirefringentChannel:
-    """Fiber section with eigenmode rotation theta_prime and propagation phases phi_o, phi_e."""
+    """Fiber section with eigenmode rotation theta_prime and propagation phases phi_o, phi_e (finite, real)."""
 
     theta_prime: float
     phi_o: float
     phi_e: float
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (isinstance(value, _REAL) and np.isfinite(value)):
+                raise DomainError(f"{name} must be a finite real number, got {value}")
 
 
 def rotator_mirror_product(theta: float) -> np.ndarray:
@@ -64,36 +74,31 @@ def phase_modulator(phase: float) -> np.ndarray:
     return np.diag([np.exp(1j * phase), 1.0 + 0.0j])
 
 
-def channel_matrix(ch: BirefringentChannel, direction: str = "forward") -> np.ndarray:
-    """Jones matrix of the birefringent fiber for one pass.
+def channel_matrix(ch: BirefringentChannel) -> np.ndarray:
+    """Jones matrix of one pass through the birefringent fiber.
 
-    Forward propagation rotates into the eigenmode basis by +theta_prime,
-    applies diag(e^{i phi_o}, e^{i phi_e}) and rotates back; the backward pass
-    uses -theta_prime. The result is unitary for any parameters.
+    Rotates into the eigenmode basis by theta_prime, applies
+    diag(e^{i phi_o}, e^{i phi_e}) and rotates back. The return pass is the
+    same section seen with -theta_prime. The result is unitary for any
+    parameters.
     """
-    if direction == "forward":
-        sign = 1.0
-    elif direction == "backward":
-        sign = -1.0
-    else:
-        raise DomainError(f"direction must be 'forward' or 'backward', got {direction!r}")
     c, s = np.cos(ch.theta_prime), np.sin(ch.theta_prime)
-    rot_in = np.array([[c, -sign * s], [sign * s, c]], dtype=complex)
+    rot_in = np.array([[c, -s], [s, c]], dtype=complex)
     phases = np.diag([np.exp(1j * ch.phi_o), np.exp(1j * ch.phi_e)])
-    rot_out = np.array([[c, sign * s], [-sign * s, c]], dtype=complex)
-    return rot_in @ phases @ rot_out
+    return rot_in @ phases @ rot_in.T
 
 
-def verify_compensation(ch: BirefringentChannel, fm: FaradayMirror | None = None) -> float:
+def verify_compensation(ch: BirefringentChannel, fm: FaradayMirror) -> float:
     """Frobenius residual of the round-trip compensation identity.
 
     || T(-theta') . M . T(theta') - e^{i(phi_o + phi_e)} . M ||_F for mirror
-    matrix M. With the ideal mirror (fm=None) the identity holds exactly, so
-    the residual is numerical noise (<= 1e-10). With an imperfect mirror the
-    identity breaks and the residual is strictly positive.
+    matrix M. With the ideal mirror FaradayMirror(0.0) the identity holds
+    exactly, so the residual is numerical noise (<= 1e-10). With an imperfect
+    mirror the identity breaks and the residual is strictly positive.
     """
-    m = fm_matrix(FaradayMirror(0.0) if fm is None else fm)
-    lhs = channel_matrix(ch, "backward") @ m @ channel_matrix(ch, "forward")
+    m = fm_matrix(fm)
+    back = BirefringentChannel(-ch.theta_prime, ch.phi_o, ch.phi_e)
+    lhs = channel_matrix(back) @ m @ channel_matrix(ch)
     rhs = np.exp(1j * (ch.phi_o + ch.phi_e)) * m
     return float(np.linalg.norm(lhs - rhs))
 
@@ -110,7 +115,7 @@ def round_trip(fm: FaradayMirror, k: int, delta: float) -> tuple[np.ndarray, np.
     if k not in (0, 1, 2, 3):
         raise DomainError(f"k must be in 0..3, got {k!r}")
     if not 0.0 <= delta <= np.pi / 2:
-        raise DomainError(f"delta must lie in [0, pi/2], got {delta!r}")
+        raise DomainError(f"delta must lie in [0, pi/2], got {delta}")
     s, c = np.sin(2 * fm.epsilon), np.cos(2 * fm.epsilon)
     phase = np.exp(1j * k * delta)
     out_c = -phase * np.array([s * phase, c], dtype=complex)

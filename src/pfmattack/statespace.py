@@ -10,7 +10,6 @@ epsilon = 0, computed on first access.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,12 +17,10 @@ import numpy as np
 
 from .errors import DomainError
 from .numkernel import DEFAULT_RANK_TOL
-from .optics import EPSILON_MAX
+from .optics import _REAL, EPSILON_MAX
 
 _SQRT2 = np.sqrt(2.0)
 _K = np.arange(4)
-#: float first: a float (numpy's float64 included) passes without the slower abstract-class check
-_REAL = (float, numbers.Real)
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ def bb84_ensemble(delta: float) -> AttackEnsemble:
     return AttackEnsemble(0.0, delta, 2)
 
 
-def span_dimension(ens: AttackEnsemble, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank of the state family: singular values above tol * sigma_max."""
+def span_dimension(ens: AttackEnsemble) -> int:
+    """Numerical rank of the state family: singular values above DEFAULT_RANK_TOL (1e-10) * sigma_max."""
     sigma = np.linalg.svd(ens.states.T, compute_uv=False)
-    return int(np.count_nonzero(sigma > tol * sigma[0]))
+    return int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))

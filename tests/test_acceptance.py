@@ -24,7 +24,7 @@ from pfmattack.attack import (
 )
 from pfmattack.mcoracle import run_oracle, simulate_intercept_resend
 from pfmattack.numkernel import hermitian_eig
-from pfmattack.optics import BirefringentChannel, verify_compensation
+from pfmattack.optics import BirefringentChannel, FaradayMirror, verify_compensation
 from pfmattack.statespace import bb84_ensemble, build_ensemble, span_dimension
 
 DEG = np.pi / 180
@@ -51,7 +51,7 @@ def test_criterion_1_compensation_identity():
     worst = 0.0
     for _ in range(1000):
         channel = BirefringentChannel(*rng.uniform(-np.pi, np.pi, 3))
-        worst = max(worst, verify_compensation(channel))
+        worst = max(worst, verify_compensation(channel, FaradayMirror(0.0)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
     assert check("1", ok, f"worst residual {worst:.2e} over 1000 channels in {elapsed:.2f}s")
@@ -61,9 +61,9 @@ def test_criterion_2_span_dimension():
     ok = True
     for eps_deg in (-1.0, -0.5, -0.1, 0.1, 0.5, 1.0):
         for delta in (np.pi / 8, np.pi / 4, np.pi / 2):
-            ok &= span_dimension(build_ensemble(eps_deg * DEG, delta), tol=1e-10) == 3
+            ok &= span_dimension(build_ensemble(eps_deg * DEG, delta)) == 3
     for delta in (np.pi / 8, np.pi / 4, np.pi / 2):
-        ok &= span_dimension(build_ensemble(0.0, delta), tol=1e-10) == 2
+        ok &= span_dimension(build_ensemble(0.0, delta)) == 2
     assert check("2", ok, "span = 3 off the singular point, 2 at epsilon = 0")
 
 

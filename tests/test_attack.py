@@ -49,11 +49,10 @@ def test_anchor_one_degree_half_pi():
     assert abs(report.max_fiber_km - 124.0) <= 2.0
     assert strat.dim == 3
     # spectrum of the conjugated error operator: {(1 - sqrt2/2)/2, 1/2, (1 + sqrt2/2)/2}
-    from pfmattack.numkernel import pinv_sqrt
-
     rho_k = ens.states[:, :, None] * ens.states[:, None, :].conj()
     error_op_0 = sum(ERROR_WEIGHTS[k] * rho_k[k] for k in range(4))
-    ris = pinv_sqrt(rho_k.sum(axis=0))
+    w, v = np.linalg.eigh(rho_k.sum(axis=0))  # rho has full rank at 1 deg
+    ris = (v / np.sqrt(w)) @ v.conj().T
     conjugated = ris @ error_op_0 @ ris
     spectrum, _ = hermitian_eig((conjugated + conjugated.conj().T) / 2)
     assert np.allclose(spectrum, [LAMBDA_HALF_PI, 0.5, (1 + np.sqrt(2) / 2) / 2], atol=1e-10)

@@ -58,6 +58,39 @@ def test_signed_pi_fraction_is_a_channel_angle(capsys):
     assert float(parse_kv_output(outputs[0])["residual_epsilon_fm"].split()[0]) > 1e-3
 
 
+def test_channel_angle_help_shows_the_equals_form(monkeypatch, capsys):
+    """argparse reads '--phi-o -pi/4' as two options, so each channel flag's help shows the '=' form."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("compensation", "--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("theta-prime", "phi-o", "phi-e"):
+        assert f"a negative pi/N takes '=', as in --{flag}=-pi/4" in out
+
+
+def test_non_finite_degrees_are_a_usage_error(tmp_path, capsys):
+    """nan or inf degrees, or a range whose width overflows, exit 2 before any point is computed."""
+    for bad in ("nan", "-inf", "1e400"):
+        with pytest.raises(argparse.ArgumentTypeError, match="is not a finite number"):
+            cli.parse_degrees(bad)
+    out = tmp_path / "sweep.csv"
+    for argv in (
+        ("sweep", "--epsilon-deg", "nan,1", "--delta", "pi/2", "--out", str(out)),
+        ("sweep", "--epsilon-deg", "1:inf:3", "--delta", "pi/2", "--out", str(out)),
+        ("sweep", "--epsilon-deg=-1e308:1e308:3", "--delta", "pi/2", "--out", str(out)),
+        ("sweep", "--epsilon-deg", "1", "--delta=-1e308:1e308:3", "--out", str(out)),
+        ("eval", "--epsilon-deg", "nan", "--delta", "pi/2"),
+        ("verify", "--epsilon-deg", "inf", "--delta", "pi/2"),
+        ("compensation", "--epsilon-deg=-inf"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_degree_grid():
     assert cli.parse_degree_grid("0.5,1") == [0.5, 1.0]
     grid = cli.parse_degree_grid("0.1:1:10")

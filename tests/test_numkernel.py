@@ -11,8 +11,8 @@ from pfmattack.errors import (
 from pfmattack.numkernel import (
     hermitian_eig,
     pinv_sqrt,
-    require_hermitian,
 )
+from pfmattack.statespace import build_ensemble
 
 
 def random_hermitian(rng, dim):
@@ -63,11 +63,9 @@ def test_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_eig_rejects_non_square_and_oversized():
+def test_eig_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         hermitian_eig(np.zeros((2, 3)))
-    with pytest.raises(DimensionMismatchError):
-        hermitian_eig(np.eye(9))
 
 
 def test_eig_no_convergence_is_translated(monkeypatch):
@@ -81,9 +79,9 @@ def test_eig_no_convergence_is_translated(monkeypatch):
 
 def test_require_hermitian_tolerance():
     a = np.array([[1.0, 1e-13], [0.0, 1.0]])
-    require_hermitian(a)  # within 1e-12
+    hermitian_eig(a)  # within 1e-12
     with pytest.raises(NonHermitianError):
-        require_hermitian(np.array([[1.0, 1e-10], [0.0, 1.0]]))
+        hermitian_eig(np.array([[1.0, 1e-10], [0.0, 1.0]]))
 
 
 def test_pinv_sqrt_identity_and_diagonal():
@@ -120,6 +118,18 @@ def test_pinv_sqrt_zero_matrix():
     assert np.allclose(pinv_sqrt(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
+def test_pinv_sqrt_of_rank_deficient_rho():
+    """At epsilon = 0 the density operator has rank 2 and its pseudo-inverse
+    square root reproduces a trace-2 orthogonal projector."""
+    states = build_ensemble(0.0, np.pi / 2).states
+    rho = states.T @ states.conj()
+    b = pinv_sqrt(rho, rank_tol=1e-10)
+    p = b @ rho @ b
+    assert np.linalg.norm(p @ p - p) <= 1e-9
+    assert np.linalg.norm(p - p.conj().T) <= 1e-9
+    assert abs(np.trace(p).real - 2.0) <= 1e-9
+
+
 def test_eig_stack_matches_per_matrix_calls():
     """A (5, 4, 4) stack is decomposed in one call, matching each matrix decomposed alone."""
     rng = np.random.default_rng(11)
@@ -138,15 +148,11 @@ def test_eig_stack_matches_per_matrix_calls():
 
 
 def test_eig_stack_guards():
-    """One non-Hermitian member fails the whole stack; MAX_DIM applies to the last axis."""
+    """One non-Hermitian member fails the whole stack; the square check applies to the last two axes."""
     rng = np.random.default_rng(12)
     stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
     stack[2, 0, 1] += 1e-9
     with pytest.raises(NonHermitianError):
         hermitian_eig(stack)
-    with pytest.raises(NonHermitianError):
-        require_hermitian(stack)
-    with pytest.raises(DimensionMismatchError):
-        hermitian_eig(np.stack([np.eye(9), np.eye(9)]))
     with pytest.raises(DimensionMismatchError):
         hermitian_eig(np.zeros((2, 3, 4)))

@@ -59,15 +59,35 @@ def test_mirror_construction_bound():
         FaradayMirror(np.deg2rad(np.float64(10.0)))
 
 
+def test_mirror_refuses_non_real_epsilon():
+    """A complex epsilon inside the bound used to give a plausible, silently wrong residual."""
+    for bad in (0.01j, np.complex128(0.01), 0.01 + 0j):
+        with pytest.raises(DomainError, match="epsilon must be a real number"):
+            FaradayMirror(bad)
+    assert FaradayMirror(np.float32(0.01)).epsilon == np.float32(0.01)
+
+
+def test_channel_refuses_non_finite_or_non_real_angles():
+    """A nan angle used to give a nan residual; each angle is checked by name."""
+    for field in range(3):
+        for bad, shown in ((np.nan, "nan"), (np.float64(np.inf), "inf"), (-np.inf, "-inf"), (0.1j, "0.1j")):
+            angles = [0.1, 0.2, 0.3]
+            angles[field] = bad
+            name = ("theta_prime", "phi_o", "phi_e")[field]
+            with pytest.raises(DomainError, match=rf"^{name} must be a finite real number, got {shown}$"):
+                BirefringentChannel(*angles)
+    BirefringentChannel(1, np.float64(2.0), -3.5)
+
+
 def test_channel_trivial_is_identity():
-    t = channel_matrix(BirefringentChannel(0.0, 0.0, 0.0), "forward")
+    t = channel_matrix(BirefringentChannel(0.0, 0.0, 0.0))
     assert np.allclose(t, np.eye(2), atol=1e-15)
 
 
 def test_channel_forward_example():
     """theta' = pi/4 with a pi ordinary-ray phase swaps and negates the components."""
     ch = BirefringentChannel(np.pi / 4, np.pi, 0.0)
-    got = channel_matrix(ch, "forward")
+    got = channel_matrix(ch)
     c = s = np.sqrt(0.5)
     rot_in = np.array([[c, -s], [s, c]])
     rot_out = np.array([[c, s], [-s, c]])
@@ -77,30 +97,33 @@ def test_channel_forward_example():
 
 
 def test_channel_unitary_and_direction():
+    """Both passes are unitary; the return pass, the section seen with -theta', is R(theta')^T D R(theta')."""
     rng = np.random.default_rng(1)
     for _ in range(100):
-        ch = BirefringentChannel(*rng.uniform(-np.pi, np.pi, 3))
-        for direction in ("forward", "backward"):
-            t = channel_matrix(ch, direction)
+        theta, phi_o, phi_e = rng.uniform(-np.pi, np.pi, 3)
+        back = channel_matrix(BirefringentChannel(-theta, phi_o, phi_e))
+        for t in (channel_matrix(BirefringentChannel(theta, phi_o, phi_e)), back):
             assert np.linalg.norm(t.conj().T @ t - np.eye(2)) <= 1e-12
-    with pytest.raises(DomainError):
-        channel_matrix(BirefringentChannel(0.1, 0.2, 0.3), "sideways")
+        c, s = np.cos(theta), np.sin(theta)
+        rot = np.array([[c, -s], [s, c]])
+        expected = rot.T @ np.diag([np.exp(1j * phi_o), np.exp(1j * phi_e)]) @ rot
+        assert np.abs(back - expected).max() <= 1e-15
 
 
 def test_compensation_trivial_channel():
-    assert verify_compensation(BirefringentChannel(0.0, 0.0, 0.0)) == 0.0
+    assert verify_compensation(BirefringentChannel(0.0, 0.0, 0.0), FaradayMirror(0.0)) == 0.0
 
 
 def test_compensation_holds_for_random_channels():
     rng = np.random.default_rng(12)
     for _ in range(1000):
         ch = BirefringentChannel(*rng.uniform(-np.pi, np.pi, 3))
-        assert verify_compensation(ch) <= 1e-10
+        assert verify_compensation(ch, FaradayMirror(0.0)) <= 1e-10
 
 
 def test_compensation_breaks_with_imperfect_mirror():
     ch = BirefringentChannel(0.7, 1.1, 2.3)
-    assert verify_compensation(ch) <= 1e-10
+    assert verify_compensation(ch, FaradayMirror(0.0)) <= 1e-10
     residual = verify_compensation(ch, FaradayMirror(1 * DEG))
     assert residual > 1e-3
     assert abs(residual - 0.05573624426363207) <= 1e-9
@@ -146,7 +169,7 @@ def test_round_trip_rejects_bad_inputs():
     fm = FaradayMirror(1 * DEG)
     with pytest.raises(DomainError):
         round_trip(fm, 4, np.pi / 2)
-    with pytest.raises(DomainError):
-        round_trip(fm, 1, -0.1)
+    with pytest.raises(DomainError, match=r"got -0\.1$"):
+        round_trip(fm, 1, np.float64(-0.1))
     with pytest.raises(DomainError):
         round_trip(fm, 1, np.pi / 2 + 0.1)

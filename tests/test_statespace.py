@@ -171,17 +171,3 @@ def test_ensembles_are_immutable():
     ens = build_ensemble(1 * DEG, np.pi / 2)
     with pytest.raises(ValueError):
         ens.states[0, 0] = 1.0
-
-
-def test_pinv_sqrt_of_rank_deficient_rho():
-    """At epsilon = 0 the density operator has rank 2 and its pseudo-inverse
-    square root reproduces a trace-2 orthogonal projector."""
-    from pfmattack.numkernel import pinv_sqrt
-
-    states = build_ensemble(0.0, np.pi / 2).states
-    rho = states.T @ states.conj()
-    b = pinv_sqrt(rho, rank_tol=1e-10)
-    p = b @ rho @ b
-    assert np.linalg.norm(p @ p - p) <= 1e-9
-    assert np.linalg.norm(p - p.conj().T) <= 1e-9
-    assert abs(np.trace(p).real - 2.0) <= 1e-9
