@@ -295,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid sweep emitted as CSV")
     p_sweep.add_argument(
         "--epsilon-deg", type=parse_degree_grid, default=[0.0],
-        help="epsilon grid in degrees: comma list or start:stop:count",
+        help="epsilon grid in degrees: comma list or start:stop:count; a grid that starts with '-' takes '=', "
+        "as in --epsilon-deg=-1:1:5",
     )
     p_sweep.add_argument(
         "--delta", type=parse_angle_grid, required=True,

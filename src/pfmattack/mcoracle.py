@@ -7,14 +7,18 @@ random basis, and rounds are sifted on the sender/receiver basis match. The
 estimates converge on the closed forms reported by `attack.evaluate`, which
 is the point: the two paths share no code beyond the POVM elements themselves.
 
-Rounds are drawn CHUNK_TRIALS at a time and only their counts are kept, so an
-oracle run holds the same few megabytes at any trial count. A round whose
-uniform draw u is at least max_k p_conclusive[k] is blocked whatever its
-state and is only counted for its state; the receiver's law runs on the other
-rounds alone. A run thus costs about the two draws per round plus work in
-proportion to the conclusive fraction. The per-round scalar reference that
-this vectorized law is checked against lives in the test suite
-(tests/oracle_reference.py).
+A round is a candidate when its uniform draw u is below p_max = max_k
+p_conclusive[k]; every other round is blocked whatever its state. A round's
+state and its u are independent, so a run draws the number of candidates
+from one binomial, simulates only those (each with a state drawn uniformly
+and u uniform on [0, p_max)), and splits the blocked rest over the four
+states with one multinomial. The per-state counts have exactly the law of a
+per-round draw. A run thus costs about n_trials * p_max simulated rounds plus
+the two draws; seeded `run_oracle` numbers differ from versions that drew
+every round. Candidates are drawn CHUNK_TRIALS at a time and only their
+counts are kept, so an oracle run holds the same fraction of a megabyte at
+any trial count. The per-round scalar reference that this vectorized law is
+checked against lives in the test suite (tests/oracle_reference.py).
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .statespace import AttackEnsemble
 #: Below this many trials the binomial error bars are too wide to be useful.
 MIN_TRIALS = 10_000
 
-#: Rounds drawn per chunk; an oracle run's memory is proportional to this, not to n_trials.
-CHUNK_TRIALS = 1 << 16
+#: Candidate rounds drawn per chunk; an oracle run's memory is proportional to this, not to n_trials.
+CHUNK_TRIALS = 1 << 14
 
 _PROB_ATOL = 1e-9
 
@@ -85,10 +89,16 @@ def _as_int(name: str, value) -> int:
 
 
 def check_run(n_trials, seed) -> tuple[int, int]:
-    """(n_trials, seed) as ints, refused before any draw unless n_trials >= MIN_TRIALS and seed >= 0 are integers."""
+    """(n_trials, seed) as ints, refused with DomainError before any draw unless in range.
+
+    Both must be integers, with MIN_TRIALS <= n_trials < 2**63 (the binomial
+    draw of the candidate rounds takes an int64) and seed >= 0.
+    """
     n_trials, seed = _as_int("n_trials", n_trials), _as_int("seed", seed)
     if n_trials < MIN_TRIALS:
         raise DomainError(f"below minimum trial count: {n_trials} < {MIN_TRIALS}")
+    if n_trials > np.iinfo(np.int64).max:
+        raise DomainError(f"trial count {n_trials} exceeds 2**63 - 1")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return n_trials, seed
@@ -116,28 +126,31 @@ def _receive(fair: np.ndarray, resend: np.ndarray, conclusive: np.ndarray) -> np
 
 
 def _stream(
-    n_trials: int, seed: int, rounds: Callable[[np.random.Generator, np.ndarray], np.ndarray]
+    n_trials: int,
+    seed: int,
+    p_candidate: float,
+    rounds: Callable[[np.random.Generator, np.ndarray], np.ndarray],
 ) -> OracleEstimate:
-    """Run n_trials rounds CHUNK_TRIALS at a time and keep only their per-state counts.
+    """Count n_trials rounds per state and level, simulating only the candidates, CHUNK_TRIALS at a time.
 
-    Each chunk draws one byte per round (fair, see `_receive`), whose low two
-    bits count the round for its sender state. rounds(rng, fair) draws
-    whatever else the round law needs and returns the codes of the candidate
-    rounds, those that can be conclusive (see `_receive`); every other round
-    is blocked.
+    A round is a candidate with probability p_candidate, whatever its state;
+    the others are blocked (level 0). The number of candidates is one
+    binomial draw, skipped when p_candidate >= 1. Each chunk of candidates
+    draws one byte per round (fair, see `_receive`), and rounds(rng, fair)
+    draws whatever else the round law needs and returns the round codes (see
+    `_receive`). One multinomial spreads the blocked rounds over the states.
     """
     rng = np.random.default_rng(seed)
-    odd = high = both = 0  # rounds whose state k has bit 0 set, bit 1 set, both (k = 3)
+    n_cand = n_trials if p_candidate >= 1 else int(rng.binomial(n_trials, p_candidate))
     counts = np.zeros(16, dtype=np.int64)
-    for start in range(0, n_trials, CHUNK_TRIALS):
-        fair = rng.integers(0, 256, min(CHUNK_TRIALS, n_trials - start), dtype=np.uint8)
-        odd += np.count_nonzero(fair & 1)
-        high += np.count_nonzero(fair & 2)
-        both += np.count_nonzero((fair & 3) == 3)
+    for start in range(0, n_cand, CHUNK_TRIALS):
+        fair = rng.integers(0, 256, min(CHUNK_TRIALS, n_cand - start), dtype=np.uint8)
         counts += np.bincount(rounds(rng, fair), minlength=16)
-    trials = tuple(int(c) for c in (n_trials - odd - high + both, odd - both, high - both, both))
+    counts[:4] += rng.multinomial(n_trials - n_cand, [0.25] * 4)
+    by_level = counts.reshape(4, 4)  # [level, state]
+    trials = tuple(int(c) for c in by_level.sum(axis=0))
     # rows of at_least, by state: rounds that reached at least level 1, 2, 3; level 0 (every round) is trials
-    at_least = np.cumsum(counts.reshape(4, 4)[:0:-1], axis=0)[::-1]
+    at_least = np.cumsum(by_level[:0:-1], axis=0)[::-1]
     conclusive, sifted, errors = (tuple(int(c) for c in row) for row in at_least)
     n_conclusive, n_sifted, n_errors = sum(conclusive), sum(sifted), sum(errors)
 
@@ -179,19 +192,18 @@ def run_oracle(ens: AttackEnsemble, strat: PovmStrategy, n_trials: int, seed: in
     prob_table = np.stack([outcome_probabilities(v, strat) for v in ens.states])
     p_0 = prob_table[:, 0]
     p_conclusive = p_0 + prob_table[:, 1]
-    p_max = p_conclusive.max()
+    # a round with u >= p_max is blocked whatever its state; the binomial takes no p above 1
+    p_max = min(float(p_conclusive.max()), 1.0)
 
     def rounds(rng: np.random.Generator, fair: np.ndarray) -> np.ndarray:
         u = rng.random(fair.size)  # float64, so that p_succ far below 1/n_trials stays resolved
-        # u >= p_max blocks a round whatever its state, so only the others meet the receiver
-        candidates = np.flatnonzero(u < p_max)
-        fair, u = fair[candidates], u[candidates]
+        u *= p_max  # a candidate's u is uniform on [0, p_max)
         k = (fair & 3).astype(np.intp)  # gathers index faster with intp than with uint8
         # M_0 resends state 0, M_3 resends state 3
         resend = (u >= p_0[k]).view(np.uint8) * np.uint8(3)
         return _receive(fair, resend, u < p_conclusive[k])
 
-    return _stream(n_trials, seed, rounds)
+    return _stream(n_trials, seed, p_max, rounds)
 
 
 def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
@@ -210,4 +222,4 @@ def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
         resend = np.where((alice ^ guess) & 1, guess, alice)
         return _receive(fair, resend, np.ones(fair.size, dtype=bool))
 
-    return _stream(n_trials, seed, rounds)
+    return _stream(n_trials, seed, 1.0, rounds)

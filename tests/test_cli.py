@@ -69,6 +69,15 @@ def test_channel_angle_help_shows_the_equals_form(monkeypatch, capsys):
         assert f"a negative pi/N takes '=', as in --{flag}=-pi/4" in out
 
 
+def test_epsilon_grid_help_shows_the_equals_form(monkeypatch, capsys):
+    """argparse reads '--epsilon-deg -1:1:5' as two options, so the sweep's epsilon help shows the '=' form."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--help")
+    assert exc.value.code == 0
+    assert "a grid that starts with '-' takes '=', as in --epsilon-deg=-1:1:5" in capsys.readouterr().out
+
+
 def test_non_finite_degrees_are_a_usage_error(tmp_path, capsys):
     """nan or inf degrees, or a range whose width overflows, exit 2 before any point is computed."""
     for bad in ("nan", "-inf", "1e400"):
@@ -316,6 +325,12 @@ def test_verify_below_minimum_trials(capsys):
     assert "below minimum trial count" in capsys.readouterr().err
 
 
+def test_verify_trial_count_beyond_int64_is_a_domain_error(capsys):
+    """More than 2**63 - 1 trials, which the oracle's binomial draw cannot take, exits 2 with a message."""
+    assert run_cli("verify", "--epsilon-deg", "1", "--delta", "pi/2", "--trials", str(10**20)) == 2
+    assert f"error: trial count {10**20} exceeds 2**63 - 1" in capsys.readouterr().err
+
+
 def test_verify_negative_seed_is_a_domain_error(capsys):
     assert run_cli("verify", "--epsilon-deg", "1", "--delta", "pi/2", "--trials", "10000", "--seed", "-1") == 2
     assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
@@ -324,6 +339,7 @@ def test_verify_negative_seed_is_a_domain_error(capsys):
 @pytest.mark.parametrize("flags, message", [
     (("--trials", "5"), "below minimum trial count: 5 < 10000"),
     (("--trials", "10000", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("--trials", str(10**20)), f"trial count {10**20} exceeds 2**63 - 1"),
 ])
 def test_sweep_checks_oracle_flags_before_any_point(tmp_path, monkeypatch, capsys, flags, message):
     """A bad --trials or --seed is a usage error, reported before the first point is built."""

@@ -146,6 +146,22 @@ def test_run_oracle_minimum_trials(anchor):
         run_oracle(ens, strat, MIN_TRIALS - 1, seed=1)
 
 
+def test_trial_counts_beyond_int64_are_refused_before_any_draw(anchor, monkeypatch):
+    """The candidates' binomial takes at most 2**63 - 1 trials: more is a DomainError, not an OverflowError."""
+    ens, strat, _ = anchor
+
+    def no_draw(*args):
+        raise AssertionError("a round was drawn")
+
+    monkeypatch.setattr(mcoracle, "_stream", no_draw)
+    for bad in (2**63, 10**20):
+        with pytest.raises(DomainError, match="exceeds 2\\*\\*63 - 1"):
+            run_oracle(ens, strat, bad, seed=1)
+        with pytest.raises(DomainError, match="exceeds 2\\*\\*63 - 1"):
+            simulate_intercept_resend(bad, seed=1)
+    assert mcoracle.check_run(2**63 - 1, 0) == (2**63 - 1, 0)
+
+
 def test_run_oracle_refuses_a_strategy_built_for_another_point(anchor, monkeypatch):
     """A strategy built at (1 deg, pi/2) is refused at another point, before any round is drawn."""
     _, strat, _ = anchor
@@ -280,7 +296,7 @@ def test_oracle_memory_does_not_grow_with_trials(anchor):
         finally:
             tracemalloc.stop()
 
-    assert peak(4 * 10**6) - peak(2 * 10**5) < 2 * 2**20
+    assert max(peak(4 * 10**6), peak(10**9)) - peak(2 * 10**5) < 2 * 2**20
 
 
 def test_outcome_table_is_absolutely_exact():
@@ -307,23 +323,23 @@ def test_outcome_table_is_absolutely_exact():
 GOLDEN_TRIALS = 10**6 + 17
 GOLDEN = {
     ("pfm", 1.0, np.pi / 2, 11): (
-        1000017, 0.15511811023622046, 0.002475957908715552, 0.01015844872034647, 4.969693707659849e-05, 11,
-        2476, 1270, 197, (249250, 250345, 250341, 250081), (1071, 192, 183, 1030), (552, 89, 100, 529),
-        (42, 53, 64, 38),
+        1000017, 0.14331983805668017, 0.0024179588946987903, 0.00997077762962056, 4.911284317028637e-05, 11,
+        2418, 1235, 177, (250296, 249740, 249762, 250219), (1037, 183, 156, 1042), (520, 83, 82, 550),
+        (41, 49, 48, 39),
     ),
     ("pfm", 0.1, np.pi / 8, 12): (
-        1000017, 0.0, 1.99996600057799e-06, 0.0, 1.414188106985048e-06, 12,
-        2, 2, 0, (250409, 250020, 249434, 250154), (1, 0, 0, 1), (1, 0, 0, 1), (0, 0, 0, 0),
+        1000017, float("nan"), 0.0, float("nan"), 0.0, 12,
+        0, 0, 0, (250849, 249623, 249491, 250054), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
     ),
     ("pfm", 5.0, np.pi / 2, 13): (
-        1000017, 0.14478068216947756, 0.058160011279808244, 0.0020622940093278407, 0.00023404378472276715, 13,
-        58161, 29113, 4215, (250288, 250227, 249896, 249606), (24749, 4348, 4197, 24867),
-        (12395, 2157, 2141, 12420), (864, 1200, 1222, 929),
+        1000017, 0.1458597634150523, 0.058157011330807376, 0.0020668137993154778, 0.00023403812127206577, 13,
+        58158, 29165, 4254, (249827, 250221, 249448, 250521), (24805, 4284, 4269, 24800),
+        (12463, 2148, 2188, 12366), (893, 1232, 1253, 876),
     ),
     ("remap", 0.0, np.pi / 4, 14): (
-        1000017, 0.17637620551335667, 0.23445801421375836, 0.0011134641150157142, 0.00042365599553158235, 14,
-        234462, 117170, 20666, (249914, 249442, 250117, 250544), (89691, 27207, 27135, 90429),
-        (44778, 13719, 13543, 45130), (3397, 6905, 6911, 3453),
+        1000017, 0.18007278955255834, 0.2338660242775873, 0.0011244412205014633, 0.00042328437377482273, 14,
+        233870, 116775, 21028, (249783, 250363, 249888, 249983), (89718, 27291, 27294, 89567),
+        (44731, 13654, 13661, 44729), (3464, 7074, 7020, 3470),
     ),
 }
 GOLDEN_INTERCEPT_RESEND = (
@@ -335,11 +351,17 @@ GOLDEN_INTERCEPT_RESEND = (
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: f"{case[0]}-{case[1]}deg-{case[2]:.4f}")
 def test_golden_counts(case):
-    """Seeded estimates are pinned field by field: a faster round law may not move a single count."""
+    """This version's seeded stream, pinned field by field: a faster round law may not move a single count.
+
+    The stream draws the number of candidate rounds first, so its numbers
+    differ from those of versions that drew every round. A run with no
+    sifted round has nan e_B and stderr, which only a nan-aware comparison
+    can pin; every other field is compared exactly.
+    """
     kind, epsilon_deg, delta, seed = case
     ens = bb84_ensemble(delta) if kind == "remap" else build_ensemble(epsilon_deg * DEG, delta)
     estimate = run_oracle(ens, build_suboptimal_povm(ens), GOLDEN_TRIALS, seed)
-    assert dataclasses.astuple(estimate) == GOLDEN[case]
+    np.testing.assert_equal(dataclasses.astuple(estimate), GOLDEN[case])
 
 
 def test_golden_counts_intercept_resend():
@@ -377,12 +399,10 @@ def _reference_counts(ens, strat, n, seed):
     return counts
 
 
-@pytest.mark.parametrize("scale", [0.3, 1.0])
-def test_tied_and_certain_conclusive_rates_match_the_reference(scale):
-    """The candidate filter at its edges: max_k p_conclusive attained by two states, at 0.3 and at 1.
+def _tied_strategy(scale):
+    """(ensemble, strategy) whose M_0 + M_3 is scale times the projector onto the span of states 0 and 1.
 
-    M_0 + M_3 is scale times the projector onto the span of states 0 and 1 of
-    a 3-dimensional ensemble, so those two states are conclusive with
+    The ensemble is 3-dimensional, so states 0 and 1 are conclusive with
     probability scale and states 2 and 3 less often.
     """
     ens = build_ensemble(5 * DEG, np.pi / 2)
@@ -390,9 +410,16 @@ def test_tied_and_certain_conclusive_rates_match_the_reference(scale):
     q, _ = np.linalg.qr(v[:2].T)
     span = q @ q.conj().T
     first = np.outer(v[0], v[0].conj())
-    strat = dataclasses.replace(
+    return ens, dataclasses.replace(
         _fake_strategy(scale * first, scale * (span - first), np.eye(3) - scale * span), ensemble=ens
     )
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0])
+def test_tied_and_certain_conclusive_rates_match_the_reference(scale):
+    """The candidate filter at its edges: max_k p_conclusive attained by two states, at 0.3 and at 1."""
+    ens, strat = _tied_strategy(scale)
+    v = ens.states
     p_conclusive = np.array([outcome_probabilities(s, strat)[:2].sum() for s in v])
     assert np.allclose(p_conclusive[:2], scale, rtol=0, atol=1e-15) and p_conclusive[2:].max() < 0.95 * scale
 
@@ -411,3 +438,39 @@ def test_tied_and_certain_conclusive_rates_match_the_reference(scale):
     # states conclusive with certainty are conclusive on every round
     if scale == 1.0:
         assert tuple(oracle[1, :2]) == tuple(oracle[0, :2])
+
+
+@pytest.mark.parametrize("case", ["pfm-1deg", "pfm-5deg", "remap-pi/4", "tied-1.0"])
+def test_pooled_counts_follow_the_exact_outcome_table(case):
+    """Per-state counts pooled over many seeds follow the exact law, level by level.
+
+    For sender state k with outcome probabilities p_b = <v_k|M_b|v_k>: a round
+    is state k with probability 1/4, conclusive given k with p_0 + p_3,
+    sifted given conclusive with 1/2, and an error given sifted with
+    sum_b p_b ERROR_WEIGHTS[(k - b) % 4] / (p_0 + p_3). Each count is checked
+    as a binomial draw on the count of the level before it.
+    """
+    if case == "tied-1.0":
+        ens, strat = _tied_strategy(1.0)
+    else:
+        epsilon_deg = {"pfm-1deg": 1.0, "pfm-5deg": 5.0}.get(case)
+        ens = bb84_ensemble(np.pi / 4) if epsilon_deg is None else build_ensemble(epsilon_deg * DEG, np.pi / 2)
+        strat = build_suboptimal_povm(ens)
+    n_seeds, n_trials = (40, 10**5) if case == "tied-1.0" else (100, 10**6)
+    pooled = np.zeros((4, 4), dtype=np.int64)  # [level, state]
+    for seed in range(n_seeds):
+        e = run_oracle(ens, strat, n_trials, seed)
+        pooled += [e.trials_by_state, e.conclusive_by_state, e.sifted_by_state, e.errors_by_state]
+    assert pooled[0].sum() == n_seeds * n_trials
+
+    table = np.array([outcome_probabilities(v, strat) for v in ens.states])  # [k, (p_0, p_3, p_vac)]
+    p_conclusive = table[:, 0] + table[:, 1]
+    weights = np.array([[ERROR_WEIGHTS[(k - b) % 4] for b in (0, 3)] for k in range(4)])
+    p_error = (table[:, :2] * weights).sum(axis=1) / p_conclusive
+    # each level's probability given the level before it, by state
+    rates = np.array([np.full(4, 0.25), p_conclusive, np.full(4, 0.5), p_error]).clip(0, 1)
+    totals = np.vstack([np.full(4, pooled[0].sum()), pooled[:3]])
+    expected = totals * rates
+    sigma = np.sqrt(totals * rates * (1 - rates))
+    deviation = np.abs(pooled - expected)
+    assert np.all((deviation <= 4.5 * sigma) | (deviation == 0)), (deviation / sigma).round(2)
