@@ -51,40 +51,37 @@ _PENCIL_CACHE_SIZE = 1024
 class PovmStrategy:
     """Three-outcome measurement {M_0, M_3, M_vac} built for one point.
 
-    m_0 and m_3 are the conclusive elements (the implicit M_1 = M_2 = 0 never
-    fire); m_vac = I - m_0 - m_3 is the blocking element. lambda_0/lambda_3
+    elements is the read-only stack [M_0, M_3, M_vac] of shape (3, dim, dim);
+    any other shape raises DimensionMismatchError. M_0 and M_3 are the
+    conclusive elements (the implicit M_1 = M_2 = 0 never fire),
+    M_vac = I - M_0 - M_3 is the blocking element. lambda_0/lambda_3
     are the minimal generalized eigenvalues of (L_0, rho) and (L_3, rho) the
     elements were built from, and x the positivity-boundary scale factor.
     ensemble is the point the strategy was built for; its dim fixes the kind.
     """
 
     ensemble: AttackEnsemble
-    m_0: np.ndarray
-    m_3: np.ndarray
-    m_vac: np.ndarray
+    elements: np.ndarray
     x: float
     lambda_0: float
     lambda_3: float
 
     def __post_init__(self):
-        for arr in (self.m_0, self.m_3, self.m_vac):
-            arr.setflags(write=False)
+        if self.elements.shape != (3, self.dim, self.dim):
+            raise DimensionMismatchError(f"elements shape {self.elements.shape} is not (3, {self.dim}, {self.dim})")
+        self.elements.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.ensemble.dim
 
-    @property
-    def operators(self) -> dict[str, np.ndarray]:
-        return {"M_0": self.m_0, "M_3": self.m_3, "M_vac": self.m_vac}
-
     def validate(self) -> None:
         """Check completeness, positivity and the vacuum boundary; raise on violation (NaN fails them all)."""
-        if not np.linalg.norm(self.m_0 + self.m_3 + self.m_vac - np.eye(self.dim)) <= _COMPLETENESS_TOL:
+        if not np.linalg.norm(self.elements.sum(axis=0) - np.eye(self.dim)) <= _COMPLETENESS_TOL:
             raise DomainError("POVM elements do not sum to the identity")
-        eigs, _ = hermitian_eig(np.array((self.m_0, self.m_3, self.m_vac)))
+        eigs, _ = hermitian_eig(self.elements)
         min_eigs = eigs[:, 0]
-        for label, min_eig in zip(self.operators, min_eigs):
+        for label, min_eig in zip(("M_0", "M_3", "M_vac"), min_eigs):
             if not min_eig >= -_PSD_TOL:
                 raise DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
         if not -_PSD_TOL <= min_eigs[2] <= _VAC_BOUNDARY_MAX:
@@ -201,7 +198,7 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
         )
     m_0, m_3 = (y[:, :, None] * y[:, None, :].conj()) / lmax
     strat = PovmStrategy(
-        ensemble=ens, m_0=m_0, m_3=m_3, m_vac=np.eye(ens.dim) - m_0 - m_3, x=x,
+        ensemble=ens, elements=np.array((m_0, m_3, np.eye(ens.dim) - m_0 - m_3)), x=x,
         lambda_0=lambda_0, lambda_3=lambda_3,
     )
     strat.validate()

@@ -91,6 +91,8 @@ def _parse_grid(token: str, parse_value) -> list[float]:
         return [parse_value(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse grid {token!r}") from None
+    except MemoryError:
+        raise argparse.ArgumentTypeError(f"grid {token!r} has too many points to allocate") from None
 
 
 def parse_angle_grid(token: str) -> list[float]:

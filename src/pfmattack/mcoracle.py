@@ -65,16 +65,18 @@ class OracleEstimate:
     errors_by_state: tuple[int, ...]
 
 
-def outcome_probabilities(state: np.ndarray, strat: PovmStrategy) -> np.ndarray:
-    """Probabilities (p_0, p_3, p_vac) of the three outcomes on a pure state."""
-    state = np.asarray(state, dtype=complex)
-    probs = np.array(
-        [(state.conj() @ op @ state).real for op in (strat.m_0, strat.m_3, strat.m_vac)]
-    )
-    if probs.min() < -_PROB_ATOL:
-        raise NegativeProbabilityError(f"outcome probability {probs.min():.3e} is negative")
-    if abs(probs.sum() - 1.0) > _PROB_ATOL:
-        raise DomainError(f"outcome probabilities sum to {probs.sum()!r}, expected 1")
+def outcome_probabilities(states: np.ndarray, strat: PovmStrategy) -> np.ndarray:
+    """Probabilities (..., 3) of the outcomes M_0, M_3, M_vac on a pure state (d,) or a stack of them (..., d).
+
+    A negative probability raises NegativeProbabilityError, a sum off 1 DomainError; NaN fails both.
+    """
+    states = np.asarray(states, dtype=complex)
+    probs = np.einsum("...i,bij,...j->...b", states.conj(), strat.elements, states).real
+    if not probs.min() >= -_PROB_ATOL:
+        raise NegativeProbabilityError(f"outcome probability {probs.min():.3e} is negative or NaN")
+    sums = probs.sum(axis=-1)
+    if not np.all(np.abs(sums - 1.0) <= _PROB_ATOL):
+        raise DomainError(f"outcome probabilities sum to {sums}, expected 1")
     return np.clip(probs, 0.0, None)
 
 
@@ -189,7 +191,7 @@ def run_oracle(ens: AttackEnsemble, strat: PovmStrategy, n_trials: int, seed: in
     """
     require_built_for(ens, strat)
     n_trials, seed = check_run(n_trials, seed)
-    prob_table = np.stack([outcome_probabilities(v, strat) for v in ens.states])
+    prob_table = outcome_probabilities(ens.states, strat)
     p_0 = prob_table[:, 0]
     p_conclusive = p_0 + prob_table[:, 1]
     # a round with u >= p_max is blocked whatever its state; the binomial takes no p above 1

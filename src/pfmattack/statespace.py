@@ -30,10 +30,10 @@ class AttackEnsemble:
     dim 3 is the imperfect-mirror family (`pfm_states`), dim 2 the bare
     phase-encoded states (`bb84_states`, epsilon = 0 only). The domain,
     real epsilon and delta with |epsilon| <= EPSILON_MAX and
-    0 <= delta <= pi/2, is checked on construction; epsilon = 0 and
-    delta = 0 are accepted (the states are well defined there even though
-    the span collapses), and the attack construction rejects the collapsed
-    cases.
+    0 <= delta <= pi/2 and an integer dim (not a float or a bool), is
+    checked on construction; epsilon = 0 and delta = 0 are accepted (the
+    states are well defined there even though the span collapses), and the
+    attack construction rejects the collapsed cases.
 
     states[k], the unit vector prepared for phase index k, is computed on
     first access and read-only. The closed-form path never reads it; the
@@ -53,6 +53,8 @@ class AttackEnsemble:
             raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {self.epsilon}")
         if not 0.0 <= self.delta <= np.pi / 2:
             raise DomainError(f"delta must lie in [0, pi/2], got {self.delta}")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
+            raise DomainError(f"dim must be an integer, got {self.dim!r}")
         if self.dim != 3 and (self.dim, self.epsilon) != (2, 0.0):
             raise DomainError(f"dim must be 3, or 2 at epsilon = 0; got dim {self.dim}, epsilon {self.epsilon}")
 

@@ -80,17 +80,17 @@ def test_povm_completeness_and_positivity():
         delta = rng.uniform(0.1, np.pi / 2)
         _, _, strat = _report(eps / DEG, delta)
         strat.validate()
-        total = strat.m_0 + strat.m_3 + strat.m_vac
-        assert np.linalg.norm(total - np.eye(3)) <= 1e-10
-        for op in strat.operators.values():
+        assert strat.elements.shape == (3, 3, 3) and not strat.elements.flags.writeable
+        assert np.linalg.norm(strat.elements.sum(axis=0) - np.eye(3)) <= 1e-10
+        for op in strat.elements:
             assert hermitian_eig(op)[0][0] >= -1e-9
         assert strat.x > 0
 
 
 def test_vacuum_element_sits_on_positivity_boundary():
     _, _, strat = _report(1.0, np.pi / 2)
-    vac_min = hermitian_eig(strat.m_vac)[0][0]
-    assert np.linalg.eigvalsh(strat.m_vac).min() >= -1e-9
+    vac_min = hermitian_eig(strat.elements[2])[0][0]
+    assert np.linalg.eigvalsh(strat.elements[2]).min() >= -1e-9
     assert -1e-9 <= vac_min <= 1e-6
     assert abs(vac_min) <= 1e-9
 
@@ -119,8 +119,8 @@ def test_global_phase_invariance():
     ens = build_ensemble(1 * DEG, np.pi / 3)
     strat = build_suboptimal_povm(ens)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-    base = np.array([outcome_probabilities(v, strat) for v in ens.states])
-    rotated = np.array([outcome_probabilities(v, strat) for v in ens.states * phases[:, None]])
+    base = outcome_probabilities(ens.states, strat)
+    rotated = outcome_probabilities(ens.states * phases[:, None], strat)
     assert np.abs(rotated - base).max() <= 1e-12
 
 
@@ -281,7 +281,7 @@ def test_validate_decomposes_each_element_once(monkeypatch):
 
 def _with(strat, **changes):
     """A hand-built copy of strat with some fields replaced (no validation)."""
-    fields = dict(ensemble=strat.ensemble, m_0=strat.m_0, m_3=strat.m_3, m_vac=strat.m_vac, x=strat.x,
+    fields = dict(ensemble=strat.ensemble, elements=strat.elements, x=strat.x,
                   lambda_0=strat.lambda_0, lambda_3=strat.lambda_3)
     fields.update(changes)
     return PovmStrategy(**fields)
@@ -294,11 +294,20 @@ def test_validate_rejects_nan_before_any_eigensolve(monkeypatch):
         raise AssertionError("eigensolve reached")
 
     monkeypatch.setattr(attack, "hermitian_eig", no_eig)
-    for field in ("m_0", "m_vac"):
-        bad = getattr(strat, field).copy()
-        bad[1, 1] = np.nan
+    for index in (0, 2):  # M_0 and M_vac
+        bad = strat.elements.copy()
+        bad[index, 1, 1] = np.nan
         with pytest.raises(DomainError, match="sum to the identity"):
-            _with(strat, **{field: bad}).validate()
+            _with(strat, elements=bad).validate()
+
+
+def test_strategy_refuses_elements_of_another_shape():
+    """Two elements, or elements of another dim, never reach validate() or the oracle."""
+    _, _, strat = _report(1.0, np.pi / 2)
+    m_0, m_3, m_vac = strat.elements
+    for elements in (np.array((m_0, m_3 + m_vac)), np.array((m_0, m_3, m_vac, 0 * m_0)), strat.elements[:, :2, :2]):
+        with pytest.raises(DimensionMismatchError, match=r"elements shape .* is not \(3, 3, 3\)"):
+            _with(strat, elements=elements)
 
 
 def test_validate_refuses_each_broken_element():
@@ -307,9 +316,9 @@ def test_validate_refuses_each_broken_element():
         eye = np.eye(strat.dim)
         for scale, message in ((0.5, "M_vac minimal eigenvalue .* is off the positivity boundary"),
                                (2.0, "M_vac has negative eigenvalue")):
-            m_0, m_3 = scale * strat.m_0, scale * strat.m_3
+            m_0, m_3 = scale * strat.elements[:2]
             with pytest.raises(DomainError, match=message):
-                _with(strat, m_0=m_0, m_3=m_3, m_vac=eye - m_0 - m_3).validate()
+                _with(strat, elements=np.array((m_0, m_3, eye - m_0 - m_3))).validate()
         with pytest.raises(DomainError, match="scale factor x must be positive, got 0.0"):
             _with(strat, x=0.0).validate()
 
@@ -378,7 +387,7 @@ def test_cached_pencil_gives_bit_identical_points():
         attack._pencil.cache_clear()
         cold = build_suboptimal_povm(ens)
         assert evaluate(ens, cold) == evaluate(ens, w)
-        assert np.array_equal(cold.m_0, w.m_0) and np.array_equal(cold.m_3, w.m_3)
+        assert np.array_equal(cold.elements, w.elements)
 
 
 def test_cached_pencil_is_read_only():
@@ -489,10 +498,9 @@ def test_resend_map():
     """M_0 resends state 0 and M_3 state 3: with M_b = I every sifted round of state b is right and every
     sifted round of the opposite state b + 2 is an error."""
     _, ens, strat = _report(1.0, np.pi / 2)
-    assert set(strat.operators) == {"M_0", "M_3", "M_vac"}
     eye, zero = np.eye(3), np.zeros((3, 3))
-    for b, elements in ((0, dict(m_0=eye, m_3=zero)), (3, dict(m_0=zero, m_3=eye))):
-        estimate = run_oracle(ens, _with(strat, m_vac=zero, **elements), 10**4, seed=b)
+    for b, elements in ((0, (eye, zero, zero)), (3, (zero, eye, zero))):
+        estimate = run_oracle(ens, _with(strat, elements=np.array(elements)), 10**4, seed=b)
         opposite = (b + 2) % 4
         assert estimate.errors_by_state[b] == 0
         assert estimate.errors_by_state[opposite] == estimate.sifted_by_state[opposite] > 0

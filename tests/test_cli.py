@@ -100,6 +100,16 @@ def test_non_finite_degrees_are_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unallocatable_grid_is_a_usage_error(tmp_path, capsys):
+    """numpy refuses a 10**12-point grid before allocating it; that refusal is a usage error naming the grid."""
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--epsilon-deg", "1", "--delta", f"0.1:1:{10**12}", "--out", str(out))
+    assert exc.value.code == 2
+    assert f"grid '0.1:1:{10**12}' has too many points to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_degree_grid():
     assert cli.parse_degree_grid("0.5,1") == [0.5, 1.0]
     grid = cli.parse_degree_grid("0.1:1:10")

@@ -29,8 +29,8 @@ def anchor():
 
 def _fake_strategy(m_0, m_3, m_vac):
     return PovmStrategy(
-        ensemble=AttackEnsemble(0.0, 0.0, len(m_0)), m_0=np.asarray(m_0, complex), m_3=np.asarray(m_3, complex),
-        m_vac=np.asarray(m_vac, complex), x=1.0, lambda_0=0.0, lambda_3=0.0,
+        ensemble=AttackEnsemble(0.0, 0.0, len(m_0)), elements=np.array((m_0, m_3, m_vac), complex),
+        x=1.0, lambda_0=0.0, lambda_3=0.0,
     )
 
 
@@ -51,13 +51,47 @@ def test_outcome_probabilities_validation():
         outcome_probabilities(state, short)
 
 
+def test_outcome_probabilities_of_a_stack_are_its_rows(anchor):
+    """A single state is a batch of one: (d,) gives (3,), a stack (..., d) gives (..., 3), row for row."""
+    ens, strat, _ = anchor
+    table = outcome_probabilities(ens.states, strat)
+    assert table.shape == (4, 3)
+    for k in range(4):
+        assert np.array_equal(outcome_probabilities(ens.states[k], strat), table[k])
+    stacked = outcome_probabilities(np.array([ens.states, ens.states[::-1]]), strat)
+    assert stacked.shape == (2, 4, 3)
+    assert np.array_equal(stacked[0], table) and np.array_equal(stacked[1], table[::-1])
+    # the contraction sums in another order than one quadratic form per state and element: a few ulps apart
+    for point in (ens, build_ensemble(5 * DEG, 0.3), bb84_ensemble(np.pi / 4)):
+        povm = build_suboptimal_povm(point)
+        loop = [[(v.conj() @ m @ v).real for m in povm.elements] for v in point.states]
+        assert np.abs(outcome_probabilities(point.states, povm) - loop).max() <= 4 * np.finfo(float).eps
+
+
+def test_nan_elements_are_refused_before_any_draw(anchor, monkeypatch):
+    """NaN fails the table's checks (as it would fail validate()), so the oracle stops before its first draw."""
+    ens, strat, _ = anchor
+    elements = strat.elements.copy()
+    elements[0, 1, 1] = np.nan
+    bad = dataclasses.replace(strat, elements=elements)
+
+    def no_draw(*args):
+        raise AssertionError("a round was drawn")
+
+    monkeypatch.setattr(mcoracle, "_stream", no_draw)
+    for states in (ens.states[1], ens.states):
+        with pytest.raises(NegativeProbabilityError, match="nan is negative or NaN"):
+            outcome_probabilities(states, bad)
+    with pytest.raises(NegativeProbabilityError, match="nan is negative or NaN"):
+        run_oracle(ens, bad, MIN_TRIALS, seed=0)
+
+
 def test_sample_frequencies_match_closed_form(anchor):
     """Empirical outcome frequencies per sender state agree with <k|M_i|k>."""
     ens, strat, _ = anchor
     rng = np.random.default_rng(31)
     n = 20_000
-    for k in range(4):
-        probs = outcome_probabilities(ens.states[k], strat)
+    for k, probs in enumerate(outcome_probabilities(ens.states, strat)):
         counts = {0: 0, 3: 0, None: 0}
         for _ in range(n):
             counts[sample_povm_outcome(ens.states[k], strat, rng)] += 1
@@ -73,8 +107,7 @@ def test_bulk_sample_frequencies_per_state(anchor):
     ens, strat, _ = anchor
     rng = np.random.default_rng(61)
     n = 10**6
-    for k in range(4):
-        probs = outcome_probabilities(ens.states[k], strat)
+    for probs in outcome_probabilities(ens.states, strat):
         edges = np.cumsum(probs)
         draws = np.searchsorted(edges, rng.random(n))
         for idx, expected in enumerate(probs):
@@ -277,8 +310,7 @@ def test_per_state_conclusive_counts_follow_the_povm(anchor):
     """State k is conclusive with probability <k|M_0 + M_3|k>, state by state."""
     ens, strat, _ = anchor
     estimate = run_oracle(ens, strat, 10**6, seed=314)
-    for k in range(4):
-        p_0, p_3, _ = outcome_probabilities(ens.states[k], strat)
+    for k, (p_0, p_3, _) in enumerate(outcome_probabilities(ens.states, strat)):
         n_k = estimate.trials_by_state[k]
         expected = n_k * (p_0 + p_3)
         sigma = np.sqrt(n_k * (p_0 + p_3) * (1 - p_0 - p_3))
@@ -314,7 +346,7 @@ def test_outcome_table_is_absolutely_exact():
     for ens in points:
         strat = build_suboptimal_povm(ens)
         report = evaluate(ens, strat)
-        table = np.array([outcome_probabilities(v, strat)[:2] for v in ens.states]).T  # rows b = 0, 3
+        table = outcome_probabilities(ens.states, strat)[:, :2].T  # rows b = 0, 3
         assert abs(table.sum() / 4 - report.p_succ) <= 1e-15, (ens.epsilon, ens.delta)
         assert abs((weights * table).sum() / 4 - report.qber * report.p_succ) <= 1e-15, (ens.epsilon, ens.delta)
 
@@ -420,7 +452,7 @@ def test_tied_and_certain_conclusive_rates_match_the_reference(scale):
     """The candidate filter at its edges: max_k p_conclusive attained by two states, at 0.3 and at 1."""
     ens, strat = _tied_strategy(scale)
     v = ens.states
-    p_conclusive = np.array([outcome_probabilities(s, strat)[:2].sum() for s in v])
+    p_conclusive = outcome_probabilities(v, strat)[:, :2].sum(axis=1)
     assert np.allclose(p_conclusive[:2], scale, rtol=0, atol=1e-15) and p_conclusive[2:].max() < 0.95 * scale
 
     n = 20_000
@@ -463,7 +495,7 @@ def test_pooled_counts_follow_the_exact_outcome_table(case):
         pooled += [e.trials_by_state, e.conclusive_by_state, e.sifted_by_state, e.errors_by_state]
     assert pooled[0].sum() == n_seeds * n_trials
 
-    table = np.array([outcome_probabilities(v, strat) for v in ens.states])  # [k, (p_0, p_3, p_vac)]
+    table = outcome_probabilities(ens.states, strat)  # [k, (p_0, p_3, p_vac)]
     p_conclusive = table[:, 0] + table[:, 1]
     weights = np.array([[ERROR_WEIGHTS[(k - b) % 4] for b in (0, 3)] for k in range(4)])
     p_error = (table[:, :2] * weights).sum(axis=1) / p_conclusive

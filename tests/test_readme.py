@@ -1,4 +1,4 @@
-"""The README's command-line examples run as written, and print what their comments say."""
+"""The README runs as written: its commands print what their comments say, and its library block executes."""
 
 import re
 import shlex
@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from pfmattack import cli
+from pfmattack.attack import AttackReport
+from pfmattack.mcoracle import OracleEstimate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,3 +47,13 @@ def test_readme_command(argv, expected, tmp_path, monkeypatch, capsys):
         assert pairs
         for key, value in pairs:
             assert printed[key] == value, key
+
+
+def test_readme_library_block():
+    """The python block under '## Library' runs as written, so a renamed field or signature on that path fails."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## Library$.*?^```python$(.*?)^```$", text, re.S | re.M).group(1)
+    names = {}
+    exec(compile(block, f"{README}:Library", "exec"), names)
+    assert isinstance(names["report"], AttackReport) and isinstance(names["estimate"], OracleEstimate)
+    assert names["estimate"].n_trials == 10**7

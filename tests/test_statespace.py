@@ -152,6 +152,15 @@ def test_domain_validation():
         assert str(info.value) == message
 
 
+def test_dim_must_be_an_integer():
+    """A float or bool dim equal to 3 or 2 is refused on construction; a numpy integer is a dim."""
+    for epsilon, dim in ((0.01, 3.0), (0.0, 2.0), (0.01, np.float64(3.0)), (0.0, True), (0.0, np.bool_(True))):
+        with pytest.raises(DomainError, match="dim must be an integer"):
+            AttackEnsemble(epsilon, 0.5, dim)
+    ens = AttackEnsemble(0.01, 0.5, np.int64(3))
+    assert ens == build_ensemble(0.01, 0.5) and ens.states.shape == (4, 3)
+
+
 def test_complex_epsilon_is_refused():
     """abs() of a complex epsilon lies in range, so the type is checked first."""
     for epsilon in (0.01j, 0.01 + 0j, np.complex128(0.01)):
