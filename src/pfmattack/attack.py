@@ -51,11 +51,11 @@ _PENCIL_CACHE_SIZE = 1024
 class PovmStrategy:
     """Three-outcome measurement {M_0, M_3, M_vac} built for one point.
 
-    elements is the read-only stack [M_0, M_3, M_vac] of shape (3, dim, dim);
-    any other shape raises DimensionMismatchError. M_0 and M_3 are the
-    conclusive elements (the implicit M_1 = M_2 = 0 never fire),
-    M_vac = I - M_0 - M_3 is the blocking element. lambda_0/lambda_3
-    are the minimal generalized eigenvalues of (L_0, rho) and (L_3, rho) the
+    elements is a read-only copy of the stack [M_0, M_3, M_vac], of shape
+    (3, dim, dim); any other shape raises DimensionMismatchError. M_0 and
+    M_3 are the conclusive elements (the implicit M_1 = M_2 = 0 never fire),
+    M_vac = I - M_0 - M_3 is the blocking element. lambda_0/lambda_3 are the
+    minimal generalized eigenvalues of (L_0, rho) and (L_3, rho) the
     elements were built from, and x the positivity-boundary scale factor.
     ensemble is the point the strategy was built for; its dim fixes the kind.
     """
@@ -67,9 +67,11 @@ class PovmStrategy:
     lambda_3: float
 
     def __post_init__(self):
-        if self.elements.shape != (3, self.dim, self.dim):
-            raise DimensionMismatchError(f"elements shape {self.elements.shape} is not (3, {self.dim}, {self.dim})")
-        self.elements.setflags(write=False)
+        elements = np.array(self.elements)  # a copy: the caller's own array stays writable
+        if elements.shape != (3, self.dim, self.dim):
+            raise DimensionMismatchError(f"elements shape {elements.shape} is not (3, {self.dim}, {self.dim})")
+        elements.setflags(write=False)
+        object.__setattr__(self, "elements", elements)
 
     @property
     def dim(self) -> int:

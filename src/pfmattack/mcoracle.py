@@ -7,25 +7,23 @@ random basis, and rounds are sifted on the sender/receiver basis match. The
 estimates converge on the closed forms reported by `attack.evaluate`, which
 is the point: the two paths share no code beyond the POVM elements themselves.
 
-A round is a candidate when its uniform draw u is below p_max = max_k
-p_conclusive[k]; every other round is blocked whatever its state. A round's
-state and its u are independent, so a run draws the number of candidates
-from one binomial, simulates only those (each with a state drawn uniformly
-and u uniform on [0, p_max)), and splits the blocked rest over the four
-states with one multinomial. The per-state counts have exactly the law of a
-per-round draw. A run thus costs about n_trials * p_max simulated rounds plus
-the two draws; seeded `run_oracle` numbers differ from versions that drew
-every round. Candidates are drawn CHUNK_TRIALS at a time and only their
-counts are kept, so an oracle run holds the same fraction of a megabyte at
-any trial count. The per-round scalar reference that this vectorized law is
-checked against lives in the test suite (tests/oracle_reference.py).
+Rounds are independent, so the per-state counts of n_trials rounds follow a
+multinomial law exactly, and a run draws them from it instead of drawing
+round by round: one multinomial splits the rounds over the four states, and
+one per state splits its rounds over four outcomes (conclusive but not
+sifted, sifted and correct, error, blocked). The eavesdropper's and the
+receiver's laws enter only through those outcome probabilities, so a run
+makes the same two generator calls and holds the same few arrays at any
+trial count. Seeded `run_oracle` numbers differ from versions that drew
+round by round. The per-round scalar reference that this law is checked
+against lives in the test suite (tests/oracle_reference.py).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,10 +34,15 @@ from .statespace import AttackEnsemble
 #: Below this many trials the binomial error bars are too wide to be useful.
 MIN_TRIALS = 10_000
 
-#: Candidate rounds drawn per chunk; an oracle run's memory is proportional to this, not to n_trials.
-CHUNK_TRIALS = 1 << 14
-
 _PROB_ATOL = 1e-9
+
+_K = np.arange(4)
+#: [k, r]: states k and r lie in one basis; basis 0 holds states {0, 2}, basis 1 holds {1, 3}.
+_SAME_BASIS = _K[:, None] % 2 == _K % 2
+#: [k, r]: the error rate of a sifted round in which state r was resent for state k. The receiver
+#: measures in the sender's basis: a resent state in that basis gives its own bit, one in the other
+#: basis a fair coin.
+_ERROR_GIVEN_SIFTED = np.where(_SAME_BASIS, _K[:, None] != _K, 0.5)
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,8 @@ def _as_int(name: str, value) -> int:
 def check_run(n_trials, seed) -> tuple[int, int]:
     """(n_trials, seed) as ints, refused with DomainError before any draw unless in range.
 
-    Both must be integers, with MIN_TRIALS <= n_trials < 2**63 (the binomial
-    draw of the candidate rounds takes an int64) and seed >= 0.
+    Both must be integers, with MIN_TRIALS <= n_trials < 2**63 (the multinomial
+    draw of the state counts takes an int64) and seed >= 0.
     """
     n_trials, seed = _as_int("n_trials", n_trials), _as_int("seed", seed)
     if n_trials < MIN_TRIALS:
@@ -106,106 +109,55 @@ def check_run(n_trials, seed) -> tuple[int, int]:
     return n_trials, seed
 
 
-def _receive(fair: np.ndarray, resend: np.ndarray, conclusive: np.ndarray) -> np.ndarray:
-    """The receiver's side of a chunk of rounds, as one code k + 4 * level per round.
+def _draw(n_trials: int, seed: int, resend: np.ndarray) -> OracleEstimate:
+    """Count n_trials rounds by sender state and outcome: one multinomial for the states, then one per state.
 
-    level is 0 for a blocked round, 1 conclusive, 2 also sifted, 3 also an
-    error. fair holds one random byte per round: bits 0-1 are the sender's
-    state k, bit 2 the receiver's basis, and bit 3 the receiver's outcome when
-    the resent state lies outside the measured basis. resend is the resent
-    state (0..3) and counts only where conclusive. Basis 0 holds states
-    {0, 2}, basis 1 holds {1, 3}. All arithmetic is on uint8 bit masks.
-    """
-    alice = fair & 3
-    bob_basis = (fair >> 2) & 1
-    coin = (fair >> 3) & 1
-    on_basis = (resend & 1) == bob_basis
-    # the resent bit where on_basis, else the coin (np.where is an order of magnitude slower here)
-    bit = coin ^ (((resend >> 1) ^ coin) & on_basis)
-    sifted = conclusive & ((alice & 1) == bob_basis)
-    errors = sifted & (bit ^ (alice >> 1))
-    return alice + 4 * (conclusive.view(np.uint8) + sifted + errors)
-
-
-def _stream(
-    n_trials: int,
-    seed: int,
-    p_candidate: float,
-    rounds: Callable[[np.random.Generator, np.ndarray], np.ndarray],
-) -> OracleEstimate:
-    """Count n_trials rounds per state and level, simulating only the candidates, CHUNK_TRIALS at a time.
-
-    A round is a candidate with probability p_candidate, whatever its state;
-    the others are blocked (level 0). The number of candidates is one
-    binomial draw, skipped when p_candidate >= 1. Each chunk of candidates
-    draws one byte per round (fair, see `_receive`), and rounds(rng, fair)
-    draws whatever else the round law needs and returns the round codes (see
-    `_receive`). One multinomial spreads the blocked rounds over the states.
+    resend[k, r] is the probability that the eavesdropper resends state r
+    when the sender prepared state k; the rest of row k is blocked. The
+    receiver's basis is a fair coin, so half of the resent rounds are sifted,
+    and a sifted round is an error with _ERROR_GIVEN_SIFTED[k, r].
     """
     rng = np.random.default_rng(seed)
-    n_cand = n_trials if p_candidate >= 1 else int(rng.binomial(n_trials, p_candidate))
-    counts = np.zeros(16, dtype=np.int64)
-    for start in range(0, n_cand, CHUNK_TRIALS):
-        fair = rng.integers(0, 256, min(CHUNK_TRIALS, n_cand - start), dtype=np.uint8)
-        counts += np.bincount(rounds(rng, fair), minlength=16)
-    counts[:4] += rng.multinomial(n_trials - n_cand, [0.25] * 4)
-    by_level = counts.reshape(4, 4)  # [level, state]
-    trials = tuple(int(c) for c in by_level.sum(axis=0))
-    # rows of at_least, by state: rounds that reached at least level 1, 2, 3; level 0 (every round) is trials
-    at_least = np.cumsum(by_level[:0:-1], axis=0)[::-1]
-    conclusive, sifted, errors = (tuple(int(c) for c in row) for row in at_least)
-    n_conclusive, n_sifted, n_errors = sum(conclusive), sum(sifted), sum(errors)
-
-    p_hat = n_conclusive / n_trials
-    if n_sifted > 0:
-        e_hat = n_errors / n_sifted
-        stderr_e = float(np.sqrt(e_hat * (1.0 - e_hat) / n_sifted))
-    else:
-        e_hat = float("nan")
-        stderr_e = float("nan")
-    stderr_p = float(np.sqrt(p_hat * (1.0 - p_hat) / n_trials))
+    p_conclusive = resend.sum(axis=1)
+    p_error = (resend * _ERROR_GIVEN_SIFTED).sum(axis=1) / 2
+    # cells per state: conclusive but not sifted, sifted and correct, error, blocked. numpy fills the last
+    # cell with the remainder, which carries the others' rounding, so it must be the blocked one; its
+    # probability is only range-checked, and p_conclusive may pass 1 by an ulp
+    blocked = np.maximum(1 - p_conclusive, 0)
+    cells = np.stack([p_conclusive / 2, p_conclusive / 2 - p_error, p_error, blocked], axis=1)
+    counts = rng.multinomial(rng.multinomial(n_trials, [0.25] * 4), cells)  # [state, cell]
+    # by state, the rounds that reached at least: an error, sifted, conclusive, any cell
+    errors, sifted, conclusive, trials = (
+        tuple(int(c) for c in level) for level in np.cumsum(counts[:, [2, 1, 0, 3]], axis=1).T
+    )
+    n_sifted, n_errors = sum(sifted), sum(errors)
+    p_hat = sum(conclusive) / n_trials
+    e_hat = n_errors / n_sifted if n_sifted else math.nan
     return OracleEstimate(
-        n_trials=n_trials,
-        qber_hat=e_hat,
-        p_succ_hat=p_hat,
-        stderr_qber=stderr_e,
-        stderr_p_succ=stderr_p,
-        rng_seed=seed,
-        n_conclusive=n_conclusive,
-        n_sifted=n_sifted,
-        n_errors=n_errors,
-        trials_by_state=trials,
-        conclusive_by_state=conclusive,
-        sifted_by_state=sifted,
-        errors_by_state=errors,
+        n_trials=n_trials, qber_hat=e_hat, p_succ_hat=p_hat,
+        stderr_qber=math.sqrt(e_hat * (1 - e_hat) / n_sifted) if n_sifted else math.nan,
+        stderr_p_succ=math.sqrt(p_hat * (1 - p_hat) / n_trials), rng_seed=seed,
+        n_conclusive=sum(conclusive), n_sifted=n_sifted, n_errors=n_errors, trials_by_state=trials,
+        conclusive_by_state=conclusive, sifted_by_state=sifted, errors_by_state=errors,
     )
 
 
 def run_oracle(ens: AttackEnsemble, strat: PovmStrategy, n_trials: int, seed: int) -> OracleEstimate:
     """Estimate QBER and success probability from n_trials simulated rounds.
 
-    Reproducible for a fixed seed; memory does not grow with n_trials. QBER
-    counts errors among sifted conclusive rounds, the success probability
-    counts conclusive rounds over all trials. A strategy built for another
-    point is refused before any round is drawn (see `attack.require_built_for`).
+    Reproducible for a fixed seed; time and memory do not grow with n_trials.
+    QBER counts errors among sifted conclusive rounds, the success
+    probability counts conclusive rounds over all trials. A strategy built for
+    another point is refused before any round is drawn (see
+    `attack.require_built_for`).
     """
     require_built_for(ens, strat)
     n_trials, seed = check_run(n_trials, seed)
-    prob_table = outcome_probabilities(ens.states, strat)
-    p_0 = prob_table[:, 0]
-    p_conclusive = p_0 + prob_table[:, 1]
-    # a round with u >= p_max is blocked whatever its state; the binomial takes no p above 1
-    p_max = min(float(p_conclusive.max()), 1.0)
-
-    def rounds(rng: np.random.Generator, fair: np.ndarray) -> np.ndarray:
-        u = rng.random(fair.size)  # float64, so that p_succ far below 1/n_trials stays resolved
-        u *= p_max  # a candidate's u is uniform on [0, p_max)
-        k = (fair & 3).astype(np.intp)  # gathers index faster with intp than with uint8
-        # M_0 resends state 0, M_3 resends state 3
-        resend = (u >= p_0[k]).view(np.uint8) * np.uint8(3)
-        return _receive(fair, resend, u < p_conclusive[k])
-
-    return _stream(n_trials, seed, p_max, rounds)
+    # a round resends state 0 when its uniform u is below p_0, state 3 when below p_0 + p_3, as one draw would
+    cdf = np.minimum(np.cumsum(outcome_probabilities(ens.states, strat)[:, :2], axis=1), 1.0)
+    resend = np.zeros((4, 4))
+    resend[:, [0, 3]] = np.diff(cdf, axis=1, prepend=0.0)
+    return _draw(n_trials, seed, resend)
 
 
 def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
@@ -216,12 +168,5 @@ def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
     QBER converges on 1/4.
     """
     n_trials, seed = check_run(n_trials, seed)
-
-    def rounds(rng: np.random.Generator, fair: np.ndarray) -> np.ndarray:
-        alice = fair & 3
-        # bits 4-5: the eavesdropper's basis, and her outcome when that basis is not the sender's
-        guess = (fair >> 4) & 3
-        resend = np.where((alice ^ guess) & 1, guess, alice)
-        return _receive(fair, resend, np.ones(fair.size, dtype=bool))
-
-    return _stream(n_trials, seed, 1.0, rounds)
+    # the eavesdropper's basis is a fair coin: in the sender's basis she resends state k, in the other either state
+    return _draw(n_trials, seed, np.where(_SAME_BASIS, np.eye(4) / 2, 0.25))

@@ -9,6 +9,7 @@ phase modulator that encodes one of four phases k*delta on time mode c, and
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -22,6 +23,27 @@ EPSILON_MAX = np.pi / 36
 _REAL = (float, numbers.Real)
 
 
+def _set_reals(obj, *names: str, finite: bool = False) -> None:
+    """Store each named field of the frozen dataclass obj as a float, in order.
+
+    A value that is not a real number (a complex, or a bool) raises
+    DomainError, and with finite so does an infinite or nan one. A real
+    beyond double range (an int or a Fraction) becomes an infinity.
+    """
+    what = "a finite real number" if finite else "a real number"
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, _REAL):
+            raise DomainError(f"{name} must be {what}, got {value}")
+        try:
+            real = float(value)
+        except OverflowError:
+            real = math.inf if value > 0 else -math.inf
+        if finite and not math.isfinite(real):
+            raise DomainError(f"{name} must be {what}, got {value}")
+        object.__setattr__(obj, name, real)
+
+
 @dataclass(frozen=True)
 class FaradayMirror:
     """Faraday rotator at angle pi/4 + epsilon followed by an ordinary mirror; epsilon is real."""
@@ -29,8 +51,7 @@ class FaradayMirror:
     epsilon: float
 
     def __post_init__(self):
-        if not isinstance(self.epsilon, _REAL):
-            raise DomainError(f"epsilon must be a real number, got {self.epsilon!r}")
+        _set_reals(self, "epsilon")
         if not abs(self.epsilon) <= EPSILON_MAX:
             raise DomainError(
                 f"|epsilon| must be <= {EPSILON_MAX:.6f} rad (5 deg), got {self.epsilon}"
@@ -46,9 +67,7 @@ class BirefringentChannel:
     phi_e: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not (isinstance(value, _REAL) and np.isfinite(value)):
-                raise DomainError(f"{name} must be a finite real number, got {value}")
+        _set_reals(self, "theta_prime", "phi_o", "phi_e", finite=True)
 
 
 def rotator_mirror_product(theta: float) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numkernel import DEFAULT_RANK_TOL
-from .optics import _REAL, EPSILON_MAX
+from .optics import EPSILON_MAX, _set_reals
 
 _SQRT2 = np.sqrt(2.0)
 _K = np.arange(4)
@@ -29,11 +29,12 @@ class AttackEnsemble:
 
     dim 3 is the imperfect-mirror family (`pfm_states`), dim 2 the bare
     phase-encoded states (`bb84_states`, epsilon = 0 only). The domain,
-    real epsilon and delta with |epsilon| <= EPSILON_MAX and
-    0 <= delta <= pi/2 and an integer dim (not a float or a bool), is
-    checked on construction; epsilon = 0 and delta = 0 are accepted (the
-    states are well defined there even though the span collapses), and the
-    attack construction rejects the collapsed cases.
+    real epsilon and delta (stored as floats; not a bool) with
+    |epsilon| <= EPSILON_MAX and 0 <= delta <= pi/2 and an integer dim (not
+    a float or a bool), is checked on construction; epsilon = 0 and
+    delta = 0 are accepted (the states are well defined there even though
+    the span collapses), and the attack construction rejects the collapsed
+    cases.
 
     states[k], the unit vector prepared for phase index k, is computed on
     first access and read-only. The closed-form path never reads it; the
@@ -45,10 +46,7 @@ class AttackEnsemble:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.epsilon, _REAL):
-            raise DomainError(f"epsilon must be a real number, got {self.epsilon!r}")
-        if not isinstance(self.delta, _REAL):
-            raise DomainError(f"delta must be a real number, got {self.delta!r}")
+        _set_reals(self, "epsilon", "delta")
         if not abs(self.epsilon) <= EPSILON_MAX:
             raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {self.epsilon}")
         if not 0.0 <= self.delta <= np.pi / 2:

@@ -1,9 +1,9 @@
 """Per-round scalar reference for the Monte Carlo oracle.
 
-One protocol round at a time, in plain Python: the law that
-`pfmattack.mcoracle.run_oracle` samples in vectorized chunks. Only tests use
-it, to check the streamed oracle against an implementation that shares
-nothing with it beyond `outcome_probabilities`.
+One protocol round at a time, in plain Python. `pfmattack.mcoracle.run_oracle`
+draws the per-state counts of many such rounds at once, from their
+multinomial law. Only tests use this module, to check the oracle against an
+implementation that shares nothing with it beyond `outcome_probabilities`.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,17 @@ def test_strategy_refuses_elements_of_another_shape():
     for elements in (np.array((m_0, m_3 + m_vac)), np.array((m_0, m_3, m_vac, 0 * m_0)), strat.elements[:, :2, :2]):
         with pytest.raises(DimensionMismatchError, match=r"elements shape .* is not \(3, 3, 3\)"):
             _with(strat, elements=elements)
+
+
+def test_strategy_keeps_a_copy_of_the_callers_elements():
+    """The strategy's read-only stack is its own: the caller's array stays writable, and writing to it changes nothing."""
+    _, _, strat = _report(1.0, np.pi / 2)
+    mine = strat.elements.copy()
+    copy = dataclasses.replace(strat, elements=mine)
+    assert mine.flags.writeable and not copy.elements.flags.writeable
+    mine[0] = 0.0
+    assert np.array_equal(copy.elements, strat.elements)
+    copy.validate()
 
 
 def test_validate_refuses_each_broken_element():

@@ -8,16 +8,12 @@ from oracle_reference import run_trial, sample_povm_outcome, simulate_bob
 from pfmattack.attack import ERROR_WEIGHTS, PovmStrategy, build_suboptimal_povm, evaluate
 from pfmattack import mcoracle
 from pfmattack.errors import DimensionMismatchError, DomainError, NegativeProbabilityError
-from pfmattack.mcoracle import (
-    CHUNK_TRIALS,
-    MIN_TRIALS,
-    outcome_probabilities,
-    run_oracle,
-    simulate_intercept_resend,
-)
+from pfmattack.mcoracle import MIN_TRIALS, outcome_probabilities, run_oracle, simulate_intercept_resend
 from pfmattack.statespace import AttackEnsemble, bb84_ensemble, build_ensemble
 
 DEG = np.pi / 180
+#: Trial count of the pinned seeded runs below.
+GOLDEN_TRIALS = 10**6 + 17
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +74,7 @@ def test_nan_elements_are_refused_before_any_draw(anchor, monkeypatch):
     def no_draw(*args):
         raise AssertionError("a round was drawn")
 
-    monkeypatch.setattr(mcoracle, "_stream", no_draw)
+    monkeypatch.setattr(mcoracle, "_draw", no_draw)
     for states in (ens.states[1], ens.states):
         with pytest.raises(NegativeProbabilityError, match="nan is negative or NaN"):
             outcome_probabilities(states, bad)
@@ -143,6 +139,60 @@ def test_simulate_bob_rejects_bad_inputs():
         simulate_bob(7, 0, rng)
 
 
+class _FixedCoin:
+    """A generator stand-in for simulate_bob whose every coin comes up coin."""
+
+    def __init__(self, coin):
+        self.coin = coin
+
+    def integers(self, low, high):
+        return self.coin
+
+
+def test_receiver_error_table_matches_the_per_round_reference():
+    """The oracle's error rate given sifted, [k, r], is simulate_bob's, enumerated over the receiver's basis and coin."""
+    table = np.zeros((4, 4))
+    for k in range(4):
+        for r in range(4):
+            errors = [
+                bob_basis + 2 * simulate_bob(r, bob_basis, _FixedCoin(coin))[0] != k
+                for bob_basis in (0, 1) for coin in (0, 1)
+                if bob_basis == k % 2  # sifted: the receiver measured in the sender's basis
+            ]
+            table[k, r] = sum(errors) / len(errors)
+    assert np.array_equal(mcoracle._ERROR_GIVEN_SIFTED, table)
+
+
+def test_receiver_error_table_is_the_closed_form_weight():
+    """The receiver's law derived from the bases and the closed form's error weights state one law twice."""
+    weights = [[ERROR_WEIGHTS[(k - r) % 4] for r in range(4)] for k in range(4)]
+    assert np.array_equal(mcoracle._ERROR_GIVEN_SIFTED, weights)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1.5e-3])
+def test_remainder_cell_is_the_blocked_one(delta):
+    """At 2**63 - 1 trials the per-state sifted and error counts follow the outcome table within 4.5 sigma.
+
+    numpy fills a multinomial's last cell with the remainder of the trials,
+    which carries the rounding of the cells before it: hundreds of rounds at
+    this count. The blocked cell must be that one. With the error cell last
+    instead, the error counts of states 0 and 3 read 0 at both points, 3.8
+    sigma low at 1e-3 and 8.6 sigma low at 1.5e-3 (seed 5).
+    """
+    ens = build_ensemble(1 * DEG, delta)
+    strat = build_suboptimal_povm(ens)
+    estimate = run_oracle(ens, strat, 2**63 - 1, seed=5)
+    table = outcome_probabilities(ens.states, strat)
+    weights = np.array([[ERROR_WEIGHTS[(k - b) % 4] for b in (0, 3)] for k in range(4)])
+    n_k = np.array(estimate.trials_by_state, dtype=float)
+    for counts, rates in (
+        (estimate.sifted_by_state, table[:, :2].sum(axis=1) / 2),
+        (estimate.errors_by_state, (table[:, :2] * weights).sum(axis=1) / 2),
+    ):
+        sigma = np.sqrt(n_k * rates * (1 - rates))
+        assert np.all(np.abs(np.array(counts) - n_k * rates) <= 4.5 * sigma), (np.array(counts) - n_k * rates) / sigma
+
+
 def test_run_trial_invariants(anchor):
     ens, strat, _ = anchor
     rng = np.random.default_rng(5)
@@ -180,13 +230,13 @@ def test_run_oracle_minimum_trials(anchor):
 
 
 def test_trial_counts_beyond_int64_are_refused_before_any_draw(anchor, monkeypatch):
-    """The candidates' binomial takes at most 2**63 - 1 trials: more is a DomainError, not an OverflowError."""
+    """The state counts' multinomial takes at most 2**63 - 1 trials: more is a DomainError, not an OverflowError."""
     ens, strat, _ = anchor
 
     def no_draw(*args):
         raise AssertionError("a round was drawn")
 
-    monkeypatch.setattr(mcoracle, "_stream", no_draw)
+    monkeypatch.setattr(mcoracle, "_draw", no_draw)
     for bad in (2**63, 10**20):
         with pytest.raises(DomainError, match="exceeds 2\\*\\*63 - 1"):
             run_oracle(ens, strat, bad, seed=1)
@@ -202,7 +252,7 @@ def test_run_oracle_refuses_a_strategy_built_for_another_point(anchor, monkeypat
     def no_draw(*args):
         raise AssertionError("a round was drawn")
 
-    monkeypatch.setattr(mcoracle, "_stream", no_draw)
+    monkeypatch.setattr(mcoracle, "_draw", no_draw)
     with pytest.raises(DomainError, match="built for"):
         run_oracle(build_ensemble(0.5 * DEG, np.pi / 3), strat, 10**5, 1)
     with pytest.raises(DimensionMismatchError):
@@ -270,7 +320,7 @@ def test_estimates_are_frozen_records(anchor):
 
 
 def test_rejects_non_integral_trial_counts(anchor):
-    """Floats and bools are refused before any round is drawn, not on the last chunk."""
+    """Floats and bools are refused before any round is drawn."""
     ens, strat, _ = anchor
     for bad in (1e7, 1e5, np.float64(1e5), True, "100000", None):
         with pytest.raises(DomainError, match="integer"):
@@ -297,8 +347,9 @@ def _assert_consistent_counts(estimate, n_trials):
         assert all(type(c) is int for c in counts)
 
 
-@pytest.mark.parametrize("n_trials", [MIN_TRIALS, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1])
+@pytest.mark.parametrize("n_trials", [MIN_TRIALS, GOLDEN_TRIALS, 2**63 - 1])
 def test_chunk_boundaries_record_every_trial(anchor, n_trials):
+    """Every trial is counted once, from the smallest accepted count to the int64 edge."""
     ens, strat, _ = anchor
     _assert_consistent_counts(run_oracle(ens, strat, n_trials, seed=n_trials), n_trials)
     plain = simulate_intercept_resend(n_trials, seed=n_trials)
@@ -351,44 +402,44 @@ def test_outcome_table_is_absolutely_exact():
         assert abs((weights * table).sum() / 4 - report.qber * report.p_succ) <= 1e-15, (ens.epsilon, ens.delta)
 
 
-#: OracleEstimate fields, in order, of seeded runs at GOLDEN_TRIALS trials (not a multiple of CHUNK_TRIALS).
-GOLDEN_TRIALS = 10**6 + 17
+#: OracleEstimate fields, in order, of seeded runs at GOLDEN_TRIALS trials.
 GOLDEN = {
     ("pfm", 1.0, np.pi / 2, 11): (
-        1000017, 0.14331983805668017, 0.0024179588946987903, 0.00997077762962056, 4.911284317028637e-05, 11,
-        2418, 1235, 177, (250296, 249740, 249762, 250219), (1037, 183, 156, 1042), (520, 83, 82, 550),
-        (41, 49, 48, 39),
+        1000017, 0.1443210930828352, 0.0023459601186779826, 0.010269324337658056, 4.837785446579777e-05, 11,
+        2346, 1171, 169, (249692, 250794, 249200, 250331), (989, 165, 164, 1028), (472, 80, 75, 544),
+        (41, 46, 40, 42),
     ),
     ("pfm", 0.1, np.pi / 8, 12): (
         1000017, float("nan"), 0.0, float("nan"), 0.0, 12,
-        0, 0, 0, (250849, 249623, 249491, 250054), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
+        0, 0, 0, (249422, 250262, 250347, 249986), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
     ),
     ("pfm", 5.0, np.pi / 2, 13): (
-        1000017, 0.1458597634150523, 0.058157011330807376, 0.0020668137993154778, 0.00023403812127206577, 13,
-        58158, 29165, 4254, (249827, 250221, 249448, 250521), (24805, 4284, 4269, 24800),
-        (12463, 2148, 2188, 12366), (893, 1232, 1253, 876),
+        1000017, 0.14315644856603127, 0.05846700606089696, 0.002052569290864547, 0.0002346224189045482, 13,
+        58468, 29115, 4168, (249579, 249392, 251150, 249896), (24715, 4281, 4354, 25118),
+        (12370, 2091, 2095, 12559), (903, 1192, 1213, 860),
     ),
     ("remap", 0.0, np.pi / 4, 14): (
-        1000017, 0.18007278955255834, 0.2338660242775873, 0.0011244412205014633, 0.00042328437377482273, 14,
-        233870, 116775, 21028, (249783, 250363, 249888, 249983), (89718, 27291, 27294, 89567),
-        (44731, 13654, 13661, 44729), (3464, 7074, 7020, 3470),
+        1000017, 0.17577841059715915, 0.23419501868468237, 0.0011130861674684247, 0.00042349104246570767, 14,
+        234199, 116937, 20555, (249766, 250147, 250285, 249819), (90206, 27151, 27364, 89478),
+        (45278, 13519, 13655, 44485), (3405, 6925, 6851, 3374),
     ),
 }
 GOLDEN_INTERCEPT_RESEND = (
-    1000017, 0.24957983529543581, 1.0, 0.0006121489810149661, 0.0, 15,
-    1000017, 499804, 124741, (249763, 249882, 250382, 249990), (249763, 249882, 250382, 249990),
-    (124669, 124862, 124781, 125492), (31358, 30939, 31369, 31075),
+    1000017, 0.25051633167587367, 1.0, 0.0006126935777565174, 0.0, 15,
+    1000017, 500163, 125299, (250100, 250339, 250261, 249317), (250100, 250339, 250261, 249317),
+    (124718, 125236, 124975, 125234), (31056, 31592, 31166, 31485),
 )
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: f"{case[0]}-{case[1]}deg-{case[2]:.4f}")
 def test_golden_counts(case):
-    """This version's seeded stream, pinned field by field: a faster round law may not move a single count.
+    """This version's seeded stream, pinned field by field: a faster draw may not move a single count.
 
-    The stream draws the number of candidate rounds first, so its numbers
-    differ from those of versions that drew every round. A run with no
-    sifted round has nan e_B and stderr, which only a nan-aware comparison
-    can pin; every other field is compared exactly.
+    The stream draws the state counts and then each state's outcome counts
+    from their multinomial laws, so its numbers differ from those of
+    versions that drew round by round. A run with no sifted round has nan
+    e_B and stderr, which only a nan-aware comparison can pin; every other
+    field is compared exactly.
     """
     kind, epsilon_deg, delta, seed = case
     ens = bb84_ensemble(delta) if kind == "remap" else build_ensemble(epsilon_deg * DEG, delta)
@@ -407,7 +458,7 @@ def test_rejects_bad_seeds_before_any_draw(anchor, monkeypatch, bad):
     def no_draw(*args):
         raise AssertionError("a round was drawn")
 
-    monkeypatch.setattr(mcoracle, "_stream", no_draw)
+    monkeypatch.setattr(mcoracle, "_draw", no_draw)
     with pytest.raises(DomainError, match="seed"):
         run_oracle(ens, strat, MIN_TRIALS, seed=bad)
     with pytest.raises(DomainError, match="seed"):

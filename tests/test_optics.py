@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,26 @@ def test_channel_refuses_non_finite_or_non_real_angles():
             with pytest.raises(DomainError, match=rf"^{name} must be a finite real number, got {shown}$"):
                 BirefringentChannel(*angles)
     BirefringentChannel(1, np.float64(2.0), -3.5)
+
+
+def test_fraction_angles_are_read_as_floats():
+    """A Fraction is a real number: stored as a float, it answers as the float does (it raised TypeError in numpy)."""
+    channel = BirefringentChannel(Fraction(1, 2), 0, 0)
+    assert channel == BirefringentChannel(0.5, 0.0, 0.0) and all(type(v) is float for v in vars(channel).values())
+    mirror = FaradayMirror(Fraction(1, 100))
+    assert type(mirror.epsilon) is float
+    probe = BirefringentChannel(0.7, 1.1, 2.3)
+    assert verify_compensation(probe, mirror) == verify_compensation(probe, FaradayMirror(0.01))
+
+
+def test_bool_epsilon_or_angle_is_refused():
+    with pytest.raises(DomainError, match="^epsilon must be a real number, got False$"):
+        FaradayMirror(False)
+    for field, name in enumerate(("theta_prime", "phi_o", "phi_e")):
+        angles = [0.1, 0.2, 0.3]
+        angles[field] = True
+        with pytest.raises(DomainError, match=f"^{name} must be a finite real number, got True$"):
+            BirefringentChannel(*angles)
 
 
 def test_channel_trivial_is_identity():

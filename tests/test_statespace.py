@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
 
+from pfmattack.attack import build_suboptimal_povm, evaluate
 from pfmattack.errors import DomainError
 from pfmattack.optics import FaradayMirror, round_trip
 from pfmattack.statespace import (
@@ -174,6 +177,25 @@ def test_complex_delta_is_refused():
             build_ensemble(1 * DEG, delta)
         with pytest.raises(DomainError, match="delta must be a real number"):
             bb84_ensemble(delta)
+
+
+def test_a_fraction_is_read_as_a_float():
+    """A Fraction is a real number: stored as a float, it answers as the float does (it raised TypeError in numpy)."""
+    ens = AttackEnsemble(Fraction(1, 100), 0.5, 3)
+    assert type(ens.epsilon) is float and ens == build_ensemble(0.01, 0.5)
+    assert evaluate(ens, build_suboptimal_povm(ens)) == evaluate(ens, build_suboptimal_povm(build_ensemble(0.01, 0.5)))
+    remap = bb84_ensemble(Fraction(1, 2))
+    assert type(remap.delta) is float and build_suboptimal_povm(remap).x == build_suboptimal_povm(bb84_ensemble(0.5)).x
+    # a real beyond double range reads as an infinity, which the range checks refuse
+    with pytest.raises(DomainError, match="delta must lie in"):
+        build_ensemble(0.01, 10**400)
+
+
+def test_bool_epsilon_or_delta_is_refused():
+    """True is a number 1 to Python; as a delta it used to be answered as delta 1 rad."""
+    for epsilon, delta, name in ((0.01, True, "delta"), (0.01, np.bool_(True), "delta"), (False, 0.5, "epsilon")):
+        with pytest.raises(DomainError, match=f"{name} must be a real number"):
+            build_ensemble(epsilon, delta)
 
 
 def test_ensembles_are_immutable():
