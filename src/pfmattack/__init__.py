@@ -38,9 +38,6 @@ from .optics import (
     FaradayMirror,
     channel_matrix,
     fm_matrix,
-    phase_modulator,
-    round_trip,
-    rotator_mirror_product,
     verify_compensation,
 )
 from .statespace import (
@@ -75,9 +72,6 @@ __all__ = [
     "evaluate",
     "fm_matrix",
     "max_fiber_length_km",
-    "phase_modulator",
-    "round_trip",
-    "rotator_mirror_product",
     "run_oracle",
     "simulate_intercept_resend",
     "span_dimension",

@@ -14,6 +14,8 @@ attack, 2: the phase-remapping baseline).
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +45,8 @@ _VAC_BOUNDARY_MAX = 1e-6
 ERROR_WEIGHTS = (0.0, 0.5, 1.0, 0.5)
 #: Rows b = 0, 3: weight of each prepared state k in the error operator L_b, ERROR_WEIGHTS[(k - b) % 4].
 _RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in (0, 3)])
+#: The smallest normal double: an x below it has lost precision to underflow.
+_X_MIN = np.finfo(float).tiny
 #: (dim, delta) pencils the builder keeps: each entry holds ~0.5 kB, so the cache stays near 0.5 MB.
 _PENCIL_CACHE_SIZE = 1024
 
@@ -79,10 +83,11 @@ class PovmStrategy:
 
     def validate(self) -> None:
         """Check completeness, positivity and the vacuum boundary; raise on violation (NaN fails them all)."""
-        if not np.linalg.norm(self.elements.sum(axis=0) - np.eye(self.dim)) <= _COMPLETENESS_TOL:
+        residual = self.elements.sum(axis=0) - np.eye(self.dim)
+        if not math.sqrt(np.vdot(residual, residual).real) <= _COMPLETENESS_TOL:  # the Frobenius norm
             raise DomainError("POVM elements do not sum to the identity")
         eigs, _ = hermitian_eig(self.elements)
-        min_eigs = eigs[:, 0]
+        min_eigs = eigs[:, 0].tolist()
         for label, min_eig in zip(("M_0", "M_3", "M_vac"), min_eigs):
             if not min_eig >= -_PSD_TOL:
                 raise DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
@@ -172,37 +177,39 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     if delta == 0.0:
         raise DegenerateSpanError("delta = 0: the four states coincide and span one dimension")
     y_w, (lambda_0, lambda_3) = _pencil(ens.dim, float(delta))
-    if ens.dim == 3:
-        z_1 = np.exp(1j * delta)
-        s, c = np.sin(2 * epsilon), np.cos(2 * epsilon)
+    dim = ens.dim
+    if dim == 3:
+        z_1 = cmath.exp(1j * delta)
+        s, c = math.sin(2 * epsilon), math.cos(2 * epsilon)
         sc = s * c
         t = sc * delta**2
         # the product (delta^2 N^-1) A1^-1 diag(1, sc, sc), with rows [delta^2, 0, 0], [i delta, -i delta, 0],
         # [-z_1, 1 + z_1, -1] in delta^2 N^-1 and A1^-1 = [[0, 0, 1], [-s^2, 1, 0], [c^2, 1, 0]]
         back = np.array([
-            [0, 0, delta**2 * sc],
-            [1j * delta * s * s, -1j * delta * sc, 1j * delta * sc],
-            [-1 - z_1 * s * s, z_1 * sc, -z_1 * sc],
-        ])
+            0, 0, delta**2 * sc,
+            1j * delta * s * s, -1j * delta * sc, 1j * delta * sc,
+            -1 - z_1 * s * s, z_1 * sc, -z_1 * sc,
+        ]).reshape(3, 3)
     else:
         t = delta
-        back = np.array([[0, delta], [-1j, 1j]])  # (delta N^-1) A^-1
+        back = np.array([0, delta, -1j, 1j]).reshape(2, 2)  # (delta N^-1) A^-1
     y = y_w @ back.conj()  # rows y_hat_0, y_hat_3
     gram = y.conj() @ y.T
-    g00, g33 = gram.diagonal().real
+    g00, g33 = gram.real.diagonal().tolist()
     lmax = (g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(gram[0, 1]))
     # C C^H = sum_k w_k w_k^H is 2 rho in the w basis, hence the 2 in x
     x = t * t / (2 * lmax)
-    if not x >= np.finfo(float).tiny:
+    if not x >= _X_MIN:
         raise DegenerateSpanError(
             f"p_succ = x/2 underflows (x = {x:.3e}): |sin 2e cos 2e| delta^2 (pfm) or delta (remap) "
             "is below ~1e-154, beyond double precision"
         )
-    m_0, m_3 = (y[:, :, None] * y[:, None, :].conj()) / lmax
-    strat = PovmStrategy(
-        ensemble=ens, elements=np.array((m_0, m_3, np.eye(ens.dim) - m_0 - m_3)), x=x,
-        lambda_0=lambda_0, lambda_3=lambda_3,
-    )
+    elements = np.empty((3, dim, dim), dtype=complex)  # [M_0, M_3, M_vac]
+    np.multiply(y[:, :, None], y[:, None, :].conj(), out=elements[:2])
+    elements[:2] /= lmax
+    np.subtract(np.eye(dim), elements[0], out=elements[2])
+    elements[2] -= elements[1]
+    strat = PovmStrategy(ensemble=ens, elements=elements, x=x, lambda_0=lambda_0, lambda_3=lambda_3)
     strat.validate()
     return strat
 

@@ -75,12 +75,13 @@ def outcome_probabilities(states: np.ndarray, strat: PovmStrategy) -> np.ndarray
     """
     states = np.asarray(states, dtype=complex)
     probs = np.einsum("...i,bij,...j->...b", states.conj(), strat.elements, states).real
-    if not probs.min() >= -_PROB_ATOL:
-        raise NegativeProbabilityError(f"outcome probability {probs.min():.3e} is negative or NaN")
+    lowest = probs.min()
+    if not lowest >= -_PROB_ATOL:
+        raise NegativeProbabilityError(f"outcome probability {lowest:.3e} is negative or NaN")
     sums = probs.sum(axis=-1)
-    if not np.all(np.abs(sums - 1.0) <= _PROB_ATOL):
+    if not np.abs(sums - 1.0).max() <= _PROB_ATOL:
         raise DomainError(f"outcome probabilities sum to {sums}, expected 1")
-    return np.clip(probs, 0.0, None)
+    return np.clip(probs, 0.0, None) if lowest < 0 else probs
 
 
 def _as_int(name: str, value) -> int:
@@ -123,13 +124,14 @@ def _draw(n_trials: int, seed: int, resend: np.ndarray) -> OracleEstimate:
     # cells per state: conclusive but not sifted, sifted and correct, error, blocked. numpy fills the last
     # cell with the remainder, which carries the others' rounding, so it must be the blocked one; its
     # probability is only range-checked, and p_conclusive may pass 1 by an ulp
-    blocked = np.maximum(1 - p_conclusive, 0)
-    cells = np.stack([p_conclusive / 2, p_conclusive / 2 - p_error, p_error, blocked], axis=1)
+    cells = np.empty((4, 4))
+    np.divide(p_conclusive, 2, out=cells[:, 0])
+    np.subtract(cells[:, 0], p_error, out=cells[:, 1])
+    cells[:, 2] = p_error
+    np.maximum(1 - p_conclusive, 0, out=cells[:, 3])
     counts = rng.multinomial(rng.multinomial(n_trials, [0.25] * 4), cells)  # [state, cell]
     # by state, the rounds that reached at least: an error, sifted, conclusive, any cell
-    errors, sifted, conclusive, trials = (
-        tuple(int(c) for c in level) for level in np.cumsum(counts[:, [2, 1, 0, 3]], axis=1).T
-    )
+    errors, sifted, conclusive, trials = map(tuple, counts[:, [2, 1, 0, 3]].cumsum(axis=1).T.tolist())
     n_sifted, n_errors = sum(sifted), sum(errors)
     p_hat = sum(conclusive) / n_trials
     e_hat = n_errors / n_sifted if n_sifted else math.nan
@@ -154,9 +156,11 @@ def run_oracle(ens: AttackEnsemble, strat: PovmStrategy, n_trials: int, seed: in
     require_built_for(ens, strat)
     n_trials, seed = check_run(n_trials, seed)
     # a round resends state 0 when its uniform u is below p_0, state 3 when below p_0 + p_3, as one draw would
-    cdf = np.minimum(np.cumsum(outcome_probabilities(ens.states, strat)[:, :2], axis=1), 1.0)
+    probs = outcome_probabilities(ens.states, strat)
     resend = np.zeros((4, 4))
-    resend[:, [0, 3]] = np.diff(cdf, axis=1, prepend=0.0)
+    np.minimum(probs[:, 0], 1.0, out=resend[:, 0])
+    np.minimum(probs[:, 0] + probs[:, 1], 1.0, out=resend[:, 3])
+    resend[:, 3] -= resend[:, 0]
     return _draw(n_trials, seed, resend)
 
 

@@ -35,7 +35,10 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    dev = np.abs(a - a.swapaxes(-1, -2).conj()).max(initial=0.0)
+    # conj(a) - a^T has the modulus of a - a^H entry by entry, and takes one copy
+    asym = a.conj()
+    asym -= a.swapaxes(-1, -2)
+    dev = np.maximum.reduce(np.abs(asym), axis=None, initial=0.0)
     if dev > HERMITIAN_ATOL:
         raise NonHermitianError(f"matrix deviates from Hermitian symmetry by {dev:.3e} > {HERMITIAN_ATOL:.1e}")
     try:

@@ -1,10 +1,12 @@
 """Jones-calculus model of the two-way plug-and-play round trip.
 
-The sender's station is reduced to the three elements that matter for the
-loophole: a Faraday mirror whose rotator sits at 45 degrees + epsilon, the
-phase modulator that encodes one of four phases k*delta on time mode c, and
-(for diagnostics only) a birefringent fiber section. Polarization states are
-2-component complex Jones vectors in the {H, V} basis.
+The sender's station is reduced to the elements that matter for the
+loophole: a Faraday mirror whose rotator sits at 45 degrees + epsilon and
+(for the compensation check only) a birefringent fiber section. The phase
+modulator and the round trip of the probe enter the attack states in closed
+form (`statespace.pfm_states`); their raw matrix products live in the test
+suite (tests/jones_reference.py). Polarization states are 2-component
+complex Jones vectors in the {H, V} basis.
 """
 
 from __future__ import annotations
@@ -70,27 +72,10 @@ class BirefringentChannel:
         _set_reals(self, "theta_prime", "phi_o", "phi_e", finite=True)
 
 
-def rotator_mirror_product(theta: float) -> np.ndarray:
-    """Raw three-factor mirror matrix R(theta) . diag(1, -1) . R(-theta).
-
-    Valid for any rotator angle; `fm_matrix` is the closed form of this
-    product at theta = pi/4 + epsilon.
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, s], [-s, c]], dtype=complex)
-    mirror = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
-    return rot @ mirror @ rot.conj().T
-
-
 def fm_matrix(fm: FaradayMirror) -> np.ndarray:
     """Jones matrix -[[sin 2e, cos 2e], [cos 2e, -sin 2e]] of the practical mirror."""
     s, c = np.sin(2 * fm.epsilon), np.cos(2 * fm.epsilon)
     return -np.array([[s, c], [c, -s]], dtype=complex)
-
-
-def phase_modulator(phase: float) -> np.ndarray:
-    """Modulator Jones matrix diag(e^{i phase}, 1); the H component picks up the phase."""
-    return np.diag([np.exp(1j * phase), 1.0 + 0.0j])
 
 
 def channel_matrix(ch: BirefringentChannel) -> np.ndarray:
@@ -120,23 +105,3 @@ def verify_compensation(ch: BirefringentChannel, fm: FaradayMirror) -> float:
     lhs = channel_matrix(back) @ m @ channel_matrix(ch)
     rhs = np.exp(1j * (ch.phi_o + ch.phi_e)) * m
     return float(np.linalg.norm(lhs - rhs))
-
-
-def round_trip(fm: FaradayMirror, k: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Output Jones vectors (out_c, out_d) of the two time modes after the station, for the probe (1, 0).
-
-    Mode c passes the modulator twice (once per direction) around the mirror
-    reflection, mode d is reflected unmodulated:
-
-        out_c = -e^{ik delta} [sin(2e) e^{ik delta}, cos(2e)]^T
-        out_d = -[sin(2e), cos(2e)]^T
-    """
-    if k not in (0, 1, 2, 3):
-        raise DomainError(f"k must be in 0..3, got {k!r}")
-    if not 0.0 <= delta <= np.pi / 2:
-        raise DomainError(f"delta must lie in [0, pi/2], got {delta}")
-    s, c = np.sin(2 * fm.epsilon), np.cos(2 * fm.epsilon)
-    phase = np.exp(1j * k * delta)
-    out_c = -phase * np.array([s * phase, c], dtype=complex)
-    out_d = -np.array([s, c], dtype=complex)
-    return out_c, out_d

@@ -10,6 +10,7 @@ epsilon = 0, computed on first access.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,10 +81,14 @@ def pfm_states(epsilon: float, delta: float) -> np.ndarray:
     (1/sqrt(2)) [ sin(2e)cos(2e) z (z - 1),  sin^2(2e) z^2 + cos^2(2e) z,  1 ]
     with z = e^{ik delta} for row k; unit norm for every (epsilon, delta, k).
     """
-    s, c = np.sin(2 * epsilon), np.cos(2 * epsilon)
+    s, c = math.sin(2 * epsilon), math.cos(2 * epsilon)
     z = np.exp(1j * delta * _K)
-    z_minus_1 = 1j * delta * newton_step(delta, _K)
-    return np.array([s * c * z * z_minus_1, s * s * z * z + c * c * z, np.ones(4)]).T / _SQRT2
+    states = np.empty((4, 3), dtype=complex)
+    states[:, 0] = s * c * z * (1j * delta * newton_step(delta, _K))
+    states[:, 1] = s * s * z * z + c * c * z
+    states[:, 2] = 1
+    states /= _SQRT2
+    return states
 
 
 def build_ensemble(epsilon: float, delta: float) -> AttackEnsemble:

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +20,14 @@ from pfmattack.errors import (
     DegenerateSpanError,
     DimensionMismatchError,
     DomainError,
+    NonHermitianError,
+    PfmAttackError,
     SingularEpsilonError,
 )
 from pfmattack import attack
 from pfmattack.mcoracle import outcome_probabilities, run_oracle
 from pfmattack.numkernel import hermitian_eig
+from pfmattack.optics import EPSILON_MAX
 from pfmattack.statespace import bb84_ensemble, build_ensemble
 
 from closed_form_reference import newton_table, pfm_e_b, pfm_overlaps, remap_e_b
@@ -236,6 +241,64 @@ def test_every_accepted_point_is_accurate_or_refused():
     assert refused == 0
 
 
+#: The input types a caller may pass for epsilon or delta; bool is refused.
+DOMAIN_TYPES = (int, float, np.float32, np.float16, Fraction, bool)
+
+
+def _reals(rng, n: int, eps_low: float, delta_low: float) -> tuple[list[float], list[float]]:
+    """n seeded (epsilon, delta) float pairs: epsilon of either sign, |epsilon| uniform up to EPSILON_MAX for
+    half of them and log-uniform in [eps_low, EPSILON_MAX] for the other half; delta log-uniform in [delta_low, pi/2]."""
+    magnitude = np.where(
+        np.arange(n) % 2, rng.uniform(0, EPSILON_MAX, n), np.exp(rng.uniform(math.log(eps_low), math.log(EPSILON_MAX), n))
+    )
+    eps = rng.choice([-1.0, 1.0], n) * magnitude
+    delta = np.exp(rng.uniform(math.log(delta_low), math.log(np.pi / 2), n))
+    return eps.tolist(), delta.tolist()
+
+
+def _answer_or_refusal(build, *args):
+    """(ensemble, report) of the point, or (ensemble or None, the PfmAttackError that refused it)."""
+    ens = None
+    try:
+        ens = build(*args)
+        return ens, evaluate(ens, build_suboptimal_povm(ens))
+    except PfmAttackError as exc:
+        return ens, exc
+
+
+def test_whole_domain_is_answered_exactly_or_refused():
+    """Every seeded case over the whole accepted domain, and past its edges, raises a PfmAttackError or gives e_B
+    within 1e-15 of the closed form, for pfm (epsilon, delta) and for remap (delta).
+
+    300 draws reach epsilon and delta down to 5e-324, with epsilon exactly 0 and +-EPSILON_MAX and delta pi/2;
+    each is asked once as floats and once cast to a drawn type of DOMAIN_TYPES per argument. An underflow refusal
+    (DegenerateSpanError at delta > 0) must come where |sin 2e cos 2e| delta^2 (pfm) or delta (remap) is below
+    1e-150. p_succ is held to the 50-digit reference on 10 further draws, with |epsilon| >= 1e-5 and
+    delta >= 1e-6, where the reference resolves rho's smallest eigenvalue (~p_succ)."""
+    rng = np.random.default_rng(2024)
+    eps, delta = _reals(rng, 300, 5e-324, 5e-324)
+    eps[:3] = 0.0, EPSILON_MAX, -EPSILON_MAX
+    delta[3] = np.pi / 2
+    kinds = rng.integers(len(DOMAIN_TYPES), size=(300, 2)).tolist()
+    cases = list(zip(eps, delta)) + [(DOMAIN_TYPES[i](e), DOMAIN_TYPES[j](d)) for e, d, (i, j) in zip(eps, delta, kinds)]
+    answered = {3: 0, 2: 0}
+    for e, d in cases:
+        for build, args, e_b in ((build_ensemble, (e, d), pfm_e_b), (bb84_ensemble, (d,), remap_e_b)):
+            ens, result = _answer_or_refusal(build, *args)
+            if isinstance(result, DegenerateSpanError) and ens.delta > 0:
+                sc = math.sin(2 * ens.epsilon) * math.cos(2 * ens.epsilon)
+                assert (abs(sc) * ens.delta**2 if ens.dim == 3 else ens.delta) < 1e-150, (e, d, result)
+            if not isinstance(result, PfmAttackError):
+                answered[ens.dim] += 1
+                assert abs(result.qber - e_b(ens.delta)) <= 1e-15, (e, d)
+    assert answered[3] >= 50 and answered[2] >= 200, answered
+    for e, d in zip(*_reals(rng, 10, 1e-5, 1e-6)):
+        ens, report = _answer_or_refusal(build_ensemble, e, d)
+        ref = pfm_reference(math.degrees(e), d)
+        assert abs(report.p_succ / ref["p_succ"] - 1) <= BUILD_TOL, (e, d, report, ref)
+        assert abs(report.qber - pfm_e_b(d)) <= 1e-15, (e, d)
+
+
 def test_small_delta_is_accurate():
     """Small delta is answered to BUILD_TOL, down to the delta -> 0 limit of e_B."""
     for eps_deg, delta in ((1.0, 1e-2), (1.0, 3e-3), (1.0, 1e-4), (1.0, 1e-6), (0.3, 1e-8)):
@@ -334,6 +397,18 @@ def test_validate_refuses_each_broken_element():
                 _with(strat, elements=np.array((m_0, m_3, eye - m_0 - m_3))).validate()
         with pytest.raises(DomainError, match="scale factor x must be positive, got 0.0"):
             _with(strat, x=0.0).validate()
+
+
+def test_validate_refuses_a_non_hermitian_stack_that_sums_to_the_identity():
+    """An asymmetry of 1e-11 added to M_0 and taken back out of M_vac: completeness holds, the Hermitian check refuses."""
+    d = 1e-11
+    for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
+        bad = strat.elements.copy()
+        bad[0, 0, 1] += d
+        bad[2, 0, 1] -= d
+        assert np.linalg.norm(bad.sum(axis=0) - np.eye(strat.dim)) <= 1e-15
+        with pytest.raises(NonHermitianError, match="deviates from Hermitian symmetry by 1.0..e-11"):
+            _with(strat, elements=bad).validate()
 
 
 def test_evaluate_refuses_a_strategy_built_for_another_point():

@@ -266,6 +266,29 @@ def test_sweep_oracle_columns(tmp_path):
     assert abs(oracle_p - 2.43e-3) <= 1.5e-3
 
 
+#: The file `sweep --epsilon-deg 0.1,1 --delta pi/2,pi/8 --trials 100000 --seed 57 --reproducible` writes.
+PINNED_ORACLE_SWEEP = """\
+# pfmattack 0.1.0
+# attack=pfm
+# oracle trials=100000 seed=57 (row seeds: seed+index)
+epsilon_deg,delta_rad,e_B,p_succ,lambda_0,lambda_3,x,max_fiber_km,oracle_e_B,oracle_p
+0.1,1.57079633,0.146446609,2.436899767e-05,0.146446609,0.146446609,4.873799534e-05,219.674397,0,3.000000000e-05
+0.1,0.392699082,0.0356771322,5.845814454e-07,0.0356771322,0.0356771322,1.169162891e-06,296.816903,nan,0
+1,1.57079633,0.146446609,0.0024329792,0.146446609,0.146446609,0.00486595839,124.4696,0.116071429,0.00223
+1,0.392699082,0.0356771322,5.813466957e-05,0.0356771322,0.0356771322,1.162693391e-04,201.693562,0,3.000000000e-05
+"""
+
+
+def test_seeded_oracle_sweep_is_pinned(tmp_path):
+    """Byte for byte: a changed closed-form cell, row seed or oracle draw shows here, which a tolerance would pass."""
+    out = tmp_path / "pinned.csv"
+    assert run_cli(
+        "sweep", "--epsilon-deg", "0.1,1", "--delta", "pi/2,pi/8", "--out", str(out),
+        "--trials", "100000", "--seed", "57", "--reproducible",
+    ) == 0
+    assert out.read_bytes() == PINNED_ORACLE_SWEEP.encode()
+
+
 def test_sweep_remap_kind(tmp_path):
     out = tmp_path / "remap.csv"
     assert run_cli(

@@ -10,11 +10,10 @@ from pfmattack.optics import (
     FaradayMirror,
     channel_matrix,
     fm_matrix,
-    phase_modulator,
-    round_trip,
-    rotator_mirror_product,
     verify_compensation,
 )
+
+from jones_reference import phase_modulator, rotator_mirror_product, round_trip
 
 DEG = np.pi / 180
 

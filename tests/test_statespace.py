@@ -6,7 +6,7 @@ import pytest
 
 from pfmattack.attack import build_suboptimal_povm, evaluate
 from pfmattack.errors import DomainError
-from pfmattack.optics import FaradayMirror, round_trip
+from pfmattack.optics import FaradayMirror
 from pfmattack.statespace import (
     AttackEnsemble,
     bb84_ensemble,
@@ -14,6 +14,8 @@ from pfmattack.statespace import (
     pfm_states,
     span_dimension,
 )
+
+from jones_reference import round_trip
 
 DEG = np.pi / 180
 SQRT2 = np.sqrt(2.0)
