@@ -31,13 +31,10 @@ from .errors import (
 from .mcoracle import (
     OracleEstimate,
     run_oracle,
-    simulate_intercept_resend,
 )
 from .optics import (
     BirefringentChannel,
     FaradayMirror,
-    channel_matrix,
-    fm_matrix,
     verify_compensation,
 )
 from .statespace import (
@@ -68,12 +65,9 @@ __all__ = [
     "build_ensemble",
     "build_phase_remapping_povm",
     "build_suboptimal_povm",
-    "channel_matrix",
     "evaluate",
-    "fm_matrix",
     "max_fiber_length_km",
     "run_oracle",
-    "simulate_intercept_resend",
     "span_dimension",
     "verify_compensation",
 ]

@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 verification failure or a sweep with rejected points,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import re
@@ -141,12 +142,20 @@ def _report_row(epsilon_deg: float, report: AttackReport, oracle: OracleEstimate
 
 
 def _write_csv(path: str, lines: list[str]) -> None:
-    """Write all lines at once; drop the partial file if the write fails."""
+    """Write all lines at once.
+
+    A path that cannot be opened is left as it was. A file this call opened
+    is removed if the write then fails, since it holds a partial CSV.
+    """
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        if os.path.exists(path):
+        with contextlib.suppress(OSError):
             os.unlink(path)
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -163,14 +163,3 @@ def run_oracle(ens: AttackEnsemble, strat: PovmStrategy, n_trials: int, seed: in
     resend[:, 3] -= resend[:, 0]
     return _draw(n_trials, seed, resend)
 
-
-def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
-    """Oracle for the plain intercept-and-resend attack on ideal BB84.
-
-    The eavesdropper measures every round in a uniformly random basis and
-    resends her outcome state, so every round is conclusive and the sifted
-    QBER converges on 1/4.
-    """
-    n_trials, seed = check_run(n_trials, seed)
-    # the eavesdropper's basis is a fair coin: in the sender's basis she resends state k, in the other either state
-    return _draw(n_trials, seed, np.where(_SAME_BASIS, np.eye(4) / 2, 0.25))

@@ -18,7 +18,6 @@ from .errors import (
 )
 
 HERMITIAN_ATOL = 1e-12
-DEFAULT_RANK_TOL = 1e-10
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,7 +46,7 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergenceError(str(exc)) from exc
 
 
-def pinv_sqrt(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv_sqrt(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     """Pseudo-inverse square root of a Hermitian PSD matrix.
 
     Eigenvalues above rank_tol * lambda_max form the support and are mapped to

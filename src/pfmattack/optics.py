@@ -1,28 +1,34 @@
-"""Jones-calculus model of the two-way plug-and-play round trip.
+"""The practical Faraday mirror and the birefringent fiber of the two-way round trip.
 
 The sender's station is reduced to the elements that matter for the
 loophole: a Faraday mirror whose rotator sits at 45 degrees + epsilon and
-(for the compensation check only) a birefringent fiber section. The phase
-modulator and the round trip of the probe enter the attack states in closed
-form (`statespace.pfm_states`); their raw matrix products live in the test
-suite (tests/jones_reference.py). Polarization states are 2-component
-complex Jones vectors in the {H, V} basis.
+(for the compensation check only) a birefringent fiber section. The mirror
+enters the attack states in closed form (`statespace.pfm_states`), and the
+compensation residual is a closed form too (`verify_compensation`). The
+Jones matrices of the mirror, the fiber, the phase modulator and the round
+trip of the probe, as raw matrix products, live in the test suite
+(tests/jones_reference.py) as the reference both closed forms are held to.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 
 #: Largest admissible rotator deviation (5 degrees; practical mirrors are <= 1 degree).
-EPSILON_MAX = np.pi / 36
+EPSILON_MAX = math.pi / 36
 #: float first: a float (numpy's float64 included) passes without the slower abstract-class check
 _REAL = (float, numbers.Real)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """Refuse a mirror deviation beyond EPSILON_MAX, or a nan one, with DomainError."""
+    if not abs(epsilon) <= EPSILON_MAX:
+        raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {epsilon}")
 
 
 def _set_reals(obj, *names: str, finite: bool = False) -> None:
@@ -54,10 +60,7 @@ class FaradayMirror:
 
     def __post_init__(self):
         _set_reals(self, "epsilon")
-        if not abs(self.epsilon) <= EPSILON_MAX:
-            raise DomainError(
-                f"|epsilon| must be <= {EPSILON_MAX:.6f} rad (5 deg), got {self.epsilon}"
-            )
+        _check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -72,36 +75,16 @@ class BirefringentChannel:
         _set_reals(self, "theta_prime", "phi_o", "phi_e", finite=True)
 
 
-def fm_matrix(fm: FaradayMirror) -> np.ndarray:
-    """Jones matrix -[[sin 2e, cos 2e], [cos 2e, -sin 2e]] of the practical mirror."""
-    s, c = np.sin(2 * fm.epsilon), np.cos(2 * fm.epsilon)
-    return -np.array([[s, c], [c, -s]], dtype=complex)
-
-
-def channel_matrix(ch: BirefringentChannel) -> np.ndarray:
-    """Jones matrix of one pass through the birefringent fiber.
-
-    Rotates into the eigenmode basis by theta_prime, applies
-    diag(e^{i phi_o}, e^{i phi_e}) and rotates back. The return pass is the
-    same section seen with -theta_prime. The result is unitary for any
-    parameters.
-    """
-    c, s = np.cos(ch.theta_prime), np.sin(ch.theta_prime)
-    rot_in = np.array([[c, -s], [s, c]], dtype=complex)
-    phases = np.diag([np.exp(1j * ch.phi_o), np.exp(1j * ch.phi_e)])
-    return rot_in @ phases @ rot_in.T
-
-
 def verify_compensation(ch: BirefringentChannel, fm: FaradayMirror) -> float:
-    """Frobenius residual of the round-trip compensation identity.
+    """Frobenius residual || T(-theta') M T(theta') - e^{i(phi_o + phi_e)} M ||_F of the compensation identity.
 
-    || T(-theta') . M . T(theta') - e^{i(phi_o + phi_e)} . M ||_F for mirror
-    matrix M. With the ideal mirror FaradayMirror(0.0) the identity holds
-    exactly, so the residual is numerical noise (<= 1e-10). With an imperfect
-    mirror the identity breaks and the residual is strictly positive.
+    T(theta') = R D R^T is one fiber pass (R the rotation by theta', D = diag(e^{i phi_o}, e^{i phi_e})) and
+    M = -(sin 2e Z + cos 2e X) the mirror. M is a reflection, so R M R = M and the difference is
+    R^T (D M D - e^{i(phi_o + phi_e)} M) R^T = -sin 2e (e^{i phi_o} - e^{i phi_e}) R^T D R^T,
+    of norm sqrt(2) |sin 2e| |e^{i phi_o} - e^{i phi_e}|.
+
+    So the residual does not depend on theta', is exactly 0 for the ideal mirror FaradayMirror(0.0), and is
+    positive for an imperfect one unless phi_o = phi_e mod 2 pi. Each phase enters through its own
+    exponential, never through a rounded sum, so the value is exact to rounding for every finite phase.
     """
-    m = fm_matrix(fm)
-    back = BirefringentChannel(-ch.theta_prime, ch.phi_o, ch.phi_e)
-    lhs = channel_matrix(back) @ m @ channel_matrix(ch)
-    rhs = np.exp(1j * (ch.phi_o + ch.phi_e)) * m
-    return float(np.linalg.norm(lhs - rhs))
+    return math.sqrt(2) * abs(math.sin(2 * fm.epsilon)) * abs(cmath.exp(1j * ch.phi_o) - cmath.exp(1j * ch.phi_e))

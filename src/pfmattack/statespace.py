@@ -17,8 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .numkernel import DEFAULT_RANK_TOL
-from .optics import EPSILON_MAX, _set_reals
+from .optics import _check_epsilon, _set_reals
 
 _SQRT2 = np.sqrt(2.0)
 _K = np.arange(4)
@@ -48,8 +47,7 @@ class AttackEnsemble:
 
     def __post_init__(self):
         _set_reals(self, "epsilon", "delta")
-        if not abs(self.epsilon) <= EPSILON_MAX:
-            raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if not 0.0 <= self.delta <= np.pi / 2:
             raise DomainError(f"delta must lie in [0, pi/2], got {self.delta}")
         if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
@@ -103,6 +101,10 @@ def bb84_ensemble(delta: float) -> AttackEnsemble:
     the baseline for the phase-remapping strategy.
     """
     return AttackEnsemble(0.0, delta, 2)
+
+
+#: Relative singular-value floor of `span_dimension`.
+DEFAULT_RANK_TOL = 1e-10
 
 
 def span_dimension(ens: AttackEnsemble) -> int:

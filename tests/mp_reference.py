@@ -1,4 +1,4 @@
-"""Extended-precision reference for the attack's figures of merit.
+"""Extended-precision references for the attack's figures of merit and for the compensation residual.
 
 A 50-digit mpmath evaluation by the textbook square-root-measurement route:
 rho^(-1/2) from a full eigendecomposition of rho, the minimal eigenpair of
@@ -10,6 +10,10 @@ the error operators and every matrix step are written out here again.
 50 digits resolve rho's smallest eigenvalue (~epsilon^2 times a delta factor)
 only while it is far above 1e-50, so the reference holds for |epsilon| well
 above 1e-23 rad.
+
+`compensation_reference` forms the round-trip compensation identity from the
+2x2 Jones matrices at COMPENSATION_DIGITS digits, enough to reduce any
+finite double phase (up to ~1.8e308) modulo 2 pi with digits to spare.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import mpmath
 
 DIGITS = 50
+COMPENSATION_DIGITS = 340
 #: Relative error weight of resending i when state k = i + j was prepared.
 _WEIGHTS = (0, mpmath.mpf(1) / 2, 1, mpmath.mpf(1) / 2)
 
@@ -79,3 +84,23 @@ def remap_reference(delta: float) -> dict[str, float]:
     """The same figures for the two-dimensional phase-remapping attack."""
     with mpmath.workdps(DIGITS):
         return _figures(_remap_states(mpmath.mpf(delta)))
+
+
+def compensation_reference(theta_prime: float, phi_o: float, phi_e: float, epsilon: float) -> float:
+    """|| T(-theta') M T(theta') - e^{i(phi_o + phi_e)} M ||_F from the Jones matrices, to COMPENSATION_DIGITS digits.
+
+    Each float argument is taken at its exact binary value; epsilon is in radians.
+    """
+    with mpmath.workdps(COMPENSATION_DIGITS):
+        theta_prime, phi_o, phi_e, epsilon = map(mpmath.mpf, (theta_prime, phi_o, phi_e, epsilon))
+        s, c = mpmath.sin(2 * epsilon), mpmath.cos(2 * epsilon)
+        mirror = -mpmath.matrix([[s, c], [c, -s]])
+        phases = mpmath.diag([mpmath.expj(phi_o), mpmath.expj(phi_e)])
+
+        def rotation(angle):
+            return mpmath.matrix([[mpmath.cos(angle), -mpmath.sin(angle)], [mpmath.sin(angle), mpmath.cos(angle)]])
+
+        forward = rotation(theta_prime) * phases * rotation(theta_prime).T
+        back = rotation(-theta_prime) * phases * rotation(-theta_prime).T
+        diff = back * mirror * forward - mpmath.expj(phi_o + phi_e) * mirror
+        return float(mpmath.mnorm(diff, "f"))

@@ -1,9 +1,13 @@
-"""Per-round scalar reference for the Monte Carlo oracle.
+"""Per-round scalar reference for the Monte Carlo oracle, and the plain intercept-resend oracle.
 
 One protocol round at a time, in plain Python. `pfmattack.mcoracle.run_oracle`
 draws the per-state counts of many such rounds at once, from their
 multinomial law. Only tests use this module, to check the oracle against an
 implementation that shares nothing with it beyond `outcome_probabilities`.
+
+`simulate_intercept_resend` is the 25 % sanity check of the acceptance
+suite: the oracle's count draw, `mcoracle._draw`, run on the resend table of
+the plain intercept-and-resend attack on ideal BB84.
 """
 
 from __future__ import annotations
@@ -12,10 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pfmattack import mcoracle
 from pfmattack.attack import PovmStrategy
 from pfmattack.errors import DomainError
-from pfmattack.mcoracle import outcome_probabilities
+from pfmattack.mcoracle import OracleEstimate, outcome_probabilities
 from pfmattack.statespace import AttackEnsemble
+
+#: [k, r]: the probability that the plain intercept-resend attack resends state r for sender state k. The
+#: eavesdropper's basis is a fair coin: in the sender's basis she resends state k, in the other either state.
+INTERCEPT_RESEND = np.array([
+    [0.5, 0.25, 0.0, 0.25],
+    [0.25, 0.5, 0.25, 0.0],
+    [0.0, 0.25, 0.5, 0.25],
+    [0.25, 0.0, 0.25, 0.5],
+])
 
 
 @dataclass(frozen=True)
@@ -76,3 +90,15 @@ def run_trial(ens: AttackEnsemble, strat: PovmStrategy, rng: np.random.Generator
     sifted = bob_basis == alice_k % 2
     error = sifted and bob_index != alice_k
     return TrialRecord(alice_k, eve_outcome, bob_basis, bit, sifted=sifted, error=error)
+
+
+def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
+    """Oracle for the plain intercept-and-resend attack on ideal BB84.
+
+    The eavesdropper measures every round in a uniformly random basis and
+    resends her outcome state, so every round is conclusive and the sifted
+    QBER converges on 1/4. The arguments are checked as `run_oracle` checks
+    them (`mcoracle.check_run`), before any draw.
+    """
+    n_trials, seed = mcoracle.check_run(n_trials, seed)
+    return mcoracle._draw(n_trials, seed, INTERCEPT_RESEND)

@@ -16,13 +16,14 @@ import time
 
 import numpy as np
 
+from oracle_reference import simulate_intercept_resend
 from pfmattack.attack import (
     build_phase_remapping_povm,
     build_suboptimal_povm,
     evaluate,
     max_fiber_length_km,
 )
-from pfmattack.mcoracle import run_oracle, simulate_intercept_resend
+from pfmattack.mcoracle import run_oracle
 from pfmattack.numkernel import hermitian_eig
 from pfmattack.optics import BirefringentChannel, FaradayMirror, verify_compensation
 from pfmattack.statespace import bb84_ensemble, build_ensemble, span_dimension

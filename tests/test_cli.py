@@ -1,4 +1,6 @@
 import argparse
+import errno
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +346,54 @@ def test_sweep_write_failure_cleans_up(tmp_path, capsys):
     assert "out.csv" in capsys.readouterr().err
 
 
+def test_refused_overwrite_keeps_the_existing_file(tmp_path, monkeypatch, capsys):
+    """A file that cannot be opened for writing, such as a read-only one, is left as it was, not deleted."""
+    target = tmp_path / "keep.csv"
+    target.write_text("user data\n")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    assert run_cli("eval", "--epsilon-deg", "1", "--delta", "pi/2", "--out", str(target)) == 2
+    assert target.read_text() == "user data\n"
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+
+def test_directory_as_out_is_reported_and_kept(tmp_path, capsys):
+    target = tmp_path / "results"
+    target.mkdir()
+    assert run_cli("sweep", "--epsilon-deg", "1", "--delta", "pi/2", "--out", str(target)) == 2
+    assert target.is_dir()
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+
+def test_failed_write_drops_the_partial_file(tmp_path, monkeypatch, capsys):
+    """A file this call opened holds a partial CSV when the write fails, so it is removed."""
+    target = tmp_path / "out.csv"
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, path, *args, **kwargs):
+            self.fh = real_open(path, *args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:10])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    assert run_cli("sweep", "--epsilon-deg", "1", "--delta", "pi/2", "--out", str(target)) == 2
+    assert not target.exists()
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+
 def test_verify_passes_at_anchor(capsys):
     code = run_cli(
         "verify", "--epsilon-deg", "1", "--delta", "pi/2", "--trials", "200000", "--seed", "2024"
@@ -426,6 +476,13 @@ def test_compensation_trivial(capsys):
     assert float(values["residual_ideal_fm"]) == 0.0
 
 
+@pytest.mark.parametrize("phi_o, phi_e", [("1e17", "1"), ("1e308", "1e308")])
+def test_compensation_at_huge_phases(phi_o, phi_e, capsys):
+    """A phase sum rounded before the exponential printed 1.35602 at 1e17, and nan with a RuntimeWarning at 1e308."""
+    assert run_cli("compensation", "--phi-o", phi_o, "--phi-e", phi_e, "--epsilon-deg", "1") == 0
+    assert parse_kv_output(capsys.readouterr().out)["residual_ideal_fm"] == "0"
+
+
 def test_config_file_supplies_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# point under test\nepsilon-deg=1\ndelta=pi/2\n")
@@ -490,3 +547,76 @@ def test_pi_over_zero_is_a_usage_error(tmp_path, capsys):
             run_cli(*argv)
         assert exc.value.code == 2
         assert "cannot parse angle 'pi/0'" in capsys.readouterr().err
+
+
+def _fuzz_token(rng, kind, grid=False):
+    """One seeded value of kind 'angle' (signed pi/N or radians) or 'degrees', a grid of them, or junk."""
+    pick = rng.integers(10)
+    if pick == 0:
+        return str(rng.choice(["", " ", "abc", "nan", "-inf", "1e400", "pi/", "pi/0", "pi/-2", "--1", "0x10",
+                               "1:2", "1:2:0", "1:2:-1", "1:2:x", "1::3", ",", "1,,2", "pi/2:pi:1.5", "e", "1e"]))
+    if grid:
+        if pick <= 3:
+            return f"{_fuzz_token(rng, kind)}:{_fuzz_token(rng, kind)}:{rng.integers(1, 4)}"
+        return ",".join(_fuzz_token(rng, kind) for _ in range(rng.integers(1, 4)))
+    sign = str(rng.choice(["", "+", "-"]))
+    if kind == "angle" and pick <= 3:
+        return f"{sign}pi" + (f"/{rng.integers(1, 1000)}" if pick > 1 else "")
+    if pick == 4:
+        return f"{sign}{rng.choice(['0', '0.0', '1', '5', '90', '1.5707963267948966'])}"
+    # log-uniform magnitudes over all of 1e-320..1e308, over the accepted domain's scale (delta <= pi/2,
+    # |epsilon| <= 5 deg), or over the part of that scale where no figure of merit underflows
+    high = 1e308 if pick >= 8 else 1.5 if kind == "angle" else 5.0
+    low = 1e-320 if pick >= 7 else 1e-3
+    return f"{sign}{float(np.exp(rng.uniform(np.log(low), np.log(high)))):.17g}"
+
+
+def _fuzz_argv(rng, out):
+    """One seeded argv of eval, sweep, verify or compensation; options mostly in the '=' form."""
+    command = str(rng.choice(["eval", "sweep", "verify", "compensation"]))
+    if command == "compensation":
+        flags = {f: _fuzz_token(rng, "angle") for f in ("--theta-prime", "--phi-o", "--phi-e")}
+        flags["--epsilon-deg"] = _fuzz_token(rng, "degrees")
+    elif command == "sweep":
+        flags = {
+            "--epsilon-deg": _fuzz_token(rng, "degrees", grid=True), "--delta": _fuzz_token(rng, "angle", grid=True),
+            "--out": out,
+        }
+        if rng.random() < 0.3:
+            flags.update({"--trials": "10000", "--seed": str(rng.integers(-2, 100))})
+    else:
+        flags = {"--epsilon-deg": _fuzz_token(rng, "degrees"), "--delta": _fuzz_token(rng, "angle")}
+        if command == "verify":
+            trials = str(rng.choice(["10000"] * 3 + ["100", "1e4"]))
+            flags.update({"--trials": trials, "--seed": str(rng.integers(-2, 100))})
+        elif rng.random() < 0.2:
+            flags["--out"] = out
+    if command != "compensation" and rng.random() < 0.2:
+        flags["--attack"] = "remap"
+    argv, names = [command], list(flags)
+    for i in rng.permutation(len(names)):
+        flag = names[i]
+        argv += [f"{flag}={flags[flag]}"] if rng.random() < 0.8 else [flag, flags[flag]]
+    return argv
+
+
+def test_seeded_cli_fuzz_exits_cleanly(tmp_path, capsys):
+    """Every argv exits 0, 1 or 2 with no traceback and no warning, and the ideal mirror's residual prints 0."""
+    rng = np.random.default_rng(2024)
+    out = str(tmp_path / "fuzz.csv")
+    for _ in range(400):
+        argv = _fuzz_argv(rng, out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # any other escape fails the case, named by its argv
+                pytest.fail(f"{argv} raised {exc!r}")
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in captured.err, argv
+        for line in captured.out.splitlines():
+            if line.startswith("residual_ideal_fm"):
+                assert line.split()[1] == "0", argv

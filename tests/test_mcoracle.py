@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle_reference import run_trial, sample_povm_outcome, simulate_bob
+from oracle_reference import run_trial, sample_povm_outcome, simulate_bob, simulate_intercept_resend
 from pfmattack.attack import ERROR_WEIGHTS, PovmStrategy, build_suboptimal_povm, evaluate
 from pfmattack import mcoracle
 from pfmattack.errors import DimensionMismatchError, DomainError, NegativeProbabilityError
-from pfmattack.mcoracle import MIN_TRIALS, outcome_probabilities, run_oracle, simulate_intercept_resend
+from pfmattack.mcoracle import MIN_TRIALS, outcome_probabilities, run_oracle
 from pfmattack.statespace import AttackEnsemble, bb84_ensemble, build_ensemble
 
 DEG = np.pi / 180

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from pfmattack.errors import DomainError
-from pfmattack.optics import (
-    EPSILON_MAX,
-    BirefringentChannel,
-    FaradayMirror,
-    channel_matrix,
-    fm_matrix,
-    verify_compensation,
-)
+from pfmattack.optics import EPSILON_MAX, BirefringentChannel, FaradayMirror, verify_compensation
 
-from jones_reference import phase_modulator, rotator_mirror_product, round_trip
+from jones_reference import (
+    channel_matrix,
+    compensation_residual,
+    fm_matrix,
+    phase_modulator,
+    rotator_mirror_product,
+    round_trip,
+)
+from mp_reference import compensation_reference
 
 DEG = np.pi / 180
 
@@ -148,6 +149,42 @@ def test_compensation_breaks_with_imperfect_mirror():
     residual = verify_compensation(ch, FaradayMirror(1 * DEG))
     assert residual > 1e-3
     assert abs(residual - 0.05573624426363207) <= 1e-9
+
+
+def test_compensation_matches_the_jones_reference():
+    """The closed form is the Frobenius norm the matrices give, to 1e-15, over the whole accepted mirror range."""
+    rng = np.random.default_rng(18)
+    for _ in range(1000):
+        ch = BirefringentChannel(*rng.uniform(-np.pi, np.pi, 3))
+        fm = FaradayMirror(rng.uniform(-EPSILON_MAX, EPSILON_MAX))
+        assert abs(verify_compensation(ch, fm) - compensation_residual(ch, fm)) <= 1e-15
+
+
+@pytest.mark.parametrize("phi_o, phi_e", [(1e17, 1.0), (1e308, 1e308), (1e308, -1e308), (-1e307, 3.0)])
+def test_compensation_is_exact_at_huge_phases(phi_o, phi_e):
+    """A phase sum rounded before the exponential gave up to 2 sqrt(2) of error here, or nan with a warning."""
+    for epsilon_deg in (0, 1, 5):
+        epsilon = epsilon_deg * DEG
+        got = verify_compensation(BirefringentChannel(0.7, phi_o, phi_e), FaradayMirror(epsilon))
+        assert abs(got - compensation_reference(0.7, phi_o, phi_e, epsilon)) <= 1e-15
+
+
+def test_compensation_is_exactly_zero_for_the_ideal_mirror():
+    rng = np.random.default_rng(19)
+    magnitudes = np.exp(rng.uniform(np.log(1e-320), np.log(1e308), (500, 2)))
+    phases = np.vstack([magnitudes * rng.choice([-1.0, 1.0], (500, 2)), [[np.finfo(float).max, -np.finfo(float).max]]])
+    for phi_o, phi_e in phases:
+        for theta_prime in (0.0, 0.7, -1e300):
+            assert verify_compensation(BirefringentChannel(theta_prime, phi_o, phi_e), FaradayMirror(0.0)) == 0.0
+
+
+def test_compensation_does_not_depend_on_theta_prime():
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        phi_o, phi_e = rng.uniform(-10, 10, 2)
+        fm = FaradayMirror(rng.uniform(-EPSILON_MAX, EPSILON_MAX))
+        values = {verify_compensation(BirefringentChannel(theta, phi_o, phi_e), fm) for theta in rng.uniform(-10, 10, 5)}
+        assert len(values) == 1
 
 
 def test_round_trip_k0_modes_coincide():
