@@ -32,16 +32,14 @@ from .mcoracle import (
     OracleEstimate,
     run_oracle,
 )
-from .optics import (
-    BirefringentChannel,
-    FaradayMirror,
-    verify_compensation,
-)
 from .statespace import (
     AttackEnsemble,
+    BirefringentChannel,
+    FaradayMirror,
     bb84_ensemble,
     build_ensemble,
     span_dimension,
+    verify_compensation,
 )
 
 __all__ = [

@@ -1,44 +1,119 @@
-"""Attack-state family sent back by the station.
+"""The station's physics: the practical Faraday mirror, the fiber, and the states sent back.
 
-With an imperfect mirror the four returning states live in a 3-dimensional
-space spanned by e_0 = |cH'>, e_1 = |cV'>, e_2 = |dV'> (a basis the
-eavesdropper can reach with one unitary, because the |dH'> component vanishes
-identically). This module builds those states (one array formula per
-family) and the standard two-mode BB84 states they degenerate to at
-epsilon = 0, computed on first access.
+The sender's station is reduced to what matters for the loophole: a
+Faraday mirror whose rotator sits at 45 degrees + epsilon and (for the
+compensation check only) a birefringent fiber section. With an imperfect
+mirror the four returning states live in a 3-dimensional space spanned by
+e_0 = |cH'>, e_1 = |cV'>, e_2 = |dV'> (a basis the eavesdropper can reach
+with one unitary, because the |dH'> component vanishes identically). The
+states (`pfm_states`) and the compensation residual (`verify_compensation`)
+are closed forms; at epsilon = 0 the e_0 component is zero and the other two
+are the bare BB84 states. The raw Jones matrix products that both closed
+forms are held to live in the test suite (tests/jones_reference.py).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .optics import _check_epsilon, _set_reals
 
+#: Largest admissible rotator deviation (5 degrees; practical mirrors are <= 1 degree).
+EPSILON_MAX = math.pi / 36
+#: float first: a float (numpy's float64 included) passes without the slower abstract-class check
+_REAL = (float, numbers.Real)
 _SQRT2 = np.sqrt(2.0)
 _K = np.arange(4)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """Refuse a mirror deviation beyond EPSILON_MAX, or a nan one, with DomainError."""
+    if not abs(epsilon) <= EPSILON_MAX:
+        raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {epsilon}")
+
+
+def _set_reals(obj, *names: str, finite: bool = False) -> None:
+    """Store each named field of the frozen dataclass obj as a float, in order.
+
+    A value that is not a real number (a complex, or a bool) raises
+    DomainError, and with finite so does an infinite or nan one. A real
+    beyond double range (an int or a Fraction) becomes an infinity.
+    """
+    what = "a finite real number" if finite else "a real number"
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, _REAL):
+            raise DomainError(f"{name} must be {what}, got {value}")
+        try:
+            real = float(value)
+        except OverflowError:
+            real = math.inf if value > 0 else -math.inf
+        if finite and not math.isfinite(real):
+            raise DomainError(f"{name} must be {what}, got {value}")
+        object.__setattr__(obj, name, real)
+
+
+@dataclass(frozen=True)
+class FaradayMirror:
+    """Faraday rotator at angle pi/4 + epsilon followed by an ordinary mirror; epsilon is real."""
+
+    epsilon: float
+
+    def __post_init__(self):
+        _set_reals(self, "epsilon")
+        _check_epsilon(self.epsilon)
+
+
+@dataclass(frozen=True)
+class BirefringentChannel:
+    """Fiber section with eigenmode rotation theta_prime and propagation phases phi_o, phi_e (finite, real)."""
+
+    theta_prime: float
+    phi_o: float
+    phi_e: float
+
+    def __post_init__(self):
+        _set_reals(self, "theta_prime", "phi_o", "phi_e", finite=True)
+
+
+def verify_compensation(ch: BirefringentChannel, fm: FaradayMirror) -> float:
+    """Frobenius residual || T(-theta') M T(theta') - e^{i(phi_o + phi_e)} M ||_F of the compensation identity.
+
+    T(theta') = R D R^T is one fiber pass (R the rotation by theta', D = diag(e^{i phi_o}, e^{i phi_e})) and
+    M = -(sin 2e Z + cos 2e X) the mirror. M is a reflection, so R M R = M and the difference is
+    R^T (D M D - e^{i(phi_o + phi_e)} M) R^T = -sin 2e (e^{i phi_o} - e^{i phi_e}) R^T D R^T,
+    of norm sqrt(2) |sin 2e| |e^{i phi_o} - e^{i phi_e}|.
+
+    So the residual does not depend on theta', is exactly 0 for the ideal mirror FaradayMirror(0.0), and is
+    positive for an imperfect one unless phi_o = phi_e mod 2 pi. Each phase enters through its own
+    exponential, never through a rounded sum, so the value is exact to rounding for every finite phase.
+    """
+    return math.sqrt(2) * abs(math.sin(2 * fm.epsilon)) * abs(cmath.exp(1j * ch.phi_o) - cmath.exp(1j * ch.phi_e))
 
 
 @dataclass(frozen=True)
 class AttackEnsemble:
     """One attack point: the key (epsilon, delta, dim) every strategy and report is checked against.
 
-    dim 3 is the imperfect-mirror family (`pfm_states`), dim 2 the bare
-    phase-encoded states (`bb84_states`, epsilon = 0 only). The domain,
-    real epsilon and delta (stored as floats; not a bool) with
-    |epsilon| <= EPSILON_MAX and 0 <= delta <= pi/2 and an integer dim (not
-    a float or a bool), is checked on construction; epsilon = 0 and
+    dim 3 is the imperfect-mirror family, dim 2 the bare phase-encoded
+    states (epsilon = 0 only). The domain, real epsilon and delta (stored
+    as floats; not a bool) with |epsilon| <= EPSILON_MAX and
+    0 <= delta <= pi/2 and an integer dim (not a float or a bool), is
+    checked on construction; epsilon = 0 and
     delta = 0 are accepted (the states are well defined there even though
     the span collapses), and the attack construction rejects the collapsed
     cases.
 
     states[k], the unit vector prepared for phase index k, is computed on
-    first access and read-only. The closed-form path never reads it; the
-    oracle and the span check do.
+    first access and read-only: the last dim components of `pfm_states`
+    (at dim 2 the dropped e_0 component is zero). The closed-form path
+    never reads it; the oracle and the span check do.
     """
 
     epsilon: float
@@ -57,14 +132,9 @@ class AttackEnsemble:
 
     @cached_property
     def states(self) -> np.ndarray:
-        states = pfm_states(self.epsilon, self.delta) if self.dim == 3 else bb84_states(self.delta)
+        states = pfm_states(self.epsilon, self.delta)[:, 3 - self.dim :]
         states.setflags(write=False)
         return states
-
-
-def bb84_states(delta: float) -> np.ndarray:
-    """The four phase-encoded states as rows: (e^{ik delta}, 1) / sqrt(2) for k = 0..3."""
-    return np.array([np.exp(1j * delta * _K), np.ones(4)]).T / _SQRT2
 
 
 def newton_step(delta: float, k) -> np.ndarray:

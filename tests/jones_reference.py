@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from pfmattack.errors import DomainError
-from pfmattack.optics import BirefringentChannel, FaradayMirror
+from pfmattack.statespace import BirefringentChannel, FaradayMirror
 
 
 def fm_matrix(fm: FaradayMirror) -> np.ndarray:

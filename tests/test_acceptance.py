@@ -25,8 +25,14 @@ from pfmattack.attack import (
 )
 from pfmattack.mcoracle import run_oracle
 from pfmattack.numkernel import hermitian_eig
-from pfmattack.optics import BirefringentChannel, FaradayMirror, verify_compensation
-from pfmattack.statespace import bb84_ensemble, build_ensemble, span_dimension
+from pfmattack.statespace import (
+    BirefringentChannel,
+    FaradayMirror,
+    bb84_ensemble,
+    build_ensemble,
+    span_dimension,
+    verify_compensation,
+)
 
 DEG = np.pi / 180
 

@@ -27,8 +27,7 @@ from pfmattack.errors import (
 from pfmattack import attack
 from pfmattack.mcoracle import outcome_probabilities, run_oracle
 from pfmattack.numkernel import hermitian_eig
-from pfmattack.optics import EPSILON_MAX
-from pfmattack.statespace import bb84_ensemble, build_ensemble
+from pfmattack.statespace import EPSILON_MAX, bb84_ensemble, build_ensemble
 
 from closed_form_reference import newton_table, pfm_e_b, pfm_overlaps, remap_e_b
 from mp_reference import pfm_reference, remap_reference

@@ -2,6 +2,7 @@ import argparse
 import errno
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -460,6 +461,68 @@ def test_verify_unresolved_point_passes(capsys):
     assert "overall PASS" in out
 
 
+#: 0.011 expected conclusive rounds: p_succ 1.13e-6 at 1e4 trials
+TINY_COUNT_ARGV = ("verify", "--epsilon-deg", "1.2918182178246316", "--delta", "pi/25", "--trials", "10000")
+
+
+def test_verify_judges_a_tiny_expected_count_exactly(capsys):
+    """One conclusive round where 0.011 are expected has P(K >= 1) = 1.1%: no failure at the 3-sigma level."""
+    assert run_cli(*TINY_COUNT_ARGV, "--seed", "5") == 0
+    out = capsys.readouterr().out
+    assert "p_succ  |deviation| = 9.28 sigma  PASS  (count 1 of 10000, exact two-sided binomial tail 0.0226)" in out
+    assert "overall PASS" in out
+
+
+def test_verify_fails_a_count_far_in_the_exact_tail(monkeypatch, capsys):
+    """Five conclusive rounds where 0.011 are expected have P(K >= 5) ~ 1e-12: a FAIL."""
+    estimate = OracleEstimate(
+        n_trials=10_000, qber_hat=0.0, p_succ_hat=5e-4, stderr_qber=0.0, stderr_p_succ=2.2e-4,
+        rng_seed=5, n_conclusive=5, n_sifted=3, n_errors=0,
+        trials_by_state=(2500,) * 4, conclusive_by_state=(2, 1, 1, 1),
+        sifted_by_state=(1, 1, 1, 0), errors_by_state=(0,) * 4,
+    )
+    monkeypatch.setattr(cli, "run_oracle", lambda *args, **kwargs: estimate)
+    assert run_cli(*TINY_COUNT_ARGV) == 1
+    out = capsys.readouterr().out
+    assert "e_B     |deviation| = 0.32 sigma  PASS  (count 0 of 3, exact two-sided binomial tail 1)" in out
+    assert "p_succ  |deviation| = 46.85 sigma  FAIL  (count 5 of 10000, exact two-sided binomial tail 3.09e-12)" in out
+    assert "overall FAIL" in out
+
+
+def test_binomial_tails_stop_early_at_a_huge_count():
+    """A count of 10**18 where 2 are expected costs a few dozen terms, not 10**18."""
+    assert cli._binomial_tails(10**18, 2**63 - 1, 2.0**-62) == (1.0, 0.0)
+
+
+def test_verify_fails_a_correct_oracle_at_most_at_its_level(capsys):
+    """Over 2000 seeds at a tiny expected count, FAIL comes at most at alpha = 0.0027 plus 3 sigma of noise.
+
+    The normal bound failed every seed with a conclusive round, ~1.1% of them.
+    """
+    args = cli.build_parser().parse_args(TINY_COUNT_ARGV)
+    fails = 0
+    for seed in range(2000):
+        args.seed = seed
+        fails += cli.cmd_verify(args) == 1
+    capsys.readouterr()
+    assert fails <= 0.0027 * 2000 + 3 * np.sqrt(0.0027 * 2000)
+
+
+@pytest.mark.parametrize("k, n, p", [
+    (0, 10_000, 1.13e-6), (1, 10_000, 1.13e-6), (5, 10_000, 1.13e-6), (9, 10, 0.146), (40, 100, 0.3),
+    (95, 100, 0.99), (0, 100, 0.99), (3, 2**63 - 1, 2.0**-62), (0, 7, 0.0), (2, 7, 0.0), (7, 7, 1.0),
+])
+def test_binomial_tails_match_exact_sums(k, n, p):
+    """Both tails within 1e-14 of 60-digit sums."""
+    with mpmath.workdps(60):
+        q = 1 - mpmath.mpf(p)
+        pmf = [mpmath.binomial(n, j) * mpmath.mpf(p) ** j * q ** (n - j) for j in range(min(n, 200) + 1)]
+        lower = mpmath.fsum(pmf[: k + 1])
+        upper = 1 - lower + pmf[k] if n > 200 else mpmath.fsum(pmf[k:])
+    got = cli._binomial_tails(k, n, p)
+    assert abs(got[0] - float(lower)) <= 1e-14 and abs(got[1] - float(upper)) <= 1e-14
+
+
 def test_compensation_output(capsys):
     assert run_cli(
         "compensation", "--theta-prime", "0.7", "--phi-o", "1.1", "--phi-e", "2.3",
@@ -530,6 +593,28 @@ def test_config_line_without_equals_sign(tmp_path, capsys):
     cfg.write_text("delta=pi/2\nepsilon-deg 1\n")
     assert run_cli("eval", "--config", str(cfg)) == 2
     assert f"{cfg}: expected key=value, got 'epsilon-deg 1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("eval", "epsilon-deg=-1e-3\ndelta=pi/2\n", ["--epsilon-deg=-1e-3", "--delta=pi/2"]),
+    ("sweep", "epsilon-deg=-1:1:4\ndelta=pi/2\nreproducible=true\n",
+     ["--epsilon-deg=-1:1:4", "--delta=pi/2", "--reproducible"]),
+    ("verify", "epsilon-deg=-1e0\ndelta=pi/2\ntrials=100000\n", ["--epsilon-deg=-1e0", "--delta=pi/2", "--trials=100000"]),
+    ("compensation", "theta-prime=-pi/4\nphi-o=1.1\n", ["--theta-prime=-pi/4", "--phi-o=1.1"]),
+], ids=["eval", "sweep", "verify", "compensation"])
+def test_config_file_gives_negative_values(tmp_path, capsys, command, config, flags):
+    """A config value that starts with '-' (a range, a signed pi/N, scientific notation) is read as a value.
+
+    It prints and writes what the same flags in the '=' form print and write.
+    """
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    outputs = []
+    for name, argv in (("config", ["--config", str(cfg)]), ("flags", flags)):
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(command, *argv, *(["--out", str(out)] if command == "sweep" else [])) == 0, name
+        outputs.append((capsys.readouterr().out, out.read_bytes() if command == "sweep" else None))
+    assert outputs[0] == outputs[1]
 
 
 def test_usage_error_exit_code():

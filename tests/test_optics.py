@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pfmattack.errors import DomainError
-from pfmattack.optics import EPSILON_MAX, BirefringentChannel, FaradayMirror, verify_compensation
+from pfmattack.statespace import EPSILON_MAX, BirefringentChannel, FaradayMirror, verify_compensation
 
 from jones_reference import (
     channel_matrix,

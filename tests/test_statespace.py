@@ -6,9 +6,9 @@ import pytest
 
 from pfmattack.attack import build_suboptimal_povm, evaluate
 from pfmattack.errors import DomainError
-from pfmattack.optics import FaradayMirror
 from pfmattack.statespace import (
     AttackEnsemble,
+    FaradayMirror,
     bb84_ensemble,
     build_ensemble,
     pfm_states,
