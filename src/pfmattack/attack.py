@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, SingularEpsilonError
-from .numkernel import hermitian_eig
+from .numkernel import hermitian_eig, hermitian_eigvalsh
 from .statespace import AttackEnsemble, bb84_ensemble, newton_step
 
 #: Attenuation of standard telecom fiber used for the distance mapping.
@@ -47,6 +47,10 @@ ERROR_WEIGHTS = (0.0, 0.5, 1.0, 0.5)
 _RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in (0, 3)])
 #: The smallest normal double: an x below it has lost precision to underflow.
 _X_MIN = np.finfo(float).tiny
+#: The identity of each dimension, shared read-only: M_vac = I - M_0 - M_3 and validate()'s residual.
+_EYE = {dim: np.eye(dim) for dim in (2, 3)}
+for _identity in _EYE.values():
+    _identity.setflags(write=False)
 #: (dim, delta) pencils the builder keeps: each entry holds ~0.5 kB, so the cache stays near 0.5 MB.
 _PENCIL_CACHE_SIZE = 1024
 
@@ -83,11 +87,10 @@ class PovmStrategy:
 
     def validate(self) -> None:
         """Check completeness, positivity and the vacuum boundary; raise on violation (NaN fails them all)."""
-        residual = self.elements.sum(axis=0) - np.eye(self.dim)
+        residual = self.elements.sum(axis=0) - _EYE[self.dim]
         if not math.sqrt(np.vdot(residual, residual).real) <= _COMPLETENESS_TOL:  # the Frobenius norm
             raise DomainError("POVM elements do not sum to the identity")
-        eigs, _ = hermitian_eig(self.elements)
-        min_eigs = eigs[:, 0].tolist()
+        min_eigs = hermitian_eigvalsh(self.elements)[:, 0].tolist()
         for label, min_eig in zip(("M_0", "M_3", "M_vac"), min_eigs):
             if not min_eig >= -_PSD_TOL:
                 raise DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
@@ -115,7 +118,8 @@ def max_fiber_length_km(p_succ: float) -> float:
     """Fiber length at which the channel transmittance 10^(-0.21 L / 10) equals p_succ."""
     if p_succ <= 0.0:
         return float("inf")
-    return -10.0 * np.log10(p_succ) / FIBER_LOSS_DB_PER_KM
+    # np.log10, not math.log10: the two differ in the last ulp for some p_succ
+    return float(-10.0 * np.log10(p_succ) / FIBER_LOSS_DB_PER_KM)
 
 
 @lru_cache(maxsize=_PENCIL_CACHE_SIZE)
@@ -159,8 +163,9 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     x = t^2 / (2 lmax), with lmax the largest eigenvalue of the y_hat Gram matrix.
 
     _pencil solves the pencil once per (dim, delta) and keeps the last
-    _PENCIL_CACHE_SIZE of them, so a point makes one eigensolve, in
-    validate(), plus one when its (dim, delta) is not in that cache.
+    _PENCIL_CACHE_SIZE of them, so a point makes one eigenvalue call, in
+    validate(), plus one eigen-decomposition when its (dim, delta) is not in
+    that cache.
 
     e_B (absolutely) and p_succ (relatively) are within 1e-12 of exact
     arithmetic for every 0 < delta <= pi/2. Three points are refused, in
@@ -196,7 +201,7 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     y = y_w @ back.conj()  # rows y_hat_0, y_hat_3
     gram = y.conj() @ y.T
     g00, g33 = gram.real.diagonal().tolist()
-    lmax = (g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(gram[0, 1]))
+    lmax = float((g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(gram[0, 1])))
     # C C^H = sum_k w_k w_k^H is 2 rho in the w basis, hence the 2 in x
     x = t * t / (2 * lmax)
     if not x >= _X_MIN:
@@ -207,7 +212,7 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     elements = np.empty((3, dim, dim), dtype=complex)  # [M_0, M_3, M_vac]
     np.multiply(y[:, :, None], y[:, None, :].conj(), out=elements[:2])
     elements[:2] /= lmax
-    np.subtract(np.eye(dim), elements[0], out=elements[2])
+    np.subtract(_EYE[dim], elements[0], out=elements[2])
     elements[2] -= elements[1]
     strat = PovmStrategy(ensemble=ens, elements=elements, x=x, lambda_0=lambda_0, lambda_3=lambda_3)
     strat.validate()
@@ -221,6 +226,8 @@ def build_phase_remapping_povm(delta: float) -> PovmStrategy:
 
 def require_built_for(ens: AttackEnsemble, strat: PovmStrategy) -> None:
     """Refuse a strategy built for another point: DimensionMismatchError on dim, DomainError on (epsilon, delta)."""
+    if strat.ensemble is ens:
+        return
     if strat.dim != ens.dim:
         raise DimensionMismatchError(
             f"strategy dimension {strat.dim} does not match ensemble dimension {ens.dim}"

@@ -132,7 +132,7 @@ def _report_values(epsilon_deg: float, report: AttackReport) -> list[float]:
 
 def _report_row(epsilon_deg: float, report: AttackReport, oracle: OracleEstimate | None = None) -> list[str]:
     values = _report_values(epsilon_deg, report)
-    if not all(np.isfinite(v) for v in values):
+    if not all(math.isfinite(v) for v in values):
         raise PfmAttackError(f"non-finite value in row for epsilon_deg={epsilon_deg}, delta={report.delta}")
     cells = [_csv_num(v) for v in values]
     if oracle is not None:

@@ -43,6 +43,9 @@ _SAME_BASIS = _K[:, None] % 2 == _K % 2
 #: measures in the sender's basis: a resent state in that basis gives its own bit, one in the other
 #: basis a fair coin.
 _ERROR_GIVEN_SIFTED = np.where(_SAME_BASIS, _K[:, None] != _K, 0.5)
+#: The sender's four states are equally likely.
+_STATE_PROBS = np.full(4, 0.25)
+_STATE_PROBS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,7 @@ def _draw(n_trials: int, seed: int, resend: np.ndarray) -> OracleEstimate:
     np.subtract(cells[:, 0], p_error, out=cells[:, 1])
     cells[:, 2] = p_error
     np.maximum(1 - p_conclusive, 0, out=cells[:, 3])
-    counts = rng.multinomial(rng.multinomial(n_trials, [0.25] * 4), cells)  # [state, cell]
+    counts = rng.multinomial(rng.multinomial(n_trials, _STATE_PROBS), cells)  # [state, cell]
     # by state, the rounds that reached at least: an error, sifted, conclusive, any cell
     errors, sifted, conclusive, trials = map(tuple, counts[:, [2, 1, 0, 3]].cumsum(axis=1).T.tolist())
     n_sifted, n_errors = sum(sifted), sum(errors)

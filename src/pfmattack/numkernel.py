@@ -20,16 +20,12 @@ from .errors import (
 HERMITIAN_ATOL = 1e-12
 
 
-def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decompose a Hermitian matrix, or a stack (..., n, n) of them, in one LAPACK call.
+def _hermitian_solve(solver, a: np.ndarray):
+    """solver(a) for a Hermitian matrix a, or a stack (..., n, n) of them, in one LAPACK call.
 
-    Raises DimensionMismatchError unless the last two axes are square, and
+    Raises DimensionMismatchError unless the last two axes are square,
     NonHermitianError if max |a[..., i, j] - conj(a[..., j, i])| exceeds
-    HERMITIAN_ATOL. Returns numpy.linalg.eigh's pair (w, v): real eigenvalues
-    w of shape (..., n), ascending along the last axis, and orthonormal
-    eigenvector columns v of shape (..., n, n), column i paired with
-    w[..., i], with the arbitrary phase LAPACK returns (every consumer forms
-    |v><v| or V diag(w) V^H, which do not depend on it).
+    HERMITIAN_ATOL, and NoConvergenceError when LAPACK does not converge.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -41,9 +37,26 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if dev > HERMITIAN_ATOL:
         raise NonHermitianError(f"matrix deviates from Hermitian symmetry by {dev:.3e} > {HERMITIAN_ATOL:.1e}")
     try:
-        return np.linalg.eigh(a)
+        return solver(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
+
+
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decompose a Hermitian matrix, or a stack (..., n, n) of them (refusals: _hermitian_solve).
+
+    Returns numpy.linalg.eigh's pair (w, v): real eigenvalues w of shape
+    (..., n), ascending along the last axis, and orthonormal eigenvector
+    columns v of shape (..., n, n), column i paired with w[..., i], with the
+    arbitrary phase LAPACK returns (every consumer forms |v><v| or
+    V diag(w) V^H, which do not depend on it).
+    """
+    return _hermitian_solve(np.linalg.eigh, a)
+
+
+def hermitian_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """hermitian_eig's eigenvalues w alone, (..., n) ascending, with no eigenvectors computed; same refusals."""
+    return _hermitian_solve(np.linalg.eigvalsh, a)
 
 
 def pinv_sqrt(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:

@@ -26,7 +26,7 @@ from pfmattack.errors import (
 )
 from pfmattack import attack
 from pfmattack.mcoracle import outcome_probabilities, run_oracle
-from pfmattack.numkernel import hermitian_eig
+from pfmattack.numkernel import hermitian_eig, hermitian_eigvalsh
 from pfmattack.statespace import EPSILON_MAX, bb84_ensemble, build_ensemble
 
 from closed_form_reference import newton_table, pfm_e_b, pfm_overlaps, remap_e_b
@@ -330,15 +330,15 @@ def test_delta_spectrum_matches_its_closed_form():
 
 
 def test_validate_decomposes_each_element_once(monkeypatch):
-    """validate() decomposes M_0, M_3 and M_vac in one stacked call of shape (3, d, d)."""
+    """validate() takes the eigenvalues of M_0, M_3 and M_vac in one stacked call of shape (3, d, d)."""
     for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
         calls = []
 
-        def counting_eig(a):
+        def counting_eigvalsh(a):
             calls.append(np.shape(a))
-            return hermitian_eig(a)
+            return hermitian_eigvalsh(a)
 
-        monkeypatch.setattr(attack, "hermitian_eig", counting_eig)
+        monkeypatch.setattr(attack, "hermitian_eigvalsh", counting_eigvalsh)
         strat.validate()
         assert calls == [(3, strat.dim, strat.dim)]
 
@@ -358,6 +358,7 @@ def test_validate_rejects_nan_before_any_eigensolve(monkeypatch):
         raise AssertionError("eigensolve reached")
 
     monkeypatch.setattr(attack, "hermitian_eig", no_eig)
+    monkeypatch.setattr(attack, "hermitian_eigvalsh", no_eig)
     for index in (0, 2):  # M_0 and M_vac
         bad = strat.elements.copy()
         bad[index, 1, 1] = np.nan
@@ -597,6 +598,19 @@ def test_fiber_length_mapping():
     assert abs(max_fiber_length_km(2.43e-3) - 124.0) <= 2.0
     assert abs(max_fiber_length_km(1.017e-3) - 142.5) <= 2.0
     assert max_fiber_length_km(0.0) == float("inf")
+
+
+def test_report_fields_are_plain_floats():
+    """Every numeric field of a report, and the strategy's x, is exactly a float, not a numpy scalar."""
+    _, _, pfm = _report(1.0, np.pi / 2)
+    for strat in (pfm, build_phase_remapping_povm(np.pi / 4)):
+        report = evaluate(strat.ensemble, strat)
+        for field in dataclasses.fields(report):
+            assert type(getattr(report, field.name)) is float, field.name
+        assert type(strat.x) is float
+        assert "np." not in repr(report)
+    for p_succ in (0.0, 2.43e-3, 5e-324):
+        assert type(max_fiber_length_km(p_succ)) is float
 
 
 def test_reference_constants():

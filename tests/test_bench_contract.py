@@ -40,8 +40,10 @@ def test_traced_layers_resolve():
 def test_tracer_counts_one_point():
     """Installed, the tracer sees one point's calls, and it restores every name on exit.
 
-    A cold point makes two eigensolves: its delta pencil and validate(). A
-    second point at the same delta finds the pencil cached and makes one.
+    A cold point makes one eigen-decomposition, for its delta pencil;
+    validate() takes eigenvalues only, through hermitian_eigvalsh, which the
+    tracer does not name. A second point at the same delta finds the pencil
+    cached and makes no further decomposition.
     """
     tracing = _load("tracing")
     tracer = tracing.Tracer()
@@ -56,14 +58,14 @@ def test_tracer_counts_one_point():
     assert calls["attack.build_suboptimal_povm"] == 1
     assert calls["attack.PovmStrategy.validate"] == 1
     assert calls["attack.evaluate"] == 1
-    assert calls["numkernel.hermitian_eig"] == 2
+    assert calls["numkernel.hermitian_eig"] == 1
     assert sum(tracer.failed) == 0
     with tracer.installed():
         ens = pfmattack.build_ensemble(np.deg2rad(0.5), np.pi / 2)
         pfmattack.evaluate(ens, pfmattack.build_suboptimal_povm(ens))
     calls = {s["layer"]: s["calls"] for s in tracer.layer_stats()}
     assert calls["attack.PovmStrategy.validate"] == 2
-    assert calls["numkernel.hermitian_eig"] == 3
+    assert calls["numkernel.hermitian_eig"] == 1
     assert sum(tracer.failed) == 0
 
 

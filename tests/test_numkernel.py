@@ -10,6 +10,7 @@ from pfmattack.errors import (
 )
 from pfmattack.numkernel import (
     hermitian_eig,
+    hermitian_eigvalsh,
     pinv_sqrt,
 )
 from pfmattack.statespace import build_ensemble
@@ -156,3 +157,33 @@ def test_eig_stack_guards():
         hermitian_eig(stack)
     with pytest.raises(DimensionMismatchError):
         hermitian_eig(np.zeros((2, 3, 4)))
+
+
+def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
+    """The eigenvalue-only call shares hermitian_eig's checks: the same inputs raise the same errors."""
+    for solve in (hermitian_eig, hermitian_eigvalsh):
+        with pytest.raises(DimensionMismatchError):
+            solve(np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            solve(np.zeros(3))
+        solve(np.array([[1.0, 1e-13], [0.0, 1.0]]))  # within 1e-12
+        with pytest.raises(NonHermitianError):
+            solve(np.array([[1.0, 1e-10], [0.0, 1.0]]))
+
+    def boom(_):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        hermitian_eigvalsh(np.eye(2))
+
+
+def test_eigvalsh_matches_eig_eigenvalues():
+    """On random stacks of dim 2, 3 and 8, the eigenvalues agree with hermitian_eig's within 1e-15 ||a||."""
+    rng = np.random.default_rng(13)
+    for dim in (2, 3, 8):
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(40)])
+        w = hermitian_eigvalsh(stack)
+        assert w.shape == (40, dim)
+        gap = np.abs(w - hermitian_eig(stack)[0]).max(axis=-1)
+        assert np.all(gap <= 1e-15 * np.linalg.norm(stack, axis=(-2, -1)))

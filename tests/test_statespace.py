@@ -11,6 +11,7 @@ from pfmattack.statespace import (
     FaradayMirror,
     bb84_ensemble,
     build_ensemble,
+    newton_step,
     pfm_states,
     span_dimension,
 )
@@ -44,6 +45,18 @@ def test_state_one_degree_k1():
     assert np.abs(got - expected).max() <= 1e-15
     assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
     assert abs(got[0] - (-0.024662637808066178 - 0.024662637808066178j)) <= 1e-12
+
+
+def test_newton_step_is_bitwise_the_sinc_form():
+    """newton_step is byte-equal to k sinc(k delta / (2 pi)) e^{ik delta/2} written with np.sinc, at 0 and subnormal delta too."""
+    deltas = [0.0, 5e-324, 1e-300, *np.geomspace(1e-300, np.pi / 2, 200), np.pi / 2]
+    k = np.arange(-1, 4)
+    for delta in deltas:
+        half = np.multiply(k, delta / 2)
+        expected = k * np.sinc(half / np.pi) * np.exp(1j * half)
+        assert newton_step(delta, k).tobytes() == expected.tobytes()
+        for k_one in range(-1, 4):
+            assert newton_step(delta, k_one).tobytes() == expected[k_one + 1].tobytes()
 
 
 def test_e0_component_free_of_cancellation():
