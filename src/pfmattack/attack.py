@@ -14,7 +14,6 @@ attack, 2: the phase-remapping baseline).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,8 +27,6 @@ from .statespace import AttackEnsemble, bb84_ensemble, newton_step
 #: Attenuation of standard telecom fiber used for the distance mapping.
 FIBER_LOSS_DB_PER_KM = 0.21
 
-#: QBER of the basis-resolved intercept-and-resend attack on ideal BB84.
-INTERCEPT_RESEND_QBER = 0.25
 #: Maximal tolerable QBER under collective attacks with one-way post-processing.
 COLLECTIVE_ATTACK_QBER_LIMIT = 0.11
 #: Maximal tolerable QBER with two-way post-processing.
@@ -51,7 +48,7 @@ _X_MIN = np.finfo(float).tiny
 _EYE = {dim: np.eye(dim) for dim in (2, 3)}
 for _identity in _EYE.values():
     _identity.setflags(write=False)
-#: (dim, delta) pencils the builder keeps: each entry holds ~0.5 kB, so the cache stays near 0.5 MB.
+#: (dim, delta) pencils that build_suboptimal_povm keeps; an entry (y_w, y_delta, lambdas) takes ~0.76 kB.
 _PENCIL_CACHE_SIZE = 1024
 
 
@@ -123,24 +120,33 @@ def max_fiber_length_km(p_succ: float) -> float:
 
 
 @lru_cache(maxsize=_PENCIL_CACHE_SIZE)
-def _pencil(dim: int, delta: float) -> tuple[np.ndarray, tuple[float, float]]:
-    """The epsilon-free half of build_suboptimal_povm: (y_w, (lambda_0, lambda_3)) for (dim, delta).
+def _pencil(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """The epsilon-free half of build_suboptimal_povm: (y_w, y_delta, (lambda_0, lambda_3)) for (dim, delta).
 
     The columns w_k of the scaled Newton basis (dim 2: their first two
     entries) give C C^H = sum_k w_k w_k^H. lambda_b is the minimal eigenvalue
     of the whitened error operator C^-1 (sum_k weight_bk w_k w_k^H) C^-H, and
     row b = 0, 3 of y_w is C^-H times its eigenvector: the generalized
-    eigenvector of the pencil in the w basis, with y^H C C^H y = 1. y_w is
-    read-only: every caller shares it.
+    eigenvector of the pencil in the w basis, with y^H C C^H y = 1.
+    y_delta = y_w T^* carries it through the map back's delta factor T:
+    delta^2 N^-1 (dim 3) or (delta N^-1) A^-1 (dim 2). Both are read-only:
+    every caller shares them.
     """
+    z_1 = np.exp(1j * delta)
     step = newton_step(delta, np.arange(-1, 4))  # (z_m - 1)/(i delta) for m = -1..3
-    newton = np.array([np.ones(4), step[1:], np.exp(1j * delta) * step[1:] * step[:-1]])[:dim]
+    newton = np.array([np.ones(4), step[1:], z_1 * step[1:] * step[:-1]])[:dim]
     chol_inv = np.linalg.inv(np.linalg.cholesky(newton @ newton.conj().T))
     whitened = chol_inv @ newton
     eigs, vecs = hermitian_eig((whitened * _RESEND_WEIGHTS[:, None, :]) @ whitened.conj().T)
     y_w = vecs[:, :, 0] @ chol_inv.conj()
+    if dim == 3:
+        delta_factor = np.array([[delta**2, 0, 0], [1j * delta, -1j * delta, 0], [-z_1, 1 + z_1, -1]])
+    else:
+        delta_factor = np.array([[0, delta], [-1j, 1j]])
+    y_delta = y_w @ delta_factor.conj()
     y_w.setflags(write=False)
-    return y_w, (float(eigs[0, 0]), float(eigs[1, 0]))
+    y_delta.setflags(write=False)
+    return y_w, y_delta, (float(eigs[0, 0]), float(eigs[1, 0]))
 
 
 def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
@@ -158,14 +164,16 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     delta -> 0: there (lambda_b, y_w,b) is the minimal generalized eigenpair,
     with y_w,b^H (sum_k w_k w_k^H) y_w,b = 1, and y_b = sqrt(2) (A N)^-H y_w,b.
     Epsilon enters only in that map back. With t = sc delta^2 (dim 3) or
-    delta (dim 2), every factor of t (A N)^-1 is O(1), and so is
-    y_hat_b = t y_b / sqrt(2): M_b = |y_hat_b><y_hat_b| / lmax and
-    x = t^2 / (2 lmax), with lmax the largest eigenvalue of the y_hat Gram matrix.
+    delta (dim 2), t (A N)^-1 = T E: an O(1) delta factor T (see _pencil) and
+    the real epsilon factor E = A1^-1 diag(1, sc, sc) (dim 3; E = I at dim 2).
+    So y_hat_b = t y_b / sqrt(2) = y_delta,b E, with y_delta = y_w T^*, is
+    O(1) too: M_b = |y_hat_b><y_hat_b| / lmax and x = t^2 / (2 lmax), with
+    lmax the largest eigenvalue of the y_hat Gram matrix.
 
-    _pencil solves the pencil once per (dim, delta) and keeps the last
-    _PENCIL_CACHE_SIZE of them, so a point makes one eigenvalue call, in
-    validate(), plus one eigen-decomposition when its (dim, delta) is not in
-    that cache.
+    _pencil solves the pencil and applies T once per (dim, delta) and keeps
+    the last _PENCIL_CACHE_SIZE of them, so a point applies E alone and makes
+    one eigenvalue call, in validate(), plus one eigen-decomposition when its
+    (dim, delta) is not in that cache.
 
     e_B (absolutely) and p_succ (relatively) are within 1e-12 of exact
     arithmetic for every 0 < delta <= pi/2. Three points are refused, in
@@ -174,31 +182,21 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     (DegenerateSpanError); and an x below the smallest normal double, where
     |sc| delta^2 (dim 3) or delta (dim 2) is below ~1e-154 (DegenerateSpanError).
     """
-    epsilon, delta = ens.epsilon, ens.delta
-    if ens.dim == 3 and epsilon == 0.0:
+    epsilon, delta, dim = ens.epsilon, ens.delta, ens.dim
+    if dim == 3 and epsilon == 0.0:
         raise SingularEpsilonError(
             "epsilon = 0 is a singular point: the attack states span only two dimensions"
         )
     if delta == 0.0:
         raise DegenerateSpanError("delta = 0: the four states coincide and span one dimension")
-    y_w, (lambda_0, lambda_3) = _pencil(ens.dim, float(delta))
-    dim = ens.dim
+    _, y, (lambda_0, lambda_3) = _pencil(dim, delta)  # rows y_delta,0 and y_delta,3
     if dim == 3:
-        z_1 = cmath.exp(1j * delta)
         s, c = math.sin(2 * epsilon), math.cos(2 * epsilon)
         sc = s * c
         t = sc * delta**2
-        # the product (delta^2 N^-1) A1^-1 diag(1, sc, sc), with rows [delta^2, 0, 0], [i delta, -i delta, 0],
-        # [-z_1, 1 + z_1, -1] in delta^2 N^-1 and A1^-1 = [[0, 0, 1], [-s^2, 1, 0], [c^2, 1, 0]]
-        back = np.array([
-            0, 0, delta**2 * sc,
-            1j * delta * s * s, -1j * delta * sc, 1j * delta * sc,
-            -1 - z_1 * s * s, z_1 * sc, -z_1 * sc,
-        ]).reshape(3, 3)
+        y = y @ np.array([[0, 0, sc], [-s * s, sc, 0], [c * c, sc, 0]])  # A1^-1 diag(1, sc, sc)
     else:
         t = delta
-        back = np.array([0, delta, -1j, 1j]).reshape(2, 2)  # (delta N^-1) A^-1
-    y = y_w @ back.conj()  # rows y_hat_0, y_hat_3
     gram = y.conj() @ y.T
     g00, g33 = gram.real.diagonal().tolist()
     lmax = float((g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(gram[0, 1])))

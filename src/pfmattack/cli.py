@@ -11,8 +11,8 @@ angles accept 'pi' or 'pi/N', each with an optional sign, or a finite radian val
 Grids are comma lists or 'start:stop:count' (inclusive linspace; degrees for
 epsilon, angle tokens for delta).
 
-Every subcommand accepts '--config PATH' pointing at a key=value file whose
-keys mirror the long flag names; explicit flags take precedence.
+Every subcommand accepts '--config PATH' (or '--config=PATH'): a key=value
+file whose keys mirror the long flag names; explicit flags take precedence.
 
 Exit codes: 0 success, 1 verification failure or a sweep with rejected points,
 2 usage or domain error.
@@ -283,18 +283,21 @@ def cmd_compensation(args) -> int:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Replace '--config PATH' with the flags read from the file (key=value lines).
+    """Replace '--config PATH' or '--config=PATH' with the flags read from the file (key=value lines).
 
     Expanded flags are inserted right after the subcommand so explicit
     command-line flags, which come later, win.
     """
-    if "--config" not in argv:
+    i = next((j for j, arg in enumerate(argv) if arg.partition("=")[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    _, joined, path = argv[i].partition("=")
+    end = i + 1 if joined else i + 2  # '--config=PATH' is one token, '--config PATH' two
+    if end > len(argv) or joined and not path:
         raise PfmAttackError("--config requires a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2 :]
+    if not joined:
+        path = argv[i + 1]
+    rest = argv[:i] + argv[end:]
     if not rest:
         raise PfmAttackError("--config requires a subcommand")
     flags: list[str] = []

@@ -1,6 +1,6 @@
 """Dense complex linear-algebra kernel for the small Hermitian operators of the attack.
 
-Everything downstream (Jones matrices, density operators, POVM elements) is a
+Everything downstream (whitened error operators, POVM elements) is a
 2x2 or 3x3 complex matrix, so this module wraps the few eigen-based primitives
 the package needs behind one convention: eigenvalues sorted ascending.
 """

@@ -8,7 +8,6 @@ import pytest
 from pfmattack.attack import (
     COLLECTIVE_ATTACK_QBER_LIMIT,
     ERROR_WEIGHTS,
-    INTERCEPT_RESEND_QBER,
     TWO_WAY_POSTPROCESSING_QBER_LIMIT,
     PovmStrategy,
     build_phase_remapping_povm,
@@ -322,7 +321,7 @@ def test_delta_spectrum_matches_its_closed_form():
             assert max(abs(v - pfm_e_b(delta)) for v in (report.qber, report.lambda_0, report.lambda_3)) <= 1e-15
         report = evaluate(bb84_ensemble(delta), build_phase_remapping_povm(delta))
         assert max(abs(v - remap_e_b(delta)) for v in (report.qber, report.lambda_0, report.lambda_3)) <= 1e-15
-        y_w, _ = attack._pencil(3, float(delta))
+        y_w, _, _ = attack._pencil(3, float(delta))
         for c, c_ref in zip(y_w @ newton_table(delta).conj(), pfm_overlaps(delta)):
             assert np.abs(_projector(c) - _projector(c_ref)).max() <= 1e-14, delta
     assert abs(pfm_e_b(np.pi / 2) - LAMBDA_HALF_PI) <= 1e-16
@@ -480,10 +479,11 @@ def test_cached_pencil_gives_bit_identical_points():
 
 def test_cached_pencil_is_read_only():
     for dim in (2, 3):
-        y_w, lambdas = attack._pencil(dim, np.pi / 4)
+        y_w, y_delta, lambdas = attack._pencil(dim, np.pi / 4)
         assert isinstance(lambdas, tuple)
-        with pytest.raises(ValueError):
-            y_w[0, 0] = 0.0
+        for cached in (y_w, y_delta):
+            with pytest.raises(ValueError):
+                cached[0, 0] = 0.0
 
 
 def test_refused_points_do_not_reach_the_cache():
@@ -614,6 +614,5 @@ def test_report_fields_are_plain_floats():
 
 
 def test_reference_constants():
-    assert INTERCEPT_RESEND_QBER == 0.25
     assert COLLECTIVE_ATTACK_QBER_LIMIT == 0.11
     assert TWO_WAY_POSTPROCESSING_QBER_LIMIT == 0.20

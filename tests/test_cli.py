@@ -546,46 +546,58 @@ def test_compensation_at_huge_phases(phi_o, phi_e, capsys):
     assert parse_kv_output(capsys.readouterr().out)["residual_ideal_fm"] == "0"
 
 
+def config_spellings(path):
+    """The two spellings of the config flag: '--config PATH' and '--config=PATH'."""
+    return ["--config", str(path)], [f"--config={path}"]
+
+
 def test_config_file_supplies_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# point under test\nepsilon-deg=1\ndelta=pi/2\n")
-    assert run_cli("eval", "--config", str(cfg)) == 0
-    values = parse_kv_output(capsys.readouterr().out)
-    assert abs(float(values["e_B"]) - 0.146447) <= 1e-5
+    for config in config_spellings(cfg):
+        assert run_cli("eval", *config) == 0, config
+        values = parse_kv_output(capsys.readouterr().out)
+        assert abs(float(values["e_B"]) - 0.146447) <= 1e-5
 
 
 def test_cli_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epsilon-deg=1\ndelta=pi/2\n")
-    assert run_cli("eval", "--config", str(cfg), "--delta", "pi/4") == 0
-    values = parse_kv_output(capsys.readouterr().out)
-    assert abs(float(values["e_B"]) - 0.0471772) <= 1e-5
+    for config in config_spellings(cfg):
+        assert run_cli("eval", *config, "--delta", "pi/4") == 0, config
+        values = parse_kv_output(capsys.readouterr().out)
+        assert abs(float(values["e_B"]) - 0.0471772) <= 1e-5
 
 
 def test_config_reproducible_flag(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("epsilon-deg=0.5\ndelta=pi/2\nreproducible=true\n")
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli("sweep", "--config", str(cfg), "--out", str(a)) == 0
-    assert run_cli("sweep", "--config", str(cfg), "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
+    spaced, joined = config_spellings(cfg)
+    a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    assert run_cli("sweep", *spaced, "--out", str(a)) == 0
+    assert run_cli("sweep", *spaced, "--out", str(b)) == 0
+    assert run_cli("sweep", *joined, "--out", str(c)) == 0
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 def test_config_missing_file(capsys):
-    assert run_cli("eval", "--config", "/nonexistent/path.cfg") == 2
-    assert "cannot read config" in capsys.readouterr().err
+    for config in config_spellings("/nonexistent/path.cfg"):
+        assert run_cli("eval", *config) == 2, config
+        assert "cannot read config /nonexistent/path.cfg" in capsys.readouterr().err
 
 
 def test_config_flag_without_a_path(capsys):
-    assert run_cli("eval", "--config") == 2
-    assert "--config requires a file path" in capsys.readouterr().err
+    for config in ("--config", "--config="):
+        assert run_cli("eval", config) == 2, config
+        assert "--config requires a file path" in capsys.readouterr().err
 
 
 def test_config_flag_without_a_subcommand(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("delta=pi/2\n")
-    assert run_cli("--config", str(cfg)) == 2
-    assert "--config requires a subcommand" in capsys.readouterr().err
+    for config in config_spellings(cfg):
+        assert run_cli(*config) == 2, config
+        assert "--config requires a subcommand" in capsys.readouterr().err
 
 
 def test_config_line_without_equals_sign(tmp_path, capsys):
