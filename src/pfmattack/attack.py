@@ -15,12 +15,13 @@ attack, 2: the phase-remapping baseline).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, SingularEpsilonError
+from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, PfmAttackError, SingularEpsilonError
 from .numkernel import hermitian_eig, hermitian_eigvalsh
 from .statespace import AttackEnsemble, bb84_ensemble, newton_step
 
@@ -85,16 +86,11 @@ class PovmStrategy:
     def validate(self) -> None:
         """Check completeness, positivity and the vacuum boundary; raise on violation (NaN fails them all)."""
         residual = self.elements.sum(axis=0) - _EYE[self.dim]
-        if not math.sqrt(np.vdot(residual, residual).real) <= _COMPLETENESS_TOL:  # the Frobenius norm
-            raise DomainError("POVM elements do not sum to the identity")
-        min_eigs = hermitian_eigvalsh(self.elements)[:, 0].tolist()
-        for label, min_eig in zip(("M_0", "M_3", "M_vac"), min_eigs):
-            if not min_eig >= -_PSD_TOL:
-                raise DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
-        if not -_PSD_TOL <= min_eigs[2] <= _VAC_BOUNDARY_MAX:
-            raise DomainError(f"M_vac minimal eigenvalue {min_eigs[2]:.3e} is off the positivity boundary")
-        if not self.x > 0:
-            raise DomainError(f"scale factor x must be positive, got {self.x!r}")
+        complete = math.sqrt(np.vdot(residual, residual).real) <= _COMPLETENESS_TOL  # the Frobenius norm
+        min_eigs = hermitian_eigvalsh(self.elements)[:, 0].tolist() if complete else None
+        refusal = _refusal(complete, min_eigs, self.x)
+        if refusal is not None:
+            raise refusal
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,51 @@ def _pencil(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray, tuple[float
     return y_w, y_delta, (float(eigs[0, 0]), float(eigs[1, 0]))
 
 
-def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
+def _refusal_before_arithmetic(ens: AttackEnsemble) -> PfmAttackError | None:
+    """The refusal of a point that is decided by (epsilon, delta, dim) alone, or None: epsilon = 0 at dim 3, then delta = 0."""
+    if ens.dim == 3 and ens.epsilon == 0.0:
+        return SingularEpsilonError("epsilon = 0 is a singular point: the attack states span only two dimensions")
+    if ens.delta == 0.0:
+        return DegenerateSpanError("delta = 0: the four states coincide and span one dimension")
+    return None
+
+
+def _underflow(x: float) -> DegenerateSpanError:
+    return DegenerateSpanError(
+        f"p_succ = x/2 underflows (x = {x:.3e}): |sin 2e cos 2e| delta^2 (pfm) or delta (remap) "
+        "is below ~1e-154, beyond double precision"
+    )
+
+
+def _map_scalars(ens: AttackEnsemble) -> tuple[float, float, float]:
+    """(s, c, t) of a dim-3 point, as build_suboptimal_povm forms them: sin 2e, cos 2e and t = sc delta^2."""
+    s, c = math.sin(2 * ens.epsilon), math.cos(2 * ens.epsilon)
+    sc = s * c
+    return s, c, sc * ens.delta**2
+
+
+def _refusal(complete: bool, min_eigs: list[float] | None, x: float) -> DomainError | None:
+    """The first of validate()'s checks that one POVM fails, or None.
+
+    complete says whether the elements sum to the identity; min_eigs holds the
+    minimal eigenvalues of M_0, M_3 and M_vac (None when incomplete: such a
+    POVM reaches no eigensolve) and x is the scale factor. NaN fails every check.
+    """
+    if not complete:
+        return DomainError("POVM elements do not sum to the identity")
+    for label, min_eig in zip(("M_0", "M_3", "M_vac"), min_eigs):
+        if not min_eig >= -_PSD_TOL:
+            return DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
+    if not -_PSD_TOL <= min_eigs[2] <= _VAC_BOUNDARY_MAX:
+        return DomainError(f"M_vac minimal eigenvalue {min_eigs[2]:.3e} is off the positivity boundary")
+    if not x > 0:
+        return DomainError(f"scale factor x must be positive, got {x!r}")
+    return None
+
+
+def build_suboptimal_povm(
+    ens: AttackEnsemble | Iterable[AttackEnsemble],
+) -> PovmStrategy | list[PovmStrategy | PfmAttackError]:
     """The square-root strategy for the point ens: the 3-D attack at dim 3, the 2-D remap baseline at dim 2.
 
     lambda_b is the minimal generalized eigenvalue of (L_b, rho) and y_b its
@@ -181,20 +221,31 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     dimensions (SingularEpsilonError); delta = 0, where the states coincide
     (DegenerateSpanError); and an x below the smallest normal double, where
     |sc| delta^2 (dim 3) or delta (dim 2) is below ~1e-154 (DegenerateSpanError).
+
+    ens may also be a sequence (any iterable) of ensembles, of either dim. The return is
+    then a list, in input order, of each one's validated PovmStrategy or the
+    PfmAttackError its own call would raise, and no refusal stops the others.
+    The points of each dim go through the same closed form and validate()'s
+    checks stacked on one leading axis, with one eigenvalue call for all of
+    their POVMs; each point's results equal its own call's, bit for bit.
+    Memory grows with the length of the sequence, so a caller with a large
+    grid passes it in blocks (the CLI sweep: cli.SWEEP_BLOCK points a call).
     """
-    epsilon, delta, dim = ens.epsilon, ens.delta, ens.dim
-    if dim == 3 and epsilon == 0.0:
-        raise SingularEpsilonError(
-            "epsilon = 0 is a singular point: the attack states span only two dimensions"
-        )
-    if delta == 0.0:
-        raise DegenerateSpanError("delta = 0: the four states coincide and span one dimension")
+    if not isinstance(ens, AttackEnsemble):
+        return _build_stacked(list(ens))
+    refusal = _refusal_before_arithmetic(ens)
+    if refusal is not None:
+        raise refusal
+    delta, dim = ens.delta, ens.dim
     _, y, (lambda_0, lambda_3) = _pencil(dim, delta)  # rows y_delta,0 and y_delta,3
     if dim == 3:
-        s, c = math.sin(2 * epsilon), math.cos(2 * epsilon)
+        s, c, t = _map_scalars(ens)
         sc = s * c
-        t = sc * delta**2
-        y = y @ np.array([[0, 0, sc], [-s * s, sc, 0], [c * c, sc, 0]])  # A1^-1 diag(1, sc, sc)
+        factor = np.zeros((3, 3))  # A1^-1 diag(1, sc, sc); faster to fill than np.array of nested lists
+        factor[0, 2] = factor[1, 1] = factor[2, 1] = sc
+        factor[1, 0] = -s * s
+        factor[2, 0] = c * c
+        y = y @ factor
     else:
         t = delta
     gram = y.conj() @ y.T
@@ -203,10 +254,7 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     # C C^H = sum_k w_k w_k^H is 2 rho in the w basis, hence the 2 in x
     x = t * t / (2 * lmax)
     if not x >= _X_MIN:
-        raise DegenerateSpanError(
-            f"p_succ = x/2 underflows (x = {x:.3e}): |sin 2e cos 2e| delta^2 (pfm) or delta (remap) "
-            "is below ~1e-154, beyond double precision"
-        )
+        raise _underflow(x)
     elements = np.empty((3, dim, dim), dtype=complex)  # [M_0, M_3, M_vac]
     np.multiply(y[:, :, None], y[:, None, :].conj(), out=elements[:2])
     elements[:2] /= lmax
@@ -215,6 +263,83 @@ def build_suboptimal_povm(ens: AttackEnsemble) -> PovmStrategy:
     strat = PovmStrategy(ensemble=ens, elements=elements, x=x, lambda_0=lambda_0, lambda_3=lambda_3)
     strat.validate()
     return strat
+
+
+def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAttackError]:
+    """build_suboptimal_povm over a sequence: the same arithmetic and checks, the points of each dim stacked on axis 0.
+
+    A single point keeps a scalar body of its own, since numpy's per-call cost
+    on 2x3 arrays makes a stacked body slower for one point; the two bodies
+    must give the same bits, which test_attack checks point by point.
+    """
+    results: list[PovmStrategy | PfmAttackError | None] = [_refusal_before_arithmetic(ens) for ens in ensembles]
+    for dim in (3, 2):
+        index = [k for k, ens in enumerate(ensembles) if results[k] is None and ens.dim == dim]
+        if not index:
+            continue
+        pencils = [_pencil(dim, ensembles[k].delta) for k in index]
+        y = np.array([pencil[1] for pencil in pencils])  # (n, 2, dim): rows y_delta,0 and y_delta,3
+        if dim == 3:
+            # per point in Python floats, as the single body: delta**2 is libm's pow, not numpy's delta * delta
+            s, c, t = np.array([_map_scalars(ensembles[k]) for k in index]).T
+            sc = s * c
+            factor = np.zeros((len(index), 3, 3))  # A1^-1 diag(1, sc, sc) per point
+            factor[:, 0, 2] = factor[:, 1, 1] = factor[:, 2, 1] = sc
+            factor[:, 1, 0] = -s * s
+            factor[:, 2, 0] = c * c
+            y = y @ factor
+        else:
+            t = np.array([ensembles[k].delta for k in index])
+        gram = y.conj() @ y.transpose(0, 2, 1)
+        g00, g33, g03 = gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1]
+        # |g03| as hypot, which the single body's complex-scalar abs() is; numpy's array abs differs in the last bit
+        lmax = (g00 + g33) / 2 + np.hypot((g00 - g33) / 2, np.hypot(g03.real, g03.imag))
+        x = t * t / (2 * lmax)
+        normal = x >= _X_MIN
+        for k, x_k in zip(np.array(index)[~normal].tolist(), x[~normal].tolist()):
+            results[k] = _underflow(x_k)
+        y, lmax, x = y[normal], lmax[normal], x[normal]
+        elements = np.empty((len(x), 3, dim, dim), dtype=complex)  # [M_0, M_3, M_vac] per point
+        np.multiply(y[:, :, :, None], y[:, :, None, :].conj(), out=elements[:, :2])
+        elements[:, :2] /= lmax[:, None, None, None]
+        np.subtract(_EYE[dim], elements[:, 0], out=elements[:, 2])
+        elements[:, 2] -= elements[:, 1]
+        built = [(k, pencil[2]) for k, pencil, ok in zip(index, pencils, normal.tolist()) if ok]
+        for (k, (lambda_0, lambda_3)), el, x_k, refusal in zip(built, elements, x.tolist(), _refusals(elements, x)):
+            results[k] = refusal or PovmStrategy(
+                ensemble=ensembles[k], elements=el, x=x_k, lambda_0=lambda_0, lambda_3=lambda_3
+            )
+    return results
+
+
+def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None]:
+    """validate() over POVMs stacked on axis 0: elements (n, 3, dim, dim), x (n,); per POVM None or its refusal.
+
+    Completeness comes first, so an incomplete or NaN POVM reaches no
+    eigensolve; the complete ones take one stacked eigenvalue call. If that
+    call refuses (an asymmetry above HERMITIAN_ATOL, or no convergence), each
+    complete POVM is solved alone, so that a bad POVM refuses only itself.
+    """
+    residual = elements.sum(axis=1) - _EYE[elements.shape[-1]]
+    # the Frobenius norm of each residual; NaN fails
+    complete = np.sqrt(np.square(residual.view(float)).sum(axis=(1, 2))) <= _COMPLETENESS_TOL
+    min_eigs: list = [None] * len(x)
+    solver_refusals: dict[int, PfmAttackError] = {}
+    index = np.flatnonzero(complete).tolist()
+    if index:
+        try:
+            for k, eigs in zip(index, hermitian_eigvalsh(elements[index])[:, :, 0].tolist()):
+                min_eigs[k] = eigs
+        except PfmAttackError:
+            for k in index:
+                try:
+                    min_eigs[k] = hermitian_eigvalsh(elements[k])[:, 0].tolist()
+                except PfmAttackError as exc:
+                    solver_refusals[k] = exc
+    return [
+        solver_refusals.get(k) or _refusal(ok, eigs, x_k)
+        for k, (ok, eigs, x_k) in enumerate(zip(complete.tolist(), min_eigs, x.tolist()))
+    ]
 
 
 def build_phase_remapping_povm(delta: float) -> PovmStrategy:

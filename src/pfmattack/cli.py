@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import math
 import os
 import re
@@ -38,6 +39,9 @@ from .mcoracle import OracleEstimate, check_run, run_oracle
 from .statespace import BirefringentChannel, FaradayMirror, bb84_ensemble, build_ensemble, verify_compensation
 
 _PI_FRACTION = re.compile(r"^([+-]?)pi(?:/(\d+(?:\.\d+)?))?$")
+
+#: Grid points a sweep builds per build_suboptimal_povm call: bounds the arrays and strategies held at once.
+SWEEP_BLOCK = 256
 
 BASE_COLUMNS = ("epsilon_deg", "delta_rad", "e_B", "p_succ", "lambda_0", "lambda_3", "x", "max_fiber_km")
 ORACLE_COLUMNS = ("oracle_e_B", "oracle_p")
@@ -106,9 +110,14 @@ def parse_degree_grid(token: str) -> list[float]:
     return _parse_grid(token, parse_degrees)
 
 
+def _ensemble(attack_kind: str, epsilon_deg: float, delta: float):
+    """The point of one grid cell: the bare phase-encoded states for remap, the 3-D family for pfm."""
+    return bb84_ensemble(delta) if attack_kind == "remap" else build_ensemble(np.deg2rad(epsilon_deg), delta)
+
+
 def _point_report(attack_kind: str, epsilon_deg: float, delta: float):
     """Closed-form report plus the (ensemble, strategy) pair behind it."""
-    ens = bb84_ensemble(delta) if attack_kind == "remap" else build_ensemble(np.deg2rad(epsilon_deg), delta)
+    ens = _ensemble(attack_kind, epsilon_deg, delta)
     strat = build_suboptimal_povm(ens)
     return evaluate(ens, strat), ens, strat
 
@@ -174,6 +183,8 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
     A refused point becomes a '# rejected' comment. The remap attack ignores
     epsilon, so it writes one row per delta, labelled epsilon_deg 0. With
     oracle columns, the trial count and the seed are checked before any point.
+    The grid is built SWEEP_BLOCK points at a time, each block in one
+    build_suboptimal_povm call; evaluate and the oracle then run per row.
     """
     lines = [f"# pfmattack {__version__}", f"# attack={args.attack}"]
     if args.trials is not None:
@@ -183,18 +194,25 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
         lines.append(f"# generated={datetime.now(timezone.utc).isoformat(timespec='seconds')}")
     columns = BASE_COLUMNS + (ORACLE_COLUMNS if args.trials is not None else ())
     lines.append(",".join(columns))
+    cells = itertools.product(args.epsilon_deg if args.attack == "pfm" else [0.0], args.delta)
     row_index = 0
-    for epsilon_deg in args.epsilon_deg if args.attack == "pfm" else [0.0]:
-        for delta in args.delta:
+    while block := list(itertools.islice(cells, SWEEP_BLOCK)):
+        points = []  # per cell: its ensemble, or the refusal of a cell outside the domain
+        for epsilon_deg, delta in block:
             try:
-                report, ens, strat = _point_report(args.attack, epsilon_deg, delta)
+                points.append(_ensemble(args.attack, epsilon_deg, delta))
             except PfmAttackError as exc:
-                lines.append(f"# rejected epsilon_deg={_csv_num(epsilon_deg)} delta_rad={_csv_num(delta)}: {exc}")
+                points.append(exc)
+        built = iter(build_suboptimal_povm([ens for ens in points if not isinstance(ens, PfmAttackError)]))
+        for (epsilon_deg, delta), ens in zip(block, points):
+            strat = ens if isinstance(ens, PfmAttackError) else next(built)
+            if isinstance(strat, PfmAttackError):
+                lines.append(f"# rejected epsilon_deg={_csv_num(epsilon_deg)} delta_rad={_csv_num(delta)}: {strat}")
                 continue
             oracle = None
             if args.trials is not None:
                 oracle = run_oracle(ens, strat, args.trials, args.seed + row_index)
-            lines.append(",".join(_report_row(epsilon_deg, report, oracle)))
+            lines.append(",".join(_report_row(epsilon_deg, evaluate(ens, strat), oracle)))
             row_index += 1
     return lines
 
@@ -293,10 +311,10 @@ def _expand_config(argv: list[str]) -> list[str]:
         return argv
     _, joined, path = argv[i].partition("=")
     end = i + 1 if joined else i + 2  # '--config=PATH' is one token, '--config PATH' two
-    if end > len(argv) or joined and not path:
-        raise PfmAttackError("--config requires a file path")
-    if not joined:
+    if not joined and end <= len(argv):
         path = argv[i + 1]
+    if not path:
+        raise PfmAttackError("--config requires a file path")
     rest = argv[:i] + argv[end:]
     if not rest:
         raise PfmAttackError("--config requires a subcommand")

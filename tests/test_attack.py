@@ -19,11 +19,12 @@ from pfmattack.errors import (
     DegenerateSpanError,
     DimensionMismatchError,
     DomainError,
+    NoConvergenceError,
     NonHermitianError,
     PfmAttackError,
     SingularEpsilonError,
 )
-from pfmattack import attack
+from pfmattack import attack, cli
 from pfmattack.mcoracle import outcome_probabilities, run_oracle
 from pfmattack.numkernel import hermitian_eig, hermitian_eigvalsh
 from pfmattack.statespace import EPSILON_MAX, bb84_ensemble, build_ensemble
@@ -509,6 +510,61 @@ def test_pencil_cache_is_bounded():
     for delta in np.linspace(0.01, np.pi / 2, maxsize + 10):
         build_phase_remapping_povm(delta)
     assert attack._pencil.cache_info().currsize == maxsize
+
+
+def _outcome(ens, strat_or_refusal):
+    """What a cell came to: (report, elements) of a strategy, or (type, message) of a refusal."""
+    if isinstance(strat_or_refusal, PfmAttackError):
+        return type(strat_or_refusal), str(strat_or_refusal)
+    assert isinstance(strat_or_refusal, PovmStrategy) and strat_or_refusal.ensemble is ens
+    return evaluate(ens, strat_or_refusal), strat_or_refusal.elements.tobytes()
+
+
+def test_sequence_form_equals_the_point_form_cell_by_cell():
+    """A seeded grid of both kinds, longer than a sweep block, with refused cells mixed in: the sequence form
+    gives each cell exactly its own call's strategy, bit for bit (a ulp bound of 0 on every AttackReport
+    field and every element), or its refusal, with the same type and message, in the same position."""
+    rng = np.random.default_rng(22)
+    n = cli.SWEEP_BLOCK + 150
+    eps, delta = _reals(rng, n, 1e-6, 1e-8)
+    refused = {0: (0.0, 1.0), 1: (0.01, 0.0), 2: (0.01, 1e-200), 3: (1e-310, np.pi / 2)}  # position: (epsilon, delta)
+    for k, (e, d) in refused.items():
+        for offset in (0, cli.SWEEP_BLOCK - 3, n - 5):  # at both ends and across the block boundary, on both kinds
+            eps[k + offset], delta[k + offset] = e, d
+    points = [build_ensemble(e, d) if k % 3 else bb84_ensemble(d) for k, (e, d) in enumerate(zip(eps, delta))]
+    cells = build_suboptimal_povm(points)
+    assert isinstance(cells, list) and len(cells) == n
+    kinds = set()
+    for k, (ens, cell) in enumerate(zip(points, cells)):
+        try:
+            alone = build_suboptimal_povm(ens)
+        except PfmAttackError as exc:
+            alone = exc
+        assert _outcome(ens, cell) == _outcome(ens, alone), (k, ens)
+        kinds.add((ens.dim, type(alone).__name__))
+    assert {(3, "PovmStrategy"), (2, "PovmStrategy"), (3, "SingularEpsilonError"), (3, "DegenerateSpanError"),
+            (2, "DegenerateSpanError")} <= kinds
+    assert build_suboptimal_povm([]) == []
+    assert [_outcome(p, c) for p, c in zip(points[4:6], build_suboptimal_povm(iter(points[4:6])))] == [
+        _outcome(p, build_suboptimal_povm(p)) for p in points[4:6]
+    ]
+
+
+def test_one_bad_povm_never_stops_the_others(monkeypatch):
+    """A stack the eigensolver refuses is solved again POVM by POVM: only the POVM it refuses is refused."""
+    points = [build_ensemble(e * DEG, d) for e in (0.3, 1.0, 2.0) for d in (0.5, np.pi / 2)]
+    bad = build_suboptimal_povm(points[3]).elements
+
+    def refusing_eigvalsh(a):
+        if any(np.array_equal(m, bad) for m in np.reshape(a, (-1, 3, 3, 3))):
+            raise NoConvergenceError("Eigenvalues did not converge")
+        return hermitian_eigvalsh(a)
+
+    monkeypatch.setattr(attack, "hermitian_eigvalsh", refusing_eigvalsh)
+    cells = build_suboptimal_povm(points)
+    assert isinstance(cells[3], NoConvergenceError)
+    for k in (0, 1, 2, 4, 5):
+        assert evaluate(points[k], cells[k]) == evaluate(points[k], build_suboptimal_povm(points[k]))
 
 
 # (kind, epsilon_deg, delta, e_B, p_succ, x, lambda_0, lambda_3) from an earlier, independent

@@ -292,6 +292,23 @@ def test_seeded_oracle_sweep_is_pinned(tmp_path):
     assert out.read_bytes() == PINNED_ORACLE_SWEEP.encode()
 
 
+def test_sweep_blocks_do_not_change_a_byte(tmp_path, monkeypatch):
+    """A grid of several blocks, with refused cells at and across block edges, writes the same file at any block
+    size: each cell's row or '# rejected' line, and each row's oracle seed, do not depend on where a block ends."""
+    argv = ["sweep", "--epsilon-deg=-6,0,1e-310,0.5,1", "--delta", "0,1e-200,0.3,pi/2,2", "--trials", "10000",
+            "--seed", "5", "--reproducible"]
+    files = []
+    for block in (cli.SWEEP_BLOCK, 1, 7):
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+        out = tmp_path / f"block{block}.csv"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        files.append(out.read_bytes())
+    assert files[1] == files[0] and files[2] == files[0]
+    lines = files[0].decode().splitlines()
+    assert sum(line.startswith("# rejected") for line in lines) == 21
+    assert len(lines) == 4 + 25
+
+
 def test_sweep_remap_kind(tmp_path):
     out = tmp_path / "remap.csv"
     assert run_cli(
@@ -431,7 +448,7 @@ def test_sweep_checks_oracle_flags_before_any_point(tmp_path, monkeypatch, capsy
     def no_point(*args):
         raise AssertionError("a point was built")
 
-    monkeypatch.setattr(cli, "_point_report", no_point)
+    monkeypatch.setattr(cli, "build_suboptimal_povm", no_point)
     out = tmp_path / "x.csv"
     assert run_cli("sweep", "--delta", "pi/2", *flags, "--out", str(out)) == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -587,8 +604,8 @@ def test_config_missing_file(capsys):
 
 
 def test_config_flag_without_a_path(capsys):
-    for config in ("--config", "--config="):
-        assert run_cli("eval", config) == 2, config
+    for config in (["--config"], ["--config="], ["--config", ""]):
+        assert run_cli("eval", *config) == 2, config
         assert "--config requires a file path" in capsys.readouterr().err
 
 
