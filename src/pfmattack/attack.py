@@ -295,19 +295,15 @@ def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAt
         # |g03| as hypot, which the single body's complex-scalar abs() is; numpy's array abs differs in the last bit
         lmax = (g00 + g33) / 2 + np.hypot((g00 - g33) / 2, np.hypot(g03.real, g03.imag))
         x = t * t / (2 * lmax)
-        normal = x >= _X_MIN
-        for k, x_k in zip(np.array(index)[~normal].tolist(), x[~normal].tolist()):
-            results[k] = _underflow(x_k)
-        y, lmax, x = y[normal], lmax[normal], x[normal]
-        elements = np.empty((len(x), 3, dim, dim), dtype=complex)  # [M_0, M_3, M_vac] per point
+        elements = np.empty((len(index), 3, dim, dim), dtype=complex)  # [M_0, M_3, M_vac] per point
         np.multiply(y[:, :, :, None], y[:, :, None, :].conj(), out=elements[:, :2])
         elements[:, :2] /= lmax[:, None, None, None]
         np.subtract(_EYE[dim], elements[:, 0], out=elements[:, 2])
         elements[:, 2] -= elements[:, 1]
-        built = [(k, pencil[2]) for k, pencil, ok in zip(index, pencils, normal.tolist()) if ok]
-        for (k, (lambda_0, lambda_3)), el, x_k, refusal in zip(built, elements, x.tolist(), _refusals(elements, x)):
-            results[k] = refusal or PovmStrategy(
-                ensemble=ensembles[k], elements=el, x=x_k, lambda_0=lambda_0, lambda_3=lambda_3
+        for k, pencil, el, x_k, refusal in zip(index, pencils, elements, x.tolist(), _refusals(elements, x)):
+            # in the single body's order: the underflow of x, then validate()'s checks
+            results[k] = (_underflow(x_k) if not x_k >= _X_MIN else refusal) or PovmStrategy(
+                ensemble=ensembles[k], elements=el, x=x_k, lambda_0=pencil[2][0], lambda_3=pencil[2][1]
             )
     return results
 
@@ -323,22 +319,21 @@ def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None
     residual = elements.sum(axis=1) - _EYE[elements.shape[-1]]
     # the Frobenius norm of each residual; NaN fails
     complete = np.sqrt(np.square(residual.view(float)).sum(axis=(1, 2))) <= _COMPLETENESS_TOL
-    min_eigs: list = [None] * len(x)
-    solver_refusals: dict[int, PfmAttackError] = {}
+    checked: list = [None] * len(x)  # per POVM: its minimal eigenvalues, or the refusal its lone solve raised
     index = np.flatnonzero(complete).tolist()
     if index:
         try:
             for k, eigs in zip(index, hermitian_eigvalsh(elements[index])[:, :, 0].tolist()):
-                min_eigs[k] = eigs
+                checked[k] = eigs
         except PfmAttackError:
             for k in index:
                 try:
-                    min_eigs[k] = hermitian_eigvalsh(elements[k])[:, 0].tolist()
+                    checked[k] = hermitian_eigvalsh(elements[k])[:, 0].tolist()
                 except PfmAttackError as exc:
-                    solver_refusals[k] = exc
+                    checked[k] = exc
     return [
-        solver_refusals.get(k) or _refusal(ok, eigs, x_k)
-        for k, (ok, eigs, x_k) in enumerate(zip(complete.tolist(), min_eigs, x.tolist()))
+        eigs if isinstance(eigs, PfmAttackError) else _refusal(ok, eigs, x_k)
+        for ok, eigs, x_k in zip(complete.tolist(), checked, x.tolist())
     ]
 
 

@@ -345,11 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Imperfect-Faraday-mirror attack simulator for two-way plug-and-play QKD",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    point = argparse.ArgumentParser(add_help=False)  # the one (epsilon, delta) point that eval and verify take
+    point.add_argument("--epsilon-deg", type=parse_degrees, default=0.0, help="mirror deviation in degrees")
+    point.add_argument("--delta", type=parse_angle, required=True, help="phase step (pi/N or radians)")
+    point.add_argument("--attack", choices=("pfm", "remap"), default="pfm")
 
-    p_eval = sub.add_parser("eval", help="evaluate one (epsilon, delta) point")
-    p_eval.add_argument("--epsilon-deg", type=parse_degrees, default=0.0, help="mirror deviation in degrees")
-    p_eval.add_argument("--delta", type=parse_angle, required=True, help="phase step (pi/N or radians)")
-    p_eval.add_argument("--attack", choices=("pfm", "remap"), default="pfm")
+    p_eval = sub.add_parser("eval", parents=[point], help="evaluate one (epsilon, delta) point")
     p_eval.add_argument("--out", default=None, help="optional single-row CSV output path")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -370,10 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--reproducible", action="store_true", help="suppress the timestamp comment")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="Monte Carlo oracle vs closed form")
-    p_verify.add_argument("--epsilon-deg", type=parse_degrees, default=0.0)
-    p_verify.add_argument("--delta", type=parse_angle, required=True)
-    p_verify.add_argument("--attack", choices=("pfm", "remap"), default="pfm")
+    p_verify = sub.add_parser("verify", parents=[point], help="Monte Carlo oracle vs closed form")
     p_verify.add_argument("--trials", type=int, default=1_000_000)
     p_verify.add_argument("--seed", type=int, default=12345)
     p_verify.set_defaults(func=cmd_verify)

@@ -551,8 +551,14 @@ def test_sequence_form_equals_the_point_form_cell_by_cell():
 
 
 def test_one_bad_povm_never_stops_the_others(monkeypatch):
-    """A stack the eigensolver refuses is solved again POVM by POVM: only the POVM it refuses is refused."""
+    """A stack the eigensolver refuses is solved again POVM by POVM: only the POVM it refuses is refused.
+
+    The last point's x underflows: its elements go through both solves too, and it keeps its own refusal.
+    """
     points = [build_ensemble(e * DEG, d) for e in (0.3, 1.0, 2.0) for d in (0.5, np.pi / 2)]
+    points.append(build_ensemble(1 * DEG, 1e-200))
+    with pytest.raises(DegenerateSpanError, match="underflows") as underflow:
+        build_suboptimal_povm(points[6])
     bad = build_suboptimal_povm(points[3]).elements
 
     def refusing_eigvalsh(a):
@@ -563,6 +569,7 @@ def test_one_bad_povm_never_stops_the_others(monkeypatch):
     monkeypatch.setattr(attack, "hermitian_eigvalsh", refusing_eigvalsh)
     cells = build_suboptimal_povm(points)
     assert isinstance(cells[3], NoConvergenceError)
+    assert type(cells[6]) is DegenerateSpanError and str(cells[6]) == str(underflow.value)
     for k in (0, 1, 2, 4, 5):
         assert evaluate(points[k], cells[k]) == evaluate(points[k], build_suboptimal_povm(points[k]))
 

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import re
 import warnings
 
 import mpmath
@@ -79,6 +80,21 @@ def test_epsilon_grid_help_shows_the_equals_form(monkeypatch, capsys):
         run_cli("sweep", "--help")
     assert exc.value.code == 0
     assert "a grid that starts with '-' takes '=', as in --epsilon-deg=-1:1:5" in capsys.readouterr().out
+
+
+def test_point_flags_have_one_help_in_eval_and_verify(monkeypatch, capsys):
+    """eval and verify take the same --epsilon-deg, --delta and --attack, help text included."""
+    monkeypatch.setenv("COLUMNS", "200")
+    helps = []
+    for command in ("eval", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    for out in helps:
+        assert re.search(r"--epsilon-deg EPSILON_DEG\s+mirror deviation in degrees", out)
+        assert re.search(r"--delta DELTA\s+phase step \(pi/N or radians\)", out)
+        assert "--attack {pfm,remap}" in out
 
 
 def test_non_finite_degrees_are_a_usage_error(tmp_path, capsys):
