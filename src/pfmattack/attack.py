@@ -85,10 +85,7 @@ class PovmStrategy:
 
     def validate(self) -> None:
         """Check completeness, positivity and the vacuum boundary; raise on violation (NaN fails them all)."""
-        residual = self.elements.sum(axis=0) - _EYE[self.dim]
-        complete = math.sqrt(np.vdot(residual, residual).real) <= _COMPLETENESS_TOL  # the Frobenius norm
-        min_eigs = hermitian_eigvalsh(self.elements)[:, 0].tolist() if complete else None
-        refusal = _refusal(complete, min_eigs, self.x)
+        refusal = _check(self.elements, self.x)
         if refusal is not None:
             raise refusal
 
@@ -161,11 +158,11 @@ def _underflow(x: float) -> DegenerateSpanError:
     )
 
 
-def _map_scalars(ens: AttackEnsemble) -> tuple[float, float, float]:
-    """(s, c, t) of a dim-3 point, as build_suboptimal_povm forms them: sin 2e, cos 2e and t = sc delta^2."""
+def _map_scalars(ens: AttackEnsemble) -> tuple[float, float, float, float]:
+    """(sc, s*s, c*c, t) of a dim-3 point's map back, with s, c = sin 2e, cos 2e and t = sc delta^2."""
     s, c = math.sin(2 * ens.epsilon), math.cos(2 * ens.epsilon)
     sc = s * c
-    return s, c, sc * ens.delta**2
+    return sc, s * s, c * c, sc * ens.delta**2
 
 
 def _refusal(complete: bool, min_eigs: list[float] | None, x: float) -> DomainError | None:
@@ -185,6 +182,17 @@ def _refusal(complete: bool, min_eigs: list[float] | None, x: float) -> DomainEr
     if not x > 0:
         return DomainError(f"scale factor x must be positive, got {x!r}")
     return None
+
+
+def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
+    """validate()'s checks on one POVM, elements (3, dim, dim) and x: its refusal, or None."""
+    residual = elements.sum(axis=0) - _EYE[elements.shape[-1]]
+    complete = math.sqrt(np.vdot(residual, residual).real) <= _COMPLETENESS_TOL  # the Frobenius norm
+    try:
+        min_eigs = hermitian_eigvalsh(elements)[:, 0].tolist() if complete else None
+    except PfmAttackError as exc:  # an asymmetry above HERMITIAN_ATOL, or no convergence
+        return exc
+    return _refusal(complete, min_eigs, x)
 
 
 def build_suboptimal_povm(
@@ -239,12 +247,11 @@ def build_suboptimal_povm(
     delta, dim = ens.delta, ens.dim
     _, y, (lambda_0, lambda_3) = _pencil(dim, delta)  # rows y_delta,0 and y_delta,3
     if dim == 3:
-        s, c, t = _map_scalars(ens)
-        sc = s * c
+        sc, ss, cc, t = _map_scalars(ens)
         factor = np.zeros((3, 3))  # A1^-1 diag(1, sc, sc); faster to fill than np.array of nested lists
         factor[0, 2] = factor[1, 1] = factor[2, 1] = sc
-        factor[1, 0] = -s * s
-        factor[2, 0] = c * c
+        factor[1, 0] = -ss
+        factor[2, 0] = cc
         y = y @ factor
     else:
         t = delta
@@ -281,12 +288,11 @@ def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAt
         y = np.array([pencil[1] for pencil in pencils])  # (n, 2, dim): rows y_delta,0 and y_delta,3
         if dim == 3:
             # per point in Python floats, as the single body: delta**2 is libm's pow, not numpy's delta * delta
-            s, c, t = np.array([_map_scalars(ensembles[k]) for k in index]).T
-            sc = s * c
+            sc, ss, cc, t = np.array([_map_scalars(ensembles[k]) for k in index]).T
             factor = np.zeros((len(index), 3, 3))  # A1^-1 diag(1, sc, sc) per point
             factor[:, 0, 2] = factor[:, 1, 1] = factor[:, 2, 1] = sc
-            factor[:, 1, 0] = -s * s
-            factor[:, 2, 0] = c * c
+            factor[:, 1, 0] = -ss
+            factor[:, 2, 0] = cc
             y = y @ factor
         else:
             t = np.array([ensembles[k].delta for k in index])
@@ -314,27 +320,17 @@ def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None
     Completeness comes first, so an incomplete or NaN POVM reaches no
     eigensolve; the complete ones take one stacked eigenvalue call. If that
     call refuses (an asymmetry above HERMITIAN_ATOL, or no convergence), each
-    complete POVM is solved alone, so that a bad POVM refuses only itself.
+    POVM is checked alone by validate()'s own check, _check: a bad POVM refuses only itself.
     """
     residual = elements.sum(axis=1) - _EYE[elements.shape[-1]]
     # the Frobenius norm of each residual; NaN fails
     complete = np.sqrt(np.square(residual.view(float)).sum(axis=(1, 2))) <= _COMPLETENESS_TOL
-    checked: list = [None] * len(x)  # per POVM: its minimal eigenvalues, or the refusal its lone solve raised
     index = np.flatnonzero(complete).tolist()
-    if index:
-        try:
-            for k, eigs in zip(index, hermitian_eigvalsh(elements[index])[:, :, 0].tolist()):
-                checked[k] = eigs
-        except PfmAttackError:
-            for k in index:
-                try:
-                    checked[k] = hermitian_eigvalsh(elements[k])[:, 0].tolist()
-                except PfmAttackError as exc:
-                    checked[k] = exc
-    return [
-        eigs if isinstance(eigs, PfmAttackError) else _refusal(ok, eigs, x_k)
-        for ok, eigs, x_k in zip(complete.tolist(), checked, x.tolist())
-    ]
+    try:  # the minimal eigenvalues of each complete POVM, by its position in the stack
+        min_eigs = dict(zip(index, hermitian_eigvalsh(elements[index])[:, :, 0].tolist() if index else ()))
+    except PfmAttackError:
+        return [_check(el, x_k) for el, x_k in zip(elements, x.tolist())]
+    return [_refusal(ok, min_eigs.get(k), x_k) for k, (ok, x_k) in enumerate(zip(complete.tolist(), x.tolist()))]
 
 
 def build_phase_remapping_povm(delta: float) -> PovmStrategy:

@@ -153,8 +153,8 @@ def _report_row(epsilon_deg: float, report: AttackReport, oracle: OracleEstimate
 def _write_csv(path: str, lines: list[str]) -> None:
     """Write all lines at once.
 
-    A path that cannot be opened is left as it was. A file this call opened
-    is removed if the write then fails, since it holds a partial CSV.
+    A path that cannot be opened is left as it was. A regular file this call
+    opened is removed if the write then fails, since it holds a partial CSV.
     """
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
@@ -165,7 +165,8 @@ def _write_csv(path: str, lines: list[str]) -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         with contextlib.suppress(OSError):
-            os.unlink(path)
+            if os.path.isfile(path):
+                os.unlink(path)
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
@@ -268,15 +269,14 @@ def cmd_verify(args) -> int:
     )
     # the stderr comes from the closed-form value under test, so a count of 0 where it predicts ~0 is no failure
     all_pass = True
-    for name, closed, hat, k, n in (
-        ("e_B", report.qber, estimate.qber_hat, estimate.n_errors, estimate.n_sifted),
-        ("p_succ", report.p_succ, estimate.p_succ_hat, estimate.n_conclusive, estimate.n_trials),
+    for name, closed, k, n in (
+        ("e_B", report.qber, estimate.n_errors, estimate.n_sifted),
+        ("p_succ", report.p_succ, estimate.n_conclusive, estimate.n_trials),
     ):
         if n == 0:
             print(f"{name} unresolved (0 sifted rounds)")
             continue
-        dev = abs(hat - closed)
-        stderr = np.sqrt(closed * (1 - closed) / n)
+        sigmas = abs(k - n * closed) / np.sqrt(n * closed * (1 - closed))  # in counts: sqrt(p(1-p)/n) may underflow
         note = ""
         if n * closed * (1 - closed) < 25:
             # too few expected counts for the normal bound: the count's exact two-sided tail, at its 3-sigma level
@@ -284,9 +284,9 @@ def cmd_verify(args) -> int:
             ok = tail > 0.0027
             note = f"  (count {k} of {n}, exact two-sided binomial tail {tail:.3g})"
         else:
-            ok = bool(dev <= 3 * stderr)
+            ok = bool(sigmas <= 3)
         all_pass &= ok
-        print(f"{name:<7} |deviation| = {dev / stderr:.2f} sigma  {'PASS' if ok else 'FAIL'}{note}")
+        print(f"{name:<7} |deviation| = {sigmas:.2f} sigma  {'PASS' if ok else 'FAIL'}{note}")
     print(f"overall {'PASS' if all_pass else 'FAIL'}")
     return 0 if all_pass else 1
 

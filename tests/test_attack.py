@@ -574,6 +574,38 @@ def test_one_bad_povm_never_stops_the_others(monkeypatch):
         assert evaluate(points[k], cells[k]) == evaluate(points[k], build_suboptimal_povm(points[k]))
 
 
+def _validated(strat):
+    """What strat.validate() does: None, or the (type, message) of its refusal."""
+    try:
+        strat.validate()
+    except PfmAttackError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_stacked_checks_refuse_each_broken_povm_as_validate_does():
+    """The real stack, no patched solver: the intact POVM and the broken ones of the validate() tests, each judged
+    as its own validate() judges it, in order; with the non-Hermitian one, the stacked eigenvalue call refuses
+    and the stack is checked POVM by POVM."""
+    for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
+        eye = np.eye(strat.dim)
+        nan = strat.elements.copy()
+        nan[0, 1, 1] = np.nan
+        asymmetric = strat.elements.copy()
+        asymmetric[0, 0, 1] += 1e-11
+        asymmetric[2, 0, 1] -= 1e-11
+        stack = [strat, _with(strat, x=0.0), _with(strat, elements=nan)]
+        for scale in (0.5, 2.0):
+            m_0, m_3 = scale * strat.elements[:2]
+            stack.append(_with(strat, elements=np.array((m_0, m_3, eye - m_0 - m_3))))
+        for povms in (stack, stack[:2] + [_with(strat, elements=asymmetric)] + stack[2:]):
+            refusals = attack._refusals(np.array([p.elements for p in povms]), np.array([p.x for p in povms]))
+            verdicts = [None if r is None else (type(r), str(r)) for r in refusals]
+            assert verdicts == [_validated(p) for p in povms]
+            assert verdicts[0] is None and None not in verdicts[1:]
+        assert verdicts[2][0] is NonHermitianError  # a refusal only the fallback's lone solve gives
+
+
 # (kind, epsilon_deg, delta, e_B, p_succ, x, lambda_0, lambda_3) from an earlier, independent
 # construction (an equilibrated-rho pencil), held to 1e-12.
 PINS = (

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import os
 import re
 import warnings
 
@@ -402,29 +403,40 @@ def test_directory_as_out_is_reported_and_kept(tmp_path, capsys):
     assert f"error: cannot write {target}: " in capsys.readouterr().err
 
 
+class FullDisk:
+    """A file handle that writes the first 10 characters, then fails as a full disk does."""
+
+    def __init__(self, path, *args, **kwargs):
+        self.fh = open(path, *args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:10])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 def test_failed_write_drops_the_partial_file(tmp_path, monkeypatch, capsys):
     """A file this call opened holds a partial CSV when the write fails, so it is removed."""
     target = tmp_path / "out.csv"
-    real_open = open
-
-    class FullDisk:
-        def __init__(self, path, *args, **kwargs):
-            self.fh = real_open(path, *args, **kwargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            self.fh.close()
-
-        def write(self, text):
-            self.fh.write(text[:10])
-            self.fh.flush()
-            raise OSError(errno.ENOSPC, "No space left on device")
-
     monkeypatch.setattr(cli, "open", FullDisk, raising=False)
     assert run_cli("sweep", "--epsilon-deg", "1", "--delta", "pi/2", "--out", str(target)) == 2
     assert not target.exists()
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+
+def test_failed_write_keeps_a_target_that_is_not_a_regular_file(tmp_path, monkeypatch, capsys):
+    """A failed write into a device, here reached through a symlink, removes neither the device nor the link."""
+    target = tmp_path / "null.csv"
+    target.symlink_to(os.devnull)
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    assert run_cli("sweep", "--epsilon-deg", "1", "--delta", "pi/2", "--out", str(target)) == 2
+    assert target.is_symlink() and os.path.exists(os.devnull)
     assert f"error: cannot write {target}: " in capsys.readouterr().err
 
 
@@ -491,6 +503,17 @@ def test_verify_unresolved_point_passes(capsys):
     assert code == 0
     assert "e_B unresolved (0 sifted rounds)" in out
     assert "p_succ  |deviation| = 0.02 sigma  PASS" in out
+    assert "overall PASS" in out
+
+
+@pytest.mark.parametrize("point", [
+    ("--epsilon-deg", "1", "--delta", "1e-76"), ("--attack", "remap", "--delta", "1e-153"),
+], ids=["pfm", "remap"])
+def test_verify_judges_a_p_succ_whose_standard_error_underflows(point, capsys):
+    """At 2**63 - 1 trials and p_succ ~3e-307, sqrt(p (1 - p) / n) underflows to 0; the deviation in counts does not."""
+    assert run_cli("verify", *point, "--trials", str(2**63 - 1), "--seed", "1") == 0
+    out = capsys.readouterr().out
+    assert f"p_succ  |deviation| = 0.00 sigma  PASS  (count 0 of {2**63 - 1}, exact two-sided binomial tail 1)" in out
     assert "overall PASS" in out
 
 
