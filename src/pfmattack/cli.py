@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import math
 import os
@@ -185,7 +186,9 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
     epsilon, so it writes one row per delta, labelled epsilon_deg 0. With
     oracle columns, the trial count and the seed are checked before any point.
     The grid is built SWEEP_BLOCK points at a time, each block in one
-    build_suboptimal_povm call; evaluate and the oracle then run per row.
+    build_suboptimal_povm call and, with oracle columns, one run_oracle call
+    over its rows; evaluate then runs per row, and a row's oracle refusal is
+    raised when its row is reached.
     """
     lines = [f"# pfmattack {__version__}", f"# attack={args.attack}"]
     if args.trials is not None:
@@ -205,14 +208,18 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
             except PfmAttackError as exc:
                 points.append(exc)
         built = iter(build_suboptimal_povm([ens for ens in points if not isinstance(ens, PfmAttackError)]))
-        for (epsilon_deg, delta), ens in zip(block, points):
-            strat = ens if isinstance(ens, PfmAttackError) else next(built)
+        strategies = [ens if isinstance(ens, PfmAttackError) else next(built) for ens in points]
+        rows = [(ens, strat) for ens, strat in zip(points, strategies) if not isinstance(strat, PfmAttackError)]
+        oracles = itertools.repeat(None) if args.trials is None else iter(
+            run_oracle([ens for ens, _ in rows], [strat for _, strat in rows], args.trials, args.seed + row_index)
+        )
+        for (epsilon_deg, delta), ens, strat in zip(block, points, strategies):
             if isinstance(strat, PfmAttackError):
                 lines.append(f"# rejected epsilon_deg={_csv_num(epsilon_deg)} delta_rad={_csv_num(delta)}: {strat}")
                 continue
-            oracle = None
-            if args.trials is not None:
-                oracle = run_oracle(ens, strat, args.trials, args.seed + row_index)
+            oracle = next(oracles)
+            if isinstance(oracle, PfmAttackError):
+                raise oracle
             lines.append(",".join(_report_row(epsilon_deg, evaluate(ens, strat), oracle)))
             row_index += 1
     return lines
@@ -386,11 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parse_args leaves it as it was, so calls share it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _expand_config(argv)
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (PfmAttackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,22 +17,33 @@ makes the same two generator calls and holds the same few arrays at any
 trial count. Seeded `run_oracle` numbers differ from versions that drew
 round by round. The per-round scalar reference that this law is checked
 against lives in the test suite (tests/oracle_reference.py).
+
+`run_oracle` also takes equal-length sequences of ensembles and strategies,
+row r seeded seed + r, as a sweep block needs. Each step before the draw
+(the states, the outcome tables and their checks, the resend and cell
+tables) is written once over leading axes: a single call runs it on one
+point, a sequence on all of its rows at once. Only each row's generator and
+its two multinomials run row by row, so each row's estimate equals its own
+call's, field for field.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NegativeProbabilityError
+from .errors import DimensionMismatchError, DomainError, NegativeProbabilityError, PfmAttackError
 from .attack import PovmStrategy, require_built_for
-from .statespace import AttackEnsemble
+from .statespace import AttackEnsemble, pfm_states
 
 #: Below this many trials the binomial error bars are too wide to be useful.
 MIN_TRIALS = 10_000
+#: The most trials a run takes: the multinomial draw of the state counts takes an int64.
+MAX_TRIALS = 2**63 - 1
 
 _PROB_ATOL = 1e-9
 
@@ -71,20 +82,42 @@ class OracleEstimate:
     errors_by_state: tuple[int, ...]
 
 
+def _tables(states: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, list[PfmAttackError | None]]:
+    """The outcome tables of n POVMs, each on its own states: (probs (n, ..., 3), per POVM its refusal or None).
+
+    states (n, ..., d) and elements (n, 3, d, d) give probs[r] = <v|M_b|v> over
+    states[r] and elements[r], in one contraction. A table with a negative
+    or NaN probability is refused with NegativeProbabilityError, then one with
+    a row that does not sum to 1 with DomainError; NaN fails both. The
+    tables are clipped at 0 (a refused one need not be).
+    """
+    probs = np.einsum("n...i,nbij,n...j->n...b", states.conj(), elements, states).real
+    n = len(probs)
+    sums = probs.sum(axis=-1)
+    lowest = probs.reshape(n, -1).min(axis=1).tolist()
+    deviation = np.abs(sums - 1.0).reshape(n, -1).max(axis=1).tolist()
+    refusals: list[PfmAttackError | None] = []
+    negative = False
+    for r, (low, off) in enumerate(zip(lowest, deviation)):
+        negative |= low < 0
+        if not low >= -_PROB_ATOL:
+            refusals.append(NegativeProbabilityError(f"outcome probability {low:.3e} is negative or NaN"))
+        elif not off <= _PROB_ATOL:
+            refusals.append(DomainError(f"outcome probabilities sum to {sums[r]}, expected 1"))
+        else:
+            refusals.append(None)
+    return (np.clip(probs, 0.0, None) if negative else probs), refusals
+
+
 def outcome_probabilities(states: np.ndarray, strat: PovmStrategy) -> np.ndarray:
     """Probabilities (..., 3) of the outcomes M_0, M_3, M_vac on a pure state (d,) or a stack of them (..., d).
 
     A negative probability raises NegativeProbabilityError, a sum off 1 DomainError; NaN fails both.
     """
-    states = np.asarray(states, dtype=complex)
-    probs = np.einsum("...i,bij,...j->...b", states.conj(), strat.elements, states).real
-    lowest = probs.min()
-    if not lowest >= -_PROB_ATOL:
-        raise NegativeProbabilityError(f"outcome probability {lowest:.3e} is negative or NaN")
-    sums = probs.sum(axis=-1)
-    if not np.abs(sums - 1.0).max() <= _PROB_ATOL:
-        raise DomainError(f"outcome probabilities sum to {sums}, expected 1")
-    return np.clip(probs, 0.0, None) if lowest < 0 else probs
+    probs, (refusal,) = _tables(np.asarray(states, dtype=complex)[None], strat.elements[None])
+    if refusal is not None:
+        raise refusal
+    return probs[0]
 
 
 def _as_int(name: str, value) -> int:
@@ -100,54 +133,86 @@ def _as_int(name: str, value) -> int:
 def check_run(n_trials, seed) -> tuple[int, int]:
     """(n_trials, seed) as ints, refused with DomainError before any draw unless in range.
 
-    Both must be integers, with MIN_TRIALS <= n_trials < 2**63 (the multinomial
-    draw of the state counts takes an int64) and seed >= 0.
+    Both must be integers, with MIN_TRIALS <= n_trials <= MAX_TRIALS and seed >= 0.
     """
     n_trials, seed = _as_int("n_trials", n_trials), _as_int("seed", seed)
     if n_trials < MIN_TRIALS:
         raise DomainError(f"below minimum trial count: {n_trials} < {MIN_TRIALS}")
-    if n_trials > np.iinfo(np.int64).max:
+    if n_trials > MAX_TRIALS:
         raise DomainError(f"trial count {n_trials} exceeds 2**63 - 1")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return n_trials, seed
 
 
-def _draw(n_trials: int, seed: int, resend: np.ndarray) -> OracleEstimate:
-    """Count n_trials rounds by sender state and outcome: one multinomial for the states, then one per state.
+def _resend(probs: np.ndarray) -> np.ndarray:
+    """The resend tables (..., 4, 4) of outcome tables probs (..., 4, 3).
 
-    resend[k, r] is the probability that the eavesdropper resends state r
-    when the sender prepared state k; the rest of row k is blocked. The
-    receiver's basis is a fair coin, so half of the resent rounds are sifted,
-    and a sifted round is an error with _ERROR_GIVEN_SIFTED[k, r].
+    resend[k, r] is the probability that state r is resent for sender state
+    k: M_0 resends state 0 and M_3 state 3; the rest of row k is blocked. A
+    round resends state 0 when its uniform u is below p_0, state 3 when
+    below p_0 + p_3, as one draw would.
     """
+    resend = np.zeros(probs.shape[:-1] + (4,))
+    np.minimum(probs[..., 0], 1.0, out=resend[..., 0])
+    np.minimum(probs[..., 0] + probs[..., 1], 1.0, out=resend[..., 3])
+    resend[..., 3] -= resend[..., 0]
+    return resend
+
+
+def _cells(resend: np.ndarray) -> np.ndarray:
+    """The per-state cell probabilities (..., 4, 4) [state, cell] of resend tables (..., 4, 4).
+
+    The cells are: conclusive but not sifted, sifted and correct, error,
+    blocked. The receiver's basis is a fair coin, so half of the resent
+    rounds are sifted, and a sifted round is an error with
+    _ERROR_GIVEN_SIFTED[k, r].
+    """
+    p_conclusive = resend.sum(axis=-1)
+    p_error = (resend * _ERROR_GIVEN_SIFTED).sum(axis=-1) / 2
+    # numpy fills a multinomial's last cell with the remainder, which carries the others' rounding, so it must be
+    # the blocked one; its probability is only range-checked, and p_conclusive may pass 1 by an ulp
+    cells = np.empty(resend.shape)
+    np.divide(p_conclusive, 2, out=cells[..., 0])
+    np.subtract(cells[..., 0], p_error, out=cells[..., 1])
+    cells[..., 2] = p_error
+    np.maximum(1 - p_conclusive, 0, out=cells[..., 3])
+    return cells
+
+
+def _draw(n_trials: int, seed: int, cells: np.ndarray) -> np.ndarray:
+    """The counts [state, cell] of one run: one multinomial splits n_trials over the states, then one per state."""
     rng = np.random.default_rng(seed)
-    p_conclusive = resend.sum(axis=1)
-    p_error = (resend * _ERROR_GIVEN_SIFTED).sum(axis=1) / 2
-    # cells per state: conclusive but not sifted, sifted and correct, error, blocked. numpy fills the last
-    # cell with the remainder, which carries the others' rounding, so it must be the blocked one; its
-    # probability is only range-checked, and p_conclusive may pass 1 by an ulp
-    cells = np.empty((4, 4))
-    np.divide(p_conclusive, 2, out=cells[:, 0])
-    np.subtract(cells[:, 0], p_error, out=cells[:, 1])
-    cells[:, 2] = p_error
-    np.maximum(1 - p_conclusive, 0, out=cells[:, 3])
-    counts = rng.multinomial(rng.multinomial(n_trials, _STATE_PROBS), cells)  # [state, cell]
-    # by state, the rounds that reached at least: an error, sifted, conclusive, any cell
-    errors, sifted, conclusive, trials = map(tuple, counts[:, [2, 1, 0, 3]].cumsum(axis=1).T.tolist())
-    n_sifted, n_errors = sum(sifted), sum(errors)
-    p_hat = sum(conclusive) / n_trials
-    e_hat = n_errors / n_sifted if n_sifted else math.nan
-    return OracleEstimate(
-        n_trials=n_trials, qber_hat=e_hat, p_succ_hat=p_hat,
-        stderr_qber=math.sqrt(e_hat * (1 - e_hat) / n_sifted) if n_sifted else math.nan,
-        stderr_p_succ=math.sqrt(p_hat * (1 - p_hat) / n_trials), rng_seed=seed,
-        n_conclusive=sum(conclusive), n_sifted=n_sifted, n_errors=n_errors, trials_by_state=trials,
-        conclusive_by_state=conclusive, sifted_by_state=sifted, errors_by_state=errors,
-    )
+    return rng.multinomial(rng.multinomial(n_trials, _STATE_PROBS), cells)
 
 
-def run_oracle(ens: AttackEnsemble, strat: PovmStrategy, n_trials: int, seed: int) -> OracleEstimate:
+def _estimates(n_trials: int, seeds: list[int], cells: np.ndarray) -> list[OracleEstimate]:
+    """One run of n_trials rounds per seed: run r is drawn from the cell table cells[r] (n, 4, 4) with seeds[r]."""
+    counts = np.array([_draw(n_trials, seed, cells_r) for seed, cells_r in zip(seeds, cells)])
+    # by run and state, the rounds that reached at least: an error, sifted, conclusive, any cell
+    levels = counts.take([2, 1, 0, 3], axis=2).cumsum(axis=2).transpose(0, 2, 1).tolist()
+    estimates = []
+    for seed, level in zip(seeds, levels):
+        errors, sifted, conclusive, trials = map(tuple, level)
+        n_sifted, n_errors, n_conclusive = sum(sifted), sum(errors), sum(conclusive)
+        p_hat = n_conclusive / n_trials
+        e_hat = n_errors / n_sifted if n_sifted else math.nan
+        estimates.append(OracleEstimate(
+            n_trials=n_trials, qber_hat=e_hat, p_succ_hat=p_hat,
+            stderr_qber=math.sqrt(e_hat * (1 - e_hat) / n_sifted) if n_sifted else math.nan,
+            stderr_p_succ=math.sqrt(p_hat * (1 - p_hat) / n_trials), rng_seed=seed,
+            n_conclusive=n_conclusive, n_sifted=n_sifted, n_errors=n_errors, trials_by_state=trials,
+            conclusive_by_state=conclusive, sifted_by_state=sifted, errors_by_state=errors,
+        ))
+    return estimates
+
+
+def run_oracle(
+    ens: AttackEnsemble | Sequence[AttackEnsemble],
+    strat: PovmStrategy | Sequence[PovmStrategy],
+    n_trials: int,
+    seed: int,
+) -> OracleEstimate | list[OracleEstimate | PfmAttackError]:
     """Estimate QBER and success probability from n_trials simulated rounds.
 
     Reproducible for a fixed seed; time and memory do not grow with n_trials.
@@ -155,14 +220,43 @@ def run_oracle(ens: AttackEnsemble, strat: PovmStrategy, n_trials: int, seed: in
     probability counts conclusive rounds over all trials. A strategy built for
     another point is refused before any round is drawn (see
     `attack.require_built_for`).
-    """
-    require_built_for(ens, strat)
-    n_trials, seed = check_run(n_trials, seed)
-    # a round resends state 0 when its uniform u is below p_0, state 3 when below p_0 + p_3, as one draw would
-    probs = outcome_probabilities(ens.states, strat)
-    resend = np.zeros((4, 4))
-    np.minimum(probs[:, 0], 1.0, out=resend[:, 0])
-    np.minimum(probs[:, 0] + probs[:, 1], 1.0, out=resend[:, 3])
-    resend[:, 3] -= resend[:, 0]
-    return _draw(n_trials, seed, resend)
 
+    ens and strat may also be sequences of equal length, row r the pair
+    (ens[r], strat[r]) run with seed + r. The return is then a list, in
+    order, of each row's OracleEstimate or the PfmAttackError its own call
+    would raise; a refused row stops no other. n_trials and seed are checked
+    once, before any draw. The rows' states, outcome tables, checks and cell
+    tables are formed stacked on one leading axis, from the states and
+    strat.elements alone; only each row's generator and its two multinomials
+    are per row. Each row's estimate equals its own call's, field for field.
+    """
+    if isinstance(ens, AttackEnsemble):
+        require_built_for(ens, strat)
+        n_trials, seed = check_run(n_trials, seed)
+        cells = _cells(_resend(outcome_probabilities(ens.states, strat)))
+        return _estimates(n_trials, [seed], cells[None])[0]
+    ensembles, strategies = list(ens), list(strat)
+    if len(ensembles) != len(strategies):
+        raise DimensionMismatchError(f"{len(ensembles)} ensembles but {len(strategies)} strategies")
+    n_trials, seed = check_run(n_trials, seed)
+    results: list[OracleEstimate | PfmAttackError | None] = [None] * len(ensembles)
+    for r, (ens_r, strat_r) in enumerate(zip(ensembles, strategies)):
+        try:
+            require_built_for(ens_r, strat_r)
+        except PfmAttackError as exc:
+            results[r] = exc
+    for dim in (3, 2):
+        rows = [r for r, ens_r in enumerate(ensembles) if results[r] is None and ens_r.dim == dim]
+        if not rows:
+            continue
+        epsilon, delta = np.array([(ensembles[r].epsilon, ensembles[r].delta) for r in rows]).T
+        states = pfm_states(epsilon, delta)[:, :, 3 - dim :]  # as each ensemble's own states, bit for bit
+        probs, refusals = _tables(states, np.array([strategies[r].elements for r in rows]))
+        for r, refusal in zip(rows, refusals):
+            results[r] = refusal
+        ok = [refusal is None for refusal in refusals]
+        drawn = [r for r, keep in zip(rows, ok) if keep]
+        if drawn:
+            for r, estimate in zip(drawn, _estimates(n_trials, [seed + r for r in drawn], _cells(_resend(probs[ok])))):
+                results[r] = estimate
+    return results

@@ -148,18 +148,26 @@ def newton_step(delta: float, k) -> np.ndarray:
     return k * (np.sin(x) / x) * np.exp(1j * half)
 
 
-def pfm_states(epsilon: float, delta: float) -> np.ndarray:
-    """The four attack states as rows, in the (e_0, e_1, e_2) basis.
+def pfm_states(epsilon, delta) -> np.ndarray:
+    """The four attack states as rows, in the (e_0, e_1, e_2) basis: (4, 3), or (n, 4, 3) for (n,) epsilon and delta.
 
     (1/sqrt(2)) [ sin(2e)cos(2e) z (z - 1),  sin^2(2e) z^2 + cos^2(2e) z,  1 ]
     with z = e^{ik delta} for row k; unit norm for every (epsilon, delta, k).
+    Point r of a stack is bit-identical to pfm_states(epsilon[r], delta[r]):
+    s and c come from math per point, since numpy's sin and cos may differ
+    from libm's in the last bit, and every product is formed in the same order.
     """
-    s, c = math.sin(2 * epsilon), math.cos(2 * epsilon)
+    if isinstance(epsilon, _REAL):
+        s, c = math.sin(2 * epsilon), math.cos(2 * epsilon)
+    else:
+        sin_cos = [(math.sin(2 * e), math.cos(2 * e)) for e in np.asarray(epsilon, float).tolist()]
+        s, c = np.array(sin_cos, float).reshape(-1, 2).T[:, :, None]
+        delta = np.asarray(delta, float)[:, None]
     z = np.exp(1j * delta * _K)
-    states = np.empty((4, 3), dtype=complex)
-    states[:, 0] = s * c * z * (1j * delta * newton_step(delta, _K))
-    states[:, 1] = s * s * z * z + c * c * z
-    states[:, 2] = 1
+    states = np.empty(z.shape + (3,), dtype=complex)
+    states[..., 0] = s * c * z * (1j * delta * newton_step(delta, _K))
+    states[..., 1] = s * s * z * z + c * c * z
+    states[..., 2] = 1
     states /= _SQRT2
     return states
 

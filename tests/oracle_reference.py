@@ -6,8 +6,9 @@ multinomial law. Only tests use this module, to check the oracle against an
 implementation that shares nothing with it beyond `outcome_probabilities`.
 
 `simulate_intercept_resend` is the 25 % sanity check of the acceptance
-suite: the oracle's count draw, `mcoracle._draw`, run on the resend table of
-the plain intercept-and-resend attack on ideal BB84.
+suite: the oracle's cell table and count draw (`mcoracle._cells` and
+`mcoracle._estimates`) run on the resend table of the plain
+intercept-and-resend attack on ideal BB84.
 """
 
 from __future__ import annotations
@@ -101,4 +102,4 @@ def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
     them (`mcoracle.check_run`), before any draw.
     """
     n_trials, seed = mcoracle.check_run(n_trials, seed)
-    return mcoracle._draw(n_trials, seed, INTERCEPT_RESEND)
+    return mcoracle._estimates(n_trials, [seed], mcoracle._cells(INTERCEPT_RESEND)[None])[0]

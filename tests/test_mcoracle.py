@@ -7,9 +7,9 @@ import pytest
 from oracle_reference import run_trial, sample_povm_outcome, simulate_bob, simulate_intercept_resend
 from pfmattack.attack import ERROR_WEIGHTS, PovmStrategy, build_suboptimal_povm, evaluate
 from pfmattack import mcoracle
-from pfmattack.errors import DimensionMismatchError, DomainError, NegativeProbabilityError
-from pfmattack.mcoracle import MIN_TRIALS, outcome_probabilities, run_oracle
-from pfmattack.statespace import AttackEnsemble, bb84_ensemble, build_ensemble
+from pfmattack.errors import DimensionMismatchError, DomainError, NegativeProbabilityError, PfmAttackError
+from pfmattack.mcoracle import MIN_TRIALS, OracleEstimate, outcome_probabilities, run_oracle
+from pfmattack.statespace import EPSILON_MAX, AttackEnsemble, bb84_ensemble, build_ensemble
 
 DEG = np.pi / 180
 #: Trial count of the pinned seeded runs below.
@@ -557,3 +557,87 @@ def test_pooled_counts_follow_the_exact_outcome_table(case):
     sigma = np.sqrt(totals * rates * (1 - rates))
     deviation = np.abs(pooled - expected)
     assert np.all((deviation <= 4.5 * sigma) | (deviation == 0)), (deviation / sigma).round(2)
+
+
+def _no_draw(*args):
+    raise AssertionError("a round was drawn")
+
+
+def test_sequence_form_equals_each_rows_own_call():
+    """Row r of a sequence is run_oracle(ens[r], strat[r], n, seed + r), field for field (nan-aware).
+
+    A seeded draw of pfm and remap points, shuffled together; the faint ones
+    have no sifted round at this trial count, so their e_B and stderr are nan.
+    """
+    rng = np.random.default_rng(2025)
+    ensembles = [build_ensemble(e, d) for e, d in zip(
+        rng.uniform(-EPSILON_MAX, EPSILON_MAX, 150), np.geomspace(1e-3, np.pi / 2, 150)[rng.permutation(150)]
+    )]
+    ensembles += [bb84_ensemble(d) for d in rng.uniform(1e-3, np.pi / 2, 50)]
+    ensembles = [ensembles[k] for k in rng.permutation(len(ensembles))]
+    strategies = build_suboptimal_povm(ensembles)
+    assert all(isinstance(strat, PovmStrategy) for strat in strategies)
+    estimates = run_oracle(ensembles, strategies, 20_000, 40)
+    assert len(estimates) == len(ensembles)
+    for r, (ens, strat, estimate) in enumerate(zip(ensembles, strategies, estimates)):
+        own = run_oracle(ens, strat, 20_000, 40 + r)
+        np.testing.assert_equal(dataclasses.astuple(estimate), dataclasses.astuple(own))
+    sifted = [estimate.n_sifted for estimate in estimates]
+    assert 0 in sifted and max(sifted) > 0
+
+
+def test_a_refused_row_refuses_only_itself(anchor):
+    """NaN elements, a sum off 1, or a strategy built for another point: the row's own refusal, type and message."""
+    ens, strat, _ = anchor
+    elements = strat.elements.copy()
+    elements[0, 1, 1] = np.nan
+    other = build_ensemble(0.5 * DEG, np.pi / 3)
+    remap = bb84_ensemble(np.pi / 4)
+    rows = [
+        (ens, strat),
+        (ens, dataclasses.replace(strat, elements=elements)),
+        (other, strat),
+        (remap, strat),
+        (ens, dataclasses.replace(_fake_strategy(0.2 * np.eye(3), np.zeros((3, 3)), 0.2 * np.eye(3)), ensemble=ens)),
+        (remap, build_suboptimal_povm(remap)),
+        (other, build_suboptimal_povm(other)),
+    ]
+    results = run_oracle([row[0] for row in rows], [row[1] for row in rows], MIN_TRIALS, 3)
+    kinds = [OracleEstimate, NegativeProbabilityError, DomainError, DimensionMismatchError, DomainError,
+             OracleEstimate, OracleEstimate]
+    assert [type(result) for result in results] == kinds
+    for r, ((row_ens, row_strat), result) in enumerate(zip(rows, results)):
+        if isinstance(result, PfmAttackError):
+            with pytest.raises(type(result)) as own:
+                run_oracle(row_ens, row_strat, MIN_TRIALS, 3 + r)
+            assert type(own.value) is type(result) and str(own.value) == str(result)
+        else:
+            own = run_oracle(row_ens, row_strat, MIN_TRIALS, 3 + r)
+            np.testing.assert_equal(dataclasses.astuple(result), dataclasses.astuple(own))
+
+
+@pytest.mark.parametrize("n_trials, seed", [
+    (MIN_TRIALS - 1, 0), (2**63, 0), (1e5, 0), (MIN_TRIALS, -1), (MIN_TRIALS, True), (MIN_TRIALS, 1.0),
+])
+def test_sequence_form_checks_trials_and_seed_before_any_draw(anchor, monkeypatch, n_trials, seed):
+    ens, strat, _ = anchor
+    monkeypatch.setattr(mcoracle, "_draw", _no_draw)
+    for ensembles, strategies in (([ens, ens], [strat, strat]), ([], [])):
+        with pytest.raises(DomainError):
+            run_oracle(ensembles, strategies, n_trials, seed)
+
+
+def test_sequence_form_edges(anchor, monkeypatch):
+    """An empty sequence gives [], unequal lengths are refused, and rows that are all refused draw nothing."""
+    ens, strat, _ = anchor
+    assert run_oracle([], [], MIN_TRIALS, 0) == []
+    (estimate,) = run_oracle(iter([ens]), (strat,), MIN_TRIALS, 0)
+    np.testing.assert_equal(dataclasses.astuple(estimate), dataclasses.astuple(run_oracle(ens, strat, MIN_TRIALS, 0)))
+    with pytest.raises(DimensionMismatchError, match="2 ensembles but 1 strategies"):
+        run_oracle([ens, ens], [strat], MIN_TRIALS, 0)
+    monkeypatch.setattr(mcoracle, "_draw", _no_draw)
+    elements = strat.elements.copy()
+    elements[2, 0, 0] = np.nan
+    results = run_oracle([ens, bb84_ensemble(np.pi / 2)], [dataclasses.replace(strat, elements=elements), strat],
+                         MIN_TRIALS, 0)
+    assert [type(result) for result in results] == [NegativeProbabilityError, DimensionMismatchError]

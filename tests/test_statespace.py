@@ -7,6 +7,7 @@ import pytest
 from pfmattack.attack import build_suboptimal_povm, evaluate
 from pfmattack.errors import DomainError
 from pfmattack.statespace import (
+    EPSILON_MAX,
     AttackEnsemble,
     FaradayMirror,
     bb84_ensemble,
@@ -57,6 +58,30 @@ def test_newton_step_is_bitwise_the_sinc_form():
         assert newton_step(delta, k).tobytes() == expected.tobytes()
         for k_one in range(-1, 4):
             assert newton_step(delta, k_one).tobytes() == expected[k_one + 1].tobytes()
+
+
+def test_stacked_states_are_the_point_states_bit_for_bit():
+    """pfm_states over (n,) epsilon and delta gives each point's own states, bit for bit, at any stack length.
+
+    A seeded draw of 12000 points, a quarter of them at delta 0, 1e-8 or
+    pi/2, with both signs of epsilon and epsilon = 0, whose last two columns
+    are the dim 2 states.
+    """
+    rng = np.random.default_rng(25)
+    n = 12_000
+    epsilon = rng.uniform(-EPSILON_MAX, EPSILON_MAX, n)
+    epsilon[::7] = 0.0
+    delta = rng.uniform(0.0, np.pi / 2, n)
+    delta[: n // 4] = rng.choice([0.0, 1e-8, np.pi / 2], n // 4)
+    assert (epsilon < 0).any() and (epsilon > 0).any()
+    stacked = pfm_states(epsilon, delta)
+    assert stacked.shape == (n, 4, 3)
+    for e, d, states in zip(epsilon.tolist(), delta.tolist(), stacked):
+        assert np.array_equal(states, pfm_states(e, d)), (e, d)
+        if e == 0.0:
+            assert np.array_equal(states[:, 1:], bb84_ensemble(d).states), d
+    for length in range(1, 10):
+        assert np.array_equal(pfm_states(epsilon[:length], delta[:length]), stacked[:length]), length
 
 
 def test_e0_component_free_of_cancellation():
