@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import functools
 import itertools
 import math
 import os
@@ -173,6 +171,8 @@ def _write_csv(path: str, lines: list[str]) -> None:
 
 def read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     """Read an emitted CSV back, skipping '#' comment lines. Returns (header, rows)."""
+    import csv  # no subcommand reads a CSV, so a CLI start does not load the module
+
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
         table = [row for row in reader if row]
@@ -393,17 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built once per process: parse_args leaves it as it was, so calls share it."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _expand_config(argv)
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (PfmAttackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NegativeProbabilityError, PfmAttackError
 from .attack import PovmStrategy, require_built_for
-from .statespace import AttackEnsemble, pfm_states
+from .statespace import AttackEnsemble, ensemble_states
 
 #: Below this many trials the binomial error bars are too wide to be useful.
 MIN_TRIALS = 10_000
@@ -89,7 +89,8 @@ def _tables(states: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, list[
     states[r] and elements[r], in one contraction. A table with a negative
     or NaN probability is refused with NegativeProbabilityError, then one with
     a row that does not sum to 1 with DomainError; NaN fails both. The
-    tables are clipped at 0 (a refused one need not be).
+    tables are clipped at 0, so a probability within _PROB_ATOL below it
+    reads 0.
     """
     probs = np.einsum("n...i,nbij,n...j->n...b", states.conj(), elements, states).real
     n = len(probs)
@@ -97,16 +98,14 @@ def _tables(states: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, list[
     lowest = probs.reshape(n, -1).min(axis=1).tolist()
     deviation = np.abs(sums - 1.0).reshape(n, -1).max(axis=1).tolist()
     refusals: list[PfmAttackError | None] = []
-    negative = False
-    for r, (low, off) in enumerate(zip(lowest, deviation)):
-        negative |= low < 0
+    for low, off, row_sums in zip(lowest, deviation, sums):
         if not low >= -_PROB_ATOL:
             refusals.append(NegativeProbabilityError(f"outcome probability {low:.3e} is negative or NaN"))
         elif not off <= _PROB_ATOL:
-            refusals.append(DomainError(f"outcome probabilities sum to {sums[r]}, expected 1"))
+            refusals.append(DomainError(f"outcome probabilities sum to {row_sums}, expected 1"))
         else:
             refusals.append(None)
-    return (np.clip(probs, 0.0, None) if negative else probs), refusals
+    return np.maximum(probs, 0.0), refusals
 
 
 def outcome_probabilities(states: np.ndarray, strat: PovmStrategy) -> np.ndarray:
@@ -188,7 +187,7 @@ def _draw(n_trials: int, seed: int, cells: np.ndarray) -> np.ndarray:
 
 def _estimates(n_trials: int, seeds: list[int], cells: np.ndarray) -> list[OracleEstimate]:
     """One run of n_trials rounds per seed: run r is drawn from the cell table cells[r] (n, 4, 4) with seeds[r]."""
-    counts = np.array([_draw(n_trials, seed, cells_r) for seed, cells_r in zip(seeds, cells)])
+    counts = np.array([_draw(n_trials, seed, cells_r) for seed, cells_r in zip(seeds, cells)]).reshape(-1, 4, 4)
     # by run and state, the rounds that reached at least: an error, sifted, conclusive, any cell
     levels = counts.take([2, 1, 0, 3], axis=2).cumsum(axis=2).transpose(0, 2, 1).tolist()
     estimates = []
@@ -228,9 +227,12 @@ def run_oracle(
     once, before any draw. The rows' states, outcome tables, checks and cell
     tables are formed stacked on one leading axis, from the states and
     strat.elements alone; only each row's generator and its two multinomials
-    are per row. Each row's estimate equals its own call's, field for field.
+    are per row. A single call forms its one row's tables by the same
+    functions, from ens.states.
     """
     if isinstance(ens, AttackEnsemble):
+        # not a batch of one, which took ~130 us against ~100 us here (fresh (1 deg, pi/2) point, 1e7 trials, 2 vCPUs):
+        # pfm_states over arrays of one and the row bookkeeping; ens.states is bit-identical to a stacked row
         require_built_for(ens, strat)
         n_trials, seed = check_run(n_trials, seed)
         cells = _cells(_resend(outcome_probabilities(ens.states, strat)))
@@ -247,16 +249,11 @@ def run_oracle(
             results[r] = exc
     for dim in (3, 2):
         rows = [r for r, ens_r in enumerate(ensembles) if results[r] is None and ens_r.dim == dim]
-        if not rows:
-            continue
-        epsilon, delta = np.array([(ensembles[r].epsilon, ensembles[r].delta) for r in rows]).T
-        states = pfm_states(epsilon, delta)[:, :, 3 - dim :]  # as each ensemble's own states, bit for bit
-        probs, refusals = _tables(states, np.array([strategies[r].elements for r in rows]))
-        for r, refusal in zip(rows, refusals):
-            results[r] = refusal
-        ok = [refusal is None for refusal in refusals]
-        drawn = [r for r, keep in zip(rows, ok) if keep]
-        if drawn:
-            for r, estimate in zip(drawn, _estimates(n_trials, [seed + r for r in drawn], _cells(_resend(probs[ok])))):
-                results[r] = estimate
+        if rows:
+            states = ensemble_states([ensembles[r] for r in rows])
+            probs, refusals = _tables(states, np.array([strategies[r].elements for r in rows]))
+            drawn = [k for k, refusal in enumerate(refusals) if refusal is None]
+            estimates = iter(_estimates(n_trials, [seed + rows[k] for k in drawn], _cells(_resend(probs[drawn]))))
+            for r, refusal in zip(rows, refusals):
+                results[r] = refusal or next(estimates)
     return results

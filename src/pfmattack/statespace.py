@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionMismatchError, DomainError
 
 #: Largest admissible rotator deviation (5 degrees; practical mirrors are <= 1 degree).
 EPSILON_MAX = math.pi / 36
@@ -114,8 +114,9 @@ class AttackEnsemble:
 
     states[k], the unit vector prepared for phase index k, is computed on
     first access and read-only: the last dim components of `pfm_states`
-    (at dim 2 the dropped e_0 component is zero). The closed-form path
-    never reads it; the oracle and the span check do.
+    (at dim 2 the dropped e_0 component is zero), as `ensemble_states`
+    forms them. The closed-form path never reads it; the span check and
+    a single oracle call do.
     """
 
     epsilon: float
@@ -134,7 +135,7 @@ class AttackEnsemble:
 
     @cached_property
     def states(self) -> np.ndarray:
-        states = pfm_states(self.epsilon, self.delta)[:, 3 - self.dim :]
+        states = pfm_states(self.epsilon, self.delta)[..., 3 - self.dim :]
         states.setflags(write=False)
         return states
 
@@ -170,6 +171,14 @@ def pfm_states(epsilon, delta) -> np.ndarray:
     states[..., 2] = 1
     states /= _SQRT2
     return states
+
+
+def ensemble_states(ensembles) -> np.ndarray:
+    """The states (n, 4, dim) of n ensembles of one dim, one `pfm_states` call: row r is ensembles[r].states."""
+    if len({ens.dim for ens in ensembles}) != 1:
+        raise DimensionMismatchError("ensemble_states takes one or more ensembles of one dim")
+    epsilon, delta = np.array([(ens.epsilon, ens.delta) for ens in ensembles]).T
+    return pfm_states(epsilon, delta)[..., 3 - ensembles[0].dim :]
 
 
 def build_ensemble(epsilon: float, delta: float) -> AttackEnsemble:

@@ -343,40 +343,6 @@ def test_sweep_raises_a_rows_oracle_refusal_when_it_reaches_the_row(tmp_path, mo
     assert not out.exists()
 
 
-def test_one_parser_serves_every_call_and_keeps_nothing_between_them(tmp_path, capsys, monkeypatch):
-    """In one process: a sweep with oracle columns, an eval, then a sweep without --trials.
-
-    main builds its parser once. Each call's exit code, output and file equal
-    what a fresh parser gives: the last sweep takes no oracle columns, seed or
-    epsilon grid from the first (its default epsilon 0 refuses every cell).
-    """
-    commands = [
-        ["sweep", "--epsilon-deg", "0.5,1", "--delta", "pi/2,pi/4", "--trials", "20000", "--seed", "9",
-         "--reproducible", "--out", str(tmp_path / "oracle.csv")],
-        ["eval", "--epsilon-deg", "1", "--delta", "pi/2", "--out", str(tmp_path / "eval.csv")],
-        ["sweep", "--delta", "pi/2,pi/4", "--reproducible", "--out", str(tmp_path / "plain.csv")],
-    ]
-
-    def run(argv, fresh):
-        if fresh:
-            cli._parser.cache_clear()
-        code = run_cli(*argv)
-        captured = capsys.readouterr()
-        with open(argv[-1], "rb") as fh:
-            return code, captured.out, captured.err, fh.read()
-
-    expected = [run(argv, fresh=True) for argv in commands]
-    builds = []
-    monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser: builds.append(1) or build())
-    cli._parser.cache_clear()
-    assert [run(argv, fresh=False) for argv in commands] == expected
-    assert len(builds) == 1
-    assert [code for code, *_ in expected] == [0, 0, 1]
-    header = [line for line in expected[2][3].decode().splitlines() if not line.startswith("#")][0]
-    assert header == ",".join(cli.BASE_COLUMNS)
-    assert cli._parser().parse_args(commands[2]).trials is None
-
-
 def test_sweep_remap_kind(tmp_path):
     out = tmp_path / "remap.csv"
     assert run_cli(

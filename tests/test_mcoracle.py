@@ -587,14 +587,21 @@ def test_sequence_form_equals_each_rows_own_call():
 
 
 def test_a_refused_row_refuses_only_itself(anchor):
-    """NaN elements, a sum off 1, or a strategy built for another point: the row's own refusal, type and message."""
+    """NaN elements, a sum off 1, or a strategy built for another point: the row's own refusal, type and message.
+
+    Row 2's p_0 = -1e-12 is within tolerance and reads 0, although a refused
+    row of its dim comes before it.
+    """
     ens, strat, _ = anchor
     elements = strat.elements.copy()
     elements[0, 1, 1] = np.nan
     other = build_ensemble(0.5 * DEG, np.pi / 3)
     remap = bb84_ensemble(np.pi / 4)
+    tolerated = _fake_strategy(-1e-12 * np.eye(2), np.zeros((2, 2)), (1 + 1e-12) * np.eye(2))
     rows = [
         (ens, strat),
+        (tolerated.ensemble, _fake_strategy(np.full((2, 2), np.nan), np.zeros((2, 2)), np.eye(2))),
+        (tolerated.ensemble, tolerated),
         (ens, dataclasses.replace(strat, elements=elements)),
         (other, strat),
         (remap, strat),
@@ -603,8 +610,8 @@ def test_a_refused_row_refuses_only_itself(anchor):
         (other, build_suboptimal_povm(other)),
     ]
     results = run_oracle([row[0] for row in rows], [row[1] for row in rows], MIN_TRIALS, 3)
-    kinds = [OracleEstimate, NegativeProbabilityError, DomainError, DimensionMismatchError, DomainError,
-             OracleEstimate, OracleEstimate]
+    kinds = [OracleEstimate, NegativeProbabilityError, OracleEstimate, NegativeProbabilityError, DomainError,
+             DimensionMismatchError, DomainError, OracleEstimate, OracleEstimate]
     assert [type(result) for result in results] == kinds
     for r, ((row_ens, row_strat), result) in enumerate(zip(rows, results)):
         if isinstance(result, PfmAttackError):

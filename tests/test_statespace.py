@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from pfmattack.attack import build_suboptimal_povm, evaluate
-from pfmattack.errors import DomainError
+from pfmattack.errors import DimensionMismatchError, DomainError
 from pfmattack.statespace import (
     EPSILON_MAX,
     AttackEnsemble,
     FaradayMirror,
     bb84_ensemble,
     build_ensemble,
+    ensemble_states,
     newton_step,
     pfm_states,
     span_dimension,
@@ -82,6 +83,22 @@ def test_stacked_states_are_the_point_states_bit_for_bit():
             assert np.array_equal(states[:, 1:], bb84_ensemble(d).states), d
     for length in range(1, 10):
         assert np.array_equal(pfm_states(epsilon[:length], delta[:length]), stacked[:length]), length
+
+
+def test_ensemble_states_are_each_ensembles_states():
+    """ensemble_states stacks the states of ensembles of one dim, row for row bit for bit; mixed dims are refused."""
+    rng = np.random.default_rng(7)
+    epsilon, delta = rng.uniform(-EPSILON_MAX, EPSILON_MAX, 40), rng.uniform(0, np.pi / 2, 40)
+    pfm = [build_ensemble(e, d) for e, d in zip(epsilon, delta)]
+    remap = [bb84_ensemble(d) for d in [0.0, 1e-8, *rng.uniform(0, np.pi / 2, 20), np.pi / 2]]
+    for ensembles in (pfm, remap, pfm[:1], remap[:1]):
+        stacked = ensemble_states(ensembles)
+        assert stacked.shape == (len(ensembles), 4, ensembles[0].dim)
+        for ens, states in zip(ensembles, stacked):
+            assert np.array_equal(states, ens.states)
+    for mixed in ([pfm[0], remap[0]], []):
+        with pytest.raises(DimensionMismatchError):
+            ensemble_states(mixed)
 
 
 def test_e0_component_free_of_cancellation():
