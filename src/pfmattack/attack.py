@@ -58,7 +58,9 @@ class PovmStrategy:
     """Three-outcome measurement {M_0, M_3, M_vac} built for one point.
 
     elements is a read-only copy of the stack [M_0, M_3, M_vac], of shape
-    (3, dim, dim); any other shape raises DimensionMismatchError. M_0 and
+    (3, dim, dim); any other shape raises DimensionMismatchError. A built
+    strategy holds the builder's array instead, uncopied: from a sequence
+    build, a read-only view of its block's stack. M_0 and
     M_3 are the conclusive elements (the implicit M_1 = M_2 = 0 never fire),
     M_vac = I - M_0 - M_3 is the blocking element. lambda_0/lambda_3 are the
     minimal generalized eigenvalues of (L_0, rho) and (L_3, rho) the
@@ -78,6 +80,14 @@ class PovmStrategy:
             raise DimensionMismatchError(f"elements shape {elements.shape} is not (3, {self.dim}, {self.dim})")
         elements.setflags(write=False)
         object.__setattr__(self, "elements", elements)
+
+    @classmethod
+    def _built(cls, ensemble, elements, x, lambda_0, lambda_3) -> PovmStrategy:
+        """A strategy on elements (3, dim, dim) the builder made: marked read-only, neither copied nor checked again."""
+        elements.setflags(write=False)
+        strat = object.__new__(cls)
+        strat.__dict__.update(ensemble=ensemble, elements=elements, x=x, lambda_0=lambda_0, lambda_3=lambda_3)
+        return strat
 
     @property
     def dim(self) -> int:
@@ -104,8 +114,11 @@ class AttackReport:
     max_fiber_km: float
 
 
-def max_fiber_length_km(p_succ: float) -> float:
-    """Fiber length at which the channel transmittance 10^(-0.21 L / 10) equals p_succ."""
+def max_fiber_length_km(p_succ: float | np.ndarray) -> float | np.ndarray:
+    """Fiber length at which the channel transmittance 10^(-0.21 L / 10) equals p_succ; an array maps elementwise."""
+    if isinstance(p_succ, np.ndarray):  # each element as the scalar body gives it, bit for bit
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(p_succ <= 0.0, np.inf, -10.0 * np.log10(p_succ) / FIBER_LOSS_DB_PER_KM)
     if p_succ <= 0.0:
         return float("inf")
     # np.log10, not math.log10: the two differ in the last ulp for some p_succ
@@ -267,7 +280,7 @@ def build_suboptimal_povm(
     elements[:2] /= lmax
     np.subtract(_EYE[dim], elements[0], out=elements[2])
     elements[2] -= elements[1]
-    strat = PovmStrategy(ensemble=ens, elements=elements, x=x, lambda_0=lambda_0, lambda_3=lambda_3)
+    strat = PovmStrategy._built(ens, elements, x, lambda_0, lambda_3)
     strat.validate()
     return strat
 
@@ -306,10 +319,11 @@ def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAt
         elements[:, :2] /= lmax[:, None, None, None]
         np.subtract(_EYE[dim], elements[:, 0], out=elements[:, 2])
         elements[:, 2] -= elements[:, 1]
+        elements.setflags(write=False)  # so is each strategy's view of it
         for k, pencil, el, x_k, refusal in zip(index, pencils, elements, x.tolist(), _refusals(elements, x)):
             # in the single body's order: the underflow of x, then validate()'s checks
-            results[k] = (_underflow(x_k) if not x_k >= _X_MIN else refusal) or PovmStrategy(
-                ensemble=ensembles[k], elements=el, x=x_k, lambda_0=pencil[2][0], lambda_3=pencil[2][1]
+            results[k] = (_underflow(x_k) if not x_k >= _X_MIN else refusal) or PovmStrategy._built(
+                ensembles[k], el, x_k, *pencil[2]
             )
     return results
 

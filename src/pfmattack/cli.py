@@ -32,7 +32,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .attack import AttackReport, build_suboptimal_povm, evaluate
+from .attack import PovmStrategy, build_suboptimal_povm, evaluate, max_fiber_length_km
 from .errors import PfmAttackError
 from .mcoracle import OracleEstimate, check_run, run_oracle
 from .statespace import BirefringentChannel, FaradayMirror, bb84_ensemble, build_ensemble, verify_compensation
@@ -109,44 +109,38 @@ def parse_degree_grid(token: str) -> list[float]:
     return _parse_grid(token, parse_degrees)
 
 
-def _ensemble(attack_kind: str, epsilon_deg: float, delta: float):
-    """The point of one grid cell: the bare phase-encoded states for remap, the 3-D family for pfm."""
-    return bb84_ensemble(delta) if attack_kind == "remap" else build_ensemble(np.deg2rad(epsilon_deg), delta)
+def _ensemble(attack_kind: str, epsilon: float, delta: float):
+    """The point of a grid cell, epsilon in radians: the bare phase-encoded states for remap, the 3-D family for pfm."""
+    return bb84_ensemble(delta) if attack_kind == "remap" else build_ensemble(epsilon, delta)
 
 
-def _point_report(attack_kind: str, epsilon_deg: float, delta: float):
-    """Closed-form report plus the (ensemble, strategy) pair behind it."""
-    ens = _ensemble(attack_kind, epsilon_deg, delta)
-    strat = build_suboptimal_povm(ens)
-    return evaluate(ens, strat), ens, strat
+def _csv_lines(values: np.ndarray) -> list[str]:
+    """Each row of values (n, m) as one CSV line. The cell format is deterministic: "0" for a zero, scientific
+    below 1e-3 in magnitude, else the general format, both to 9 significant digits."""
+    values = values + 0.0  # -0.0 becomes 0.0, which the general format writes as "0"
+    specs = np.where((np.abs(values) < 1e-3) & (values != 0), ".9e", ".9g").tolist()
+    return [",".join(map(format, row, spec)) for row, spec in zip(values.tolist(), specs)]
 
 
 def _csv_num(value: float) -> str:
-    """Deterministic cell format: scientific below 1e-3, 9 significant digits."""
-    if value == 0:
-        return "0"
-    if abs(value) < 1e-3:
-        return f"{value:.9e}"
-    return f"{value:.9g}"
+    """One cell in _csv_lines' format."""
+    return _csv_lines(np.array([[value]], dtype=float))[0]
 
 
-def _report_values(epsilon_deg: float, report: AttackReport) -> list[float]:
-    """The values of BASE_COLUMNS, in order."""
-    return [
-        epsilon_deg, report.delta, report.qber, report.p_succ,
-        report.lambda_0, report.lambda_3, report.x, report.max_fiber_km,
-    ]
+def _non_finite(epsilon_deg: float, delta: float) -> PfmAttackError:
+    return PfmAttackError(f"non-finite value in row for epsilon_deg={epsilon_deg}, delta={delta}")
 
 
-def _report_row(epsilon_deg: float, report: AttackReport, oracle: OracleEstimate | None = None) -> list[str]:
-    values = _report_values(epsilon_deg, report)
-    if not all(math.isfinite(v) for v in values):
-        raise PfmAttackError(f"non-finite value in row for epsilon_deg={epsilon_deg}, delta={report.delta}")
-    cells = [_csv_num(v) for v in values]
-    if oracle is not None:
-        # oracle cells may be nan when too few rounds were sifted
-        cells += [_csv_num(oracle.qber_hat), _csv_num(oracle.p_succ_hat)]
-    return cells
+def _block_values(rows: list[tuple[float, PovmStrategy]]) -> np.ndarray:
+    """The values (n, 8) of BASE_COLUMNS for n rows (epsilon_deg, strategy): evaluate's figures, by its own
+    operations over arrays, so each value equals its report's bit for bit."""
+    values = np.array([
+        (eps, strat.ensemble.delta, 0.0, 0.0, strat.lambda_0, strat.lambda_3, strat.x, 0.0) for eps, strat in rows
+    ]).reshape(-1, len(BASE_COLUMNS))
+    values[:, 2] = (values[:, 4] + values[:, 5]) / 2
+    values[:, 3] = values[:, 6] / 2
+    values[:, 7] = max_fiber_length_km(values[:, 3])
+    return values
 
 
 def _write_csv(path: str, lines: list[str]) -> None:
@@ -187,8 +181,8 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
     oracle columns, the trial count and the seed are checked before any point.
     The grid is built SWEEP_BLOCK points at a time, each block in one
     build_suboptimal_povm call and, with oracle columns, one run_oracle call
-    over its rows; evaluate then runs per row, and a row's oracle refusal is
-    raised when its row is reached.
+    over its rows. Its figures and rows are formed from arrays (_block_values);
+    a row's oracle refusal or non-finite value is raised when its row is reached.
     """
     lines = [f"# pfmattack {__version__}", f"# attack={args.attack}"]
     if args.trials is not None:
@@ -198,40 +192,53 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
         lines.append(f"# generated={datetime.now(timezone.utc).isoformat(timespec='seconds')}")
     columns = BASE_COLUMNS + (ORACLE_COLUMNS if args.trials is not None else ())
     lines.append(",".join(columns))
-    cells = itertools.product(args.epsilon_deg if args.attack == "pfm" else [0.0], args.delta)
+    epsilons = args.epsilon_deg if args.attack == "pfm" else [0.0]
+    cells = itertools.product(zip(epsilons, np.deg2rad(epsilons).tolist()), args.delta)
     row_index = 0
     while block := list(itertools.islice(cells, SWEEP_BLOCK)):
         points = []  # per cell: its ensemble, or the refusal of a cell outside the domain
-        for epsilon_deg, delta in block:
+        for (_, epsilon), delta in block:
             try:
-                points.append(_ensemble(args.attack, epsilon_deg, delta))
+                points.append(_ensemble(args.attack, epsilon, delta))
             except PfmAttackError as exc:
                 points.append(exc)
-        built = iter(build_suboptimal_povm([ens for ens in points if not isinstance(ens, PfmAttackError)]))
-        strategies = [ens if isinstance(ens, PfmAttackError) else next(built) for ens in points]
-        rows = [(ens, strat) for ens, strat in zip(points, strategies) if not isinstance(strat, PfmAttackError)]
-        oracles = itertools.repeat(None) if args.trials is None else iter(
-            run_oracle([ens for ens, _ in rows], [strat for _, strat in rows], args.trials, args.seed + row_index)
-        )
-        for (epsilon_deg, delta), ens, strat in zip(block, points, strategies):
+        results = iter(build_suboptimal_povm([ens for ens in points if not isinstance(ens, PfmAttackError)]))
+        strategies = [ens if isinstance(ens, PfmAttackError) else next(results) for ens in points]
+        rows = [(cell[0][0], strat) for cell, strat in zip(block, strategies) if isinstance(strat, PovmStrategy)]
+        values = _block_values(rows)
+        finite = np.isfinite(values).all(axis=1).tolist()
+        oracles = [None] * len(rows)
+        if args.trials is not None:
+            built = [strat for _, strat in rows]
+            oracles = run_oracle([strat.ensemble for strat in built], built, args.trials, args.seed + row_index)
+            # oracle cells may be nan when too few rounds were sifted; a refused row's are never written
+            estimates = [(o.qber_hat, o.p_succ_hat) if isinstance(o, OracleEstimate) else (0.0, 0.0) for o in oracles]
+            values = np.hstack((values, np.reshape(estimates, (-1, 2))))
+        formatted = iter(zip(_csv_lines(values), oracles, finite))
+        for ((epsilon_deg, _), delta), strat in zip(block, strategies):
             if isinstance(strat, PfmAttackError):
                 lines.append(f"# rejected epsilon_deg={_csv_num(epsilon_deg)} delta_rad={_csv_num(delta)}: {strat}")
                 continue
-            oracle = next(oracles)
+            line, oracle, ok = next(formatted)
             if isinstance(oracle, PfmAttackError):
                 raise oracle
-            lines.append(",".join(_report_row(epsilon_deg, evaluate(ens, strat), oracle)))
+            if not ok:
+                raise _non_finite(epsilon_deg, strat.ensemble.delta)
+            lines.append(line)
             row_index += 1
     return lines
 
 
 def cmd_eval(args) -> int:
-    report, _, _ = _point_report(args.attack, args.epsilon_deg, args.delta)
+    ens = _ensemble(args.attack, np.deg2rad(args.epsilon_deg), args.delta)
     epsilon_deg = args.epsilon_deg if args.attack == "pfm" else 0.0
-    for key, value in zip(BASE_COLUMNS, _report_values(epsilon_deg, report)):
+    values = _block_values([(epsilon_deg, build_suboptimal_povm(ens))])
+    for key, value in zip(BASE_COLUMNS, values[0].tolist()):
         print(f"{key:<13} {value:.6g}")
     if args.out:
-        _write_csv(args.out, [",".join(BASE_COLUMNS), ",".join(_report_row(epsilon_deg, report))])
+        if not np.isfinite(values).all():
+            raise _non_finite(epsilon_deg, ens.delta)
+        _write_csv(args.out, [",".join(BASE_COLUMNS), *_csv_lines(values)])
     return 0
 
 
@@ -266,7 +273,9 @@ def _binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
 
 
 def cmd_verify(args) -> int:
-    report, ens, strat = _point_report(args.attack, args.epsilon_deg, args.delta)
+    ens = _ensemble(args.attack, np.deg2rad(args.epsilon_deg), args.delta)
+    strat = build_suboptimal_povm(ens)
+    report = evaluate(ens, strat)
     estimate = run_oracle(ens, strat, args.trials, args.seed)
     print(f"closed form   e_B={report.qber:.6g}  p_succ={report.p_succ:.6g}")
     print(

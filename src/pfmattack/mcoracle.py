@@ -13,7 +13,7 @@ round by round: one multinomial splits the rounds over the four states, and
 one per state splits its rounds over four outcomes (conclusive but not
 sifted, sifted and correct, error, blocked). The eavesdropper's and the
 receiver's laws enter only through those outcome probabilities, so a run
-makes the same two generator calls and holds the same few arrays at any
+makes the same generator calls and holds the same few arrays at any
 trial count. Seeded `run_oracle` numbers differ from versions that drew
 round by round. The per-round scalar reference that this law is checked
 against lives in the test suite (tests/oracle_reference.py).
@@ -23,7 +23,7 @@ row r seeded seed + r, as a sweep block needs. Each step before the draw
 (the states, the outcome tables and their checks, the resend and cell
 tables) is written once over leading axes: a single call runs it on one
 point, a sequence on all of its rows at once. Only each row's generator and
-its two multinomials run row by row, so each row's estimate equals its own
+its multinomials run row by row, so each row's estimate equals its own
 call's, field for field.
 """
 
@@ -179,15 +179,19 @@ def _cells(resend: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _draw(n_trials: int, seed: int, cells: np.ndarray) -> np.ndarray:
-    """The counts [state, cell] of one run: one multinomial splits n_trials over the states, then one per state."""
+def _draw(n_trials: int, seed: int, cells: np.ndarray, out: np.ndarray) -> None:
+    """The counts [state, cell] of one run, into out (4, 4): one multinomial splits n_trials over the states, then
+    one scalar-n call per state; numpy's 2-D call makes the same draws in the same order, several times slower."""
     rng = np.random.default_rng(seed)
-    return rng.multinomial(rng.multinomial(n_trials, _STATE_PROBS), cells)
+    for k, n_k in enumerate(rng.multinomial(n_trials, _STATE_PROBS).tolist()):
+        out[k] = rng.multinomial(n_k, cells[k])
 
 
 def _estimates(n_trials: int, seeds: list[int], cells: np.ndarray) -> list[OracleEstimate]:
     """One run of n_trials rounds per seed: run r is drawn from the cell table cells[r] (n, 4, 4) with seeds[r]."""
-    counts = np.array([_draw(n_trials, seed, cells_r) for seed, cells_r in zip(seeds, cells)]).reshape(-1, 4, 4)
+    counts = np.empty((len(seeds), 4, 4), dtype=np.int64)
+    for seed, cells_r, out in zip(seeds, cells, counts):
+        _draw(n_trials, seed, cells_r, out)
     # by run and state, the rounds that reached at least: an error, sifted, conclusive, any cell
     levels = counts.take([2, 1, 0, 3], axis=2).cumsum(axis=2).transpose(0, 2, 1).tolist()
     estimates = []
@@ -226,7 +230,7 @@ def run_oracle(
     would raise; a refused row stops no other. n_trials and seed are checked
     once, before any draw. The rows' states, outcome tables, checks and cell
     tables are formed stacked on one leading axis, from the states and
-    strat.elements alone; only each row's generator and its two multinomials
+    strat.elements alone; only each row's generator and its multinomials
     are per row. A single call forms its one row's tables by the same
     functions, from ens.states.
     """

@@ -5,6 +5,9 @@ draws the per-state counts of many such rounds at once, from their
 multinomial law. Only tests use this module, to check the oracle against an
 implementation that shares nothing with it beyond `outcome_probabilities`.
 
+`reference_draw` is numpy's 2-D form of the oracle's count draw, which
+`mcoracle._draw` is checked against bit for bit.
+
 `simulate_intercept_resend` is the 25 % sanity check of the acceptance
 suite: the oracle's cell table and count draw (`mcoracle._cells` and
 `mcoracle._estimates`) run on the resend table of the plain
@@ -91,6 +94,16 @@ def run_trial(ens: AttackEnsemble, strat: PovmStrategy, rng: np.random.Generator
     sifted = bob_basis == alice_k % 2
     error = sifted and bob_index != alice_k
     return TrialRecord(alice_k, eve_outcome, bob_basis, bit, sifted=sifted, error=error)
+
+
+def reference_draw(n_trials: int, seed: int, cells: np.ndarray) -> np.ndarray:
+    """The counts [state, cell] (4, 4) of one run in numpy's 2-D form: the state counts, then one call over all states.
+
+    `mcoracle._draw` makes one scalar-n call per state instead. numpy's 2-D
+    call makes the same draws in the same order, so both give the same counts.
+    """
+    rng = np.random.default_rng(seed)
+    return rng.multinomial(rng.multinomial(n_trials, mcoracle._STATE_PROBS), cells)
 
 
 def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:

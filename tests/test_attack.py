@@ -550,6 +550,56 @@ def test_sequence_form_equals_the_point_form_cell_by_cell():
     ]
 
 
+def test_sweep_block_figures_equal_evaluate_bit_for_bit():
+    """The sweep forms a block's figures as arrays (cli._block_values): each row equals its cell's own evaluate, bit
+    for bit (a ulp bound of 0). The grid is a seeded draw of both kinds with delta down to 1e-8, plus points at the
+    underflow edge of x, where p_succ = x/2 is subnormal and the array log10 of the fiber length must not drift."""
+    rng = np.random.default_rng(26)
+    eps, delta = _reals(rng, 600, 1e-6, 1e-8)
+    points = [build_ensemble(e, d) if k % 3 else bb84_ensemble(d) for k, (e, d) in enumerate(zip(eps, delta))]
+    # |sc| delta^2 (pfm) or delta (remap) log-uniform from just below the refused edge to ~3x above it
+    edge = np.exp(rng.uniform(math.log(1.4e-154), math.log(4e-154), 400)).tolist()
+    points += [bb84_ensemble(t) for t in edge[:200]]
+    points += [build_ensemble(e, math.sqrt(t / abs(math.sin(4 * e) / 2))) for e, t in zip(eps, edge[200:])]
+    strategies = [strat for strat in build_suboptimal_povm(points) if isinstance(strat, PovmStrategy)]
+    epsilon_deg = rng.uniform(-5, 5, len(strategies)).tolist()
+    values = cli._block_values(list(zip(epsilon_deg, strategies)))
+    expected = []
+    for e, strat in zip(epsilon_deg, strategies):
+        r = evaluate(strat.ensemble, strat)
+        expected.append((e, r.delta, r.qber, r.p_succ, r.lambda_0, r.lambda_3, r.x, r.max_fiber_km))
+    assert values.tobytes() == np.array(expected).tobytes()
+    p_succ = values[:, 3]
+    assert len(strategies) > 900 and (p_succ < np.finfo(float).tiny).sum() >= 50 and p_succ.min() > 0
+
+
+def test_fiber_length_of_an_array_is_each_elements_own():
+    """max_fiber_length_km over an array gives each element's scalar value, bit for bit, including inf at p <= 0."""
+    tiny = np.finfo(float).tiny
+    p_succ = np.concatenate([
+        [0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, tiny / 3, tiny, 0.5, 1.0, 2.0],
+        np.exp(np.random.default_rng(5).uniform(math.log(tiny / 4), 0.0, 2000)),
+    ])
+    with np.errstate(all="raise"):
+        array = max_fiber_length_km(p_succ)
+    scalar = [max_fiber_length_km(p) for p in p_succ.tolist()]
+    assert array.tobytes() == np.array(scalar).tobytes()
+
+
+def test_a_sequence_build_shares_its_blocks_read_only_array():
+    """A strategy from a sequence build holds a read-only view of its block's stack, not a copy: its elements have
+    shape (3, dim, dim) and cannot be made writable again."""
+    points = [build_ensemble(1 * DEG, np.pi / 2), bb84_ensemble(np.pi / 4), build_ensemble(-0.5 * DEG, 0.3),
+              bb84_ensemble(0.2)]
+    cells = build_suboptimal_povm(points)
+    for ens, strat in zip(points, cells):
+        assert strat.elements.shape == (3, ens.dim, ens.dim) and not strat.elements.flags.writeable
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            strat.elements.setflags(write=True)
+        strat.validate()
+    assert cells[0].elements.base is cells[2].elements.base and cells[1].elements.base is cells[3].elements.base
+
+
 def test_one_bad_povm_never_stops_the_others(monkeypatch):
     """A stack the eigensolver refuses is solved again POVM by POVM: only the POVM it refuses is refused.
 

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import hashlib
 import os
 import re
 import warnings
@@ -325,6 +326,58 @@ def test_sweep_blocks_do_not_change_a_byte(tmp_path, monkeypatch):
     lines = files[0].decode().splitlines()
     assert sum(line.startswith("# rejected") for line in lines) == 21
     assert len(lines) == 4 + 25
+
+
+#: sha256 of the files the 40x50 sweep writes, `--epsilon-deg 0.05:1:40 --delta 0.1:pi/2:50 --reproducible` without
+#: and with `--trials 10000 --seed 1`, as the per-row path (evaluate per row, one 2-D multinomial per row) wrote them.
+GRID_40X50_SHA256 = {
+    (): "86463a5548a85be2e2568b2ada494740f995ccb313df1b5cc21481981dc070e0",
+    ("--trials", "10000", "--seed", "1"): "b934703f4581c583ba9ef6f984ba21c5df5d7c6da3b20ff44b101dd998ed7240",
+}
+
+
+@pytest.mark.parametrize("flags", GRID_40X50_SHA256, ids=["closed-form", "oracle"])
+def test_40x50_sweep_is_pinned(tmp_path, flags):
+    """Every byte of the 40x50 sweep, 2000 rows over 8 blocks: its figures formed as arrays, its rows formatted from
+    them and its oracle counts drawn state by state, as the per-row path computed them one by one."""
+    out = tmp_path / "grid.csv"
+    assert run_cli("sweep", "--epsilon-deg", "0.05:1:40", "--delta", "0.1:pi/2:50", "--reproducible", *flags,
+                   "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_40X50_SHA256[flags]
+
+
+def test_csv_cells_keep_their_format():
+    """A cell is "0" for either zero, scientific below 1e-3 in magnitude, else the general format, 9 digits."""
+    values, cells = zip(
+        (0.0, "0"), (-0.0, "0"), (1e-3, "0.001"), (-1e-3, "-0.001"), (9.999999999e-4, "9.999999999e-04"),
+        (-1e-5, "-1.000000000e-05"), (5e-324, "4.940656458e-324"), (2.2250738585072014e-308, "2.225073859e-308"),
+        (123456789012.0, "1.23456789e+11"), (0.1234567891, "0.123456789"), (1.0, "1"), (-2.5, "-2.5"),
+        (1e300, "1e+300"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+    )
+    assert cli._csv_lines(np.array([values] * 2)) == [",".join(cells)] * 2
+    assert [cli._csv_num(value) for value in values] == list(cells)
+
+
+def test_epsilon_grid_in_radians_is_each_points_own():
+    """The sweep converts its epsilon grid to radians in one array call: each value equals the scalar conversion."""
+    degrees = np.concatenate([[0.0, -0.0, 1e-310, 5e-324, -5.0, 5.0], np.random.default_rng(3).uniform(-5, 5, 2000)])
+    assert np.deg2rad(degrees).tobytes() == np.array([np.deg2rad(d) for d in degrees.tolist()]).tobytes()
+
+
+def test_sweep_refuses_a_non_finite_row_when_it_reaches_the_row(tmp_path, monkeypatch, capsys):
+    """A block's figures are checked row by row: the first non-finite row stops the sweep with its own message."""
+    real = cli.max_fiber_length_km
+
+    def inf_in_row_1(p_succ):
+        km = real(p_succ)
+        km[1] = np.inf
+        return km
+
+    monkeypatch.setattr(cli, "max_fiber_length_km", inf_in_row_1)
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep", "--epsilon-deg", "1", "--delta", "pi/2,pi/4,pi/8", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: non-finite value in row for epsilon_deg=1.0, delta=0.7853981633974483\n"
+    assert not out.exists()
 
 
 def test_sweep_raises_a_rows_oracle_refusal_when_it_reaches_the_row(tmp_path, monkeypatch, capsys):

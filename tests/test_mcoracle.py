@@ -4,11 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle_reference import run_trial, sample_povm_outcome, simulate_bob, simulate_intercept_resend
+from oracle_reference import (
+    INTERCEPT_RESEND, reference_draw, run_trial, sample_povm_outcome, simulate_bob, simulate_intercept_resend,
+)
 from pfmattack.attack import ERROR_WEIGHTS, PovmStrategy, build_suboptimal_povm, evaluate
 from pfmattack import mcoracle
 from pfmattack.errors import DimensionMismatchError, DomainError, NegativeProbabilityError, PfmAttackError
-from pfmattack.mcoracle import MIN_TRIALS, OracleEstimate, outcome_probabilities, run_oracle
+from pfmattack.mcoracle import MAX_TRIALS, MIN_TRIALS, OracleEstimate, outcome_probabilities, run_oracle
 from pfmattack.statespace import EPSILON_MAX, AttackEnsemble, bb84_ensemble, build_ensemble
 
 DEG = np.pi / 180
@@ -445,6 +447,31 @@ def test_golden_counts(case):
     ens = bb84_ensemble(delta) if kind == "remap" else build_ensemble(epsilon_deg * DEG, delta)
     estimate = run_oracle(ens, build_suboptimal_povm(ens), GOLDEN_TRIALS, seed)
     np.testing.assert_equal(dataclasses.astuple(estimate), GOLDEN[case])
+
+
+@pytest.mark.parametrize("n_trials", [MIN_TRIALS, MAX_TRIALS, 3])
+def test_draw_equals_numpys_2d_multinomial(anchor, n_trials):
+    """The oracle's scalar-n draw per state gives numpy's one 2-D call's counts, bit for bit, over 1000 seeds.
+
+    The tables are the pfm and remap anchors' and the intercept-resend one,
+    whose blocked cell is 0 in every state. At 3 trials most runs leave a
+    state with 0 rounds.
+    """
+    ens, strat, _ = anchor
+    remap = bb84_ensemble(np.pi / 4)
+    tables = [mcoracle._cells(mcoracle._resend(outcome_probabilities(e.states, s)))
+              for e, s in ((ens, strat), (remap, build_suboptimal_povm(remap)))]
+    tables.append(mcoracle._cells(INTERCEPT_RESEND))
+    assert (tables[-1][:, 3] == 0).all()
+    out = np.empty((4, 4), dtype=np.int64)
+    runs_with_an_empty_state = 0
+    for cells in tables:
+        for seed in range(1000):
+            mcoracle._draw(n_trials, seed, cells, out)
+            expected = reference_draw(n_trials, seed, cells)
+            assert out.dtype == expected.dtype and np.array_equal(out, expected), (n_trials, seed, cells)
+            runs_with_an_empty_state += bool((out.sum(axis=1) == 0).any())
+    assert (runs_with_an_empty_state > 1000) == (n_trials == 3)
 
 
 def test_golden_counts_intercept_resend():
