@@ -14,6 +14,7 @@ attack, 2: the phase-remapping baseline).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -49,8 +50,37 @@ _X_MIN = np.finfo(float).tiny
 _EYE = {dim: np.eye(dim) for dim in (2, 3)}
 for _identity in _EYE.values():
     _identity.setflags(write=False)
-#: (dim, delta) pencils that build_suboptimal_povm keeps; an entry (y_w, y_delta, lambdas) takes ~0.76 kB.
+#: (dim, delta) pencils that build_suboptimal_povm keeps; an entry (y_w, basis, forms, lambdas) takes ~3.9 kB (at
+#: most 4 kB) at dim 3, ~1 kB at dim 2.
 _PENCIL_CACHE_SIZE = 1024
+#: The real epsilon factor E = ss E_ss + cc E_cc + sc E_sc (dim 3) on the coordinates v = [y_0, y_1, y_2, y_1 + y_2]
+#: of y_delta. A pattern's column has one entry, so each term of lmax M_b is one product of two entries of v_b, as in
+#: |y_hat_b><y_hat_b| itself. At dim 2, E = I and v = y_delta.
+_E_PATTERNS = {3: np.zeros((3, 4, 3)), 2: np.eye(2)[None]}
+_E_PATTERNS[3][[0, 1, 2, 2], [1, 2, 3, 0], [0, 0, 1, 2]] = -1.0, 1.0, 1.0, 1.0  # E_ss, E_cc, E_sc
+
+
+def _form_map(patterns: np.ndarray) -> np.ndarray:
+    """The real map from [Q_00, Q_03, Q_30, Q_33], Q_ab = v_a^T conj(v_b), to each monomial's terms (_map_scalars'
+    order) in E^T Q_00 E, E^T Q_33 E, -(both), and their traces g00, g33 and g03 = tr(E^T Q_30 E)."""
+    n, dim = patterns.shape[1:]
+    pairs = [(p, p) for p in range(len(patterns))] + list(itertools.combinations(range(len(patterns)), 2))
+    kron = [[np.kron(e_p, e_q) for e_q in patterns] for e_p in patterns]  # [(k, l), (i, j)] = E_p[k, i] E_q[l, j]
+    k = np.array([kron[p][q] + kron[q][p] * (p != q) for p, q in pairs])  # (m, n^2, dim^2): vec(Q) to vec(E^T Q E)
+    tr = k[:, :, :: dim + 1].sum(axis=2, keepdims=True)
+    o, z = np.zeros_like(k), np.zeros_like(tr)
+    blocks = np.block([[k, o, -k, tr, z, z], [o, o, o, z, z, z], [o, o, o, z, z, tr], [o, k, -k, z, tr, z]])
+    # rows in np.multiply.outer's order (a, k, b, l) of Q_ab[k, l]; columns monomial by monomial
+    return blocks.reshape(len(k), 2, 2, n, n, -1).transpose(1, 3, 2, 4, 0, 5).reshape(4 * n * n, -1).T.copy()
+
+
+_FORM_MAPS = {dim: _form_map(patterns) for dim, patterns in _E_PATTERNS.items()}
+#: Row 0 of each basis, the real view of [0, 0, I]; the columns of g00, g33, Re g03 and Im g03 in _pencil's terms.
+_BASIS_ROW_0 = {dim: np.concatenate((np.zeros((2, dim, dim)), [eye])).astype(complex).view(float).reshape(1, -1)
+                for dim, eye in _EYE.items()}
+_GRAM_COLUMNS = np.array([-6, -4, -2, -1])
+#: The orders -1..3 of _pencil's Newton steps, and its first Newton row: built once, not per pencil.
+_NEWTON_ORDERS, _ONES = np.arange(-1, 4), np.ones(4)
 
 
 @dataclass(frozen=True)
@@ -126,8 +156,8 @@ def max_fiber_length_km(p_succ: float | np.ndarray) -> float | np.ndarray:
 
 
 @lru_cache(maxsize=_PENCIL_CACHE_SIZE)
-def _pencil(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """The epsilon-free half of build_suboptimal_povm: (y_w, y_delta, (lambda_0, lambda_3)) for (dim, delta).
+def _pencil(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float]]:
+    """The epsilon-free half of build_suboptimal_povm: (y_w, basis, forms, (lambda_0, lambda_3)) for (dim, delta).
 
     The columns w_k of the scaled Newton basis (dim 2: their first two
     entries) give C C^H = sum_k w_k w_k^H. lambda_b is the minimal eigenvalue
@@ -135,24 +165,33 @@ def _pencil(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray, tuple[float
     row b = 0, 3 of y_w is C^-H times its eigenvector: the generalized
     eigenvector of the pencil in the w basis, with y^H C C^H y = 1.
     y_delta = y_w T^* carries it through the map back's delta factor T:
-    delta^2 N^-1 (dim 3) or (delta N^-1) A^-1 (dim 2). Both are read-only:
-    every caller shares them.
+    delta^2 N^-1 (dim 3) or (delta N^-1) A^-1 (dim 2). lmax M_b = E^T Q_b E
+    (Q_b = v_b^T conj(v_b), v as in _E_PATTERNS) is sum_m mu_m C_bm: basis
+    holds the real views of [0, 0, I] and [C_0m, C_3m, -(C_0m + C_3m)], so
+    [1, mu / lmax] @ basis is [M_0, M_3, M_vac], and (g00, g33, Re g03,
+    Im g03) = mu @ forms. All three arrays are read-only: callers share them.
     """
     z_1 = np.exp(1j * delta)
-    step = newton_step(delta, np.arange(-1, 4))  # (z_m - 1)/(i delta) for m = -1..3
-    newton = np.array([np.ones(4), step[1:], z_1 * step[1:] * step[:-1]])[:dim]
+    step = newton_step(delta, _NEWTON_ORDERS)  # (z_m - 1)/(i delta) for m = -1..3
+    newton = np.array([_ONES, step[1:], z_1 * step[1:] * step[:-1]])[:dim]
     chol_inv = np.linalg.inv(np.linalg.cholesky(newton @ newton.conj().T))
     whitened = chol_inv @ newton
     eigs, vecs = hermitian_eig((whitened * _RESEND_WEIGHTS[:, None, :]) @ whitened.conj().T)
     y_w = vecs[:, :, 0] @ chol_inv.conj()
-    if dim == 3:
-        delta_factor = np.array([[delta**2, 0, 0], [1j * delta, -1j * delta, 0], [-z_1, 1 + z_1, -1]])
+    if dim == 3:  # T, then for v_3 its last two columns summed exactly: as delta -> 0, v_3 = -v_0 to the last bit
+        delta_factor = np.array([[delta**2, 0, 0, 0], [1j * delta, -1j * delta, 0, -1j * delta],
+                                 [-z_1, 1 + z_1, -1, z_1]])
     else:
         delta_factor = np.array([[0, delta], [-1j, 1j]])
-    y_delta = y_w @ delta_factor.conj()
-    y_w.setflags(write=False)
-    y_delta.setflags(write=False)
-    return y_w, y_delta, (float(eigs[0, 0]), float(eigs[1, 0]))
+    v = y_w @ delta_factor.conj()
+    q = np.multiply.outer(v, v.conj()).reshape(-1, 1).view(float)  # Q_ab[k, l] at (a, k, b, l)
+    # per monomial: the real views of a basis row [C_0m, C_3m, -(C_0m + C_3m)], then of g00, g33 and g03
+    terms = (_FORM_MAPS[dim] @ q).reshape(-1, 6 * dim * dim + 6)
+    basis = np.concatenate((_BASIS_ROW_0[dim], terms[:, :-6]))
+    forms = np.take(terms, _GRAM_COLUMNS, axis=1)  # g00 and g33 are real: Q_00 and Q_33 are Hermitian
+    for cached in (y_w, basis, forms):
+        cached.setflags(write=False)
+    return y_w, basis, forms, (float(eigs[0, 0]), float(eigs[1, 0]))
 
 
 def _refusal_before_arithmetic(ens: AttackEnsemble) -> PfmAttackError | None:
@@ -171,11 +210,14 @@ def _underflow(x: float) -> DegenerateSpanError:
     )
 
 
-def _map_scalars(ens: AttackEnsemble) -> tuple[float, float, float, float]:
-    """(sc, s*s, c*c, t) of a dim-3 point's map back, with s, c = sin 2e, cos 2e and t = sc delta^2."""
+def _map_scalars(ens: AttackEnsemble) -> tuple[list[float], float]:
+    """(mu, t) of a point's map back: mu = [ss^2, cc^2, sc^2, ss cc, ss sc, cc sc] with s, c = sin 2e, cos 2e and
+    t = sc delta^2 (dim 3), or [1] and delta (dim 2)."""
+    if ens.dim == 2:
+        return [1.0], ens.delta
     s, c = math.sin(2 * ens.epsilon), math.cos(2 * ens.epsilon)
-    sc = s * c
-    return sc, s * s, c * c, sc * ens.delta**2
+    sc, ss, cc = s * c, s * s, c * c
+    return [ss * ss, cc * cc, sc * sc, ss * cc, ss * sc, cc * sc], sc * ens.delta**2
 
 
 def _refusal(complete: bool, min_eigs: list[float] | None, x: float) -> DomainError | None:
@@ -231,10 +273,11 @@ def build_suboptimal_povm(
     O(1) too: M_b = |y_hat_b><y_hat_b| / lmax and x = t^2 / (2 lmax), with
     lmax the largest eigenvalue of the y_hat Gram matrix.
 
-    _pencil solves the pencil and applies T once per (dim, delta) and keeps
-    the last _PENCIL_CACHE_SIZE of them, so a point applies E alone and makes
-    one eigenvalue call, in validate(), plus one eigen-decomposition when its
-    (dim, delta) is not in that cache.
+    E's entries are ss, cc and sc, so M_b and the Gram entries are sums over
+    six monomials mu (1 at dim 2) of forms that depend on (dim, delta) alone.
+    _pencil builds them once per (dim, delta) and keeps the last
+    _PENCIL_CACHE_SIZE, so a point makes two small matmuls and one
+    eigenvalue call, in validate(), plus one eigen-decomposition on a miss.
 
     e_B (absolutely) and p_succ (relatively) are within 1e-12 of exact
     arithmetic for every 0 < delta <= pi/2. Three points are refused, in
@@ -257,30 +300,18 @@ def build_suboptimal_povm(
     refusal = _refusal_before_arithmetic(ens)
     if refusal is not None:
         raise refusal
-    delta, dim = ens.delta, ens.dim
-    _, y, (lambda_0, lambda_3) = _pencil(dim, delta)  # rows y_delta,0 and y_delta,3
-    if dim == 3:
-        sc, ss, cc, t = _map_scalars(ens)
-        factor = np.zeros((3, 3))  # A1^-1 diag(1, sc, sc); faster to fill than np.array of nested lists
-        factor[0, 2] = factor[1, 1] = factor[2, 1] = sc
-        factor[1, 0] = -ss
-        factor[2, 0] = cc
-        y = y @ factor
-    else:
-        t = delta
-    gram = y.conj() @ y.T
-    g00, g33 = gram.real.diagonal().tolist()
-    lmax = float((g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(gram[0, 1])))
+    _, basis, forms, (lambda_0, lambda_3) = _pencil(ens.dim, ens.delta)
+    mu, t = _map_scalars(ens)
+    g00, g33, g03_re, g03_im = (np.array([mu]) @ forms)[0].tolist()
+    # each hypot as abs() of a complex scalar: libm's hypot, as np.hypot is in the stacked body
+    lmax = (g00 + g33) / 2 + abs(complex((g00 - g33) / 2, abs(complex(g03_re, g03_im))))
     # C C^H = sum_k w_k w_k^H is 2 rho in the w basis, hence the 2 in x
     x = t * t / (2 * lmax)
     if not x >= _X_MIN:
         raise _underflow(x)
-    elements = np.empty((3, dim, dim), dtype=complex)  # [M_0, M_3, M_vac]
-    np.multiply(y[:, :, None], y[:, None, :].conj(), out=elements[:2])
-    elements[:2] /= lmax
-    np.subtract(_EYE[dim], elements[0], out=elements[2])
-    elements[2] -= elements[1]
-    strat = PovmStrategy._built(ens, elements, x, lambda_0, lambda_3)
+    elements = np.array([[1.0, *[m / lmax for m in mu]]]) @ basis
+    elements.setflags(write=False)  # the owner: no view of it can be made writable again
+    strat = PovmStrategy._built(ens, elements.view(complex).reshape(3, ens.dim, ens.dim), x, lambda_0, lambda_3)
     strat.validate()
     return strat
 
@@ -298,32 +329,21 @@ def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAt
         if not index:
             continue
         pencils = [_pencil(dim, ensembles[k].delta) for k in index]
-        y = np.array([pencil[1] for pencil in pencils])  # (n, 2, dim): rows y_delta,0 and y_delta,3
-        if dim == 3:
-            # per point in Python floats, as the single body: delta**2 is libm's pow, not numpy's delta * delta
-            sc, ss, cc, t = np.array([_map_scalars(ensembles[k]) for k in index]).T
-            factor = np.zeros((len(index), 3, 3))  # A1^-1 diag(1, sc, sc) per point
-            factor[:, 0, 2] = factor[:, 1, 1] = factor[:, 2, 1] = sc
-            factor[:, 1, 0] = -ss
-            factor[:, 2, 0] = cc
-            y = y @ factor
-        else:
-            t = np.array([ensembles[k].delta for k in index])
-        gram = y.conj() @ y.transpose(0, 2, 1)
-        g00, g33, g03 = gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1]
-        # |g03| as hypot, which the single body's complex-scalar abs() is; numpy's array abs differs in the last bit
-        lmax = (g00 + g33) / 2 + np.hypot((g00 - g33) / 2, np.hypot(g03.real, g03.imag))
+        mu, t = zip(*(_map_scalars(ensembles[k]) for k in index))  # in Python floats, as the single body
+        # one (1, m) row per cell, as the single body's: a (k, m) row block per delta gives other bits
+        mu = np.array(mu)[:, None, :]
+        g00, g33, g03_re, g03_im = (mu @ np.array([pencil[2] for pencil in pencils]))[:, 0].T
+        lmax = (g00 + g33) / 2 + np.hypot((g00 - g33) / 2, np.hypot(g03_re, g03_im))
+        t = np.array(t)
         x = t * t / (2 * lmax)
-        elements = np.empty((len(index), 3, dim, dim), dtype=complex)  # [M_0, M_3, M_vac] per point
-        np.multiply(y[:, :, :, None], y[:, :, None, :].conj(), out=elements[:, :2])
-        elements[:, :2] /= lmax[:, None, None, None]
-        np.subtract(_EYE[dim], elements[:, 0], out=elements[:, 2])
-        elements[:, 2] -= elements[:, 1]
-        elements.setflags(write=False)  # so is each strategy's view of it
+        scale = np.concatenate((np.ones((len(index), 1, 1)), mu / lmax[:, None, None]), axis=2)  # [1, mu / lmax]
+        elements = scale @ np.array([pencil[1] for pencil in pencils])
+        elements.setflags(write=False)  # the owner, and so each strategy's view of it
+        elements = elements.view(complex).reshape(len(index), 3, dim, dim)  # [M_0, M_3, M_vac] per point
         for k, pencil, el, x_k, refusal in zip(index, pencils, elements, x.tolist(), _refusals(elements, x)):
             # in the single body's order: the underflow of x, then validate()'s checks
             results[k] = (_underflow(x_k) if not x_k >= _X_MIN else refusal) or PovmStrategy._built(
-                ensembles[k], el, x_k, *pencil[2]
+                ensembles[k], el, x_k, *pencil[3]
             )
     return results
 

@@ -15,9 +15,16 @@ The remap pencil (dim 2) is the quadratic det(A - lambda G) = 0 of 2x2
 matrices, formed in the scaled Newton rows [1, (z_k - 1)/(i delta)]. Formed
 instead in the monomial rows [1, z_k], its coefficients cancel as delta -> 0.
 Both quadratics take their smaller root in the stable form 2C / (B + sqrt(B^2 - 4C)).
+
+map_back is the attack's map from the pencil's eigenvectors y_w (rows b = 0, 3, in
+the scaled Newton basis) back to the POVM, as the package computed it before it
+cached per-delta forms: y_delta = y_w T^*, y_hat = y_delta E, the Gram matrix of
+y_hat by matmul, and the elements as outer products of its rows.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -71,3 +78,28 @@ def newton_table(delta: float) -> np.ndarray:
     step = _steps(delta)
     # (z_k - z_1) / (i delta) = z_1 step_{k-1}; at k = 0 the factor step_0 = 0 already zeroes the entry
     return np.array([np.ones(4), step, np.exp(1j * delta) * step * np.r_[0, step[:-1]]])
+
+
+def map_back(y_w: np.ndarray, dim: int, epsilon: float, delta: float) -> tuple[np.ndarray, float]:
+    """(elements [M_0, M_3, M_vac], x) of the point (epsilon, delta, dim) from the pencil's eigenvector rows y_w.
+
+    T is the delta factor, delta^2 N^-1 (dim 3) or (delta N^-1) A^-1 (dim 2), and E = A1^-1 diag(1, sc, sc) the
+    epsilon factor (E = I at dim 2), with s, c = sin 2e, cos 2e; t = sc delta^2 (dim 3) or delta (dim 2).
+    M_b = |y_hat_b><y_hat_b| / lmax with lmax the largest eigenvalue of the 2x2 Gram matrix, and x = t^2 / (2 lmax).
+    """
+    z_1 = np.exp(1j * delta)
+    if dim == 3:
+        delta_factor = np.array([[delta**2, 0, 0], [1j * delta, -1j * delta, 0], [-z_1, 1 + z_1, -1]])
+        s, c = math.sin(2 * epsilon), math.cos(2 * epsilon)
+        sc = s * c
+        factor = np.array([[0.0, 0.0, sc], [-s * s, sc, 0.0], [c * c, sc, 0.0]])
+        t = sc * delta**2
+    else:
+        delta_factor = np.array([[0, delta], [-1j, 1j]])
+        factor, t = np.eye(2), delta
+    y = y_w @ delta_factor.conj() @ factor
+    gram = y.conj() @ y.T
+    g00, g33 = gram.real.diagonal()
+    lmax = (g00 + g33) / 2 + np.hypot((g00 - g33) / 2, abs(gram[0, 1]))
+    m_0, m_3 = y[:, :, None] * y[:, None, :].conj() / lmax
+    return np.array([m_0, m_3, np.eye(dim) - m_0 - m_3]), t * t / (2 * lmax)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from pfmattack.mcoracle import outcome_probabilities, run_oracle
 from pfmattack.numkernel import hermitian_eig, hermitian_eigvalsh
 from pfmattack.statespace import EPSILON_MAX, bb84_ensemble, build_ensemble
 
-from closed_form_reference import newton_table, pfm_e_b, pfm_overlaps, remap_e_b
+from closed_form_reference import map_back, newton_table, pfm_e_b, pfm_overlaps, remap_e_b
 from mp_reference import pfm_reference, remap_reference
 
 DEG = np.pi / 180
@@ -69,6 +70,21 @@ def test_anchor_065_degree_half_pi():
     assert abs(report.p_succ - 0.0010289000731384724) <= 1e-15
     assert abs(report.p_succ - 1.029e-3) / 1.029e-3 <= 0.05
     assert abs(report.max_fiber_km - 142.5) <= 2.0
+
+
+def test_half_pi_transmittance_law():
+    """At delta = pi/2, p_succ = sin^2(4e)/2 (1 - 16 e^4 + O(e^6)) with |O(e^6)| <= 90 e^6 up to |e| = 5 deg, in the
+    50-digit reference alone: its relative deviation from sin^2(4e)/2, over e^4, reads -16.0003 at 0.1 deg, -16.026
+    at 1 deg and -16.63 at 5 deg, for either sign of e. The 1e-15 allows for p_succ's rounding to a double."""
+    reading = {}
+    for eps_deg in (0.1, 0.3, 1.0, 2.0, 5.0):
+        for sign in (1.0, -1.0):
+            e = math.radians(sign * eps_deg)
+            dev = pfm_reference(sign * eps_deg, np.pi / 2)["p_succ"] / (math.sin(4 * e) ** 2 / 2) - 1
+            assert abs(dev + 16 * e**4) <= 90 * e**6 + 1e-15, (eps_deg, sign, dev / e**4)
+            reading[sign * eps_deg] = dev / e**4
+    assert abs(reading[-0.1] + 16.0003) <= 1e-4 and abs(reading[1.0] + 16.026) <= 1e-3
+    assert abs(reading[5.0] + 16.63) <= 0.01
 
 
 def test_anchor_qber_vs_delta():
@@ -322,7 +338,7 @@ def test_delta_spectrum_matches_its_closed_form():
             assert max(abs(v - pfm_e_b(delta)) for v in (report.qber, report.lambda_0, report.lambda_3)) <= 1e-15
         report = evaluate(bb84_ensemble(delta), build_phase_remapping_povm(delta))
         assert max(abs(v - remap_e_b(delta)) for v in (report.qber, report.lambda_0, report.lambda_3)) <= 1e-15
-        y_w, _, _ = attack._pencil(3, float(delta))
+        y_w = attack._pencil(3, float(delta))[0]
         for c, c_ref in zip(y_w @ newton_table(delta).conj(), pfm_overlaps(delta)):
             assert np.abs(_projector(c) - _projector(c_ref)).max() <= 1e-14, delta
     assert abs(pfm_e_b(np.pi / 2) - LAMBDA_HALF_PI) <= 1e-16
@@ -443,6 +459,60 @@ def test_tiny_epsilon_underflow_is_refused():
     assert abs(report.qber - LAMBDA_HALF_PI) <= 1e-12
 
 
+def _reference_map_back(ens):
+    """map_back, the reference, from the cached pencil's y_w of ens."""
+    return map_back(attack._pencil(ens.dim, ens.delta)[0], ens.dim, ens.epsilon, ens.delta)
+
+
+def test_map_back_forms_match_the_reference_map_back():
+    """The cached per-delta forms give each point's elements within 1e-15 absolutely, and x within 1e-15 relatively,
+    of the reference map back (y_delta E, its Gram matrix by matmul and the outer products of its rows). The draw has
+    both kinds, epsilon of either sign from 1e-6 rad to 5 deg and delta down to 1e-8. At the underflow edge of x,
+    where |sc| delta^2 (pfm) or delta (remap) is near 1e-154, a point is refused exactly when the reference's x is
+    below the smallest normal double, with the type and message the reference's x gives."""
+    rng = np.random.default_rng(27)
+    eps, delta = _reals(rng, 1500, 1e-6, 1e-8)
+    points = [build_ensemble(e, d) if k % 3 else bb84_ensemble(d) for k, (e, d) in enumerate(zip(eps, delta))]
+    for ens in points:
+        strat = build_suboptimal_povm(ens)
+        elements, x = _reference_map_back(ens)
+        assert np.abs(strat.elements - elements).max() <= 1e-15, ens
+        assert abs(strat.x / x - 1) <= 1e-15, ens
+    edge = np.exp(rng.uniform(math.log(1e-154), math.log(3e-154), 400)).tolist()
+    points = [bb84_ensemble(t) for t in edge[:200]]
+    points += [build_ensemble(e, math.sqrt(t / abs(math.sin(4 * e) / 2))) for e, t in zip(eps, edge[200:])]
+    refused = 0
+    for ens in points:
+        _, x = _reference_map_back(ens)
+        if x >= np.finfo(float).tiny:
+            assert abs(build_suboptimal_povm(ens).x / x - 1) <= 1e-15, ens
+            continue
+        refused += 1
+        with pytest.raises(DegenerateSpanError) as info:
+            build_suboptimal_povm(ens)
+        assert type(info.value) is DegenerateSpanError and str(info.value) == str(attack._underflow(x))
+    assert 50 <= refused <= 350  # both sides of the edge
+
+
+def test_tiny_delta_elements_annihilate_the_common_direction():
+    """As delta -> 0 the states meet in the direction (0, 1, 1). Below delta ~1e-10 the cached forms give M_0 and M_3
+    whose (1, 2) block sends (1, 1) to exactly 0, as |y_hat><y_hat| does when y_hat_1 = -y_hat_2: each entry of the
+    block is one product of two coordinates of v, so no rounding noise (~1e-19 in an outcome table) is left for
+    the oracle to draw at 2**63 - 1 trials."""
+    rng = np.random.default_rng(28)
+    eps, _ = _reals(rng, 300, 1e-6, 1.0)
+    delta = np.exp(rng.uniform(math.log(1e-150), math.log(1e-10), 300)).tolist()
+    answered = 0
+    for e, d in zip(eps, delta):
+        try:
+            strat = build_suboptimal_povm(build_ensemble(e, d))
+        except DegenerateSpanError:
+            continue
+        answered += 1
+        assert not np.any(strat.elements[:2, 1:, 1:].sum(axis=2)), (e, d)
+    assert answered >= 100
+
+
 def test_tiny_delta_underflow_is_refused():
     """The same named refusal down to the smallest subnormal delta, for both kinds, cold and cached."""
     attack._pencil.cache_clear()
@@ -479,12 +549,17 @@ def test_cached_pencil_gives_bit_identical_points():
 
 
 def test_cached_pencil_is_read_only():
+    """Every array of an entry is read-only and owns its data; the entry's objects take at most 4 kB."""
     for dim in (2, 3):
-        y_w, y_delta, lambdas = attack._pencil(dim, np.pi / 4)
+        y_w, basis, forms, lambdas = attack._pencil(dim, np.pi / 4)
         assert isinstance(lambdas, tuple)
-        for cached in (y_w, y_delta):
+        assert basis.shape == (len(forms) + 1, 2 * 3 * dim * dim) and forms.shape == (len(forms), 4)
+        for cached in (y_w, basis, forms):
             with pytest.raises(ValueError):
                 cached[0, 0] = 0.0
+            assert cached.base is None  # so sys.getsizeof counts its data
+        entry = (y_w, basis, forms, lambdas)
+        assert sum(sys.getsizeof(a) for a in (*entry, *lambdas, entry)) <= 4096
 
 
 def test_refused_points_do_not_reach_the_cache():
