@@ -46,10 +46,10 @@ ERROR_WEIGHTS = (0.0, 0.5, 1.0, 0.5)
 _RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in (0, 3)])
 #: The smallest normal double: an x below it has lost precision to underflow.
 _X_MIN = np.finfo(float).tiny
-#: The identity of each dimension, shared read-only: M_vac = I - M_0 - M_3 and validate()'s residual.
-_EYE = {dim: np.eye(dim) for dim in (2, 3)}
-for _identity in _EYE.values():
-    _identity.setflags(write=False)
+#: The identity of each dimension in real coordinates (the real and imaginary part of each entry), which
+#: validate()'s residual subtracts, and the ones that sum its three elements.
+_EYE_REAL = {dim: np.eye(dim, dtype=complex).view(float).ravel() for dim in (2, 3)}
+_ONES_3 = np.ones(3)
 #: (dim, delta) pencils that build_suboptimal_povm keeps; an entry (y_w, basis, forms, lambdas) takes ~3.9 kB (at
 #: most 4 kB) at dim 3, ~1 kB at dim 2.
 _PENCIL_CACHE_SIZE = 1024
@@ -76,8 +76,7 @@ def _form_map(patterns: np.ndarray) -> np.ndarray:
 
 _FORM_MAPS = {dim: _form_map(patterns) for dim, patterns in _E_PATTERNS.items()}
 #: Row 0 of each basis, the real view of [0, 0, I]; the columns of g00, g33, Re g03 and Im g03 in _pencil's terms.
-_BASIS_ROW_0 = {dim: np.concatenate((np.zeros((2, dim, dim)), [eye])).astype(complex).view(float).reshape(1, -1)
-                for dim, eye in _EYE.items()}
+_BASIS_ROW_0 = {dim: np.concatenate((np.zeros(4 * dim * dim), eye))[None] for dim, eye in _EYE_REAL.items()}
 _GRAM_COLUMNS = np.array([-6, -4, -2, -1])
 #: The orders -1..3 of _pencil's Newton steps, and its first Newton row: built once, not per pencil.
 _NEWTON_ORDERS, _ONES = np.arange(-1, 4), np.ones(4)
@@ -87,8 +86,9 @@ _NEWTON_ORDERS, _ONES = np.arange(-1, 4), np.ones(4)
 class PovmStrategy:
     """Three-outcome measurement {M_0, M_3, M_vac} built for one point.
 
-    elements is a read-only copy of the stack [M_0, M_3, M_vac], of shape
-    (3, dim, dim); any other shape raises DimensionMismatchError. A built
+    elements is a read-only complex128 copy of the stack [M_0, M_3, M_vac],
+    of shape (3, dim, dim): entries that do not convert to numbers raise
+    DomainError, any other shape DimensionMismatchError. A built
     strategy holds the builder's array instead, uncopied: from a sequence
     build, a read-only view of its block's stack. M_0 and
     M_3 are the conclusive elements (the implicit M_1 = M_2 = 0 never fire),
@@ -105,7 +105,10 @@ class PovmStrategy:
     lambda_3: float
 
     def __post_init__(self):
-        elements = np.array(self.elements)  # a copy: the caller's own array stays writable
+        try:  # a complex128 copy: the caller's own array stays writable
+            elements = np.array(self.elements, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"elements must be numbers: {exc}") from None
         if elements.shape != (3, self.dim, self.dim):
             raise DimensionMismatchError(f"elements shape {elements.shape} is not (3, {self.dim}, {self.dim})")
         elements.setflags(write=False)
@@ -241,10 +244,12 @@ def _refusal(complete: bool, min_eigs: list[float] | None, x: float) -> DomainEr
 
 def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
     """validate()'s checks on one POVM, elements (3, dim, dim) and x: its refusal, or None."""
-    residual = elements.sum(axis=0) - _EYE[elements.shape[-1]]
-    complete = math.sqrt(np.vdot(residual, residual).real) <= _COMPLETENESS_TOL  # the Frobenius norm
-    try:
-        min_eigs = hermitian_eigvalsh(elements)[:, 0].tolist() if complete else None
+    # M_0 + M_3 + M_vac - I in real coordinates, summed by one BLAS call; a finite sum has finite terms
+    residual = np.dot(_ONES_3, elements.reshape(3, -1).view(float))
+    residual -= _EYE_REAL[elements.shape[-1]]
+    complete = math.sqrt(np.dot(residual, residual)) <= _COMPLETENESS_TOL  # the Frobenius norm
+    try:  # complete elements are finite, so the kernel's own finiteness check would only repeat that
+        min_eigs = hermitian_eigvalsh(elements, check_finite=False)[:, 0].tolist() if complete else None
     except PfmAttackError as exc:  # an asymmetry above HERMITIAN_ATOL, or no convergence
         return exc
     return _refusal(complete, min_eigs, x)
@@ -356,14 +361,15 @@ def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None
     call refuses (an asymmetry above HERMITIAN_ATOL, or no convergence), each
     POVM is checked alone by validate()'s own check, _check: a bad POVM refuses only itself.
     """
-    residual = elements.sum(axis=1) - _EYE[elements.shape[-1]]
+    residual = elements.reshape(len(elements), 3, -1).view(float).sum(axis=1) - _EYE_REAL[elements.shape[-1]]
     # the Frobenius norm of each residual; NaN fails
-    complete = np.sqrt(np.square(residual.view(float)).sum(axis=(1, 2))) <= _COMPLETENESS_TOL
+    complete = np.sqrt(np.square(residual).sum(axis=1)) <= _COMPLETENESS_TOL
     index = np.flatnonzero(complete).tolist()
-    try:  # the minimal eigenvalues of each complete POVM, by its position in the stack
-        min_eigs = dict(zip(index, hermitian_eigvalsh(elements[index])[:, :, 0].tolist() if index else ()))
+    try:  # the minimal eigenvalues of each complete (so finite) POVM, by its position in the stack
+        stacked = hermitian_eigvalsh(elements[index], check_finite=False)[:, :, 0].tolist() if index else ()
     except PfmAttackError:
         return [_check(el, x_k) for el, x_k in zip(elements, x.tolist())]
+    min_eigs = dict(zip(index, stacked))
     return [_refusal(ok, min_eigs.get(k), x_k) for k, (ok, x_k) in enumerate(zip(complete.tolist(), x.tolist()))]
 
 

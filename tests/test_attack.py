@@ -20,6 +20,7 @@ from pfmattack.errors import (
     DegenerateSpanError,
     DimensionMismatchError,
     DomainError,
+    NegativeProbabilityError,
     NoConvergenceError,
     NonHermitianError,
     PfmAttackError,
@@ -350,9 +351,9 @@ def test_validate_decomposes_each_element_once(monkeypatch):
     for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
         calls = []
 
-        def counting_eigvalsh(a):
+        def counting_eigvalsh(a, **options):
             calls.append(np.shape(a))
-            return hermitian_eigvalsh(a)
+            return hermitian_eigvalsh(a, **options)
 
         monkeypatch.setattr(attack, "hermitian_eigvalsh", counting_eigvalsh)
         strat.validate()
@@ -382,6 +383,22 @@ def test_validate_rejects_nan_before_any_eigensolve(monkeypatch):
             _with(strat, elements=bad).validate()
 
 
+def test_validate_refuses_an_infinite_element_before_any_eigensolve(monkeypatch):
+    """Completeness refuses an infinite entry too, without a numpy warning, so the eigenvalue call that skips its own
+    finiteness check never sees one."""
+    _, _, strat = _report(1.0, np.pi / 2)
+
+    def no_eig(a, **options):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(attack, "hermitian_eigvalsh", no_eig)
+    for value in (np.inf, -np.inf, complex(0.0, np.inf)):
+        bad = strat.elements.copy()
+        bad[2, 0, 1] = value
+        with pytest.raises(DomainError, match="sum to the identity"):
+            _with(strat, elements=bad).validate()
+
+
 def test_strategy_refuses_elements_of_another_shape():
     """Two elements, or elements of another dim, never reach validate() or the oracle."""
     _, _, strat = _report(1.0, np.pi / 2)
@@ -400,6 +417,36 @@ def test_strategy_keeps_a_copy_of_the_callers_elements():
     mine[0] = 0.0
     assert np.array_equal(copy.elements, strat.elements)
     copy.validate()
+
+
+def test_strategy_stores_numbers_of_any_dtype_as_complex128():
+    """Elements given as objects, nested lists or reals are stored as a complex128 copy, so validate() and the oracle
+    take them as they take the built strategy's."""
+    _, ens, strat = _report(1.0, np.pi / 2)
+    built = run_oracle(ens, strat, 10**5, seed=3)
+    for elements in (strat.elements.astype(object), strat.elements.tolist()):
+        copy = _with(strat, elements=elements)
+        assert copy.elements.dtype == np.complex128 and np.array_equal(copy.elements, strat.elements)
+        copy.validate()
+        assert run_oracle(ens, copy, 10**5, seed=3) == built
+    real = _with(strat, elements=np.array((np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3))))
+    assert real.elements.dtype == np.complex128
+
+
+def test_strategy_refuses_elements_that_are_not_numbers():
+    """Strings and other objects that do not convert are refused on construction by name; a None converts to NaN,
+    which validate() and the oracle refuse by name."""
+    _, ens, strat = _report(1.0, np.pi / 2)
+    for elements in (np.full((3, 3, 3), "M"), [[["1", "x", "0"]] * 3] * 3, np.full((3, 3, 3), {}, dtype=object)):
+        with pytest.raises(DomainError, match="elements must be numbers"):
+            _with(strat, elements=elements)
+    nones = strat.elements.astype(object)
+    nones[0, 1, 1] = None
+    with_none = _with(strat, elements=nones)
+    with pytest.raises(DomainError, match="do not sum to the identity"):
+        with_none.validate()
+    with pytest.raises(NegativeProbabilityError, match="negative or NaN"):
+        run_oracle(ens, with_none, 10**5, seed=3)
 
 
 def test_validate_refuses_each_broken_element():
@@ -686,10 +733,10 @@ def test_one_bad_povm_never_stops_the_others(monkeypatch):
         build_suboptimal_povm(points[6])
     bad = build_suboptimal_povm(points[3]).elements
 
-    def refusing_eigvalsh(a):
+    def refusing_eigvalsh(a, **options):
         if any(np.array_equal(m, bad) for m in np.reshape(a, (-1, 3, 3, 3))):
             raise NoConvergenceError("Eigenvalues did not converge")
-        return hermitian_eigvalsh(a)
+        return hermitian_eigvalsh(a, **options)
 
     monkeypatch.setattr(attack, "hermitian_eigvalsh", refusing_eigvalsh)
     cells = build_suboptimal_povm(points)

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+
+from pfmattack import numkernel
+from pfmattack.attack import build_phase_remapping_povm, build_suboptimal_povm
 
 from pfmattack.errors import (
     DimensionMismatchError,
@@ -14,6 +19,8 @@ from pfmattack.numkernel import (
     pinv_sqrt,
 )
 from pfmattack.statespace import build_ensemble
+
+DEG = np.pi / 180
 
 
 def random_hermitian(rng, dim):
@@ -69,12 +76,24 @@ def test_eig_rejects_non_square():
         hermitian_eig(np.zeros((2, 3)))
 
 
-def test_eig_no_convergence_is_translated(monkeypatch):
-    def boom(_):
-        raise np.linalg.LinAlgError("did not converge")
+def _failing(gufunc):
+    """A stand-in for one of numpy's LAPACK gufuncs that fails as it does on every matrix: each output all NaN.
 
-    monkeypatch.setattr(np.linalg, "eigh", boom)
-    with pytest.raises(NoConvergenceError):
+    (The real failure also sets numpy's invalid flag, so numpy warns first; the stub leaves that out.)
+    """
+    def stub(a):
+        out = gufunc(a)
+        if isinstance(out, tuple):
+            return tuple(np.full_like(o, np.nan) for o in out)
+        return np.full_like(out, np.nan)
+
+    stub.__name__ = gufunc.__name__
+    return stub
+
+
+def test_eig_no_convergence_is_translated(monkeypatch):
+    monkeypatch.setattr(numkernel, "eigh_lo", _failing(numkernel.eigh_lo))
+    with pytest.raises(NoConvergenceError, match="eigh_lo: eigenvalues did not converge"):
         hermitian_eig(np.eye(2))
 
 
@@ -170,11 +189,8 @@ def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
         with pytest.raises(NonHermitianError):
             solve(np.array([[1.0, 1e-10], [0.0, 1.0]]))
 
-    def boom(_):
-        raise np.linalg.LinAlgError("did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
-    with pytest.raises(NoConvergenceError, match="did not converge"):
+    monkeypatch.setattr(numkernel, "eigvalsh_lo", _failing(numkernel.eigvalsh_lo))
+    with pytest.raises(NoConvergenceError, match="eigvalsh_lo: eigenvalues did not converge"):
         hermitian_eigvalsh(np.eye(2))
 
 
@@ -187,3 +203,63 @@ def test_eigvalsh_matches_eig_eigenvalues():
         assert w.shape == (40, dim)
         gap = np.abs(w - hermitian_eig(stack)[0]).max(axis=-1)
         assert np.all(gap <= 1e-15 * np.linalg.norm(stack, axis=(-2, -1)))
+
+
+def _assert_bytes_equal(ours, theirs):
+    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def _assert_matches_numpy_linalg(stack):
+    """Both kernels give numpy.linalg's eigvalsh and eigh outputs byte for byte, on the stack and on each matrix."""
+    for a in (stack, *stack):
+        _assert_bytes_equal(hermitian_eigvalsh(a), np.linalg.eigvalsh(a))
+        for ours, theirs in zip(hermitian_eig(a), np.linalg.eigh(a)):
+            _assert_bytes_equal(ours, theirs)
+
+
+def test_kernels_match_numpy_linalg_on_random_stacks():
+    """numpy's gufuncs called directly are the calls numpy.linalg makes: the same bytes, at dim 2, 3 and 8."""
+    rng = np.random.default_rng(14)
+    for dim in (2, 3, 8):
+        for _ in range(20):
+            _assert_matches_numpy_linalg(np.stack([random_hermitian(rng, dim) for _ in range(4)]))
+
+
+def test_kernels_match_numpy_linalg_on_the_grid_elements():
+    """The elements [M_0, M_3, M_vac] of the 40 x 50 sweep grid and of its 50-point remap line, as validate() passes
+    them: each POVM's (3, d, d) stack gives numpy.linalg's bytes, and so does the grid's whole stack."""
+    deltas = np.linspace(0.1, np.pi / 2, 50)
+    grid = np.stack([build_suboptimal_povm(build_ensemble(e, d)).elements
+                     for e in np.linspace(0.05, 1.0, 40) * DEG for d in deltas])
+    remap = np.stack([build_phase_remapping_povm(d).elements for d in deltas])
+    for stack in (grid, remap):
+        for elements in stack:
+            _assert_bytes_equal(hermitian_eigvalsh(elements), np.linalg.eigvalsh(elements))
+            for ours, theirs in zip(hermitian_eig(elements), np.linalg.eigh(elements)):
+                _assert_bytes_equal(ours, theirs)
+        _assert_bytes_equal(hermitian_eigvalsh(stack), np.linalg.eigvalsh(stack))
+
+
+def test_non_finite_input_is_refused_without_a_warning():
+    """A NaN or infinite entry in either triangle is refused by name, before numpy can warn; finite input keeps its
+    refusals. LAPACK reads only the lower triangle, so a NaN above it alone used to pass."""
+    nan, inf = np.nan, np.inf
+    cases = (np.full((2, 2), nan), np.array([[inf, 0.0], [0.0, 1.0]]), np.array([[1.0, nan], [0.0, 1.0]]),
+             np.array([[1.0, 0.0], [nan, 1.0]]), np.array([[1.0, inf], [0.0, 1.0]]), np.diag([1.0, inf, 2.0]),
+             np.diag([1.0, -inf, 2.0]), np.stack([np.eye(3), np.full((3, 3), complex(0.0, inf))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in cases:
+            for solve in (hermitian_eig, hermitian_eigvalsh):
+                with pytest.raises(DomainError, match="NaN or infinite entry"):
+                    solve(a)
+        with pytest.raises(NonHermitianError):
+            hermitian_eigvalsh(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_a_caller_that_skips_the_finiteness_check_still_gets_nan_refused():
+    """check_finite=False trusts the caller on infinities; a NaN above the diagonal still fails the Hermitian check."""
+    with pytest.raises(NonHermitianError, match="by nan"):
+        hermitian_eigvalsh(np.array([[1.0, np.nan], [0.0, 1.0]]), check_finite=False)
+    assert np.array_equal(hermitian_eigvalsh(np.diag([2.0, 1.0]), check_finite=False), [1.0, 2.0])
