@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, PfmAttackError, SingularEpsilonError
 from .numkernel import hermitian_eig, hermitian_eigvalsh
-from .statespace import AttackEnsemble, bb84_ensemble, newton_step
+from .statespace import AttackEnsemble, bb84_ensemble, newton_step, set_reals
 
 #: Attenuation of standard telecom fiber used for the distance mapping.
 FIBER_LOSS_DB_PER_KM = 0.21
@@ -87,8 +87,10 @@ class PovmStrategy:
     """Three-outcome measurement {M_0, M_3, M_vac} built for one point.
 
     elements is a read-only complex128 copy of the stack [M_0, M_3, M_vac],
-    of shape (3, dim, dim): entries that do not convert to numbers raise
-    DomainError, any other shape DimensionMismatchError. A built
+    of shape (3, dim, dim): entries that do not convert to numbers or are
+    infinite raise DomainError (a NaN is left to validate()), any other shape
+    DimensionMismatchError. x, lambda_0 and lambda_3 are stored as floats: a
+    bool, non-real or non-finite value raises DomainError. A built
     strategy holds the builder's array instead, uncopied: from a sequence
     build, a read-only view of its block's stack. M_0 and
     M_3 are the conclusive elements (the implicit M_1 = M_2 = 0 never fire),
@@ -111,13 +113,15 @@ class PovmStrategy:
             raise DomainError(f"elements must be numbers: {exc}") from None
         if elements.shape != (3, self.dim, self.dim):
             raise DimensionMismatchError(f"elements shape {elements.shape} is not (3, {self.dim}, {self.dim})")
+        if np.isinf(elements).any():  # inf - inf in the completeness sum would be a bare numpy warning
+            raise DomainError("elements must not be infinite")
         elements.setflags(write=False)
         object.__setattr__(self, "elements", elements)
+        set_reals(self, "x", "lambda_0", "lambda_3", finite=True)
 
     @classmethod
     def _built(cls, ensemble, elements, x, lambda_0, lambda_3) -> PovmStrategy:
-        """A strategy on elements (3, dim, dim) the builder made: marked read-only, neither copied nor checked again."""
-        elements.setflags(write=False)
+        """A strategy on elements (3, dim, dim), a view of the builder's read-only array: neither copied nor checked."""
         strat = object.__new__(cls)
         strat.__dict__.update(ensemble=ensemble, elements=elements, x=x, lambda_0=lambda_0, lambda_3=lambda_3)
         return strat
@@ -227,8 +231,8 @@ def _refusal(complete: bool, min_eigs: list[float] | None, x: float) -> DomainEr
     """The first of validate()'s checks that one POVM fails, or None.
 
     complete says whether the elements sum to the identity; min_eigs holds the
-    minimal eigenvalues of M_0, M_3 and M_vac (None when incomplete: such a
-    POVM reaches no eigensolve) and x is the scale factor. NaN fails every check.
+    minimal eigenvalues of M_0, M_3 and M_vac (unread when incomplete: _check
+    passes None, solving no further) and x is the scale factor. NaN fails every check.
     """
     if not complete:
         return DomainError("POVM elements do not sum to the identity")
@@ -356,21 +360,19 @@ def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAt
 def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None]:
     """validate() over POVMs stacked on axis 0: elements (n, 3, dim, dim), x (n,); per POVM None or its refusal.
 
-    Completeness comes first, so an incomplete or NaN POVM reaches no
-    eigensolve; the complete ones take one stacked eigenvalue call. If that
-    call refuses (an asymmetry above HERMITIAN_ATOL, or no convergence), each
-    POVM is checked alone by validate()'s own check, _check: a bad POVM refuses only itself.
+    The whole stack takes one eigenvalue call, and _refusal judges completeness
+    first, as validate() does. If that call refuses (an asymmetry above
+    HERMITIAN_ATOL, a NaN entry, or no convergence), each POVM is checked
+    alone by validate()'s own check, _check: a bad POVM refuses only itself.
     """
     residual = elements.reshape(len(elements), 3, -1).view(float).sum(axis=1) - _EYE_REAL[elements.shape[-1]]
     # the Frobenius norm of each residual; NaN fails
     complete = np.sqrt(np.square(residual).sum(axis=1)) <= _COMPLETENESS_TOL
-    index = np.flatnonzero(complete).tolist()
-    try:  # the minimal eigenvalues of each complete (so finite) POVM, by its position in the stack
-        stacked = hermitian_eigvalsh(elements[index], check_finite=False)[:, :, 0].tolist() if index else ()
+    try:  # builder output is finite, so the kernel's own finiteness check would only repeat that
+        min_eigs = hermitian_eigvalsh(elements, check_finite=False)[:, :, 0].tolist()
     except PfmAttackError:
         return [_check(el, x_k) for el, x_k in zip(elements, x.tolist())]
-    min_eigs = dict(zip(index, stacked))
-    return [_refusal(ok, min_eigs.get(k), x_k) for k, (ok, x_k) in enumerate(zip(complete.tolist(), x.tolist()))]
+    return [_refusal(*verdict) for verdict in zip(complete.tolist(), min_eigs, x.tolist())]
 
 
 def build_phase_remapping_povm(delta: float) -> PovmStrategy:

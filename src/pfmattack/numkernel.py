@@ -66,7 +66,7 @@ def _hermitian_solve(gufunc, a: np.ndarray, check_finite: bool):
     return out
 
 
-def hermitian_eig(a: np.ndarray, check_finite: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decompose a Hermitian matrix, or a stack (..., n, n) of them (refusals: _hermitian_solve).
 
     Returns numpy.linalg.eigh's pair (w, v), byte for byte: real eigenvalues
@@ -75,7 +75,7 @@ def hermitian_eig(a: np.ndarray, check_finite: bool = True) -> tuple[np.ndarray,
     w[..., i], with the arbitrary phase LAPACK returns (every consumer forms
     |v><v| or V diag(w) V^H, which do not depend on it).
     """
-    return _hermitian_solve(eigh_lo, a, check_finite)
+    return _hermitian_solve(eigh_lo, a, check_finite=True)
 
 
 def hermitian_eigvalsh(a: np.ndarray, check_finite: bool = True) -> np.ndarray:

@@ -30,8 +30,6 @@ EPSILON_MAX = math.pi / 36
 _REAL = (float, numbers.Real)
 _SQRT2 = np.sqrt(2.0)
 _K = np.arange(4)
-#: np.sinc's stand-in for a zero argument: sin(eps)/eps rounds to exactly 1.
-_SINC_EPS = np.finfo(float).eps
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -40,7 +38,7 @@ def _check_epsilon(epsilon: float) -> None:
         raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {epsilon}")
 
 
-def _set_reals(obj, *names: str, finite: bool = False) -> None:
+def set_reals(obj, *names: str, finite: bool = False) -> None:
     """Store each named field of the frozen dataclass obj as a float, in order.
 
     A value that is not a real number (a complex, or a bool) raises
@@ -68,7 +66,7 @@ class FaradayMirror:
     epsilon: float
 
     def __post_init__(self):
-        _set_reals(self, "epsilon")
+        set_reals(self, "epsilon")
         _check_epsilon(self.epsilon)
 
 
@@ -81,7 +79,7 @@ class BirefringentChannel:
     phi_e: float
 
     def __post_init__(self):
-        _set_reals(self, "theta_prime", "phi_o", "phi_e", finite=True)
+        set_reals(self, "theta_prime", "phi_o", "phi_e", finite=True)
 
 
 def verify_compensation(ch: BirefringentChannel, fm: FaradayMirror) -> float:
@@ -124,7 +122,7 @@ class AttackEnsemble:
     dim: int
 
     def __post_init__(self):
-        _set_reals(self, "epsilon", "delta")
+        set_reals(self, "epsilon", "delta")
         _check_epsilon(self.epsilon)
         if not 0.0 <= self.delta <= math.pi / 2:
             raise DomainError(f"delta must lie in [0, pi/2], got {self.delta}")
@@ -143,10 +141,7 @@ class AttackEnsemble:
 def newton_step(delta: float, k) -> np.ndarray:
     """(e^{ik delta} - 1) / (i delta) = sin(k delta/2) / (delta/2) e^{ik delta/2}: no cancellation, k at delta = 0."""
     half = np.multiply(k, delta / 2)
-    # np.sinc(half / pi) without its wrapper, the same operations in the same order: bit-identical
-    x = np.pi * (half / np.pi)
-    x = np.where(x, x, _SINC_EPS)
-    return k * (np.sin(x) / x) * np.exp(1j * half)
+    return k * np.sinc(half / np.pi) * np.exp(1j * half)
 
 
 def pfm_states(epsilon, delta) -> np.ndarray:

@@ -383,20 +383,31 @@ def test_validate_rejects_nan_before_any_eigensolve(monkeypatch):
             _with(strat, elements=bad).validate()
 
 
-def test_validate_refuses_an_infinite_element_before_any_eigensolve(monkeypatch):
-    """Completeness refuses an infinite entry too, without a numpy warning, so the eigenvalue call that skips its own
-    finiteness check never sees one."""
+def test_strategy_refuses_an_infinite_element_on_construction():
+    """An infinite entry is refused by name when the strategy is made, without a numpy warning, so validate(), the
+    oracle and the eigenvalue call that skips its own finiteness check never see one: not even inf in M_0 against
+    -inf in M_vac, whose sum inf - inf is NaN."""
     _, _, strat = _report(1.0, np.pi / 2)
-
-    def no_eig(a, **options):
-        raise AssertionError("eigensolve reached")
-
-    monkeypatch.setattr(attack, "hermitian_eigvalsh", no_eig)
-    for value in (np.inf, -np.inf, complex(0.0, np.inf)):
+    for cells in ({(2, 0, 1): np.inf}, {(2, 0, 1): -np.inf}, {(2, 0, 1): complex(0.0, np.inf)},
+                  {(0, 0, 0): np.inf, (2, 0, 0): -np.inf}):
         bad = strat.elements.copy()
-        bad[2, 0, 1] = value
-        with pytest.raises(DomainError, match="sum to the identity"):
-            _with(strat, elements=bad).validate()
+        for cell, value in cells.items():
+            bad[cell] = value
+        with pytest.raises(DomainError, match="elements must not be infinite"):
+            _with(strat, elements=bad)
+
+
+@pytest.mark.parametrize("field", ["x", "lambda_0", "lambda_3"])
+def test_strategy_stores_its_scalars_as_finite_floats(field):
+    """x, lambda_0 and lambda_3 are refused by name unless they are finite reals (a bool is not); a real of any type
+    is stored as a float of the same value."""
+    _, _, strat = _report(1.0, np.pi / 2)
+    for value in ("0.1", None, 1 + 0j, True, np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError, match=f"{field} must be a finite real number"):
+            _with(strat, **{field: value})
+    for value in (1, Fraction(getattr(strat, field)), np.float64(getattr(strat, field)), np.float32(0.25)):
+        stored = getattr(_with(strat, **{field: value}), field)
+        assert type(stored) is float and stored == value
 
 
 def test_strategy_refuses_elements_of_another_shape():
@@ -776,6 +787,27 @@ def test_stacked_checks_refuse_each_broken_povm_as_validate_does():
             assert verdicts == [_validated(p) for p in povms]
             assert verdicts[0] is None and None not in verdicts[1:]
         assert verdicts[2][0] is NonHermitianError  # a refusal only the fallback's lone solve gives
+
+
+def test_stacked_checks_make_one_eigenvalue_call_over_the_whole_stack(monkeypatch):
+    """An incomplete POVM in the stack does not split the eigenvalue call: one call of the whole stack's shape, and
+    each POVM judged as its own validate() judges it."""
+    for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
+        m_0, m_3, m_vac = strat.elements
+        povms = [strat, _with(strat, elements=np.array((m_0 / 2, m_3 / 2, m_vac))), _with(strat, x=0.0)]
+        elements = np.array([p.elements for p in povms])
+        calls = []
+
+        def counting_eigvalsh(a, **options):
+            calls.append(np.shape(a))
+            return hermitian_eigvalsh(a, **options)
+
+        monkeypatch.setattr(attack, "hermitian_eigvalsh", counting_eigvalsh)
+        refusals = attack._refusals(elements, np.array([p.x for p in povms]))
+        assert calls == [elements.shape]
+        verdicts = [None if r is None else (type(r), str(r)) for r in refusals]
+        assert verdicts == [_validated(p) for p in povms]
+        assert verdicts[1] == (DomainError, "POVM elements do not sum to the identity")
 
 
 # (kind, epsilon_deg, delta, e_B, p_succ, x, lambda_0, lambda_3) from an earlier, independent

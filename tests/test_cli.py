@@ -380,6 +380,22 @@ def test_sweep_refuses_a_non_finite_row_when_it_reaches_the_row(tmp_path, monkey
     assert not out.exists()
 
 
+def test_eval_refuses_a_non_finite_row_before_writing(tmp_path, monkeypatch, capsys):
+    """eval --out checks its one row as the sweep checks each: a non-finite figure is a usage error, and no file."""
+    real = cli.max_fiber_length_km
+
+    def inf_in_row_0(p_succ):
+        km = real(p_succ)
+        km[0] = np.inf
+        return km
+
+    monkeypatch.setattr(cli, "max_fiber_length_km", inf_in_row_0)
+    out = tmp_path / "x.csv"
+    assert run_cli("eval", "--epsilon-deg", "1", "--delta", "pi/2", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: non-finite value in row for epsilon_deg=1.0, delta=1.5707963267948966\n"
+    assert not out.exists()
+
+
 def test_sweep_raises_a_rows_oracle_refusal_when_it_reaches_the_row(tmp_path, monkeypatch, capsys):
     """The block's oracle call returns a refusal for one row; the sweep stops there with it, as a usage error."""
     real = cli.run_oracle

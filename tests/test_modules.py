@@ -17,3 +17,23 @@ def test_no_module_imports_a_private_name_from_another():
                     if alias.name.startswith("_") and not dunder:
                         found.append(f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}")
     assert not found, found
+
+
+def test_only_numkernel_imports_a_private_numpy_module():
+    """numpy's private modules (an import path with a part that starts with "_", dunders aside) are reached from
+    numkernel alone, the module that wraps foreign code."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                dotted = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in dotted:
+                parts = name.split(".")
+                private = any(part.startswith("_") and not part.endswith("__") for part in parts)
+                if parts[0] == "numpy" and private and path.name != "numkernel.py":
+                    found.append(f"{path.name}: {name}")
+    assert not found, found
