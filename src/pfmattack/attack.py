@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, PfmAttackError, SingularEpsilonError
-from .numkernel import hermitian_eig, hermitian_eigvalsh
+from .numkernel import hermitian_eig, hermitian_eigvalsh, require_hermitian
 from .statespace import AttackEnsemble, bb84_ensemble, newton_step, set_reals
 
 #: Attenuation of standard telecom fiber used for the distance mapping.
@@ -36,6 +36,7 @@ TWO_WAY_POSTPROCESSING_QBER_LIMIT = 0.20
 
 _PSD_TOL = 1e-9
 _COMPLETENESS_TOL = 1e-10
+_COMPLETE_SQUARES = (_COMPLETENESS_TOL / 2) ** 2  # a sum of squares that puts the residual within half the tolerance
 _VAC_BOUNDARY_MAX = 1e-6
 
 #: Relative error weight of Eve's resend i when the station prepared k:
@@ -46,10 +47,8 @@ ERROR_WEIGHTS = (0.0, 0.5, 1.0, 0.5)
 _RESEND_WEIGHTS = np.array([np.roll(ERROR_WEIGHTS, b) for b in (0, 3)])
 #: The smallest normal double: an x below it has lost precision to underflow.
 _X_MIN = np.finfo(float).tiny
-#: The identity of each dimension in real coordinates (the real and imaginary part of each entry), which
-#: validate()'s residual subtracts, and the ones that sum its three elements.
+#: The identity of each dimension in real coordinates (the real and imaginary part of each entry).
 _EYE_REAL = {dim: np.eye(dim, dtype=complex).view(float).ravel() for dim in (2, 3)}
-_ONES_3 = np.ones(3)
 #: (dim, delta) pencils that build_suboptimal_povm keeps; an entry (y_w, basis, forms, lambdas) takes ~3.9 kB (at
 #: most 4 kB) at dim 3, ~1 kB at dim 2.
 _PENCIL_CACHE_SIZE = 1024
@@ -75,6 +74,19 @@ def _form_map(patterns: np.ndarray) -> np.ndarray:
 
 
 _FORM_MAPS = {dim: _form_map(patterns) for dim, patterns in _E_PATTERNS.items()}
+
+
+def _check_map(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """validate()'s real map from [M_0, M_3, M_vac] to their sum and each conj(M) - M^T, and I's offset."""
+    n = 2 * dim * dim
+    i, j, part = np.indices((dim, dim, 2)).reshape(3, n)
+    check = np.zeros((3, n, 4, n))
+    check[:, :, 0] = np.eye(n)
+    check[[0, 1, 2], :, [1, 2, 3]] = np.diag(1.0 - 2 * part) - np.eye(n)[(j * dim + i) * 2 + part]
+    return check.reshape(3 * n, 4 * n), np.concatenate((_EYE_REAL[dim], np.zeros(3 * n)))
+
+
+_CHECK_MAPS = {dim: _check_map(dim) for dim in (2, 3)}  # (54, 72) at dim 3, (24, 32) at dim 2
 #: Row 0 of each basis, the real view of [0, 0, I]; the columns of g00, g33, Re g03 and Im g03 in _pencil's terms.
 _BASIS_ROW_0 = {dim: np.concatenate((np.zeros(4 * dim * dim), eye))[None] for dim, eye in _EYE_REAL.items()}
 _GRAM_COLUMNS = np.array([-6, -4, -2, -1])
@@ -97,7 +109,8 @@ class PovmStrategy:
     M_vac = I - M_0 - M_3 is the blocking element. lambda_0/lambda_3 are the
     minimal generalized eigenvalues of (L_0, rho) and (L_3, rho) the
     elements were built from, and x the positivity-boundary scale factor.
-    ensemble is the point the strategy was built for; its dim fixes the kind.
+    ensemble is the point the strategy was built for (anything but an
+    AttackEnsemble raises DomainError); its dim fixes the kind.
     """
 
     ensemble: AttackEnsemble
@@ -107,6 +120,8 @@ class PovmStrategy:
     lambda_3: float
 
     def __post_init__(self):
+        if not isinstance(self.ensemble, AttackEnsemble):
+            raise DomainError(f"ensemble must be an AttackEnsemble, got {type(self.ensemble).__name__}")
         try:  # a complex128 copy: the caller's own array stays writable
             elements = np.array(self.elements, dtype=complex)
         except (TypeError, ValueError) as exc:
@@ -117,14 +132,7 @@ class PovmStrategy:
             raise DomainError("elements must not be infinite")
         elements.setflags(write=False)
         object.__setattr__(self, "elements", elements)
-        set_reals(self, "x", "lambda_0", "lambda_3", finite=True)
-
-    @classmethod
-    def _built(cls, ensemble, elements, x, lambda_0, lambda_3) -> PovmStrategy:
-        """A strategy on elements (3, dim, dim), a view of the builder's read-only array: neither copied nor checked."""
-        strat = object.__new__(cls)
-        strat.__dict__.update(ensemble=ensemble, elements=elements, x=x, lambda_0=lambda_0, lambda_3=lambda_3)
-        return strat
+        set_reals(self.__dict__, "x", "lambda_0", "lambda_3", finite=True)
 
     @property
     def dim(self) -> int:
@@ -135,6 +143,14 @@ class PovmStrategy:
         refusal = _check(self.elements, self.x)
         if refusal is not None:
             raise refusal
+
+
+def _frozen(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, each set once and unchecked: what cls(**fields) makes
+    of fields that its checks would pass. PovmStrategy's elements are then a view of the builder's read-only array."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -159,7 +175,7 @@ def max_fiber_length_km(p_succ: float | np.ndarray) -> float | np.ndarray:
     if p_succ <= 0.0:
         return float("inf")
     # np.log10, not math.log10: the two differ in the last ulp for some p_succ
-    return float(-10.0 * np.log10(p_succ) / FIBER_LOSS_DB_PER_KM)
+    return -10.0 * float(np.log10(p_succ)) / FIBER_LOSS_DB_PER_KM
 
 
 @lru_cache(maxsize=_PENCIL_CACHE_SIZE)
@@ -248,15 +264,19 @@ def _refusal(complete: bool, min_eigs: list[float] | None, x: float) -> DomainEr
 
 def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
     """validate()'s checks on one POVM, elements (3, dim, dim) and x: its refusal, or None."""
-    # M_0 + M_3 + M_vac - I in real coordinates, summed by one BLAS call; a finite sum has finite terms
-    residual = np.dot(_ONES_3, elements.reshape(3, -1).view(float))
-    residual -= _EYE_REAL[elements.shape[-1]]
-    complete = math.sqrt(np.dot(residual, residual)) <= _COMPLETENESS_TOL  # the Frobenius norm
-    try:  # complete elements are finite, so the kernel's own finiteness check would only repeat that
-        min_eigs = hermitian_eigvalsh(elements, check_finite=False)[:, 0].tolist() if complete else None
+    check_map, offset = _CHECK_MAPS[elements.shape[-1]]
+    n = len(offset) // 4
+    # the completeness residual, then each element's conj(M) - M^T, in real coordinates from one BLAS call
+    y = np.dot(elements.reshape(-1).view(float), check_map) - offset
+    squares = np.dot(y, y)  # bounds the sum of squares of each part; NaN fails
+    if not (squares <= _COMPLETE_SQUARES or math.sqrt(np.dot(y[:n], y[:n])) <= _COMPLETENESS_TOL):
+        return _refusal(False, None, x)
+    try:  # the kernel's own checks are made here: complete elements are finite, and y holds the deviations
+        require_hermitian(y[n:].view(complex), squares)
+        min_eigs = hermitian_eigvalsh(elements, check_entries=False)[:, 0].tolist()
     except PfmAttackError as exc:  # an asymmetry above HERMITIAN_ATOL, or no convergence
         return exc
-    return _refusal(complete, min_eigs, x)
+    return _refusal(True, min_eigs, x)
 
 
 def build_suboptimal_povm(
@@ -311,16 +331,18 @@ def build_suboptimal_povm(
         raise refusal
     _, basis, forms, (lambda_0, lambda_3) = _pencil(ens.dim, ens.delta)
     mu, t = _map_scalars(ens)
-    g00, g33, g03_re, g03_im = (np.array([mu]) @ forms)[0].tolist()
+    # np.dot on the list: the bits of a (1, m) row's matmul, which the stacked body makes, without the row
+    g00, g33, g03_re, g03_im = np.dot(mu, forms).tolist()
     # each hypot as abs() of a complex scalar: libm's hypot, as np.hypot is in the stacked body
     lmax = (g00 + g33) / 2 + abs(complex((g00 - g33) / 2, abs(complex(g03_re, g03_im))))
     # C C^H = sum_k w_k w_k^H is 2 rho in the w basis, hence the 2 in x
     x = t * t / (2 * lmax)
     if not x >= _X_MIN:
         raise _underflow(x)
-    elements = np.array([[1.0, *[m / lmax for m in mu]]]) @ basis
+    elements = np.dot([1.0, *[m / lmax for m in mu]], basis)
     elements.setflags(write=False)  # the owner: no view of it can be made writable again
-    strat = PovmStrategy._built(ens, elements.view(complex).reshape(3, ens.dim, ens.dim), x, lambda_0, lambda_3)
+    strat = _frozen(PovmStrategy, ensemble=ens, elements=elements.view(complex).reshape(3, ens.dim, ens.dim), x=x,
+                    lambda_0=lambda_0, lambda_3=lambda_3)
     strat.validate()
     return strat
 
@@ -351,9 +373,8 @@ def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAt
         elements = elements.view(complex).reshape(len(index), 3, dim, dim)  # [M_0, M_3, M_vac] per point
         for k, pencil, el, x_k, refusal in zip(index, pencils, elements, x.tolist(), _refusals(elements, x)):
             # in the single body's order: the underflow of x, then validate()'s checks
-            results[k] = (_underflow(x_k) if not x_k >= _X_MIN else refusal) or PovmStrategy._built(
-                ensembles[k], el, x_k, *pencil[3]
-            )
+            results[k] = (_underflow(x_k) if not x_k >= _X_MIN else refusal) or _frozen(
+                PovmStrategy, ensemble=ensembles[k], elements=el, x=x_k, lambda_0=pencil[3][0], lambda_3=pencil[3][1])
     return results
 
 
@@ -368,8 +389,8 @@ def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None
     residual = elements.reshape(len(elements), 3, -1).view(float).sum(axis=1) - _EYE_REAL[elements.shape[-1]]
     # the Frobenius norm of each residual; NaN fails
     complete = np.sqrt(np.square(residual).sum(axis=1)) <= _COMPLETENESS_TOL
-    try:  # builder output is finite, so the kernel's own finiteness check would only repeat that
-        min_eigs = hermitian_eigvalsh(elements, check_finite=False)[:, :, 0].tolist()
+    try:
+        min_eigs = hermitian_eigvalsh(elements)[:, :, 0].tolist()
     except PfmAttackError:
         return [_check(el, x_k) for el, x_k in zip(elements, x.tolist())]
     return [_refusal(*verdict) for verdict in zip(complete.tolist(), min_eigs, x.tolist())]
@@ -381,18 +402,17 @@ def build_phase_remapping_povm(delta: float) -> PovmStrategy:
 
 
 def require_built_for(ens: AttackEnsemble, strat: PovmStrategy) -> None:
-    """Refuse a strategy built for another point: DimensionMismatchError on dim, DomainError on (epsilon, delta)."""
-    if strat.ensemble is ens:
+    """Refuse a strategy built for another point (DimensionMismatchError on dim, DomainError on (epsilon, delta)) and
+    anything but a PovmStrategy (DomainError)."""
+    if isinstance(strat, PovmStrategy) and strat.ensemble is ens:
         return
+    if not isinstance(strat, PovmStrategy):
+        raise DomainError(f"strategy must be a PovmStrategy, got {type(strat).__name__}")
     if strat.dim != ens.dim:
-        raise DimensionMismatchError(
-            f"strategy dimension {strat.dim} does not match ensemble dimension {ens.dim}"
-        )
+        raise DimensionMismatchError(f"strategy dimension {strat.dim} does not match ensemble dimension {ens.dim}")
     if strat.ensemble != ens:
-        raise DomainError(
-            f"strategy built for (epsilon, delta) = {strat.ensemble.epsilon, strat.ensemble.delta}, "
-            f"ensemble is {ens.epsilon, ens.delta}"
-        )
+        raise DomainError(f"strategy built for (epsilon, delta) = {strat.ensemble.epsilon, strat.ensemble.delta}, "
+                          f"ensemble is {ens.epsilon, ens.delta}")
 
 
 def evaluate(ens: AttackEnsemble, strat: PovmStrategy) -> AttackReport:
@@ -408,13 +428,6 @@ def evaluate(ens: AttackEnsemble, strat: PovmStrategy) -> AttackReport:
     """
     require_built_for(ens, strat)
     p_succ = strat.x / 2
-    return AttackReport(
-        epsilon=ens.epsilon,
-        delta=ens.delta,
-        qber=(strat.lambda_0 + strat.lambda_3) / 2,
-        p_succ=p_succ,
-        lambda_0=strat.lambda_0,
-        lambda_3=strat.lambda_3,
-        x=strat.x,
-        max_fiber_km=max_fiber_length_km(p_succ),
-    )
+    return _frozen(AttackReport, epsilon=ens.epsilon, delta=ens.delta, qber=(strat.lambda_0 + strat.lambda_3) / 2,
+                   p_succ=p_succ, lambda_0=strat.lambda_0, lambda_3=strat.lambda_3, x=strat.x,
+                   max_fiber_km=max_fiber_length_km(p_succ))

@@ -29,36 +29,41 @@ HERMITIAN_ATOL = 1e-12
 _ASYM_SQUARES_PASS = (HERMITIAN_ATOL / 2) ** 2
 
 
-def _hermitian_solve(gufunc, a: np.ndarray, check_finite: bool):
+def require_hermitian(asym: np.ndarray, squares: float) -> None:
+    """NonHermitianError unless each |asym| is within HERMITIAN_ATOL, asym = conj(a) - a^T of a matrix or a stack;
+    squares is sum |asym|^2, or a bound above it: at most _ASYM_SQUARES_PASS, the max is not formed. NaN fails."""
+    if not squares <= _ASYM_SQUARES_PASS:
+        dev = np.maximum.reduce(np.abs(asym), axis=None, initial=0.0)
+        if not dev <= HERMITIAN_ATOL:  # NaN fails
+            raise NonHermitianError(f"matrix deviates from Hermitian symmetry by {dev:.3e} > {HERMITIAN_ATOL:.1e}")
+
+
+def _hermitian_solve(gufunc, a: np.ndarray, check_entries: bool):
     """gufunc(a) for a Hermitian matrix a, or a stack (..., n, n) of them, in one LAPACK call.
 
     Raises DimensionMismatchError unless the last two axes are square,
-    DomainError on a NaN or infinite entry in either triangle (check_finite),
-    NonHermitianError if max |a[..., i, j] - conj(a[..., j, i])| exceeds
-    HERMITIAN_ATOL, and NoConvergenceError when LAPACK does not converge.
-    The finiteness check comes first, so no numpy warning precedes it.
+    DomainError on a NaN or infinite entry in either triangle and
+    NonHermitianError by require_hermitian (check_entries), and
+    NoConvergenceError when LAPACK does not converge. The finiteness check
+    comes first, so no numpy warning precedes it.
 
     The gufunc runs without the np.errstate that numpy's wrappers enter,
     which would cost ~1-1.5 us a call (2 vCPUs, numpy 2.4). A LAPACK
     failure sets numpy's invalid flag, so it shows first as numpy's
     RuntimeWarning (an error under -W error), then as NoConvergenceError
-    from the NaN it leaves in the output. check_finite=False skips the
-    finiteness check, for a caller that has established it: a NaN entry
-    then fails the Hermitian check, and an infinite one may raise numpy's
-    RuntimeWarning first.
+    from the NaN it leaves in the output. check_entries=False skips both
+    checks, for a caller that has made them: LAPACK reads the lower triangle.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if check_finite and not np.isfinite(a).all():
-        raise DomainError("matrix has a NaN or infinite entry")
-    # conj(a) - a^T has the modulus of a - a^H entry by entry, and takes one copy
-    asym = a.conj()
-    asym -= a.swapaxes(-1, -2)
-    if not np.vdot(asym, asym).real <= _ASYM_SQUARES_PASS:
-        dev = np.maximum.reduce(np.abs(asym), axis=None, initial=0.0)
-        if not dev <= HERMITIAN_ATOL:  # NaN fails
-            raise NonHermitianError(f"matrix deviates from Hermitian symmetry by {dev:.3e} > {HERMITIAN_ATOL:.1e}")
+    if check_entries:
+        if not np.isfinite(a).all():
+            raise DomainError("matrix has a NaN or infinite entry")
+        # conj(a) - a^T has the modulus of a - a^H entry by entry, and takes one copy
+        asym = a.conj()
+        asym -= a.swapaxes(-1, -2)
+        require_hermitian(asym, np.vdot(asym, asym).real)
     out = gufunc(a)
     w = out[0] if isinstance(out, tuple) else out
     if math.isnan(np.vdot(w, w)):  # a failed matrix's eigenvalues are all NaN
@@ -75,15 +80,15 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w[..., i], with the arbitrary phase LAPACK returns (every consumer forms
     |v><v| or V diag(w) V^H, which do not depend on it).
     """
-    return _hermitian_solve(eigh_lo, a, check_finite=True)
+    return _hermitian_solve(eigh_lo, a, check_entries=True)
 
 
-def hermitian_eigvalsh(a: np.ndarray, check_finite: bool = True) -> np.ndarray:
+def hermitian_eigvalsh(a: np.ndarray, check_entries: bool = True) -> np.ndarray:
     """hermitian_eig's eigenvalues w alone, (..., n) ascending, with no eigenvectors computed; same refusals.
 
     Byte for byte numpy.linalg.eigvalsh's output.
     """
-    return _hermitian_solve(eigvalsh_lo, a, check_finite)
+    return _hermitian_solve(eigvalsh_lo, a, check_entries)
 
 
 def pinv_sqrt(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:

@@ -38,8 +38,8 @@ def _check_epsilon(epsilon: float) -> None:
         raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {epsilon}")
 
 
-def set_reals(obj, *names: str, finite: bool = False) -> None:
-    """Store each named field of the frozen dataclass obj as a float, in order.
+def set_reals(fields: dict, *names: str, finite: bool = False) -> None:
+    """Replace each named entry of fields, a frozen dataclass's __dict__, with its float, in order.
 
     A value that is not a real number (a complex, or a bool) raises
     DomainError, and with finite so does an infinite or nan one. A real
@@ -47,7 +47,7 @@ def set_reals(obj, *names: str, finite: bool = False) -> None:
     """
     what = "a finite real number" if finite else "a real number"
     for name in names:
-        value = getattr(obj, name)
+        value = fields[name]
         if isinstance(value, bool) or not isinstance(value, _REAL):
             raise DomainError(f"{name} must be {what}, got {value}")
         try:
@@ -56,7 +56,7 @@ def set_reals(obj, *names: str, finite: bool = False) -> None:
             real = math.inf if value > 0 else -math.inf
         if finite and not math.isfinite(real):
             raise DomainError(f"{name} must be {what}, got {value}")
-        object.__setattr__(obj, name, real)
+        fields[name] = real
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class FaradayMirror:
     epsilon: float
 
     def __post_init__(self):
-        set_reals(self, "epsilon")
+        set_reals(self.__dict__, "epsilon")
         _check_epsilon(self.epsilon)
 
 
@@ -79,7 +79,7 @@ class BirefringentChannel:
     phi_e: float
 
     def __post_init__(self):
-        set_reals(self, "theta_prime", "phi_o", "phi_e", finite=True)
+        set_reals(self.__dict__, "theta_prime", "phi_o", "phi_e", finite=True)
 
 
 def verify_compensation(ch: BirefringentChannel, fm: FaradayMirror) -> float:
@@ -97,7 +97,7 @@ def verify_compensation(ch: BirefringentChannel, fm: FaradayMirror) -> float:
     return math.sqrt(2) * abs(math.sin(2 * fm.epsilon)) * abs(cmath.exp(1j * ch.phi_o) - cmath.exp(1j * ch.phi_e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AttackEnsemble:
     """One attack point: the key (epsilon, delta, dim) every strategy and report is checked against.
 
@@ -121,8 +121,10 @@ class AttackEnsemble:
     delta: float
     dim: int
 
-    def __post_init__(self):
-        set_reals(self, "epsilon", "delta")
+    def __init__(self, epsilon: float, delta: float, dim: int):
+        # one dict, converted in place by set_reals: a dataclass __init__ would set each field through __setattr__ too
+        object.__setattr__(self, "__dict__", {"epsilon": epsilon, "delta": delta, "dim": dim})
+        set_reals(self.__dict__, "epsilon", "delta")
         _check_epsilon(self.epsilon)
         if not 0.0 <= self.delta <= math.pi / 2:
             raise DomainError(f"delta must lie in [0, pi/2], got {self.delta}")

@@ -8,6 +8,7 @@ import pytest
 
 from pfmattack.attack import (
     COLLECTIVE_ATTACK_QBER_LIMIT,
+    AttackReport,
     ERROR_WEIGHTS,
     TWO_WAY_POSTPROCESSING_QBER_LIMIT,
     PovmStrategy,
@@ -28,10 +29,11 @@ from pfmattack.errors import (
 )
 from pfmattack import attack, cli
 from pfmattack.mcoracle import outcome_probabilities, run_oracle
-from pfmattack.numkernel import hermitian_eig, hermitian_eigvalsh
-from pfmattack.statespace import EPSILON_MAX, bb84_ensemble, build_ensemble
+from pfmattack.numkernel import HERMITIAN_ATOL, hermitian_eig, hermitian_eigvalsh
+from pfmattack.statespace import EPSILON_MAX, AttackEnsemble, bb84_ensemble, build_ensemble
 
 from closed_form_reference import map_back, newton_table, pfm_e_b, pfm_overlaps, remap_e_b
+from hermitian_reference import hermitian_refusal
 from mp_reference import pfm_reference, remap_reference
 
 DEG = np.pi / 180
@@ -491,6 +493,142 @@ def test_evaluate_refuses_a_strategy_built_for_another_point():
         evaluate(build_ensemble(0.5 * DEG, np.pi / 2), strat)
     with pytest.raises(DomainError, match="built for"):
         evaluate(build_ensemble(1 * DEG, np.pi / 3), strat)
+
+
+def test_evaluate_and_the_oracle_refuse_what_is_not_a_strategy():
+    """A strategy that is not a PovmStrategy is refused by name, not met with a bare AttributeError; in the sequence
+    form of run_oracle only its own row is refused."""
+    _, ens, strat = _report(1.0, np.pi / 2)
+    for bad in (None, [strat], (ens, strat.elements)):
+        with pytest.raises(DomainError, match=f"strategy must be a PovmStrategy, got {type(bad).__name__}"):
+            evaluate(ens, bad)
+        with pytest.raises(DomainError, match="strategy must be a PovmStrategy"):
+            run_oracle(ens, bad, 10000, 1)
+    rows = run_oracle([ens, ens], [None, strat], 10000, 1)
+    assert isinstance(rows[0], DomainError) and str(rows[0]) == "strategy must be a PovmStrategy, got NoneType"
+    assert rows[1] == run_oracle(ens, strat, 10000, 2)
+
+
+def test_strategy_refuses_an_ensemble_that_is_not_one():
+    """dataclasses.replace(strat, ensemble=...) with anything but an AttackEnsemble raises DomainError, before the
+    ensemble's dim is read."""
+    _, ens, strat = _report(1.0, np.pi / 2)
+    for bad in (None, (ens.epsilon, ens.delta, ens.dim)):
+        with pytest.raises(DomainError, match=f"ensemble must be an AttackEnsemble, got {type(bad).__name__}"):
+            dataclasses.replace(strat, ensemble=bad)
+    copy = dataclasses.replace(strat, ensemble=build_ensemble(1 * DEG, np.pi / 2))
+    assert copy.ensemble == ens and np.array_equal(copy.elements, strat.elements)
+
+
+def test_built_objects_are_the_dataclasses_own():
+    """A built strategy and a report are made without their __init__, and are what it makes: equal to the
+    constructor's object of the same fields, with its hash and repr, and frozen."""
+    for ens in (build_ensemble(1 * DEG, np.pi / 2), bb84_ensemble(np.pi / 4)):
+        strat = build_suboptimal_povm(ens)
+        report = evaluate(ens, strat)
+        fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(AttackReport)}
+        made = AttackReport(**fields)
+        assert report == made and hash(report) == hash(made) and repr(report) == repr(made)
+        assert vars(report) == vars(made) and list(vars(report)) == list(vars(made))
+        assert dataclasses.replace(report) == report
+        copy = dataclasses.replace(strat)
+        assert vars(copy).keys() == vars(strat).keys() and np.array_equal(copy.elements, strat.elements)
+        for obj, name in ((report, "qber"), (strat, "x"), (ens, "delta")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 0.5)
+
+
+def test_ensemble_fields_are_converted_and_checked_once():
+    """AttackEnsemble stores an int, a Fraction or a numpy float as a float and keeps refusing a bool, a complex and
+    a NaN, also through dataclasses.replace; it is equal to, and hashes as, the ensemble of the plain floats."""
+    ens = build_ensemble(0.01, 0.5)
+    for epsilon, delta in ((Fraction(1, 100), 0.5), (np.float64(0.01), np.float64(0.5)), (0.01, Fraction(1, 2))):
+        made = AttackEnsemble(epsilon, delta, 3)
+        assert type(made.epsilon) is float and type(made.delta) is float
+        assert made == ens and hash(made) == hash(ens) and repr(made) == repr(ens)
+    zero = AttackEnsemble(0, 1, 2)
+    assert type(zero.epsilon) is float and type(zero.delta) is float and zero == bb84_ensemble(1.0)
+    assert list(vars(ens)) == ["epsilon", "delta", "dim"]
+    for name, value, message in (("delta", True, "delta must be a real number"),
+                                 ("epsilon", 0.01j, "epsilon must be a real number"),
+                                 ("delta", complex(0.5), "delta must be a real number"),
+                                 ("epsilon", np.nan, "|epsilon| must be <="), ("delta", np.nan, "delta must lie in")):
+        with pytest.raises(DomainError, match=message.replace("|", r"\|")):
+            dataclasses.replace(ens, **{name: value})
+        with pytest.raises(DomainError, match=message.replace("|", r"\|")):
+            AttackEnsemble(**{**vars(ens), name: value})
+    assert dataclasses.replace(ens, delta=np.float64(0.25)) == build_ensemble(0.01, 0.25)
+
+
+def _boundary_povm(dim):
+    """An exactly Hermitian POVM that validate() passes: M_0 = diag(1/2, 0, ..), M_3 = diag(0, 1, 0, ..) and
+    M_vac = I - M_0 - M_3, whose smallest eigenvalue is 0."""
+    m_0, m_3 = np.zeros((dim, dim), complex), np.zeros((dim, dim), complex)
+    m_0[0, 0], m_3[1, 1] = 0.5, 1.0
+    return np.stack([m_0, m_3, np.eye(dim) - m_0 - m_3])
+
+
+def _verdict(refusal):
+    return None if refusal is None else (type(refusal), str(refusal))
+
+
+def test_validate_gives_the_direct_forms_hermitian_verdict():
+    """validate() forms each element's conj(M) - M^T through a constant map, with the completeness residual: on
+    seeded built POVMs of dim 2 and 3, each with one entry moved by up to ~3e-11 and moved back in another element
+    (completeness holds), it refuses with the direct form's message exactly where that form refuses, and so does the
+    stacked check."""
+    rng = np.random.default_rng(37)
+    seen = set()
+    for dim in (2, 3):
+        for _ in range(400):
+            delta = rng.uniform(0.05, np.pi / 2)
+            strat = build_suboptimal_povm(build_ensemble(rng.uniform(0.1, 5) * DEG, delta) if dim == 3
+                                          else bb84_ensemble(delta))
+            elements = strat.elements.copy()
+            e, other = rng.permutation(3)[:2]
+            i, j = rng.integers(dim, size=2)
+            step = 10.0 ** rng.uniform(-16, -10.5) * rng.choice([0.0, 1.0, 1.0, 1.0])
+            step *= 1j if i == j else np.exp(1j * rng.uniform(0, 2 * np.pi))
+            elements[e, i, j] += step
+            elements[other, i, j] -= step
+            message = hermitian_refusal(elements)
+            expected = None if message is None else (NonHermitianError, message)
+            seen.add(expected is None)
+            assert _verdict(attack._check(elements, strat.x)) == expected
+            assert _verdict(attack._refusals(elements[None], np.array([strat.x]))[0]) == expected
+            if expected is None:
+                _with(strat, elements=elements).validate()
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dev, passes", [
+    (0.0, True), (4e-13, True), (np.nextafter(HERMITIAN_ATOL, 0), True), (HERMITIAN_ATOL, True),
+    (np.nextafter(HERMITIAN_ATOL, 1), False), (2e-12, False),
+])
+def test_validate_hermitian_edges(dim, dev, passes):
+    """An exactly complete, Hermitian POVM with M_0[i, j] moved by dev and M_vac[i, j] moved back: it passes within
+    HERMITIAN_ATOL and is refused one ulp beyond, as the direct form says, above or below the diagonal or on it."""
+    for i, j, step in ((0, 1, dev), (1, 0, dev), (0, 0, 1j * dev / 2), (1, 0, 1j * dev)):
+        elements = _boundary_povm(dim)
+        elements[0, i, j] += step
+        elements[2, i, j] -= step
+        assert (hermitian_refusal(elements) is None) is passes
+        expected = None if passes else (NonHermitianError, hermitian_refusal(elements))
+        assert _verdict(attack._check(elements, 1.0)) == expected
+        assert _verdict(attack._refusals(elements[None], np.array([1.0]))[0]) == expected
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_nan_in_one_triangle_is_refused_by_validate(dim):
+    """validate() passes its elements to the eigenvalue call with the kernel's own checks skipped, which would let a
+    NaN above the diagonal through to LAPACK unseen; its completeness check refuses the NaN first, as before."""
+    for e, i, j in ((0, 0, 1), (1, 1, 0), (2, 0, 1)):
+        elements = _boundary_povm(dim)
+        elements[e, i, j] = np.nan
+        for refusal in (attack._check(elements, 1.0), attack._refusals(elements[None], np.array([1.0]))[0]):
+            assert _verdict(refusal) == (DomainError, "POVM elements do not sum to the identity")
+    assert attack._check(_boundary_povm(dim), 1.0) is None
 
 
 def test_closed_form_path_computes_no_states():

@@ -14,11 +14,14 @@ from pfmattack.errors import (
     NonHermitianError,
 )
 from pfmattack.numkernel import (
+    HERMITIAN_ATOL,
     hermitian_eig,
     hermitian_eigvalsh,
     pinv_sqrt,
 )
 from pfmattack.statespace import build_ensemble
+
+from hermitian_reference import hermitian_refusal
 
 DEG = np.pi / 180
 
@@ -258,8 +261,63 @@ def test_non_finite_input_is_refused_without_a_warning():
             hermitian_eigvalsh(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_a_caller_that_skips_the_finiteness_check_still_gets_nan_refused():
-    """check_finite=False trusts the caller on infinities; a NaN above the diagonal still fails the Hermitian check."""
+def test_a_caller_that_makes_the_entry_checks_itself_is_trusted():
+    """check_entries=False skips the finiteness and Hermitian checks: LAPACK reads the lower triangle alone, so a NaN
+    above the diagonal goes unseen there. validate(), the caller that passes it, refuses that NaN by its own checks."""
+    a = np.array([[1.0, np.nan], [0.0, 1.0]])
+    assert np.array_equal(hermitian_eigvalsh(a, check_entries=False), [1.0, 1.0])
+    with pytest.raises(DomainError, match="NaN or infinite entry"):
+        hermitian_eigvalsh(a)
     with pytest.raises(NonHermitianError, match="by nan"):
-        hermitian_eigvalsh(np.array([[1.0, np.nan], [0.0, 1.0]]), check_finite=False)
-    assert np.array_equal(hermitian_eigvalsh(np.diag([2.0, 1.0]), check_finite=False), [1.0, 2.0])
+        numkernel.require_hermitian(a.conj() - a.T, np.nan)
+    assert np.array_equal(hermitian_eigvalsh(np.diag([2.0, 1.0]), check_entries=False), [1.0, 2.0])
+
+
+def _deviated(rng, dim, n):
+    """n random Hermitian matrices (n, dim, dim), each with one entry moved by a modulus between 1e-16 and 1e-9 (or
+    exactly 0, or a diagonal entry's imaginary part), so that the stacks straddle the check's two thresholds."""
+    stack = np.stack([random_hermitian(rng, dim) for _ in range(n)])
+    for a in stack:
+        i, j = rng.integers(dim, size=2)
+        size = 10.0 ** rng.uniform(-16, -9) * rng.choice([0.0, 1.0, 1.0, 1.0])
+        a[i, j] += size * (1j if i == j else np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    return stack
+
+
+def test_hermitian_check_gives_the_direct_forms_verdict_and_message():
+    """On seeded stacks of dim 2, 3 and 8 (one to four matrices each), both kernels pass exactly the stacks that the
+    direct conj(a) - a^T form passes, and refuse the others with its message."""
+    rng = np.random.default_rng(31)
+    seen = set()
+    for dim in (2, 3, 8):
+        for _ in range(300):
+            stack = _deviated(rng, dim, rng.integers(1, 5))
+            expected = hermitian_refusal(stack)
+            seen.add(expected is None)
+            for solve in (hermitian_eig, hermitian_eigvalsh):
+                if expected is None:
+                    solve(stack)
+                else:
+                    with pytest.raises(NonHermitianError) as info:
+                        solve(stack)
+                    assert str(info.value) == expected
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("dev, passes", [
+    (0.0, True), (4e-13, True), (np.nextafter(HERMITIAN_ATOL, 0), True), (HERMITIAN_ATOL, True),
+    (np.nextafter(HERMITIAN_ATOL, 1), False), (2e-12, False),
+])
+def test_hermitian_check_edges(dev, passes):
+    """An exactly Hermitian matrix with one entry moved by dev, above or below the diagonal or as a diagonal entry's
+    imaginary part: within HERMITIAN_ATOL it passes, one ulp beyond it is refused, as the direct form says."""
+    for i, j, step in ((0, 1, dev), (2, 0, dev), (1, 1, 1j * dev / 2), (0, 2, 1j * dev)):
+        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        a[i, j] += step
+        assert (hermitian_refusal(a) is None) is passes
+        if passes:
+            hermitian_eigvalsh(a)
+        else:
+            with pytest.raises(NonHermitianError) as info:
+                hermitian_eigvalsh(a)
+            assert str(info.value) == hermitian_refusal(a)
