@@ -94,7 +94,7 @@ _GRAM_COLUMNS = np.array([-6, -4, -2, -1])
 _NEWTON_ORDERS, _ONES = np.arange(-1, 4), np.ones(4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmStrategy:
     """Three-outcome measurement {M_0, M_3, M_vac} built for one point.
 
@@ -110,7 +110,8 @@ class PovmStrategy:
     minimal generalized eigenvalues of (L_0, rho) and (L_3, rho) the
     elements were built from, and x the positivity-boundary scale factor.
     ensemble is the point the strategy was built for (anything but an
-    AttackEnsemble raises DomainError); its dim fixes the kind.
+    AttackEnsemble raises DomainError); its dim fixes the kind. Equality is
+    identity and the hash is the object's (eq=False): its arrays have no truth value.
     """
 
     ensemble: AttackEnsemble
@@ -252,6 +253,9 @@ def _refusal(complete: bool, min_eigs: list[float] | None, x: float) -> DomainEr
     """
     if not complete:
         return DomainError("POVM elements do not sum to the identity")
+    m_0, m_3, m_vac = min_eigs
+    if m_0 >= -_PSD_TOL <= m_3 >= -_PSD_TOL <= m_vac <= _VAC_BOUNDARY_MAX and x > 0:  # passes every check below
+        return None
     for label, min_eig in zip(("M_0", "M_3", "M_vac"), min_eigs):
         if not min_eig >= -_PSD_TOL:
             return DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
@@ -272,7 +276,7 @@ def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
     if not (squares <= _COMPLETE_SQUARES or math.sqrt(np.dot(y[:n], y[:n])) <= _COMPLETENESS_TOL):
         return _refusal(False, None, x)
     try:  # the kernel's own checks are made here: complete elements are finite, and y holds the deviations
-        require_hermitian(y[n:].view(complex), squares)
+        require_hermitian(y, squares, n)
         min_eigs = hermitian_eigvalsh(elements, check_entries=False)[:, 0].tolist()
     except PfmAttackError as exc:  # an asymmetry above HERMITIAN_ATOL, or no convergence
         return exc
@@ -402,10 +406,12 @@ def build_phase_remapping_povm(delta: float) -> PovmStrategy:
 
 
 def require_built_for(ens: AttackEnsemble, strat: PovmStrategy) -> None:
-    """Refuse a strategy built for another point (DimensionMismatchError on dim, DomainError on (epsilon, delta)) and
-    anything but a PovmStrategy (DomainError)."""
+    """Refuse a strategy built for another point (DimensionMismatchError on dim, DomainError on (epsilon, delta)),
+    an ens that is not an AttackEnsemble and a strat that is not a PovmStrategy (DomainError)."""
     if isinstance(strat, PovmStrategy) and strat.ensemble is ens:
         return
+    if not isinstance(ens, AttackEnsemble):
+        raise DomainError(f"ensemble must be an AttackEnsemble, got {type(ens).__name__}")
     if not isinstance(strat, PovmStrategy):
         raise DomainError(f"strategy must be a PovmStrategy, got {type(strat).__name__}")
     if strat.dim != ens.dim:

@@ -29,11 +29,12 @@ HERMITIAN_ATOL = 1e-12
 _ASYM_SQUARES_PASS = (HERMITIAN_ATOL / 2) ** 2
 
 
-def require_hermitian(asym: np.ndarray, squares: float) -> None:
+def require_hermitian(asym: np.ndarray, squares: float, offset: int = 0) -> None:
     """NonHermitianError unless each |asym| is within HERMITIAN_ATOL, asym = conj(a) - a^T of a matrix or a stack;
-    squares is sum |asym|^2, or a bound above it: at most _ASYM_SQUARES_PASS, the max is not formed. NaN fails."""
+    squares is sum |asym|^2, or a bound above it: at most _ASYM_SQUARES_PASS, the max is not formed. NaN fails.
+    asym may also be a float array whose entries from offset on are those deviations' real and imaginary parts."""
     if not squares <= _ASYM_SQUARES_PASS:
-        dev = np.maximum.reduce(np.abs(asym), axis=None, initial=0.0)
+        dev = np.maximum.reduce(np.abs(asym[offset:].view(complex)), axis=None, initial=0.0)
         if not dev <= HERMITIAN_ATOL:  # NaN fails
             raise NonHermitianError(f"matrix deviates from Hermitian symmetry by {dev:.3e} > {HERMITIAN_ATOL:.1e}")
 
@@ -43,21 +44,22 @@ def _hermitian_solve(gufunc, a: np.ndarray, check_entries: bool):
 
     Raises DimensionMismatchError unless the last two axes are square,
     DomainError on a NaN or infinite entry in either triangle and
-    NonHermitianError by require_hermitian (check_entries), and
-    NoConvergenceError when LAPACK does not converge. The finiteness check
+    NonHermitianError by require_hermitian (these three: check_entries),
+    and NoConvergenceError when LAPACK does not converge. The finiteness check
     comes first, so no numpy warning precedes it.
 
     The gufunc runs without the np.errstate that numpy's wrappers enter,
     which would cost ~1-1.5 us a call (2 vCPUs, numpy 2.4). A LAPACK
     failure sets numpy's invalid flag, so it shows first as numpy's
     RuntimeWarning (an error under -W error), then as NoConvergenceError
-    from the NaN it leaves in the output. check_entries=False skips both
-    checks, for a caller that has made them: LAPACK reads the lower triangle.
+    from the NaN it leaves in the output. check_entries=False skips every
+    check but that one, for a caller that passes a complex128 stack of
+    finite Hermitian matrices: LAPACK reads the lower triangle alone.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if check_entries:
+        a = np.asarray(a, dtype=complex)
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+            raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise DomainError("matrix has a NaN or infinite entry")
         # conj(a) - a^T has the modulus of a - a^H entry by entry, and takes one copy

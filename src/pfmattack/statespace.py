@@ -38,25 +38,24 @@ def _check_epsilon(epsilon: float) -> None:
         raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {epsilon}")
 
 
-def set_reals(fields: dict, *names: str, finite: bool = False) -> None:
-    """Replace each named entry of fields, a frozen dataclass's __dict__, with its float, in order.
+def _real(name: str, value, finite: bool = False) -> float:
+    """value as a float: DomainError unless it is a real number (not a complex or a bool), and with finite unless
+    it is finite (not infinite or nan). A real beyond double range (an int or a Fraction) becomes an infinity."""
+    if isinstance(value, bool) or not isinstance(value, _REAL):
+        raise DomainError(f"{name} must be a {'finite ' * finite}real number, got {value}")
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf if value > 0 else -math.inf
+    if finite and not math.isfinite(real):
+        raise DomainError(f"{name} must be a finite real number, got {value}")
+    return real
 
-    A value that is not a real number (a complex, or a bool) raises
-    DomainError, and with finite so does an infinite or nan one. A real
-    beyond double range (an int or a Fraction) becomes an infinity.
-    """
-    what = "a finite real number" if finite else "a real number"
+
+def set_reals(fields: dict, *names: str, finite: bool = False) -> None:
+    """Replace each named entry of fields, a frozen dataclass's __dict__, with its _real float, in order."""
     for name in names:
-        value = fields[name]
-        if isinstance(value, bool) or not isinstance(value, _REAL):
-            raise DomainError(f"{name} must be {what}, got {value}")
-        try:
-            real = float(value)
-        except OverflowError:
-            real = math.inf if value > 0 else -math.inf
-        if finite and not math.isfinite(real):
-            raise DomainError(f"{name} must be {what}, got {value}")
-        fields[name] = real
+        fields[name] = _real(name, fields[name], finite)
 
 
 @dataclass(frozen=True)
@@ -122,16 +121,16 @@ class AttackEnsemble:
     dim: int
 
     def __init__(self, epsilon: float, delta: float, dim: int):
-        # one dict, converted in place by set_reals: a dataclass __init__ would set each field through __setattr__ too
+        epsilon, delta = _real("epsilon", epsilon), _real("delta", delta)
+        _check_epsilon(epsilon)
+        if not 0.0 <= delta <= math.pi / 2:
+            raise DomainError(f"delta must lie in [0, pi/2], got {delta}")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+            raise DomainError(f"dim must be an integer, got {dim!r}")
+        if dim != 3 and (dim, epsilon) != (2, 0.0):
+            raise DomainError(f"dim must be 3, or 2 at epsilon = 0; got dim {dim}, epsilon {epsilon}")
+        # the checked fields set at once: a dataclass __init__ would set each through object.__setattr__
         object.__setattr__(self, "__dict__", {"epsilon": epsilon, "delta": delta, "dim": dim})
-        set_reals(self.__dict__, "epsilon", "delta")
-        _check_epsilon(self.epsilon)
-        if not 0.0 <= self.delta <= math.pi / 2:
-            raise DomainError(f"delta must lie in [0, pi/2], got {self.delta}")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
-            raise DomainError(f"dim must be an integer, got {self.dim!r}")
-        if self.dim != 3 and (self.dim, self.epsilon) != (2, 0.0):
-            raise DomainError(f"dim must be 3, or 2 at epsilon = 0; got dim {self.dim}, epsilon {self.epsilon}")
 
     @cached_property
     def states(self) -> np.ndarray:

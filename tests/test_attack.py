@@ -509,6 +509,26 @@ def test_evaluate_and_the_oracle_refuse_what_is_not_a_strategy():
     assert rows[1] == run_oracle(ens, strat, 10000, 2)
 
 
+def test_evaluate_and_the_oracle_refuse_what_is_not_an_ensemble():
+    """An ensemble that is not an AttackEnsemble is refused by name, not met with a bare AttributeError; in the
+    sequence form of run_oracle only its own row is refused."""
+    _, ens, strat = _report(1.0, np.pi / 2)
+    for bad in (None, (ens.epsilon, ens.delta, ens.dim)):
+        with pytest.raises(DomainError, match=f"ensemble must be an AttackEnsemble, got {type(bad).__name__}"):
+            evaluate(bad, strat)
+    rows = run_oracle([None, ens], [strat, strat], 10000, 1)
+    assert isinstance(rows[0], DomainError) and str(rows[0]) == "ensemble must be an AttackEnsemble, got NoneType"
+    assert rows[1] == run_oracle(ens, strat, 10000, 2)
+
+
+def test_strategy_equality_is_identity():
+    """A strategy equals itself alone and hashes: its arrays would make a field-wise == raise, and hash fail."""
+    for ens in (build_ensemble(1 * DEG, np.pi / 2), bb84_ensemble(np.pi / 4)):
+        strat = build_suboptimal_povm(ens)
+        assert strat == strat and strat != build_suboptimal_povm(ens) and strat != dataclasses.replace(strat)
+        assert {strat} == {strat} and strat in {strat} and hash(strat) == hash(strat)
+
+
 def test_strategy_refuses_an_ensemble_that_is_not_one():
     """dataclasses.replace(strat, ensemble=...) with anything but an AttackEnsemble raises DomainError, before the
     ensemble's dim is read."""
@@ -629,6 +649,63 @@ def test_a_nan_in_one_triangle_is_refused_by_validate(dim):
         for refusal in (attack._check(elements, 1.0), attack._refusals(elements[None], np.array([1.0]))[0]):
             assert _verdict(refusal) == (DomainError, "POVM elements do not sum to the identity")
     assert attack._check(_boundary_povm(dim), 1.0) is None
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_completeness_residual_is_no_asymmetry(dim):
+    """validate()'s one BLAS output holds the completeness residual before the Hermitian deviations: an exactly
+    Hermitian POVM whose residual is within _COMPLETENESS_TOL but far above HERMITIAN_ATOL passes, as the direct
+    form says, though the sum of squares misses its pass bound and the deviations' max is formed."""
+    for residual in (5e-11, -9e-11):
+        elements = _boundary_povm(dim)
+        elements[2, 0, 0] += residual
+        assert hermitian_refusal(elements) is None
+        assert attack._check(elements, 1.0) is None
+        assert attack._refusals(elements[None], np.array([1.0]))[0] is None
+
+
+def _ordered_refusal(complete, min_eigs, x):
+    """validate()'s verdict on one POVM as its checks are ordered, each in turn: the reference for _refusal."""
+    if not complete:
+        return DomainError("POVM elements do not sum to the identity")
+    for label, min_eig in zip(("M_0", "M_3", "M_vac"), min_eigs):
+        if not min_eig >= -attack._PSD_TOL:
+            return DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
+    if not -attack._PSD_TOL <= min_eigs[2] <= attack._VAC_BOUNDARY_MAX:
+        return DomainError(f"M_vac minimal eigenvalue {min_eigs[2]:.3e} is off the positivity boundary")
+    if not x > 0:
+        return DomainError(f"scale factor x must be positive, got {x!r}")
+    return None
+
+
+def _diagonal_povm(dim, m_0, m_3, m_vac):
+    """A complete, diagonal POVM whose elements' minimal eigenvalues are m_0, m_3 and m_vac (each small)."""
+    diagonals = np.array([[m_0, 0.5, 0.5], [1.0 - m_0 - m_vac, m_3, 0.25], [m_vac, 0.5 - m_3, 0.25]])[:, :dim]
+    return np.stack([np.diag(d).astype(complex) for d in diagonals])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_refusal_edges_match_the_ordered_checks(dim):
+    """The pass path of _refusal gives the ordered checks' verdict, type and message, at each edge: M_0 or M_3 at
+    -_PSD_TOL and one ulp below it, M_vac at -_PSD_TOL and _VAC_BOUNDARY_MAX and one ulp beyond each, and x of 0.0,
+    -0.0 and NaN; so do validate()'s check and the stacked one, on POVMs with those minimal eigenvalues."""
+    tol, vac_max = attack._PSD_TOL, attack._VAC_BOUNDARY_MAX
+    below, above = np.nextafter(-tol, -1.0), np.nextafter(vac_max, 1.0)
+    cases = [(m, 0.0, 0.0, 1.0) for m in (-tol, below)] + [(0.0, m, 0.0, 1.0) for m in (-tol, below)]
+    cases += [(0.0, 0.0, m, 1.0) for m in (-tol, below, vac_max, above)]
+    cases += [(0.0, 0.0, 0.0, x) for x in (0.0, -0.0, np.nan, 1e-300)]
+    cases += [(below, below, above, np.nan), (0.0, 0.0, 0.0, 1.0)]
+    passed = 0
+    for m_0, m_3, m_vac, x in cases:
+        min_eigs = [float(m_0), float(m_3), float(m_vac)]
+        expected = _verdict(_ordered_refusal(True, min_eigs, x))
+        passed += expected is None
+        assert _verdict(attack._refusal(True, min_eigs, x)) == expected
+        elements = _diagonal_povm(dim, m_0, m_3, m_vac)
+        assert hermitian_eigvalsh(elements)[:, 0].tolist() == min_eigs  # the edge itself reaches _refusal
+        assert _verdict(attack._check(elements, x)) == expected
+        assert _verdict(attack._refusals(elements[None], np.array([x]))[0]) == expected
+    assert passed == 6
 
 
 def test_closed_form_path_computes_no_states():

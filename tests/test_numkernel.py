@@ -197,6 +197,20 @@ def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
         hermitian_eigvalsh(np.eye(2))
 
 
+def test_the_unchecked_call_keeps_the_convergence_refusal(monkeypatch):
+    """check_entries=False skips the entry checks alone: a LAPACK failure is still NoConvergenceError, with the
+    checked call's message, from the kernel and from validate(), which makes that call."""
+    strat = build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2))
+    monkeypatch.setattr(numkernel, "eigvalsh_lo", _failing(numkernel.eigvalsh_lo))
+    with pytest.raises(NoConvergenceError) as checked:
+        hermitian_eigvalsh(strat.elements)
+    assert str(checked.value) == "eigvalsh_lo: eigenvalues did not converge"
+    for call in (lambda: hermitian_eigvalsh(strat.elements, check_entries=False), strat.validate):
+        with pytest.raises(NoConvergenceError) as lean:
+            call()
+        assert str(lean.value) == str(checked.value)
+
+
 def test_eigvalsh_matches_eig_eigenvalues():
     """On random stacks of dim 2, 3 and 8, the eigenvalues agree with hermitian_eig's within 1e-15 ||a||."""
     rng = np.random.default_rng(13)
@@ -271,6 +285,18 @@ def test_a_caller_that_makes_the_entry_checks_itself_is_trusted():
     with pytest.raises(NonHermitianError, match="by nan"):
         numkernel.require_hermitian(a.conj() - a.T, np.nan)
     assert np.array_equal(hermitian_eigvalsh(np.diag([2.0, 1.0]), check_entries=False), [1.0, 2.0])
+
+
+def test_require_hermitian_reads_real_parts_from_the_offset():
+    """A float array holds the deviations as real and imaginary parts from offset on, as validate()'s one BLAS output
+    holds them after its completeness residual: the entries before the offset are not deviations and go unread."""
+    parts = np.array([1.0, -1.0, 3e-13, 4e-13, 0.0, 0.0])
+    numkernel.require_hermitian(parts, np.vdot(parts, parts), 2)
+    parts[4:] = 3e-12, -4e-12
+    with pytest.raises(NonHermitianError, match=r"by 5\.000e-12 > 1\.0e-12$"):
+        numkernel.require_hermitian(parts, np.vdot(parts, parts), 2)
+    with pytest.raises(NonHermitianError, match=r"by 1\.414e\+00 > "):
+        numkernel.require_hermitian(parts, np.vdot(parts, parts))
 
 
 def _deviated(rng, dim, n):
