@@ -319,9 +319,9 @@ def build_suboptimal_povm(
     (DegenerateSpanError); and an x below the smallest normal double, where
     |sc| delta^2 (dim 3) or delta (dim 2) is below ~1e-154 (DegenerateSpanError).
 
-    ens may also be a sequence (any iterable) of ensembles, of either dim. The return is
-    then a list, in input order, of each one's validated PovmStrategy or the
-    PfmAttackError its own call would raise, and no refusal stops the others.
+    ens may also be any iterable of ensembles, of either dim (anything else is a DomainError). The return is
+    then a list, in input order, of each one's validated PovmStrategy or the PfmAttackError its own call
+    would raise (DomainError for one that is not an AttackEnsemble), and no refusal stops the others.
     The points of each dim go through the same closed form and validate()'s
     checks stacked on one leading axis, with one eigenvalue call for all of
     their POVMs; each point's results equal its own call's, bit for bit.
@@ -329,6 +329,8 @@ def build_suboptimal_povm(
     grid passes it in blocks (the CLI sweep: cli.SWEEP_BLOCK points a call).
     """
     if not isinstance(ens, AttackEnsemble):
+        if not isinstance(ens, Iterable):
+            raise DomainError(f"ens must be an AttackEnsemble or an iterable of them, got {type(ens).__name__}")
         return _build_stacked(list(ens))
     refusal = _refusal_before_arithmetic(ens)
     if refusal is not None:
@@ -358,7 +360,8 @@ def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAt
     on 2x3 arrays makes a stacked body slower for one point; the two bodies
     must give the same bits, which test_attack checks point by point.
     """
-    results: list[PovmStrategy | PfmAttackError | None] = [_refusal_before_arithmetic(ens) for ens in ensembles]
+    results = [_refusal_before_arithmetic(ens) if isinstance(ens, AttackEnsemble)
+               else DomainError(f"ensemble must be an AttackEnsemble, got {type(ens).__name__}") for ens in ensembles]
     for dim in (3, 2):
         index = [k for k, ens in enumerate(ensembles) if results[k] is None and ens.dim == dim]
         if not index:

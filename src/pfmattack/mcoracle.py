@@ -19,19 +19,19 @@ round by round. The per-round scalar reference that this law is checked
 against lives in the test suite (tests/oracle_reference.py).
 
 `run_oracle` also takes equal-length sequences of ensembles and strategies,
-row r seeded seed + r, as a sweep block needs. Each step before the draw
-(the states, the outcome tables and their checks, the resend and cell
-tables) is written once over leading axes: a single call runs it on one
-point, a sequence on all of its rows at once. Only each row's generator and
-its multinomials run row by row, so each row's estimate equals its own
-call's, field for field.
+row r seeded seed + r, as a sweep block needs. Each step before the draw (the
+states, the outcome tables and their checks, the resend and cell tables) is
+written once over leading axes: a single call runs it on one point, a sequence
+on all of its rows at once. Only the multinomials run row by row, on one
+generator set to each row's default_rng(seed + r) state, so each row's
+estimate equals its own call's, field for field.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +57,11 @@ _ERROR_GIVEN_SIFTED = np.where(_SAME_BASIS, _K[:, None] != _K, 0.5)
 #: The sender's four states are equally likely.
 _STATE_PROBS = np.full(4, 0.25)
 _STATE_PROBS.setflags(write=False)
+#: numpy's seeding of a default_rng from its SeedSequence pool: generate_state's output hash makes word m = 4j + i
+#: (pool[i] ^ h_m) * h_(m+1) mod 2**32, h_m = 0x8B51F9DD * 0x58F38DED**m; then PCG64's LCG multiplier and mask
+_HASH_XOR, _HASH_MUL = np.array([[0x8B51F9DD * 0x58F38DED**m % 2**32 for m in range(k, k + 8)] for k in (0, 1)],
+                                dtype=np.uint32).reshape(2, 2, 4)
+_PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -179,19 +184,34 @@ def _cells(resend: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _draw(n_trials: int, seed: int, cells: np.ndarray, out: np.ndarray) -> None:
+def _draw(n_trials: int, rng: np.random.Generator, cells: np.ndarray, out: np.ndarray) -> None:
     """The counts [state, cell] of one run, into out (4, 4): one multinomial splits n_trials over the states, then
     one scalar-n call per state; numpy's 2-D call makes the same draws in the same order, several times slower."""
-    rng = np.random.default_rng(seed)
     for k, n_k in enumerate(rng.multinomial(n_trials, _STATE_PROBS).tolist()):
         out[k] = rng.multinomial(n_k, cells[k])
+
+
+def _generators(seeds: list[int]) -> Iterator[np.random.Generator]:
+    """Per seed, one Generator in np.random.default_rng(seed)'s state: made for seeds[0], then set to each later
+    seed's, from numpy's SeedSequence(seed).pool by generate_state(4, np.uint64)'s hash and PCG64's seeding."""
+    rng = np.random.default_rng(seeds[0])
+    yield rng
+    words = (np.array([np.random.SeedSequence(seed).pool for seed in seeds[1:]])[:, None, :] ^ _HASH_XOR) * _HASH_MUL
+    words ^= words >> 16
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for w0, w1, w2, w3 in words.reshape(-1, 8).astype("<u4").view("<u8").tolist():  # pairs, low word first
+        inc = (w2 << 65 | w3 << 1 | 1) & _MASK128  # (initseq << 1) | 1, initseq = w2 << 64 | w3
+        state["state"] = {"state": ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _estimates(n_trials: int, seeds: list[int], cells: np.ndarray) -> list[OracleEstimate]:
     """One run of n_trials rounds per seed: run r is drawn from the cell table cells[r] (n, 4, 4) with seeds[r]."""
     counts = np.empty((len(seeds), 4, 4), dtype=np.int64)
-    for seed, cells_r, out in zip(seeds, cells, counts):
-        _draw(n_trials, seed, cells_r, out)
+    # zip pulls its iterables left to right, so the generators run only for rows that exist: a single call makes one
+    for cells_r, out, rng in zip(cells, counts, _generators(seeds)):
+        _draw(n_trials, rng, cells_r, out)
     # by run and state, the rounds that reached at least: an error, sifted, conclusive, any cell
     levels = counts.take([2, 1, 0, 3], axis=2).cumsum(axis=2).transpose(0, 2, 1).tolist()
     estimates = []
@@ -224,15 +244,15 @@ def run_oracle(
     another point is refused before any round is drawn (see
     `attack.require_built_for`).
 
-    ens and strat may also be sequences of equal length, row r the pair
-    (ens[r], strat[r]) run with seed + r. The return is then a list, in
-    order, of each row's OracleEstimate or the PfmAttackError its own call
-    would raise; a refused row stops no other. n_trials and seed are checked
-    once, before any draw. The rows' states, outcome tables, checks and cell
-    tables are formed stacked on one leading axis, from the states and
-    strat.elements alone; only each row's generator and its multinomials
-    are per row. A single call forms its one row's tables by the same
-    functions, from ens.states.
+    ens and strat may also be iterables of equal length (anything else is a
+    DomainError), row r the pair (ens[r], strat[r]) run with seed + r. The
+    return is then a list, in order, of each row's OracleEstimate or the
+    PfmAttackError its own call would raise; a refused row stops no other.
+    n_trials and seed are checked once, before any draw. The rows' states,
+    outcome tables, checks and cell tables are formed stacked on one leading
+    axis, from the states and strat.elements alone; only the multinomials
+    are per row, on one generator (_generators). A single call forms its one
+    row's tables by the same functions, from ens.states.
     """
     if isinstance(ens, AttackEnsemble):
         # not a batch of one, which took ~130 us against ~100 us here (fresh (1 deg, pi/2) point, 1e7 trials, 2 vCPUs):
@@ -241,6 +261,9 @@ def run_oracle(
         n_trials, seed = check_run(n_trials, seed)
         cells = _cells(_resend(outcome_probabilities(ens.states, strat)))
         return _estimates(n_trials, [seed], cells[None])[0]
+    for name, value, kind in (("ens", ens, "an AttackEnsemble or an iterable of them"), ("strat", strat, "iterable")):
+        if not isinstance(value, Iterable):
+            raise DomainError(f"{name} must be {kind}, got {type(value).__name__}")
     ensembles, strategies = list(ens), list(strat)
     if len(ensembles) != len(strategies):
         raise DimensionMismatchError(f"{len(ensembles)} ensembles but {len(strategies)} strategies")

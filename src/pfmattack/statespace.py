@@ -93,6 +93,8 @@ def verify_compensation(ch: BirefringentChannel, fm: FaradayMirror) -> float:
     positive for an imperfect one unless phi_o = phi_e mod 2 pi. Each phase enters through its own
     exponential, never through a rounded sum, so the value is exact to rounding for every finite phase.
     """
+    if not (isinstance(ch, BirefringentChannel) and isinstance(fm, FaradayMirror)):
+        raise DomainError(f"need a BirefringentChannel, a FaradayMirror: got {type(ch).__name__}, {type(fm).__name__}")
     return math.sqrt(2) * abs(math.sin(2 * fm.epsilon)) * abs(cmath.exp(1j * ch.phi_o) - cmath.exp(1j * ch.phi_e))
 
 
@@ -197,5 +199,7 @@ DEFAULT_RANK_TOL = 1e-10
 
 def span_dimension(ens: AttackEnsemble) -> int:
     """Numerical rank of the state family: singular values above DEFAULT_RANK_TOL (1e-10) * sigma_max."""
+    if not isinstance(ens, AttackEnsemble):
+        raise DomainError(f"ensemble must be an AttackEnsemble, got {type(ens).__name__}")
     sigma = np.linalg.svd(ens.states.T, compute_uv=False)
     return int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))

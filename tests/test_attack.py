@@ -521,6 +521,26 @@ def test_evaluate_and_the_oracle_refuse_what_is_not_an_ensemble():
     assert rows[1] == run_oracle(ens, strat, 10000, 2)
 
 
+def test_build_refuses_what_is_neither_an_ensemble_nor_iterable():
+    """build_suboptimal_povm of None or an int is a DomainError that names the type, not a bare TypeError."""
+    for bad in (None, 5):
+        with pytest.raises(DomainError, match=f"^ens must be an AttackEnsemble or an iterable of them, got "
+                                              f"{type(bad).__name__}$"):
+            build_suboptimal_povm(bad)
+
+
+def test_a_sequence_row_that_is_not_an_ensemble_refuses_only_itself():
+    """In the sequence form, a row that is not an AttackEnsemble gets a DomainError naming its type in its own slot,
+    not a bare AttributeError, and the other rows are built as their own calls build them."""
+    ens = build_ensemble(1 * DEG, np.pi / 2)
+    (refusal,) = build_suboptimal_povm([None])
+    assert type(refusal) is DomainError and str(refusal) == "ensemble must be an AttackEnsemble, got NoneType"
+    strat, refusal = build_suboptimal_povm([ens, "x"])
+    assert type(refusal) is DomainError and str(refusal) == "ensemble must be an AttackEnsemble, got str"
+    own = build_suboptimal_povm(ens)
+    assert strat.ensemble is ens and np.array_equal(strat.elements, own.elements) and strat.x == own.x
+
+
 def test_strategy_equality_is_identity():
     """A strategy equals itself alone and hashes: its arrays would make a field-wise == raise, and hash fail."""
     for ens in (build_ensemble(1 * DEG, np.pi / 2), bb84_ensemble(np.pi / 4)):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mp_reference import pfm_reference
-from pfmattack import cli
+from pfmattack import build_ensemble, build_suboptimal_povm, cli, run_oracle
 from pfmattack.errors import DomainError
 from pfmattack.mcoracle import OracleEstimate
 
@@ -326,6 +326,22 @@ def test_sweep_blocks_do_not_change_a_byte(tmp_path, monkeypatch):
     lines = files[0].decode().splitlines()
     assert sum(line.startswith("# rejected") for line in lines) == 21
     assert len(lines) == 4 + 25
+
+
+def test_oracle_columns_across_2_to_the_32_are_each_rows_own_call(tmp_path):
+    """A block of 12 rows seeded 2**32 - 6 onward, so its row seeds cross 2**32: each row's oracle cells are those
+    of its own run_oracle(ens, strat, n, seed + r) call, formatted as the CSV writes them."""
+    seed, epsilons, deltas = 4294967290, "0.25:1:4", "pi/2,pi/4,pi/8"
+    out = tmp_path / "edge.csv"
+    assert run_cli("sweep", "--epsilon-deg", epsilons, "--delta", deltas, "--trials", "100000", "--seed", str(seed),
+                   "--reproducible", "--out", str(out)) == 0
+    _, rows = cli.read_rows(str(out))
+    points = [(e, d) for e in np.deg2rad(cli.parse_degree_grid(epsilons)).tolist() for d in cli.parse_angle_grid(deltas)]
+    assert len(rows) == len(points) == 12
+    for r, (row, (epsilon, delta)) in enumerate(zip(rows, points)):
+        ens = build_ensemble(epsilon, delta)
+        own = run_oracle(ens, build_suboptimal_povm(ens), 100_000, seed + r)
+        assert row[-2:] == [cli._csv_num(own.qber_hat), cli._csv_num(own.p_succ_hat)], r
 
 
 #: sha256 of the files the 40x50 sweep writes, `--epsilon-deg 0.05:1:40 --delta 0.1:pi/2:50 --reproducible` without

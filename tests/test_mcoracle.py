@@ -455,7 +455,9 @@ def test_draw_equals_numpys_2d_multinomial(anchor, n_trials):
 
     The tables are the pfm and remap anchors' and the intercept-resend one,
     whose blocked cell is 0 in every state. At 3 trials most runs leave a
-    state with 0 rounds.
+    state with 0 rounds. Each run's generator comes from `_generators`, as a
+    sweep block's rows do, so the reference's default_rng(seed) checks its
+    state too.
     """
     ens, strat, _ = anchor
     remap = bb84_ensemble(np.pi / 4)
@@ -466,8 +468,8 @@ def test_draw_equals_numpys_2d_multinomial(anchor, n_trials):
     out = np.empty((4, 4), dtype=np.int64)
     runs_with_an_empty_state = 0
     for cells in tables:
-        for seed in range(1000):
-            mcoracle._draw(n_trials, seed, cells, out)
+        for seed, rng in zip(range(1000), mcoracle._generators(list(range(1000)))):
+            mcoracle._draw(n_trials, rng, cells, out)
             expected = reference_draw(n_trials, seed, cells)
             assert out.dtype == expected.dtype and np.array_equal(out, expected), (n_trials, seed, cells)
             runs_with_an_empty_state += bool((out.sum(axis=1) == 0).any())
@@ -675,3 +677,45 @@ def test_sequence_form_edges(anchor, monkeypatch):
     results = run_oracle([ens, bb84_ensemble(np.pi / 2)], [dataclasses.replace(strat, elements=elements), strat],
                          MIN_TRIALS, 0)
     assert [type(result) for result in results] == [NegativeProbabilityError, DimensionMismatchError]
+
+
+def test_generators_start_in_each_seeds_default_rng_state():
+    """Each generator holds np.random.default_rng(seed).bit_generator.state, the whole dict, for seeds of any size.
+
+    Seeds at the edges of SeedSequence's 32-bit entropy words and past 128 bits, then 1000 seeded ones of 0 to 320
+    bits. A leading seed comes first, so every listed seed gets the state that _generators sets, not a default_rng
+    of its own.
+    """
+    rng = np.random.default_rng(32)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**300 + 7]
+    seeds += [int.from_bytes(rng.bytes(40), "little") >> int(rng.integers(0, 321)) for _ in range(1000)]
+    for seed, generator in zip([5, *seeds], mcoracle._generators([5, *seeds])):
+        assert generator.bit_generator.state == np.random.default_rng(seed).bit_generator.state, seed
+
+
+@pytest.mark.parametrize("edge", [2**32, 2**64, 2**128], ids=["2**32", "2**64", "2**128"])
+def test_sequence_rows_across_a_seed_word_edge_equal_their_own_calls(edge):
+    """pfm and remap rows in turn, seeded edge - 4 to edge + 3: each row is its own run_oracle call, field for field.
+
+    Each dim's rows share one generator, and both dims' seeds cross the edge.
+    """
+    rows = [(build_ensemble(e * DEG, d), bb84_ensemble(d)) for e, d in ((0.5, np.pi / 2), (1, np.pi / 4),
+                                                                         (2, np.pi / 8), (3, np.pi / 3))]
+    ensembles = [ens for pair in rows for ens in pair]
+    strategies = build_suboptimal_povm(ensembles)
+    estimates = run_oracle(ensembles, strategies, 100_000, edge - 4)
+    for r, (ens, strat, estimate) in enumerate(zip(ensembles, strategies, estimates)):
+        own = run_oracle(ens, strat, 100_000, edge - 4 + r)
+        np.testing.assert_equal(dataclasses.astuple(estimate), dataclasses.astuple(own))
+
+
+def test_sequence_form_refuses_an_argument_that_is_not_iterable(anchor, monkeypatch):
+    """An ens that is neither an ensemble nor iterable, or a strat that is not iterable beside a sequence ens, is a
+    DomainError that names its type, before any draw."""
+    ens, strat, _ = anchor
+    monkeypatch.setattr(mcoracle, "_draw", _no_draw)
+    with pytest.raises(DomainError, match="^ens must be an AttackEnsemble or an iterable of them, got NoneType$"):
+        run_oracle(None, strat, MIN_TRIALS, 1)
+    for bad in (None, strat):
+        with pytest.raises(DomainError, match=f"^strat must be iterable, got {type(bad).__name__}$"):
+            run_oracle([ens], bad, MIN_TRIALS, 1)

@@ -9,6 +9,7 @@ from pfmattack.errors import DimensionMismatchError, DomainError
 from pfmattack.statespace import (
     EPSILON_MAX,
     AttackEnsemble,
+    BirefringentChannel,
     FaradayMirror,
     bb84_ensemble,
     build_ensemble,
@@ -16,6 +17,7 @@ from pfmattack.statespace import (
     newton_step,
     pfm_states,
     span_dimension,
+    verify_compensation,
 )
 
 from jones_reference import round_trip
@@ -259,3 +261,14 @@ def test_ensembles_are_immutable():
     ens = build_ensemble(1 * DEG, np.pi / 2)
     with pytest.raises(ValueError):
         ens.states[0, 0] = 1.0
+
+
+def test_span_and_compensation_refuse_what_is_not_their_type():
+    """span_dimension and verify_compensation name the type of an argument that is not theirs, not a bare
+    AttributeError."""
+    with pytest.raises(DomainError, match="^ensemble must be an AttackEnsemble, got NoneType$"):
+        span_dimension(None)
+    channel, mirror = BirefringentChannel(0.7, 1.1, 2.3), FaradayMirror(1 * DEG)
+    for ch, fm, got in ((None, mirror, "NoneType, FaradayMirror"), (channel, None, "BirefringentChannel, NoneType")):
+        with pytest.raises(DomainError, match=f"^need a BirefringentChannel, a FaradayMirror: got {got}$"):
+            verify_compensation(ch, fm)
