@@ -244,15 +244,11 @@ def _map_scalars(ens: AttackEnsemble) -> tuple[list[float], float]:
     return [ss * ss, cc * cc, sc * sc, ss * cc, ss * sc, cc * sc], sc * ens.delta**2
 
 
-def _refusal(complete: bool, min_eigs: list[float] | None, x: float) -> DomainError | None:
-    """The first of validate()'s checks that one POVM fails, or None.
+def _refusal(min_eigs: list[float], x: float) -> DomainError | None:
+    """The first of validate()'s checks after completeness that one POVM fails, or None.
 
-    complete says whether the elements sum to the identity; min_eigs holds the
-    minimal eigenvalues of M_0, M_3 and M_vac (unread when incomplete: _check
-    passes None, solving no further) and x is the scale factor. NaN fails every check.
+    min_eigs holds the minimal eigenvalues of M_0, M_3 and M_vac and x is the scale factor. NaN fails every check.
     """
-    if not complete:
-        return DomainError("POVM elements do not sum to the identity")
     m_0, m_3, m_vac = min_eigs
     if m_0 >= -_PSD_TOL <= m_3 >= -_PSD_TOL <= m_vac <= _VAC_BOUNDARY_MAX and x > 0:  # passes every check below
         return None
@@ -274,13 +270,13 @@ def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
     y = np.dot(elements.reshape(-1).view(float), check_map) - offset
     squares = np.dot(y, y)  # bounds the sum of squares of each part; NaN fails
     if not (squares <= _COMPLETE_SQUARES or math.sqrt(np.dot(y[:n], y[:n])) <= _COMPLETENESS_TOL):
-        return _refusal(False, None, x)
-    try:  # the kernel's own checks are made here: complete elements are finite, and y holds the deviations
+        return DomainError("POVM elements do not sum to the identity")
+    try:  # the checks the eigenvalue call leaves to its caller: complete elements are finite, y holds the deviations
         require_hermitian(y, squares, n)
-        min_eigs = hermitian_eigvalsh(elements, check_entries=False)[:, 0].tolist()
+        min_eigs = hermitian_eigvalsh(elements)[:, 0].tolist()
     except PfmAttackError as exc:  # an asymmetry above HERMITIAN_ATOL, or no convergence
         return exc
-    return _refusal(True, min_eigs, x)
+    return _refusal(min_eigs, x)
 
 
 def build_suboptimal_povm(
@@ -388,19 +384,22 @@ def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAt
 def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None]:
     """validate() over POVMs stacked on axis 0: elements (n, 3, dim, dim), x (n,); per POVM None or its refusal.
 
-    The whole stack takes one eigenvalue call, and _refusal judges completeness
-    first, as validate() does. If that call refuses (an asymmetry above
-    HERMITIAN_ATOL, a NaN entry, or no convergence), each POVM is checked
-    alone by validate()'s own check, _check: a bad POVM refuses only itself.
+    _check's arithmetic, a row of y per POVM: a stack of POVMs complete within half the tolerance and Hermitian takes
+    one eigenvalue call, and any other stack, or one whose call fails, is judged POVM by POVM by _check, so a bad POVM
+    refuses only itself. numpy's invalid flag is ignored (an infinite entry meets the map's zeros, or LAPACK fails):
+    under -W error its warning would stop the whole stack, where the POVM gets its own refusal.
     """
-    residual = elements.reshape(len(elements), 3, -1).view(float).sum(axis=1) - _EYE_REAL[elements.shape[-1]]
-    # the Frobenius norm of each residual; NaN fails
-    complete = np.sqrt(np.square(residual).sum(axis=1)) <= _COMPLETENESS_TOL
-    try:
-        min_eigs = hermitian_eigvalsh(elements)[:, :, 0].tolist()
-    except PfmAttackError:
+    check_map, offset = _CHECK_MAPS[elements.shape[-1]]
+    with np.errstate(invalid="ignore"):
+        y = np.dot(elements.reshape(len(elements), -1).view(float), check_map) - offset
+        squares = np.einsum("ij,ij->i", y, y)
+        try:
+            if (squares <= _COMPLETE_SQUARES).all():
+                require_hermitian(y[:, len(offset) // 4:], squares.sum())
+                return [_refusal(m, x_k) for m, x_k in zip(hermitian_eigvalsh(elements)[:, :, 0].tolist(), x.tolist())]
+        except PfmAttackError:  # an asymmetry above HERMITIAN_ATOL, or no convergence: _check names it
+            pass
         return [_check(el, x_k) for el, x_k in zip(elements, x.tolist())]
-    return [_refusal(*verdict) for verdict in zip(complete.tolist(), min_eigs, x.tolist())]
 
 
 def build_phase_remapping_povm(delta: float) -> PovmStrategy:

@@ -39,33 +39,15 @@ def require_hermitian(asym: np.ndarray, squares: float, offset: int = 0) -> None
             raise NonHermitianError(f"matrix deviates from Hermitian symmetry by {dev:.3e} > {HERMITIAN_ATOL:.1e}")
 
 
-def _hermitian_solve(gufunc, a: np.ndarray, check_entries: bool):
-    """gufunc(a) for a Hermitian matrix a, or a stack (..., n, n) of them, in one LAPACK call.
-
-    Raises DimensionMismatchError unless the last two axes are square,
-    DomainError on a NaN or infinite entry in either triangle and
-    NonHermitianError by require_hermitian (these three: check_entries),
-    and NoConvergenceError when LAPACK does not converge. The finiteness check
-    comes first, so no numpy warning precedes it.
+def _solve(gufunc, a: np.ndarray):
+    """gufunc(a) in one LAPACK call; NoConvergenceError when LAPACK does not converge.
 
     The gufunc runs without the np.errstate that numpy's wrappers enter,
     which would cost ~1-1.5 us a call (2 vCPUs, numpy 2.4). A LAPACK
     failure sets numpy's invalid flag, so it shows first as numpy's
     RuntimeWarning (an error under -W error), then as NoConvergenceError
-    from the NaN it leaves in the output. check_entries=False skips every
-    check but that one, for a caller that passes a complex128 stack of
-    finite Hermitian matrices: LAPACK reads the lower triangle alone.
+    from the NaN it leaves in the output.
     """
-    if check_entries:
-        a = np.asarray(a, dtype=complex)
-        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-            raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise DomainError("matrix has a NaN or infinite entry")
-        # conj(a) - a^T has the modulus of a - a^H entry by entry, and takes one copy
-        asym = a.conj()
-        asym -= a.swapaxes(-1, -2)
-        require_hermitian(asym, np.vdot(asym, asym).real)
     out = gufunc(a)
     w = out[0] if isinstance(out, tuple) else out
     if math.isnan(np.vdot(w, w)):  # a failed matrix's eigenvalues are all NaN
@@ -74,23 +56,40 @@ def _hermitian_solve(gufunc, a: np.ndarray, check_entries: bool):
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decompose a Hermitian matrix, or a stack (..., n, n) of them (refusals: _hermitian_solve).
+    """Eigen-decompose a Hermitian matrix, or a stack (..., n, n) of them, in one LAPACK call.
 
     Returns numpy.linalg.eigh's pair (w, v), byte for byte: real eigenvalues
     w of shape (..., n), ascending along the last axis, and orthonormal
     eigenvector columns v of shape (..., n, n), column i paired with
     w[..., i], with the arbitrary phase LAPACK returns (every consumer forms
     |v><v| or V diag(w) V^H, which do not depend on it).
+
+    Raises DimensionMismatchError unless the last two axes are square,
+    DomainError on a NaN or infinite entry in either triangle,
+    NonHermitianError by require_hermitian, and NoConvergenceError (see
+    _solve). The finiteness check comes first, so no numpy warning precedes it.
     """
-    return _hermitian_solve(eigh_lo, a, check_entries=True)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix has a NaN or infinite entry")
+    # conj(a) - a^T has the modulus of a - a^H entry by entry, and takes one copy
+    asym = a.conj()
+    asym -= a.swapaxes(-1, -2)
+    require_hermitian(asym, np.vdot(asym, asym).real)
+    return _solve(eigh_lo, a)
 
 
-def hermitian_eigvalsh(a: np.ndarray, check_entries: bool = True) -> np.ndarray:
-    """hermitian_eig's eigenvalues w alone, (..., n) ascending, with no eigenvectors computed; same refusals.
+def hermitian_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues w alone of a complex128 Hermitian matrix, or a stack (..., n, n), (..., n) ascending.
 
-    Byte for byte numpy.linalg.eigvalsh's output.
+    Byte for byte numpy.linalg.eigvalsh's output, with no eigenvectors
+    computed. The caller has checked the entries: validate()'s map makes the
+    finiteness and Hermitian checks, and LAPACK reads the lower triangle
+    alone. The one refusal is NoConvergenceError (see _solve).
     """
-    return _hermitian_solve(eigvalsh_lo, a, check_entries)
+    return _solve(eigvalsh_lo, a)
 
 
 def pinv_sqrt(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -684,6 +685,58 @@ def test_a_completeness_residual_is_no_asymmetry(dim):
         assert attack._refusals(elements[None], np.array([1.0]))[0] is None
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_validate_completeness_edges(dim):
+    """An exactly Hermitian POVM with M_vac[0, 0] nudged: the residual 0.5 + M_vac[0, 0] - 1 that validate()'s map
+    computes is exact, on a grid of 2^-52 above 1 and 2^-53 below it. On each side the largest residual within
+    _COMPLETENESS_TOL passes and the next one, one step beyond, is refused, by _check and by the stacked check."""
+    check_map, offset = attack._CHECK_MAPS[dim]
+    tol = attack._COMPLETENESS_TOL
+    for step in (2.0**-52, -(2.0**-53)):
+        at_bound = math.floor(tol / abs(step)) * step
+        for residual, passes in ((at_bound, True), (at_bound + step, False)):
+            elements = _boundary_povm(dim)
+            elements[2, 0, 0] += residual
+            assert (np.dot(elements.reshape(-1).view(float), check_map) - offset)[0] == residual
+            assert (abs(residual) <= tol) is passes
+            expected = None if passes else (DomainError, "POVM elements do not sum to the identity")
+            assert _verdict(attack._check(elements, 1.0)) == expected
+            assert _verdict(attack._refusals(elements[None], np.array([1.0]))[0]) == expected
+
+
+def test_the_stacked_eigenvalue_call_sees_only_checked_povms(monkeypatch):
+    """The eigenvalue call that makes no entry checks gets only finite, Hermitian stacks from _refusals. Built POVMs
+    of dim 3 and 2 mixed with one raw POVM each time: a NaN above the diagonal (LAPACK would not read it), +inf in
+    M_0 and -inf in M_vac at one lower entry (their sum is NaN), or an asymmetry of 1e-11 that keeps completeness.
+    Each is judged as _check judges it, the built ones pass, and numpy gives no warning. (_check alone meets the
+    infinite entry's inf * 0 in its map, which numpy flags; validate() never does, since a PovmStrategy refuses an
+    infinite entry.)"""
+    def guarded_eigvalsh(a):
+        assert np.isfinite(a).all() and hermitian_refusal(a) is None
+        return hermitian_eigvalsh(a)
+
+    monkeypatch.setattr(attack, "hermitian_eigvalsh", guarded_eigvalsh)
+    for built in ([build_suboptimal_povm(build_ensemble(e * DEG, d)) for e, d in ((1.0, np.pi / 2), (0.3, 0.5),
+                                                                                  (-2.0, 1.1))],
+                  [build_phase_remapping_povm(d) for d in (np.pi / 4, 0.2, np.pi / 2)]):
+        clean = built[0].elements
+        nan, inf, asymmetric = clean.copy(), clean.copy(), clean.copy()
+        nan[0, 0, 1] = np.nan
+        inf[0, 1, 0], inf[2, 1, 0] = np.inf, -np.inf
+        asymmetric[0, 0, 1] += 1e-11
+        asymmetric[2, 0, 1] -= 1e-11
+        for raw, refusal in ((nan, DomainError), (inf, DomainError), (asymmetric, NonHermitianError)):
+            elements = np.array([built[0].elements, raw, built[1].elements, built[2].elements])
+            x = np.array([built[0].x, built[0].x, built[1].x, built[2].x])
+            with np.errstate(invalid="ignore"):
+                expected = [_verdict(attack._check(el, x_k)) for el, x_k in zip(elements, x)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                verdicts = [_verdict(r) for r in attack._refusals(elements, x)]
+            assert verdicts == expected
+            assert verdicts[0] is verdicts[2] is verdicts[3] is None and verdicts[1][0] is refusal
+
+
 def _ordered_refusal(complete, min_eigs, x):
     """validate()'s verdict on one POVM as its checks are ordered, each in turn: the reference for _refusal."""
     if not complete:
@@ -720,7 +773,7 @@ def test_refusal_edges_match_the_ordered_checks(dim):
         min_eigs = [float(m_0), float(m_3), float(m_vac)]
         expected = _verdict(_ordered_refusal(True, min_eigs, x))
         passed += expected is None
-        assert _verdict(attack._refusal(True, min_eigs, x)) == expected
+        assert _verdict(attack._refusal(min_eigs, x)) == expected
         elements = _diagonal_povm(dim, m_0, m_3, m_vac)
         assert hermitian_eigvalsh(elements)[:, 0].tolist() == min_eigs  # the edge itself reaches _refusal
         assert _verdict(attack._check(elements, x)) == expected
@@ -1025,24 +1078,39 @@ def test_stacked_checks_refuse_each_broken_povm_as_validate_does():
 
 
 def test_stacked_checks_make_one_eigenvalue_call_over_the_whole_stack(monkeypatch):
-    """An incomplete POVM in the stack does not split the eigenvalue call: one call of the whole stack's shape, and
-    each POVM judged as its own validate() judges it."""
+    """A stack of complete POVMs, the x = 0 one among them, takes one eigenvalue call of the whole stack's shape and
+    no _check; an incomplete POVM added to it sends every POVM to _check, validate()'s own check. Each POVM is judged
+    as its own validate() judges it."""
+    check = attack._check
     for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
         m_0, m_3, m_vac = strat.elements
-        povms = [strat, _with(strat, elements=np.array((m_0 / 2, m_3 / 2, m_vac))), _with(strat, x=0.0)]
-        elements = np.array([p.elements for p in povms])
-        calls = []
+        complete = [strat, _with(strat, x=0.0)]
+        with_incomplete = [strat, _with(strat, elements=np.array((m_0 / 2, m_3 / 2, m_vac))), complete[1]]
+        for povms in (complete, with_incomplete):
+            expected = [_validated(p) for p in povms]
+            elements = np.array([p.elements for p in povms])
+            calls, checked = [], []
 
-        def counting_eigvalsh(a, **options):
-            calls.append(np.shape(a))
-            return hermitian_eigvalsh(a, **options)
+            def counting_eigvalsh(a):
+                calls.append(np.shape(a))
+                return hermitian_eigvalsh(a)
 
-        monkeypatch.setattr(attack, "hermitian_eigvalsh", counting_eigvalsh)
-        refusals = attack._refusals(elements, np.array([p.x for p in povms]))
-        assert calls == [elements.shape]
-        verdicts = [None if r is None else (type(r), str(r)) for r in refusals]
-        assert verdicts == [_validated(p) for p in povms]
-        assert verdicts[1] == (DomainError, "POVM elements do not sum to the identity")
+            def counting_check(el, x):
+                checked.append(el.tobytes())
+                return check(el, x)
+
+            monkeypatch.setattr(attack, "hermitian_eigvalsh", counting_eigvalsh)
+            monkeypatch.setattr(attack, "_check", counting_check)
+            refusals = attack._refusals(elements, np.array([p.x for p in povms]))
+            monkeypatch.undo()
+            verdicts = [None if r is None else (type(r), str(r)) for r in refusals]
+            assert verdicts == expected
+            if povms is complete:
+                assert calls == [elements.shape] and checked == []
+            else:  # each POVM in turn; the incomplete one is refused before any eigenvalue call
+                assert checked == [p.elements.tobytes() for p in povms]
+                assert calls == [(3, strat.dim, strat.dim)] * 2
+                assert verdicts[1] == (DomainError, "POVM elements do not sum to the identity")
 
 
 # (kind, epsilon_deg, delta, e_B, p_succ, x, lambda_0, lambda_3) from an earlier, independent

@@ -182,33 +182,37 @@ def test_eig_stack_guards():
 
 
 def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
-    """The eigenvalue-only call shares hermitian_eig's checks: the same inputs raise the same errors."""
-    for solve in (hermitian_eig, hermitian_eigvalsh):
-        with pytest.raises(DimensionMismatchError):
-            solve(np.zeros((2, 3)))
-        with pytest.raises(DimensionMismatchError):
-            solve(np.zeros(3))
-        solve(np.array([[1.0, 1e-13], [0.0, 1.0]]))  # within 1e-12
-        with pytest.raises(NonHermitianError):
-            solve(np.array([[1.0, 1e-10], [0.0, 1.0]]))
+    """hermitian_eig checks its input: a shape that is not square over the last two axes and an asymmetry above
+    HERMITIAN_ATOL are refused. The eigenvalue-only call, whose caller checks the entries, shares the one refusal
+    left to it, a LAPACK failure, named by its own gufunc."""
+    with pytest.raises(DimensionMismatchError):
+        hermitian_eig(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        hermitian_eig(np.zeros(3))
+    hermitian_eig(np.array([[1.0, 1e-13], [0.0, 1.0]]))  # within 1e-12
+    with pytest.raises(NonHermitianError):
+        hermitian_eig(np.array([[1.0, 1e-10], [0.0, 1.0]]))
 
-    monkeypatch.setattr(numkernel, "eigvalsh_lo", _failing(numkernel.eigvalsh_lo))
-    with pytest.raises(NoConvergenceError, match="eigvalsh_lo: eigenvalues did not converge"):
-        hermitian_eigvalsh(np.eye(2))
+    for name, solve in (("eigvalsh_lo", hermitian_eigvalsh), ("eigh_lo", hermitian_eig)):
+        monkeypatch.setattr(numkernel, name, _failing(getattr(numkernel, name)))
+        with pytest.raises(NoConvergenceError, match=f"^{name}: eigenvalues did not converge$"):
+            solve(np.eye(2))
 
 
 def test_the_unchecked_call_keeps_the_convergence_refusal(monkeypatch):
-    """check_entries=False skips the entry checks alone: a LAPACK failure is still NoConvergenceError, with the
-    checked call's message, from the kernel and from validate(), which makes that call."""
+    """The eigenvalue-only call makes no entry checks but keeps the convergence refusal: on a built POVM's elements a
+    LAPACK failure is NoConvergenceError from the kernel and from validate(), which makes that call, as it is from
+    the checked hermitian_eig, each message naming the failed gufunc."""
     strat = build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2))
-    monkeypatch.setattr(numkernel, "eigvalsh_lo", _failing(numkernel.eigvalsh_lo))
+    for name in ("eigh_lo", "eigvalsh_lo"):
+        monkeypatch.setattr(numkernel, name, _failing(getattr(numkernel, name)))
     with pytest.raises(NoConvergenceError) as checked:
-        hermitian_eigvalsh(strat.elements)
-    assert str(checked.value) == "eigvalsh_lo: eigenvalues did not converge"
-    for call in (lambda: hermitian_eigvalsh(strat.elements, check_entries=False), strat.validate):
+        hermitian_eig(strat.elements)
+    assert str(checked.value) == "eigh_lo: eigenvalues did not converge"
+    for call in (lambda: hermitian_eigvalsh(strat.elements), strat.validate):
         with pytest.raises(NoConvergenceError) as lean:
             call()
-        assert str(lean.value) == str(checked.value)
+        assert str(lean.value) == "eigvalsh_lo: eigenvalues did not converge"
 
 
 def test_eigvalsh_matches_eig_eigenvalues():
@@ -268,23 +272,23 @@ def test_non_finite_input_is_refused_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a in cases:
-            for solve in (hermitian_eig, hermitian_eigvalsh):
-                with pytest.raises(DomainError, match="NaN or infinite entry"):
-                    solve(a)
+            with pytest.raises(DomainError, match="NaN or infinite entry"):
+                hermitian_eig(a)
         with pytest.raises(NonHermitianError):
-            hermitian_eigvalsh(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            hermitian_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_a_caller_that_makes_the_entry_checks_itself_is_trusted():
-    """check_entries=False skips the finiteness and Hermitian checks: LAPACK reads the lower triangle alone, so a NaN
-    above the diagonal goes unseen there. validate(), the caller that passes it, refuses that NaN by its own checks."""
+    """The eigenvalue-only call makes no finiteness or Hermitian check: LAPACK reads the lower triangle alone, so a NaN
+    above the diagonal goes unseen there. hermitian_eig refuses it, and validate(), the caller of the unchecked call,
+    refuses that NaN by its own checks."""
     a = np.array([[1.0, np.nan], [0.0, 1.0]])
-    assert np.array_equal(hermitian_eigvalsh(a, check_entries=False), [1.0, 1.0])
+    assert np.array_equal(hermitian_eigvalsh(a), [1.0, 1.0])
     with pytest.raises(DomainError, match="NaN or infinite entry"):
-        hermitian_eigvalsh(a)
+        hermitian_eig(a)
     with pytest.raises(NonHermitianError, match="by nan"):
         numkernel.require_hermitian(a.conj() - a.T, np.nan)
-    assert np.array_equal(hermitian_eigvalsh(np.diag([2.0, 1.0]), check_entries=False), [1.0, 2.0])
+    assert np.array_equal(hermitian_eigvalsh(np.diag([2.0, 1.0])), [1.0, 2.0])
 
 
 def test_require_hermitian_reads_real_parts_from_the_offset():
@@ -311,8 +315,8 @@ def _deviated(rng, dim, n):
 
 
 def test_hermitian_check_gives_the_direct_forms_verdict_and_message():
-    """On seeded stacks of dim 2, 3 and 8 (one to four matrices each), both kernels pass exactly the stacks that the
-    direct conj(a) - a^T form passes, and refuse the others with its message."""
+    """On seeded stacks of dim 2, 3 and 8 (one to four matrices each), hermitian_eig passes exactly the stacks that the
+    direct conj(a) - a^T form passes, and refuses the others with its message."""
     rng = np.random.default_rng(31)
     seen = set()
     for dim in (2, 3, 8):
@@ -320,13 +324,12 @@ def test_hermitian_check_gives_the_direct_forms_verdict_and_message():
             stack = _deviated(rng, dim, rng.integers(1, 5))
             expected = hermitian_refusal(stack)
             seen.add(expected is None)
-            for solve in (hermitian_eig, hermitian_eigvalsh):
-                if expected is None:
-                    solve(stack)
-                else:
-                    with pytest.raises(NonHermitianError) as info:
-                        solve(stack)
-                    assert str(info.value) == expected
+            if expected is None:
+                hermitian_eig(stack)
+            else:
+                with pytest.raises(NonHermitianError) as info:
+                    hermitian_eig(stack)
+                assert str(info.value) == expected
     assert seen == {True, False}
 
 
@@ -342,8 +345,8 @@ def test_hermitian_check_edges(dev, passes):
         a[i, j] += step
         assert (hermitian_refusal(a) is None) is passes
         if passes:
-            hermitian_eigvalsh(a)
+            hermitian_eig(a)
         else:
             with pytest.raises(NonHermitianError) as info:
-                hermitian_eigvalsh(a)
+                hermitian_eig(a)
             assert str(info.value) == hermitian_refusal(a)
