@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, PfmAttackError, SingularEpsilonError
+from .errors import (DegenerateSpanError, DimensionMismatchError, DomainError, NoConvergenceError, PfmAttackError,
+                     SingularEpsilonError)
 from .numkernel import hermitian_eig, hermitian_eigvalsh, require_hermitian
 from .statespace import AttackEnsemble, bb84_ensemble, newton_step, set_reals
 
@@ -244,7 +245,7 @@ def _map_scalars(ens: AttackEnsemble) -> tuple[list[float], float]:
     return [ss * ss, cc * cc, sc * sc, ss * cc, ss * sc, cc * sc], sc * ens.delta**2
 
 
-def _refusal(min_eigs: list[float], x: float) -> DomainError | None:
+def _refusal(min_eigs: list[float], x: float) -> PfmAttackError | None:
     """The first of validate()'s checks after completeness that one POVM fails, or None.
 
     min_eigs holds the minimal eigenvalues of M_0, M_3 and M_vac and x is the scale factor. NaN fails every check.
@@ -252,6 +253,8 @@ def _refusal(min_eigs: list[float], x: float) -> DomainError | None:
     m_0, m_3, m_vac = min_eigs
     if m_0 >= -_PSD_TOL <= m_3 >= -_PSD_TOL <= m_vac <= _VAC_BOUNDARY_MAX and x > 0:  # passes every check below
         return None
+    if any(math.isnan(min_eig) for min_eig in min_eigs):  # a failed LAPACK call's all-NaN row, named ahead of the rest
+        return NoConvergenceError("eigvalsh_lo: eigenvalues did not converge")
     for label, min_eig in zip(("M_0", "M_3", "M_vac"), min_eigs):
         if not min_eig >= -_PSD_TOL:
             return DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
@@ -267,14 +270,15 @@ def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
     check_map, offset = _CHECK_MAPS[elements.shape[-1]]
     n = len(offset) // 4
     # the completeness residual, then each element's conj(M) - M^T, in real coordinates from one BLAS call
-    y = np.dot(elements.reshape(-1).view(float), check_map) - offset
-    squares = np.dot(y, y)  # bounds the sum of squares of each part; NaN fails
-    if not (squares <= _COMPLETE_SQUARES or math.sqrt(np.dot(y[:n], y[:n])) <= _COMPLETENESS_TOL):
+    y = elements.ravel().view(float).dot(check_map)
+    y -= offset
+    squares = y.dot(y)  # bounds the sum of squares of each part; NaN fails
+    if not (squares <= _COMPLETE_SQUARES or math.sqrt(y[:n].dot(y[:n])) <= _COMPLETENESS_TOL):
         return DomainError("POVM elements do not sum to the identity")
     try:  # the checks the eigenvalue call leaves to its caller: complete elements are finite, y holds the deviations
         require_hermitian(y, squares, n)
-        min_eigs = hermitian_eigvalsh(elements)[:, 0].tolist()
-    except PfmAttackError as exc:  # an asymmetry above HERMITIAN_ATOL, or no convergence
+        min_eigs = hermitian_eigvalsh(elements)[:, 0].tolist()  # a LAPACK failure's NaN row: _refusal names it
+    except PfmAttackError as exc:  # an asymmetry above HERMITIAN_ATOL, or a refusal the eigenvalue call raises
         return exc
     return _refusal(min_eigs, x)
 
@@ -333,15 +337,15 @@ def build_suboptimal_povm(
         raise refusal
     _, basis, forms, (lambda_0, lambda_3) = _pencil(ens.dim, ens.delta)
     mu, t = _map_scalars(ens)
-    # np.dot on the list: the bits of a (1, m) row's matmul, which the stacked body makes, without the row
-    g00, g33, g03_re, g03_im = np.dot(mu, forms).tolist()
+    # a 1-D row's dot: the bits of a (1, m) row's matmul, which the stacked body makes, without the row
+    g00, g33, g03_re, g03_im = np.array(mu).dot(forms).tolist()
     # each hypot as abs() of a complex scalar: libm's hypot, as np.hypot is in the stacked body
     lmax = (g00 + g33) / 2 + abs(complex((g00 - g33) / 2, abs(complex(g03_re, g03_im))))
     # C C^H = sum_k w_k w_k^H is 2 rho in the w basis, hence the 2 in x
     x = t * t / (2 * lmax)
     if not x >= _X_MIN:
         raise _underflow(x)
-    elements = np.dot([1.0, *[m / lmax for m in mu]], basis)
+    elements = np.array([1.0, *[m / lmax for m in mu]]).dot(basis)
     elements.setflags(write=False)  # the owner: no view of it can be made writable again
     strat = _frozen(PovmStrategy, ensemble=ens, elements=elements.view(complex).reshape(3, ens.dim, ens.dim), x=x,
                     lambda_0=lambda_0, lambda_3=lambda_3)
@@ -385,9 +389,10 @@ def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None
     """validate() over POVMs stacked on axis 0: elements (n, 3, dim, dim), x (n,); per POVM None or its refusal.
 
     _check's arithmetic, a row of y per POVM: a stack of POVMs complete within half the tolerance and Hermitian takes
-    one eigenvalue call, and any other stack, or one whose call fails, is judged POVM by POVM by _check, so a bad POVM
-    refuses only itself. numpy's invalid flag is ignored (an infinite entry meets the map's zeros, or LAPACK fails):
-    under -W error its warning would stop the whole stack, where the POVM gets its own refusal.
+    one eigenvalue call, in which a POVM whose LAPACK call fails gets a NaN row and its own refusal from _refusal; any
+    other stack, or one whose call raises, is judged POVM by POVM by _check, so a bad POVM refuses only itself. numpy's
+    invalid flag is ignored (an infinite entry meets the map's zeros, or LAPACK fails): under -W error its warning
+    would stop the whole stack, where the POVM gets its own refusal.
     """
     check_map, offset = _CHECK_MAPS[elements.shape[-1]]
     with np.errstate(invalid="ignore"):
@@ -397,7 +402,7 @@ def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None
             if (squares <= _COMPLETE_SQUARES).all():
                 require_hermitian(y[:, len(offset) // 4:], squares.sum())
                 return [_refusal(m, x_k) for m, x_k in zip(hermitian_eigvalsh(elements)[:, :, 0].tolist(), x.tolist())]
-        except PfmAttackError:  # an asymmetry above HERMITIAN_ATOL, or no convergence: _check names it
+        except PfmAttackError:  # an asymmetry above HERMITIAN_ATOL, or the eigenvalue call raised: _check names it
             pass
         return [_check(el, x_k) for el, x_k in zip(elements, x.tolist())]
 

@@ -40,7 +40,7 @@ def require_hermitian(asym: np.ndarray, squares: float, offset: int = 0) -> None
 
 
 def _solve(gufunc, a: np.ndarray):
-    """gufunc(a) in one LAPACK call; NoConvergenceError when LAPACK does not converge.
+    """gufunc(a) = (w, v) in one LAPACK call; NoConvergenceError when LAPACK does not converge.
 
     The gufunc runs without the np.errstate that numpy's wrappers enter,
     which would cost ~1-1.5 us a call (2 vCPUs, numpy 2.4). A LAPACK
@@ -49,8 +49,7 @@ def _solve(gufunc, a: np.ndarray):
     from the NaN it leaves in the output.
     """
     out = gufunc(a)
-    w = out[0] if isinstance(out, tuple) else out
-    if math.isnan(np.vdot(w, w)):  # a failed matrix's eigenvalues are all NaN
+    if math.isnan(np.vdot(out[0], out[0])):  # a failed matrix's eigenvalues are all NaN
         raise NoConvergenceError(f"{gufunc.__name__}: eigenvalues did not converge")
     return out
 
@@ -84,12 +83,11 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def hermitian_eigvalsh(a: np.ndarray) -> np.ndarray:
     """The eigenvalues w alone of a complex128 Hermitian matrix, or a stack (..., n, n), (..., n) ascending.
 
-    Byte for byte numpy.linalg.eigvalsh's output, with no eigenvectors
-    computed. The caller has checked the entries: validate()'s map makes the
-    finiteness and Hermitian checks, and LAPACK reads the lower triangle
-    alone. The one refusal is NoConvergenceError (see _solve).
+    Byte for byte numpy.linalg.eigvalsh's output, with no eigenvectors computed: the bare gufunc. The caller has
+    checked the entries (validate()'s map makes the finiteness and Hermitian checks; LAPACK reads the lower triangle)
+    and handles a LAPACK failure: after numpy's RuntimeWarning, a matrix whose call fails comes back as an all-NaN row.
     """
-    return _solve(eigvalsh_lo, a)
+    return eigvalsh_lo(a)
 
 
 def pinv_sqrt(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:

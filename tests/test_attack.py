@@ -781,6 +781,17 @@ def test_refusal_edges_match_the_ordered_checks(dim):
     assert passed == 6
 
 
+def test_a_nan_minimum_is_refused_as_no_convergence():
+    """A NaN among the minimal eigenvalues can only be a failed LAPACK call's all-NaN row: _refusal names it as
+    NoConvergenceError ahead of the ordered checks, whatever x is, where they would call it a negative eigenvalue."""
+    nan = float("nan")
+    for min_eigs in ([nan, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, nan], [nan] * 3):
+        for x in (1.0, nan):
+            assert _ordered_refusal(True, min_eigs, x) is not None
+            assert _verdict(attack._refusal(min_eigs, x)) == (NoConvergenceError,
+                                                              "eigvalsh_lo: eigenvalues did not converge")
+
+
 def test_closed_form_path_computes_no_states():
     """The build and the report read the point (epsilon, delta, dim) alone; the states stay uncomputed."""
     for ens in (build_ensemble(1 * DEG, np.pi / 2), bb84_ensemble(np.pi / 4)):
@@ -1043,6 +1054,47 @@ def test_one_bad_povm_never_stops_the_others(monkeypatch):
     assert type(cells[6]) is DegenerateSpanError and str(cells[6]) == str(underflow.value)
     for k in (0, 1, 2, 4, 5):
         assert evaluate(points[k], cells[k]) == evaluate(points[k], build_suboptimal_povm(points[k]))
+
+
+def test_a_nan_row_refuses_only_its_own_povm(monkeypatch):
+    """An eigenvalue call that returns one POVM's eigenvalues all NaN, as a failed LAPACK call does, without raising:
+    a sequence build refuses that POVM alone, in its slot, with the refusal its own validate() gives, and keeps one
+    stacked call per dim. Every other cell, of either dim, refused or not, equals its own call's result bit for bit."""
+    points = [build_ensemble(e * DEG, d) for e in (0.3, 1.0, 2.0) for d in (0.5, np.pi / 2)]
+    points += [bb84_ensemble(np.pi / 4), build_ensemble(1 * DEG, 1e-200), bb84_ensemble(0.2), build_ensemble(0.0, 1.0)]
+    singles = []
+    for ens in points:
+        try:
+            singles.append(build_suboptimal_povm(ens))
+        except PfmAttackError as exc:
+            singles.append(exc)
+    bad = singles[3].elements
+    calls = []
+
+    def nan_eigvalsh(a):
+        calls.append(np.shape(a))
+        w = hermitian_eigvalsh(a)
+        if np.shape(a)[-1] == bad.shape[-1]:
+            for k, m in enumerate(np.reshape(a, (-1, *bad.shape))):
+                if np.array_equal(m, bad):
+                    w.reshape(-1, *w.shape[-2:])[k] = np.nan
+        return w
+
+    monkeypatch.setattr(attack, "hermitian_eigvalsh", nan_eigvalsh)
+    with pytest.raises(NoConvergenceError) as own:
+        singles[3].validate()
+    calls.clear()
+    cells = build_suboptimal_povm(points)
+    assert calls == [(7, 3, 3, 3), (2, 3, 2, 2)]  # the underflow point's elements are checked too
+    assert type(cells[3]) is NoConvergenceError and str(cells[3]) == str(own.value)
+    for k, (cell, single) in enumerate(zip(cells, singles)):
+        if k == 3:
+            continue
+        if isinstance(single, PfmAttackError):
+            assert (type(cell), str(cell)) == (type(single), str(single))
+        else:
+            assert cell.elements.tobytes() == single.elements.tobytes() and cell.ensemble is single.ensemble
+            assert (cell.x, cell.lambda_0, cell.lambda_3) == (single.x, single.lambda_0, single.lambda_3)
 
 
 def _validated(strat):

@@ -181,10 +181,15 @@ def test_eig_stack_guards():
         hermitian_eig(np.zeros((2, 3, 4)))
 
 
+#: The (type, message) of a failed eigvalsh_lo call's refusal, as validate() and a sequence build give it.
+_EIGVALSH_LO_REFUSAL = NoConvergenceError, "eigvalsh_lo: eigenvalues did not converge"
+
+
 def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
     """hermitian_eig checks its input: a shape that is not square over the last two axes and an asymmetry above
-    HERMITIAN_ATOL are refused. The eigenvalue-only call, whose caller checks the entries, shares the one refusal
-    left to it, a LAPACK failure, named by its own gufunc."""
+    HERMITIAN_ATOL are refused, and so is a LAPACK failure, named by its gufunc. The eigenvalue-only call, whose
+    callers check the entries, returns a failed matrix's eigenvalues as an all-NaN row, and its callers name that
+    failure by the same message: validate() and a sequence build, in each failed POVM's own slot."""
     with pytest.raises(DimensionMismatchError):
         hermitian_eig(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatchError):
@@ -193,26 +198,36 @@ def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
     with pytest.raises(NonHermitianError):
         hermitian_eig(np.array([[1.0, 1e-10], [0.0, 1.0]]))
 
-    for name, solve in (("eigvalsh_lo", hermitian_eigvalsh), ("eigh_lo", hermitian_eig)):
-        monkeypatch.setattr(numkernel, name, _failing(getattr(numkernel, name)))
-        with pytest.raises(NoConvergenceError, match=f"^{name}: eigenvalues did not converge$"):
-            solve(np.eye(2))
+    strats = [build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2)), build_phase_remapping_povm(np.pi / 4)]
+    monkeypatch.setattr(numkernel, "eigvalsh_lo", _failing(numkernel.eigvalsh_lo))
+    w = hermitian_eigvalsh(np.eye(2))
+    assert w.shape == (2,) and np.isnan(w).all()
+    for strat in strats:
+        with pytest.raises(NoConvergenceError, match="^eigvalsh_lo: eigenvalues did not converge$"):
+            strat.validate()
+    cells = build_suboptimal_povm([strat.ensemble for strat in strats])  # both pencils are cached: no eigh_lo call
+    assert [(type(c), str(c)) for c in cells] == [_EIGVALSH_LO_REFUSAL] * 2
+    monkeypatch.setattr(numkernel, "eigh_lo", _failing(numkernel.eigh_lo))
+    with pytest.raises(NoConvergenceError, match="^eigh_lo: eigenvalues did not converge$"):
+        hermitian_eig(np.eye(2))
 
 
 def test_the_unchecked_call_keeps_the_convergence_refusal(monkeypatch):
-    """The eigenvalue-only call makes no entry checks but keeps the convergence refusal: on a built POVM's elements a
-    LAPACK failure is NoConvergenceError from the kernel and from validate(), which makes that call, as it is from
-    the checked hermitian_eig, each message naming the failed gufunc."""
+    """The eigenvalue-only call makes no checks: on a built POVM's elements a LAPACK failure comes back from it as
+    all-NaN rows, which its callers refuse as NoConvergenceError: validate(), and a sequence build in that POVM's
+    own slot. So does the checked hermitian_eig, each message naming the failed gufunc."""
     strat = build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2))
     for name in ("eigh_lo", "eigvalsh_lo"):
         monkeypatch.setattr(numkernel, name, _failing(getattr(numkernel, name)))
     with pytest.raises(NoConvergenceError) as checked:
         hermitian_eig(strat.elements)
     assert str(checked.value) == "eigh_lo: eigenvalues did not converge"
-    for call in (lambda: hermitian_eigvalsh(strat.elements), strat.validate):
-        with pytest.raises(NoConvergenceError) as lean:
-            call()
-        assert str(lean.value) == "eigvalsh_lo: eigenvalues did not converge"
+    w = hermitian_eigvalsh(strat.elements)
+    assert w.shape == (3, 3) and np.isnan(w).all()
+    with pytest.raises(NoConvergenceError) as lean:
+        strat.validate()
+    cell, = build_suboptimal_povm([strat.ensemble])  # the pencil is cached: no eigh_lo call
+    assert [(type(r), str(r)) for r in (lean.value, cell)] == [_EIGVALSH_LO_REFUSAL] * 2
 
 
 def test_eigvalsh_matches_eig_eigenvalues():
