@@ -176,13 +176,14 @@ def read_rows(path: str) -> tuple[list[str], list[list[str]]]:
 def run_sweep(args: argparse.Namespace) -> list[str]:
     """Compute all sweep lines of the parsed `sweep` arguments in deterministic order.
 
-    A refused point becomes a '# rejected' comment. The remap attack ignores
-    epsilon, so it writes one row per delta, labelled epsilon_deg 0. With
-    oracle columns, the trial count and the seed are checked before any point.
-    The grid is built SWEEP_BLOCK points at a time, each block in one
-    build_suboptimal_povm call and, with oracle columns, one run_oracle call
-    over its rows. Its figures and rows are formed from arrays (_block_values);
-    a row's oracle refusal or non-finite value is raised when its row is reached.
+    Every cell is a CSV row, or a '# rejected' comment with its reason in its
+    place: a cell outside the domain, refused by the build or the oracle, or
+    with a non-finite figure. The remap attack ignores epsilon, so it writes
+    one row per delta, labelled epsilon_deg 0. With oracle columns, the trial
+    count and the seed are checked before any point. The grid is built
+    SWEEP_BLOCK points at a time, each block in one build_suboptimal_povm call
+    and, with oracle columns, one run_oracle call over the rows the build
+    answered (the r-th seeded seed + r), its figures formed from arrays.
     """
     lines = [f"# pfmattack {__version__}", f"# attack={args.attack}"]
     if args.trials is not None:
@@ -207,25 +208,21 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
         rows = [(cell[0][0], strat) for cell, strat in zip(block, strategies) if isinstance(strat, PovmStrategy)]
         values = _block_values(rows)
         finite = np.isfinite(values).all(axis=1).tolist()
-        oracles = [None] * len(rows)
+        refusals = [None if ok else _non_finite(eps, strat.ensemble.delta) for (eps, strat), ok in zip(rows, finite)]
         if args.trials is not None:
             built = [strat for _, strat in rows]
             oracles = run_oracle([strat.ensemble for strat in built], built, args.trials, args.seed + row_index)
+            row_index += len(rows)
+            refusals = [o if isinstance(o, PfmAttackError) else refusal for o, refusal in zip(oracles, refusals)]
             # oracle cells may be nan when too few rounds were sifted; a refused row's are never written
             estimates = [(o.qber_hat, o.p_succ_hat) if isinstance(o, OracleEstimate) else (0.0, 0.0) for o in oracles]
             values = np.hstack((values, np.reshape(estimates, (-1, 2))))
-        formatted = iter(zip(_csv_lines(values), oracles, finite))
+        formatted = iter(zip(_csv_lines(values), refusals))
         for ((epsilon_deg, _), delta), strat in zip(block, strategies):
-            if isinstance(strat, PfmAttackError):
-                lines.append(f"# rejected epsilon_deg={_csv_num(epsilon_deg)} delta_rad={_csv_num(delta)}: {strat}")
-                continue
-            line, oracle, ok = next(formatted)
-            if isinstance(oracle, PfmAttackError):
-                raise oracle
-            if not ok:
-                raise _non_finite(epsilon_deg, strat.ensemble.delta)
+            line, refusal = (None, strat) if isinstance(strat, PfmAttackError) else next(formatted)
+            if refusal is not None:
+                line = f"# rejected epsilon_deg={_csv_num(epsilon_deg)} delta_rad={_csv_num(delta)}: {refusal}"
             lines.append(line)
-            row_index += 1
     return lines
 
 

@@ -39,21 +39,6 @@ def require_hermitian(asym: np.ndarray, squares: float, offset: int = 0) -> None
             raise NonHermitianError(f"matrix deviates from Hermitian symmetry by {dev:.3e} > {HERMITIAN_ATOL:.1e}")
 
 
-def _solve(gufunc, a: np.ndarray):
-    """gufunc(a) = (w, v) in one LAPACK call; NoConvergenceError when LAPACK does not converge.
-
-    The gufunc runs without the np.errstate that numpy's wrappers enter,
-    which would cost ~1-1.5 us a call (2 vCPUs, numpy 2.4). A LAPACK
-    failure sets numpy's invalid flag, so it shows first as numpy's
-    RuntimeWarning (an error under -W error), then as NoConvergenceError
-    from the NaN it leaves in the output.
-    """
-    out = gufunc(a)
-    if math.isnan(np.vdot(out[0], out[0])):  # a failed matrix's eigenvalues are all NaN
-        raise NoConvergenceError(f"{gufunc.__name__}: eigenvalues did not converge")
-    return out
-
-
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decompose a Hermitian matrix, or a stack (..., n, n) of them, in one LAPACK call.
 
@@ -65,8 +50,13 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises DimensionMismatchError unless the last two axes are square,
     DomainError on a NaN or infinite entry in either triangle,
-    NonHermitianError by require_hermitian, and NoConvergenceError (see
-    _solve). The finiteness check comes first, so no numpy warning precedes it.
+    NonHermitianError by require_hermitian, and NoConvergenceError when
+    LAPACK does not converge. The finiteness check comes first, so no numpy
+    warning precedes it. eigh_lo runs without the np.errstate that numpy's
+    wrappers enter, which would cost ~1-1.5 us a call (2 vCPUs, numpy 2.4): a
+    LAPACK failure sets numpy's invalid flag, so it shows first as numpy's
+    RuntimeWarning (an error under -W error), then as NoConvergenceError from
+    the NaN it leaves in the output.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -77,7 +67,10 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     asym = a.conj()
     asym -= a.swapaxes(-1, -2)
     require_hermitian(asym, np.vdot(asym, asym).real)
-    return _solve(eigh_lo, a)
+    w, v = eigh_lo(a)
+    if math.isnan(np.vdot(w, w)):  # a failed matrix's eigenvalues are all NaN
+        raise NoConvergenceError("eigh_lo: eigenvalues did not converge")
+    return w, v
 
 
 def hermitian_eigvalsh(a: np.ndarray) -> np.ndarray:

@@ -380,8 +380,12 @@ def test_epsilon_grid_in_radians_is_each_points_own():
     assert np.deg2rad(degrees).tobytes() == np.array([np.deg2rad(d) for d in degrees.tolist()]).tobytes()
 
 
-def test_sweep_refuses_a_non_finite_row_when_it_reaches_the_row(tmp_path, monkeypatch, capsys):
-    """A block's figures are checked row by row: the first non-finite row stops the sweep with its own message."""
+def test_sweep_rejects_a_non_finite_row_in_place(tmp_path, monkeypatch, capsys):
+    """A block's figures are checked row by row: a non-finite row becomes its own '# rejected' line with its
+    message, every other byte is the unpatched sweep's, and the sweep exits 1."""
+    argv = ("sweep", "--epsilon-deg", "1", "--delta", "pi/2,pi/4,pi/8", "--reproducible", "--out")
+    plain = tmp_path / "plain.csv"
+    assert run_cli(*argv, str(plain)) == 0
     real = cli.max_fiber_length_km
 
     def inf_in_row_1(p_succ):
@@ -391,9 +395,14 @@ def test_sweep_refuses_a_non_finite_row_when_it_reaches_the_row(tmp_path, monkey
 
     monkeypatch.setattr(cli, "max_fiber_length_km", inf_in_row_1)
     out = tmp_path / "x.csv"
-    assert run_cli("sweep", "--epsilon-deg", "1", "--delta", "pi/2,pi/4,pi/8", "--out", str(out)) == 2
-    assert capsys.readouterr().err == "error: non-finite value in row for epsilon_deg=1.0, delta=0.7853981633974483\n"
-    assert not out.exists()
+    assert run_cli(*argv, str(out)) == 1
+    assert capsys.readouterr().err == ""
+    lines, expected = out.read_text().splitlines(), plain.read_text().splitlines()
+    assert lines[-2] == (
+        "# rejected epsilon_deg=1 delta_rad=0.785398163: "
+        "non-finite value in row for epsilon_deg=1.0, delta=0.7853981633974483"
+    )
+    assert lines[:-2] + lines[-1:] == expected[:-2] + expected[-1:]
 
 
 def test_eval_refuses_a_non_finite_row_before_writing(tmp_path, monkeypatch, capsys):
@@ -412,20 +421,53 @@ def test_eval_refuses_a_non_finite_row_before_writing(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
-def test_sweep_raises_a_rows_oracle_refusal_when_it_reaches_the_row(tmp_path, monkeypatch, capsys):
-    """The block's oracle call returns a refusal for one row; the sweep stops there with it, as a usage error."""
-    real = cli.run_oracle
+def _refuse_row_1_of_the_first_call(real):
+    """run_oracle, with row 1 of its first call's results replaced by a refusal."""
+    calls = []
 
     def refuse_row_1(ensembles, strategies, n_trials, seed):
         results = real(ensembles, strategies, n_trials, seed)
-        results[1] = DomainError("row 1 refused")
+        if not calls:
+            results[1] = DomainError("row 1 refused")
+        calls.append(seed)
         return results
 
+    return refuse_row_1, calls
+
+
+def test_sweep_rejects_a_rows_oracle_refusal_in_place(tmp_path, monkeypatch, capsys):
+    """The block's oracle call returns a refusal for one row: that row becomes its '# rejected' line with the
+    refusal's message, every other byte is the unpatched sweep's, and the sweep exits 1."""
+    argv = ("sweep", "--epsilon-deg", "1", "--delta", "pi/2,pi/4,pi/8", "--trials", "10000", "--reproducible", "--out")
+    plain = tmp_path / "plain.csv"
+    assert run_cli(*argv, str(plain)) == 0
+    refuse_row_1, _ = _refuse_row_1_of_the_first_call(cli.run_oracle)
     monkeypatch.setattr(cli, "run_oracle", refuse_row_1)
     out = tmp_path / "x.csv"
-    assert run_cli("sweep", "--epsilon-deg", "1", "--delta", "pi/2,pi/4,pi/8", "--trials", "10000", "--out", str(out)) == 2
-    assert capsys.readouterr().err == "error: row 1 refused\n"
-    assert not out.exists()
+    assert run_cli(*argv, str(out)) == 1
+    assert capsys.readouterr().err == ""
+    lines, expected = out.read_text().splitlines(), plain.read_text().splitlines()
+    assert lines[-2] == "# rejected epsilon_deg=1 delta_rad=0.785398163: row 1 refused"
+    assert lines[:-2] + lines[-1:] == expected[:-2] + expected[-1:]
+
+
+def test_an_oracle_refusal_keeps_every_later_rows_seed(tmp_path, monkeypatch):
+    """A row the oracle refuses in the first of two blocks still took its seed: every later row, in its block and
+    the next, keeps the oracle columns of the unpatched sweep."""
+    argv = ("sweep", "--epsilon-deg", "0.5:1:3", "--delta", "0.1:pi/2:100", "--trials", "10000", "--seed", "9",
+            "--reproducible", "--out")
+    plain = tmp_path / "plain.csv"
+    assert run_cli(*argv, str(plain)) == 0
+    refuse_row_1, calls = _refuse_row_1_of_the_first_call(cli.run_oracle)
+    monkeypatch.setattr(cli, "run_oracle", refuse_row_1)
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, str(out)) == 1
+    assert calls == [9, 9 + cli.SWEEP_BLOCK]
+    lines, expected = out.read_text().splitlines(), plain.read_text().splitlines()
+    first = len(expected) - 300  # the line of data row 0
+    epsilon_deg, delta = expected[first + 1].split(",")[:2]
+    assert lines[first + 1] == f"# rejected epsilon_deg={epsilon_deg} delta_rad={delta}: row 1 refused"
+    assert lines[:first + 1] + lines[first + 2:] == expected[:first + 1] + expected[first + 2:]
 
 
 def test_sweep_remap_kind(tmp_path):
