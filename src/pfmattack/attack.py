@@ -222,7 +222,7 @@ def _pencil(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 def _refusal_before_arithmetic(ens: AttackEnsemble) -> PfmAttackError | None:
     """The refusal of a point that is decided by (epsilon, delta, dim) alone, or None: epsilon = 0 at dim 3, then delta = 0."""
     if ens.dim == 3 and ens.epsilon == 0.0:
-        return SingularEpsilonError("epsilon = 0 is a singular point: the attack states span only two dimensions")
+        return SingularEpsilonError("epsilon = 0 is a singular point: the attack states span at most two dimensions")
     if ens.delta == 0.0:
         return DegenerateSpanError("delta = 0: the four states coincide and span one dimension")
     return None
@@ -314,8 +314,8 @@ def build_suboptimal_povm(
 
     e_B (absolutely) and p_succ (relatively) are within 1e-12 of exact
     arithmetic for every 0 < delta <= pi/2. Three points are refused, in
-    this order: epsilon = 0 at dim 3, where the span collapses to two
-    dimensions (SingularEpsilonError); delta = 0, where the states coincide
+    this order: epsilon = 0 at dim 3, where the span collapses to at most
+    two dimensions (SingularEpsilonError); delta = 0, where the states coincide
     (DegenerateSpanError); and an x below the smallest normal double, where
     |sc| delta^2 (dim 3) or delta (dim 2) is below ~1e-154 (DegenerateSpanError).
 

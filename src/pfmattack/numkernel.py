@@ -73,14 +73,10 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def hermitian_eigvalsh(a: np.ndarray) -> np.ndarray:
-    """The eigenvalues w alone of a complex128 Hermitian matrix, or a stack (..., n, n), (..., n) ascending.
-
-    Byte for byte numpy.linalg.eigvalsh's output, with no eigenvectors computed: the bare gufunc. The caller has
-    checked the entries (validate()'s map makes the finiteness and Hermitian checks; LAPACK reads the lower triangle)
-    and handles a LAPACK failure: after numpy's RuntimeWarning, a matrix whose call fails comes back as an all-NaN row.
-    """
-    return eigvalsh_lo(a)
+#: The eigenvalues alone of a complex128 Hermitian matrix or stack (..., n, n), (..., n) ascending: the bare gufunc,
+#: numpy.linalg.eigvalsh's bytes. Its callers check the entries (LAPACK reads the lower triangle) and name a LAPACK
+#: failure, which comes back, after numpy's RuntimeWarning, as an all-NaN row.
+hermitian_eigvalsh = eigvalsh_lo
 
 
 def pinv_sqrt(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:

@@ -114,8 +114,8 @@ class AttackEnsemble:
     states[k], the unit vector prepared for phase index k, is computed on
     first access and read-only: the last dim components of `pfm_states`
     (at dim 2 the dropped e_0 component is zero), as `ensemble_states`
-    forms them. The closed-form path never reads it; the span check and
-    a single oracle call do.
+    forms them. The closed-form path and the span check never read it;
+    a single oracle call does.
     """
 
     epsilon: float
@@ -193,13 +193,11 @@ def bb84_ensemble(delta: float) -> AttackEnsemble:
     return AttackEnsemble(0.0, delta, 2)
 
 
-#: Relative singular-value floor of `span_dimension`.
-DEFAULT_RANK_TOL = 1e-10
-
-
 def span_dimension(ens: AttackEnsemble) -> int:
-    """Numerical rank of the state family: singular values above DEFAULT_RANK_TOL (1e-10) * sigma_max."""
+    """The span of the four states, fixed by the build's factorization v_k = A N w_k / sqrt(2): 1 at delta = 0, else 2
+    at epsilon = 0 (either dim), else 3. N w_k = [1, z_k, z_k^2][:dim] at z_k = e^{ik delta}, four distinct points
+    unless delta = 0; A swaps the two components at dim 2, and is diag(sc, 1, 1) A1 with det A1 = -1 at dim 3, so on
+    the domain it is singular only where sc = sin 2e cos 2e vanishes, at epsilon = 0. The states are not read."""
     if not isinstance(ens, AttackEnsemble):
         raise DomainError(f"ensemble must be an AttackEnsemble, got {type(ens).__name__}")
-    sigma = np.linalg.svd(ens.states.T, compute_uv=False)
-    return int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))
+    return 1 if ens.delta == 0.0 else 2 if ens.epsilon == 0.0 else 3

@@ -922,7 +922,7 @@ def test_cached_pencil_is_read_only():
 def test_refused_points_do_not_reach_the_cache():
     """epsilon = 0 and delta = 0 are refused, with their own types and messages, before any cache lookup."""
     attack._pencil.cache_clear()
-    singular = "epsilon = 0 is a singular point: the attack states span only two dimensions"
+    singular = "epsilon = 0 is a singular point: the attack states span at most two dimensions"
     coincide = "delta = 0: the four states coincide and span one dimension"
     for ens, error, message in (
         (build_ensemble(0.0, np.pi / 2), SingularEpsilonError, singular),

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pfmattack import numkernel
+from pfmattack import attack, numkernel
 from pfmattack.attack import build_phase_remapping_povm, build_suboptimal_povm
 
 from pfmattack.errors import (
@@ -199,9 +199,8 @@ def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
         hermitian_eig(np.array([[1.0, 1e-10], [0.0, 1.0]]))
 
     strats = [build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2)), build_phase_remapping_povm(np.pi / 4)]
-    monkeypatch.setattr(numkernel, "eigvalsh_lo", _failing(numkernel.eigvalsh_lo))
-    w = hermitian_eigvalsh(np.eye(2))
-    assert w.shape == (2,) and np.isnan(w).all()
+    # hermitian_eigvalsh is the gufunc itself, bound at import: the stub goes where attack reads it
+    monkeypatch.setattr(attack, "hermitian_eigvalsh", _failing(numkernel.eigvalsh_lo))
     for strat in strats:
         with pytest.raises(NoConvergenceError, match="^eigvalsh_lo: eigenvalues did not converge$"):
             strat.validate()
@@ -217,13 +216,11 @@ def test_the_unchecked_call_keeps_the_convergence_refusal(monkeypatch):
     all-NaN rows, which its callers refuse as NoConvergenceError: validate(), and a sequence build in that POVM's
     own slot. So does the checked hermitian_eig, each message naming the failed gufunc."""
     strat = build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2))
-    for name in ("eigh_lo", "eigvalsh_lo"):
-        monkeypatch.setattr(numkernel, name, _failing(getattr(numkernel, name)))
+    monkeypatch.setattr(numkernel, "eigh_lo", _failing(numkernel.eigh_lo))
+    monkeypatch.setattr(attack, "hermitian_eigvalsh", _failing(numkernel.eigvalsh_lo))
     with pytest.raises(NoConvergenceError) as checked:
         hermitian_eig(strat.elements)
     assert str(checked.value) == "eigh_lo: eigenvalues did not converge"
-    w = hermitian_eigvalsh(strat.elements)
-    assert w.shape == (3, 3) and np.isnan(w).all()
     with pytest.raises(NoConvergenceError) as lean:
         strat.validate()
     cell, = build_suboptimal_povm([strat.ensemble])  # the pencil is cached: no eigh_lo call

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pfmattack.attack import build_suboptimal_povm, evaluate
+from pfmattack.attack import PovmStrategy, build_suboptimal_povm, evaluate
 from pfmattack.errors import DimensionMismatchError, DomainError
 from pfmattack.statespace import (
     EPSILON_MAX,
@@ -21,6 +21,7 @@ from pfmattack.statespace import (
 )
 
 from jones_reference import round_trip
+from mp_reference import _pfm_states
 
 DEG = np.pi / 180
 SQRT2 = np.sqrt(2.0)
@@ -158,6 +159,74 @@ def test_rank_drop_pattern():
             assert span_dimension(build_ensemble(eps_deg * DEG, delta)) == 3
     for delta in (np.pi / 8, np.pi / 4, np.pi / 2):
         assert span_dimension(build_ensemble(0.0, delta)) == 2
+
+
+#: Accepted points where the four states span three dimensions with sigma_3/sigma_1 of ~1.414e-12, 2.0e-11 and
+#: ~1.414e-11, each below the relative singular-value floor of 1e-10 that once decided the span there as 2.
+SMALL_SPAN_POINTS = ((1e-6, 1e-3), (1e-11, np.pi / 2), (1e-3, 1e-4))
+
+
+def _span_draw(n=2000, seed=36):
+    """A seeded draw of the accepted domain: n pfm points, |epsilon| log-uniform from 1e-6 rad to EPSILON_MAX with
+    both signs and delta log-uniform from 1e-8 to pi/2, with epsilon = 0 and delta = 0 cells (both, at every 99th
+    point) mixed in, then a remap point at every 4th of those deltas."""
+    rng = np.random.default_rng(seed)
+    epsilon = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(np.log(1e-6), np.log(EPSILON_MAX), n))
+    delta = np.exp(rng.uniform(np.log(1e-8), np.log(np.pi / 2), n))
+    epsilon[::9] = 0.0
+    delta[::11] = 0.0
+    pfm = [build_ensemble(e, d) for e, d in zip(epsilon.tolist(), delta.tolist())]
+    return pfm + [bb84_ensemble(d) for d in delta[::4].tolist()]
+
+
+def test_span_is_three_where_the_build_answers_a_small_span():
+    for epsilon, delta in SMALL_SPAN_POINTS:
+        ens = build_ensemble(epsilon, delta)
+        assert isinstance(build_suboptimal_povm(ens), PovmStrategy)
+        assert span_dimension(ens) == 3, (epsilon, delta)
+
+
+def test_span_is_the_builds_dimension_over_the_domain():
+    """3 wherever the build answers a dim 3 point (and at dim 3 only there, in this draw), 2 at epsilon = 0 with
+    delta != 0 at either dim, 1 at delta = 0."""
+    ensembles = _span_draw()
+    kinds = set()
+    for ens, cell in zip(ensembles, build_suboptimal_povm(ensembles)):
+        span = span_dimension(ens)
+        expected = 1 if ens.delta == 0.0 else 2 if ens.epsilon == 0.0 else 3
+        assert span == expected, (ens, span)
+        if ens.dim == 3:
+            assert isinstance(cell, PovmStrategy) == (span == 3), (ens, cell)
+        kinds.add((ens.dim, span))
+    assert kinds == {(3, 3), (3, 2), (3, 1), (2, 2), (2, 1)}
+
+
+def test_span_agrees_with_the_svd_where_it_resolves():
+    """The SVD of the states is the independent reference: where numpy resolves the smallest singular value
+    (sigma_min > 1e-13 sigma_1), the count above that floor is the span, and where the span is short of dim the
+    trailing singular values are rounding (at most 1e-15 sigma_1)."""
+    resolved = 0
+    for ens in _span_draw():
+        sigma = np.linalg.svd(ens.states, compute_uv=False)
+        span = span_dimension(ens)
+        if sigma[-1] > 1e-13 * sigma[0]:
+            resolved += 1
+            assert np.count_nonzero(sigma > 1e-13 * sigma[0]) == span, ens
+        assert (sigma[span:] <= 1e-15 * sigma[0]).all(), (ens, sigma)
+    assert resolved >= 1000
+
+
+def test_the_small_spans_are_resolved_at_60_digits():
+    """A 60-digit SVD of the mpmath states, which share no code with pfm_states, gives sigma_3/sigma_1 of 1.414e-12,
+    2.0e-11 and 1.414e-11 at SMALL_SPAN_POINTS, and numpy's SVD of ens.states agrees within 1e-6 relative."""
+    for (epsilon, delta), expected in zip(SMALL_SPAN_POINTS, (1.414e-12, 2.0e-11, 1.414e-11)):
+        with mpmath.workdps(60):
+            states = mpmath.matrix(_pfm_states(mpmath.mpf(epsilon), mpmath.mpf(delta)))
+            sigma = sorted(mpmath.svd_c(states, compute_uv=False), reverse=True)
+            reference = float(sigma[2] / sigma[0])
+        assert abs(reference / expected - 1) <= 1e-3, (epsilon, delta, reference)
+        sigma = np.linalg.svd(build_ensemble(epsilon, delta).states, compute_uv=False)
+        assert abs(sigma[2] / sigma[0] / reference - 1) <= 1e-6, (epsilon, delta)
 
 
 def test_bb84_state_values():
