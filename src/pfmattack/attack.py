@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import (DegenerateSpanError, DimensionMismatchError, DomainError, NoConvergenceError, PfmAttackError,
                      SingularEpsilonError)
 from .numkernel import hermitian_eig, hermitian_eigvalsh, require_hermitian
-from .statespace import AttackEnsemble, bb84_ensemble, newton_step, set_reals
+from .statespace import AttackEnsemble, bb84_ensemble, frozen, newton_step, set_reals
 
 #: Attenuation of standard telecom fiber used for the distance mapping.
 FIBER_LOSS_DB_PER_KM = 0.21
@@ -147,14 +148,6 @@ class PovmStrategy:
             raise refusal
 
 
-def _frozen(cls, **fields):
-    """An instance of the frozen dataclass cls holding fields, each set once and unchecked: what cls(**fields) makes
-    of fields that its checks would pass. PovmStrategy's elements are then a view of the builder's read-only array."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)
-    return obj
-
-
 @dataclass(frozen=True)
 class AttackReport:
     """Figures of merit of one strategy against one ensemble."""
@@ -170,12 +163,20 @@ class AttackReport:
 
 
 def max_fiber_length_km(p_succ: float | np.ndarray) -> float | np.ndarray:
-    """Fiber length at which the channel transmittance 10^(-0.21 L / 10) equals p_succ; an array maps elementwise."""
-    if isinstance(p_succ, np.ndarray):  # each element as the scalar body gives it, bit for bit
+    """Fiber length at which the channel transmittance 10^(-0.21 L / 10) equals p_succ, inf at p_succ = 0.
+
+    A scalar p_succ must be a real number (not a bool) in [0, 1]; anything else, NaN included, raises DomainError.
+    An array maps elementwise and unchecked: inf where p <= 0, NaN for NaN, and a negative length above 1.
+    """
+    if isinstance(p_succ, np.ndarray):  # each element in [0, 1] as the scalar body gives it, bit for bit
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(p_succ <= 0.0, np.inf, -10.0 * np.log10(p_succ) / FIBER_LOSS_DB_PER_KM)
-    if p_succ <= 0.0:
-        return float("inf")
+    if not (type(p_succ) is float and 0.0 < p_succ <= 1.0):  # evaluate's p_succ, a float in (0, 1], skips the checks
+        if isinstance(p_succ, bool) or not isinstance(p_succ, numbers.Real) or not 0 <= p_succ <= 1:
+            raise DomainError(f"p_succ must be a real number in [0, 1], got {p_succ!r}")
+        if p_succ == 0:
+            return math.inf
+        p_succ = float(p_succ)
     # np.log10, not math.log10: the two differ in the last ulp for some p_succ
     return -10.0 * float(np.log10(p_succ)) / FIBER_LOSS_DB_PER_KM
 
@@ -347,8 +348,8 @@ def build_suboptimal_povm(
         raise _underflow(x)
     elements = np.array([1.0, *[m / lmax for m in mu]]).dot(basis)
     elements.setflags(write=False)  # the owner: no view of it can be made writable again
-    strat = _frozen(PovmStrategy, ensemble=ens, elements=elements.view(complex).reshape(3, ens.dim, ens.dim), x=x,
-                    lambda_0=lambda_0, lambda_3=lambda_3)
+    strat = frozen(PovmStrategy, ensemble=ens, elements=elements.view(complex).reshape(3, ens.dim, ens.dim), x=x,
+                   lambda_0=lambda_0, lambda_3=lambda_3)
     strat.validate()
     return strat
 
@@ -380,7 +381,7 @@ def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAt
         elements = elements.view(complex).reshape(len(index), 3, dim, dim)  # [M_0, M_3, M_vac] per point
         for k, pencil, el, x_k, refusal in zip(index, pencils, elements, x.tolist(), _refusals(elements, x)):
             # in the single body's order: the underflow of x, then validate()'s checks
-            results[k] = (_underflow(x_k) if not x_k >= _X_MIN else refusal) or _frozen(
+            results[k] = (_underflow(x_k) if not x_k >= _X_MIN else refusal) or frozen(
                 PovmStrategy, ensemble=ensembles[k], elements=el, x=x_k, lambda_0=pencil[3][0], lambda_3=pencil[3][1])
     return results
 
@@ -441,6 +442,6 @@ def evaluate(ens: AttackEnsemble, strat: PovmStrategy) -> AttackReport:
     """
     require_built_for(ens, strat)
     p_succ = strat.x / 2
-    return _frozen(AttackReport, epsilon=ens.epsilon, delta=ens.delta, qber=(strat.lambda_0 + strat.lambda_3) / 2,
-                   p_succ=p_succ, lambda_0=strat.lambda_0, lambda_3=strat.lambda_3, x=strat.x,
-                   max_fiber_km=max_fiber_length_km(p_succ))
+    return frozen(AttackReport, epsilon=ens.epsilon, delta=ens.delta, qber=(strat.lambda_0 + strat.lambda_3) / 2,
+                  p_succ=p_succ, lambda_0=strat.lambda_0, lambda_3=strat.lambda_3, x=strat.x,
+                  max_fiber_km=max_fiber_length_km(p_succ))

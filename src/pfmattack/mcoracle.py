@@ -7,22 +7,30 @@ random basis, and rounds are sifted on the sender/receiver basis match. The
 estimates converge on the closed forms reported by `attack.evaluate`, which
 is the point: the two paths share no code beyond the POVM elements themselves.
 
-Rounds are independent, so the per-state counts of n_trials rounds follow a
-multinomial law exactly, and a run draws them from it instead of drawing
-round by round: one multinomial splits the rounds over the four states, and
-one per state splits its rounds over four outcomes (conclusive but not
-sifted, sifted and correct, error, blocked). The eavesdropper's and the
-receiver's laws enter only through those outcome probabilities, so a run
-makes the same generator calls and holds the same few arrays at any
-trial count. Seeded `run_oracle` numbers differ from versions that drew
-round by round. The per-round scalar reference that this law is checked
-against lives in the test suite (tests/oracle_reference.py).
+Rounds are independent, so the counts of n_trials rounds over the 16
+(state, outcome) pairs follow a multinomial law exactly, and a run draws
+them from it in one call instead of drawing round by round. The outcomes
+are conclusive but not sifted, sifted and correct, error, blocked; the pair
+(k, c) has probability cells[k, c] / 4, since each state is 1/4 likely.
+That is the law of splitting the rounds over the states and then each
+state's rounds over its outcomes, which earlier versions drew in five
+calls: a multinomial's counts summed over groups of cells are multinomial,
+and given those sums each group's counts are multinomial over the group's
+probabilities renormalized. The one call takes ~3.3-4.0 us a run against
+~13-15 us for the five (timing loops at 1e5 and 2**63 - 1 trials, (1 deg,
+pi/2), 2 vCPUs, Python 3.11.7, numpy 2.4.6). The eavesdropper's and the
+receiver's laws enter only through those probabilities, so a run makes the
+same generator call and holds the same few arrays at any trial count.
+Seeded `run_oracle` numbers differ from versions that drew round by round
+or state by state. The per-round scalar reference that this law is checked
+against, and numpy's state-by-state form of it, live in the test suite
+(tests/oracle_reference.py).
 
 `run_oracle` also takes equal-length sequences of ensembles and strategies,
 row r seeded seed + r, as a sweep block needs. Each step before the draw (the
 states, the outcome tables and their checks, the resend and cell tables) is
 written once over leading axes: a single call runs it on one point, a sequence
-on all of its rows at once. Only the multinomials run row by row, on one
+on all of its rows at once. Only the multinomial runs row by row, on one
 generator set to each row's default_rng(seed + r) state, so each row's
 estimate equals its own call's, field for field.
 """
@@ -38,11 +46,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NegativeProbabilityError, PfmAttackError
 from .attack import PovmStrategy, require_built_for
-from .statespace import AttackEnsemble, ensemble_states
+from .statespace import AttackEnsemble, ensemble_states, frozen
 
 #: Below this many trials the binomial error bars are too wide to be useful.
 MIN_TRIALS = 10_000
-#: The most trials a run takes: the multinomial draw of the state counts takes an int64.
+#: The most trials a run takes: the multinomial draw of the (state, outcome) counts takes an int64.
 MAX_TRIALS = 2**63 - 1
 
 _PROB_ATOL = 1e-9
@@ -54,9 +62,6 @@ _SAME_BASIS = _K[:, None] % 2 == _K % 2
 #: measures in the sender's basis: a resent state in that basis gives its own bit, one in the other
 #: basis a fair coin.
 _ERROR_GIVEN_SIFTED = np.where(_SAME_BASIS, _K[:, None] != _K, 0.5)
-#: The sender's four states are equally likely.
-_STATE_PROBS = np.full(4, 0.25)
-_STATE_PROBS.setflags(write=False)
 #: numpy's seeding of a default_rng from its SeedSequence pool: generate_state's output hash makes word m = 4j + i
 #: (pool[i] ^ h_m) * h_(m+1) mod 2**32, h_m = 0x8B51F9DD * 0x58F38DED**m; then PCG64's LCG multiplier and mask
 _HASH_XOR, _HASH_MUL = np.array([[0x8B51F9DD * 0x58F38DED**m % 2**32 for m in range(k, k + 8)] for k in (0, 1)],
@@ -174,8 +179,9 @@ def _cells(resend: np.ndarray) -> np.ndarray:
     """
     p_conclusive = resend.sum(axis=-1)
     p_error = (resend * _ERROR_GIVEN_SIFTED).sum(axis=-1) / 2
-    # numpy fills a multinomial's last cell with the remainder, which carries the others' rounding, so it must be
-    # the blocked one; its probability is only range-checked, and p_conclusive may pass 1 by an ulp
+    # numpy fills a multinomial's last cell with the remainder, which carries the others' rounding, so the last of a
+    # run's 16 (state 3's) must be a blocked one; its probability is only range-checked, and p_conclusive may pass 1
+    # by an ulp
     cells = np.empty(resend.shape)
     np.divide(p_conclusive, 2, out=cells[..., 0])
     np.subtract(cells[..., 0], p_error, out=cells[..., 1])
@@ -184,11 +190,11 @@ def _cells(resend: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _draw(n_trials: int, rng: np.random.Generator, cells: np.ndarray, out: np.ndarray) -> None:
-    """The counts [state, cell] of one run, into out (4, 4): one multinomial splits n_trials over the states, then
-    one scalar-n call per state; numpy's 2-D call makes the same draws in the same order, several times slower."""
-    for k, n_k in enumerate(rng.multinomial(n_trials, _STATE_PROBS).tolist()):
-        out[k] = rng.multinomial(n_k, cells[k])
+def _draw(n_trials: int, rng: np.random.Generator, probs: np.ndarray, out: np.ndarray) -> None:
+    """The counts of one run's 16 (state, cell) pairs, state-major, into out (16,): one multinomial over probs (16,),
+    the run's cell table flattened and scaled by 1/4, since each state is 1/4 likely. The last pair, state 3
+    blocked, takes numpy's remainder."""
+    out[...] = rng.multinomial(n_trials, probs)
 
 
 def _generators(seeds: list[int]) -> Iterator[np.random.Generator]:
@@ -209,9 +215,10 @@ def _generators(seeds: list[int]) -> Iterator[np.random.Generator]:
 def _estimates(n_trials: int, seeds: list[int], cells: np.ndarray) -> list[OracleEstimate]:
     """One run of n_trials rounds per seed: run r is drawn from the cell table cells[r] (n, 4, 4) with seeds[r]."""
     counts = np.empty((len(seeds), 4, 4), dtype=np.int64)
+    probs = cells.reshape(-1, 16) * 0.25
     # zip pulls its iterables left to right, so the generators run only for rows that exist: a single call makes one
-    for cells_r, out, rng in zip(cells, counts, _generators(seeds)):
-        _draw(n_trials, rng, cells_r, out)
+    for probs_r, out, rng in zip(probs, counts.reshape(-1, 16), _generators(seeds)):
+        _draw(n_trials, rng, probs_r, out)
     # by run and state, the rounds that reached at least: an error, sifted, conclusive, any cell
     levels = counts.take([2, 1, 0, 3], axis=2).cumsum(axis=2).transpose(0, 2, 1).tolist()
     estimates = []
@@ -220,8 +227,8 @@ def _estimates(n_trials: int, seeds: list[int], cells: np.ndarray) -> list[Oracl
         n_sifted, n_errors, n_conclusive = sum(sifted), sum(errors), sum(conclusive)
         p_hat = n_conclusive / n_trials
         e_hat = n_errors / n_sifted if n_sifted else math.nan
-        estimates.append(OracleEstimate(
-            n_trials=n_trials, qber_hat=e_hat, p_succ_hat=p_hat,
+        estimates.append(frozen(
+            OracleEstimate, n_trials=n_trials, qber_hat=e_hat, p_succ_hat=p_hat,
             stderr_qber=math.sqrt(e_hat * (1 - e_hat) / n_sifted) if n_sifted else math.nan,
             stderr_p_succ=math.sqrt(p_hat * (1 - p_hat) / n_trials), rng_seed=seed,
             n_conclusive=n_conclusive, n_sifted=n_sifted, n_errors=n_errors, trials_by_state=trials,
@@ -250,8 +257,8 @@ def run_oracle(
     PfmAttackError its own call would raise; a refused row stops no other.
     n_trials and seed are checked once, before any draw. The rows' states,
     outcome tables, checks and cell tables are formed stacked on one leading
-    axis, from the states and strat.elements alone; only the multinomials
-    are per row, on one generator (_generators). A single call forms its one
+    axis, from the states and strat.elements alone; only the multinomial
+    is per row, on one generator (_generators). A single call forms its one
     row's tables by the same functions, from ens.states.
     """
     if isinstance(ens, AttackEnsemble):

@@ -58,6 +58,14 @@ def set_reals(fields: dict, *names: str, finite: bool = False) -> None:
         fields[name] = _real(name, fields[name], finite)
 
 
+def frozen(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, each set once and unchecked: what cls(**fields) makes
+    of fields that its checks would pass, without the cost of its __init__."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class FaradayMirror:
     """Faraday rotator at angle pi/4 + epsilon followed by an ordinary mirror; epsilon is real."""

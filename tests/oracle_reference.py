@@ -5,8 +5,12 @@ draws the per-state counts of many such rounds at once, from their
 multinomial law. Only tests use this module, to check the oracle against an
 implementation that shares nothing with it beyond `outcome_probabilities`.
 
-`reference_draw` is numpy's 2-D form of the oracle's count draw, which
-`mcoracle._draw` is checked against bit for bit.
+`reference_draw` is the oracle's count draw written from numpy alone, one
+multinomial over the 16 (state, cell) pairs, which `mcoracle._estimates` is
+checked against bit for bit. `hierarchical_draw` is numpy's state-by-state
+2-D form: the state counts, then each state's cell counts. It draws other
+numbers from the same law, and is the law the one-call draw is checked
+against.
 
 `simulate_intercept_resend` is the 25 % sanity check of the acceptance
 suite: the oracle's cell table and count draw (`mcoracle._cells` and
@@ -97,13 +101,18 @@ def run_trial(ens: AttackEnsemble, strat: PovmStrategy, rng: np.random.Generator
 
 
 def reference_draw(n_trials: int, seed: int, cells: np.ndarray) -> np.ndarray:
+    """The counts [state, cell] (4, 4) of one run: one multinomial over the 16 pairs, pair (k, c) cells[k, c] / 4."""
+    return np.random.default_rng(seed).multinomial(n_trials, 0.25 * cells.ravel()).reshape(4, 4)
+
+
+def hierarchical_draw(n_trials: int, seed: int, cells: np.ndarray) -> np.ndarray:
     """The counts [state, cell] (4, 4) of one run in numpy's 2-D form: the state counts, then one call over all states.
 
-    `mcoracle._draw` makes one scalar-n call per state instead. numpy's 2-D
-    call makes the same draws in the same order, so both give the same counts.
+    Each state is 1/4 likely, and given its count its rounds split over its
+    cells by cells[k]: the law of `reference_draw`, from other draws.
     """
     rng = np.random.default_rng(seed)
-    return rng.multinomial(rng.multinomial(n_trials, mcoracle._STATE_PROBS), cells)
+    return rng.multinomial(rng.multinomial(n_trials, np.full(4, 0.25)), cells)
 
 
 def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:

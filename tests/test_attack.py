@@ -1006,7 +1006,11 @@ def test_sweep_block_figures_equal_evaluate_bit_for_bit():
 
 
 def test_fiber_length_of_an_array_is_each_elements_own():
-    """max_fiber_length_km over an array gives each element's scalar value, bit for bit, including inf at p <= 0."""
+    """max_fiber_length_km over an array gives each element's scalar value, bit for bit, including inf at p = 0.
+
+    The scalar refuses an element outside [0, 1]; the array maps it unchecked, as it always has: inf at p < 0, nan
+    for nan, -inf at inf and a negative length above 1.
+    """
     tiny = np.finfo(float).tiny
     p_succ = np.concatenate([
         [0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, tiny / 3, tiny, 0.5, 1.0, 2.0],
@@ -1014,8 +1018,36 @@ def test_fiber_length_of_an_array_is_each_elements_own():
     ])
     with np.errstate(all="raise"):
         array = max_fiber_length_km(p_succ)
-    scalar = [max_fiber_length_km(p) for p in p_succ.tolist()]
-    assert array.tobytes() == np.array(scalar).tobytes()
+    checked = (p_succ >= 0.0) & (p_succ <= 1.0)
+    scalar = [max_fiber_length_km(p) for p in p_succ[checked].tolist()]
+    assert array[checked].tobytes() == np.array(scalar).tobytes()
+    unchecked = [np.inf, np.nan, -np.inf, -10.0 * float(np.log10(2.0)) / attack.FIBER_LOSS_DB_PER_KM]
+    assert array[~checked].tobytes() == np.array(unchecked).tobytes()
+    for p in p_succ[~checked].tolist():
+        with pytest.raises(DomainError, match="p_succ"):
+            max_fiber_length_km(p)
+
+
+@pytest.mark.parametrize("bad", [
+    None, "0.5", 0.5 + 0j, True, np.bool_(False), math.nan, np.float32("nan"), -0.1, -5e-324, 1.0000000000000002,
+    2.0, math.inf, -math.inf, 2**70, 10**400, Fraction(3, 2),
+], ids=lambda bad: repr(bad)[:24])
+def test_scalar_fiber_length_refuses_what_is_not_a_probability(bad):
+    """A scalar p_succ that is not a real number in [0, 1] is refused by name, not answered with nan, inf or a
+    negative length, and not with a bare TypeError from the comparison or from np.log10."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"p_succ must be a real number in \[0, 1\]"):
+            max_fiber_length_km(bad)
+
+
+def test_scalar_fiber_length_takes_any_real_probability():
+    """An int, a Fraction or a numpy scalar in [0, 1] is answered as the float of the same value; 0 gives inf."""
+    for p_succ, same in ((Fraction(1, 2), 0.5), (np.float32(0.5), 0.5), (np.float64(2.43e-3), 2.43e-3), (1, 1.0),
+                         (np.int64(0), 0.0), (-0.0, 0.0)):
+        length = max_fiber_length_km(p_succ)
+        assert type(length) is float and length == max_fiber_length_km(same), p_succ
+    assert max_fiber_length_km(0) == max_fiber_length_km(-0.0) == math.inf
 
 
 def test_a_sequence_build_shares_its_blocks_read_only_array():

@@ -294,10 +294,10 @@ PINNED_ORACLE_SWEEP = """\
 # attack=pfm
 # oracle trials=100000 seed=57 (row seeds: seed+index)
 epsilon_deg,delta_rad,e_B,p_succ,lambda_0,lambda_3,x,max_fiber_km,oracle_e_B,oracle_p
-0.1,1.57079633,0.146446609,2.436899767e-05,0.146446609,0.146446609,4.873799534e-05,219.674397,0,3.000000000e-05
+0.1,1.57079633,0.146446609,2.436899767e-05,0.146446609,0.146446609,4.873799534e-05,219.674397,nan,2.000000000e-05
 0.1,0.392699082,0.0356771322,5.845814454e-07,0.0356771322,0.0356771322,1.169162891e-06,296.816903,nan,0
-1,1.57079633,0.146446609,0.0024329792,0.146446609,0.146446609,0.00486595839,124.4696,0.116071429,0.00223
-1,0.392699082,0.0356771322,5.813466957e-05,0.0356771322,0.0356771322,1.162693391e-04,201.693562,0,3.000000000e-05
+1,1.57079633,0.146446609,0.0024329792,0.146446609,0.146446609,0.00486595839,124.4696,0.105263158,0.00257
+1,0.392699082,0.0356771322,5.813466957e-05,0.0356771322,0.0356771322,1.162693391e-04,201.693562,0.333333333,4.000000000e-05
 """
 
 
@@ -345,17 +345,18 @@ def test_oracle_columns_across_2_to_the_32_are_each_rows_own_call(tmp_path):
 
 
 #: sha256 of the files the 40x50 sweep writes, `--epsilon-deg 0.05:1:40 --delta 0.1:pi/2:50 --reproducible` without
-#: and with `--trials 10000 --seed 1`, as the per-row path (evaluate per row, one 2-D multinomial per row) wrote them.
+#: and with `--trials 10000 --seed 1`: the first as the per-row path (evaluate per row) wrote it, the second with each
+#: row's counts from one multinomial over its 16 (state, cell) pairs.
 GRID_40X50_SHA256 = {
     (): "86463a5548a85be2e2568b2ada494740f995ccb313df1b5cc21481981dc070e0",
-    ("--trials", "10000", "--seed", "1"): "b934703f4581c583ba9ef6f984ba21c5df5d7c6da3b20ff44b101dd998ed7240",
+    ("--trials", "10000", "--seed", "1"): "81c61cefb4e9cabf0dc067dc2b0108af03fd46e764d88c1c096ed2f0a0d65549",
 }
 
 
 @pytest.mark.parametrize("flags", GRID_40X50_SHA256, ids=["closed-form", "oracle"])
 def test_40x50_sweep_is_pinned(tmp_path, flags):
-    """Every byte of the 40x50 sweep, 2000 rows over 8 blocks: its figures formed as arrays, its rows formatted from
-    them and its oracle counts drawn state by state, as the per-row path computed them one by one."""
+    """Every byte of the 40x50 sweep, 2000 rows over 8 blocks: its figures formed as arrays and its rows formatted from
+    them, as the per-row path computed them one by one, and each row's oracle counts drawn in one call."""
     out = tmp_path / "grid.csv"
     assert run_cli("sweep", "--epsilon-deg", "0.05:1:40", "--delta", "0.1:pi/2:50", "--reproducible", *flags,
                    "--out", str(out)) == 0
@@ -665,9 +666,16 @@ def test_verify_judges_a_p_succ_whose_standard_error_underflows(point, capsys):
 TINY_COUNT_ARGV = ("verify", "--epsilon-deg", "1.2918182178246316", "--delta", "pi/25", "--trials", "10000")
 
 
-def test_verify_judges_a_tiny_expected_count_exactly(capsys):
+def test_verify_judges_a_tiny_expected_count_exactly(monkeypatch, capsys):
     """One conclusive round where 0.011 are expected has P(K >= 1) = 1.1%: no failure at the 3-sigma level."""
-    assert run_cli(*TINY_COUNT_ARGV, "--seed", "5") == 0
+    estimate = OracleEstimate(
+        n_trials=10_000, qber_hat=0.0, p_succ_hat=1e-4, stderr_qber=0.0, stderr_p_succ=1e-4,
+        rng_seed=5, n_conclusive=1, n_sifted=1, n_errors=0,
+        trials_by_state=(2500,) * 4, conclusive_by_state=(1, 0, 0, 0),
+        sifted_by_state=(1, 0, 0, 0), errors_by_state=(0,) * 4,
+    )
+    monkeypatch.setattr(cli, "run_oracle", lambda *args, **kwargs: estimate)
+    assert run_cli(*TINY_COUNT_ARGV) == 0
     out = capsys.readouterr().out
     assert "p_succ  |deviation| = 9.28 sigma  PASS  (count 1 of 10000, exact two-sided binomial tail 0.0226)" in out
     assert "overall PASS" in out

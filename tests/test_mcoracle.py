@@ -1,11 +1,13 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracle_reference import (
-    INTERCEPT_RESEND, reference_draw, run_trial, sample_povm_outcome, simulate_bob, simulate_intercept_resend,
+    INTERCEPT_RESEND, hierarchical_draw, reference_draw, run_trial, sample_povm_outcome, simulate_bob,
+    simulate_intercept_resend,
 )
 from pfmattack.attack import ERROR_WEIGHTS, PovmStrategy, build_suboptimal_povm, evaluate
 from pfmattack import mcoracle
@@ -177,9 +179,10 @@ def test_remainder_cell_is_the_blocked_one(delta):
 
     numpy fills a multinomial's last cell with the remainder of the trials,
     which carries the rounding of the cells before it: hundreds of rounds at
-    this count. The blocked cell must be that one. With the error cell last
-    instead, the error counts of states 0 and 3 read 0 at both points, 3.8
-    sigma low at 1e-3 and 8.6 sigma low at 1.5e-3 (seed 5).
+    this count. The last of a run's 16 cells, state 3's, must be a blocked
+    one. With the error cell last in each state instead, state 3's error
+    count reads 472 sigma high at 1e-3 and 0, 8.6 sigma low, at 1.5e-3
+    (seed 5).
     """
     ens = build_ensemble(1 * DEG, delta)
     strat = build_suboptimal_povm(ens)
@@ -315,10 +318,14 @@ def test_intercept_resend_oracle():
 
 
 def test_estimates_are_frozen_records(anchor):
+    """An estimate, made without OracleEstimate's __init__, is what the constructor makes of its fields, frozen."""
     ens, strat, _ = anchor
     estimate = run_oracle(ens, strat, 50_000, seed=55)
     with pytest.raises(dataclasses.FrozenInstanceError):
         estimate.qber_hat = 0.0
+    made = OracleEstimate(**vars(estimate))
+    assert made == estimate and hash(made) == hash(estimate) and repr(made) == repr(estimate)
+    assert vars(made) == vars(estimate) and list(vars(made)) == list(vars(estimate))
 
 
 def test_rejects_non_integral_trial_counts(anchor):
@@ -407,41 +414,43 @@ def test_outcome_table_is_absolutely_exact():
 #: OracleEstimate fields, in order, of seeded runs at GOLDEN_TRIALS trials.
 GOLDEN = {
     ("pfm", 1.0, np.pi / 2, 11): (
-        1000017, 0.1443210930828352, 0.0023459601186779826, 0.010269324337658056, 4.837785446579777e-05, 11,
-        2346, 1171, 169, (249692, 250794, 249200, 250331), (989, 165, 164, 1028), (472, 80, 75, 544),
-        (41, 46, 40, 42),
+        1000017, 0.1298917568692756, 0.002424958775700813, 0.009700763867992821, 4.9183708959411604e-05, 11,
+        2425, 1201, 156, (249981, 250358, 249914, 249764), (1055, 195, 163, 1012), (550, 87, 88, 476),
+        (33, 45, 48, 30),
     ),
     ("pfm", 0.1, np.pi / 8, 12): (
-        1000017, float("nan"), 0.0, float("nan"), 0.0, 12,
-        0, 0, 0, (249422, 250262, 250347, 249986), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0),
+        1000017, 0.0, 1.99996600057799e-06, 0.0, 1.414188106985048e-06, 12,
+        2, 1, 0, (249898, 249559, 250383, 250177), (1, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 0),
     ),
     ("pfm", 5.0, np.pi / 2, 13): (
-        1000017, 0.14315644856603127, 0.05846700606089696, 0.002052569290864547, 0.0002346224189045482, 13,
-        58468, 29115, 4168, (249579, 249392, 251150, 249896), (24715, 4281, 4354, 25118),
-        (12370, 2091, 2095, 12559), (903, 1192, 1213, 860),
+        1000017, 0.14642979159549027, 0.058439006536888875, 0.0020664408823760296, 0.00023456972025744945, 13,
+        58440, 29270, 4286, (249423, 249827, 250181, 250586), (24696, 4284, 4272, 25188),
+        (12328, 2175, 2173, 12594), (965, 1270, 1188, 863),
     ),
     ("remap", 0.0, np.pi / 4, 14): (
-        1000017, 0.17577841059715915, 0.23419501868468237, 0.0011130861674684247, 0.00042349104246570767, 14,
-        234199, 116937, 20555, (249766, 250147, 250285, 249819), (90206, 27151, 27364, 89478),
-        (45278, 13519, 13655, 44485), (3405, 6925, 6851, 3374),
+        1000017, 0.17859399818955063, 0.23445101433275634, 0.001119277122620971, 0.0004236516080926076, 14,
+        234455, 117098, 20913, (250011, 249878, 249636, 250492), (89866, 27489, 27381, 89719),
+        (45025, 13639, 13829, 44605), (3439, 6969, 7122, 3383),
     ),
 }
 GOLDEN_INTERCEPT_RESEND = (
-    1000017, 0.25051633167587367, 1.0, 0.0006126935777565174, 0.0, 15,
-    1000017, 500163, 125299, (250100, 250339, 250261, 249317), (250100, 250339, 250261, 249317),
-    (124718, 125236, 124975, 125234), (31056, 31592, 31166, 31485),
+    1000017, 0.24974973874923323, 1.0, 0.0006118761664725399, 0.0, 15,
+    1000017, 500477, 124994, (250544, 249875, 249474, 250124), (250544, 249875, 249474, 250124),
+    (125469, 124536, 125153, 125319), (31467, 31144, 31169, 31214),
 )
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: f"{case[0]}-{case[1]}deg-{case[2]:.4f}")
 def test_golden_counts(case):
-    """This version's seeded stream, pinned field by field: a faster draw may not move a single count.
+    """This version's seeded stream, pinned field by field: no count moves unless the stream is changed on purpose.
 
-    The stream draws the state counts and then each state's outcome counts
-    from their multinomial laws, so its numbers differ from those of
-    versions that drew round by round. A run with no sifted round has nan
-    e_B and stderr, which only a nan-aware comparison can pin; every other
-    field is compared exactly.
+    The stream draws a run's counts over the 16 (state, cell) pairs from one
+    multinomial. That is the law of the state counts and then each state's
+    cell counts, which earlier versions drew in five calls, but the one call
+    draws other numbers from it, so these pins were re-taken when it came
+    in; versions that drew round by round gave others again. A run with no
+    sifted round has nan e_B and stderr, which only a nan-aware comparison
+    can pin; every other field is compared exactly.
     """
     kind, epsilon_deg, delta, seed = case
     ens = bb84_ensemble(delta) if kind == "remap" else build_ensemble(epsilon_deg * DEG, delta)
@@ -449,31 +458,110 @@ def test_golden_counts(case):
     np.testing.assert_equal(dataclasses.astuple(estimate), GOLDEN[case])
 
 
+def _cell_tables(anchor):
+    """The cell tables (4, 4) [state, cell] of the pfm and remap anchors, whose states differ row by row."""
+    ens, strat, _ = anchor
+    remap = bb84_ensemble(np.pi / 4)
+    return [mcoracle._cells(mcoracle._resend(outcome_probabilities(e.states, s)))
+            for e, s in ((ens, strat), (remap, build_suboptimal_povm(remap)))]
+
+
+def _cell_counts(estimate):
+    """The counts (4, 4) [state, cell] that an estimate's per-state tuples hold: cells conclusive but not sifted,
+    sifted and correct, error, blocked."""
+    trials, conclusive, sifted, errors = (np.array(counts, dtype=np.int64) for counts in (
+        estimate.trials_by_state, estimate.conclusive_by_state, estimate.sifted_by_state, estimate.errors_by_state))
+    return np.stack([conclusive - sifted, sifted - errors, errors, trials - conclusive], axis=1)
+
+
+def _block_counts(n_trials, seeds, cells):
+    """The counts (n, 4, 4) of one block of runs, run r seeded seeds[r], all on the cell table cells."""
+    estimates = mcoracle._estimates(n_trials, seeds, np.broadcast_to(cells, (len(seeds), 4, 4)))
+    return np.array([_cell_counts(estimate) for estimate in estimates])
+
+
 @pytest.mark.parametrize("n_trials", [MIN_TRIALS, MAX_TRIALS, 3])
-def test_draw_equals_numpys_2d_multinomial(anchor, n_trials):
-    """The oracle's scalar-n draw per state gives numpy's one 2-D call's counts, bit for bit, over 1000 seeds.
+def test_draw_equals_numpys_16_cell_multinomial(anchor, n_trials):
+    """A run's counts are default_rng(seed).multinomial(n, 0.25 * cells.ravel()), bit for bit, over 1000 seeds.
 
     The tables are the pfm and remap anchors' and the intercept-resend one,
     whose blocked cell is 0 in every state. At 3 trials most runs leave a
-    state with 0 rounds. Each run's generator comes from `_generators`, as a
-    sweep block's rows do, so the reference's default_rng(seed) checks its
-    state too.
+    state with 0 rounds. The 1000 runs are one block through `_estimates`,
+    whose rows take their generators from `_generators`, so the reference's
+    default_rng(seed) checks each row's state too.
     """
-    ens, strat, _ = anchor
-    remap = bb84_ensemble(np.pi / 4)
-    tables = [mcoracle._cells(mcoracle._resend(outcome_probabilities(e.states, s)))
-              for e, s in ((ens, strat), (remap, build_suboptimal_povm(remap)))]
-    tables.append(mcoracle._cells(INTERCEPT_RESEND))
-    assert (tables[-1][:, 3] == 0).all()
-    out = np.empty((4, 4), dtype=np.int64)
+    seeds = list(range(1000))
     runs_with_an_empty_state = 0
-    for cells in tables:
-        for seed, rng in zip(range(1000), mcoracle._generators(list(range(1000)))):
-            mcoracle._draw(n_trials, rng, cells, out)
-            expected = reference_draw(n_trials, seed, cells)
-            assert out.dtype == expected.dtype and np.array_equal(out, expected), (n_trials, seed, cells)
-            runs_with_an_empty_state += bool((out.sum(axis=1) == 0).any())
+    for cells in [*_cell_tables(anchor), mcoracle._cells(INTERCEPT_RESEND)]:
+        for seed, counts in zip(seeds, _block_counts(n_trials, seeds, cells)):
+            assert np.array_equal(counts, reference_draw(n_trials, seed, cells)), (n_trials, seed, cells)
+            runs_with_an_empty_state += bool((counts.sum(axis=1) == 0).any())
+    assert (mcoracle._cells(INTERCEPT_RESEND)[:, 3] == 0).all()
     assert (runs_with_an_empty_state > 1000) == (n_trials == 3)
+
+
+def _bernstein(n, p, alpha=1e-9):
+    """The half-width t with P(|K - n p| >= t) <= alpha for K ~ Binomial(n, p), by Bernstein's inequality:
+    2 exp(-t**2 / (2 (n p (1 - p) + t / 3))) = alpha."""
+    log = math.log(2 / alpha)
+    return log / 3 + math.sqrt((log / 3) ** 2 + 2 * log * n * p * (1 - p))
+
+
+@pytest.mark.parametrize("draw", ["oracle", "hierarchical"])
+def test_draw_follows_the_state_by_state_law(anchor, draw):
+    """The counts have the law of the state counts and then each state's cell counts, numpy's 2-D form.
+
+    Over 2000 runs of 10**6 rounds, each (state, cell) total is within
+    Bernstein's bound (alpha 1e-9) of its expectation: under that law it is
+    Binomial(2000 * 10**6, cells[k, c] / 4). Over 20000 runs of 12 rounds,
+    the number of runs with j rounds of state k is within the same bound of
+    20000 Binomial(12, 1/4).pmf(j), for every k and j. numpy's 2-D form
+    (`hierarchical_draw`) is held to the same bounds, so they are the law's.
+    """
+    def counts(n_trials, seeds, cells):
+        if draw == "oracle":
+            return _block_counts(n_trials, seeds, cells)
+        return np.array([hierarchical_draw(n_trials, seed, cells) for seed in seeds])
+
+    pmf = [math.comb(12, j) * 0.25**j * 0.75 ** (12 - j) for j in range(13)]
+    n_rounds = 2000 * 10**6
+    for cells in _cell_tables(anchor):
+        totals = counts(10**6, range(2000), cells).sum(axis=0)
+        for (k, c), total in np.ndenumerate(totals):
+            p = cells[k, c] / 4
+            assert abs(total - n_rounds * p) <= _bernstein(n_rounds, p), (k, c, total, n_rounds * p)
+        by_state = counts(12, range(20000), cells).sum(axis=2)
+        for k in range(4):
+            runs = np.bincount(by_state[:, k], minlength=13)
+            for j, p in enumerate(pmf):
+                assert abs(runs[j] - 20000 * p) <= _bernstein(20000, p), (k, j, runs[j], 20000 * p)
+
+
+def test_a_block_draws_one_multinomial_per_row(anchor, monkeypatch):
+    """A block of n rows makes exactly n Generator.multinomial calls, one per drawn row, and a refused row none."""
+    ens, strat, _ = anchor
+    ensembles = [build_ensemble(e * DEG, d) for e in (0.5, 1.0, 2.0) for d in (np.pi / 2, np.pi / 5)]
+    ensembles += [bb84_ensemble(np.pi / 4), bb84_ensemble(0.3)]
+    strategies = build_suboptimal_povm(ensembles)
+    strategies[3] = strat  # built for another point: refused before any draw
+    expected = run_oracle(ensembles, strategies, MIN_TRIALS, seed=21)
+    generators, calls = mcoracle._generators, []
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def multinomial(self, *args):
+            calls.append(args)
+            return self.rng.multinomial(*args)
+
+    monkeypatch.setattr(mcoracle, "_generators", lambda seeds: map(CountingGenerator, generators(seeds)))
+    results = run_oracle(ensembles, strategies, MIN_TRIALS, seed=21)
+    assert len(calls) == len(ensembles) - 1 and isinstance(results[3], DomainError)
+    assert [str(result) for result in results] == [str(result) for result in expected]
+    calls.clear()
+    run_oracle(ens, strat, MIN_TRIALS, seed=21)
+    assert len(calls) == 1
 
 
 def test_golden_counts_intercept_resend():
