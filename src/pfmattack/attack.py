@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (DegenerateSpanError, DimensionMismatchError, DomainError, NoConvergenceError, PfmAttackError,
                      SingularEpsilonError)
 from .numkernel import hermitian_eig, hermitian_eigvalsh, require_hermitian
-from .statespace import AttackEnsemble, bb84_ensemble, frozen, newton_step, set_reals
+from .statespace import AttackEnsemble, EnsembleBlock, bb84_ensemble, frozen, iterable, newton_step, set_reals
 
 #: Attenuation of standard telecom fiber used for the distance mapping.
 FIBER_LOSS_DB_PER_KM = 0.21
@@ -148,6 +148,25 @@ class PovmStrategy:
             raise refusal
 
 
+class PovmBlock:
+    """The block form of PovmStrategy: build_suboptimal_povm's answer to an EnsembleBlock, as arrays.
+
+    refusals[r] is None for each cell r the build answered, else the
+    PfmAttackError its own call would raise. ensembles is the block of the
+    answered cells, in order; row j of the read-only arrays elements
+    (m, 3, dim, dim), x, lambda_0 and lambda_3 (m,) holds the j-th one's
+    PovmStrategy fields, bit for bit. A plain class, not a dataclass, which
+    would cost import time.
+    """
+
+    ensembles: EnsembleBlock
+    elements: np.ndarray
+    x: np.ndarray
+    lambda_0: np.ndarray
+    lambda_3: np.ndarray
+    refusals: list[PfmAttackError | None]
+
+
 @dataclass(frozen=True)
 class AttackReport:
     """Figures of merit of one strategy against one ensemble."""
@@ -220,11 +239,11 @@ def _pencil(dim: int, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return y_w, basis, forms, (float(eigs[0, 0]), float(eigs[1, 0]))
 
 
-def _refusal_before_arithmetic(ens: AttackEnsemble) -> PfmAttackError | None:
+def _refusal_before_arithmetic(epsilon: float, delta: float, dim: int) -> PfmAttackError | None:
     """The refusal of a point that is decided by (epsilon, delta, dim) alone, or None: epsilon = 0 at dim 3, then delta = 0."""
-    if ens.dim == 3 and ens.epsilon == 0.0:
+    if dim == 3 and epsilon == 0.0:
         return SingularEpsilonError("epsilon = 0 is a singular point: the attack states span at most two dimensions")
-    if ens.delta == 0.0:
+    if delta == 0.0:
         return DegenerateSpanError("delta = 0: the four states coincide and span one dimension")
     return None
 
@@ -236,14 +255,14 @@ def _underflow(x: float) -> DegenerateSpanError:
     )
 
 
-def _map_scalars(ens: AttackEnsemble) -> tuple[list[float], float]:
+def _map_scalars(epsilon: float, delta: float, dim: int) -> tuple[list[float], float]:
     """(mu, t) of a point's map back: mu = [ss^2, cc^2, sc^2, ss cc, ss sc, cc sc] with s, c = sin 2e, cos 2e and
     t = sc delta^2 (dim 3), or [1] and delta (dim 2)."""
-    if ens.dim == 2:
-        return [1.0], ens.delta
-    s, c = math.sin(2 * ens.epsilon), math.cos(2 * ens.epsilon)
+    if dim == 2:
+        return [1.0], delta
+    s, c = math.sin(2 * epsilon), math.cos(2 * epsilon)
     sc, ss, cc = s * c, s * s, c * c
-    return [ss * ss, cc * cc, sc * sc, ss * cc, ss * sc, cc * sc], sc * ens.delta**2
+    return [ss * ss, cc * cc, sc * sc, ss * cc, ss * sc, cc * sc], sc * delta**2
 
 
 def _refusal(min_eigs: list[float], x: float) -> PfmAttackError | None:
@@ -285,8 +304,8 @@ def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
 
 
 def build_suboptimal_povm(
-    ens: AttackEnsemble | Iterable[AttackEnsemble],
-) -> PovmStrategy | list[PovmStrategy | PfmAttackError]:
+    ens: AttackEnsemble | EnsembleBlock | Iterable[AttackEnsemble],
+) -> PovmStrategy | PovmBlock | list[PovmStrategy | PfmAttackError]:
     """The square-root strategy for the point ens: the 3-D attack at dim 3, the 2-D remap baseline at dim 2.
 
     lambda_b is the minimal generalized eigenvalue of (L_b, rho) and y_b its
@@ -320,24 +339,32 @@ def build_suboptimal_povm(
     (DegenerateSpanError); and an x below the smallest normal double, where
     |sc| delta^2 (dim 3) or delta (dim 2) is below ~1e-154 (DegenerateSpanError).
 
-    ens may also be any iterable of ensembles, of either dim (anything else is a DomainError). The return is
-    then a list, in input order, of each one's validated PovmStrategy or the PfmAttackError its own call
-    would raise (DomainError for one that is not an AttackEnsemble), and no refusal stops the others.
-    The points of each dim go through the same closed form and validate()'s
-    checks stacked on one leading axis, with one eigenvalue call for all of
-    their POVMs; each point's results equal its own call's, bit for bit.
-    Memory grows with the length of the sequence, so a caller with a large
-    grid passes it in blocks (the CLI sweep: cli.SWEEP_BLOCK points a call).
+    ens may also be an EnsembleBlock, the block form: the return is then a
+    PovmBlock, and no per-cell object is made. Its cells go through the same
+    closed form and validate()'s checks stacked on one leading axis, with one
+    eigenvalue call for all of their POVMs; each cell's results equal its
+    own call's, bit for bit, and its refusal is the one its own call raises.
+    Memory grows with the block's length, so a caller with a large grid
+    passes it in blocks (the CLI sweep: cli.SWEEP_BLOCK cells a call).
+
+    ens may also be any iterable of ensembles, of either dim (anything else,
+    a 0-d array included, is a DomainError). The return is then a list, in
+    input order, of each one's validated PovmStrategy or the PfmAttackError
+    its own call would raise (DomainError for one that is not an
+    AttackEnsemble), and no refusal stops the others: the ensembles of each
+    dim are built as one block and wrapped.
     """
+    if isinstance(ens, EnsembleBlock):
+        return _build_block(ens)
     if not isinstance(ens, AttackEnsemble):
-        if not isinstance(ens, Iterable):
+        if not iterable(ens):
             raise DomainError(f"ens must be an AttackEnsemble or an iterable of them, got {type(ens).__name__}")
         return _build_stacked(list(ens))
-    refusal = _refusal_before_arithmetic(ens)
+    refusal = _refusal_before_arithmetic(ens.epsilon, ens.delta, ens.dim)
     if refusal is not None:
         raise refusal
     _, basis, forms, (lambda_0, lambda_3) = _pencil(ens.dim, ens.delta)
-    mu, t = _map_scalars(ens)
+    mu, t = _map_scalars(ens.epsilon, ens.delta, ens.dim)
     # a 1-D row's dot: the bits of a (1, m) row's matmul, which the stacked body makes, without the row
     g00, g33, g03_re, g03_im = np.array(mu).dot(forms).tolist()
     # each hypot as abs() of a complex scalar: libm's hypot, as np.hypot is in the stacked body
@@ -354,21 +381,26 @@ def build_suboptimal_povm(
     return strat
 
 
-def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAttackError]:
-    """build_suboptimal_povm over a sequence: the same arithmetic and checks, the points of each dim stacked on axis 0.
+def _build_block(block: EnsembleBlock) -> PovmBlock:
+    """build_suboptimal_povm's block form: the point body's arithmetic and checks, the cells stacked on axis 0.
 
     A single point keeps a scalar body of its own, since numpy's per-call cost
     on 2x3 arrays makes a stacked body slower for one point; the two bodies
     must give the same bits, which test_attack checks point by point.
     """
-    results = [_refusal_before_arithmetic(ens) if isinstance(ens, AttackEnsemble)
-               else DomainError(f"ensemble must be an AttackEnsemble, got {type(ens).__name__}") for ens in ensembles]
-    for dim in (3, 2):
-        index = [k for k, ens in enumerate(ensembles) if results[k] is None and ens.dim == dim]
-        if not index:
-            continue
-        pencils = [_pencil(dim, ensembles[k].delta) for k in index]
-        mu, t = zip(*(_map_scalars(ensembles[k]) for k in index))  # in Python floats, as the single body
+    dim, refusals = block.dim, list(block.refusals)
+    epsilon, delta = block.epsilon.tolist(), block.delta.tolist()
+    decided = block.delta == 0.0
+    if dim == 3:
+        decided |= block.epsilon == 0.0
+    for r in np.flatnonzero(decided).tolist():
+        refusals[r] = refusals[r] or _refusal_before_arithmetic(epsilon[r], delta[r], dim)
+    index = [r for r, refusal in enumerate(refusals) if refusal is None]
+    pencils = [_pencil(dim, delta[r]) for r in index]
+    x, elements = np.empty(0), np.empty((0, 3, dim, dim), complex)
+    if index:
+        # in Python floats, as the single body: s and c from math, since numpy's sin and cos may differ in the last bit
+        mu, t = zip(*(_map_scalars(epsilon[r], delta[r], dim) for r in index))
         # one (1, m) row per cell, as the single body's: a (k, m) row block per delta gives other bits
         mu = np.array(mu)[:, None, :]
         g00, g33, g03_re, g03_im = (mu @ np.array([pencil[2] for pencil in pencils]))[:, 0].T
@@ -376,13 +408,37 @@ def _build_stacked(ensembles: list[AttackEnsemble]) -> list[PovmStrategy | PfmAt
         t = np.array(t)
         x = t * t / (2 * lmax)
         scale = np.concatenate((np.ones((len(index), 1, 1)), mu / lmax[:, None, None]), axis=2)  # [1, mu / lmax]
-        elements = scale @ np.array([pencil[1] for pencil in pencils])
-        elements.setflags(write=False)  # the owner, and so each strategy's view of it
-        elements = elements.view(complex).reshape(len(index), 3, dim, dim)  # [M_0, M_3, M_vac] per point
-        for k, pencil, el, x_k, refusal in zip(index, pencils, elements, x.tolist(), _refusals(elements, x)):
+        elements = (scale @ np.array([pencil[1] for pencil in pencils])).view(complex).reshape(len(index), 3, dim, dim)
+        for r, x_r, refusal in zip(index, x.tolist(), _refusals(elements, x)):
             # in the single body's order: the underflow of x, then validate()'s checks
-            results[k] = (_underflow(x_k) if not x_k >= _X_MIN else refusal) or frozen(
-                PovmStrategy, ensemble=ensembles[k], elements=el, x=x_k, lambda_0=pencil[3][0], lambda_3=pencil[3][1])
+            refusals[r] = _underflow(x_r) if not x_r >= _X_MIN else refusal
+    answered = [k for k, r in enumerate(index) if refusals[r] is None]
+    lambdas = np.array([pencils[k][3] for k in answered]).reshape(-1, 2).T
+    arrays = elements[answered], x[answered], lambdas[0], lambdas[1]
+    for array in arrays:
+        array.setflags(write=False)  # each an owner: no view a sequence build hands out can be made writable again
+    return frozen(PovmBlock, ensembles=block.take([index[k] for k in answered]), elements=arrays[0], x=arrays[1],
+                  lambda_0=arrays[2], lambda_3=arrays[3], refusals=refusals)
+
+
+def _build_stacked(ensembles: list) -> list[PovmStrategy | PfmAttackError]:
+    """build_suboptimal_povm over a sequence: the ensembles of each dim packed into one block, built by _build_block,
+    and each answered cell wrapped as a PovmStrategy holding a view of its block's elements."""
+    results = [None if isinstance(ens, AttackEnsemble)
+               else DomainError(f"ensemble must be an AttackEnsemble, got {type(ens).__name__}") for ens in ensembles]
+    for dim in (3, 2):
+        index = [k for k, ens in enumerate(ensembles) if results[k] is None and ens.dim == dim]
+        if not index:
+            continue
+        povms = _build_block(EnsembleBlock([ensembles[k].epsilon for k in index], [ensembles[k].delta for k in index],
+                                           dim))
+        rows = zip(povms.elements, povms.x.tolist(), povms.lambda_0.tolist(), povms.lambda_3.tolist())
+        for k, refusal in zip(index, povms.refusals):
+            if refusal is None:
+                el, x, lambda_0, lambda_3 = next(rows)
+                refusal = frozen(PovmStrategy, ensemble=ensembles[k], elements=el, x=x, lambda_0=lambda_0,
+                                 lambda_3=lambda_3)
+            results[k] = refusal
     return results
 
 

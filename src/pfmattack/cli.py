@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import os
 import re
@@ -32,14 +31,15 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .attack import PovmStrategy, build_suboptimal_povm, evaluate, max_fiber_length_km
+from .attack import build_suboptimal_povm, evaluate, max_fiber_length_km
 from .errors import PfmAttackError
-from .mcoracle import OracleEstimate, check_run, run_oracle
-from .statespace import BirefringentChannel, FaradayMirror, bb84_ensemble, build_ensemble, verify_compensation
+from .mcoracle import check_run, estimate_ratios, run_oracle
+from .statespace import (BirefringentChannel, EnsembleBlock, FaradayMirror, bb84_ensemble, build_ensemble,
+                         verify_compensation)
 
 _PI_FRACTION = re.compile(r"^([+-]?)pi(?:/(\d+(?:\.\d+)?))?$")
 
-#: Grid points a sweep builds per build_suboptimal_povm call: bounds the arrays and strategies held at once.
+#: Grid points a sweep builds per build_suboptimal_povm call: bounds the arrays held at once.
 SWEEP_BLOCK = 256
 
 BASE_COLUMNS = ("epsilon_deg", "delta_rad", "e_B", "p_succ", "lambda_0", "lambda_3", "x", "max_fiber_km")
@@ -131,12 +131,13 @@ def _non_finite(epsilon_deg: float, delta: float) -> PfmAttackError:
     return PfmAttackError(f"non-finite value in row for epsilon_deg={epsilon_deg}, delta={delta}")
 
 
-def _block_values(rows: list[tuple[float, PovmStrategy]]) -> np.ndarray:
-    """The values (n, 8) of BASE_COLUMNS for n rows (epsilon_deg, strategy): evaluate's figures, by its own
-    operations over arrays, so each value equals its report's bit for bit."""
-    values = np.array([
-        (eps, strat.ensemble.delta, 0.0, 0.0, strat.lambda_0, strat.lambda_3, strat.x, 0.0) for eps, strat in rows
-    ]).reshape(-1, len(BASE_COLUMNS))
+def _block_values(epsilon_deg, delta, lambda_0, lambda_3, x) -> np.ndarray:
+    """The values (n, 8) of BASE_COLUMNS for n rows, from their columns epsilon_deg, delta and a strategy's lambda_0,
+    lambda_3 and x: evaluate's figures, by its own operations over arrays, so each value equals its report's bit for
+    bit."""
+    values = np.empty((len(x), len(BASE_COLUMNS)))
+    for column, value in zip((0, 1, 4, 5, 6), (epsilon_deg, delta, lambda_0, lambda_3, x)):
+        values[:, column] = value
     values[:, 2] = (values[:, 4] + values[:, 5]) / 2
     values[:, 3] = values[:, 6] / 2
     values[:, 7] = max_fiber_length_km(values[:, 3])
@@ -181,9 +182,11 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
     with a non-finite figure. The remap attack ignores epsilon, so it writes
     one row per delta, labelled epsilon_deg 0. With oracle columns, the trial
     count and the seed are checked before any point. The grid is built
-    SWEEP_BLOCK points at a time, each block in one build_suboptimal_povm call
-    and, with oracle columns, one run_oracle call over the rows the build
-    answered (the r-th seeded seed + r), its figures formed from arrays.
+    SWEEP_BLOCK points at a time, each block from arrays to its lines: one
+    EnsembleBlock, one build_suboptimal_povm call and, with oracle columns,
+    one run_oracle call over the rows the build answered (the r-th seeded
+    seed + r), its figures formed from arrays. No per-cell ensemble,
+    strategy or estimate is made.
     """
     lines = [f"# pfmattack {__version__}", f"# attack={args.attack}"]
     if args.trials is not None:
@@ -193,35 +196,28 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
         lines.append(f"# generated={datetime.now(timezone.utc).isoformat(timespec='seconds')}")
     columns = BASE_COLUMNS + (ORACLE_COLUMNS if args.trials is not None else ())
     lines.append(",".join(columns))
-    epsilons = args.epsilon_deg if args.attack == "pfm" else [0.0]
-    cells = itertools.product(zip(epsilons, np.deg2rad(epsilons).tolist()), args.delta)
+    epsilon_deg = np.array(args.epsilon_deg if args.attack == "pfm" else [0.0], dtype=float)
+    epsilon, delta = np.deg2rad(epsilon_deg), np.array(args.delta, dtype=float)
     row_index = 0
-    while block := list(itertools.islice(cells, SWEEP_BLOCK)):
-        points = []  # per cell: its ensemble, or the refusal of a cell outside the domain
-        for (_, epsilon), delta in block:
-            try:
-                points.append(_ensemble(args.attack, epsilon, delta))
-            except PfmAttackError as exc:
-                points.append(exc)
-        results = iter(build_suboptimal_povm([ens for ens in points if not isinstance(ens, PfmAttackError)]))
-        strategies = [ens if isinstance(ens, PfmAttackError) else next(results) for ens in points]
-        rows = [(cell[0][0], strat) for cell, strat in zip(block, strategies) if isinstance(strat, PovmStrategy)]
-        values = _block_values(rows)
-        finite = np.isfinite(values).all(axis=1).tolist()
-        refusals = [None if ok else _non_finite(eps, strat.ensemble.delta) for (eps, strat), ok in zip(rows, finite)]
+    for start in range(0, len(epsilon) * len(delta), SWEEP_BLOCK):
+        # the block's cells, epsilon-major: cell k is (epsilon[i[k]], delta[j[k]])
+        i, j = np.divmod(np.arange(start, min(start + SWEEP_BLOCK, len(epsilon) * len(delta))), len(delta))
+        povms = build_suboptimal_povm(EnsembleBlock(epsilon[i], delta[j], 3 if args.attack == "pfm" else 2))
+        answered = [k for k, refusal in enumerate(povms.refusals) if refusal is None]
+        values = _block_values(epsilon_deg[i[answered]], povms.ensembles.delta, povms.lambda_0, povms.lambda_3, povms.x)
+        refusals = [None if ok else _non_finite(eps, d)
+                    for ok, (eps, d) in zip(np.isfinite(values).all(axis=1).tolist(), values[:, :2].tolist())]
         if args.trials is not None:
-            built = [strat for _, strat in rows]
-            oracles = run_oracle([strat.ensemble for strat in built], built, args.trials, args.seed + row_index)
-            row_index += len(rows)
-            refusals = [o if isinstance(o, PfmAttackError) else refusal for o, refusal in zip(oracles, refusals)]
+            counts, oracle_refusals = run_oracle(povms.ensembles, povms.elements, args.trials, args.seed + row_index)
+            row_index += len(answered)
+            refusals = [oracle_refusal or refusal for oracle_refusal, refusal in zip(oracle_refusals, refusals)]
             # oracle cells may be nan when too few rounds were sifted; a refused row's are never written
-            estimates = [(o.qber_hat, o.p_succ_hat) if isinstance(o, OracleEstimate) else (0.0, 0.0) for o in oracles]
-            values = np.hstack((values, np.reshape(estimates, (-1, 2))))
+            values = np.hstack((values, np.reshape(estimate_ratios(counts, args.trials), (-1, 2))))
         formatted = iter(zip(_csv_lines(values), refusals))
-        for ((epsilon_deg, _), delta), strat in zip(block, strategies):
-            line, refusal = (None, strat) if isinstance(strat, PfmAttackError) else next(formatted)
+        for refusal, eps, d in zip(povms.refusals, epsilon_deg[i].tolist(), delta[j].tolist()):
+            line, refusal = (None, refusal) if refusal is not None else next(formatted)
             if refusal is not None:
-                line = f"# rejected epsilon_deg={_csv_num(epsilon_deg)} delta_rad={_csv_num(delta)}: {refusal}"
+                line = f"# rejected epsilon_deg={_csv_num(eps)} delta_rad={_csv_num(d)}: {refusal}"
             lines.append(line)
     return lines
 
@@ -229,7 +225,8 @@ def run_sweep(args: argparse.Namespace) -> list[str]:
 def cmd_eval(args) -> int:
     ens = _ensemble(args.attack, np.deg2rad(args.epsilon_deg), args.delta)
     epsilon_deg = args.epsilon_deg if args.attack == "pfm" else 0.0
-    values = _block_values([(epsilon_deg, build_suboptimal_povm(ens))])
+    strat = build_suboptimal_povm(ens)
+    values = _block_values([epsilon_deg], [ens.delta], [strat.lambda_0], [strat.lambda_3], [strat.x])
     for key, value in zip(BASE_COLUMNS, values[0].tolist()):
         print(f"{key:<13} {value:.6g}")
     if args.out:

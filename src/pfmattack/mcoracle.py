@@ -26,27 +26,29 @@ or state by state. The per-round scalar reference that this law is checked
 against, and numpy's state-by-state form of it, live in the test suite
 (tests/oracle_reference.py).
 
-`run_oracle` also takes equal-length sequences of ensembles and strategies,
-row r seeded seed + r, as a sweep block needs. Each step before the draw (the
-states, the outcome tables and their checks, the resend and cell tables) is
-written once over leading axes: a single call runs it on one point, a sequence
-on all of its rows at once. Only the multinomial runs row by row, on one
-generator set to each row's default_rng(seed + r) state, so each row's
-estimate equals its own call's, field for field.
+`run_oracle` also takes a block, an `EnsembleBlock` and its elements as one
+array, row r seeded seed + r, as a sweep block needs, and returns the counts
+as one array; equal-length sequences of ensembles and strategies are run as
+blocks and wrapped as estimates. Each step before the draw (the states, the
+outcome tables and their checks, the resend and cell tables) is written once
+over leading axes: a single call runs it on one point, a block on all of its
+rows at once. Only the multinomial runs row by row, on one generator set to
+each row's default_rng(seed + r) state, so each row's counts equal its own
+call's.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NegativeProbabilityError, PfmAttackError
 from .attack import PovmStrategy, require_built_for
-from .statespace import AttackEnsemble, ensemble_states, frozen
+from .statespace import AttackEnsemble, EnsembleBlock, frozen, iterable
 
 #: Below this many trials the binomial error bars are too wide to be useful.
 MIN_TRIALS = 10_000
@@ -212,21 +214,39 @@ def _generators(seeds: list[int]) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _estimates(n_trials: int, seeds: list[int], cells: np.ndarray) -> list[OracleEstimate]:
-    """One run of n_trials rounds per seed: run r is drawn from the cell table cells[r] (n, 4, 4) with seeds[r]."""
+def _counts(n_trials: int, seeds: list[int], cells: np.ndarray) -> np.ndarray:
+    """The counts (n, 4, 4) [run, state, cell] of one run of n_trials rounds per seed: run r is drawn from the cell
+    table cells[r] (n, 4, 4) with seeds[r]."""
     counts = np.empty((len(seeds), 4, 4), dtype=np.int64)
     probs = cells.reshape(-1, 16) * 0.25
     # zip pulls its iterables left to right, so the generators run only for rows that exist: a single call makes one
     for probs_r, out, rng in zip(probs, counts.reshape(-1, 16), _generators(seeds)):
         _draw(n_trials, rng, probs_r, out)
+    return counts
+
+
+def _ratios(n_errors: int, n_sifted: int, n_conclusive: int, n_trials: int) -> tuple[float, float]:
+    """(qber_hat, p_succ_hat) of a run's counts, each one Python int division, correctly rounded: a count up to
+    2**63 - 1 made a float first would be rounded twice. qber_hat is nan with no round sifted."""
+    return n_errors / n_sifted if n_sifted else math.nan, n_conclusive / n_trials
+
+
+def estimate_ratios(counts: np.ndarray, n_trials: int) -> list[tuple[float, float]]:
+    """Per run of counts (n, 4, 4) [run, state, cell] of n_trials rounds: (qber_hat, p_succ_hat), as its
+    OracleEstimate holds them."""
+    return [_ratios(errors, correct + errors, not_sifted + correct + errors, n_trials)
+            for not_sifted, correct, errors, _ in counts.sum(axis=1).tolist()]
+
+
+def _estimates(n_trials: int, seeds: list[int], counts: np.ndarray) -> list[OracleEstimate]:
+    """The estimate of each run of counts (n, 4, 4), run r seeded seeds[r]."""
     # by run and state, the rounds that reached at least: an error, sifted, conclusive, any cell
     levels = counts.take([2, 1, 0, 3], axis=2).cumsum(axis=2).transpose(0, 2, 1).tolist()
     estimates = []
     for seed, level in zip(seeds, levels):
         errors, sifted, conclusive, trials = map(tuple, level)
         n_sifted, n_errors, n_conclusive = sum(sifted), sum(errors), sum(conclusive)
-        p_hat = n_conclusive / n_trials
-        e_hat = n_errors / n_sifted if n_sifted else math.nan
+        e_hat, p_hat = _ratios(n_errors, n_sifted, n_conclusive, n_trials)
         estimates.append(frozen(
             OracleEstimate, n_trials=n_trials, qber_hat=e_hat, p_succ_hat=p_hat,
             stderr_qber=math.sqrt(e_hat * (1 - e_hat) / n_sifted) if n_sifted else math.nan,
@@ -237,12 +257,30 @@ def _estimates(n_trials: int, seeds: list[int], cells: np.ndarray) -> list[Oracl
     return estimates
 
 
+def _run_block(
+    ens: EnsembleBlock, elements: np.ndarray, n_trials: int, seeds: list[int]
+) -> tuple[np.ndarray, list[PfmAttackError | None]]:
+    """run_oracle's block form over checked arguments, row r seeded seeds[r]: (counts (n, 4, 4), per row its refusal
+    or None). A row the block or its outcome table's checks refuse draws nothing and keeps zero counts."""
+    refusals = list(ens.refusals)
+    counts = np.zeros((len(ens), 4, 4), dtype=np.int64)
+    rows = [r for r, refusal in enumerate(refusals) if refusal is None]
+    if rows:
+        probs, table_refusals = _tables(ens.states(rows), elements[rows])
+        for r, refusal in zip(rows, table_refusals):
+            refusals[r] = refusal
+        drawn = [k for k, refusal in enumerate(table_refusals) if refusal is None]
+        drawn_rows = [rows[k] for k in drawn]
+        counts[drawn_rows] = _counts(n_trials, [seeds[r] for r in drawn_rows], _cells(_resend(probs[drawn])))
+    return counts, refusals
+
+
 def run_oracle(
-    ens: AttackEnsemble | Sequence[AttackEnsemble],
-    strat: PovmStrategy | Sequence[PovmStrategy],
+    ens: AttackEnsemble | EnsembleBlock | Sequence[AttackEnsemble],
+    strat: PovmStrategy | np.ndarray | Sequence[PovmStrategy],
     n_trials: int,
     seed: int,
-) -> OracleEstimate | list[OracleEstimate | PfmAttackError]:
+) -> OracleEstimate | tuple[np.ndarray, list[PfmAttackError | None]] | list[OracleEstimate | PfmAttackError]:
     """Estimate QBER and success probability from n_trials simulated rounds.
 
     Reproducible for a fixed seed; time and memory do not grow with n_trials.
@@ -251,13 +289,23 @@ def run_oracle(
     another point is refused before any round is drawn (see
     `attack.require_built_for`).
 
-    ens and strat may also be iterables of equal length (anything else is a
-    DomainError), row r the pair (ens[r], strat[r]) run with seed + r. The
-    return is then a list, in order, of each row's OracleEstimate or the
-    PfmAttackError its own call would raise; a refused row stops no other.
-    n_trials and seed are checked once, before any draw. The rows' states,
-    outcome tables, checks and cell tables are formed stacked on one leading
-    axis, from the states and strat.elements alone; only the multinomial
+    ens may also be an EnsembleBlock of n rows and strat their POVM elements
+    (n, 3, dim, dim), as a PovmBlock holds them: the block form, row r seeded
+    seed + r. It returns (counts, refusals) and makes no per-row object:
+    counts (n, 4, 4) int64 [row, state, cell], the cells being conclusive
+    but not sifted, sifted and correct, error, blocked; refusals[r] None or
+    the row's PfmAttackError (the block's own, or its outcome table's), a
+    refused row keeping zero counts. `estimate_ratios` turns counts into
+    each row's (qber_hat, p_succ_hat).
+
+    ens and strat may also be iterables of equal length (anything else, a 0-d
+    array included, is a DomainError), row r the pair (ens[r], strat[r]) run
+    with seed + r. The return is then a list, in order, of each row's
+    OracleEstimate or the PfmAttackError its own call would raise; a refused
+    row stops no other. The rows of each dim are run as one block and their
+    counts wrapped as estimates. n_trials and seed are checked once, before
+    any draw, in either form. A block's states, outcome tables, checks and
+    cell tables are formed stacked on one leading axis; only the multinomial
     is per row, on one generator (_generators). A single call forms its one
     row's tables by the same functions, from ens.states.
     """
@@ -267,9 +315,21 @@ def run_oracle(
         require_built_for(ens, strat)
         n_trials, seed = check_run(n_trials, seed)
         cells = _cells(_resend(outcome_probabilities(ens.states, strat)))
-        return _estimates(n_trials, [seed], cells[None])[0]
+        return _estimates(n_trials, [seed], _counts(n_trials, [seed], cells[None]))[0]
+    if isinstance(ens, EnsembleBlock):
+        if not iterable(strat):
+            raise DomainError(f"strat must be iterable, got {type(strat).__name__}")
+        try:
+            elements = np.asarray(strat, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"elements must be numbers: {exc}") from None
+        if elements.shape != (len(ens), 3, ens.dim, ens.dim):
+            raise DimensionMismatchError(
+                f"elements shape {elements.shape} is not ({len(ens)}, 3, {ens.dim}, {ens.dim})")
+        n_trials, seed = check_run(n_trials, seed)
+        return _run_block(ens, elements, n_trials, list(range(seed, seed + len(ens))))
     for name, value, kind in (("ens", ens, "an AttackEnsemble or an iterable of them"), ("strat", strat, "iterable")):
-        if not isinstance(value, Iterable):
+        if not iterable(value):
             raise DomainError(f"{name} must be {kind}, got {type(value).__name__}")
     ensembles, strategies = list(ens), list(strat)
     if len(ensembles) != len(strategies):
@@ -284,10 +344,11 @@ def run_oracle(
     for dim in (3, 2):
         rows = [r for r, ens_r in enumerate(ensembles) if results[r] is None and ens_r.dim == dim]
         if rows:
-            states = ensemble_states([ensembles[r] for r in rows])
-            probs, refusals = _tables(states, np.array([strategies[r].elements for r in rows]))
+            block = EnsembleBlock([ensembles[r].epsilon for r in rows], [ensembles[r].delta for r in rows], dim)
+            counts, refusals = _run_block(block, np.array([strategies[r].elements for r in rows]), n_trials,
+                                          [seed + r for r in rows])
             drawn = [k for k, refusal in enumerate(refusals) if refusal is None]
-            estimates = iter(_estimates(n_trials, [seed + rows[k] for k in drawn], _cells(_resend(probs[drawn]))))
+            estimates = iter(_estimates(n_trials, [seed + rows[k] for k in drawn], counts[drawn]))
             for r, refusal in zip(rows, refusals):
                 results[r] = refusal or next(estimates)
     return results

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,10 +33,24 @@ _SQRT2 = np.sqrt(2.0)
 _K = np.arange(4)
 
 
-def _check_epsilon(epsilon: float) -> None:
-    """Refuse a mirror deviation beyond EPSILON_MAX, or a nan one, with DomainError."""
+def _domain_refusal(epsilon: float, delta: float, dim=3) -> DomainError | None:
+    """The DomainError of the point (epsilon, delta, dim), real epsilon and delta, or None: in this order an epsilon
+    beyond EPSILON_MAX (or nan), a delta outside [0, pi/2], a dim that is not an integer, then any dim but 3, or 2 at
+    epsilon = 0."""
     if not abs(epsilon) <= EPSILON_MAX:
-        raise DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {epsilon}")
+        return DomainError(f"|epsilon| must be <= {EPSILON_MAX:.6f} rad, got {epsilon}")
+    if not 0.0 <= delta <= math.pi / 2:
+        return DomainError(f"delta must lie in [0, pi/2], got {delta}")
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        return DomainError(f"dim must be an integer, got {dim!r}")
+    if dim != 3 and (dim, epsilon) != (2, 0.0):
+        return DomainError(f"dim must be 3, or 2 at epsilon = 0; got dim {dim}, epsilon {epsilon}")
+    return None
+
+
+def iterable(value) -> bool:
+    """value can be iterated: an Iterable other than a 0-d ndarray, which is one by type but raises on iteration."""
+    return isinstance(value, Iterable) and not (isinstance(value, np.ndarray) and value.ndim == 0)
 
 
 def _real(name: str, value, finite: bool = False) -> float:
@@ -59,8 +74,8 @@ def set_reals(fields: dict, *names: str, finite: bool = False) -> None:
 
 
 def frozen(cls, **fields):
-    """An instance of the frozen dataclass cls holding fields, each set once and unchecked: what cls(**fields) makes
-    of fields that its checks would pass, without the cost of its __init__."""
+    """An instance of cls (a frozen dataclass, or a block class) holding fields, each set once and unchecked: what
+    cls(**fields) makes of fields that its checks would pass, without the cost of its __init__."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "__dict__", fields)
     return obj
@@ -74,7 +89,9 @@ class FaradayMirror:
 
     def __post_init__(self):
         set_reals(self.__dict__, "epsilon")
-        _check_epsilon(self.epsilon)
+        refusal = _domain_refusal(self.epsilon, 0.0)
+        if refusal is not None:
+            raise refusal
 
 
 @dataclass(frozen=True)
@@ -121,7 +138,7 @@ class AttackEnsemble:
 
     states[k], the unit vector prepared for phase index k, is computed on
     first access and read-only: the last dim components of `pfm_states`
-    (at dim 2 the dropped e_0 component is zero), as `ensemble_states`
+    (at dim 2 the dropped e_0 component is zero), as `EnsembleBlock.states`
     forms them. The closed-form path and the span check never read it;
     a single oracle call does.
     """
@@ -132,13 +149,9 @@ class AttackEnsemble:
 
     def __init__(self, epsilon: float, delta: float, dim: int):
         epsilon, delta = _real("epsilon", epsilon), _real("delta", delta)
-        _check_epsilon(epsilon)
-        if not 0.0 <= delta <= math.pi / 2:
-            raise DomainError(f"delta must lie in [0, pi/2], got {delta}")
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-            raise DomainError(f"dim must be an integer, got {dim!r}")
-        if dim != 3 and (dim, epsilon) != (2, 0.0):
-            raise DomainError(f"dim must be 3, or 2 at epsilon = 0; got dim {dim}, epsilon {epsilon}")
+        refusal = _domain_refusal(epsilon, delta, dim)
+        if refusal is not None:
+            raise refusal
         # the checked fields set at once: a dataclass __init__ would set each through object.__setattr__
         object.__setattr__(self, "__dict__", {"epsilon": epsilon, "delta": delta, "dim": dim})
 
@@ -179,12 +192,63 @@ def pfm_states(epsilon, delta) -> np.ndarray:
     return states
 
 
-def ensemble_states(ensembles) -> np.ndarray:
-    """The states (n, 4, dim) of n ensembles of one dim, one `pfm_states` call: row r is ensembles[r].states."""
-    if len({ens.dim for ens in ensembles}) != 1:
-        raise DimensionMismatchError("ensemble_states takes one or more ensembles of one dim")
-    epsilon, delta = np.array([(ens.epsilon, ens.delta) for ens in ensembles]).T
-    return pfm_states(epsilon, delta)[..., 3 - ensembles[0].dim :]
+def _reals(name: str, values) -> np.ndarray:
+    """values as a read-only float64 copy: DomainError unless a 1-d array (or sequence) of a real numeric dtype."""
+    if not iterable(values):
+        raise DomainError(f"{name} must be a 1-d array of real numbers, got {type(values).__name__}")
+    try:
+        array = np.array(values)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a 1-d array of real numbers: {exc}") from None
+    if array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a 1-d array of real numbers, got shape {array.shape} of {array.dtype}")
+    array = array.astype(float)
+    array.setflags(write=False)
+    return array
+
+
+class EnsembleBlock:
+    """n attack points of one dim as arrays: the block form of AttackEnsemble, which a sweep block is made of.
+
+    epsilon and delta are 1-d arrays of reals of one length (anything else,
+    None or a 0-d array included, is a DomainError naming it; unequal
+    lengths a DimensionMismatchError), kept as read-only float64 copies;
+    dim is an integer shared by every cell. The domain is checked once over
+    the arrays: refusals[r] is None, or the DomainError, with its message,
+    that AttackEnsemble(epsilon[r], delta[r], dim) raises. A refused cell
+    keeps its place, and each block form passes its refusal on. A plain
+    class, not a dataclass, which would cost import time.
+    """
+
+    def __init__(self, epsilon, delta, dim: int):
+        epsilon, delta = _reals("epsilon", epsilon), _reals("delta", delta)
+        if len(epsilon) != len(delta):
+            raise DimensionMismatchError(f"{len(epsilon)} epsilon values but {len(delta)} delta values")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+            raise DomainError(f"dim must be an integer, got {dim!r}")
+        refused = ~((np.abs(epsilon) <= EPSILON_MAX) & (0.0 <= delta) & (delta <= math.pi / 2))
+        if dim != 3:
+            refused |= (epsilon != 0.0) | (dim != 2)
+        self.epsilon, self.delta, self.dim = epsilon, delta, dim
+        self.refusals: list[DomainError | None] = [None] * len(epsilon)
+        for r in np.flatnonzero(refused).tolist():
+            self.refusals[r] = _domain_refusal(epsilon[r].item(), delta[r].item(), dim)
+
+    def __len__(self) -> int:
+        return len(self.refusals)
+
+    def take(self, rows: list[int]) -> EnsembleBlock:
+        """The block of the cells rows, in that order, each with its refusal, not checked again."""
+        epsilon, delta = self.epsilon[rows], self.delta[rows]
+        epsilon.setflags(write=False)
+        delta.setflags(write=False)
+        return frozen(EnsembleBlock, epsilon=epsilon, delta=delta, dim=self.dim,
+                      refusals=[self.refusals[r] for r in rows])
+
+    def states(self, rows: list[int]) -> np.ndarray:
+        """The states (len(rows), 4, dim) of the cells rows, in one `pfm_states` call: each row is its point's
+        AttackEnsemble.states, bit for bit. rows name cells that no refusal holds."""
+        return pfm_states(self.epsilon[rows], self.delta[rows])[..., 3 - self.dim :]
 
 
 def build_ensemble(epsilon: float, delta: float) -> AttackEnsemble:

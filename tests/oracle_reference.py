@@ -6,15 +6,15 @@ multinomial law. Only tests use this module, to check the oracle against an
 implementation that shares nothing with it beyond `outcome_probabilities`.
 
 `reference_draw` is the oracle's count draw written from numpy alone, one
-multinomial over the 16 (state, cell) pairs, which `mcoracle._estimates` is
+multinomial over the 16 (state, cell) pairs, which `mcoracle._counts` is
 checked against bit for bit. `hierarchical_draw` is numpy's state-by-state
 2-D form: the state counts, then each state's cell counts. It draws other
 numbers from the same law, and is the law the one-call draw is checked
 against.
 
 `simulate_intercept_resend` is the 25 % sanity check of the acceptance
-suite: the oracle's cell table and count draw (`mcoracle._cells` and
-`mcoracle._estimates`) run on the resend table of the plain
+suite: the oracle's cell table, count draw and estimate (`mcoracle._cells`,
+`mcoracle._counts` and `mcoracle._estimates`) run on the resend table of the plain
 intercept-and-resend attack on ideal BB84.
 """
 
@@ -124,4 +124,5 @@ def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
     them (`mcoracle.check_run`), before any draw.
     """
     n_trials, seed = mcoracle.check_run(n_trials, seed)
-    return mcoracle._estimates(n_trials, [seed], mcoracle._cells(INTERCEPT_RESEND)[None])[0]
+    counts = mcoracle._counts(n_trials, [seed], mcoracle._cells(INTERCEPT_RESEND)[None])
+    return mcoracle._estimates(n_trials, [seed], counts)[0]

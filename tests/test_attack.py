@@ -31,7 +31,7 @@ from pfmattack.errors import (
 from pfmattack import attack, cli
 from pfmattack.mcoracle import outcome_probabilities, run_oracle
 from pfmattack.numkernel import HERMITIAN_ATOL, hermitian_eig, hermitian_eigvalsh
-from pfmattack.statespace import EPSILON_MAX, AttackEnsemble, bb84_ensemble, build_ensemble
+from pfmattack.statespace import EPSILON_MAX, AttackEnsemble, EnsembleBlock, bb84_ensemble, build_ensemble
 
 from closed_form_reference import map_back, newton_table, pfm_e_b, pfm_overlaps, remap_e_b
 from hermitian_reference import hermitian_refusal
@@ -523,8 +523,9 @@ def test_evaluate_and_the_oracle_refuse_what_is_not_an_ensemble():
 
 
 def test_build_refuses_what_is_neither_an_ensemble_nor_iterable():
-    """build_suboptimal_povm of None or an int is a DomainError that names the type, not a bare TypeError."""
-    for bad in (None, 5):
+    """build_suboptimal_povm of None, an int or a 0-d array (Iterable by type, but it cannot be iterated) is a
+    DomainError that names the type, not a bare TypeError."""
+    for bad in (None, 5, np.array(0.3)):
         with pytest.raises(DomainError, match=f"^ens must be an AttackEnsemble or an iterable of them, got "
                                               f"{type(bad).__name__}$"):
             build_suboptimal_povm(bad)
@@ -982,6 +983,34 @@ def test_sequence_form_equals_the_point_form_cell_by_cell():
     ]
 
 
+def test_a_block_build_is_each_cells_own_call():
+    """The block form over a seeded grid of either dim, with cells outside the domain, at epsilon = 0, delta = 0 and
+    the underflow edge mixed in: the PovmBlock's rows are the answered cells' own strategies, bit for bit, in order,
+    and every other cell holds the refusal its own AttackEnsemble or build raises, with its type and message."""
+    rng = np.random.default_rng(38)
+    eps, delta = _reals(rng, 300, 1e-6, 1e-8)
+    eps += [0.0, 0.2, -0.2, np.nan, 1 * DEG, 1 * DEG, 1 * DEG, 1e-300]
+    delta += [0.5, 0.5, 0.5, 0.5, 0.0, 2.0, 1e-200, 0.5]
+    for dim, epsilon in ((3, eps), (2, [0.0 if k % 4 else e for k, e in enumerate(eps)])):
+        povms = build_suboptimal_povm(EnsembleBlock(epsilon, delta, dim))
+        assert len(povms.refusals) == len(delta) and len(povms.ensembles) == len(povms.x)
+        rows = iter(range(len(povms.x)))
+        for e, d, refusal in zip(epsilon, delta, povms.refusals):
+            try:
+                own = build_suboptimal_povm(AttackEnsemble(e, d, dim))
+            except PfmAttackError as exc:
+                assert (type(refusal), str(refusal)) == (type(exc), str(exc)), (e, d)
+                continue
+            assert refusal is None, (e, d)
+            j = next(rows)
+            assert (povms.ensembles.epsilon[j], povms.ensembles.delta[j]) == (e, d)
+            assert povms.elements[j].tobytes() == own.elements.tobytes()
+            assert [povms.x[j], povms.lambda_0[j], povms.lambda_3[j]] == [own.x, own.lambda_0, own.lambda_3]
+        assert next(rows, None) is None and 4 <= povms.refusals.count(None) < len(delta) - 4
+        for array in (povms.elements, povms.x, povms.lambda_0, povms.lambda_3):
+            assert not array.flags.writeable
+
+
 def test_sweep_block_figures_equal_evaluate_bit_for_bit():
     """The sweep forms a block's figures as arrays (cli._block_values): each row equals its cell's own evaluate, bit
     for bit (a ulp bound of 0). The grid is a seeded draw of both kinds with delta down to 1e-8, plus points at the
@@ -995,7 +1024,8 @@ def test_sweep_block_figures_equal_evaluate_bit_for_bit():
     points += [build_ensemble(e, math.sqrt(t / abs(math.sin(4 * e) / 2))) for e, t in zip(eps, edge[200:])]
     strategies = [strat for strat in build_suboptimal_povm(points) if isinstance(strat, PovmStrategy)]
     epsilon_deg = rng.uniform(-5, 5, len(strategies)).tolist()
-    values = cli._block_values(list(zip(epsilon_deg, strategies)))
+    columns = zip(*[(s.ensemble.delta, s.lambda_0, s.lambda_3, s.x) for s in strategies])
+    values = cli._block_values(epsilon_deg, *columns)
     expected = []
     for e, strat in zip(epsilon_deg, strategies):
         r = evaluate(strat.ensemble, strat)

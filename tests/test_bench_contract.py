@@ -7,6 +7,7 @@ runs. bench/ is only read here.
 """
 
 import ast
+import collections
 import importlib.util
 import inspect
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import pfmattack
-from pfmattack import attack, cli
+from pfmattack import attack, cli, mcoracle, statespace
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -103,3 +104,37 @@ def test_workload_pass_passes_its_gate(name, tmp_path):
     attempted, failed = work.check(work.run_pass(0, None))
     assert attempted == work.points_per_pass
     assert failed == 0, work.errors[:3]
+
+
+@pytest.mark.parametrize("block", [cli.SWEEP_BLOCK, 20])
+def test_a_sweep_oracle_pass_makes_no_per_cell_objects(block, tmp_path, monkeypatch):
+    """A sweep_oracle pass (57 cells) goes from the grid to the CSV as arrays: it makes no AttackEnsemble, PovmStrategy
+    or OracleEstimate, by their constructors or by statespace.frozen, and per block of cli.SWEEP_BLOCK cells it makes
+    one build_suboptimal_povm call and one run_oracle call, as the tracer counts them. Its output passes its gate."""
+    made = collections.Counter()
+    real_frozen = statespace.frozen
+
+    def counting_frozen(cls, **fields):
+        made[cls.__name__] += 1
+        return real_frozen(cls, **fields)
+
+    for module in (statespace, attack, mcoracle):
+        monkeypatch.setattr(module, "frozen", counting_frozen)
+    for cls in (pfmattack.AttackEnsemble, pfmattack.PovmStrategy, pfmattack.OracleEstimate):
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            made[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+    workloads, tracing = _load("workloads"), _load("tracing")
+    work, tracer = workloads.SweepOracle(1, tmp_path / "sweep.csv"), tracing.Tracer()
+    with tracer.installed():
+        exit_code = work.run_pass(0, tracer)
+    assert work.check(exit_code) == (work.points_per_pass, 0), work.errors[:3]
+    assert {name: made[name] for name in ("AttackEnsemble", "PovmStrategy", "OracleEstimate")} == dict.fromkeys(
+        ("AttackEnsemble", "PovmStrategy", "OracleEstimate"), 0)
+    blocks = -(-work.points_per_pass // block)
+    calls = {s["layer"]: s["calls"] for s in tracer.layer_stats()}
+    layers = ("statespace.build_ensemble", "attack.build_suboptimal_povm", "mcoracle.run_oracle")
+    assert [calls[layer] for layer in layers] == [0, blocks, blocks]

@@ -1,6 +1,7 @@
 import argparse
 import errno
 import hashlib
+import math
 import os
 import re
 import warnings
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from mp_reference import pfm_reference
-from pfmattack import build_ensemble, build_suboptimal_povm, cli, run_oracle
-from pfmattack.errors import DomainError
+from pfmattack import __version__, bb84_ensemble, build_ensemble, build_suboptimal_povm, cli, evaluate, run_oracle
+from pfmattack.errors import DomainError, PfmAttackError
 from pfmattack.mcoracle import OracleEstimate
 
 
@@ -311,9 +312,14 @@ def test_seeded_oracle_sweep_is_pinned(tmp_path):
     assert out.read_bytes() == PINNED_ORACLE_SWEEP.encode()
 
 
+#: sha256 of the file test_sweep_blocks_do_not_change_a_byte writes: 25 cells, 21 of them '# rejected' lines.
+BLOCKS_SHA256 = "cf0d6329b658083dce6c785aa9ba4e8de556d050292784f88a1db6aed70a7b29"
+
+
 def test_sweep_blocks_do_not_change_a_byte(tmp_path, monkeypatch):
     """A grid of several blocks, with refused cells at and across block edges, writes the same file at any block
-    size: each cell's row or '# rejected' line, and each row's oracle seed, do not depend on where a block ends."""
+    size: each cell's row or '# rejected' line, and each row's oracle seed, do not depend on where a block ends.
+    The file itself is pinned, so a change to a refusal's message or order, or to a row, shows here too."""
     argv = ["sweep", "--epsilon-deg=-6,0,1e-310,0.5,1", "--delta", "0,1e-200,0.3,pi/2,2", "--trials", "10000",
             "--seed", "5", "--reproducible"]
     files = []
@@ -326,6 +332,19 @@ def test_sweep_blocks_do_not_change_a_byte(tmp_path, monkeypatch):
     lines = files[0].decode().splitlines()
     assert sum(line.startswith("# rejected") for line in lines) == 21
     assert len(lines) == 4 + 25
+    assert hashlib.sha256(files[0]).hexdigest() == BLOCKS_SHA256
+
+
+#: sha256 of the file `sweep --attack remap --delta 0.1:pi/2:24 --trials 10000 --seed 1 --reproducible` writes: the
+#: dim-2 block path, 24 rows with oracle columns. CI's installed console script must write the same bytes.
+REMAP_ORACLE_SWEEP_SHA256 = "a96905f36c09a8df64c0389876926771748bcd7f3cb6fcf26cf843a3a4604871"
+
+
+def test_remap_oracle_sweep_is_pinned(tmp_path):
+    out = tmp_path / "remap.csv"
+    assert run_cli("sweep", "--attack", "remap", "--delta", "0.1:pi/2:24", "--trials", "10000", "--seed", "1",
+                   "--reproducible", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REMAP_ORACLE_SWEEP_SHA256
 
 
 def test_oracle_columns_across_2_to_the_32_are_each_rows_own_call(tmp_path):
@@ -342,6 +361,62 @@ def test_oracle_columns_across_2_to_the_32_are_each_rows_own_call(tmp_path):
         ens = build_ensemble(epsilon, delta)
         own = run_oracle(ens, build_suboptimal_povm(ens), 100_000, seed + r)
         assert row[-2:] == [cli._csv_num(own.qber_hat), cli._csv_num(own.p_succ_hat)], r
+
+
+def _reference_sweep(attack, epsilon_deg, deltas, trials, seed):
+    """The lines of a reproducible sweep from the public point API alone, cell by cell: each cell's own ensemble,
+    build and evaluate and, with trials, each built row's own run_oracle call seeded seed + r, r counting the rows
+    built so far; a refused cell is its '# rejected' line with its own call's message."""
+    def cell(value):  # "0" for either zero, scientific below 1e-3 in magnitude, else the general format
+        value += 0.0
+        return format(value, ".9e" if value != 0 and abs(value) < 1e-3 else ".9g")
+
+    lines = [f"# pfmattack {__version__}", f"# attack={attack}"]
+    if trials is not None:
+        lines.append(f"# oracle trials={trials} seed={seed} (row seeds: seed+index)")
+    lines.append(",".join(cli.BASE_COLUMNS + (cli.ORACLE_COLUMNS if trials is not None else ())))
+    built = 0
+    for eps in epsilon_deg if attack == "pfm" else [0.0]:
+        for delta in deltas:
+            try:
+                ens = build_ensemble(np.deg2rad(eps), delta) if attack == "pfm" else bb84_ensemble(delta)
+                strat = build_suboptimal_povm(ens)
+                built += 1
+                report = evaluate(ens, strat)
+                row = [eps, report.delta, report.qber, report.p_succ, report.lambda_0, report.lambda_3, report.x,
+                       report.max_fiber_km]
+                if trials is not None:
+                    estimate = run_oracle(ens, strat, trials, seed + built - 1)
+                if not all(math.isfinite(value) for value in row):
+                    raise PfmAttackError(f"non-finite value in row for epsilon_deg={eps}, delta={delta}")
+                if trials is not None:
+                    row += [estimate.qber_hat, estimate.p_succ_hat]
+                lines.append(",".join(map(cell, row)))
+            except PfmAttackError as exc:
+                lines.append(f"# rejected epsilon_deg={cell(eps)} delta_rad={cell(delta)}: {exc}")
+    return lines
+
+
+@pytest.mark.parametrize("trials", [None, 10_000], ids=["closed-form", "oracle"])
+@pytest.mark.parametrize("attack", ["pfm", "remap"])
+def test_a_sweep_is_each_cells_own_point_calls(tmp_path, monkeypatch, attack, trials):
+    """A seeded grid over several blocks, with epsilon 0, +-6 deg and subnormal degrees and delta 0, 1e-200, 1e-76,
+    pi/2 and 2 mixed in: every line of the sweep is the line the point API gives its cell (_reference_sweep), so each
+    row's figures and oracle cells are bit for bit its own calls', and each refused cell's line carries its own
+    call's refusal."""
+    rng = np.random.default_rng(38)
+    epsilon_deg = [0.0, 6.0, -6.0, 1e-310, -5e-324, 5.0, -5.0, *rng.uniform(-5.5, 5.5, 8).tolist()]
+    deltas = [0.0, 1e-200, 1e-76, np.pi / 2, 2.0, *np.exp(rng.uniform(math.log(1e-9), math.log(np.pi / 2), 7)).tolist()]
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 64)
+    out = tmp_path / "sweep.csv"
+    flags = ["--trials", str(trials), "--seed", "11"] if trials is not None else []
+    run_cli("sweep", "--attack", attack, f"--epsilon-deg={','.join(map(repr, epsilon_deg))}",
+            f"--delta={','.join(map(repr, deltas))}", *flags, "--reproducible", "--out", str(out))
+    expected = _reference_sweep(attack, epsilon_deg, deltas, trials, 11)
+    assert out.read_text().splitlines() == expected
+    reasons = " ".join(line for line in expected if line.startswith("# rejected"))
+    kinds = ("delta must lie", "coincide", "underflows") + (("|epsilon| must be", "singular point") * (attack == "pfm"))
+    assert all(kind in reasons for kind in kinds)
 
 
 #: sha256 of the files the 40x50 sweep writes, `--epsilon-deg 0.05:1:40 --delta 0.1:pi/2:50 --reproducible` without
@@ -426,12 +501,12 @@ def _refuse_row_1_of_the_first_call(real):
     """run_oracle, with row 1 of its first call's results replaced by a refusal."""
     calls = []
 
-    def refuse_row_1(ensembles, strategies, n_trials, seed):
-        results = real(ensembles, strategies, n_trials, seed)
+    def refuse_row_1(ensembles, elements, n_trials, seed):
+        counts, refusals = real(ensembles, elements, n_trials, seed)
         if not calls:
-            results[1] = DomainError("row 1 refused")
+            refusals[1] = DomainError("row 1 refused")
         calls.append(seed)
-        return results
+        return counts, refusals
 
     return refuse_row_1, calls
 

@@ -13,7 +13,7 @@ from pfmattack.attack import ERROR_WEIGHTS, PovmStrategy, build_suboptimal_povm,
 from pfmattack import mcoracle
 from pfmattack.errors import DimensionMismatchError, DomainError, NegativeProbabilityError, PfmAttackError
 from pfmattack.mcoracle import MAX_TRIALS, MIN_TRIALS, OracleEstimate, outcome_probabilities, run_oracle
-from pfmattack.statespace import EPSILON_MAX, AttackEnsemble, bb84_ensemble, build_ensemble
+from pfmattack.statespace import EPSILON_MAX, AttackEnsemble, EnsembleBlock, bb84_ensemble, build_ensemble
 
 DEG = np.pi / 180
 #: Trial count of the pinned seeded runs below.
@@ -476,8 +476,8 @@ def _cell_counts(estimate):
 
 def _block_counts(n_trials, seeds, cells):
     """The counts (n, 4, 4) of one block of runs, run r seeded seeds[r], all on the cell table cells."""
-    estimates = mcoracle._estimates(n_trials, seeds, np.broadcast_to(cells, (len(seeds), 4, 4)))
-    return np.array([_cell_counts(estimate) for estimate in estimates])
+    counts = mcoracle._counts(n_trials, seeds, np.broadcast_to(cells, (len(seeds), 4, 4)))
+    return np.array([_cell_counts(estimate) for estimate in mcoracle._estimates(n_trials, seeds, counts)])
 
 
 @pytest.mark.parametrize("n_trials", [MIN_TRIALS, MAX_TRIALS, 3])
@@ -486,8 +486,8 @@ def test_draw_equals_numpys_16_cell_multinomial(anchor, n_trials):
 
     The tables are the pfm and remap anchors' and the intercept-resend one,
     whose blocked cell is 0 in every state. At 3 trials most runs leave a
-    state with 0 rounds. The 1000 runs are one block through `_estimates`,
-    whose rows take their generators from `_generators`, so the reference's
+    state with 0 rounds. The 1000 runs are one block through `_counts` and
+    `_estimates`, whose rows take their generators from `_generators`, so the reference's
     default_rng(seed) checks each row's state too.
     """
     seeds = list(range(1000))
@@ -802,8 +802,37 @@ def test_sequence_form_refuses_an_argument_that_is_not_iterable(anchor, monkeypa
     DomainError that names its type, before any draw."""
     ens, strat, _ = anchor
     monkeypatch.setattr(mcoracle, "_draw", _no_draw)
-    with pytest.raises(DomainError, match="^ens must be an AttackEnsemble or an iterable of them, got NoneType$"):
-        run_oracle(None, strat, MIN_TRIALS, 1)
-    for bad in (None, strat):
-        with pytest.raises(DomainError, match=f"^strat must be iterable, got {type(bad).__name__}$"):
-            run_oracle([ens], bad, MIN_TRIALS, 1)
+    for bad in (None, np.array(0.3)):  # a 0-d array is Iterable by type, but cannot be iterated
+        with pytest.raises(DomainError, match=f"^ens must be an AttackEnsemble or an iterable of them, got "
+                                              f"{type(bad).__name__}$"):
+            run_oracle(bad, [strat], MIN_TRIALS, 1)
+    block = EnsembleBlock([ens.epsilon], [ens.delta], 3)
+    for bad in (None, strat, np.array(0.3)):
+        for ens_arg in ([ens], block):
+            with pytest.raises(DomainError, match=f"^strat must be iterable, got {type(bad).__name__}$"):
+                run_oracle(ens_arg, bad, MIN_TRIALS, 1)
+
+
+def test_the_block_form_draws_each_rows_own_counts(anchor, monkeypatch):
+    """run_oracle over an EnsembleBlock and its PovmBlock's elements: row r's counts are those of its own call seeded
+    seed + r, a row the block refuses keeps its refusal, draws nothing and keeps zero counts, and one whose outcome
+    table fails its checks is refused alone. A POVM stack of another shape is refused before any draw."""
+    ens, strat, _ = anchor
+    epsilon = [e * DEG for e in (0.5, 1.0, 9.0, 2.0, -1.0)]
+    block = EnsembleBlock(epsilon, [np.pi / 2, 0.3, 0.3, np.pi / 5, 1.0], 3)
+    elements = np.array([strat.elements] * len(block))  # each row measured with the anchor's POVM
+    elements[3] = 0.0  # a table that does not sum to 1
+    counts, refusals = run_oracle(block, elements, MIN_TRIALS, 40)
+    assert counts.dtype == np.int64 and counts.shape == (5, 4, 4)
+    assert refusals[2] is block.refusals[2] and type(refusals[3]) is DomainError and "sum to" in str(refusals[3])
+    assert not counts[[2, 3]].any() and (counts[[0, 1, 4]].sum(axis=(1, 2)) == MIN_TRIALS).all()
+    for r in (0, 1, 4):
+        point = AttackEnsemble(epsilon[r], block.delta[r], 3)
+        own = run_oracle(point, dataclasses.replace(strat, ensemble=point), MIN_TRIALS, 40 + r)
+        assert np.array_equal(counts[r], _cell_counts(own))
+        assert mcoracle.estimate_ratios(counts[r:r + 1], MIN_TRIALS) == [(own.qber_hat, own.p_succ_hat)]
+    monkeypatch.setattr(mcoracle, "_draw", _no_draw)
+    with pytest.raises(DimensionMismatchError, match=r"^elements shape \(5, 3, 2, 2\) is not \(5, 3, 3, 3\)$"):
+        run_oracle(block, np.zeros((5, 3, 2, 2)), MIN_TRIALS, 40)
+    with pytest.raises(DomainError, match="below minimum trial count"):
+        run_oracle(block, elements, 10, 40)

@@ -12,8 +12,8 @@ from pfmattack.statespace import (
     BirefringentChannel,
     FaradayMirror,
     bb84_ensemble,
+    EnsembleBlock,
     build_ensemble,
-    ensemble_states,
     newton_step,
     pfm_states,
     span_dimension,
@@ -88,20 +88,53 @@ def test_stacked_states_are_the_point_states_bit_for_bit():
         assert np.array_equal(pfm_states(epsilon[:length], delta[:length]), stacked[:length]), length
 
 
-def test_ensemble_states_are_each_ensembles_states():
-    """ensemble_states stacks the states of ensembles of one dim, row for row bit for bit; mixed dims are refused."""
+def test_block_states_are_each_ensembles_states():
+    """An EnsembleBlock's states stack the states of its cells, row for row bit for bit, in the order asked for."""
     rng = np.random.default_rng(7)
     epsilon, delta = rng.uniform(-EPSILON_MAX, EPSILON_MAX, 40), rng.uniform(0, np.pi / 2, 40)
-    pfm = [build_ensemble(e, d) for e, d in zip(epsilon, delta)]
-    remap = [bb84_ensemble(d) for d in [0.0, 1e-8, *rng.uniform(0, np.pi / 2, 20), np.pi / 2]]
-    for ensembles in (pfm, remap, pfm[:1], remap[:1]):
-        stacked = ensemble_states(ensembles)
-        assert stacked.shape == (len(ensembles), 4, ensembles[0].dim)
-        for ens, states in zip(ensembles, stacked):
-            assert np.array_equal(states, ens.states)
-    for mixed in ([pfm[0], remap[0]], []):
-        with pytest.raises(DimensionMismatchError):
-            ensemble_states(mixed)
+    remap = [0.0, 1e-8, *rng.uniform(0, np.pi / 2, 20), np.pi / 2]
+    for block, ensembles in ((EnsembleBlock(epsilon, delta, 3), [build_ensemble(e, d) for e, d in zip(epsilon, delta)]),
+                             (EnsembleBlock(np.zeros(len(remap)), remap, 2), [bb84_ensemble(d) for d in remap])):
+        for rows in (list(range(len(block))), [0], [5, 2, 5]):
+            stacked = block.states(rows)
+            assert stacked.shape == (len(rows), 4, block.dim)
+            for r, states in zip(rows, stacked):
+                assert np.array_equal(states, ensembles[r].states)
+
+
+def test_a_blocks_refusals_are_each_ensembles_own():
+    """An EnsembleBlock checks AttackEnsemble's domain over its arrays: each cell's refusal is the DomainError, type and
+    message, that its own AttackEnsemble raises, or None where that accepts it; the block's fields are read-only
+    float64 copies. An argument that is not a 1-d array of reals (None, a 0-d array, a bool or complex array, a
+    string), a dim that is not an integer or unequal lengths refuse the whole block, by name."""
+    rng = np.random.default_rng(38)
+    epsilon = [0.0, -0.0, EPSILON_MAX, -EPSILON_MAX, np.nextafter(EPSILON_MAX, 1), np.nan, np.inf]
+    delta = [0.0, 1e-300, np.pi / 2, -1e-300, np.nextafter(np.pi / 2, 2), np.nan, -np.inf]
+    epsilon, delta = epsilon + rng.uniform(-0.1, 0.1, 30).tolist(), delta + rng.uniform(-0.1, 1.7, 30).tolist()
+    for dim in (3, 2, 4, np.int64(3)):
+        block = EnsembleBlock(epsilon, delta, dim)
+        assert block.epsilon.dtype == block.delta.dtype == float and not block.epsilon.flags.writeable
+        for e, d, refusal in zip(epsilon, delta, block.refusals):
+            try:
+                AttackEnsemble(e, d, dim)
+            except DomainError as exc:
+                assert (type(refusal), str(refusal)) == (DomainError, str(exc)), (e, d, dim)
+            else:
+                assert refusal is None, (e, d, dim)
+        assert 0 < block.refusals.count(None) < len(block) or dim == 4
+    for bad in (None, np.array(0.3), 0.3):
+        with pytest.raises(DomainError,
+                           match=f"^epsilon must be a 1-d array of real numbers, got {type(bad).__name__}$"):
+            EnsembleBlock(bad, [0.3], 3)
+    for bad in ([True], [1j], ["0.3"], [[0.3]], [0.3, [0.3]]):
+        with pytest.raises(DomainError, match="^delta must be a 1-d array of real numbers"):
+            EnsembleBlock([0.1], bad, 3)
+    for bad in (3.0, True, None):
+        with pytest.raises(DomainError, match=f"^dim must be an integer, got {bad!r}$"):
+            EnsembleBlock([0.1], [0.3], bad)
+    with pytest.raises(DimensionMismatchError, match="^2 epsilon values but 1 delta values$"):
+        EnsembleBlock([0.1, 0.2], [0.3], 3)
+    assert len(EnsembleBlock([], [], 3)) == 0
 
 
 def test_e0_component_free_of_cancellation():
