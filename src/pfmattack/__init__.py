@@ -35,6 +35,7 @@ from .mcoracle import (
 from .statespace import (
     AttackEnsemble,
     BirefringentChannel,
+    EnsembleBlock,
     FaradayMirror,
     bb84_ensemble,
     build_ensemble,
@@ -50,6 +51,7 @@ __all__ = [
     "DegenerateSpanError",
     "DimensionMismatchError",
     "DomainError",
+    "EnsembleBlock",
     "FaradayMirror",
     "NegativeEigenvalueError",
     "NegativeProbabilityError",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import (DegenerateSpanError, DimensionMismatchError, DomainError, NoConvergenceError, PfmAttackError,
                      SingularEpsilonError)
 from .numkernel import hermitian_eig, hermitian_eigvalsh, require_hermitian
-from .statespace import AttackEnsemble, EnsembleBlock, bb84_ensemble, frozen, iterable, newton_step, set_reals
+from .statespace import AttackEnsemble, EnsembleBlock, bb84_ensemble, frozen, newton_step, set_reals
 
 #: Attenuation of standard telecom fiber used for the distance mapping.
 FIBER_LOSS_DB_PER_KM = 0.21
@@ -105,8 +104,7 @@ class PovmStrategy:
     infinite raise DomainError (a NaN is left to validate()), any other shape
     DimensionMismatchError. x, lambda_0 and lambda_3 are stored as floats: a
     bool, non-real or non-finite value raises DomainError. A built
-    strategy holds the builder's array instead, uncopied: from a sequence
-    build, a read-only view of its block's stack. M_0 and
+    strategy holds the builder's array instead, uncopied. M_0 and
     M_3 are the conclusive elements (the implicit M_1 = M_2 = 0 never fire),
     M_vac = I - M_0 - M_3 is the blocking element. lambda_0/lambda_3 are the
     minimal generalized eigenvalues of (L_0, rho) and (L_3, rho) the
@@ -303,9 +301,7 @@ def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
     return _refusal(min_eigs, x)
 
 
-def build_suboptimal_povm(
-    ens: AttackEnsemble | EnsembleBlock | Iterable[AttackEnsemble],
-) -> PovmStrategy | PovmBlock | list[PovmStrategy | PfmAttackError]:
+def build_suboptimal_povm(ens: AttackEnsemble | EnsembleBlock) -> PovmStrategy | PovmBlock:
     """The square-root strategy for the point ens: the 3-D attack at dim 3, the 2-D remap baseline at dim 2.
 
     lambda_b is the minimal generalized eigenvalue of (L_b, rho) and y_b its
@@ -346,20 +342,12 @@ def build_suboptimal_povm(
     own call's, bit for bit, and its refusal is the one its own call raises.
     Memory grows with the block's length, so a caller with a large grid
     passes it in blocks (the CLI sweep: cli.SWEEP_BLOCK cells a call).
-
-    ens may also be any iterable of ensembles, of either dim (anything else,
-    a 0-d array included, is a DomainError). The return is then a list, in
-    input order, of each one's validated PovmStrategy or the PfmAttackError
-    its own call would raise (DomainError for one that is not an
-    AttackEnsemble), and no refusal stops the others: the ensembles of each
-    dim are built as one block and wrapped.
+    Anything else is a DomainError that names its type.
     """
     if isinstance(ens, EnsembleBlock):
         return _build_block(ens)
     if not isinstance(ens, AttackEnsemble):
-        if not iterable(ens):
-            raise DomainError(f"ens must be an AttackEnsemble or an iterable of them, got {type(ens).__name__}")
-        return _build_stacked(list(ens))
+        raise DomainError(f"ens must be an AttackEnsemble or an EnsembleBlock, got {type(ens).__name__}")
     refusal = _refusal_before_arithmetic(ens.epsilon, ens.delta, ens.dim)
     if refusal is not None:
         raise refusal
@@ -416,30 +404,9 @@ def _build_block(block: EnsembleBlock) -> PovmBlock:
     lambdas = np.array([pencils[k][3] for k in answered]).reshape(-1, 2).T
     arrays = elements[answered], x[answered], lambdas[0], lambdas[1]
     for array in arrays:
-        array.setflags(write=False)  # each an owner: no view a sequence build hands out can be made writable again
+        array.setflags(write=False)  # each an owner: no view of it can be made writable again
     return frozen(PovmBlock, ensembles=block.take([index[k] for k in answered]), elements=arrays[0], x=arrays[1],
                   lambda_0=arrays[2], lambda_3=arrays[3], refusals=refusals)
-
-
-def _build_stacked(ensembles: list) -> list[PovmStrategy | PfmAttackError]:
-    """build_suboptimal_povm over a sequence: the ensembles of each dim packed into one block, built by _build_block,
-    and each answered cell wrapped as a PovmStrategy holding a view of its block's elements."""
-    results = [None if isinstance(ens, AttackEnsemble)
-               else DomainError(f"ensemble must be an AttackEnsemble, got {type(ens).__name__}") for ens in ensembles]
-    for dim in (3, 2):
-        index = [k for k, ens in enumerate(ensembles) if results[k] is None and ens.dim == dim]
-        if not index:
-            continue
-        povms = _build_block(EnsembleBlock([ensembles[k].epsilon for k in index], [ensembles[k].delta for k in index],
-                                           dim))
-        rows = zip(povms.elements, povms.x.tolist(), povms.lambda_0.tolist(), povms.lambda_3.tolist())
-        for k, refusal in zip(index, povms.refusals):
-            if refusal is None:
-                el, x, lambda_0, lambda_3 = next(rows)
-                refusal = frozen(PovmStrategy, ensemble=ensembles[k], elements=el, x=x, lambda_0=lambda_0,
-                                 lambda_3=lambda_3)
-            results[k] = refusal
-    return results
 
 
 def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None]:

@@ -28,11 +28,9 @@ against, and numpy's state-by-state form of it, live in the test suite
 
 `run_oracle` also takes a block, an `EnsembleBlock` and its elements as one
 array, row r seeded seed + r, as a sweep block needs, and returns the counts
-as one array; equal-length sequences of ensembles and strategies are run as
-blocks and wrapped as estimates. Each step before the draw (the states, the
-outcome tables and their checks, the resend and cell tables) is written once
-over leading axes: a single call runs it on one point, a block on all of its
-rows at once. Only the multinomial runs row by row, on one generator set to
+as one array. Each step before the draw (the states, the outcome tables and
+their checks, the resend and cell tables) is written once over leading axes:
+a single call runs it on one point, a block on all of its rows at once. Only the multinomial runs row by row, on one generator set to
 each row's default_rng(seed + r) state, so each row's counts equal its own
 call's.
 """
@@ -41,7 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,49 +236,27 @@ def estimate_ratios(counts: np.ndarray, n_trials: int) -> list[tuple[float, floa
             for not_sifted, correct, errors, _ in counts.sum(axis=1).tolist()]
 
 
-def _estimates(n_trials: int, seeds: list[int], counts: np.ndarray) -> list[OracleEstimate]:
-    """The estimate of each run of counts (n, 4, 4), run r seeded seeds[r]."""
-    # by run and state, the rounds that reached at least: an error, sifted, conclusive, any cell
-    levels = counts.take([2, 1, 0, 3], axis=2).cumsum(axis=2).transpose(0, 2, 1).tolist()
-    estimates = []
-    for seed, level in zip(seeds, levels):
-        errors, sifted, conclusive, trials = map(tuple, level)
-        n_sifted, n_errors, n_conclusive = sum(sifted), sum(errors), sum(conclusive)
-        e_hat, p_hat = _ratios(n_errors, n_sifted, n_conclusive, n_trials)
-        estimates.append(frozen(
-            OracleEstimate, n_trials=n_trials, qber_hat=e_hat, p_succ_hat=p_hat,
-            stderr_qber=math.sqrt(e_hat * (1 - e_hat) / n_sifted) if n_sifted else math.nan,
-            stderr_p_succ=math.sqrt(p_hat * (1 - p_hat) / n_trials), rng_seed=seed,
-            n_conclusive=n_conclusive, n_sifted=n_sifted, n_errors=n_errors, trials_by_state=trials,
-            conclusive_by_state=conclusive, sifted_by_state=sifted, errors_by_state=errors,
-        ))
-    return estimates
-
-
-def _run_block(
-    ens: EnsembleBlock, elements: np.ndarray, n_trials: int, seeds: list[int]
-) -> tuple[np.ndarray, list[PfmAttackError | None]]:
-    """run_oracle's block form over checked arguments, row r seeded seeds[r]: (counts (n, 4, 4), per row its refusal
-    or None). A row the block or its outcome table's checks refuse draws nothing and keeps zero counts."""
-    refusals = list(ens.refusals)
-    counts = np.zeros((len(ens), 4, 4), dtype=np.int64)
-    rows = [r for r, refusal in enumerate(refusals) if refusal is None]
-    if rows:
-        probs, table_refusals = _tables(ens.states(rows), elements[rows])
-        for r, refusal in zip(rows, table_refusals):
-            refusals[r] = refusal
-        drawn = [k for k, refusal in enumerate(table_refusals) if refusal is None]
-        drawn_rows = [rows[k] for k in drawn]
-        counts[drawn_rows] = _counts(n_trials, [seeds[r] for r in drawn_rows], _cells(_resend(probs[drawn])))
-    return counts, refusals
+def _estimate(n_trials: int, seed: int, counts: np.ndarray) -> OracleEstimate:
+    """The estimate of one run's counts (4, 4) [state, cell], seeded seed."""
+    # by state, the rounds that reached at least: an error, sifted, conclusive, any cell
+    errors, sifted, conclusive, trials = map(tuple, counts.take([2, 1, 0, 3], axis=1).cumsum(axis=1).T.tolist())
+    n_sifted, n_errors, n_conclusive = sum(sifted), sum(errors), sum(conclusive)
+    e_hat, p_hat = _ratios(n_errors, n_sifted, n_conclusive, n_trials)
+    return frozen(
+        OracleEstimate, n_trials=n_trials, qber_hat=e_hat, p_succ_hat=p_hat,
+        stderr_qber=math.sqrt(e_hat * (1 - e_hat) / n_sifted) if n_sifted else math.nan,
+        stderr_p_succ=math.sqrt(p_hat * (1 - p_hat) / n_trials), rng_seed=seed,
+        n_conclusive=n_conclusive, n_sifted=n_sifted, n_errors=n_errors, trials_by_state=trials,
+        conclusive_by_state=conclusive, sifted_by_state=sifted, errors_by_state=errors,
+    )
 
 
 def run_oracle(
-    ens: AttackEnsemble | EnsembleBlock | Sequence[AttackEnsemble],
-    strat: PovmStrategy | np.ndarray | Sequence[PovmStrategy],
+    ens: AttackEnsemble | EnsembleBlock,
+    strat: PovmStrategy | np.ndarray,
     n_trials: int,
     seed: int,
-) -> OracleEstimate | tuple[np.ndarray, list[PfmAttackError | None]] | list[OracleEstimate | PfmAttackError]:
+) -> OracleEstimate | tuple[np.ndarray, list[PfmAttackError | None]]:
     """Estimate QBER and success probability from n_trials simulated rounds.
 
     Reproducible for a fixed seed; time and memory do not grow with n_trials.
@@ -296,18 +272,12 @@ def run_oracle(
     but not sifted, sifted and correct, error, blocked; refusals[r] None or
     the row's PfmAttackError (the block's own, or its outcome table's), a
     refused row keeping zero counts. `estimate_ratios` turns counts into
-    each row's (qber_hat, p_succ_hat).
-
-    ens and strat may also be iterables of equal length (anything else, a 0-d
-    array included, is a DomainError), row r the pair (ens[r], strat[r]) run
-    with seed + r. The return is then a list, in order, of each row's
-    OracleEstimate or the PfmAttackError its own call would raise; a refused
-    row stops no other. The rows of each dim are run as one block and their
-    counts wrapped as estimates. n_trials and seed are checked once, before
-    any draw, in either form. A block's states, outcome tables, checks and
-    cell tables are formed stacked on one leading axis; only the multinomial
-    is per row, on one generator (_generators). A single call forms its one
-    row's tables by the same functions, from ens.states.
+    each row's (qber_hat, p_succ_hat). n_trials and seed are checked once,
+    before any draw, in either form. A block's states, outcome tables,
+    checks and cell tables are formed stacked on one leading axis; only the
+    multinomial is per row, on one generator (_generators). A single call
+    forms its one row's tables by the same functions, from ens.states. Any
+    other ens is a DomainError that names its type.
     """
     if isinstance(ens, AttackEnsemble):
         # not a batch of one, which took ~130 us against ~100 us here (fresh (1 deg, pi/2) point, 1e7 trials, 2 vCPUs):
@@ -315,40 +285,27 @@ def run_oracle(
         require_built_for(ens, strat)
         n_trials, seed = check_run(n_trials, seed)
         cells = _cells(_resend(outcome_probabilities(ens.states, strat)))
-        return _estimates(n_trials, [seed], _counts(n_trials, [seed], cells[None]))[0]
-    if isinstance(ens, EnsembleBlock):
-        if not iterable(strat):
-            raise DomainError(f"strat must be iterable, got {type(strat).__name__}")
-        try:
-            elements = np.asarray(strat, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"elements must be numbers: {exc}") from None
-        if elements.shape != (len(ens), 3, ens.dim, ens.dim):
-            raise DimensionMismatchError(
-                f"elements shape {elements.shape} is not ({len(ens)}, 3, {ens.dim}, {ens.dim})")
-        n_trials, seed = check_run(n_trials, seed)
-        return _run_block(ens, elements, n_trials, list(range(seed, seed + len(ens))))
-    for name, value, kind in (("ens", ens, "an AttackEnsemble or an iterable of them"), ("strat", strat, "iterable")):
-        if not iterable(value):
-            raise DomainError(f"{name} must be {kind}, got {type(value).__name__}")
-    ensembles, strategies = list(ens), list(strat)
-    if len(ensembles) != len(strategies):
-        raise DimensionMismatchError(f"{len(ensembles)} ensembles but {len(strategies)} strategies")
+        return _estimate(n_trials, seed, _counts(n_trials, [seed], cells[None])[0])
+    if not isinstance(ens, EnsembleBlock):
+        raise DomainError(f"ens must be an AttackEnsemble or an EnsembleBlock, got {type(ens).__name__}")
+    if not iterable(strat):
+        raise DomainError(f"strat must be iterable, got {type(strat).__name__}")
+    try:
+        elements = np.asarray(strat, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"elements must be numbers: {exc}") from None
+    if elements.shape != (len(ens), 3, ens.dim, ens.dim):
+        raise DimensionMismatchError(f"elements shape {elements.shape} is not ({len(ens)}, 3, {ens.dim}, {ens.dim})")
     n_trials, seed = check_run(n_trials, seed)
-    results: list[OracleEstimate | PfmAttackError | None] = [None] * len(ensembles)
-    for r, (ens_r, strat_r) in enumerate(zip(ensembles, strategies)):
-        try:
-            require_built_for(ens_r, strat_r)
-        except PfmAttackError as exc:
-            results[r] = exc
-    for dim in (3, 2):
-        rows = [r for r, ens_r in enumerate(ensembles) if results[r] is None and ens_r.dim == dim]
-        if rows:
-            block = EnsembleBlock([ensembles[r].epsilon for r in rows], [ensembles[r].delta for r in rows], dim)
-            counts, refusals = _run_block(block, np.array([strategies[r].elements for r in rows]), n_trials,
-                                          [seed + r for r in rows])
-            drawn = [k for k, refusal in enumerate(refusals) if refusal is None]
-            estimates = iter(_estimates(n_trials, [seed + rows[k] for k in drawn], counts[drawn]))
-            for r, refusal in zip(rows, refusals):
-                results[r] = refusal or next(estimates)
-    return results
+    # a row the block or its outcome table's checks refuse draws nothing and keeps zero counts
+    refusals = list(ens.refusals)
+    counts = np.zeros((len(ens), 4, 4), dtype=np.int64)
+    rows = [r for r, refusal in enumerate(refusals) if refusal is None]
+    if rows:
+        probs, table_refusals = _tables(ens.states(rows), elements[rows])
+        for r, refusal in zip(rows, table_refusals):
+            refusals[r] = refusal
+        drawn = [k for k, refusal in enumerate(table_refusals) if refusal is None]
+        drawn_rows = [rows[k] for k in drawn]
+        counts[drawn_rows] = _counts(n_trials, [seed + r for r in drawn_rows], _cells(_resend(probs[drawn])))
+    return counts, refusals

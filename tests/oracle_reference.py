@@ -14,7 +14,7 @@ against.
 
 `simulate_intercept_resend` is the 25 % sanity check of the acceptance
 suite: the oracle's cell table, count draw and estimate (`mcoracle._cells`,
-`mcoracle._counts` and `mcoracle._estimates`) run on the resend table of the plain
+`mcoracle._counts` and `mcoracle._estimate`) run on the resend table of the plain
 intercept-and-resend attack on ideal BB84.
 """
 
@@ -125,4 +125,4 @@ def simulate_intercept_resend(n_trials: int, seed: int) -> OracleEstimate:
     """
     n_trials, seed = mcoracle.check_run(n_trials, seed)
     counts = mcoracle._counts(n_trials, [seed], mcoracle._cells(INTERCEPT_RESEND)[None])
-    return mcoracle._estimates(n_trials, [seed], counts)[0]
+    return mcoracle._estimate(n_trials, seed, counts[0])

@@ -28,7 +28,7 @@ from pfmattack.errors import (
     PfmAttackError,
     SingularEpsilonError,
 )
-from pfmattack import attack, cli
+from pfmattack import attack, cli, mcoracle
 from pfmattack.mcoracle import outcome_probabilities, run_oracle
 from pfmattack.numkernel import HERMITIAN_ATOL, hermitian_eig, hermitian_eigvalsh
 from pfmattack.statespace import EPSILON_MAX, AttackEnsemble, EnsembleBlock, bb84_ensemble, build_ensemble
@@ -497,50 +497,47 @@ def test_evaluate_refuses_a_strategy_built_for_another_point():
 
 
 def test_evaluate_and_the_oracle_refuse_what_is_not_a_strategy():
-    """A strategy that is not a PovmStrategy is refused by name, not met with a bare AttributeError; in the sequence
-    form of run_oracle only its own row is refused."""
+    """A strategy that is not a PovmStrategy is refused by name, not met with a bare AttributeError."""
     _, ens, strat = _report(1.0, np.pi / 2)
     for bad in (None, [strat], (ens, strat.elements)):
         with pytest.raises(DomainError, match=f"strategy must be a PovmStrategy, got {type(bad).__name__}"):
             evaluate(ens, bad)
         with pytest.raises(DomainError, match="strategy must be a PovmStrategy"):
             run_oracle(ens, bad, 10000, 1)
-    rows = run_oracle([ens, ens], [None, strat], 10000, 1)
-    assert isinstance(rows[0], DomainError) and str(rows[0]) == "strategy must be a PovmStrategy, got NoneType"
-    assert rows[1] == run_oracle(ens, strat, 10000, 2)
 
 
 def test_evaluate_and_the_oracle_refuse_what_is_not_an_ensemble():
-    """An ensemble that is not an AttackEnsemble is refused by name, not met with a bare AttributeError; in the
-    sequence form of run_oracle only its own row is refused."""
+    """An ensemble that is not an AttackEnsemble is refused by name, not met with a bare AttributeError."""
     _, ens, strat = _report(1.0, np.pi / 2)
     for bad in (None, (ens.epsilon, ens.delta, ens.dim)):
         with pytest.raises(DomainError, match=f"ensemble must be an AttackEnsemble, got {type(bad).__name__}"):
             evaluate(bad, strat)
-    rows = run_oracle([None, ens], [strat, strat], 10000, 1)
-    assert isinstance(rows[0], DomainError) and str(rows[0]) == "ensemble must be an AttackEnsemble, got NoneType"
-    assert rows[1] == run_oracle(ens, strat, 10000, 2)
-
-
-def test_build_refuses_what_is_neither_an_ensemble_nor_iterable():
-    """build_suboptimal_povm of None, an int or a 0-d array (Iterable by type, but it cannot be iterated) is a
-    DomainError that names the type, not a bare TypeError."""
-    for bad in (None, 5, np.array(0.3)):
-        with pytest.raises(DomainError, match=f"^ens must be an AttackEnsemble or an iterable of them, got "
+        with pytest.raises(DomainError, match=f"^ens must be an AttackEnsemble or an EnsembleBlock, got "
                                               f"{type(bad).__name__}$"):
-            build_suboptimal_povm(bad)
+            run_oracle(bad, strat, 10000, 1)
 
 
-def test_a_sequence_row_that_is_not_an_ensemble_refuses_only_itself():
-    """In the sequence form, a row that is not an AttackEnsemble gets a DomainError naming its type in its own slot,
-    not a bare AttributeError, and the other rows are built as their own calls build them."""
-    ens = build_ensemble(1 * DEG, np.pi / 2)
-    (refusal,) = build_suboptimal_povm([None])
-    assert type(refusal) is DomainError and str(refusal) == "ensemble must be an AttackEnsemble, got NoneType"
-    strat, refusal = build_suboptimal_povm([ens, "x"])
-    assert type(refusal) is DomainError and str(refusal) == "ensemble must be an AttackEnsemble, got str"
-    own = build_suboptimal_povm(ens)
-    assert strat.ensemble is ens and np.array_equal(strat.elements, own.elements) and strat.x == own.x
+def _no_draw(*args):
+    raise AssertionError("a round was drawn")
+
+
+def test_build_refuses_what_is_neither_an_ensemble_nor_iterable(monkeypatch):
+    """The two entries' contract on ens: build_suboptimal_povm and run_oracle take an AttackEnsemble or an
+    EnsembleBlock. A sequence or an iterator of ensembles, None, a number, a string, an array of any shape (a 0-d one
+    is Iterable by type, but cannot be iterated) and a PovmBlock are each a DomainError that names the type, not a
+    bare TypeError or a numpy warning (an error here), and no round is drawn."""
+    _, ens, strat = _report(1.0, np.pi / 2)
+    povms = build_suboptimal_povm(EnsembleBlock([ens.epsilon], [ens.delta], 3))
+    monkeypatch.setattr(mcoracle, "_draw", _no_draw)
+    bads = ([ens, ens], (ens,), (e for e in [ens, ens]), None, 5, "ens", np.array(0.3), np.array([0.3, 1.0]), povms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in bads:
+            message = f"^ens must be an AttackEnsemble or an EnsembleBlock, got {type(bad).__name__}$"
+            with pytest.raises(DomainError, match=message):
+                build_suboptimal_povm(bad)
+            with pytest.raises(DomainError, match=message):
+                run_oracle(bad, strat, 10000, 1)
 
 
 def test_strategy_equality_is_identity():
@@ -945,18 +942,37 @@ def test_pencil_cache_is_bounded():
     assert attack._pencil.cache_info().currsize == maxsize
 
 
-def _outcome(ens, strat_or_refusal):
-    """What a cell came to: (report, elements) of a strategy, or (type, message) of a refusal."""
-    if isinstance(strat_or_refusal, PfmAttackError):
-        return type(strat_or_refusal), str(strat_or_refusal)
-    assert isinstance(strat_or_refusal, PovmStrategy) and strat_or_refusal.ensemble is ens
-    return evaluate(ens, strat_or_refusal), strat_or_refusal.elements.tobytes()
+def _point_outcome(ens):
+    """What a point's own build came to: (type, message) of its refusal, or (x, lambda_0, lambda_3, elements bytes)."""
+    try:
+        strat = build_suboptimal_povm(ens)
+    except PfmAttackError as exc:
+        return type(exc), str(exc)
+    return strat.x, strat.lambda_0, strat.lambda_3, strat.elements.tobytes()
+
+
+def _block_outcomes(points):
+    """What each point came to in one block-form build per dim, in input order, in _point_outcome's terms."""
+    outcomes = [None] * len(points)
+    for dim in (3, 2):
+        index = [k for k, ens in enumerate(points) if ens.dim == dim]
+        povms = build_suboptimal_povm(EnsembleBlock([points[k].epsilon for k in index],
+                                                    [points[k].delta for k in index], dim))
+        rows = zip(povms.x.tolist(), povms.lambda_0.tolist(), povms.lambda_3.tolist(), povms.elements)
+        for k, refusal in zip(index, povms.refusals):
+            if refusal is None:
+                x, lambda_0, lambda_3, elements = next(rows)
+                outcomes[k] = x, lambda_0, lambda_3, elements.tobytes()
+            else:
+                outcomes[k] = type(refusal), str(refusal)
+        assert next(rows, None) is None
+    return outcomes
 
 
 def test_sequence_form_equals_the_point_form_cell_by_cell():
-    """A seeded grid of both kinds, longer than a sweep block, with refused cells mixed in: the sequence form
-    gives each cell exactly its own call's strategy, bit for bit (a ulp bound of 0 on every AttackReport
-    field and every element), or its refusal, with the same type and message, in the same position."""
+    """A seeded grid of both kinds, the pfm block longer than a sweep block, with refused cells mixed in: the
+    block form gives each cell exactly its own call's strategy, bit for bit (x, the lambdas and every element), or its
+    refusal, with the same type and message, in the same position. An empty block gives an empty PovmBlock."""
     rng = np.random.default_rng(22)
     n = cli.SWEEP_BLOCK + 150
     eps, delta = _reals(rng, n, 1e-6, 1e-8)
@@ -965,22 +981,18 @@ def test_sequence_form_equals_the_point_form_cell_by_cell():
         for offset in (0, cli.SWEEP_BLOCK - 3, n - 5):  # at both ends and across the block boundary, on both kinds
             eps[k + offset], delta[k + offset] = e, d
     points = [build_ensemble(e, d) if k % 3 else bb84_ensemble(d) for k, (e, d) in enumerate(zip(eps, delta))]
-    cells = build_suboptimal_povm(points)
-    assert isinstance(cells, list) and len(cells) == n
+    assert sum(ens.dim == 3 for ens in points) > cli.SWEEP_BLOCK
+    outcomes = _block_outcomes(points)
     kinds = set()
-    for k, (ens, cell) in enumerate(zip(points, cells)):
-        try:
-            alone = build_suboptimal_povm(ens)
-        except PfmAttackError as exc:
-            alone = exc
-        assert _outcome(ens, cell) == _outcome(ens, alone), (k, ens)
-        kinds.add((ens.dim, type(alone).__name__))
+    for k, (ens, outcome) in enumerate(zip(points, outcomes)):
+        alone = _point_outcome(ens)
+        assert outcome == alone, (k, ens)
+        kinds.add((ens.dim, alone[0].__name__ if isinstance(alone[0], type) else "PovmStrategy"))
     assert {(3, "PovmStrategy"), (2, "PovmStrategy"), (3, "SingularEpsilonError"), (3, "DegenerateSpanError"),
             (2, "DegenerateSpanError")} <= kinds
-    assert build_suboptimal_povm([]) == []
-    assert [_outcome(p, c) for p, c in zip(points[4:6], build_suboptimal_povm(iter(points[4:6])))] == [
-        _outcome(p, build_suboptimal_povm(p)) for p in points[4:6]
-    ]
+    empty = build_suboptimal_povm(EnsembleBlock([], [], 3))
+    assert empty.refusals == [] and len(empty.ensembles) == 0
+    assert empty.elements.shape == (0, 3, 3, 3) and empty.x.shape == empty.lambda_0.shape == empty.lambda_3.shape == (0,)
 
 
 def test_a_block_build_is_each_cells_own_call():
@@ -1012,8 +1024,8 @@ def test_a_block_build_is_each_cells_own_call():
 
 
 def test_sweep_block_figures_equal_evaluate_bit_for_bit():
-    """The sweep forms a block's figures as arrays (cli._block_values): each row equals its cell's own evaluate, bit
-    for bit (a ulp bound of 0). The grid is a seeded draw of both kinds with delta down to 1e-8, plus points at the
+    """The sweep forms a block's figures as arrays (cli._block_values) from the PovmBlock's columns: each row equals
+    its cell's own build and evaluate, bit for bit (a ulp bound of 0). The grid is a seeded draw of both kinds with delta down to 1e-8, plus points at the
     underflow edge of x, where p_succ = x/2 is subnormal and the array log10 of the fiber length must not drift."""
     rng = np.random.default_rng(26)
     eps, delta = _reals(rng, 600, 1e-6, 1e-8)
@@ -1022,17 +1034,23 @@ def test_sweep_block_figures_equal_evaluate_bit_for_bit():
     edge = np.exp(rng.uniform(math.log(1.4e-154), math.log(4e-154), 400)).tolist()
     points += [bb84_ensemble(t) for t in edge[:200]]
     points += [build_ensemble(e, math.sqrt(t / abs(math.sin(4 * e) / 2))) for e, t in zip(eps, edge[200:])]
-    strategies = [strat for strat in build_suboptimal_povm(points) if isinstance(strat, PovmStrategy)]
-    epsilon_deg = rng.uniform(-5, 5, len(strategies)).tolist()
-    columns = zip(*[(s.ensemble.delta, s.lambda_0, s.lambda_3, s.x) for s in strategies])
+    blocks, answered = [], []
+    for dim in (3, 2):
+        cells = [ens for ens in points if ens.dim == dim]
+        povms = build_suboptimal_povm(EnsembleBlock([ens.epsilon for ens in cells], [ens.delta for ens in cells], dim))
+        blocks.append(povms)
+        answered += [ens for ens, refusal in zip(cells, povms.refusals) if refusal is None]
+    epsilon_deg = rng.uniform(-5, 5, len(answered)).tolist()
+    columns = [np.concatenate(arrays) for arrays in zip(*[(b.ensembles.delta, b.lambda_0, b.lambda_3, b.x)
+                                                            for b in blocks])]
     values = cli._block_values(epsilon_deg, *columns)
     expected = []
-    for e, strat in zip(epsilon_deg, strategies):
-        r = evaluate(strat.ensemble, strat)
+    for e, ens in zip(epsilon_deg, answered):
+        r = evaluate(ens, build_suboptimal_povm(ens))
         expected.append((e, r.delta, r.qber, r.p_succ, r.lambda_0, r.lambda_3, r.x, r.max_fiber_km))
     assert values.tobytes() == np.array(expected).tobytes()
     p_succ = values[:, 3]
-    assert len(strategies) > 900 and (p_succ < np.finfo(float).tiny).sum() >= 50 and p_succ.min() > 0
+    assert len(answered) > 900 and (p_succ < np.finfo(float).tiny).sum() >= 50 and p_succ.min() > 0
 
 
 def test_fiber_length_of_an_array_is_each_elements_own():
@@ -1080,22 +1098,8 @@ def test_scalar_fiber_length_takes_any_real_probability():
     assert max_fiber_length_km(0) == max_fiber_length_km(-0.0) == math.inf
 
 
-def test_a_sequence_build_shares_its_blocks_read_only_array():
-    """A strategy from a sequence build holds a read-only view of its block's stack, not a copy: its elements have
-    shape (3, dim, dim) and cannot be made writable again."""
-    points = [build_ensemble(1 * DEG, np.pi / 2), bb84_ensemble(np.pi / 4), build_ensemble(-0.5 * DEG, 0.3),
-              bb84_ensemble(0.2)]
-    cells = build_suboptimal_povm(points)
-    for ens, strat in zip(points, cells):
-        assert strat.elements.shape == (3, ens.dim, ens.dim) and not strat.elements.flags.writeable
-        with pytest.raises(ValueError, match="WRITEABLE"):
-            strat.elements.setflags(write=True)
-        strat.validate()
-    assert cells[0].elements.base is cells[2].elements.base and cells[1].elements.base is cells[3].elements.base
-
-
 def test_one_bad_povm_never_stops_the_others(monkeypatch):
-    """A stack the eigensolver refuses is solved again POVM by POVM: only the POVM it refuses is refused.
+    """A block the eigensolver refuses is solved again POVM by POVM: only the POVM it refuses is refused.
 
     The last point's x underflows: its elements go through both solves too, and it keeps its own refusal.
     """
@@ -1104,6 +1108,7 @@ def test_one_bad_povm_never_stops_the_others(monkeypatch):
     with pytest.raises(DegenerateSpanError, match="underflows") as underflow:
         build_suboptimal_povm(points[6])
     bad = build_suboptimal_povm(points[3]).elements
+    singles = [_point_outcome(ens) for ens in points]
 
     def refusing_eigvalsh(a, **options):
         if any(np.array_equal(m, bad) for m in np.reshape(a, (-1, 3, 3, 3))):
@@ -1111,26 +1116,21 @@ def test_one_bad_povm_never_stops_the_others(monkeypatch):
         return hermitian_eigvalsh(a, **options)
 
     monkeypatch.setattr(attack, "hermitian_eigvalsh", refusing_eigvalsh)
-    cells = build_suboptimal_povm(points)
-    assert isinstance(cells[3], NoConvergenceError)
-    assert type(cells[6]) is DegenerateSpanError and str(cells[6]) == str(underflow.value)
-    for k in (0, 1, 2, 4, 5):
-        assert evaluate(points[k], cells[k]) == evaluate(points[k], build_suboptimal_povm(points[k]))
+    cells = _block_outcomes(points)
+    assert cells[3] == (NoConvergenceError, "Eigenvalues did not converge")
+    assert cells[6] == (DegenerateSpanError, str(underflow.value))
+    assert [cells[k] for k in (0, 1, 2, 4, 5)] == [singles[k] for k in (0, 1, 2, 4, 5)]
 
 
 def test_a_nan_row_refuses_only_its_own_povm(monkeypatch):
     """An eigenvalue call that returns one POVM's eigenvalues all NaN, as a failed LAPACK call does, without raising:
-    a sequence build refuses that POVM alone, in its slot, with the refusal its own validate() gives, and keeps one
-    stacked call per dim. Every other cell, of either dim, refused or not, equals its own call's result bit for bit."""
+    a block build refuses that POVM alone, in its cell, with the refusal its own validate() gives, and keeps one
+    stacked call per block. Every other cell, of either dim, refused or not, equals its own call's result bit for
+    bit."""
     points = [build_ensemble(e * DEG, d) for e in (0.3, 1.0, 2.0) for d in (0.5, np.pi / 2)]
     points += [bb84_ensemble(np.pi / 4), build_ensemble(1 * DEG, 1e-200), bb84_ensemble(0.2), build_ensemble(0.0, 1.0)]
-    singles = []
-    for ens in points:
-        try:
-            singles.append(build_suboptimal_povm(ens))
-        except PfmAttackError as exc:
-            singles.append(exc)
-    bad = singles[3].elements
+    singles = [_point_outcome(ens) for ens in points]
+    bad = build_suboptimal_povm(points[3]).elements
     calls = []
 
     def nan_eigvalsh(a):
@@ -1144,19 +1144,12 @@ def test_a_nan_row_refuses_only_its_own_povm(monkeypatch):
 
     monkeypatch.setattr(attack, "hermitian_eigvalsh", nan_eigvalsh)
     with pytest.raises(NoConvergenceError) as own:
-        singles[3].validate()
+        build_suboptimal_povm(points[3])
     calls.clear()
-    cells = build_suboptimal_povm(points)
+    cells = _block_outcomes(points)
     assert calls == [(7, 3, 3, 3), (2, 3, 2, 2)]  # the underflow point's elements are checked too
-    assert type(cells[3]) is NoConvergenceError and str(cells[3]) == str(own.value)
-    for k, (cell, single) in enumerate(zip(cells, singles)):
-        if k == 3:
-            continue
-        if isinstance(single, PfmAttackError):
-            assert (type(cell), str(cell)) == (type(single), str(single))
-        else:
-            assert cell.elements.tobytes() == single.elements.tobytes() and cell.ensemble is single.ensemble
-            assert (cell.x, cell.lambda_0, cell.lambda_3) == (single.x, single.lambda_0, single.lambda_3)
+    assert cells[3] == (NoConvergenceError, str(own.value))
+    assert cells[:3] + cells[4:] == singles[:3] + singles[4:]
 
 
 def _validated(strat):

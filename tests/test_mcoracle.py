@@ -477,7 +477,7 @@ def _cell_counts(estimate):
 def _block_counts(n_trials, seeds, cells):
     """The counts (n, 4, 4) of one block of runs, run r seeded seeds[r], all on the cell table cells."""
     counts = mcoracle._counts(n_trials, seeds, np.broadcast_to(cells, (len(seeds), 4, 4)))
-    return np.array([_cell_counts(estimate) for estimate in mcoracle._estimates(n_trials, seeds, counts)])
+    return np.array([_cell_counts(mcoracle._estimate(n_trials, seed, run)) for seed, run in zip(seeds, counts)])
 
 
 @pytest.mark.parametrize("n_trials", [MIN_TRIALS, MAX_TRIALS, 3])
@@ -486,9 +486,10 @@ def test_draw_equals_numpys_16_cell_multinomial(anchor, n_trials):
 
     The tables are the pfm and remap anchors' and the intercept-resend one,
     whose blocked cell is 0 in every state. At 3 trials most runs leave a
-    state with 0 rounds. The 1000 runs are one block through `_counts` and
-    `_estimates`, whose rows take their generators from `_generators`, so the reference's
-    default_rng(seed) checks each row's state too.
+    state with 0 rounds. The 1000 runs are one block through `_counts`, each
+    run then through `_estimate`; the rows take their generators from
+    `_generators`, so the reference's default_rng(seed) checks each row's
+    state too.
     """
     seeds = list(range(1000))
     runs_with_an_empty_state = 0
@@ -540,11 +541,11 @@ def test_draw_follows_the_state_by_state_law(anchor, draw):
 def test_a_block_draws_one_multinomial_per_row(anchor, monkeypatch):
     """A block of n rows makes exactly n Generator.multinomial calls, one per drawn row, and a refused row none."""
     ens, strat, _ = anchor
-    ensembles = [build_ensemble(e * DEG, d) for e in (0.5, 1.0, 2.0) for d in (np.pi / 2, np.pi / 5)]
-    ensembles += [bb84_ensemble(np.pi / 4), bb84_ensemble(0.3)]
-    strategies = build_suboptimal_povm(ensembles)
-    strategies[3] = strat  # built for another point: refused before any draw
-    expected = run_oracle(ensembles, strategies, MIN_TRIALS, seed=21)
+    blocks = [EnsembleBlock([e * DEG for e in (0.5, 1.0, 2.0) for _ in range(2)], [np.pi / 2, np.pi / 5] * 3, 3),
+              EnsembleBlock([0.0, 0.0], [np.pi / 4, 0.3], 2)]
+    runs = [(block, build_suboptimal_povm(block).elements.copy()) for block in blocks]
+    runs[0][1][3, 0, 1, 1] = np.nan  # a NaN table: refused before any draw
+    expected = [run_oracle(block, elements, MIN_TRIALS, seed=21) for block, elements in runs]
     generators, calls = mcoracle._generators, []
 
     class CountingGenerator:
@@ -556,9 +557,12 @@ def test_a_block_draws_one_multinomial_per_row(anchor, monkeypatch):
             return self.rng.multinomial(*args)
 
     monkeypatch.setattr(mcoracle, "_generators", lambda seeds: map(CountingGenerator, generators(seeds)))
-    results = run_oracle(ensembles, strategies, MIN_TRIALS, seed=21)
-    assert len(calls) == len(ensembles) - 1 and isinstance(results[3], DomainError)
-    assert [str(result) for result in results] == [str(result) for result in expected]
+    for (block, elements), (counts, refusals), drawn in zip(runs, expected, (5, 2)):
+        calls.clear()
+        results, row_refusals = run_oracle(block, elements, MIN_TRIALS, seed=21)
+        assert len(calls) == drawn
+        assert np.array_equal(results, counts) and [str(r) for r in row_refusals] == [str(r) for r in refusals]
+    assert isinstance(expected[0][1][3], NegativeProbabilityError) and not expected[0][0][3].any()
     calls.clear()
     run_oracle(ens, strat, MIN_TRIALS, seed=21)
     assert len(calls) == 1
@@ -680,91 +684,104 @@ def _no_draw(*args):
     raise AssertionError("a round was drawn")
 
 
-def test_sequence_form_equals_each_rows_own_call():
-    """Row r of a sequence is run_oracle(ens[r], strat[r], n, seed + r), field for field (nan-aware).
+def _own_rows(block, elements, n_trials, seed):
+    """Per row r of a block, what its own run_oracle call seeded seed + r gives: ((4, 4) counts, (qber_hat,
+    p_succ_hat)) of its estimate, or (type, message) of its refusal, the domain's included."""
+    rows = []
+    for r, (epsilon, delta) in enumerate(zip(block.epsilon.tolist(), block.delta.tolist())):
+        try:
+            ens = AttackEnsemble(epsilon, delta, block.dim)
+            own = run_oracle(ens, PovmStrategy(ens, elements[r], 1.0, 0.0, 0.0), n_trials, seed + r)
+        except PfmAttackError as exc:
+            rows.append((type(exc), str(exc)))
+        else:
+            rows.append((_cell_counts(own), (own.qber_hat, own.p_succ_hat)))
+    return rows
 
-    A seeded draw of pfm and remap points, shuffled together; the faint ones
-    have no sifted round at this trial count, so their e_B and stderr are nan.
+
+def _block_rows(block, elements, n_trials, seed):
+    """The block form's rows in _own_rows' terms; a refused row must hold zero counts."""
+    counts, refusals = run_oracle(block, elements, n_trials, seed)
+    assert counts.shape == (len(block), 4, 4) and len(refusals) == len(block)
+    assert not counts[[r for r, refusal in enumerate(refusals) if refusal is not None]].any()
+    ratios = mcoracle.estimate_ratios(counts, n_trials)
+    return [(counts[r], ratios[r]) if refusal is None else (type(refusal), str(refusal))
+            for r, refusal in enumerate(refusals)]
+
+
+def test_sequence_form_equals_each_rows_own_call():
+    """Row r of a block is run_oracle(ens[r], strat[r], n, seed + r): its counts and ratios (nan-aware).
+
+    A seeded draw of pfm points and one of remap points, one block each; the
+    faint ones have no sifted round at this trial count, so their e_B is nan.
     """
     rng = np.random.default_rng(2025)
-    ensembles = [build_ensemble(e, d) for e, d in zip(
-        rng.uniform(-EPSILON_MAX, EPSILON_MAX, 150), np.geomspace(1e-3, np.pi / 2, 150)[rng.permutation(150)]
-    )]
-    ensembles += [bb84_ensemble(d) for d in rng.uniform(1e-3, np.pi / 2, 50)]
-    ensembles = [ensembles[k] for k in rng.permutation(len(ensembles))]
-    strategies = build_suboptimal_povm(ensembles)
-    assert all(isinstance(strat, PovmStrategy) for strat in strategies)
-    estimates = run_oracle(ensembles, strategies, 20_000, 40)
-    assert len(estimates) == len(ensembles)
-    for r, (ens, strat, estimate) in enumerate(zip(ensembles, strategies, estimates)):
-        own = run_oracle(ens, strat, 20_000, 40 + r)
-        np.testing.assert_equal(dataclasses.astuple(estimate), dataclasses.astuple(own))
-    sifted = [estimate.n_sifted for estimate in estimates]
+    blocks = [EnsembleBlock(rng.uniform(-EPSILON_MAX, EPSILON_MAX, 150),
+                            np.geomspace(1e-3, np.pi / 2, 150)[rng.permutation(150)], 3),
+              EnsembleBlock(np.zeros(50), rng.uniform(1e-3, np.pi / 2, 50), 2)]
+    sifted = []
+    for block in blocks:
+        povms = build_suboptimal_povm(block)
+        assert povms.refusals == [None] * len(block)
+        rows = _block_rows(block, povms.elements, 20_000, 40)
+        np.testing.assert_equal(rows, _own_rows(block, povms.elements, 20_000, 40))
+        sifted += [counts[:, 1:3].sum() for counts, _ in rows]
     assert 0 in sifted and max(sifted) > 0
 
 
 def test_a_refused_row_refuses_only_itself(anchor):
-    """NaN elements, a sum off 1, or a strategy built for another point: the row's own refusal, type and message.
+    """A row outside the domain, NaN elements or a table that does not sum to 1: the row's own refusal, type and
+    message, zero counts, and every other row its own call's counts.
 
-    Row 2's p_0 = -1e-12 is within tolerance and reads 0, although a refused
-    row of its dim comes before it.
+    Row 1 of the remap block, p_0 = -1e-12, is within tolerance and reads 0,
+    although a refused row comes before it.
     """
     ens, strat, _ = anchor
-    elements = strat.elements.copy()
-    elements[0, 1, 1] = np.nan
+    nan = strat.elements.copy()
+    nan[0, 1, 1] = np.nan
+    off = np.array((0.2 * np.eye(3), np.zeros((3, 3)), 0.2 * np.eye(3)))  # sums to 0.4 I
     other = build_ensemble(0.5 * DEG, np.pi / 3)
+    pfm = EnsembleBlock([ens.epsilon, ens.epsilon, 0.3, ens.epsilon, other.epsilon],
+                        [ens.delta, ens.delta, 0.5, ens.delta, other.delta], 3)
+    pfm_elements = np.array([strat.elements, nan, strat.elements, off, build_suboptimal_povm(other).elements])
     remap = bb84_ensemble(np.pi / 4)
-    tolerated = _fake_strategy(-1e-12 * np.eye(2), np.zeros((2, 2)), (1 + 1e-12) * np.eye(2))
-    rows = [
-        (ens, strat),
-        (tolerated.ensemble, _fake_strategy(np.full((2, 2), np.nan), np.zeros((2, 2)), np.eye(2))),
-        (tolerated.ensemble, tolerated),
-        (ens, dataclasses.replace(strat, elements=elements)),
-        (other, strat),
-        (remap, strat),
-        (ens, dataclasses.replace(_fake_strategy(0.2 * np.eye(3), np.zeros((3, 3)), 0.2 * np.eye(3)), ensemble=ens)),
-        (remap, build_suboptimal_povm(remap)),
-        (other, build_suboptimal_povm(other)),
-    ]
-    results = run_oracle([row[0] for row in rows], [row[1] for row in rows], MIN_TRIALS, 3)
-    kinds = [OracleEstimate, NegativeProbabilityError, OracleEstimate, NegativeProbabilityError, DomainError,
-             DimensionMismatchError, DomainError, OracleEstimate, OracleEstimate]
-    assert [type(result) for result in results] == kinds
-    for r, ((row_ens, row_strat), result) in enumerate(zip(rows, results)):
-        if isinstance(result, PfmAttackError):
-            with pytest.raises(type(result)) as own:
-                run_oracle(row_ens, row_strat, MIN_TRIALS, 3 + r)
-            assert type(own.value) is type(result) and str(own.value) == str(result)
-        else:
-            own = run_oracle(row_ens, row_strat, MIN_TRIALS, 3 + r)
-            np.testing.assert_equal(dataclasses.astuple(result), dataclasses.astuple(own))
+    remap_block = EnsembleBlock([0.0, 0.0, 0.0], [0.0, 0.0, remap.delta], 2)
+    remap_elements = np.array([(np.full((2, 2), np.nan), np.zeros((2, 2)), np.eye(2)),
+                               (-1e-12 * np.eye(2), np.zeros((2, 2)), (1 + 1e-12) * np.eye(2)),
+                               build_suboptimal_povm(remap).elements])
+    kinds = ([None, NegativeProbabilityError, DomainError, DomainError, None], [NegativeProbabilityError, None, None])
+    for block, elements, row_kinds in ((pfm, pfm_elements, kinds[0]), (remap_block, remap_elements, kinds[1])):
+        rows = _block_rows(block, elements, MIN_TRIALS, 3)
+        assert [row[0] if isinstance(row[0], type) else None for row in rows] == row_kinds
+        np.testing.assert_equal(rows, _own_rows(block, elements, MIN_TRIALS, 3))
+        if block is pfm:
+            assert rows[2][1] == str(pfm.refusals[2]) and "sum to" in rows[3][1]
 
 
 @pytest.mark.parametrize("n_trials, seed", [
     (MIN_TRIALS - 1, 0), (2**63, 0), (1e5, 0), (MIN_TRIALS, -1), (MIN_TRIALS, True), (MIN_TRIALS, 1.0),
 ])
 def test_sequence_form_checks_trials_and_seed_before_any_draw(anchor, monkeypatch, n_trials, seed):
+    """The block form checks n_trials and seed (check_run) before any draw, on a block and on an empty block."""
     ens, strat, _ = anchor
     monkeypatch.setattr(mcoracle, "_draw", _no_draw)
-    for ensembles, strategies in (([ens, ens], [strat, strat]), ([], [])):
-        with pytest.raises(DomainError):
-            run_oracle(ensembles, strategies, n_trials, seed)
+    for block, elements in ((EnsembleBlock([ens.epsilon] * 2, [ens.delta] * 2, 3), np.array([strat.elements] * 2)),
+                            (EnsembleBlock([], [], 3), np.zeros((0, 3, 3, 3)))):
+        with pytest.raises(DomainError, match="trial|seed"):
+            run_oracle(block, elements, n_trials, seed)
 
 
 def test_sequence_form_edges(anchor, monkeypatch):
-    """An empty sequence gives [], unequal lengths are refused, and rows that are all refused draw nothing."""
+    """An empty block gives no counts and no refusals, and a block whose rows are all refused draws nothing."""
     ens, strat, _ = anchor
-    assert run_oracle([], [], MIN_TRIALS, 0) == []
-    (estimate,) = run_oracle(iter([ens]), (strat,), MIN_TRIALS, 0)
-    np.testing.assert_equal(dataclasses.astuple(estimate), dataclasses.astuple(run_oracle(ens, strat, MIN_TRIALS, 0)))
-    with pytest.raises(DimensionMismatchError, match="2 ensembles but 1 strategies"):
-        run_oracle([ens, ens], [strat], MIN_TRIALS, 0)
+    counts, refusals = run_oracle(EnsembleBlock([], [], 3), np.zeros((0, 3, 3, 3)), MIN_TRIALS, 0)
+    assert counts.shape == (0, 4, 4) and counts.dtype == np.int64 and refusals == []
     monkeypatch.setattr(mcoracle, "_draw", _no_draw)
     elements = strat.elements.copy()
     elements[2, 0, 0] = np.nan
-    results = run_oracle([ens, bb84_ensemble(np.pi / 2)], [dataclasses.replace(strat, elements=elements), strat],
-                         MIN_TRIALS, 0)
-    assert [type(result) for result in results] == [NegativeProbabilityError, DimensionMismatchError]
+    block = EnsembleBlock([ens.epsilon, 1.0], [ens.delta, ens.delta], 3)
+    counts, refusals = run_oracle(block, np.array([elements, strat.elements]), MIN_TRIALS, 0)
+    assert [type(refusal) for refusal in refusals] == [NegativeProbabilityError, DomainError] and not counts.any()
 
 
 def test_generators_start_in_each_seeds_default_rng_state():
@@ -783,34 +800,26 @@ def test_generators_start_in_each_seeds_default_rng_state():
 
 @pytest.mark.parametrize("edge", [2**32, 2**64, 2**128], ids=["2**32", "2**64", "2**128"])
 def test_sequence_rows_across_a_seed_word_edge_equal_their_own_calls(edge):
-    """pfm and remap rows in turn, seeded edge - 4 to edge + 3: each row is its own run_oracle call, field for field.
+    """A pfm and a remap block of 8 rows each, seeded edge - 4 to edge + 3: each row is its own run_oracle call.
 
-    Each dim's rows share one generator, and both dims' seeds cross the edge.
+    A block's rows share one generator (_generators), and each block's seeds cross the edge.
     """
-    rows = [(build_ensemble(e * DEG, d), bb84_ensemble(d)) for e, d in ((0.5, np.pi / 2), (1, np.pi / 4),
-                                                                         (2, np.pi / 8), (3, np.pi / 3))]
-    ensembles = [ens for pair in rows for ens in pair]
-    strategies = build_suboptimal_povm(ensembles)
-    estimates = run_oracle(ensembles, strategies, 100_000, edge - 4)
-    for r, (ens, strat, estimate) in enumerate(zip(ensembles, strategies, estimates)):
-        own = run_oracle(ens, strat, 100_000, edge - 4 + r)
-        np.testing.assert_equal(dataclasses.astuple(estimate), dataclasses.astuple(own))
+    deltas = [np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 3]
+    for block in (EnsembleBlock(np.array([0.5, 1, 2, 3, -0.5, -1, -2, -3]) * DEG, deltas * 2, 3),
+                  EnsembleBlock(np.zeros(8), deltas + [0.2, 0.4, 0.6, 0.8], 2)):
+        elements = build_suboptimal_povm(block).elements
+        np.testing.assert_equal(_block_rows(block, elements, 100_000, edge - 4),
+                                _own_rows(block, elements, 100_000, edge - 4))
 
 
 def test_sequence_form_refuses_an_argument_that_is_not_iterable(anchor, monkeypatch):
-    """An ens that is neither an ensemble nor iterable, or a strat that is not iterable beside a sequence ens, is a
-    DomainError that names its type, before any draw."""
+    """A strat that is not iterable beside an EnsembleBlock is a DomainError that names its type, before any draw."""
     ens, strat, _ = anchor
     monkeypatch.setattr(mcoracle, "_draw", _no_draw)
-    for bad in (None, np.array(0.3)):  # a 0-d array is Iterable by type, but cannot be iterated
-        with pytest.raises(DomainError, match=f"^ens must be an AttackEnsemble or an iterable of them, got "
-                                              f"{type(bad).__name__}$"):
-            run_oracle(bad, [strat], MIN_TRIALS, 1)
     block = EnsembleBlock([ens.epsilon], [ens.delta], 3)
-    for bad in (None, strat, np.array(0.3)):
-        for ens_arg in ([ens], block):
-            with pytest.raises(DomainError, match=f"^strat must be iterable, got {type(bad).__name__}$"):
-                run_oracle(ens_arg, bad, MIN_TRIALS, 1)
+    for bad in (None, strat, np.array(0.3)):  # a 0-d array is Iterable by type, but cannot be iterated
+        with pytest.raises(DomainError, match=f"^strat must be iterable, got {type(bad).__name__}$"):
+            run_oracle(block, bad, MIN_TRIALS, 1)
 
 
 def test_the_block_form_draws_each_rows_own_counts(anchor, monkeypatch):

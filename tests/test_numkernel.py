@@ -19,7 +19,7 @@ from pfmattack.numkernel import (
     hermitian_eigvalsh,
     pinv_sqrt,
 )
-from pfmattack.statespace import build_ensemble
+from pfmattack.statespace import EnsembleBlock, build_ensemble
 
 from hermitian_reference import hermitian_refusal
 
@@ -181,15 +181,20 @@ def test_eig_stack_guards():
         hermitian_eig(np.zeros((2, 3, 4)))
 
 
-#: The (type, message) of a failed eigvalsh_lo call's refusal, as validate() and a sequence build give it.
+#: The (type, message) of a failed eigvalsh_lo call's refusal, as validate() and a block build give it.
 _EIGVALSH_LO_REFUSAL = NoConvergenceError, "eigvalsh_lo: eigenvalues did not converge"
+
+
+def _block_of(ens):
+    """The block of the one point ens."""
+    return EnsembleBlock([ens.epsilon], [ens.delta], ens.dim)
 
 
 def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
     """hermitian_eig checks its input: a shape that is not square over the last two axes and an asymmetry above
     HERMITIAN_ATOL are refused, and so is a LAPACK failure, named by its gufunc. The eigenvalue-only call, whose
     callers check the entries, returns a failed matrix's eigenvalues as an all-NaN row, and its callers name that
-    failure by the same message: validate() and a sequence build, in each failed POVM's own slot."""
+    failure by the same message: validate() and a block build, in each failed POVM's own cell."""
     with pytest.raises(DimensionMismatchError):
         hermitian_eig(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatchError):
@@ -204,8 +209,9 @@ def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
     for strat in strats:
         with pytest.raises(NoConvergenceError, match="^eigvalsh_lo: eigenvalues did not converge$"):
             strat.validate()
-    cells = build_suboptimal_povm([strat.ensemble for strat in strats])  # both pencils are cached: no eigh_lo call
-    assert [(type(c), str(c)) for c in cells] == [_EIGVALSH_LO_REFUSAL] * 2
+    for strat in strats:  # both pencils are cached: no eigh_lo call
+        (cell,) = build_suboptimal_povm(_block_of(strat.ensemble)).refusals
+        assert (type(cell), str(cell)) == _EIGVALSH_LO_REFUSAL
     monkeypatch.setattr(numkernel, "eigh_lo", _failing(numkernel.eigh_lo))
     with pytest.raises(NoConvergenceError, match="^eigh_lo: eigenvalues did not converge$"):
         hermitian_eig(np.eye(2))
@@ -213,8 +219,8 @@ def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
 
 def test_the_unchecked_call_keeps_the_convergence_refusal(monkeypatch):
     """The eigenvalue-only call makes no checks: on a built POVM's elements a LAPACK failure comes back from it as
-    all-NaN rows, which its callers refuse as NoConvergenceError: validate(), and a sequence build in that POVM's
-    own slot. So does the checked hermitian_eig, each message naming the failed gufunc."""
+    all-NaN rows, which its callers refuse as NoConvergenceError: validate(), and a block build in that POVM's
+    own cell. So does the checked hermitian_eig, each message naming the failed gufunc."""
     strat = build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2))
     monkeypatch.setattr(numkernel, "eigh_lo", _failing(numkernel.eigh_lo))
     monkeypatch.setattr(attack, "hermitian_eigvalsh", _failing(numkernel.eigvalsh_lo))
@@ -223,7 +229,7 @@ def test_the_unchecked_call_keeps_the_convergence_refusal(monkeypatch):
     assert str(checked.value) == "eigh_lo: eigenvalues did not converge"
     with pytest.raises(NoConvergenceError) as lean:
         strat.validate()
-    cell, = build_suboptimal_povm([strat.ensemble])  # the pencil is cached: no eigh_lo call
+    (cell,) = build_suboptimal_povm(_block_of(strat.ensemble)).refusals  # the pencil is cached: no eigh_lo call
     assert [(type(r), str(r)) for r in (lean.value, cell)] == [_EIGVALSH_LO_REFUSAL] * 2
 
 

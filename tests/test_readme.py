@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pfmattack import cli
+from pfmattack import build_ensemble, build_suboptimal_povm, cli, run_oracle
 from pfmattack.attack import AttackReport
 from pfmattack.mcoracle import OracleEstimate
 
@@ -50,10 +50,22 @@ def test_readme_command(argv, expected, tmp_path, monkeypatch, capsys):
 
 
 def test_readme_library_block():
-    """The python block under '## Library' runs as written, so a renamed field or signature on that path fails."""
+    """The python block under '## Library' runs as written, so a renamed field or signature on that path fails, and
+    its block form gives what its cells' point calls give."""
     text = README.read_text(encoding="utf-8")
     block = re.search(r"^## Library$.*?^```python$(.*?)^```$", text, re.S | re.M).group(1)
     names = {}
     exec(compile(block, f"{README}:Library", "exec"), names)
     assert isinstance(names["report"], AttackReport) and isinstance(names["estimate"], OracleEstimate)
     assert names["estimate"].n_trials == 10**7
+    # the block's rows are its cells' point calls: x, and the counts behind each per-state tally, row r seeded 42 + r
+    block, povms, counts = names["block"], names["povms"], names["counts"]
+    assert names["refusals"] == povms.refusals == [None, None] and counts.shape == (2, 4, 4)
+    for r, (epsilon, delta) in enumerate(zip(block.epsilon.tolist(), block.delta.tolist())):
+        ens = build_ensemble(epsilon, delta)
+        strat = build_suboptimal_povm(ens)
+        own = run_oracle(ens, strat, 10**7, seed=42 + r)
+        assert povms.x[r] == strat.x
+        tallies = counts[r, :, 2], counts[r, :, 1:3].sum(axis=1), counts[r, :, :3].sum(axis=1), counts[r].sum(axis=1)
+        assert [t.tolist() for t in tallies] == [list(own.errors_by_state), list(own.sifted_by_state),
+                                                 list(own.conclusive_by_state), list(own.trials_by_state)]

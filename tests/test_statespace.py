@@ -222,15 +222,17 @@ def test_span_is_three_where_the_build_answers_a_small_span():
 def test_span_is_the_builds_dimension_over_the_domain():
     """3 wherever the build answers a dim 3 point (and at dim 3 only there, in this draw), 2 at epsilon = 0 with
     delta != 0 at either dim, 1 at delta = 0."""
-    ensembles = _span_draw()
-    kinds = set()
-    for ens, cell in zip(ensembles, build_suboptimal_povm(ensembles)):
-        span = span_dimension(ens)
-        expected = 1 if ens.delta == 0.0 else 2 if ens.epsilon == 0.0 else 3
-        assert span == expected, (ens, span)
-        if ens.dim == 3:
-            assert isinstance(cell, PovmStrategy) == (span == 3), (ens, cell)
-        kinds.add((ens.dim, span))
+    draw, kinds = _span_draw(), set()
+    for dim in (3, 2):
+        ensembles = [ens for ens in draw if ens.dim == dim]
+        block = EnsembleBlock([ens.epsilon for ens in ensembles], [ens.delta for ens in ensembles], dim)
+        for ens, refusal in zip(ensembles, build_suboptimal_povm(block).refusals):
+            span = span_dimension(ens)
+            expected = 1 if ens.delta == 0.0 else 2 if ens.epsilon == 0.0 else 3
+            assert span == expected, (ens, span)
+            if dim == 3:
+                assert (refusal is None) == (span == 3), (ens, refusal)
+            kinds.add((dim, span))
     assert kinds == {(3, 3), (3, 2), (3, 1), (2, 2), (2, 1)}
 
 
