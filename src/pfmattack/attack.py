@@ -78,16 +78,17 @@ _FORM_MAPS = {dim: _form_map(patterns) for dim, patterns in _E_PATTERNS.items()}
 
 
 def _check_map(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """validate()'s real map from [M_0, M_3, M_vac] to their sum and each conj(M) - M^T, and I's offset."""
-    n = 2 * dim * dim
-    i, j, part = np.indices((dim, dim, 2)).reshape(3, n)
-    check = np.zeros((3, n, 4, n))
-    check[:, :, 0] = np.eye(n)
-    check[[0, 1, 2], :, [1, 2, 3]] = np.diag(1.0 - 2 * part) - np.eye(n)[(j * dim + i) * 2 + part]
-    return check.reshape(3 * n, 4 * n), np.concatenate((_EYE_REAL[dim], np.zeros(3 * n)))
+    """validate()'s real map from [M_0, M_3, M_vac] to their sum and each conj(M) - M^T, and I's offset: row k is that
+    formula on the k-th real unit input (+ 0.0 makes its -0.0 entries 0.0)."""
+    m = np.eye(6 * dim * dim).view(complex).reshape(-1, 3, dim, dim)
+    check = np.concatenate((m.sum(axis=1, keepdims=True), m.conj() - m.swapaxes(-1, -2)), axis=1)
+    return check.view(float).reshape(len(m), -1) + 0.0, np.concatenate((_EYE_REAL[dim], np.zeros(6 * dim * dim)))
 
 
 _CHECK_MAPS = {dim: _check_map(dim) for dim in (2, 3)}  # (54, 72) at dim 3, (24, 32) at dim 2
+#: The largest |real or imaginary part| of a PovmStrategy's elements: each of _check's len(offset) outputs is then
+#: within (its map column's absolute sum + 1) times it, so their sum of squares stays finite (~3.95e152 at dim 3).
+_ELEMENT_MAX = math.sqrt(np.finfo(float).max / len(_CHECK_MAPS[3][1])) / (abs(_CHECK_MAPS[3][0]).sum(0).max() + 1)
 #: Row 0 of each basis, the real view of [0, 0, I]; the columns of g00, g33, Re g03 and Im g03 in _pencil's terms.
 _BASIS_ROW_0 = {dim: np.concatenate((np.zeros(4 * dim * dim), eye))[None] for dim, eye in _EYE_REAL.items()}
 _GRAM_COLUMNS = np.array([-6, -4, -2, -1])
@@ -100,8 +101,9 @@ class PovmStrategy:
     """Three-outcome measurement {M_0, M_3, M_vac} built for one point.
 
     elements is a read-only complex128 copy of the stack [M_0, M_3, M_vac],
-    of shape (3, dim, dim): entries that do not convert to numbers or are
-    infinite raise DomainError (a NaN is left to validate()), any other shape
+    of shape (3, dim, dim): entries that do not convert to numbers, or with
+    a real or imaginary part above _ELEMENT_MAX (~3.95e152; infinite too),
+    raise DomainError (a NaN is left to validate()), any other shape
     DimensionMismatchError. x, lambda_0 and lambda_3 are stored as floats: a
     bool, non-real or non-finite value raises DomainError. A built
     strategy holds the builder's array instead, uncopied. M_0 and
@@ -129,8 +131,8 @@ class PovmStrategy:
             raise DomainError(f"elements must be numbers: {exc}") from None
         if elements.shape != (3, self.dim, self.dim):
             raise DimensionMismatchError(f"elements shape {elements.shape} is not (3, {self.dim}, {self.dim})")
-        if np.isinf(elements).any():  # inf - inf in the completeness sum would be a bare numpy warning
-            raise DomainError("elements must not be infinite")
+        if (abs(elements.view(float)) > _ELEMENT_MAX).any():  # else _check's sums overflow: a bare numpy warning
+            raise DomainError(f"elements must not be infinite or have a real or imaginary part above {_ELEMENT_MAX:.2e}")
         elements.setflags(write=False)
         object.__setattr__(self, "elements", elements)
         set_reals(self.__dict__, "x", "lambda_0", "lambda_3", finite=True)
@@ -276,11 +278,9 @@ def _refusal(min_eigs: list[float], x: float) -> PfmAttackError | None:
     for label, min_eig in zip(("M_0", "M_3", "M_vac"), min_eigs):
         if not min_eig >= -_PSD_TOL:
             return DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
-    if not -_PSD_TOL <= min_eigs[2] <= _VAC_BOUNDARY_MAX:
-        return DomainError(f"M_vac minimal eigenvalue {min_eigs[2]:.3e} is off the positivity boundary")
-    if not x > 0:
-        return DomainError(f"scale factor x must be positive, got {x!r}")
-    return None
+    if not m_vac <= _VAC_BOUNDARY_MAX:  # the loop refused a minimum below -_PSD_TOL: only this bound is left
+        return DomainError(f"M_vac minimal eigenvalue {m_vac:.3e} is off the positivity boundary")
+    return DomainError(f"scale factor x must be positive, got {x!r}")  # the fast path failed on x alone
 
 
 def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
@@ -376,13 +376,9 @@ def _build_block(block: EnsembleBlock) -> PovmBlock:
     on 2x3 arrays makes a stacked body slower for one point; the two bodies
     must give the same bits, which test_attack checks point by point.
     """
-    dim, refusals = block.dim, list(block.refusals)
-    epsilon, delta = block.epsilon.tolist(), block.delta.tolist()
-    decided = block.delta == 0.0
-    if dim == 3:
-        decided |= block.epsilon == 0.0
-    for r in np.flatnonzero(decided).tolist():
-        refusals[r] = refusals[r] or _refusal_before_arithmetic(epsilon[r], delta[r], dim)
+    dim, epsilon, delta = block.dim, block.epsilon.tolist(), block.delta.tolist()
+    refusals = [refusal or _refusal_before_arithmetic(e, d, dim)
+                for refusal, e, d in zip(block.refusals, epsilon, delta)]
     index = [r for r, refusal in enumerate(refusals) if refusal is None]
     pencils = [_pencil(dim, delta[r]) for r in index]
     x, elements = np.empty(0), np.empty((0, 3, dim, dim), complex)

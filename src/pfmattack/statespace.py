@@ -193,16 +193,17 @@ def pfm_states(epsilon, delta) -> np.ndarray:
 
 
 def _reals(name: str, values) -> np.ndarray:
-    """values as a read-only float64 copy: DomainError unless a 1-d array (or sequence) of a real numeric dtype."""
+    """values as a read-only float64 copy: DomainError unless a 1-d real-dtype ndarray or an iterable _real reads."""
     if not iterable(values):
         raise DomainError(f"{name} must be a 1-d array of real numbers, got {type(values).__name__}")
-    try:
-        array = np.array(values)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a 1-d array of real numbers: {exc}") from None
-    if array.ndim != 1 or array.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must be a 1-d array of real numbers, got shape {array.shape} of {array.dtype}")
-    array = array.astype(float)
+    if not isinstance(values, np.ndarray):
+        try:
+            values = np.array([_real(f"{name}[{k}]", value) for k, value in enumerate(values)])
+        except DomainError as exc:
+            raise DomainError(f"{name} must be a 1-d array of real numbers: {exc}") from None
+    if values.ndim != 1 or values.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a 1-d array of real numbers, got shape {values.shape} of {values.dtype}")
+    array = values.astype(float)
     array.setflags(write=False)
     return array
 
@@ -210,9 +211,12 @@ def _reals(name: str, values) -> np.ndarray:
 class EnsembleBlock:
     """n attack points of one dim as arrays: the block form of AttackEnsemble, which a sweep block is made of.
 
-    epsilon and delta are 1-d arrays of reals of one length (anything else,
-    None or a 0-d array included, is a DomainError naming it; unequal
-    lengths a DimensionMismatchError), kept as read-only float64 copies;
+    epsilon and delta are 1-d arrays of reals of one length, kept as
+    read-only float64 copies: an ndarray of a real numeric dtype, or an
+    iterable read element by element as AttackEnsemble reads its own (a
+    Fraction or an int beyond int64 is read; a bool, complex or nested
+    element refuses). Anything else, None or a 0-d array included, is a
+    DomainError naming it, unequal lengths a DimensionMismatchError, and
     dim is an integer shared by every cell. The domain is checked once over
     the arrays: refusals[r] is None, or the DomainError, with its message,
     that AttackEnsemble(epsilon[r], delta[r], dim) raises. A refused cell

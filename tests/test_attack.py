@@ -389,15 +389,24 @@ def test_validate_rejects_nan_before_any_eigensolve(monkeypatch):
 def test_strategy_refuses_an_infinite_element_on_construction():
     """An infinite entry is refused by name when the strategy is made, without a numpy warning, so validate(), the
     oracle and the eigenvalue call that skips its own finiteness check never see one: not even inf in M_0 against
-    -inf in M_vac, whose sum inf - inf is NaN."""
+    -inf in M_vac, whose sum inf - inf is NaN. So is a finite real or imaginary part above attack._ELEMENT_MAX, which
+    would overflow validate()'s sum of squares (a built strategy's elements times 1e154 stopped it on numpy's overflow
+    warning). Up to that bound validate() names its own refusal, at either dim, even with every part at the bound."""
     _, _, strat = _report(1.0, np.pi / 2)
     for cells in ({(2, 0, 1): np.inf}, {(2, 0, 1): -np.inf}, {(2, 0, 1): complex(0.0, np.inf)},
-                  {(0, 0, 0): np.inf, (2, 0, 0): -np.inf}):
+                  {(0, 0, 0): np.inf, (2, 0, 0): -np.inf}, {(2, 0, 1): np.nextafter(attack._ELEMENT_MAX, np.inf)},
+                  {(1, 2, 2): complex(0.0, -1e154)}):
         bad = strat.elements.copy()
         for cell, value in cells.items():
             bad[cell] = value
         with pytest.raises(DomainError, match="elements must not be infinite"):
             _with(strat, elements=bad)
+    for strat in (strat, build_phase_remapping_povm(np.pi / 4)):
+        with pytest.raises(DomainError, match="elements must not be infinite"):
+            _with(strat, elements=strat.elements * 1e154)
+        for inside in (strat.elements * 1e152, np.full_like(strat.elements, 1 + 1j) * attack._ELEMENT_MAX):
+            with pytest.raises(DomainError, match="sum to the identity"):
+                _with(strat, elements=inside).validate()
 
 
 @pytest.mark.parametrize("field", ["x", "lambda_0", "lambda_3"])

@@ -105,30 +105,35 @@ def test_block_states_are_each_ensembles_states():
 def test_a_blocks_refusals_are_each_ensembles_own():
     """An EnsembleBlock checks AttackEnsemble's domain over its arrays: each cell's refusal is the DomainError, type and
     message, that its own AttackEnsemble raises, or None where that accepts it; the block's fields are read-only
-    float64 copies. An argument that is not a 1-d array of reals (None, a 0-d array, a bool or complex array, a
-    string), a dim that is not an integer or unequal lengths refuse the whole block, by name."""
+    float64 copies. An argument that is not a 1-d array of reals (None, a 0-d array, a bool, complex or object array,
+    a string, a list holding a bool, a complex, None or a list), a dim that is not an integer or unequal lengths refuse
+    the whole block, by name. A list of Fractions or of ints beyond int64 is read as the points read them."""
     rng = np.random.default_rng(38)
-    epsilon = [0.0, -0.0, EPSILON_MAX, -EPSILON_MAX, np.nextafter(EPSILON_MAX, 1), np.nan, np.inf]
-    delta = [0.0, 1e-300, np.pi / 2, -1e-300, np.nextafter(np.pi / 2, 2), np.nan, -np.inf]
+    # then, read element by element as AttackEnsemble reads each: a Fraction, and ints beyond int64 or double range
+    epsilon = [0.0, -0.0, EPSILON_MAX, -EPSILON_MAX, np.nextafter(EPSILON_MAX, 1), np.nan, np.inf,
+               Fraction(1, 100), 2**70, -(2**1100), np.int64(0)]
+    delta = [0.0, 1e-300, np.pi / 2, -1e-300, np.nextafter(np.pi / 2, 2), np.nan, -np.inf,
+             0.3, 0.3, Fraction(3, 2), 10**400]
     epsilon, delta = epsilon + rng.uniform(-0.1, 0.1, 30).tolist(), delta + rng.uniform(-0.1, 1.7, 30).tolist()
     for dim in (3, 2, 4, np.int64(3)):
         block = EnsembleBlock(epsilon, delta, dim)
         assert block.epsilon.dtype == block.delta.dtype == float and not block.epsilon.flags.writeable
-        for e, d, refusal in zip(epsilon, delta, block.refusals):
+        for r, (e, d, refusal) in enumerate(zip(epsilon, delta, block.refusals)):
             try:
-                AttackEnsemble(e, d, dim)
+                ens = AttackEnsemble(e, d, dim)
             except DomainError as exc:
                 assert (type(refusal), str(refusal)) == (DomainError, str(exc)), (e, d, dim)
             else:
-                assert refusal is None, (e, d, dim)
+                assert refusal is None and (block.epsilon[r], block.delta[r]) == (ens.epsilon, ens.delta), (e, d, dim)
         assert 0 < block.refusals.count(None) < len(block) or dim == 4
     for bad in (None, np.array(0.3), 0.3):
         with pytest.raises(DomainError,
                            match=f"^epsilon must be a 1-d array of real numbers, got {type(bad).__name__}$"):
             EnsembleBlock(bad, [0.3], 3)
-    for bad in ([True], [1j], ["0.3"], [[0.3]], [0.3, [0.3]]):
+    for bad in ([True], [1j], ["0.3"], [[0.3]], [0.3, [0.3]], [True, 0.5], [0.5, np.True_], [None], [0.5, 1j],
+                np.array([True]), np.array([0.3j]), np.array([Fraction(1, 3)])):
         with pytest.raises(DomainError, match="^delta must be a 1-d array of real numbers"):
-            EnsembleBlock([0.1], bad, 3)
+            EnsembleBlock([0.1] * len(bad), bad, 3)
     for bad in (3.0, True, None):
         with pytest.raises(DomainError, match=f"^dim must be an integer, got {bad!r}$"):
             EnsembleBlock([0.1], [0.3], bad)
