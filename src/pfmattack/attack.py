@@ -19,6 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,6 +40,9 @@ _PSD_TOL = 1e-9
 _COMPLETENESS_TOL = 1e-10
 _COMPLETE_SQUARES = (_COMPLETENESS_TOL / 2) ** 2  # a sum of squares that puts the residual within half the tolerance
 _VAC_BOUNDARY_MAX = 1e-6
+#: _certified's margin m (derived there): its pivots factor M + (_PSD_TOL - m) I and M_vac - (_VAC_BOUNDARY_MAX - m) I.
+_PIVOT_MARGIN = 1e-12
+_PASS_SHIFT, _WITNESS_SHIFT = _PSD_TOL - _PIVOT_MARGIN, _PIVOT_MARGIN - _VAC_BOUNDARY_MAX
 
 #: Relative error weight of Eve's resend i when the station prepared k:
 #: full error for the opposite state (k = i + 2), half for a basis-mismatched
@@ -86,6 +90,11 @@ def _check_map(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _CHECK_MAPS = {dim: _check_map(dim) for dim in (2, 3)}  # (54, 72) at dim 3, (24, 32) at dim 2
+#: Per dim, a getter per element M_0, M_3, M_vac of the lower-triangle entries _certified reads from a POVM's real
+#: coordinates, in order a00, Re a10, Im a10, a11, then at dim 3 Re a20, Im a20, Re a21, Im a21, a22.
+_LOWER_TRIANGLES = {dim: [itemgetter(*(2 * (e * dim * dim + i * dim + j) + part for i, j, part in (
+    (0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1), (2, 2, 0)) if i < dim))
+    for e in range(3)] for dim in (2, 3)}
 #: The largest |real or imaginary part| of a PovmStrategy's elements: each of _check's len(offset) outputs is then
 #: within (its map column's absolute sum + 1) times it, so their sum of squares stays finite (~3.95e152 at dim 3).
 _ELEMENT_MAX = math.sqrt(np.finfo(float).max / len(_CHECK_MAPS[3][1])) / (abs(_CHECK_MAPS[3][0]).sum(0).max() + 1)
@@ -283,18 +292,91 @@ def _refusal(min_eigs: list[float], x: float) -> PfmAttackError | None:
     return DomainError(f"scale factor x must be positive, got {x!r}")  # the fast path failed on x alone
 
 
+def _certified(c, x):
+    """True where validate()'s positivity checks surely pass, from LDL^H pivots alone; else False (the eigenvalues
+    decide).
+
+    c is one POVM's real coordinates [M_0, M_3, M_vac] as a list of floats
+    with x a float, or a stack's (6 dim^2, n) real view with x (n,): the same
+    arithmetic gives a bool or a bool array. The pivots read each element's
+    lower triangle, as LAPACK does; dim 3 takes three per factorization,
+    dim 2 two. With m = _PIVOT_MARGIN, it certifies:
+    - M_0, M_3 and M_vac: every pivot of M + (_PSD_TOL - m) I is > 0, so
+      min eig(M) >= -_PSD_TOL;
+    - M_vac's boundary: the first pivot of M_vac - (_VAC_BOUNDARY_MAX - m) I
+      that is not > 0 is < 0, so min eig(M_vac) <= _VAC_BOUNDARY_MAX;
+    - x > 0.
+    No verdict rests on a zero pivot: among floats its division raises
+    ZeroDivisionError (False), and in an array it gives inf or NaN, which
+    fail the comparisons after it.
+
+    m covers the rounding of the pivots and of LAPACK's eigenvalues. Its
+    callers pass complete, Hermitian POVMs, so once all three elements pass,
+    each one's diagonal lies within [-_PSD_TOL, 1 + 3 _PSD_TOL] and
+    ||M||_2 <= ~1. Let g be the factorization's backward-error constant, a
+    few units of u = 2^-53 with complex arithmetic's (Demmel, LAPACK Working
+    Note 14, 1989; Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 10). For a factored A (M shifted):
+    - all pivots > 0: they are the exact pivots of A + dA with
+      |dA| <= g |L||D||L^H|, and by Cauchy-Schwarz each entry of |L||D||L^H|
+      is at most max (A + dA)_ii <= ~1, so ||dA||_2 <= 3g and
+      min eig(M) > -_PSD_TOL + m - 3g;
+    - a pivot not > 0 at step k: if the leading k x k block H has a
+      diagonal entry <= 0, min eig(H) <= 0 at once; else the factorization
+      of H did not run to completion, so by Demmel's theorem the least
+      eigenvalue of diag(H)^-1/2 H diag(H)^-1/2 is at most ~3g, hence
+      min eig(H) <= ~3g max h_ii; by interlacing,
+      min eig(M_vac) <= _VAC_BOUNDARY_MAX - m + ~3g.
+    LAPACK's eigenvalues are backward stable, within p(3) u ||M||_2 ~ 1e-14.
+    So m = 1e-12, far above both, makes a certified POVM pass the eigenvalue
+    checks too, and it sits 1000x below _PSD_TOL: a built element's exact
+    least eigenvalue is 0, so its pivots stay near _PSD_TOL.
+    """
+    dim = 3 if len(c) == 54 else 2
+    m_0, m_3, m_vac = _LOWER_TRIANGLES[dim]
+    certified = x > 0
+    try:
+        for lower, shifts in ((m_0, (_PASS_SHIFT,)), (m_3, (_PASS_SHIFT,)), (m_vac, (_PASS_SHIFT, _WITNESS_SHIFT))):
+            if dim == 3:  # the products no shift changes: |a10|^2, a20 conj(a10) and |a20|^2
+                a00, p, q, a11, r, t, u, v, a22 = lower(c)
+                rp_re, rp_im, rr = r * p + t * q, t * p - r * q, r * r + t * t
+            else:
+                a00, p, q, a11 = lower(c)
+            pp = p * p + q * q
+            for shift in shifts:
+                d1 = a00 + shift
+                d2 = d3 = a11 + shift - pp / d1  # at dim 2, d3 repeats d2
+                if dim == 3:  # b = a21 - a20 conj(a10) / d1, then d3 = a22 - |a20|^2 / d1 - |b|^2 / d2, shifted
+                    b_re, b_im = u - rp_re / d1, v - rp_im / d1
+                    d3 = a22 + shift - rr / d1 - (b_re * b_re + b_im * b_im) / d2
+                if shift == _PASS_SHIFT:
+                    certified = certified & (d1 > 0) & (d2 > 0) & (d3 > 0)
+                else:
+                    certified = certified & ((d1 < 0) | (d1 > 0) & ((d2 < 0) | (d2 > 0) & (d3 < 0)))
+    except ZeroDivisionError:
+        return False
+    return certified
+
+
 def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
-    """validate()'s checks on one POVM, elements (3, dim, dim) and x: its refusal, or None."""
+    """validate()'s checks on one POVM, elements (3, dim, dim) and x: its refusal, or None.
+
+    After the completeness and Hermitian checks, a POVM that _certified passes is answered without eigenvalues;
+    any other takes the eigenvalue call, whose minima _refusal judges.
+    """
     check_map, offset = _CHECK_MAPS[elements.shape[-1]]
     n = len(offset) // 4
+    real = elements.ravel().view(float)
     # the completeness residual, then each element's conj(M) - M^T, in real coordinates from one BLAS call
-    y = elements.ravel().view(float).dot(check_map)
+    y = real.dot(check_map)
     y -= offset
     squares = y.dot(y)  # bounds the sum of squares of each part; NaN fails
     if not (squares <= _COMPLETE_SQUARES or math.sqrt(y[:n].dot(y[:n])) <= _COMPLETENESS_TOL):
         return DomainError("POVM elements do not sum to the identity")
     try:  # the checks the eigenvalue call leaves to its caller: complete elements are finite, y holds the deviations
         require_hermitian(y, squares, n)
+        if _certified(real.tolist(), x):
+            return None
         min_eigs = hermitian_eigvalsh(elements)[:, 0].tolist()  # a LAPACK failure's NaN row: _refusal names it
     except PfmAttackError as exc:  # an asymmetry above HERMITIAN_ATOL, or a refusal the eigenvalue call raises
         return exc
@@ -325,8 +407,10 @@ def build_suboptimal_povm(ens: AttackEnsemble | EnsembleBlock) -> PovmStrategy |
     E's entries are ss, cc and sc, so M_b and the Gram entries are sums over
     six monomials mu (1 at dim 2) of forms that depend on (dim, delta) alone.
     _pencil builds them once per (dim, delta) and keeps the last
-    _PENCIL_CACHE_SIZE, so a point makes two small matmuls and one
-    eigenvalue call, in validate(), plus one eigen-decomposition on a miss.
+    _PENCIL_CACHE_SIZE, so a point makes two small matmuls, plus one
+    eigen-decomposition on a miss. validate() takes no eigenvalues when its
+    pivot certificate passes the POVM (_certified); one stacked call
+    otherwise, on the refusal path.
 
     e_B (absolutely) and p_succ (relatively) are within 1e-12 of exact
     arithmetic for every 0 < delta <= pi/2. Three points are refused, in
@@ -337,8 +421,9 @@ def build_suboptimal_povm(ens: AttackEnsemble | EnsembleBlock) -> PovmStrategy |
 
     ens may also be an EnsembleBlock, the block form: the return is then a
     PovmBlock, and no per-cell object is made. Its cells go through the same
-    closed form and validate()'s checks stacked on one leading axis, with one
-    eigenvalue call for all of their POVMs; each cell's results equal its
+    closed form and validate()'s checks stacked on one leading axis: the
+    pivot certificate over all of their POVMs, then one eigenvalue call for
+    those it does not pass, if any; each cell's results equal its
     own call's, bit for bit, and its refusal is the one its own call raises.
     Memory grows with the block's length, so a caller with a large grid
     passes it in blocks (the CLI sweep: cli.SWEEP_BLOCK cells a call).
@@ -408,20 +493,28 @@ def _build_block(block: EnsembleBlock) -> PovmBlock:
 def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None]:
     """validate() over POVMs stacked on axis 0: elements (n, 3, dim, dim), x (n,); per POVM None or its refusal.
 
-    _check's arithmetic, a row of y per POVM: a stack of POVMs complete within half the tolerance and Hermitian takes
-    one eigenvalue call, in which a POVM whose LAPACK call fails gets a NaN row and its own refusal from _refusal; any
-    other stack, or one whose call raises, is judged POVM by POVM by _check, so a bad POVM refuses only itself. numpy's
-    invalid flag is ignored (an infinite entry meets the map's zeros, or LAPACK fails): under -W error its warning
-    would stop the whole stack, where the POVM gets its own refusal.
+    _check's arithmetic, a row of y per POVM: in a stack of POVMs complete within half the tolerance and Hermitian,
+    those _certified passes are answered without eigenvalues, and the rest share one eigenvalue call, in which a POVM
+    whose LAPACK call fails gets a NaN row and its own refusal from _refusal; any other stack, or one whose call
+    raises, is judged POVM by POVM by _check, so a bad POVM refuses only itself. numpy's flags are ignored (an
+    infinite entry meets the map's zeros, a pivot divides by zero or overflows, or LAPACK fails): under -W error a
+    warning would stop the whole stack, where the POVM gets its own refusal.
     """
     check_map, offset = _CHECK_MAPS[elements.shape[-1]]
-    with np.errstate(invalid="ignore"):
-        y = np.dot(elements.reshape(len(elements), -1).view(float), check_map) - offset
+    real = elements.reshape(len(elements), -1).view(float)
+    with np.errstate(all="ignore"):
+        y = np.dot(real, check_map) - offset
         squares = np.einsum("ij,ij->i", y, y)
         try:
             if (squares <= _COMPLETE_SQUARES).all():
                 require_hermitian(y[:, len(offset) // 4:], squares.sum())
-                return [_refusal(m, x_k) for m, x_k in zip(hermitian_eigvalsh(elements)[:, :, 0].tolist(), x.tolist())]
+                refusals = [None] * len(elements)
+                rest = np.flatnonzero(~_certified(real.T, x))
+                if len(rest):
+                    min_eigs = hermitian_eigvalsh(elements[rest])[:, :, 0].tolist()
+                    for r, m, x_r in zip(rest.tolist(), min_eigs, x[rest].tolist()):
+                        refusals[r] = _refusal(m, x_r)
+                return refusals
         except PfmAttackError:  # an asymmetry above HERMITIAN_ATOL, or the eigenvalue call raised: _check names it
             pass
         return [_check(el, x_k) for el, x_k in zip(elements, x.tolist())]

@@ -55,9 +55,10 @@ def iterable(value) -> bool:
 
 def _real(name: str, value, finite: bool = False) -> float:
     """value as a float: DomainError unless it is a real number (not a complex or a bool), and with finite unless
-    it is finite (not infinite or nan). A real beyond double range (an int or a Fraction) becomes an infinity."""
+    it is finite (not infinite or nan). A real beyond double range (an int or a Fraction) becomes an infinity. A
+    refused non-number is named by its repr, so a string reads as one; a non-finite real by its str ("inf")."""
     if isinstance(value, bool) or not isinstance(value, _REAL):
-        raise DomainError(f"{name} must be a {'finite ' * finite}real number, got {value}")
+        raise DomainError(f"{name} must be a {'finite ' * finite}real number, got {value!r}")
     try:
         real = float(value)
     except OverflowError:

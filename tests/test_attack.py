@@ -34,10 +34,13 @@ from pfmattack.numkernel import HERMITIAN_ATOL, hermitian_eig, hermitian_eigvals
 from pfmattack.statespace import EPSILON_MAX, AttackEnsemble, EnsembleBlock, bb84_ensemble, build_ensemble
 
 from closed_form_reference import map_back, newton_table, pfm_e_b, pfm_overlaps, remap_e_b
+from eigenvalue_path import certify_nothing
 from hermitian_reference import hermitian_refusal
 from mp_reference import pfm_reference, remap_reference
 
 DEG = np.pi / 180
+#: The pivot certificate itself, kept before any test monkeypatches it.
+_CERTIFIED = attack._certified
 
 # minimal eigenvalue of the conjugated error operator at delta = pi/2,
 # identical for every nonzero epsilon
@@ -350,17 +353,26 @@ def test_delta_spectrum_matches_its_closed_form():
 
 
 def test_validate_decomposes_each_element_once(monkeypatch):
-    """validate() takes the eigenvalues of M_0, M_3 and M_vac in one stacked call of shape (3, d, d)."""
-    for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
-        calls = []
+    """validate() takes the eigenvalues of M_0, M_3 and M_vac in one stacked call of shape (3, d, d) on the path of a
+    POVM the pivot certificate does not pass; with the certificate on, the same built POVMs take none."""
+    strats = (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4))
+    calls = []
 
-        def counting_eigvalsh(a, **options):
-            calls.append(np.shape(a))
-            return hermitian_eigvalsh(a, **options)
+    def counting_eigvalsh(a, **options):
+        calls.append(np.shape(a))
+        return hermitian_eigvalsh(a, **options)
 
-        monkeypatch.setattr(attack, "hermitian_eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(attack, "hermitian_eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(attack, "_certified", certify_nothing)
+    for strat in strats:
+        calls.clear()
         strat.validate()
         assert calls == [(3, strat.dim, strat.dim)]
+    monkeypatch.setattr(attack, "_certified", _CERTIFIED)
+    calls.clear()
+    for strat in strats:
+        strat.validate()
+    assert calls == []
 
 
 def _with(strat, **changes):
@@ -744,6 +756,144 @@ def test_the_stacked_eigenvalue_call_sees_only_checked_povms(monkeypatch):
             assert verdicts[0] is verdicts[2] is verdicts[3] is None and verdicts[1][0] is refusal
 
 
+def _verdicts_on_both_paths(monkeypatch, elements, x):
+    """Each POVM's verdict from _check one by one and from _refusals stacked, with the pivot certificate on, then
+    with it certifying nothing (the eigenvalue path): four lists, in that order."""
+    def verdicts():
+        return ([_verdict(attack._check(el, x_k)) for el, x_k in zip(elements, x.tolist())],
+                [_verdict(refusal) for refusal in attack._refusals(elements, x)])
+
+    on = verdicts()
+    with monkeypatch.context() as patched:
+        patched.setattr(attack, "_certified", certify_nothing)
+        return (*on, *verdicts())
+
+
+def _certified_cells(elements, x):
+    """The pivot certificate over a stack, as _refusals runs it: a bool per POVM."""
+    with np.errstate(all="ignore"):
+        return attack._certified(elements.reshape(len(elements), -1).view(float).T, x)
+
+
+def _domain_block(rng, n, dim):
+    """n seeded built POVMs of one dim: |epsilon| <= 5 deg, delta log-uniform in [1e-12, pi/2]."""
+    epsilon = rng.uniform(-5, 5, n) * DEG if dim == 3 else np.zeros(n)
+    povms = build_suboptimal_povm(EnsembleBlock(epsilon, np.exp(rng.uniform(np.log(1e-12), np.log(np.pi / 2), n)), dim))
+    assert povms.refusals == [None] * n
+    return povms.elements, povms.x
+
+
+def test_certified_verdicts_equal_the_eigenvalue_verdicts_on_built_povms(monkeypatch):
+    """The 40x50 grid, its remap line and a seeded domain draw of both dims, delta down to 1e-12: every POVM passes,
+    point by point and stacked, with the pivot certificate and on the eigenvalue path alike, and the certificate
+    passes every one of them (so none takes an eigenvalue call)."""
+    deltas = np.linspace(0.1, np.pi / 2, 50)
+    grid = EnsembleBlock(*[a.ravel() for a in np.meshgrid(np.linspace(0.05, 1.0, 40) * DEG, deltas)], 3)
+    built = [build_suboptimal_povm(block) for block in (grid, EnsembleBlock(np.zeros(50), deltas, 2))]
+    rng = np.random.default_rng(41)
+    for elements, x in [(p.elements, p.x) for p in built] + [_domain_block(rng, 1000, dim) for dim in (3, 2)]:
+        verdicts = _verdicts_on_both_paths(monkeypatch, elements, x)
+        assert all(v == [None] * len(x) for v in verdicts)
+        assert _certified_cells(elements, x).all()
+
+
+def _moved_eigenvalue(elements, k, target):
+    """A built POVM with one least eigenvalue moved to target, complete again: M_0 or M_3 (k = 0, 1) through its
+    eigen-decomposition, then M_vac = I - M_0 - M_3; M_vac (k = 2, least eigenvalue 0 as built) by scaling M_0 and M_3
+    by 1 - target."""
+    m_0, m_3, _ = elements
+    if k == 2:
+        m_0, m_3 = (1 - target) * m_0, (1 - target) * m_3
+    else:
+        w, v = hermitian_eig(elements[k])
+        w[0] = target
+        moved = (v * w) @ v.conj().T
+        m_0, m_3 = (moved, m_3) if k == 0 else (m_0, moved)
+    return np.array([m_0, m_3, np.eye(len(m_0)) - m_0 - m_3])
+
+
+def test_certified_verdicts_equal_the_eigenvalue_verdicts_at_each_threshold(monkeypatch):
+    """Seeded built POVMs of both dims with one least eigenvalue moved to a few ulps and up to 1e-11 on either side of
+    -_PSD_TOL (M_0, M_3 or M_vac) or of _VAC_BOUNDARY_MAX (M_vac): each verdict, type and message, point by point and
+    stacked, equals the eigenvalue path's. Some of them the certificate passes, some that pass it leaves to the
+    eigenvalues (within its margin), and some are refused."""
+    tol, vac_max = attack._PSD_TOL, attack._VAC_BOUNDARY_MAX
+    offsets = [0.0, 1e-17, 1e-16, 4e-16, 1e-15, 1e-14, 1e-13, 5e-13, 9e-13, 1e-12, 1.1e-12, 2e-12, 1e-11]
+    offsets = sorted({sign * o for o in offsets for sign in (1, -1)})
+    rng = np.random.default_rng(43)
+    kinds = set()
+    for dim in (3, 2):
+        base, _ = _domain_block(rng, 6, dim)
+        for built in base:
+            near_tol = [-tol + o for o in offsets] + [np.nextafter(-tol, s) for s in (-1, 1)]
+            cases = [(k, t) for k in (0, 1, 2) for t in near_tol]
+            cases += [(2, vac_max + o) for o in offsets] + [(2, np.nextafter(vac_max, s)) for s in (-1, 1)]
+            cases += [(k, t + rng.uniform(-3e-12, 3e-12)) for k, t in cases[::5]]
+            elements = np.array([_moved_eigenvalue(built, k, t) for k, t in cases])
+            x = np.ones(len(cases))
+            point_on, stacked_on, point_off, stacked_off = _verdicts_on_both_paths(monkeypatch, elements, x)
+            assert point_on == stacked_on == point_off == stacked_off
+            for certified, verdict in zip(_certified_cells(elements, x).tolist(), point_off):
+                assert not (certified and verdict is not None)
+                kinds.add("certified" if certified else "eigenvalues: " + ("pass" if verdict is None else "refused"))
+    assert kinds == {"certified", "eigenvalues: pass", "eigenvalues: refused"}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_certified_verdicts_equal_the_eigenvalue_verdicts_at_the_edges(monkeypatch, dim):
+    """Entries near _ELEMENT_MAX (pivots that overflow), a zero pivot (a ZeroDivisionError among floats, inf or NaN
+    in a stack) in each factorization, x of NaN, 0 and -0.0, and NaN entries: each verdict, type and message, point
+    by point and stacked, equals the eigenvalue path's, with built POVMs in the same stacks. None of them is
+    certified but the built ones."""
+    built = build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2) if dim == 3 else bb84_ensemble(np.pi / 4))
+    edges = []
+    for big in (0.9 * attack._ELEMENT_MAX, 1e150, 1e100):  # +big in M_0[1, 0] and M_0[0, 1], -big in M_vac's
+        elements = _boundary_povm(dim)
+        elements[0, 1, 0] = elements[0, 0, 1] = big
+        elements[2, 1, 0] = elements[2, 0, 1] = -big
+        edges.append((elements, 1.0))
+    # a zero pivot: the first of M_0's and of M_vac's, the second of M_3's, and the first of M_vac's witness
+    for m_0, m_3, m_vac in ((-attack._PASS_SHIFT, 0.0, 0.0), (0.0, -attack._PASS_SHIFT, 0.0),
+                            (0.0, 0.0, -attack._PASS_SHIFT), (0.0, 0.0, -attack._WITNESS_SHIFT)):
+        edges.append((_diagonal_povm(dim, m_0, m_3, m_vac), 1.0))
+    edges += [(built.elements, x) for x in (np.nan, 0.0, -0.0)]
+    nan = built.elements.copy()
+    nan[1, 1, 0] = np.nan
+    for stack in (edges, edges + [(nan, built.x)]):
+        elements = np.array([built.elements] + [el for el, _ in stack] + [built.elements])
+        x = np.array([built.x] + [x for _, x in stack] + [built.x])
+        verdicts = _verdicts_on_both_paths(monkeypatch, elements, x)
+        assert verdicts[0] == verdicts[1] == verdicts[2] == verdicts[3]
+        assert verdicts[0][0] is verdicts[0][-1] is None
+        pointwise = [attack._certified(el.ravel().view(float).tolist(), x_k) for el, x_k in zip(elements, x.tolist())]
+        assert _certified_cells(elements, x).tolist() == pointwise == [True] + [False] * len(stack) + [True]
+
+
+def test_the_grid_and_the_readme_sweep_take_no_eigenvalues(monkeypatch, tmp_path):
+    """The 40x50 grid, point by point and as a block, its remap line, and the README QBER sweep through cli.main make
+    no eigenvalue call: the pivot certificate passes each of their POVMs. A margin set too tight would send them to
+    LAPACK again without failing any verdict."""
+    calls = []
+
+    def counting_eigvalsh(a):
+        calls.append(np.shape(a))
+        return hermitian_eigvalsh(a)
+
+    monkeypatch.setattr(attack, "hermitian_eigvalsh", counting_eigvalsh)
+    epsilon, deltas = np.linspace(0.05, 1.0, 40) * DEG, np.linspace(0.1, np.pi / 2, 50)
+    for e in epsilon:
+        for d in deltas:
+            build_suboptimal_povm(build_ensemble(e, d))
+    for d in deltas:
+        build_phase_remapping_povm(d)
+    grid = build_suboptimal_povm(EnsembleBlock(*[a.ravel() for a in np.meshgrid(epsilon, deltas)], 3))
+    line = build_suboptimal_povm(EnsembleBlock(np.zeros(50), deltas, 2))
+    assert grid.refusals == [None] * 2000 and line.refusals == [None] * 50
+    argv = ["sweep", "--epsilon-deg", "0.1:1:19", "--delta", "pi/2,pi/4,pi/8", "--out", str(tmp_path / "qber.csv")]
+    assert cli.main(argv) == 0
+    assert calls == []
+
+
 def _ordered_refusal(complete, min_eigs, x):
     """validate()'s verdict on one POVM as its checks are ordered, each in turn: the reference for _refusal."""
     if not complete:
@@ -1110,7 +1260,9 @@ def test_scalar_fiber_length_takes_any_real_probability():
 def test_one_bad_povm_never_stops_the_others(monkeypatch):
     """A block the eigensolver refuses is solved again POVM by POVM: only the POVM it refuses is refused.
 
-    The last point's x underflows: its elements go through both solves too, and it keeps its own refusal.
+    The last point's x underflows: its elements go through both solves too, and it keeps its own refusal. That is
+    the path of POVMs the pivot certificate does not pass; with it on, the built POVMs reach no eigenvalue call, so
+    the refusing solver meets only the underflow point's, and every cell equals its own call's result.
     """
     points = [build_ensemble(e * DEG, d) for e in (0.3, 1.0, 2.0) for d in (0.5, np.pi / 2)]
     points.append(build_ensemble(1 * DEG, 1e-200))
@@ -1118,24 +1270,32 @@ def test_one_bad_povm_never_stops_the_others(monkeypatch):
         build_suboptimal_povm(points[6])
     bad = build_suboptimal_povm(points[3]).elements
     singles = [_point_outcome(ens) for ens in points]
+    calls = []
 
     def refusing_eigvalsh(a, **options):
+        calls.append(np.shape(a))
         if any(np.array_equal(m, bad) for m in np.reshape(a, (-1, 3, 3, 3))):
             raise NoConvergenceError("Eigenvalues did not converge")
         return hermitian_eigvalsh(a, **options)
 
     monkeypatch.setattr(attack, "hermitian_eigvalsh", refusing_eigvalsh)
+    monkeypatch.setattr(attack, "_certified", certify_nothing)
     cells = _block_outcomes(points)
     assert cells[3] == (NoConvergenceError, "Eigenvalues did not converge")
     assert cells[6] == (DegenerateSpanError, str(underflow.value))
     assert [cells[k] for k in (0, 1, 2, 4, 5)] == [singles[k] for k in (0, 1, 2, 4, 5)]
+    monkeypatch.setattr(attack, "_certified", _CERTIFIED)
+    calls.clear()
+    assert _block_outcomes(points) == singles
+    assert calls == [(1, 3, 3, 3)]  # the underflow point's x = 0 alone
 
 
 def test_a_nan_row_refuses_only_its_own_povm(monkeypatch):
     """An eigenvalue call that returns one POVM's eigenvalues all NaN, as a failed LAPACK call does, without raising:
     a block build refuses that POVM alone, in its cell, with the refusal its own validate() gives, and keeps one
     stacked call per block. Every other cell, of either dim, refused or not, equals its own call's result bit for
-    bit."""
+    bit. That is the path of POVMs the pivot certificate does not pass; with it on, the built POVMs reach no
+    eigenvalue call, and every cell, that POVM's too, equals its own call's result."""
     points = [build_ensemble(e * DEG, d) for e in (0.3, 1.0, 2.0) for d in (0.5, np.pi / 2)]
     points += [bb84_ensemble(np.pi / 4), build_ensemble(1 * DEG, 1e-200), bb84_ensemble(0.2), build_ensemble(0.0, 1.0)]
     singles = [_point_outcome(ens) for ens in points]
@@ -1152,6 +1312,7 @@ def test_a_nan_row_refuses_only_its_own_povm(monkeypatch):
         return w
 
     monkeypatch.setattr(attack, "hermitian_eigvalsh", nan_eigvalsh)
+    monkeypatch.setattr(attack, "_certified", certify_nothing)
     with pytest.raises(NoConvergenceError) as own:
         build_suboptimal_povm(points[3])
     calls.clear()
@@ -1159,6 +1320,11 @@ def test_a_nan_row_refuses_only_its_own_povm(monkeypatch):
     assert calls == [(7, 3, 3, 3), (2, 3, 2, 2)]  # the underflow point's elements are checked too
     assert cells[3] == (NoConvergenceError, str(own.value))
     assert cells[:3] + cells[4:] == singles[:3] + singles[4:]
+    monkeypatch.setattr(attack, "_certified", _CERTIFIED)
+    assert _point_outcome(points[3]) == singles[3]
+    calls.clear()
+    assert _block_outcomes(points) == singles
+    assert calls == [(1, 3, 3, 3)]  # the underflow point's x = 0 alone
 
 
 def _validated(strat):
@@ -1196,7 +1362,8 @@ def test_stacked_checks_refuse_each_broken_povm_as_validate_does():
 def test_stacked_checks_make_one_eigenvalue_call_over_the_whole_stack(monkeypatch):
     """A stack of complete POVMs, the x = 0 one among them, takes one eigenvalue call of the whole stack's shape and
     no _check; an incomplete POVM added to it sends every POVM to _check, validate()'s own check. Each POVM is judged
-    as its own validate() judges it."""
+    as its own validate() judges it. That is the path of POVMs the pivot certificate does not pass; with it on, the
+    built POVM reaches no eigenvalue call: the x = 0 one alone takes one, of its own shape."""
     check = attack._check
     for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
         m_0, m_3, m_vac = strat.elements
@@ -1205,28 +1372,33 @@ def test_stacked_checks_make_one_eigenvalue_call_over_the_whole_stack(monkeypatc
         for povms in (complete, with_incomplete):
             expected = [_validated(p) for p in povms]
             elements = np.array([p.elements for p in povms])
-            calls, checked = [], []
+            for certified in (certify_nothing, _CERTIFIED):
+                calls, checked = [], []
 
-            def counting_eigvalsh(a):
-                calls.append(np.shape(a))
-                return hermitian_eigvalsh(a)
+                def counting_eigvalsh(a):
+                    calls.append(np.shape(a))
+                    return hermitian_eigvalsh(a)
 
-            def counting_check(el, x):
-                checked.append(el.tobytes())
-                return check(el, x)
+                def counting_check(el, x):
+                    checked.append(el.tobytes())
+                    return check(el, x)
 
-            monkeypatch.setattr(attack, "hermitian_eigvalsh", counting_eigvalsh)
-            monkeypatch.setattr(attack, "_check", counting_check)
-            refusals = attack._refusals(elements, np.array([p.x for p in povms]))
-            monkeypatch.undo()
-            verdicts = [None if r is None else (type(r), str(r)) for r in refusals]
-            assert verdicts == expected
-            if povms is complete:
-                assert calls == [elements.shape] and checked == []
-            else:  # each POVM in turn; the incomplete one is refused before any eigenvalue call
-                assert checked == [p.elements.tobytes() for p in povms]
-                assert calls == [(3, strat.dim, strat.dim)] * 2
-                assert verdicts[1] == (DomainError, "POVM elements do not sum to the identity")
+                monkeypatch.setattr(attack, "hermitian_eigvalsh", counting_eigvalsh)
+                monkeypatch.setattr(attack, "_check", counting_check)
+                monkeypatch.setattr(attack, "_certified", certified)
+                refusals = attack._refusals(elements, np.array([p.x for p in povms]))
+                monkeypatch.undo()
+                verdicts = [None if r is None else (type(r), str(r)) for r in refusals]
+                assert verdicts == expected
+                if certified is _CERTIFIED:  # the x = 0 POVM alone: in the stack, or in its own _check
+                    assert calls == [(1, 3, strat.dim, strat.dim) if povms is complete else (3, strat.dim, strat.dim)]
+                    assert checked == ([] if povms is complete else [p.elements.tobytes() for p in povms])
+                elif povms is complete:
+                    assert calls == [elements.shape] and checked == []
+                else:  # each POVM in turn; the incomplete one is refused before any eigenvalue call
+                    assert checked == [p.elements.tobytes() for p in povms]
+                    assert calls == [(3, strat.dim, strat.dim)] * 2
+                    assert verdicts[1] == (DomainError, "POVM elements do not sum to the identity")
 
 
 # (kind, epsilon_deg, delta, e_B, p_succ, x, lambda_0, lambda_3) from an earlier, independent

@@ -21,9 +21,12 @@ from pfmattack.numkernel import (
 )
 from pfmattack.statespace import EnsembleBlock, build_ensemble
 
+from eigenvalue_path import certify_nothing
 from hermitian_reference import hermitian_refusal
 
 DEG = np.pi / 180
+#: The pivot certificate itself, kept before any test monkeypatches it.
+_CERTIFIED = attack._certified
 
 
 def random_hermitian(rng, dim):
@@ -194,7 +197,9 @@ def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
     """hermitian_eig checks its input: a shape that is not square over the last two axes and an asymmetry above
     HERMITIAN_ATOL are refused, and so is a LAPACK failure, named by its gufunc. The eigenvalue-only call, whose
     callers check the entries, returns a failed matrix's eigenvalues as an all-NaN row, and its callers name that
-    failure by the same message: validate() and a block build, in each failed POVM's own cell."""
+    failure by the same message: validate() and a block build, in each failed POVM's own cell, on the path of a POVM
+    the pivot certificate does not pass. With the certificate on, the same built POVMs never reach the failing call
+    and pass."""
     with pytest.raises(DimensionMismatchError):
         hermitian_eig(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatchError):
@@ -206,12 +211,17 @@ def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
     strats = [build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2)), build_phase_remapping_povm(np.pi / 4)]
     # hermitian_eigvalsh is the gufunc itself, bound at import: the stub goes where attack reads it
     monkeypatch.setattr(attack, "hermitian_eigvalsh", _failing(numkernel.eigvalsh_lo))
+    monkeypatch.setattr(attack, "_certified", certify_nothing)
     for strat in strats:
         with pytest.raises(NoConvergenceError, match="^eigvalsh_lo: eigenvalues did not converge$"):
             strat.validate()
     for strat in strats:  # both pencils are cached: no eigh_lo call
         (cell,) = build_suboptimal_povm(_block_of(strat.ensemble)).refusals
         assert (type(cell), str(cell)) == _EIGVALSH_LO_REFUSAL
+    monkeypatch.setattr(attack, "_certified", _CERTIFIED)
+    for strat in strats:
+        strat.validate()
+        assert build_suboptimal_povm(_block_of(strat.ensemble)).refusals == [None]
     monkeypatch.setattr(numkernel, "eigh_lo", _failing(numkernel.eigh_lo))
     with pytest.raises(NoConvergenceError, match="^eigh_lo: eigenvalues did not converge$"):
         hermitian_eig(np.eye(2))
@@ -219,11 +229,13 @@ def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
 
 def test_the_unchecked_call_keeps_the_convergence_refusal(monkeypatch):
     """The eigenvalue-only call makes no checks: on a built POVM's elements a LAPACK failure comes back from it as
-    all-NaN rows, which its callers refuse as NoConvergenceError: validate(), and a block build in that POVM's
-    own cell. So does the checked hermitian_eig, each message naming the failed gufunc."""
+    all-NaN rows, which its callers refuse as NoConvergenceError on the path of a POVM the pivot certificate does not
+    pass: validate(), and a block build in that POVM's own cell. So does the checked hermitian_eig, each message
+    naming the failed gufunc. With the certificate on, the POVM never reaches the failing call and passes."""
     strat = build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2))
     monkeypatch.setattr(numkernel, "eigh_lo", _failing(numkernel.eigh_lo))
     monkeypatch.setattr(attack, "hermitian_eigvalsh", _failing(numkernel.eigvalsh_lo))
+    monkeypatch.setattr(attack, "_certified", certify_nothing)
     with pytest.raises(NoConvergenceError) as checked:
         hermitian_eig(strat.elements)
     assert str(checked.value) == "eigh_lo: eigenvalues did not converge"
@@ -231,6 +243,9 @@ def test_the_unchecked_call_keeps_the_convergence_refusal(monkeypatch):
         strat.validate()
     (cell,) = build_suboptimal_povm(_block_of(strat.ensemble)).refusals  # the pencil is cached: no eigh_lo call
     assert [(type(r), str(r)) for r in (lean.value, cell)] == [_EIGVALSH_LO_REFUSAL] * 2
+    monkeypatch.setattr(attack, "_certified", _CERTIFIED)
+    strat.validate()
+    assert build_suboptimal_povm(_block_of(strat.ensemble)).refusals == [None]
 
 
 def test_eigvalsh_matches_eig_eigenvalues():

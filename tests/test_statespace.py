@@ -347,6 +347,19 @@ def test_complex_delta_is_refused():
             bb84_ensemble(delta)
 
 
+def test_a_refused_string_is_named_as_a_string():
+    """A string that looks like a number is refused by its repr, at a point and in a block, so the message does not
+    read as if a number were refused; a non-finite real keeps its str ("got inf")."""
+    with pytest.raises(DomainError, match="^delta must be a real number, got '0.3'$"):
+        AttackEnsemble(0.01, "0.3", 3)
+    with pytest.raises(DomainError, match=r"^delta must be a 1-d array of real numbers: "
+                                          r"delta\[0\] must be a real number, got '0.3'$"):
+        EnsembleBlock([0.01], ["0.3"], 3)
+    strat = build_suboptimal_povm(build_ensemble(0.01, 0.5))
+    with pytest.raises(DomainError, match="^x must be a finite real number, got inf$"):
+        PovmStrategy(strat.ensemble, strat.elements, np.float64(np.inf), strat.lambda_0, strat.lambda_3)
+
+
 def test_a_fraction_is_read_as_a_float():
     """A Fraction is a real number: stored as a float, it answers as the float does (it raised TypeError in numpy)."""
     ens = AttackEnsemble(Fraction(1, 100), 0.5, 3)
