@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (DegenerateSpanError, DimensionMismatchError, DomainError, NoConvergenceError, PfmAttackError,
                      SingularEpsilonError)
 from .numkernel import hermitian_eig, hermitian_eigvalsh, require_hermitian
-from .statespace import AttackEnsemble, EnsembleBlock, bb84_ensemble, frozen, newton_step, set_reals
+from .statespace import AttackEnsemble, EnsembleBlock, bb84_ensemble, distinct_floats, frozen, newton_step, set_reals
 
 #: Attenuation of standard telecom fiber used for the distance mapping.
 FIBER_LOSS_DB_PER_KM = 0.21
@@ -264,14 +264,20 @@ def _underflow(x: float) -> DegenerateSpanError:
     )
 
 
-def _map_scalars(epsilon: float, delta: float, dim: int) -> tuple[list[float], float]:
-    """(mu, t) of a point's map back: mu = [ss^2, cc^2, sc^2, ss cc, ss sc, cc sc] with s, c = sin 2e, cos 2e and
-    t = sc delta^2 (dim 3), or [1] and delta (dim 2)."""
-    if dim == 2:
-        return [1.0], delta
+def _monomials(epsilon: float) -> tuple[list[float], float]:
+    """(mu, sc) of epsilon's map back at dim 3: mu = [ss^2, cc^2, sc^2, ss cc, ss sc, cc sc] with s, c = sin 2e,
+    cos 2e."""
     s, c = math.sin(2 * epsilon), math.cos(2 * epsilon)
     sc, ss, cc = s * c, s * s, c * c
-    return [ss * ss, cc * cc, sc * sc, ss * cc, ss * sc, cc * sc], sc * delta**2
+    return [ss * ss, cc * cc, sc * sc, ss * cc, ss * sc, cc * sc], sc
+
+
+def _map_scalars(epsilon: float, delta: float, dim: int) -> tuple[list[float], float]:
+    """(mu, t) of a point's map back: _monomials' mu and t = sc delta^2 (dim 3), or [1] and delta (dim 2)."""
+    if dim == 2:
+        return [1.0], delta
+    mu, sc = _monomials(epsilon)
+    return mu, sc * delta**2
 
 
 def _refusal(min_eigs: list[float], x: float) -> PfmAttackError | None:
@@ -468,10 +474,17 @@ def _build_block(block: EnsembleBlock) -> PovmBlock:
     pencils = [_pencil(dim, delta[r]) for r in index]
     x, elements = np.empty(0), np.empty((0, 3, dim, dim), complex)
     if index:
-        # in Python floats, as the single body: s and c from math, since numpy's sin and cos may differ in the last bit
-        mu, t = zip(*(_map_scalars(epsilon[r], delta[r], dim) for r in index))
+        # in Python floats, as the single body: s and c from math, since numpy's sin and cos may differ in the last bit;
+        # mu once per distinct epsilon, t per cell
+        if dim == 2:
+            mu, t = np.ones((len(index), 1)), [delta[r] for r in index]
+        else:
+            values, slots = distinct_floats(block.epsilon[index])
+            monomials = [_monomials(e) for e in values]
+            mu = np.array([row for row, _ in monomials])[slots]
+            t = [monomials[k][1] * delta[r]**2 for k, r in zip(slots.tolist(), index)]
         # one (1, m) row per cell, as the single body's: a (k, m) row block per delta gives other bits
-        mu = np.array(mu)[:, None, :]
+        mu = mu[:, None, :]
         g00, g33, g03_re, g03_im = (mu @ np.array([pencil[2] for pencil in pencils]))[:, 0].T
         lmax = (g00 + g33) / 2 + np.hypot((g00 - g33) / 2, np.hypot(g03_re, g03_im))
         t = np.array(t)

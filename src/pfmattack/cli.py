@@ -118,8 +118,9 @@ def _csv_lines(values: np.ndarray) -> list[str]:
     """Each row of values (n, m) as one CSV line. The cell format is deterministic: "0" for a zero, scientific
     below 1e-3 in magnitude, else the general format, both to 9 significant digits."""
     values = values + 0.0  # -0.0 becomes 0.0, which the general format writes as "0"
-    specs = np.where((np.abs(values) < 1e-3) & (values != 0), ".9e", ".9g").tolist()
-    return [",".join(map(format, row, spec)) for row, spec in zip(values.tolist(), specs)]
+    # one % call a line: "%.9e" % v and "%.9g" % v are format(v, ".9e") and format(v, ".9g"), byte for byte
+    specs = np.where((np.abs(values) < 1e-3) & (values != 0), "%.9e", "%.9g").tolist()
+    return [",".join(spec) % tuple(row) for row, spec in zip(values.tolist(), specs)]
 
 
 def _csv_num(value: float) -> str:

@@ -32,7 +32,12 @@ as one array. Each step before the draw (the states, the outcome tables and
 their checks, the resend and cell tables) is written once over leading axes:
 a single call runs it on one point, a block on all of its rows at once. Only the multinomial runs row by row, on one generator set to
 each row's default_rng(seed + r) state, so each row's counts equal its own
-call's.
+call's. That state re-derives numpy's seeding: SeedSequence's entropy mixing
+(mix_entropy) for all of a block's later rows at once as uint32 array
+operations, then generate_state's output hash and PCG64's seeding (see
+_generators); test_mcoracle's
+test_generators_start_in_each_seeds_default_rng_state holds it to numpy's
+own for seeds up to 320 bits.
 """
 
 from __future__ import annotations
@@ -62,10 +67,43 @@ _SAME_BASIS = _K[:, None] % 2 == _K % 2
 #: measures in the sender's basis: a resent state in that basis gives its own bit, one in the other
 #: basis a fair coin.
 _ERROR_GIVEN_SIFTED = np.where(_SAME_BASIS, _K[:, None] != _K, 0.5)
+
+
+def _hash_chain(init: int, mult: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants (xor, mul), each (count,) uint32, of SeedSequence's hashmix calls start to start + count - 1:
+    call m maps a word v to (v ^ h_m) * h_(m+1) mod 2**32, then xors in its top 16 bits, h_m = init * mult**m."""
+    h = np.array([init * pow(mult, m, 2**32) % 2**32 for m in range(start, start + count + 1)], dtype=np.uint32)
+    return h[:-1], h[1:]
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix over uint32 arrays: (words ^ xor) * mul, then its top 16 bits xored into its low."""
+    words = words ^ xor
+    words *= mul
+    words ^= words >> 16
+    return words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix over uint32 arrays: 0xca01f9dd x - 0x4973f715 y mod 2**32, its top 16 bits xored in."""
+    words = x * _MIX_MULT_L
+    words -= y * _MIX_MULT_R
+    words ^= words >> 16
+    return words
+
+
+#: numpy's SeedSequence(seed).pool from the seed's 32-bit entropy words (mix_entropy): hashmix call m (hash constants
+#: 0x43b0d7e5 * 0x931e8875**m) takes the first four words, zero-padded, into the pool; then each pool word's hashmix
+#: is mixed into each other word, source-major (calls 4-15); then each further word w_i, i >= 4, is mixed into every
+#: pool word (calls 4i to 4i + 3). No constant depends on the seed.
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_A = (0x43B0D7E5, 0x931E8875)
+_MIX_FIRST = tuple(array[:, None] for array in _hash_chain(*_MIX_A, 0, 4))
+_MIX_POOL = tuple(array.reshape(4, 3, 1) for array in _hash_chain(*_MIX_A, 4, 12))
+_OTHERS = [np.array([dst for dst in range(4) if dst != src]) for src in range(4)]
 #: numpy's seeding of a default_rng from its SeedSequence pool: generate_state's output hash makes word m = 4j + i
-#: (pool[i] ^ h_m) * h_(m+1) mod 2**32, h_m = 0x8B51F9DD * 0x58F38DED**m; then PCG64's LCG multiplier and mask
-_HASH_XOR, _HASH_MUL = np.array([[0x8B51F9DD * 0x58F38DED**m % 2**32 for m in range(k, k + 8)] for k in (0, 1)],
-                                dtype=np.uint32).reshape(2, 2, 4)
+#: the hashmix of pool[i] with h_m = 0x8B51F9DD * 0x58F38DED**m; then PCG64's LCG multiplier and mask
+_HASH_XOR, _HASH_MUL = (array.reshape(2, 4) for array in _hash_chain(0x8B51F9DD, 0x58F38DED, 0, 8))
 _PCG64_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
 
 
@@ -197,13 +235,35 @@ def _draw(n_trials: int, rng: np.random.Generator, probs: np.ndarray, out: np.nd
     out[...] = rng.multinomial(n_trials, probs)
 
 
+def _pools(seeds: list[int]) -> np.ndarray:
+    """numpy's SeedSequence(seed).pool (n, 4) uint32 for n seeds >= 0 of any size, as uint32 array operations.
+
+    A seed's entropy is its little-endian 32-bit words, read from int.to_bytes; one below 2**128 is its four
+    words zero-padded. The rounds of a word past the fourth run only on the rows whose seed has that word.
+    """
+    n_words = max(4, -(-max(seeds, default=0).bit_length() // 32))
+    entropy = np.frombuffer(b"".join(seed.to_bytes(4 * n_words, "little") for seed in seeds), "<u4")
+    entropy = entropy.reshape(len(seeds), n_words).T  # [word, seed]: each word's row is contiguous
+    pool = _hashmix(entropy[:4], *_MIX_FIRST)
+    for src, others, xor, mul in zip(range(4), _OTHERS, *_MIX_POOL):
+        # the three calls of source word src read it before any of them changes another word
+        pool[others] = _mix(pool[others], _hashmix(pool[src], xor, mul))
+    for i in range(4, n_words):
+        rows = entropy[i:].any(axis=0)  # the seeds with word i: a seed's top word is not 0
+        xor, mul = _hash_chain(*_MIX_A, 4 * i, 4)
+        pool[:, rows] = _mix(pool[:, rows], _hashmix(entropy[i, rows], xor[:, None], mul[:, None]))
+    return pool.T
+
+
 def _generators(seeds: list[int]) -> Iterator[np.random.Generator]:
     """Per seed, one Generator in np.random.default_rng(seed)'s state: made for seeds[0], then set to each later
-    seed's, from numpy's SeedSequence(seed).pool by generate_state(4, np.uint64)'s hash and PCG64's seeding."""
+    seed's, from its SeedSequence pool (_pools, all of the later seeds at once) by generate_state(4, np.uint64)'s
+    hash and PCG64's seeding. This re-derives numpy's seeding, which
+    test_mcoracle.test_generators_start_in_each_seeds_default_rng_state holds to numpy's own for seeds up to 320
+    bits; a single run makes only its default_rng."""
     rng = np.random.default_rng(seeds[0])
     yield rng
-    words = (np.array([np.random.SeedSequence(seed).pool for seed in seeds[1:]])[:, None, :] ^ _HASH_XOR) * _HASH_MUL
-    words ^= words >> 16
+    words = _hashmix(_pools(seeds[1:])[:, None, :], _HASH_XOR, _HASH_MUL)
     state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     for w0, w1, w2, w3 in words.reshape(-1, 8).astype("<u4").view("<u8").tolist():  # pairs, low word first
         inc = (w2 << 65 | w3 << 1 | 1) & _MASK128  # (initseq << 1) | 1, initseq = w2 << 64 | w3

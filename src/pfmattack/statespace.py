@@ -169,20 +169,31 @@ def newton_step(delta: float, k) -> np.ndarray:
     return k * np.sinc(half / np.pi) * np.exp(1j * half)
 
 
+def distinct_floats(values: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """(distinct, slots) of a 1-d float64 array: its distinct values as floats, in order of first appearance, and
+    the index (n,) of each value among them, so that distinct[slots[r]] is values[r]. Values are told apart by
+    their bits, so 0.0 and -0.0, which == and a float's hash merge, are two values."""
+    first: dict[int, int] = {}  # a value's bits -> its slot
+    slots = [first.setdefault(bits, len(first)) for bits in values.view(np.int64).tolist()]
+    return np.array(list(first), np.int64).view(float).tolist(), np.array(slots, np.intp)
+
+
 def pfm_states(epsilon, delta) -> np.ndarray:
     """The four attack states as rows, in the (e_0, e_1, e_2) basis: (4, 3), or (n, 4, 3) for (n,) epsilon and delta.
 
     (1/sqrt(2)) [ sin(2e)cos(2e) z (z - 1),  sin^2(2e) z^2 + cos^2(2e) z,  1 ]
     with z = e^{ik delta} for row k; unit norm for every (epsilon, delta, k).
     Point r of a stack is bit-identical to pfm_states(epsilon[r], delta[r]):
-    s and c come from math per point, since numpy's sin and cos may differ
-    from libm's in the last bit, and every product is formed in the same order.
+    s and c come from math, since numpy's sin and cos may differ from libm's
+    in the last bit, once per distinct epsilon of a stack (distinct_floats),
+    and every product is formed in the same order.
     """
     if isinstance(epsilon, _REAL):
         s, c = math.sin(2 * epsilon), math.cos(2 * epsilon)
     else:
-        sin_cos = [(math.sin(2 * e), math.cos(2 * e)) for e in np.asarray(epsilon, float).tolist()]
-        s, c = np.array(sin_cos, float).reshape(-1, 2).T[:, :, None]
+        values, slots = distinct_floats(np.asarray(epsilon, float))
+        sin_cos = [(math.sin(2 * e), math.cos(2 * e)) for e in values]
+        s, c = np.array(sin_cos, float).reshape(-1, 2)[slots].T[:, :, None]
         delta = np.asarray(delta, float)[:, None]
     z = np.exp(1j * delta * _K)
     states = np.empty(z.shape + (3,), dtype=complex)

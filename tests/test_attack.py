@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -1180,6 +1181,40 @@ def test_a_block_build_is_each_cells_own_call():
         assert next(rows, None) is None and 4 <= povms.refusals.count(None) < len(delta) - 4
         for array in (povms.elements, povms.x, povms.lambda_0, povms.lambda_3):
             assert not array.flags.writeable
+
+
+def test_a_block_of_repeated_epsilons_is_each_cells_own_call():
+    """A dim-3 block whose epsilons repeat, bit for bit, over many deltas, interleaved, with refused cells between
+    them (epsilon +-0, beyond EPSILON_MAX, delta 0, the underflow of x): the PovmBlock's arrays and the block's states
+    are each cell's own build and AttackEnsemble.states, bit for bit, though the block forms each distinct epsilon's
+    scalars once. At +-0.0 the block's states keep each zero's own sign, which a lookup keyed on the value would
+    merge."""
+    rng = np.random.default_rng(42)
+    repeated = rng.uniform(-EPSILON_MAX, EPSILON_MAX, 5).tolist()
+    deltas = np.exp(rng.uniform(math.log(1e-6), math.log(np.pi / 2), 12)).tolist()
+    epsilon = [repeated[(3 * k) % 5] for k in range(60)]  # each epsilon comes back every fifth cell
+    delta = [deltas[k % 12] for k in range(60)]
+    for k, (e, d) in zip((3, 11, 12, 30, 47, 59), ((0.0, 0.5), (-0.0, 0.5), (1.0, 0.5), (repeated[0], 0.0),
+                                                  (repeated[1], 1e-200), (2 * EPSILON_MAX, 0.5))):
+        epsilon[k], delta[k] = e, d
+    block = EnsembleBlock(epsilon, delta, 3)
+    povms = build_suboptimal_povm(block)
+    answered = [r for r, refusal in enumerate(povms.refusals) if refusal is None]
+    assert len(answered) == 54
+    for j, r in enumerate(answered):
+        own = build_suboptimal_povm(build_ensemble(epsilon[r], delta[r]))
+        assert povms.elements[j].tobytes() == own.elements.tobytes(), r
+        assert [povms.x[j], povms.lambda_0[j], povms.lambda_3[j]] == [own.x, own.lambda_0, own.lambda_3], r
+    for r, refusal in enumerate(povms.refusals):
+        if refusal is not None:
+            with pytest.raises(type(refusal), match=f"^{re.escape(str(refusal))}$"):
+                build_suboptimal_povm(AttackEnsemble(epsilon[r], delta[r], 3))
+    in_domain = [r for r, refusal in enumerate(block.refusals) if refusal is None]
+    for r, states in zip(in_domain, block.states(in_domain)):
+        assert states.tobytes() == AttackEnsemble(epsilon[r], delta[r], 3).states.tobytes(), r
+    signed = EnsembleBlock([0.0, -0.0], [1, 1], 3).states([0, 1])
+    assert [states.tobytes() for states in signed] == [AttackEnsemble(e, 1, 3).states.tobytes() for e in (0.0, -0.0)]
+    assert signed[0].tobytes() != signed[1].tobytes()
 
 
 def test_sweep_block_figures_equal_evaluate_bit_for_bit():

@@ -421,14 +421,20 @@ def test_a_sweep_is_each_cells_own_point_calls(tmp_path, monkeypatch, attack, tr
 
 #: sha256 of the files the 40x50 sweep writes, `--epsilon-deg 0.05:1:40 --delta 0.1:pi/2:50 --reproducible` without
 #: and with `--trials 10000 --seed 1`: the first as the per-row path (evaluate per row) wrote it, the second with each
-#: row's counts from one multinomial over its 16 (state, cell) pairs.
+#: row's counts from one multinomial over its 16 (state, cell) pairs. The last two are the oracle sweep at seeds whose
+#: rows cross 2**64 and 2**128 inside a block, as the generators seeded from SeedSequence objects wrote them.
 GRID_40X50_SHA256 = {
     (): "86463a5548a85be2e2568b2ada494740f995ccb313df1b5cc21481981dc070e0",
     ("--trials", "10000", "--seed", "1"): "81c61cefb4e9cabf0dc067dc2b0108af03fd46e764d88c1c096ed2f0a0d65549",
+    ("--trials", "10000", "--seed", "18446744073709551000"):
+        "f01f5788583671d782a401cb810b96a8dd307489376cfe55df15d9b4f2866852",
+    ("--trials", "10000", "--seed", "340282366920938463463374607431768210800"):
+        "ef23c50a28f9be41f97e7d171518c63ba9c80b2345d1812ad3133514180de9eb",
 }
 
 
-@pytest.mark.parametrize("flags", GRID_40X50_SHA256, ids=["closed-form", "oracle"])
+@pytest.mark.parametrize("flags", GRID_40X50_SHA256,
+                         ids=["closed-form", "oracle", "oracle-across-2**64", "oracle-across-2**128"])
 def test_40x50_sweep_is_pinned(tmp_path, flags):
     """Every byte of the 40x50 sweep, 2000 rows over 8 blocks: its figures formed as arrays and its rows formatted from
     them, as the per-row path computed them one by one, and each row's oracle counts drawn in one call."""
@@ -448,6 +454,26 @@ def test_csv_cells_keep_their_format():
     )
     assert cli._csv_lines(np.array([values] * 2)) == [",".join(cells)] * 2
     assert [cli._csv_num(value) for value in values] == list(cells)
+
+
+def test_csv_lines_are_each_cells_format():
+    """Each line of _csv_lines is its cells' format(value, spec) joined by commas, spec as
+    test_csv_cells_keep_their_format states it, over a seeded 10x10 draw at widths 8 and 10: magnitudes 1e-320 to
+    1e300 of either sign, the neighbours of +-1e-3 on each side, +-0.0, NaN and +-inf."""
+    rng = np.random.default_rng(42)
+    values = rng.choice([-1.0, 1.0], 100) * 10.0 ** rng.uniform(-320, 300, 100)
+    edges = [np.nextafter(edge, edge * side) for edge in (1e-3, -1e-3) for side in (0, 2)]
+    special = [1e-3, -1e-3, *edges, 0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]
+    values[rng.choice(100, len(special), replace=False)] = special
+    values = values.reshape(10, 10)
+
+    def cell(value):
+        value += 0.0
+        return format(value, ".9e" if value != 0 and abs(value) < 1e-3 else ".9g")
+
+    for width in (8, 10):
+        grid = values[:, :width]
+        assert cli._csv_lines(grid) == [",".join(map(cell, row)) for row in grid.tolist()], width
 
 
 def test_epsilon_grid_in_radians_is_each_points_own():

@@ -798,11 +798,12 @@ def test_generators_start_in_each_seeds_default_rng_state():
         assert generator.bit_generator.state == np.random.default_rng(seed).bit_generator.state, seed
 
 
-@pytest.mark.parametrize("edge", [2**32, 2**64, 2**128], ids=["2**32", "2**64", "2**128"])
+@pytest.mark.parametrize("edge", [2**32, 2**64, 2**128, 2**160], ids=["2**32", "2**64", "2**128", "2**160"])
 def test_sequence_rows_across_a_seed_word_edge_equal_their_own_calls(edge):
     """A pfm and a remap block of 8 rows each, seeded edge - 4 to edge + 3: each row is its own run_oracle call.
 
-    A block's rows share one generator (_generators), and each block's seeds cross the edge.
+    A block's rows share one generator (_generators), and each block's seeds cross the edge. At 2**160 its rows' seeds
+    have five and six 32-bit words, so only the last four run SeedSequence's round for a sixth word (_pools).
     """
     deltas = [np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 3]
     for block in (EnsembleBlock(np.array([0.5, 1, 2, 3, -0.5, -1, -2, -3]) * DEG, deltas * 2, 3),
