@@ -23,8 +23,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (DegenerateSpanError, DimensionMismatchError, DomainError, NoConvergenceError, PfmAttackError,
-                     SingularEpsilonError)
+from .errors import DegenerateSpanError, DimensionMismatchError, DomainError, PfmAttackError, SingularEpsilonError
 from .numkernel import hermitian_eig, hermitian_eigvalsh, require_hermitian
 from .statespace import AttackEnsemble, EnsembleBlock, bb84_ensemble, distinct_floats, frozen, newton_step, set_reals
 
@@ -136,7 +135,7 @@ class PovmStrategy:
             raise DomainError(f"ensemble must be an AttackEnsemble, got {type(self.ensemble).__name__}")
         try:  # a complex128 copy: the caller's own array stays writable
             elements = np.array(self.elements, dtype=complex)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond double range
             raise DomainError(f"elements must be numbers: {exc}") from None
         if elements.shape != (3, self.dim, self.dim):
             raise DimensionMismatchError(f"elements shape {elements.shape} is not (3, {self.dim}, {self.dim})")
@@ -280,22 +279,19 @@ def _map_scalars(epsilon: float, delta: float, dim: int) -> tuple[list[float], f
     return mu, sc * delta**2
 
 
-def _refusal(min_eigs: list[float], x: float) -> PfmAttackError | None:
+def _refusal(min_eigs: list[float], x: float) -> DomainError | None:
     """The first of validate()'s checks after completeness that one POVM fails, or None.
 
     min_eigs holds the minimal eigenvalues of M_0, M_3 and M_vac and x is the scale factor. NaN fails every check.
     """
-    m_0, m_3, m_vac = min_eigs
-    if m_0 >= -_PSD_TOL <= m_3 >= -_PSD_TOL <= m_vac <= _VAC_BOUNDARY_MAX and x > 0:  # passes every check below
-        return None
-    if any(math.isnan(min_eig) for min_eig in min_eigs):  # a failed LAPACK call's all-NaN row, named ahead of the rest
-        return NoConvergenceError("eigvalsh_lo: eigenvalues did not converge")
     for label, min_eig in zip(("M_0", "M_3", "M_vac"), min_eigs):
         if not min_eig >= -_PSD_TOL:
             return DomainError(f"{label} has negative eigenvalue {min_eig:.3e}")
-    if not m_vac <= _VAC_BOUNDARY_MAX:  # the loop refused a minimum below -_PSD_TOL: only this bound is left
-        return DomainError(f"M_vac minimal eigenvalue {m_vac:.3e} is off the positivity boundary")
-    return DomainError(f"scale factor x must be positive, got {x!r}")  # the fast path failed on x alone
+    if not min_eigs[2] <= _VAC_BOUNDARY_MAX:  # the loop refused a minimum below -_PSD_TOL: only this bound is left
+        return DomainError(f"M_vac minimal eigenvalue {min_eigs[2]:.3e} is off the positivity boundary")
+    if not x > 0:
+        return DomainError(f"scale factor x must be positive, got {x!r}")
+    return None
 
 
 def _certified(c, x):
@@ -368,7 +364,8 @@ def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
     """validate()'s checks on one POVM, elements (3, dim, dim) and x: its refusal, or None.
 
     After the completeness and Hermitian checks, a POVM that _certified passes is answered without eigenvalues;
-    any other takes the eigenvalue call, whose minima _refusal judges.
+    any other takes one eigenvalue call of its (3, dim, dim) stack, whose minima _refusal judges, and a LAPACK
+    failure there is its NoConvergenceError.
     """
     check_map, offset = _CHECK_MAPS[elements.shape[-1]]
     n = len(offset) // 4
@@ -383,8 +380,8 @@ def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
         require_hermitian(y, squares, n)
         if _certified(real.tolist(), x):
             return None
-        min_eigs = hermitian_eigvalsh(elements)[:, 0].tolist()  # a LAPACK failure's NaN row: _refusal names it
-    except PfmAttackError as exc:  # an asymmetry above HERMITIAN_ATOL, or a refusal the eigenvalue call raises
+        min_eigs = hermitian_eigvalsh(elements)[:, 0].tolist()
+    except PfmAttackError as exc:  # an asymmetry above HERMITIAN_ATOL, or the eigenvalue call's NoConvergenceError
         return exc
     return _refusal(min_eigs, x)
 
@@ -415,8 +412,8 @@ def build_suboptimal_povm(ens: AttackEnsemble | EnsembleBlock) -> PovmStrategy |
     _pencil builds them once per (dim, delta) and keeps the last
     _PENCIL_CACHE_SIZE, so a point makes two small matmuls, plus one
     eigen-decomposition on a miss. validate() takes no eigenvalues when its
-    pivot certificate passes the POVM (_certified); one stacked call
-    otherwise, on the refusal path.
+    pivot certificate passes the POVM (_certified); one call of its three
+    elements otherwise, on the refusal path.
 
     e_B (absolutely) and p_succ (relatively) are within 1e-12 of exact
     arithmetic for every 0 < delta <= pi/2. Three points are refused, in
@@ -427,10 +424,12 @@ def build_suboptimal_povm(ens: AttackEnsemble | EnsembleBlock) -> PovmStrategy |
 
     ens may also be an EnsembleBlock, the block form: the return is then a
     PovmBlock, and no per-cell object is made. Its cells go through the same
-    closed form and validate()'s checks stacked on one leading axis: the
-    pivot certificate over all of their POVMs, then one eigenvalue call for
-    those it does not pass, if any; each cell's results equal its
-    own call's, bit for bit, and its refusal is the one its own call raises.
+    closed form stacked on one leading axis; a cell whose x underflows is
+    refused there, and the others go through validate()'s checks stacked:
+    the pivot certificate over all of their POVMs, then validate()'s own
+    check, one POVM at a time, for each one it does not pass. Each cell's
+    results equal its own call's, bit for bit, and its refusal is the one its
+    own call raises.
     Memory grows with the block's length, so a caller with a large grid
     passes it in blocks (the CLI sweep: cli.SWEEP_BLOCK cells a call).
     Anything else is a DomainError that names its type.
@@ -491,9 +490,15 @@ def _build_block(block: EnsembleBlock) -> PovmBlock:
         x = t * t / (2 * lmax)
         scale = np.concatenate((np.ones((len(index), 1, 1)), mu / lmax[:, None, None]), axis=2)  # [1, mu / lmax]
         elements = (scale @ np.array([pencil[1] for pencil in pencils])).view(complex).reshape(len(index), 3, dim, dim)
-        for r, x_r, refusal in zip(index, x.tolist(), _refusals(elements, x)):
-            # in the single body's order: the underflow of x, then validate()'s checks
-            refusals[r] = _underflow(x_r) if not x_r >= _X_MIN else refusal
+        # in the single body's order: the underflow of x, then validate()'s checks on the cells whose x is normal
+        is_normal = x >= _X_MIN  # NaN underflows too
+        for k in np.flatnonzero(~is_normal).tolist():
+            refusals[index[k]] = _underflow(float(x[k]))
+        normal = np.flatnonzero(is_normal)
+        if len(normal):  # no cell underflows in a sweep's usual block: its arrays go to the check uncopied
+            checked = (elements, x) if len(normal) == len(index) else (elements[normal], x[normal])
+            for k, refusal in zip(normal.tolist(), _refusals(*checked)):
+                refusals[index[k]] = refusal
     answered = [k for k, r in enumerate(index) if refusals[r] is None]
     lambdas = np.array([pencils[k][3] for k in answered]).reshape(-1, 2).T
     arrays = elements[answered], x[answered], lambdas[0], lambdas[1]
@@ -504,33 +509,30 @@ def _build_block(block: EnsembleBlock) -> PovmBlock:
 
 
 def _refusals(elements: np.ndarray, x: np.ndarray) -> list[PfmAttackError | None]:
-    """validate() over POVMs stacked on axis 0: elements (n, 3, dim, dim), x (n,); per POVM None or its refusal.
+    """validate() over POVMs stacked on axis 0: elements (n, 3, dim, dim), x (n,), n >= 1; per POVM None or its refusal.
 
     _check's arithmetic, a row of y per POVM: in a stack of POVMs complete within half the tolerance and Hermitian,
-    those _certified passes are answered without eigenvalues, and the rest share one eigenvalue call, in which a POVM
-    whose LAPACK call fails gets a NaN row and its own refusal from _refusal; any other stack, or one whose call
-    raises, is judged POVM by POVM by _check, so a bad POVM refuses only itself. numpy's flags are ignored (an
-    infinite entry meets the map's zeros, a pivot divides by zero or overflows, or LAPACK fails): under -W error a
-    warning would stop the whole stack, where the POVM gets its own refusal.
+    those _certified passes are answered without eigenvalues. Every other POVM, or every POVM of any other stack, is
+    judged by _check alone, so a bad POVM refuses only itself. numpy's flags are ignored (an infinite entry meets the
+    map's zeros, or a pivot divides by zero or overflows): under -W error a warning would stop the whole stack, where
+    the POVM gets its own refusal.
     """
     check_map, offset = _CHECK_MAPS[elements.shape[-1]]
     real = elements.reshape(len(elements), -1).view(float)
+    refusals = [None] * len(elements)
     with np.errstate(all="ignore"):
         y = np.dot(real, check_map) - offset
         squares = np.einsum("ij,ij->i", y, y)
+        rest = range(len(elements))
         try:
             if (squares <= _COMPLETE_SQUARES).all():
                 require_hermitian(y[:, len(offset) // 4:], squares.sum())
-                refusals = [None] * len(elements)
-                rest = np.flatnonzero(~_certified(real.T, x))
-                if len(rest):
-                    min_eigs = hermitian_eigvalsh(elements[rest])[:, :, 0].tolist()
-                    for r, m, x_r in zip(rest.tolist(), min_eigs, x[rest].tolist()):
-                        refusals[r] = _refusal(m, x_r)
-                return refusals
-        except PfmAttackError:  # an asymmetry above HERMITIAN_ATOL, or the eigenvalue call raised: _check names it
+                rest = np.flatnonzero(~_certified(real.T, x)).tolist()
+        except PfmAttackError:  # an asymmetry above HERMITIAN_ATOL: _check names it
             pass
-        return [_check(el, x_k) for el, x_k in zip(elements, x.tolist())]
+        for r in rest:  # by index: a row-by-row walk over a large stack costs more than the few POVMs left
+            refusals[r] = _check(elements[r], float(x[r]))
+    return refusals
 
 
 def build_phase_remapping_povm(delta: float) -> PovmStrategy:

@@ -352,7 +352,7 @@ def run_oracle(
         raise DomainError(f"strat must be iterable, got {type(strat).__name__}")
     try:
         elements = np.asarray(strat, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond double range
         raise DomainError(f"elements must be numbers: {exc}") from None
     if elements.shape != (len(ens), 3, ens.dim, ens.dim):
         raise DimensionMismatchError(f"elements shape {elements.shape} is not ({len(ens)}, 3, {ens.dim}, {ens.dim})")

@@ -2,19 +2,14 @@
 
 Everything downstream (whitened error operators, POVM elements) is a
 2x2 or 3x3 complex matrix, so this module wraps the few eigen-based primitives
-the package needs behind one convention: eigenvalues sorted ascending. It is
-the one module that reaches into numpy's private LAPACK bindings.
+the package needs behind two conventions: eigenvalues sorted ascending, and a
+LAPACK failure raised as NoConvergenceError. It calls LAPACK only through
+numpy.linalg's public eigh and eigvalsh.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-# numpy's own LAPACK gufuncs on the lower triangle, loops 'D->d' and 'D->dD': the calls np.linalg.eigvalsh and eigh
-# make, without their wrappers' _makearray, _commonType, errstate and astype, which take ~3.5 of the ~7.5 us that
-# np.linalg.eigvalsh spends on a (3, 3, 3) stack (2 vCPUs, numpy 2.4)
-from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo
 
 from .errors import (
     DimensionMismatchError,
@@ -50,13 +45,9 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises DimensionMismatchError unless the last two axes are square,
     DomainError on a NaN or infinite entry in either triangle,
-    NonHermitianError by require_hermitian, and NoConvergenceError when
-    LAPACK does not converge. The finiteness check comes first, so no numpy
-    warning precedes it. eigh_lo runs without the np.errstate that numpy's
-    wrappers enter, which would cost ~1-1.5 us a call (2 vCPUs, numpy 2.4): a
-    LAPACK failure sets numpy's invalid flag, so it shows first as numpy's
-    RuntimeWarning (an error under -W error), then as NoConvergenceError from
-    the NaN it leaves in the output.
+    NonHermitianError by require_hermitian, and NoConvergenceError with
+    numpy's message when LAPACK does not converge. The finiteness check comes
+    first, so no numpy warning precedes it.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -67,16 +58,19 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     asym = a.conj()
     asym -= a.swapaxes(-1, -2)
     require_hermitian(asym, np.vdot(asym, asym).real)
-    w, v = eigh_lo(a)
-    if math.isnan(np.vdot(w, w)):  # a failed matrix's eigenvalues are all NaN
-        raise NoConvergenceError("eigh_lo: eigenvalues did not converge")
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from None
     return w, v
 
 
-#: The eigenvalues alone of a complex128 Hermitian matrix or stack (..., n, n), (..., n) ascending: the bare gufunc,
-#: numpy.linalg.eigvalsh's bytes. Its callers check the entries (LAPACK reads the lower triangle) and name a LAPACK
-#: failure, which comes back, after numpy's RuntimeWarning, as an all-NaN row.
-hermitian_eigvalsh = eigvalsh_lo
+def hermitian_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """hermitian_eig's w alone, without its checks: its callers check the entries (LAPACK reads the lower triangle)."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from None
 
 
 def pinv_sqrt(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:

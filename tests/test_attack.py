@@ -470,10 +470,11 @@ def test_strategy_stores_numbers_of_any_dtype_as_complex128():
 
 
 def test_strategy_refuses_elements_that_are_not_numbers():
-    """Strings and other objects that do not convert are refused on construction by name; a None converts to NaN,
-    which validate() and the oracle refuse by name."""
+    """Strings, other objects that do not convert and an int beyond double range are refused on construction by name;
+    a None converts to NaN, which validate() and the oracle refuse by name."""
     _, ens, strat = _report(1.0, np.pi / 2)
-    for elements in (np.full((3, 3, 3), "M"), [[["1", "x", "0"]] * 3] * 3, np.full((3, 3, 3), {}, dtype=object)):
+    for elements in (np.full((3, 3, 3), "M"), [[["1", "x", "0"]] * 3] * 3, np.full((3, 3, 3), {}, dtype=object),
+                     [[[2**2000] * 3] * 3] * 3):  # an int beyond double range
         with pytest.raises(DomainError, match="elements must be numbers"):
             _with(strat, elements=elements)
     nones = strat.elements.astype(object)
@@ -940,14 +941,16 @@ def test_refusal_edges_match_the_ordered_checks(dim):
 
 
 def test_a_nan_minimum_is_refused_as_no_convergence():
-    """A NaN among the minimal eigenvalues can only be a failed LAPACK call's all-NaN row: _refusal names it as
-    NoConvergenceError ahead of the ordered checks, whatever x is, where they would call it a negative eigenvalue."""
+    """A NaN among the minimal eigenvalues fails the ordered checks, whatever x is: _refusal gives their verdict, the
+    first NaN element's negative eigenvalue. A failed LAPACK call raises NoConvergenceError in the eigenvalue call
+    itself, so no NaN minimum is named apart from the ordered checks."""
     nan = float("nan")
     for min_eigs in ([nan, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, nan], [nan] * 3):
+        label = ("M_0", "M_3", "M_vac")[[math.isnan(m) for m in min_eigs].index(True)]
         for x in (1.0, nan):
-            assert _ordered_refusal(True, min_eigs, x) is not None
-            assert _verdict(attack._refusal(min_eigs, x)) == (NoConvergenceError,
-                                                              "eigvalsh_lo: eigenvalues did not converge")
+            expected = _verdict(_ordered_refusal(True, min_eigs, x))
+            assert expected == (DomainError, f"{label} has negative eigenvalue nan")
+            assert _verdict(attack._refusal(min_eigs, x)) == expected
 
 
 def test_closed_form_path_computes_no_states():
@@ -1028,16 +1031,50 @@ def test_tiny_delta_elements_annihilate_the_common_direction():
     assert answered >= 100
 
 
-def test_tiny_delta_underflow_is_refused():
-    """The same named refusal down to the smallest subnormal delta, for both kinds, cold and cached."""
+def test_tiny_delta_underflow_is_refused(monkeypatch):
+    """The same named refusal down to the smallest subnormal delta, for both kinds, cold and cached. In the block
+    form, a block of those deltas alone and one that mixes them with normal cells, each cell's refusal is its
+    point's, and an underflowed cell is refused before validate()'s checks: it takes no _check and no eigenvalue
+    call, with the pivot certificate on or off, where each normal cell takes one of each with it off."""
+    deltas = (1e-160, 1e-310, 5e-324)
     attack._pencil.cache_clear()
     for _ in range(2):
-        for delta in (1e-160, 1e-310, 5e-324):
+        for delta in deltas:
             with pytest.raises(DegenerateSpanError, match="underflow"):
                 build_suboptimal_povm(build_ensemble(1 * DEG, delta))
             with pytest.raises(DegenerateSpanError, match="underflow"):
                 build_phase_remapping_povm(delta)
     assert attack._pencil.cache_info()[:2] == (6, 6)  # (hits, misses)
+
+    tiny = [build_ensemble(1 * DEG, d) for d in deltas] + [bb84_ensemble(d) for d in deltas]
+    mixed = [build_ensemble(1 * DEG, d) for d in (1e-160, 0.5, 5e-324, np.pi / 2)] + [
+        bb84_ensemble(d) for d in (np.pi / 4, 1e-310, 0.2)]
+    blocks = [(points, [_point_outcome(ens) for ens in points]) for points in (tiny, mixed)]
+    assert all(cell[0] is DegenerateSpanError for cell in blocks[0][1])
+    normal = [cell[3] for cell in blocks[1][1] if not isinstance(cell[0], type)]  # each answered cell's elements
+    assert len(normal) == 4
+    check, calls, checked = attack._check, [], []
+
+    def counting_eigvalsh(a):
+        calls.append(np.shape(a))
+        return hermitian_eigvalsh(a)
+
+    def counting_check(el, x):
+        checked.append(el.tobytes())
+        return check(el, x)
+
+    monkeypatch.setattr(attack, "hermitian_eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(attack, "_check", counting_check)
+    for certified in (_CERTIFIED, certify_nothing):
+        monkeypatch.setattr(attack, "_certified", certified)
+        for points, singles in blocks:
+            calls.clear()
+            checked.clear()
+            assert _block_outcomes(points) == singles
+            if points is tiny or certified is _CERTIFIED:
+                assert calls == [] and checked == []
+            else:  # the normal cells alone, in order: two of dim 3, then two of dim 2
+                assert checked == normal and calls == [(3, 3, 3)] * 2 + [(3, 2, 2)] * 2
 
 
 def _grid_sweep_points():
@@ -1293,11 +1330,11 @@ def test_scalar_fiber_length_takes_any_real_probability():
 
 
 def test_one_bad_povm_never_stops_the_others(monkeypatch):
-    """A block the eigensolver refuses is solved again POVM by POVM: only the POVM it refuses is refused.
+    """An eigensolver that refuses one POVM of a block refuses only that POVM: each POVM takes its own call.
 
-    The last point's x underflows: its elements go through both solves too, and it keeps its own refusal. That is
-    the path of POVMs the pivot certificate does not pass; with it on, the built POVMs reach no eigenvalue call, so
-    the refusing solver meets only the underflow point's, and every cell equals its own call's result.
+    The last point's x underflows: it keeps its own refusal, and its elements take no eigenvalue call. That is the
+    path of POVMs the pivot certificate does not pass; with it on, no POVM of the block reaches an eigenvalue call,
+    and every cell equals its own call's result.
     """
     points = [build_ensemble(e * DEG, d) for e in (0.3, 1.0, 2.0) for d in (0.5, np.pi / 2)]
     points.append(build_ensemble(1 * DEG, 1e-200))
@@ -1316,21 +1353,22 @@ def test_one_bad_povm_never_stops_the_others(monkeypatch):
     monkeypatch.setattr(attack, "hermitian_eigvalsh", refusing_eigvalsh)
     monkeypatch.setattr(attack, "_certified", certify_nothing)
     cells = _block_outcomes(points)
+    assert calls == [(3, 3, 3)] * 6  # one per built POVM, the refused one's too; none for the underflow point
     assert cells[3] == (NoConvergenceError, "Eigenvalues did not converge")
     assert cells[6] == (DegenerateSpanError, str(underflow.value))
     assert [cells[k] for k in (0, 1, 2, 4, 5)] == [singles[k] for k in (0, 1, 2, 4, 5)]
     monkeypatch.setattr(attack, "_certified", _CERTIFIED)
     calls.clear()
     assert _block_outcomes(points) == singles
-    assert calls == [(1, 3, 3, 3)]  # the underflow point's x = 0 alone
+    assert calls == []
 
 
 def test_a_nan_row_refuses_only_its_own_povm(monkeypatch):
-    """An eigenvalue call that returns one POVM's eigenvalues all NaN, as a failed LAPACK call does, without raising:
-    a block build refuses that POVM alone, in its cell, with the refusal its own validate() gives, and keeps one
-    stacked call per block. Every other cell, of either dim, refused or not, equals its own call's result bit for
-    bit. That is the path of POVMs the pivot certificate does not pass; with it on, the built POVMs reach no
-    eigenvalue call, and every cell, that POVM's too, equals its own call's result."""
+    """An eigenvalue call that returns one POVM's eigenvalues all NaN without raising: a block build refuses that POVM
+    alone, in its cell, with the refusal its own validate() gives (the ordered checks' negative eigenvalue), and each
+    built POVM takes its own (3, d, d) call. Every other cell, of either dim, refused or not, equals its own call's
+    result bit for bit. That is the path of POVMs the pivot certificate does not pass; with it on, no POVM reaches
+    an eigenvalue call, and every cell, that POVM's too, equals its own call's result."""
     points = [build_ensemble(e * DEG, d) for e in (0.3, 1.0, 2.0) for d in (0.5, np.pi / 2)]
     points += [bb84_ensemble(np.pi / 4), build_ensemble(1 * DEG, 1e-200), bb84_ensemble(0.2), build_ensemble(0.0, 1.0)]
     singles = [_point_outcome(ens) for ens in points]
@@ -1348,18 +1386,18 @@ def test_a_nan_row_refuses_only_its_own_povm(monkeypatch):
 
     monkeypatch.setattr(attack, "hermitian_eigvalsh", nan_eigvalsh)
     monkeypatch.setattr(attack, "_certified", certify_nothing)
-    with pytest.raises(NoConvergenceError) as own:
+    with pytest.raises(DomainError, match="^M_0 has negative eigenvalue nan$") as own:
         build_suboptimal_povm(points[3])
     calls.clear()
     cells = _block_outcomes(points)
-    assert calls == [(7, 3, 3, 3), (2, 3, 2, 2)]  # the underflow point's elements are checked too
-    assert cells[3] == (NoConvergenceError, str(own.value))
+    assert calls == [(3, 3, 3)] * 6 + [(3, 2, 2)] * 2  # one per built POVM; none for the underflow point
+    assert cells[3] == (DomainError, str(own.value))
     assert cells[:3] + cells[4:] == singles[:3] + singles[4:]
     monkeypatch.setattr(attack, "_certified", _CERTIFIED)
     assert _point_outcome(points[3]) == singles[3]
     calls.clear()
     assert _block_outcomes(points) == singles
-    assert calls == [(1, 3, 3, 3)]  # the underflow point's x = 0 alone
+    assert calls == []
 
 
 def _validated(strat):
@@ -1373,7 +1411,7 @@ def _validated(strat):
 
 def test_stacked_checks_refuse_each_broken_povm_as_validate_does():
     """The real stack, no patched solver: the intact POVM and the broken ones of the validate() tests, each judged
-    as its own validate() judges it, in order; with the non-Hermitian one, the stacked eigenvalue call refuses
+    as its own validate() judges it, in order; with the non-Hermitian one, the stacked Hermitian check refuses
     and the stack is checked POVM by POVM."""
     for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
         eye = np.eye(strat.dim)
@@ -1391,14 +1429,15 @@ def test_stacked_checks_refuse_each_broken_povm_as_validate_does():
             verdicts = [None if r is None else (type(r), str(r)) for r in refusals]
             assert verdicts == [_validated(p) for p in povms]
             assert verdicts[0] is None and None not in verdicts[1:]
-        assert verdicts[2][0] is NonHermitianError  # a refusal only the fallback's lone solve gives
+        assert verdicts[2][0] is NonHermitianError  # a refusal only the POVM-by-POVM fallback gives
 
 
 def test_stacked_checks_make_one_eigenvalue_call_over_the_whole_stack(monkeypatch):
-    """A stack of complete POVMs, the x = 0 one among them, takes one eigenvalue call of the whole stack's shape and
-    no _check; an incomplete POVM added to it sends every POVM to _check, validate()'s own check. Each POVM is judged
-    as its own validate() judges it. That is the path of POVMs the pivot certificate does not pass; with it on, the
-    built POVM reaches no eigenvalue call: the x = 0 one alone takes one, of its own shape."""
+    """The stacked check makes no eigenvalue call of its own: in a stack of complete POVMs, the x = 0 one among them,
+    each POVM the pivot certificate does not pass goes to _check, validate()'s own check, and takes its one (3, d, d)
+    call there; an incomplete POVM added to it sends every POVM to _check. Each POVM is judged as its own validate()
+    judges it. With the certificate off, every POVM takes one _check and, if complete, one call; with it on, the
+    built POVM takes no call, and in the complete stack no _check: the x = 0 one alone takes both."""
     check = attack._check
     for strat in (_report(1.0, np.pi / 2)[2], build_phase_remapping_povm(np.pi / 4)):
         m_0, m_3, m_vac = strat.elements
@@ -1425,14 +1464,12 @@ def test_stacked_checks_make_one_eigenvalue_call_over_the_whole_stack(monkeypatc
                 monkeypatch.undo()
                 verdicts = [None if r is None else (type(r), str(r)) for r in refusals]
                 assert verdicts == expected
-                if certified is _CERTIFIED:  # the x = 0 POVM alone: in the stack, or in its own _check
-                    assert calls == [(1, 3, strat.dim, strat.dim) if povms is complete else (3, strat.dim, strat.dim)]
-                    assert checked == ([] if povms is complete else [p.elements.tobytes() for p in povms])
-                elif povms is complete:
-                    assert calls == [elements.shape] and checked == []
+                if certified is _CERTIFIED and povms is complete:  # the x = 0 POVM alone, in its own _check
+                    assert calls == [(3, strat.dim, strat.dim)] and checked == [complete[1].elements.tobytes()]
                 else:  # each POVM in turn; the incomplete one is refused before any eigenvalue call
                     assert checked == [p.elements.tobytes() for p in povms]
-                    assert calls == [(3, strat.dim, strat.dim)] * 2
+                    assert calls == [(3, strat.dim, strat.dim)] * (1 if certified is _CERTIFIED else 2)
+                if povms is with_incomplete:
                     assert verdicts[1] == (DomainError, "POVM elements do not sum to the identity")
 
 

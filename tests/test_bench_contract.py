@@ -96,14 +96,30 @@ def test_workload_calls_match_signatures():
 
 
 @pytest.mark.parametrize("name", ["GridSweep", "OracleBulk", "SweepOracle"])
-def test_workload_pass_passes_its_gate(name, tmp_path):
-    """One pass of each workload, checked by the workload's own output gate."""
+def test_workload_pass_passes_its_gate(name, tmp_path, monkeypatch):
+    """Two passes of each workload, each checked by the workload's own output gate. The first solves every pencil
+    the workload needs; the second, a timed pass's path, makes no eigen-decomposition and takes no eigenvalues."""
     workloads = _load("workloads")
     cls = getattr(workloads, name)
     work = cls(1, tmp_path / "sweep.csv") if name == "SweepOracle" else cls(1)
-    attempted, failed = work.check(work.run_pass(0, None))
-    assert attempted == work.points_per_pass
-    assert failed == 0, work.errors[:3]
+    calls = collections.Counter()
+
+    def counting(name):
+        kernel = getattr(attack, name)
+
+        def counted(a):
+            calls[name] += 1
+            return kernel(a)
+        return counted
+
+    for index in range(2):
+        if index == 1:
+            for name in ("hermitian_eig", "hermitian_eigvalsh"):
+                monkeypatch.setattr(attack, name, counting(name))
+        attempted, failed = work.check(work.run_pass(index, None))
+        assert attempted == work.points_per_pass
+        assert failed == 0, work.errors[:3]
+    assert calls == {}, calls
 
 
 @pytest.mark.parametrize("block", [cli.SWEEP_BLOCK, 20])

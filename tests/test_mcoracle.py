@@ -815,15 +815,17 @@ def test_sequence_rows_across_a_seed_word_edge_equal_their_own_calls(edge):
 
 def test_sequence_form_refuses_an_argument_that_is_not_iterable(anchor, monkeypatch):
     """A strat that is not iterable beside an EnsembleBlock is a DomainError that names its type, and elements that
-    do not convert to complex numbers are one that says so, before any draw."""
+    do not convert to complex numbers (a string, an int beyond double range) are one that says so, before any
+    draw."""
     ens, strat, _ = anchor
     monkeypatch.setattr(mcoracle, "_draw", _no_draw)
     block = EnsembleBlock([ens.epsilon], [ens.delta], 3)
     for bad in (None, strat, np.array(0.3)):  # a 0-d array is Iterable by type, but cannot be iterated
         with pytest.raises(DomainError, match=f"^strat must be iterable, got {type(bad).__name__}$"):
             run_oracle(block, bad, MIN_TRIALS, 1)
-    with pytest.raises(DomainError, match="^elements must be numbers: "):
-        run_oracle(block, np.full((1, 3, 3, 3), "a"), MIN_TRIALS, 1)
+    for bad in (np.full((1, 3, 3, 3), "a"), [[[[2**2000] * 3] * 3] * 3]):  # a string, an int beyond double range
+        with pytest.raises(DomainError, match="^elements must be numbers: "):
+            run_oracle(block, bad, MIN_TRIALS, 1)
 
 
 def test_the_block_form_draws_each_rows_own_counts(anchor, monkeypatch):

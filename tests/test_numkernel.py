@@ -82,25 +82,30 @@ def test_eig_rejects_non_square():
         hermitian_eig(np.zeros((2, 3)))
 
 
-def _failing(gufunc):
-    """A stand-in for one of numpy's LAPACK gufuncs that fails as it does on every matrix: each output all NaN.
+#: numpy.linalg's message when LAPACK does not converge, which both kernels pass on.
+_NO_CONVERGENCE = "Eigenvalues did not converge"
+#: The (type, message) of that refusal, as either kernel, validate() and a block build give it.
+_NO_CONVERGENCE_REFUSAL = NoConvergenceError, _NO_CONVERGENCE
 
-    (The real failure also sets numpy's invalid flag, so numpy warns first; the stub leaves that out.)
-    """
+
+def _not_converging(monkeypatch, *names):
+    """Stand in for the named numpy.linalg calls with one that fails as they do when LAPACK does not converge."""
     def stub(a):
-        out = gufunc(a)
-        if isinstance(out, tuple):
-            return tuple(np.full_like(o, np.nan) for o in out)
-        return np.full_like(out, np.nan)
+        raise np.linalg.LinAlgError(_NO_CONVERGENCE)
 
-    stub.__name__ = gufunc.__name__
-    return stub
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, stub)
 
 
 def test_eig_no_convergence_is_translated(monkeypatch):
-    monkeypatch.setattr(numkernel, "eigh_lo", _failing(numkernel.eigh_lo))
-    with pytest.raises(NoConvergenceError, match="eigh_lo: eigenvalues did not converge"):
-        hermitian_eig(np.eye(2))
+    """numpy.linalg's LinAlgError becomes NoConvergenceError with numpy's message, from either kernel; hermitian_eig's
+    input checks still come first."""
+    _not_converging(monkeypatch, "eigh", "eigvalsh")
+    for kernel in (hermitian_eig, hermitian_eigvalsh):
+        with pytest.raises(NoConvergenceError, match=f"^{_NO_CONVERGENCE}$"):
+            kernel(np.eye(2))
+    with pytest.raises(DomainError, match="NaN or infinite entry"):
+        hermitian_eig(np.full((2, 2), np.nan))
 
 
 def test_require_hermitian_tolerance():
@@ -184,10 +189,6 @@ def test_eig_stack_guards():
         hermitian_eig(np.zeros((2, 3, 4)))
 
 
-#: The (type, message) of a failed eigvalsh_lo call's refusal, as validate() and a block build give it.
-_EIGVALSH_LO_REFUSAL = NoConvergenceError, "eigvalsh_lo: eigenvalues did not converge"
-
-
 def _block_of(ens):
     """The block of the one point ens."""
     return EnsembleBlock([ens.epsilon], [ens.delta], ens.dim)
@@ -195,11 +196,11 @@ def _block_of(ens):
 
 def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
     """hermitian_eig checks its input: a shape that is not square over the last two axes and an asymmetry above
-    HERMITIAN_ATOL are refused, and so is a LAPACK failure, named by its gufunc. The eigenvalue-only call, whose
-    callers check the entries, returns a failed matrix's eigenvalues as an all-NaN row, and its callers name that
-    failure by the same message: validate() and a block build, in each failed POVM's own cell, on the path of a POVM
-    the pivot certificate does not pass. With the certificate on, the same built POVMs never reach the failing call
-    and pass."""
+    HERMITIAN_ATOL are refused, and so is a LAPACK failure, as NoConvergenceError with numpy's message. The
+    eigenvalue-only call, whose callers check the entries, refuses a LAPACK failure the same way, and its callers
+    pass that refusal on: validate() and a block build, in each failed POVM's own cell, on the path of a POVM the
+    pivot certificate does not pass. With the certificate on, the same built POVMs never reach the failing call and
+    pass."""
     with pytest.raises(DimensionMismatchError):
         hermitian_eig(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatchError):
@@ -209,40 +210,37 @@ def test_eigvalsh_refuses_what_eig_refuses(monkeypatch):
         hermitian_eig(np.array([[1.0, 1e-10], [0.0, 1.0]]))
 
     strats = [build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2)), build_phase_remapping_povm(np.pi / 4)]
-    # hermitian_eigvalsh is the gufunc itself, bound at import: the stub goes where attack reads it
-    monkeypatch.setattr(attack, "hermitian_eigvalsh", _failing(numkernel.eigvalsh_lo))
+    _not_converging(monkeypatch, "eigvalsh")
     monkeypatch.setattr(attack, "_certified", certify_nothing)
     for strat in strats:
-        with pytest.raises(NoConvergenceError, match="^eigvalsh_lo: eigenvalues did not converge$"):
+        with pytest.raises(NoConvergenceError, match=f"^{_NO_CONVERGENCE}$"):
             strat.validate()
-    for strat in strats:  # both pencils are cached: no eigh_lo call
+    for strat in strats:  # both pencils are cached: no eigh call
         (cell,) = build_suboptimal_povm(_block_of(strat.ensemble)).refusals
-        assert (type(cell), str(cell)) == _EIGVALSH_LO_REFUSAL
+        assert (type(cell), str(cell)) == _NO_CONVERGENCE_REFUSAL
     monkeypatch.setattr(attack, "_certified", _CERTIFIED)
     for strat in strats:
         strat.validate()
         assert build_suboptimal_povm(_block_of(strat.ensemble)).refusals == [None]
-    monkeypatch.setattr(numkernel, "eigh_lo", _failing(numkernel.eigh_lo))
-    with pytest.raises(NoConvergenceError, match="^eigh_lo: eigenvalues did not converge$"):
+    _not_converging(monkeypatch, "eigh")
+    with pytest.raises(NoConvergenceError, match=f"^{_NO_CONVERGENCE}$"):
         hermitian_eig(np.eye(2))
 
 
 def test_the_unchecked_call_keeps_the_convergence_refusal(monkeypatch):
-    """The eigenvalue-only call makes no checks: on a built POVM's elements a LAPACK failure comes back from it as
-    all-NaN rows, which its callers refuse as NoConvergenceError on the path of a POVM the pivot certificate does not
-    pass: validate(), and a block build in that POVM's own cell. So does the checked hermitian_eig, each message
-    naming the failed gufunc. With the certificate on, the POVM never reaches the failing call and passes."""
+    """The eigenvalue-only call makes no checks, but on a built POVM's elements it still refuses a LAPACK failure as
+    NoConvergenceError, which its callers pass on, on the path of a POVM the pivot certificate does not pass:
+    validate(), and a block build in that POVM's own cell. So does the checked hermitian_eig, each with numpy's
+    message. With the certificate on, the POVM never reaches the failing call and passes."""
     strat = build_suboptimal_povm(build_ensemble(1 * DEG, np.pi / 2))
-    monkeypatch.setattr(numkernel, "eigh_lo", _failing(numkernel.eigh_lo))
-    monkeypatch.setattr(attack, "hermitian_eigvalsh", _failing(numkernel.eigvalsh_lo))
+    _not_converging(monkeypatch, "eigh", "eigvalsh")
     monkeypatch.setattr(attack, "_certified", certify_nothing)
     with pytest.raises(NoConvergenceError) as checked:
         hermitian_eig(strat.elements)
-    assert str(checked.value) == "eigh_lo: eigenvalues did not converge"
     with pytest.raises(NoConvergenceError) as lean:
         strat.validate()
-    (cell,) = build_suboptimal_povm(_block_of(strat.ensemble)).refusals  # the pencil is cached: no eigh_lo call
-    assert [(type(r), str(r)) for r in (lean.value, cell)] == [_EIGVALSH_LO_REFUSAL] * 2
+    (cell,) = build_suboptimal_povm(_block_of(strat.ensemble)).refusals  # the pencil is cached: no eigh call
+    assert [(type(r), str(r)) for r in (checked.value, lean.value, cell)] == [_NO_CONVERGENCE_REFUSAL] * 3
     monkeypatch.setattr(attack, "_certified", _CERTIFIED)
     strat.validate()
     assert build_suboptimal_povm(_block_of(strat.ensemble)).refusals == [None]
@@ -273,7 +271,7 @@ def _assert_matches_numpy_linalg(stack):
 
 
 def test_kernels_match_numpy_linalg_on_random_stacks():
-    """numpy's gufuncs called directly are the calls numpy.linalg makes: the same bytes, at dim 2, 3 and 8."""
+    """The kernels give numpy.linalg's bytes at dim 2, 3 and 8."""
     rng = np.random.default_rng(14)
     for dim in (2, 3, 8):
         for _ in range(20):
