@@ -61,10 +61,13 @@ _PENCIL_CACHE_SIZE = 1024
 #: |y_hat_b><y_hat_b| itself. At dim 2, E = I and v = y_delta.
 _E_PATTERNS = {3: np.zeros((3, 4, 3)), 2: np.eye(2)[None]}
 _E_PATTERNS[3][[0, 1, 2, 2], [1, 2, 3, 0], [0, 0, 1, 2]] = -1.0, 1.0, 1.0, 1.0  # E_ss, E_cc, E_sc
+#: dim 2's one monomial, 1 (E = I), and its read-only row: the point body's stand-ins for _monomials' mu and row.
+_UNIT_MU, _UNIT_ROW = (1.0,), np.ones(1)
+_UNIT_ROW.setflags(write=False)
 
 
 def _form_map(patterns: np.ndarray) -> np.ndarray:
-    """The real map from [Q_00, Q_03, Q_30, Q_33], Q_ab = v_a^T conj(v_b), to each monomial's terms (_map_scalars'
+    """The real map from [Q_00, Q_03, Q_30, Q_33], Q_ab = v_a^T conj(v_b), to each monomial's terms (_monomials'
     order) in E^T Q_00 E, E^T Q_33 E, -(both), and their traces g00, g33 and g03 = tr(E^T Q_30 E)."""
     n, dim = patterns.shape[1:]
     pairs = [(p, p) for p in range(len(patterns))] + list(itertools.combinations(range(len(patterns)), 2))
@@ -263,20 +266,21 @@ def _underflow(x: float) -> DegenerateSpanError:
     )
 
 
-def _monomials(epsilon: float) -> tuple[list[float], float]:
-    """(mu, sc) of epsilon's map back at dim 3: mu = [ss^2, cc^2, sc^2, ss cc, ss sc, cc sc] with s, c = sin 2e,
-    cos 2e."""
+@lru_cache(maxsize=_PENCIL_CACHE_SIZE)
+def _monomials(epsilon: float) -> tuple[tuple[float, ...], np.ndarray, float]:
+    """The epsilon half of the map back at dim 3: (mu, row, sc) with mu = (ss^2, cc^2, sc^2, ss cc, ss sc, cc sc) for
+    s, c = sin 2e, cos 2e, row its read-only float64 array, and sc.
+
+    It keeps the last _PENCIL_CACHE_SIZE epsilons, as _pencil keeps its deltas; an entry takes ~0.5 kB. Keying by value
+    is safe: the only distinct floats that compare equal are 0.0 and -0.0, and epsilon = 0 at dim 3 is refused before
+    this call, as is NaN (off the domain), so a key never stands for a value of other bits.
+    """
     s, c = math.sin(2 * epsilon), math.cos(2 * epsilon)
     sc, ss, cc = s * c, s * s, c * c
-    return [ss * ss, cc * cc, sc * sc, ss * cc, ss * sc, cc * sc], sc
-
-
-def _map_scalars(epsilon: float, delta: float, dim: int) -> tuple[list[float], float]:
-    """(mu, t) of a point's map back: _monomials' mu and t = sc delta^2 (dim 3), or [1] and delta (dim 2)."""
-    if dim == 2:
-        return [1.0], delta
-    mu, sc = _monomials(epsilon)
-    return mu, sc * delta**2
+    mu = (ss * ss, cc * cc, sc * sc, ss * cc, ss * sc, cc * sc)
+    row = np.array(mu)
+    row.setflags(write=False)
+    return mu, row, sc
 
 
 def _refusal(min_eigs: list[float], x: float) -> DomainError | None:
@@ -334,30 +338,34 @@ def _certified(c, x):
     checks too, and it sits 1000x below _PSD_TOL: a built element's exact
     least eigenvalue is 0, so its pivots stay near _PSD_TOL.
     """
-    dim = 3 if len(c) == 54 else 2
-    m_0, m_3, m_vac = _LOWER_TRIANGLES[dim]
     certified = x > 0
     try:
-        for lower, shifts in ((m_0, (_PASS_SHIFT,)), (m_3, (_PASS_SHIFT,)), (m_vac, (_PASS_SHIFT, _WITNESS_SHIFT))):
-            if dim == 3:  # the products no shift changes: |a10|^2, a20 conj(a10) and |a20|^2
+        if len(c) == 54:  # dim 3: b = a21 - a20 conj(a10) / d1, then d3 = a22 - |a20|^2 / d1 - |b|^2 / d2, shifted
+            for lower in _LOWER_TRIANGLES[3]:  # M_0, M_3, M_vac: the products no shift changes, then the pass pivots
                 a00, p, q, a11, r, t, u, v, a22 = lower(c)
-                rp_re, rp_im, rr = r * p + t * q, t * p - r * q, r * r + t * t
-            else:
+                pp, rp_re, rp_im, rr = p * p + q * q, r * p + t * q, t * p - r * q, r * r + t * t
+                d1 = a00 + _PASS_SHIFT
+                d2 = a11 + _PASS_SHIFT - pp / d1
+                b_re, b_im = u - rp_re / d1, v - rp_im / d1
+                d3 = a22 + _PASS_SHIFT - rr / d1 - (b_re * b_re + b_im * b_im) / d2
+                certified = certified & (d1 > 0) & (d2 > 0) & (d3 > 0)
+            # M_vac's witness, from the products of its pass
+            d1 = a00 + _WITNESS_SHIFT
+            d2 = a11 + _WITNESS_SHIFT - pp / d1
+            b_re, b_im = u - rp_re / d1, v - rp_im / d1
+            d3 = a22 + _WITNESS_SHIFT - rr / d1 - (b_re * b_re + b_im * b_im) / d2
+        else:  # dim 2: two pivots, so d3 repeats d2 in the witness
+            for lower in _LOWER_TRIANGLES[2]:
                 a00, p, q, a11 = lower(c)
-            pp = p * p + q * q
-            for shift in shifts:
-                d1 = a00 + shift
-                d2 = d3 = a11 + shift - pp / d1  # at dim 2, d3 repeats d2
-                if dim == 3:  # b = a21 - a20 conj(a10) / d1, then d3 = a22 - |a20|^2 / d1 - |b|^2 / d2, shifted
-                    b_re, b_im = u - rp_re / d1, v - rp_im / d1
-                    d3 = a22 + shift - rr / d1 - (b_re * b_re + b_im * b_im) / d2
-                if shift == _PASS_SHIFT:
-                    certified = certified & (d1 > 0) & (d2 > 0) & (d3 > 0)
-                else:
-                    certified = certified & ((d1 < 0) | (d1 > 0) & ((d2 < 0) | (d2 > 0) & (d3 < 0)))
+                pp = p * p + q * q
+                d1 = a00 + _PASS_SHIFT
+                d2 = a11 + _PASS_SHIFT - pp / d1
+                certified = certified & (d1 > 0) & (d2 > 0)
+            d1 = a00 + _WITNESS_SHIFT
+            d2 = d3 = a11 + _WITNESS_SHIFT - pp / d1
     except ZeroDivisionError:
         return False
-    return certified
+    return certified & ((d1 < 0) | (d1 > 0) & ((d2 < 0) | (d2 > 0) & (d3 < 0)))
 
 
 def _check(elements: np.ndarray, x: float) -> PfmAttackError | None:
@@ -409,11 +417,12 @@ def build_suboptimal_povm(ens: AttackEnsemble | EnsembleBlock) -> PovmStrategy |
 
     E's entries are ss, cc and sc, so M_b and the Gram entries are sums over
     six monomials mu (1 at dim 2) of forms that depend on (dim, delta) alone.
-    _pencil builds them once per (dim, delta) and keeps the last
-    _PENCIL_CACHE_SIZE, so a point makes two small matmuls, plus one
-    eigen-decomposition on a miss. validate() takes no eigenvalues when its
-    pivot certificate passes the POVM (_certified); one call of its three
-    elements otherwise, on the refusal path.
+    _pencil builds them once per (dim, delta) and _monomials mu once per
+    epsilon, each keeping the last _PENCIL_CACHE_SIZE, so a point makes two
+    small matmuls, plus one eigen-decomposition on a pencil miss. validate()
+    takes no eigenvalues when its pivot certificate passes the POVM
+    (_certified); one call of its three elements otherwise, on the refusal
+    path.
 
     e_B (absolutely) and p_succ (relatively) are within 1e-12 of exact
     arithmetic for every 0 < delta <= pi/2. Three points are refused, in
@@ -442,9 +451,13 @@ def build_suboptimal_povm(ens: AttackEnsemble | EnsembleBlock) -> PovmStrategy |
     if refusal is not None:
         raise refusal
     _, basis, forms, (lambda_0, lambda_3) = _pencil(ens.dim, ens.delta)
-    mu, t = _map_scalars(ens.epsilon, ens.delta, ens.dim)
+    if ens.dim == 3:
+        mu, row, sc = _monomials(ens.epsilon)
+        t = sc * ens.delta**2
+    else:
+        mu, row, t = _UNIT_MU, _UNIT_ROW, ens.delta
     # a 1-D row's dot: the bits of a (1, m) row's matmul, which the stacked body makes, without the row
-    g00, g33, g03_re, g03_im = np.array(mu).dot(forms).tolist()
+    g00, g33, g03_re, g03_im = row.dot(forms).tolist()
     # each hypot as abs() of a complex scalar: libm's hypot, as np.hypot is in the stacked body
     lmax = (g00 + g33) / 2 + abs(complex((g00 - g33) / 2, abs(complex(g03_re, g03_im))))
     # C C^H = sum_k w_k w_k^H is 2 rho in the w basis, hence the 2 in x
@@ -474,14 +487,14 @@ def _build_block(block: EnsembleBlock) -> PovmBlock:
     x, elements = np.empty(0), np.empty((0, 3, dim, dim), complex)
     if index:
         # in Python floats, as the single body: s and c from math, since numpy's sin and cos may differ in the last bit;
-        # mu once per distinct epsilon, t per cell
+        # mu from _monomials' cache once per distinct epsilon, t per cell
         if dim == 2:
             mu, t = np.ones((len(index), 1)), [delta[r] for r in index]
         else:
             values, slots = distinct_floats(block.epsilon[index])
             monomials = [_monomials(e) for e in values]
-            mu = np.array([row for row, _ in monomials])[slots]
-            t = [monomials[k][1] * delta[r]**2 for k, r in zip(slots.tolist(), index)]
+            mu = np.array([row for _, row, _ in monomials])[slots]
+            t = [monomials[k][2] * delta[r]**2 for k, r in zip(slots.tolist(), index)]
         # one (1, m) row per cell, as the single body's: a (k, m) row block per delta gives other bits
         mu = mu[:, None, :]
         g00, g33, g03_re, g03_im = (mu @ np.array([pencil[2] for pencil in pencils]))[:, 0].T

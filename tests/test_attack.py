@@ -1132,11 +1132,65 @@ def test_refused_points_do_not_reach_the_cache():
 
 
 def test_pencil_cache_is_bounded():
+    """The pencil cache holds its last _PENCIL_CACHE_SIZE deltas; the epsilon cache takes the same bound."""
     maxsize = attack._pencil.cache_info().maxsize
-    assert maxsize == attack._PENCIL_CACHE_SIZE
+    assert maxsize == attack._PENCIL_CACHE_SIZE == attack._monomials.cache_info().maxsize
     for delta in np.linspace(0.01, np.pi / 2, maxsize + 10):
         build_phase_remapping_povm(delta)
     assert attack._pencil.cache_info().currsize == maxsize
+
+
+def _monomial_bits(entry):
+    """The bytes of a _monomials entry (mu, row, sc): equal exactly when every value has the same bits."""
+    mu, row, sc = entry
+    return np.array(mu).tobytes(), row.tobytes(), np.float64(sc).tobytes()
+
+
+def test_cached_monomials_are_immutable():
+    """An epsilon's cache entry is a tuple of floats, a read-only array that owns its data, and a float."""
+    mu, row, sc = attack._monomials(1 * DEG)
+    assert isinstance(mu, tuple) and all(type(m) is float for m in mu) and type(sc) is float
+    assert row.dtype == np.float64 and row.shape == (6,) and row.base is None
+    with pytest.raises(ValueError):
+        row[0] = 0.0
+
+
+def test_cached_monomials_equal_a_fresh_computation():
+    """Over both signs and |epsilon| from 1e-300 rad to EPSILON_MAX, each entry read back from a filled cache equals
+    the uncached computation at the same epsilon, bit for bit: no key stands for a value of other bits."""
+    rng = np.random.default_rng(44)
+    magnitude = np.exp(rng.uniform(math.log(1e-300), math.log(EPSILON_MAX), 500))
+    eps = (rng.choice([-1.0, 1.0], 500) * magnitude).tolist() + [EPSILON_MAX, -EPSILON_MAX, 1e-300, -1e-300]
+    attack._monomials.cache_clear()
+    for e in eps:
+        attack._monomials(e)
+    for e in eps:
+        assert _monomial_bits(attack._monomials(e)) == _monomial_bits(attack._monomials.__wrapped__(e)), e
+    assert attack._monomials.cache_info().hits == len(eps)
+
+
+def test_point_rebuilt_after_its_monomials_were_evicted_is_bit_identical():
+    """A point built again once more than _PENCIL_CACHE_SIZE other epsilons have evicted its entry equals its
+    first build, bit for bit."""
+    ens = build_ensemble(0.37 * DEG, 0.8)
+    first = _point_outcome(ens)
+    for e in np.linspace(0.5, 1.0, attack._PENCIL_CACHE_SIZE + 1) * DEG:
+        build_suboptimal_povm(build_ensemble(e, 0.8))
+    misses = attack._monomials.cache_info().misses
+    assert _point_outcome(ens) == first
+    assert attack._monomials.cache_info().misses == misses + 1  # its entry was gone
+
+
+def test_signed_zero_epsilon_is_refused_before_the_monomial_cache():
+    """epsilon = 0.0 and -0.0, which a value-keyed cache would merge, are refused at dim 3 before any lookup, by the
+    point body and the block body alike: the cache's currsize, hits and misses do not change."""
+    before = attack._monomials.cache_info()
+    for eps in (0.0, -0.0):
+        with pytest.raises(SingularEpsilonError):
+            build_suboptimal_povm(AttackEnsemble(eps, np.pi / 2, 3))
+    povms = build_suboptimal_povm(EnsembleBlock([0.0, -0.0], [np.pi / 2, 0.5], 3))
+    assert [type(refusal) for refusal in povms.refusals] == [SingularEpsilonError] * 2
+    assert attack._monomials.cache_info() == before  # no lookup: hits, misses and currsize unchanged
 
 
 def _point_outcome(ens):

@@ -122,6 +122,24 @@ def test_workload_pass_passes_its_gate(name, tmp_path, monkeypatch):
     assert calls == {}, calls
 
 
+def test_a_grid_sweep_pass_builds_checks_and_evaluates_every_point():
+    """A traced grid_sweep pass after the warm-up: each of its 2000 pfm and 50 remap points makes its ensemble, its
+    build, one validate() and one evaluate, and a warm pencil makes no eigen-decomposition. A speed-up that caches
+    whole points, or skips the check or the evaluation, fails here. Its output passes its gate."""
+    workloads, tracing = _load("workloads"), _load("tracing")
+    work, tracer = workloads.GridSweep(1), tracing.Tracer()
+    assert work.check(work.run_pass(0, None)) == (work.points_per_pass, 0), work.errors[:3]
+    with tracer.installed():
+        out = work.run_pass(1, tracer)
+    assert work.check(out) == (work.points_per_pass, 0), work.errors[:3]
+    calls = {s["layer"]: s["calls"] for s in tracer.layer_stats()}
+    expected = {"statespace.build_ensemble": 2000, "attack.build_suboptimal_povm": 2050,
+                "attack.build_phase_remapping_povm": 50, "attack.PovmStrategy.validate": 2050,
+                "attack.evaluate": 2050, "numkernel.hermitian_eig": 0}
+    assert {layer: calls[layer] for layer in expected} == expected
+    assert sum(tracer.failed) == 0
+
+
 @pytest.mark.parametrize("block", [cli.SWEEP_BLOCK, 20])
 def test_a_sweep_oracle_pass_makes_no_per_cell_objects(block, tmp_path, monkeypatch):
     """A sweep_oracle pass (57 cells) goes from the grid to the CSV as arrays: it makes no AttackEnsemble, PovmStrategy
